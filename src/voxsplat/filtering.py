@@ -49,7 +49,11 @@ class FilterStats:
         self.degenerate += other.degenerate
 
     def check(self) -> None:
-        assert 0 <= self.fine_survivors <= self.coarse_survivors <= self.loaded
+        if not 0 <= self.fine_survivors <= self.coarse_survivors <= self.loaded:
+            raise RuntimeError(
+                f"filter counters out of order: fine {self.fine_survivors}, "
+                f"coarse {self.coarse_survivors}, loaded {self.loaded}"
+            )
 
     def as_dict(self) -> dict:
         return {

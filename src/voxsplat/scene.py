@@ -90,6 +90,9 @@ class Scene:
         self.opacities = np.asarray(self.opacities, dtype=np.float64).reshape(n)
         self.sh = np.asarray(self.sh, dtype=np.float64).reshape(n, 16, 3)
         self.ids = np.asarray(self.ids, dtype=np.int64).reshape(n)
+        for name in ("positions", "scales", "rotations", "opacities", "sh"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"non-finite values in splat {name}")
         if self.bounds is None:
             if n:
                 self.bounds = Aabb(self.positions.min(axis=0), self.positions.max(axis=0))

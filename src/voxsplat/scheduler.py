@@ -51,6 +51,18 @@ def traverse(tile: tuple[int, int], camera: Camera, grid: VoxelGrid) -> VoxelOrd
 
 
 def _walk_rays(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> VoxelOrderingTable:
+    """Per-ray lists read off the (rays, steps) visit array: one boolean
+    gather keeps each ray's visits in step order, a cumsum splits them."""
+    visits = _ray_visits(origin, dirs, grid)
+    hit = visits >= 0
+    flat = visits[hit].tolist()
+    ends = np.cumsum(hit.sum(axis=1)).tolist()
+    return [flat[b:e] for b, e in zip([0] + ends[:-1], ends)]
+
+
+def _ray_visits(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> np.ndarray:
+    """(rays, steps) renamed ids of the non-empty voxel each ray is in at each
+    DDA step, -1 where the ray is in an empty voxel or has left the grid."""
     n = len(dirs)
     rename = grid.dense_renaming()
     lo = grid.origin
@@ -73,28 +85,21 @@ def _walk_rays(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> VoxelOr
     t_next = (next_face - origin[None, :]) / d
     t_delta = grid.edge / np.abs(d)
 
-    visits: list[tuple[int, int, int]] = []  # (ray, step index, vid_r)
+    steps = []
     rows = np.arange(n)
     max_steps = int(np.asarray(grid.dims).sum()) + 3
-    for step_idx in range(max_steps):
+    for _ in range(max_steps):
         if not active.any():
             break
         vids = grid.vid_of_cell(cell)
-        vr = np.where(active, rename[np.clip(vids, 0, len(rename) - 1)], -1)
-        vr = np.where(active, vr, -1)
-        for ray in np.flatnonzero(vr >= 0):
-            visits.append((int(ray), step_idx, int(vr[ray])))
+        steps.append(np.where(active, rename[np.clip(vids, 0, len(rename) - 1)], -1))
         axis = np.argmin(t_next, axis=1)
         t_hit = t_next[rows, axis]
         cell[rows, axis] += step[rows, axis]
         t_next[rows, axis] += t_delta[rows, axis]
         inside = (cell[rows, axis] >= 0) & (cell[rows, axis] < np.asarray(grid.dims)[axis])
         active = active & inside & (t_hit < t_exit)
-
-    table: VoxelOrderingTable = [[] for _ in range(n)]
-    for ray, _, vid_r in sorted(visits):
-        table[ray].append(vid_r)
-    return table
+    return np.stack(steps, axis=1) if steps else np.full((n, 0), -1, dtype=np.int64)
 
 
 def build_dependency_tables(

@@ -346,31 +346,36 @@ def save_store(store: VoxelStore, path) -> None:
             f.write(rec.ids.astype("<u4").tobytes())
 
 
+def _read_exact(f, size: int, what: str) -> bytes:
+    raw = f.read(size)
+    if len(raw) != size:
+        raise StoreFormatError(f"truncated {what}")
+    return raw
+
+
 def load_store(path) -> VoxelStore:
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise StoreFormatError("bad voxel-store magic bytes")
-        version, kind = struct.unpack("<HB", f.read(3))
+        version, kind = struct.unpack("<HB", _read_exact(f, 3, "voxel-store header"))
         if version != _VERSION or kind != 0:
             raise StoreFormatError(f"unsupported store version {version} / kind {kind}")
-        (edge,) = struct.unpack("<d", f.read(8))
-        origin = np.frombuffer(f.read(24), dtype="<f8").copy()
-        dims = np.frombuffer(f.read(12), dtype="<u4").astype(np.int64)
-        (nonempty,) = struct.unpack("<I", f.read(4))
-        vids = np.frombuffer(f.read(4 * nonempty), dtype="<u4").astype(np.int64)
+        (edge,) = struct.unpack("<d", _read_exact(f, 8, "voxel-store header"))
+        origin = np.frombuffer(_read_exact(f, 24, "voxel-store header"), dtype="<f8").copy()
+        dims = np.frombuffer(_read_exact(f, 12, "voxel-store header"), dtype="<u4").astype(np.int64)
+        (nonempty,) = struct.unpack("<I", _read_exact(f, 4, "voxel-store header"))
+        vids = np.frombuffer(_read_exact(f, 4 * nonempty, "voxel renaming table"), dtype="<u4")
+        vids = vids.astype(np.int64)
         grid = VoxelGrid(origin=origin, edge=edge, dims=dims)
         grid.renaming = {int(v): r for r, v in enumerate(vids)}
         records = []
         for r in range(nonempty):
-            raw = f.read(4)
-            if len(raw) != 4:
-                raise StoreFormatError(f"truncated record header for voxel {r}")
-            (count,) = struct.unpack("<I", raw)
-            coarse = np.frombuffer(f.read(16 * count), dtype="<f4").reshape(count, 4)
-            fine = np.frombuffer(f.read(4 * 56 * count), dtype="<f4").reshape(count, 56)
-            ids = np.frombuffer(f.read(4 * count), dtype="<u4").astype(np.int64)
-            if len(coarse) != count or len(fine) != count or len(ids) != count:
-                raise StoreFormatError(f"truncated record payload for voxel {r}")
+            (count,) = struct.unpack("<I", _read_exact(f, 4, f"record header for voxel {r}"))
+            payload = _read_exact(f, 4 * 61 * count, f"record payload for voxel {r}")
+            coarse = np.frombuffer(payload, dtype="<f4", count=4 * count).reshape(count, 4)
+            fine = np.frombuffer(payload, dtype="<f4", count=56 * count, offset=16 * count)
+            fine = fine.reshape(count, 56)
+            ids = np.frombuffer(payload, dtype="<u4", offset=4 * 60 * count).astype(np.int64)
             records.append(
                 VoxelRecord(
                     vid_r=r,

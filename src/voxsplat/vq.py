@@ -148,7 +148,8 @@ def train_codebook(
         d2 = _squared_distances(vectors, centroids)
         assign = np.argmin(d2, axis=1)  # ties resolve to the lowest index
         mse = float(d2[np.arange(len(vectors)), assign].mean())
-        assert mse <= prev_mse + 1e-9, "k-means objective increased"
+        if not mse <= prev_mse + 1e-9:
+            raise RuntimeError(f"k-means objective increased from {prev_mse} to {mse}")
         iterations += 1
         if np.isfinite(prev_mse) and prev_mse > 0 and (prev_mse - mse) / prev_mse < tol:
             prev_mse = mse
@@ -227,7 +228,10 @@ def load_codebooks(path) -> dict[str, Codebook]:
                 break
             if magic != _MAGIC:
                 raise CodebookCorruptionError("bad codebook magic bytes")
-            version, tag, dim, count = struct.unpack("<HBHI", f.read(9))
+            header = f.read(9)
+            if len(header) != 9:
+                raise CodebookCorruptionError("truncated codebook header")
+            version, tag, dim, count = struct.unpack("<HBHI", header)
             if version != _VERSION:
                 raise CodebookCorruptionError(f"unsupported codebook version {version}")
             if tag not in tag_names:

@@ -120,3 +120,18 @@ def test_missing_input_file_is_error(tmp_path, capsys):
     rc = _run(["build-voxels", "--scene", tmp_path / "nope.ply", "--out", tmp_path / "v.gsvx"])
     assert rc == 1
     assert "voxsplat:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, payload", [("--voxels", b"GSVX\x01"), ("--books", b"GSVQ\x01\x00")])
+def test_truncated_store_and_codebook_headers_exit_1_with_one_line(
+    workspace, capsys, flag, payload
+):
+    bad = workspace / "bad.bin"
+    bad.write_bytes(payload)
+    # the bad file comes last, so it wins over the good --voxels
+    argv = ["render", "--mode", "streaming", "--voxels", workspace / "scene.gsvx",
+            "--camera", workspace / "cam.json", "--out", workspace / "never.png", flag, bad]
+    capsys.readouterr()
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("voxsplat: truncated ") and err.count("\n") == 1

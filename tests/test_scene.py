@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from voxsplat import Aabb, Camera, Gaussian, generate_scene, load_ply, save_ply
+from voxsplat import Aabb, Camera, Gaussian, Scene, generate_scene, load_ply, save_ply
 from voxsplat.errors import PlyParseError, PlySchemaError
 from voxsplat.scene import scene_fingerprint
 
@@ -177,3 +177,16 @@ def test_camera_validation_and_json(tmp_path):
     back = Camera.load(path)
     assert back.to_json() == cam.to_json()
     assert np.allclose(cam.position, [-1, -2, -3])
+
+
+@pytest.mark.parametrize("field", ["positions", "scales", "rotations", "opacities", "sh"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scene_rejects_non_finite_values(field, bad):
+    scene = constrained_scene(1, count=20)
+    arrays = {
+        name: getattr(scene, name).copy()
+        for name in ("positions", "scales", "rotations", "opacities", "sh", "ids")
+    }
+    arrays[field].reshape(-1)[7] = bad
+    with pytest.raises(ValueError, match=f"non-finite values in splat {field}"):
+        Scene(**arrays, bounds=Aabb([-100.0] * 3, [100.0] * 3))

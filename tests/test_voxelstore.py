@@ -193,3 +193,14 @@ def test_empty_scene_builds_empty_grid():
     grid, records = build_grid(scene, 2.0)
     assert grid.nonempty_count == 0
     assert records == []
+
+
+def test_every_truncation_of_a_store_file_is_a_format_error(tmp_path):
+    path = tmp_path / "small.gsvx"
+    save_store(VoxelStore.build(_random_scene(seed=13, count=6), 2.0), path)
+    data = path.read_bytes()
+    cut = tmp_path / "cut.gsvx"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(StoreFormatError):
+            load_store(cut)

@@ -190,3 +190,19 @@ def test_codebook_file_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(CodebookCorruptionError):
         load_codebooks(path)
+
+
+def test_truncated_codebook_files_are_corruption_errors(tmp_path):
+    rng = np.random.default_rng(11)
+    books = {
+        name: train_codebook(rng.normal(size=(40, dim)), 4, seed=1, attribute=name)
+        for name, dim in ATTRIBUTE_DIMS.items()
+    }
+    path = tmp_path / "books.gsvq"
+    save_codebooks(books, path)
+    data = path.read_bytes()
+    cut = tmp_path / "cut.gsvq"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(CodebookCorruptionError):
+            load_codebooks(cut)
