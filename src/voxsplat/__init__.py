@@ -9,7 +9,7 @@ from .errors import (
     StoreFormatError,
     VoxsplatError,
 )
-from .filtering import FilterStats, ProjectedBatch, coarse_filter, fine_filter
+from .filtering import FilterStats, ProjectedBatch, ProjectionCache, coarse_filter, fine_filter
 from .metrics import cbp_loss, cross_boundary_stats, psnr
 from .reference import render_frame_reference, traffic_breakdown
 from .scene import (

@@ -10,6 +10,11 @@ multiplier covers floating-point slack.
 
 The fine phase computes the exact projected covariance, conic, radius and
 view-dependent color for coarse survivors.
+
+Both phases project a voxel once per frame (``ProjectionCache``) and test
+each tile's rectangle against the cached projection; projecting a whole
+voxel and taking some splats gives the same bits as projecting those splats
+alone, because every step is row by row.
 """
 
 from __future__ import annotations
@@ -145,22 +150,64 @@ def coarse_screen_radius(camera: Camera, cam: np.ndarray, max_scales: np.ndarray
     return COARSE_SAFETY * RADIUS_SIGMAS * max_scales * np.abs(j_frob) + COARSE_DILATION_MARGIN
 
 
+@dataclass
+class CoarseView:
+    """A voxel's coarse projection: depth > near, pixel centers, coarse radii."""
+
+    in_front: np.ndarray
+    mean2d: np.ndarray
+    radius: np.ndarray
+
+
+@dataclass
+class FineView:
+    """A voxel's exact projection and each splat's rank in (depth, id) order."""
+
+    valid: np.ndarray
+    degenerate: np.ndarray  # in front of the near plane, covariance unusable
+    batch: ProjectedBatch
+    rank: np.ndarray
+
+
+class ProjectionCache:
+    """One frame's per-voxel projections, shared by every tile of the frame.
+
+    A splat's projection depends on the camera, not on the tile, so each
+    voxel is projected the first time a tile visits it and every later visit
+    only runs the rect tests.  The ledger and the filter counters still
+    charge every visit: the cost model is the hardware's, which streams the
+    voxel again for each tile.  Entries are deterministic, so when two render
+    threads fill the same entry the duplicate fill is harmless.
+    """
+
+    def __init__(self, camera: Camera):
+        self.camera = camera
+        self.coarse: dict[int, CoarseView] = {}
+        self.fine: dict[int, FineView] = {}
+
+
 def coarse_filter(
-    camera: Camera,
+    cache: ProjectionCache,
     rect,
+    vid_r: int,
     positions: np.ndarray,
     max_scales: np.ndarray,
     stats: FilterStats,
-):
-    """Conservative 4-parameter tile test.  Returns (mask, mean2d, depth)."""
+) -> np.ndarray:
+    """Conservative 4-parameter tile test of one voxel's splats; returns the
+    survivor mask.  The voxel is projected on its first visit of the frame."""
+    view = cache.coarse.get(vid_r)
+    if view is None:
+        camera = cache.camera
+        cam, depth, mean2d = project_means(camera, positions)
+        radius = coarse_screen_radius(camera, cam, max_scales)
+        view = cache.coarse[vid_r] = CoarseView(depth > camera.near, mean2d, radius)
+    mask = view.in_front & disc_overlaps_rect(view.mean2d, view.radius, rect)
     n = len(positions)
-    cam, depth, mean2d = project_means(camera, positions)
-    radius = coarse_screen_radius(camera, cam, max_scales)
-    mask = (depth > camera.near) & disc_overlaps_rect(mean2d, radius, rect)
     stats.loaded += n
     stats.macs_coarse += COARSE_MACS * n
-    stats.coarse_survivors += int(mask.sum())
-    return mask, mean2d, depth
+    stats.coarse_survivors += int(np.count_nonzero(mask))
+    return mask
 
 
 def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
@@ -251,24 +298,37 @@ def project_splats(
 
 
 def fine_filter(
-    camera: Camera,
+    cache: ProjectionCache,
     rect,
-    positions: np.ndarray,
-    scales: np.ndarray,
-    rotations: np.ndarray,
-    opacities: np.ndarray,
-    sh: np.ndarray,
-    ids: np.ndarray,
+    vid_r: int,
+    survivors: np.ndarray,
+    splats: tuple | None,
     stats: FilterStats,
 ) -> ProjectedBatch:
-    """Exact projection for coarse survivors; returns the splats that truly
-    meet the tile, ready to blend."""
-    n = len(positions)
-    stats.macs_fine += FINE_MACS * n
-    valid, batch, degenerate = project_splats(
-        camera, positions, scales, rotations, opacities, sh, ids
+    """Exact tile test for one voxel's coarse survivors; returns the splats
+    that truly meet the tile, sorted by (depth, id) and ready to blend.
+
+    ``splats`` holds ``project_splats``'s inputs for the whole voxel
+    (positions, scales, rotations, opacities, sh, ids).  Only the voxel's
+    first fine visit of the frame reads it: that visit projects every splat
+    of the voxel once and ranks them by (depth, id).
+    """
+    view = cache.fine.get(vid_r)
+    if view is None:
+        view = cache.fine[vid_r] = _project_voxel(cache.camera, splats)
+    stats.macs_fine += FINE_MACS * len(survivors)
+    stats.degenerate += int(np.count_nonzero(view.degenerate[survivors]))
+    batch = view.batch
+    hit = view.valid[survivors] & disc_overlaps_rect(
+        batch.mean2d[survivors], batch.radius[survivors], rect
     )
-    stats.degenerate += degenerate
-    mask = valid & disc_overlaps_rect(batch.mean2d, batch.radius, rect)
-    stats.fine_survivors += int(mask.sum())
-    return batch.take(np.flatnonzero(mask))
+    keep = survivors[hit]
+    stats.fine_survivors += len(keep)
+    return batch.take(keep[np.argsort(view.rank[keep])])
+
+
+def _project_voxel(camera: Camera, splats: tuple) -> FineView:
+    valid, batch, _ = project_splats(camera, *splats)
+    rank = np.empty(len(batch), dtype=np.int64)
+    rank[np.lexsort((batch.ids, batch.depth))] = np.arange(len(batch))
+    return FineView(valid, (batch.depth > camera.near) & ~valid, batch, rank)

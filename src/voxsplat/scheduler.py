@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -102,22 +103,22 @@ def _ray_visits(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> np.nda
     return np.stack(steps, axis=1) if steps else np.full((n, 0), -1, dtype=np.int64)
 
 
-def build_dependency_tables(
-    table: VoxelOrderingTable,
-) -> tuple[dict[int, set[int]], dict[int, int]]:
-    """Adjacency (source -> destinations) and in-degree over distinct edges
-    between consecutive voxels of each per-pixel list."""
-    adjacency: dict[int, set[int]] = {}
-    indegree: dict[int, int] = {}
-    for row in table:
-        for v in row:
-            indegree.setdefault(v, 0)
-            adjacency.setdefault(v, set())
-        for a, b in zip(row, row[1:]):
-            if b not in adjacency[a]:
-                adjacency[a].add(b)
-                indegree[b] += 1
-    return adjacency, indegree
+def dependency_graph(table: VoxelOrderingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct voxels of a table and the distinct edges between
+    consecutive voxels of each per-pixel list.
+
+    Returns (nodes, src, dst): ``nodes`` ascending renamed ids, ``src`` and
+    ``dst`` indices into ``nodes``, one entry per edge, sorted by (src, dst).
+    """
+    lengths = np.fromiter(map(len, table), dtype=np.int64, count=len(table))
+    flat = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=int(lengths.sum()))
+    nodes, local = np.unique(flat, return_inverse=True)
+    # flat[i] -> flat[i + 1] is an edge unless a new row starts at i + 1
+    starts = np.cumsum(lengths)[:-1]
+    follows = np.ones(max(len(flat) - 1, 0), dtype=bool)
+    follows[starts[(starts > 0) & (starts < len(flat))] - 1] = False
+    codes = np.unique(local[:-1][follows] * len(nodes) + local[1:][follows])
+    return nodes, codes // len(nodes), codes % len(nodes)
 
 
 def schedule(
@@ -128,35 +129,40 @@ def schedule(
     The ready queue pops the voxel with the smallest centroid depth (ties by
     renamed id), so the output is deterministic.  If the ready queue drains
     while nodes remain, the nearest remaining voxel is released and the event
-    counted in the metadata.
+    counted in the metadata.  Nodes are ascending renamed ids, so the heap
+    key (depth, node index) orders exactly like (depth, renamed id).
     """
-    adjacency, indegree = build_dependency_tables(table)
+    nodes, src, dst = dependency_graph(table)
+    n = len(nodes)
+    ids = nodes.tolist()
+    depth = [depths[v] for v in ids]
+    remaining = np.bincount(dst, minlength=n).tolist()
+    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+    successors = dst.tolist()
     meta = ScheduleMeta()
-    remaining = dict(indegree)
-    ready = [(depths[v], v) for v, deg in sorted(remaining.items()) if deg == 0]
+    ready = [(depth[i], i) for i in range(n) if remaining[i] == 0]
     heapq.heapify(ready)
     emitted: list[int] = []
-    done: set[int] = set()
-    while len(emitted) < len(remaining):
+    done = [False] * n
+    while len(emitted) < n:
         if not ready:
             meta.cycles_broken += 1
-            pending = [(depths[v], v) for v in sorted(remaining) if v not in done]
-            forced = min(pending)[1]
+            forced = min((depth[i], i) for i in range(n) if not done[i])[1]
             remaining[forced] = 0
-            heapq.heappush(ready, (depths[forced], forced))
+            heapq.heappush(ready, (depth[forced], forced))
             continue
         _, v = heapq.heappop(ready)
-        if v in done:
+        if done[v]:
             continue
-        done.add(v)
+        done[v] = True
         emitted.append(v)
-        for succ in sorted(adjacency[v]):
-            if succ in done:
+        for succ in successors[bounds[v] : bounds[v + 1]]:
+            if done[succ]:
                 continue
             remaining[succ] -= 1
             if remaining[succ] == 0:
-                heapq.heappush(ready, (depths[succ], succ))
-    return emitted, meta
+                heapq.heappush(ready, (depth[succ], succ))
+    return [ids[i] for i in emitted], meta
 
 
 def voxel_depths(vid_rs, camera: Camera, grid: VoxelGrid) -> dict[int, float]:
@@ -170,10 +176,10 @@ def voxel_depths(vid_rs, camera: Camera, grid: VoxelGrid) -> dict[int, float]:
 
 
 def dump_edges(table: VoxelOrderingTable) -> str:
-    """Dependency edges as 'src dst' lines, for graph debugging."""
-    adjacency, _ = build_dependency_tables(table)
-    lines = []
-    for src in sorted(adjacency):
-        for dst in sorted(adjacency[src]):
-            lines.append(f"{src} {dst}")
-    return "\n".join(lines)
+    """Dependency edges as sorted 'src dst' lines, for graph debugging.
+
+    Rows are independent, so the table may hold the rows of many tiles: the
+    dump is then the union of their edges.
+    """
+    nodes, src, dst = dependency_graph(table)
+    return "\n".join(f"{a} {b}" for a, b in zip(nodes[src].tolist(), nodes[dst].tolist()))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blending import T_FREEZE, blend, composite_background, tile_pixel_centers
-from .filtering import FilterStats, coarse_filter, fine_filter, tile_rect
+from .filtering import FilterStats, ProjectionCache, coarse_filter, fine_filter, tile_rect
 from .scene import Camera, TILE_EDGE
 from .scheduler import schedule, traverse, voxel_depths
 from .traffic import PIXEL_BYTES, TrafficLedger
@@ -62,8 +62,15 @@ def render_tile_streaming(
     pixel_trace: tuple[int, list] | None = None,
     early_exit: bool = True,
     batch_capacity: int = VOXEL_BATCH_CAPACITY,
+    cache: ProjectionCache | None = None,
 ) -> tuple[np.ndarray, StreamStats]:
-    """Render one 16x16 tile; returns (256, 3) colors and the tile's stats."""
+    """Render one 16x16 tile; returns (256, 3) colors and the tile's stats.
+
+    ``cache`` holds the frame's voxel projections for ``camera``; a tile
+    rendered on its own gets a fresh one.
+    """
+    if cache is None:
+        cache = ProjectionCache(camera)
     tx, ty = tile
     stats = StreamStats()
     rect = tile_rect(tx, ty)
@@ -83,26 +90,14 @@ def render_tile_streaming(
             break
         rec = records[vid_r]
         positions, max_scales = stream_coarse(rec, ledger)
-        mask, _, _ = coarse_filter(camera, rect, positions, max_scales, stats.filter)
+        mask = coarse_filter(cache, rect, vid_r, positions, max_scales, stats.filter)
         survivors = np.flatnonzero(mask)
         if not len(survivors):
             continue
-        scales, rots, dc, rest, opac = stream_fine(rec, survivors, books, ledger)
-        sh = np.concatenate([dc[:, None, :], rest], axis=1)
-        batch = fine_filter(
-            camera,
-            rect,
-            positions[survivors],
-            scales,
-            rots,
-            opac,
-            sh,
-            rec.ids[survivors],
-            stats.filter,
-        )
+        splats = stream_fine(rec, survivors, books, ledger, decode=vid_r not in cache.fine)
+        batch = fine_filter(cache, rect, vid_r, survivors, splats, stats.filter)
         if not len(batch):
             continue
-        batch = batch.sorted_by_depth()
         for start in range(0, len(batch), batch_capacity):
             if start:
                 stats.batch_splits += 1
@@ -132,12 +127,13 @@ def render_frame_streaming(
     """
     ntx, nty = camera.tile_counts
     tiles = [(tx, ty) for ty in range(nty) for tx in range(ntx)]
+    cache = ProjectionCache(camera)  # shared by the workers, dropped with the frame
 
     def run(tile):
         sub = TrafficLedger()
         color, stats = render_tile_streaming(
             tile, camera, grid, records, books, sub, background=background,
-            early_exit=early_exit,
+            early_exit=early_exit, cache=cache,
         )
         return color, sub, stats
 

@@ -8,12 +8,14 @@ apart from the second half (everything else, raw or codebook-encoded).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StoreFormatError
+from .errors import CodebookCorruptionError, StoreFormatError
 from .scene import Aabb, Scene, scene_fingerprint
 from .vq import ATTRIBUTES, Codebook, nearest_indices
 
@@ -23,6 +25,10 @@ RAW_FINE_PARAMS = 55  # scale(3) + rotation(4) + dc(3) + sh_rest(45)
 RAW_FINE_BYTES = RAW_FINE_PARAMS * 4
 RAW_FINE_STREAM_BYTES = RAW_FINE_BYTES + 4  # opacity rides along when VQ is off
 PACKED_INDEX_BITS = 12 + 12 + 12 + 9 + 32  # bit-exact alternative packing
+
+# Lookup tables such as ``dense_renaming`` hold one entry per cell; the cap
+# bounds them (128 MB of int64) whatever a file header claims.
+MAX_GRID_CELLS = 1 << 24
 
 _MAGIC = b"GSVX"
 _VERSION = 1
@@ -38,10 +44,14 @@ class VoxelGrid:
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         self.dims = np.asarray(self.dims, dtype=np.int64).reshape(3)
-        if self.edge <= 0:
-            raise ValueError("voxel edge must be positive")
+        _check_edge(self.edge)
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError("grid origin must be finite")
         if np.any(self.dims < 1):
             raise ValueError("grid dims must be >= 1")
+        cells = math.prod(int(d) for d in self.dims)
+        if cells > MAX_GRID_CELLS:
+            raise ValueError(f"grid of {cells} cells exceeds the cap of {MAX_GRID_CELLS}")
         self._dense = None
         self._inverse = None
 
@@ -102,6 +112,11 @@ class VoxelGrid:
         return Aabb(self.origin, self.origin + self.dims * self.edge)
 
 
+def _check_edge(edge: float) -> None:
+    if not (math.isfinite(edge) and edge > 0):
+        raise ValueError(f"voxel edge must be positive and finite, got {edge}")
+
+
 @dataclass
 class VoxelRecord:
     """All splats resident in one voxel, in ascending-id order."""
@@ -138,8 +153,7 @@ def build_grid(scene: Scene, edge: float) -> tuple[VoxelGrid, list[VoxelRecord]]
     boundaries form a global lattice: assignment does not depend on which
     splats happen to be present.
     """
-    if edge <= 0:
-        raise ValueError("voxel edge must be positive")
+    _check_edge(edge)
     origin = np.floor(scene.bounds.lo / edge) * edge
     if len(scene):
         # +1 so positions exactly on the far bound stay in range under floor
@@ -229,35 +243,50 @@ def stream_fine(
     survivors: np.ndarray,
     books: dict[str, Codebook] | None,
     ledger,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fetch and decode second halves for the surviving splats only.
+    *,
+    decode: bool,
+) -> tuple | None:
+    """Fetch the second halves of the surviving splats, charging for them only.
 
-    Returns (scales, rotations, dc, sh_rest, opacities).  Encoded records
-    charge the 12-byte packed layout; raw records charge 56 float32 values.
+    Encoded records charge the 12-byte packed layout; raw records charge 56
+    float32 values.  With ``decode``, returns the whole voxel decoded as
+    ``project_splats``'s inputs (positions, scales, rotations, opacities, sh,
+    ids), else None: a renderer decodes each voxel once per frame and
+    reuses its projection on later visits, which the ledger still charges.
     """
     survivors = np.asarray(survivors, dtype=np.int64)
     n = len(survivors)
     if np.any((survivors < 0) | (survivors >= record.count)):
         raise ValueError("survivor index out of range")
+    if record.encoded and books is None:
+        raise ValueError("encoded records need codebooks to decode")
+    per_splat = ENCODED_FINE_BYTES if record.encoded else RAW_FINE_STREAM_BYTES
+    ledger.charge("fine-load", per_splat * n, n)
+    if not decode:
+        return None
     if record.encoded:
-        if books is None:
-            raise ValueError("encoded records need codebooks to decode")
-        ledger.charge("fine-load", ENCODED_FINE_BYTES * n, n)
-        scales = books["scale"].entries[record.scale_idx[survivors]].astype(np.float64)
-        rots = books["rotation"].entries[record.rot_idx[survivors]].astype(np.float64)
+        scales = _lookup(books, "scale", record.scale_idx, record.vid_r)
+        rots = _lookup(books, "rotation", record.rot_idx, record.vid_r)
         norms = np.linalg.norm(rots, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         rots = rots / norms
-        dc = books["dc"].entries[record.dc_idx[survivors]].astype(np.float64)
-        rest = books["sh_rest"].entries[record.sh_idx[survivors]].astype(np.float64)
-        rest = rest.reshape(n, 15, 3)
+        dc = _lookup(books, "dc", record.dc_idx, record.vid_r)
+        rest = _lookup(books, "sh_rest", record.sh_idx, record.vid_r).reshape(record.count, 15, 3)
     else:
-        ledger.charge("fine-load", RAW_FINE_STREAM_BYTES * n, n)
-        scales = record.scales[survivors]
-        rots = record.rotations[survivors]
-        dc = record.dc[survivors]
-        rest = record.sh_rest[survivors]
-    return scales, rots, dc, rest, record.opacities[survivors]
+        scales, rots, dc, rest = record.scales, record.rotations, record.dc, record.sh_rest
+    sh = np.concatenate([dc[:, None, :], rest], axis=1)
+    return record.positions, scales, rots, record.opacities, sh, record.ids
+
+
+def _lookup(books: dict[str, Codebook], attribute: str, idx: np.ndarray, vid_r: int):
+    """Centroids for one voxel's indices into one codebook, range-checked."""
+    count = books[attribute].entry_count
+    bad = idx[(idx < 0) | (idx >= count)]
+    if len(bad):
+        raise CodebookCorruptionError(
+            f"{attribute} index {bad[0]} out of range for {count} entries in voxel {vid_r}"
+        )
+    return books[attribute].entries[idx].astype(np.float64)
 
 
 def scene_from_records(grid: VoxelGrid, records: list[VoxelRecord]) -> Scene:
@@ -346,32 +375,53 @@ def save_store(store: VoxelStore, path) -> None:
             f.write(rec.ids.astype("<u4").tobytes())
 
 
-def _read_exact(f, size: int, what: str) -> bytes:
-    raw = f.read(size)
-    if len(raw) != size:
-        raise StoreFormatError(f"truncated {what}")
-    return raw
+class _StoreReader:
+    """Reads a store file without asking for more bytes than are left, so a
+    size taken from a header can never trigger a huge allocation."""
+
+    def __init__(self, f):
+        self.f = f
+        self.left = os.fstat(f.fileno()).st_size - f.tell()
+
+    def read(self, size: int, what: str) -> bytes:
+        if size > self.left:
+            raise StoreFormatError(f"truncated {what}")
+        self.left -= size
+        return self.f.read(size)
 
 
 def load_store(path) -> VoxelStore:
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise StoreFormatError("bad voxel-store magic bytes")
-        version, kind = struct.unpack("<HB", _read_exact(f, 3, "voxel-store header"))
+        reader = _StoreReader(f)
+        version, kind = struct.unpack("<HB", reader.read(3, "voxel-store header"))
         if version != _VERSION or kind != 0:
             raise StoreFormatError(f"unsupported store version {version} / kind {kind}")
-        (edge,) = struct.unpack("<d", _read_exact(f, 8, "voxel-store header"))
-        origin = np.frombuffer(_read_exact(f, 24, "voxel-store header"), dtype="<f8").copy()
-        dims = np.frombuffer(_read_exact(f, 12, "voxel-store header"), dtype="<u4").astype(np.int64)
-        (nonempty,) = struct.unpack("<I", _read_exact(f, 4, "voxel-store header"))
-        vids = np.frombuffer(_read_exact(f, 4 * nonempty, "voxel renaming table"), dtype="<u4")
-        vids = vids.astype(np.int64)
-        grid = VoxelGrid(origin=origin, edge=edge, dims=dims)
+        (edge,) = struct.unpack("<d", reader.read(8, "voxel-store header"))
+        origin = np.frombuffer(reader.read(24, "voxel-store header"), dtype="<f8").copy()
+        dims = np.frombuffer(reader.read(12, "voxel-store header"), dtype="<u4")
+        dims = dims.astype(np.int64)
+        (nonempty,) = struct.unpack("<I", reader.read(4, "voxel-store header"))
+        try:
+            grid = VoxelGrid(origin=origin, edge=edge, dims=dims)
+        except ValueError as exc:
+            raise StoreFormatError(f"bad voxel-store header: {exc}") from None
+        if nonempty > grid.voxel_count:
+            raise StoreFormatError(
+                f"{nonempty} non-empty voxels in a grid of {grid.voxel_count} cells"
+            )
+        table = reader.read(4 * nonempty, "voxel renaming table")
+        vids = np.frombuffer(table, dtype="<u4").astype(np.int64)
+        if np.any(np.diff(vids) <= 0) or np.any(vids >= grid.voxel_count):
+            raise StoreFormatError(
+                f"voxel renaming table is not strictly ascending below {grid.voxel_count}"
+            )
         grid.renaming = {int(v): r for r, v in enumerate(vids)}
         records = []
         for r in range(nonempty):
-            (count,) = struct.unpack("<I", _read_exact(f, 4, f"record header for voxel {r}"))
-            payload = _read_exact(f, 4 * 61 * count, f"record payload for voxel {r}")
+            (count,) = struct.unpack("<I", reader.read(4, f"record header for voxel {r}"))
+            payload = reader.read(4 * 61 * count, f"record payload for voxel {r}")
             coarse = np.frombuffer(payload, dtype="<f4", count=4 * count).reshape(count, 4)
             fine = np.frombuffer(payload, dtype="<f4", count=56 * count, offset=16 * count)
             fine = fine.reshape(count, 56)

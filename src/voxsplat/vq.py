@@ -7,6 +7,7 @@ each with its own codebook.  Opacity stays raw and uncompressed.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -236,13 +237,13 @@ def load_codebooks(path) -> dict[str, Codebook]:
                 raise CodebookCorruptionError(f"unsupported codebook version {version}")
             if tag not in tag_names:
                 raise CodebookCorruptionError(f"unknown attribute tag {tag}")
-            raw = f.read(4 * dim * count)
-            if len(raw) != 4 * dim * count:
-                raise CodebookCorruptionError("truncated codebook payload")
-            entries = np.frombuffer(raw, dtype="<f4").reshape(count, dim)
             name = tag_names[tag]
             if dim != ATTRIBUTE_DIMS[name]:
                 raise CodebookCorruptionError(f"codebook {name!r} has dim {dim}")
+            # compare with the bytes left first, so a header's count never allocates
+            if 4 * dim * count > os.fstat(f.fileno()).st_size - f.tell():
+                raise CodebookCorruptionError("truncated codebook payload")
+            entries = np.frombuffer(f.read(4 * dim * count), dtype="<f4").reshape(count, dim)
             books[name] = Codebook(attribute=name, entries=entries)
     missing = [n for n in ATTRIBUTES if n not in books]
     if missing:

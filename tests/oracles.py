@@ -2,15 +2,34 @@
 
 These are the straightforward per-splat and per-visit forms that the
 production code must match bit for bit.  They live here, not in the
-package, so there is exactly one blend and one ray-table builder to ship.
+package, so there is exactly one blend, one ray-table builder, one
+scheduler and one filter chain to ship.
+
+The filter-chain oracles take the per-tile signatures of ``coarse_filter``,
+``stream_fine`` and ``fine_filter`` but ignore the frame's projection cache:
+every visit projects its voxel again, and ``stream_fine_per_visit`` decodes
+the survivors only, so ``fine_filter_per_visit`` projects just those and
+sorts them with ``sorted_by_depth``.  The two fine oracles must be patched
+in together.
 """
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from voxsplat.blending import ALPHA_CAP, ALPHA_MIN, T_FREEZE
-from voxsplat.scheduler import _ray_visits
+from voxsplat.filtering import (
+    COARSE_MACS,
+    FINE_MACS,
+    coarse_screen_radius,
+    disc_overlaps_rect,
+    project_means,
+    project_splats,
+)
+from voxsplat.scheduler import ScheduleMeta, _ray_visits
+from voxsplat.voxelstore import ENCODED_FINE_BYTES, RAW_FINE_STREAM_BYTES
 
 
 def blend_per_splat(batch, centers, color, transmittance, trace=None, pixel_trace=None) -> int:
@@ -48,3 +67,91 @@ def walk_rays_per_visit(origin, dirs, grid) -> list[list[int]]:
     for ray, _, vid_r in sorted(visits):
         table[ray].append(vid_r)
     return table
+
+
+def schedule_dict_based(table, depths):
+    """Kahn's algorithm over dict/set adjacency; same contract as ``schedule``."""
+    adjacency: dict[int, set[int]] = {}
+    indegree: dict[int, int] = {}
+    for row in table:
+        for v in row:
+            indegree.setdefault(v, 0)
+            adjacency.setdefault(v, set())
+        for a, b in zip(row, row[1:]):
+            if b not in adjacency[a]:
+                adjacency[a].add(b)
+                indegree[b] += 1
+    meta = ScheduleMeta()
+    remaining = dict(indegree)
+    ready = [(depths[v], v) for v, deg in sorted(remaining.items()) if deg == 0]
+    heapq.heapify(ready)
+    emitted: list[int] = []
+    done: set[int] = set()
+    while len(emitted) < len(remaining):
+        if not ready:
+            meta.cycles_broken += 1
+            pending = [(depths[v], v) for v in sorted(remaining) if v not in done]
+            forced = min(pending)[1]
+            remaining[forced] = 0
+            heapq.heappush(ready, (depths[forced], forced))
+            continue
+        _, v = heapq.heappop(ready)
+        if v in done:
+            continue
+        done.add(v)
+        emitted.append(v)
+        for succ in sorted(adjacency[v]):
+            if succ in done:
+                continue
+            remaining[succ] -= 1
+            if remaining[succ] == 0:
+                heapq.heappush(ready, (depths[succ], succ))
+    return emitted, meta
+
+
+def coarse_filter_per_visit(cache, rect, vid_r, positions, max_scales, stats):
+    """Coarse test that projects the voxel on every visit."""
+    camera = cache.camera
+    n = len(positions)
+    cam, depth, mean2d = project_means(camera, positions)
+    radius = coarse_screen_radius(camera, cam, max_scales)
+    mask = (depth > camera.near) & disc_overlaps_rect(mean2d, radius, rect)
+    stats.loaded += n
+    stats.macs_coarse += COARSE_MACS * n
+    stats.coarse_survivors += int(mask.sum())
+    return mask
+
+
+def stream_fine_per_visit(record, survivors, books, ledger, *, decode):
+    """Charges like ``stream_fine`` but always decodes, and only the survivors."""
+    survivors = np.asarray(survivors, dtype=np.int64)
+    n = len(survivors)
+    if record.encoded:
+        ledger.charge("fine-load", ENCODED_FINE_BYTES * n, n)
+        scales = books["scale"].entries[record.scale_idx[survivors]].astype(np.float64)
+        rots = books["rotation"].entries[record.rot_idx[survivors]].astype(np.float64)
+        norms = np.linalg.norm(rots, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        rots = rots / norms
+        dc = books["dc"].entries[record.dc_idx[survivors]].astype(np.float64)
+        rest = books["sh_rest"].entries[record.sh_idx[survivors]].astype(np.float64)
+        rest = rest.reshape(n, 15, 3)
+    else:
+        ledger.charge("fine-load", RAW_FINE_STREAM_BYTES * n, n)
+        scales = record.scales[survivors]
+        rots = record.rotations[survivors]
+        dc = record.dc[survivors]
+        rest = record.sh_rest[survivors]
+    sh = np.concatenate([dc[:, None, :], rest], axis=1)
+    return (record.positions[survivors], scales, rots, record.opacities[survivors], sh,
+            record.ids[survivors])
+
+
+def fine_filter_per_visit(cache, rect, vid_r, survivors, splats, stats):
+    """Projects the survivors ``stream_fine_per_visit`` decoded, then sorts."""
+    stats.macs_fine += FINE_MACS * len(splats[0])
+    valid, batch, degenerate = project_splats(cache.camera, *splats)
+    stats.degenerate += degenerate
+    mask = valid & disc_overlaps_rect(batch.mean2d, batch.radius, rect)
+    stats.fine_survivors += int(mask.sum())
+    return batch.take(np.flatnonzero(mask)).sorted_by_depth()

@@ -24,7 +24,13 @@ from voxsplat import (
     render_frame_streaming,
     traffic_breakdown,
 )
-from voxsplat.filtering import FilterStats, coarse_filter, fine_filter, tile_rect
+from voxsplat.filtering import (
+    FilterStats,
+    ProjectionCache,
+    coarse_filter,
+    fine_filter,
+    tile_rect,
+)
 from voxsplat.scene import scene_fingerprint
 from voxsplat.scheduler import schedule, traverse, voxel_depths
 from voxsplat.traffic import INTERMEDIATE_STAGES, counts_from_stats
@@ -142,9 +148,10 @@ def test_criterion_03_coarse_filter_conservative():
         tile = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
         rect = tile_rect(*tile)
         stats = FilterStats()
-        cmask, _, _ = coarse_filter(camera, rect, positions, scales.max(axis=1), stats)
-        fine = fine_filter(camera, rect, positions, scales, quats, opac, sh,
-                           np.arange(n), stats)
+        cache = ProjectionCache(camera)
+        cmask = coarse_filter(cache, rect, 0, positions, scales.max(axis=1), stats)
+        fine = fine_filter(cache, rect, 0, np.arange(n),
+                           (positions, scales, quats, opac, sh, np.arange(n)), stats)
         false_rejects += len(set(fine.ids.tolist()) - set(np.flatnonzero(cmask).tolist()))
         total += n
     ok = total >= 100000 and false_rejects == 0

@@ -135,3 +135,18 @@ def test_truncated_store_and_codebook_headers_exit_1_with_one_line(
     assert _run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("voxsplat: truncated ") and err.count("\n") == 1
+
+
+def test_store_header_with_a_huge_grid_exits_1_with_one_line(workspace, capsys):
+    """A 4000^3 grid would need a 512 GB dense id table; the loader refuses it."""
+    bad = workspace / "huge.gsvx"
+    good = (workspace / "scene.gsvx").read_bytes()
+    # magic, version and kind (7 B), edge (8 B), origin (24 B), then the dims
+    bad.write_bytes(good[:39] + np.array([4000, 4000, 4000], dtype="<u4").tobytes() + good[51:])
+    argv = ["render", "--mode", "streaming", "--voxels", bad,
+            "--camera", workspace / "cam.json", "--out", workspace / "never.png"]
+    capsys.readouterr()
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("voxsplat: bad voxel-store header: ") and err.count("\n") == 1
+    assert "cap" in err

@@ -1,18 +1,22 @@
 """Vectorized hot loops against their per-splat / per-visit test oracles.
 
-``blend`` evaluates blocks of splats as one array and ``_walk_rays`` builds
-the ray table from one gather; both must reproduce the straightforward loops
-in ``oracles.py`` bit for bit.
+``blend`` evaluates blocks of splats as one array, ``_walk_rays`` builds
+the ray table from one gather, ``schedule`` runs Kahn over array-built
+edges, and the filters project each voxel once per frame; all must
+reproduce the straightforward forms in ``oracles.py`` bit for bit.
 """
+
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import voxsplat.reference as reference_mod
 import voxsplat.scheduler as scheduler_mod
 import voxsplat.streaming as streaming_mod
-from voxsplat import Aabb, VoxelStore, generate_scene, look_at_camera
+from voxsplat import Aabb, VoxelStore, generate_scene, look_at_camera, train_codebook
 from voxsplat.blending import (
     ALPHA_CAP,
     ALPHA_MIN,
@@ -21,12 +25,29 @@ from voxsplat.blending import (
     blend,
     tile_pixel_centers,
 )
-from voxsplat.filtering import ProjectedBatch
+from voxsplat.filtering import (
+    FilterStats,
+    ProjectedBatch,
+    ProjectionCache,
+    fine_filter,
+    project_splats,
+    tile_rect,
+)
 from voxsplat.reference import render_frame_reference
+from voxsplat.scheduler import schedule
 from voxsplat.streaming import render_frame_streaming
+from voxsplat.voxelstore import gather_attribute
+from voxsplat.vq import ATTRIBUTES
 
 from conftest import constrained_scene
-from oracles import blend_per_splat, walk_rays_per_visit
+from oracles import (
+    blend_per_splat,
+    coarse_filter_per_visit,
+    fine_filter_per_visit,
+    schedule_dict_based,
+    stream_fine_per_visit,
+    walk_rays_per_visit,
+)
 
 B = BLEND_BLOCK
 LENGTHS = [0, 1, B - 1, B, B + 1, 3 * B + 5]
@@ -244,3 +265,144 @@ def test_whole_frames_match_with_the_oracles_patched_in(kind, monkeypatch):
     if kind == "cluttered":
         # the fixture exercises early exit, not just blending to the end
         assert fast[4]["voxels_skipped_early"] > 0
+
+
+@st.composite
+def _ordering_tables(draw):
+    """A few voxels with tied and distinct depths, and per-pixel rows that
+    repeat voxels, contradict each other (cycles) or are empty."""
+    vids = draw(st.lists(st.integers(0, 5000), min_size=1, max_size=10, unique=True))
+    depth = st.one_of(st.sampled_from([1.0, 2.5, 4.0]), st.floats(0.1, 60.0))
+    depths = {v: draw(depth) for v in vids}
+    rows = draw(st.lists(st.lists(st.sampled_from(vids), max_size=7), max_size=20))
+    return rows, depths
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ordering_tables())
+@example(case=([[3, 9], [9, 3], []], {3: 2.0, 9: 2.0}))
+@example(case=([[5, 5, 7], [7, 1, 5]], {1: 1.0, 5: 1.0, 7: 0.5}))
+@example(case=([[], []], {4: 1.0}))
+def test_array_schedule_matches_dict_based_oracle(case):
+    table, depths = case
+    order, meta = schedule(table, depths)
+    want, want_meta = schedule_dict_based(table, depths)
+    assert order == want
+    assert meta.cycles_broken == want_meta.cycles_broken
+
+
+def _voxel_splats(rng, n, behind_share, degenerate_share):
+    """One voxel's splats in front of a camera at z = -10, some straddling or
+    behind its near plane, some with scales that overflow the covariance."""
+    pos = rng.uniform([-3.0, -3.0, -2.0], [3.0, 3.0, 2.0], size=(n, 3))
+    near = rng.random(n) < behind_share
+    pos[near, 2] = -10.0 + rng.uniform(-1.0, 0.3, near.sum())
+    scales = rng.uniform(0.01, 0.6, size=(n, 3))
+    scales[rng.random(n) < degenerate_share] = 1e160
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    opac = rng.uniform(0.05, 0.99, size=n)
+    sh = rng.normal(0.0, 0.3, size=(n, 16, 3))
+    ids = rng.permutation(10 * n)[:n]
+    return pos, scales, q, opac, sh, ids
+
+
+def _batch_bytes(batch):
+    return [getattr(batch, f).tobytes() for f in ProjectedBatch.__dataclass_fields__]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 9, 64]),
+    seed=st.integers(0, 2**32 - 1),
+    behind_share=st.sampled_from([0.0, 0.3, 1.0]),
+    degenerate_share=st.sampled_from([0.0, 0.3]),
+    keep_share=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_projecting_a_whole_voxel_then_taking_equals_projecting_survivors(
+    n, seed, behind_share, degenerate_share, keep_share
+):
+    rng = np.random.default_rng(seed)
+    camera = look_at_camera([0.0, 0.0, -10.0], [0.0, 0.0, 0.0], width=64, height=64,
+                            focal=60.0)
+    splats = _voxel_splats(rng, n, behind_share, degenerate_share)
+    survivors = np.flatnonzero(rng.random(n) < keep_share)
+    with np.errstate(all="ignore"):
+        valid, whole, _ = project_splats(camera, *splats)
+        valid_s, alone, _ = project_splats(camera, *(a[survivors] for a in splats))
+        assert valid[survivors].tobytes() == valid_s.tobytes()
+        assert _batch_bytes(whole.take(survivors)) == _batch_bytes(alone)
+
+        for tile in [(1, 1), (2, 1), (0, 3)]:
+            got_stats, want_stats = FilterStats(), FilterStats()
+            got = fine_filter(ProjectionCache(camera), tile_rect(*tile), 0, survivors, splats,
+                              got_stats)
+            want = fine_filter_per_visit(
+                ProjectionCache(camera), tile_rect(*tile), 0, survivors,
+                tuple(a[survivors] for a in splats), want_stats,
+            )
+            assert _batch_bytes(got) == _batch_bytes(want)
+            assert got_stats.as_dict() == want_stats.as_dict()
+
+
+def test_voxel_splats_cover_the_near_plane_and_degenerate_covariances():
+    camera = look_at_camera([0.0, 0.0, -10.0], [0.0, 0.0, 0.0], width=64, height=64,
+                            focal=60.0)
+    splats = _voxel_splats(np.random.default_rng(0), 64, 0.3, 0.3)
+    with np.errstate(all="ignore"):
+        valid, batch, degenerate = project_splats(camera, *splats)
+    assert degenerate > 0
+    assert np.any(batch.depth <= camera.near)
+    assert np.any(valid)
+
+
+def _small_store(seed, encoded):
+    scene = generate_scene(
+        count=5000,
+        bounds=Aabb([-4.0, -4.0, 2.0], [4.0, 4.0, 10.0]),
+        seed=seed,
+        max_extent_fraction=1.0,
+        voxel_edge=2.0,
+        opacity_range=(0.5, 0.98),
+    )
+    store = VoxelStore.build(scene, 2.0)
+    if not encoded:
+        return store, None
+    books = {name: train_codebook(gather_attribute(store.records, name), 16, seed=0,
+                                  attribute=name) for name in ATTRIBUTES}
+    return store.encode(books), books
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    encoded=st.booleans(),
+    threads=st.sampled_from([1, 2]),
+    early_exit=st.booleans(),
+)
+def test_frames_match_with_the_per_visit_filters_and_dict_scheduler(
+    seed, encoded, threads, early_exit
+):
+    store, books = _small_store(seed, encoded)
+    camera = look_at_camera([0.0, 0.0, -6.0], [0.0, 0.0, 6.0], width=48, height=48,
+                            focal=100.0)
+
+    def frame():
+        image, ledger, stats = render_frame_streaming(
+            camera, store.grid, store.records, books, threads=threads, early_exit=early_exit
+        )
+        return image.tobytes(), ledger.as_dict(), stats.as_dict()
+
+    fast = frame()
+    with ExitStack() as patches:
+        for name, oracle in [
+            ("coarse_filter", coarse_filter_per_visit),
+            ("stream_fine", stream_fine_per_visit),
+            ("fine_filter", fine_filter_per_visit),
+            ("schedule", schedule_dict_based),
+        ]:
+            patches.enter_context(mock.patch.object(streaming_mod, name, oracle))
+        slow = frame()
+    assert fast == slow
+    # dense enough that early exit skips voxels whenever it is on
+    assert (fast[2]["voxels_skipped_early"] > 0) == early_exit

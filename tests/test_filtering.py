@@ -6,6 +6,7 @@ from voxsplat.filtering import (
     COARSE_MACS,
     FINE_MACS,
     FilterStats,
+    ProjectionCache,
     coarse_filter,
     disc_overlaps_rect,
     fine_filter,
@@ -94,8 +95,9 @@ def test_isotropic_splat_has_symmetric_conic():
 def test_behind_camera_rejected_by_coarse():
     camera = _camera()
     stats = FilterStats()
-    mask, _, _ = coarse_filter(
-        camera, tile_rect(8, 8), np.array([[0.0, 0.0, -20.0]]), np.array([1.0]), stats
+    mask = coarse_filter(
+        ProjectionCache(camera), tile_rect(8, 8), 0, np.array([[0.0, 0.0, -20.0]]),
+        np.array([1.0]), stats,
     )
     assert not mask[0]
     assert stats.loaded == 1 and stats.coarse_survivors == 0
@@ -104,8 +106,9 @@ def test_behind_camera_rejected_by_coarse():
 def test_center_of_tile_passes_coarse():
     camera = _camera()
     stats = FilterStats()
-    mask, _, _ = coarse_filter(
-        camera, tile_rect(8, 8), np.array([[0.0, 0.0, 0.0]]), np.array([0.01]), stats
+    mask = coarse_filter(
+        ProjectionCache(camera), tile_rect(8, 8), 0, np.array([[0.0, 0.0, 0.0]]),
+        np.array([0.01]), stats,
     )
     assert mask[0]
 
@@ -114,11 +117,14 @@ def test_mac_charges_are_55_and_427():
     camera = _camera()
     stats = FilterStats()
     pos = np.array([[0.0, 0.0, 0.0]])
-    mask, _, _ = coarse_filter(camera, tile_rect(8, 8), pos, np.array([0.1]), stats)
+    cache = ProjectionCache(camera)
+    mask = coarse_filter(cache, tile_rect(8, 8), 0, pos, np.array([0.1]), stats)
     assert stats.macs_coarse == 55 == COARSE_MACS
     fine_filter(
-        camera, tile_rect(8, 8), pos, np.full((1, 3), 0.1), np.array([[1.0, 0, 0, 0]]),
-        np.array([0.5]), np.zeros((1, 16, 3)), np.array([0]), stats,
+        cache, tile_rect(8, 8), 0, np.array([0]),
+        (pos, np.full((1, 3), 0.1), np.array([[1.0, 0, 0, 0]]), np.array([0.5]),
+         np.zeros((1, 16, 3)), np.array([0])),
+        stats,
     )
     assert stats.macs_coarse + stats.macs_fine == 427
     assert FINE_MACS == 427 - 55
@@ -137,8 +143,9 @@ def test_conservativeness_fine_pass_implies_coarse_pass():
         tile = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
         rect = tile_rect(*tile)
         stats = FilterStats()
-        cmask, _, _ = coarse_filter(camera, rect, pos, scales.max(axis=1), stats)
-        fine = fine_filter(camera, rect, pos, scales, q, opac, sh, ids, stats)
+        cache = ProjectionCache(camera)
+        cmask = coarse_filter(cache, rect, 0, pos, scales.max(axis=1), stats)
+        fine = fine_filter(cache, rect, 0, np.arange(n), (pos, scales, q, opac, sh, ids), stats)
         fine_ids = set(fine.ids.tolist())
         coarse_ids = set(np.asarray(ids)[cmask].tolist())
         assert fine_ids <= coarse_ids
@@ -153,10 +160,10 @@ def test_filter_stats_monotone():
     for _ in range(10):
         pos, scales, q, opac, sh, ids = _random_inputs(rng, 100)
         rect = tile_rect(int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-        cmask, _, _ = coarse_filter(camera, rect, pos, scales.max(axis=1), stats)
+        cache = ProjectionCache(camera)
+        cmask = coarse_filter(cache, rect, 0, pos, scales.max(axis=1), stats)
         sel = np.flatnonzero(cmask)
-        fine_filter(camera, rect, pos[sel], scales[sel], q[sel], opac[sel], sh[sel], ids[sel],
-                    stats)
+        fine_filter(cache, rect, 0, sel, (pos, scales, q, opac, sh, ids), stats)
         stats.check()
 
 
@@ -165,7 +172,8 @@ def test_emitted_conics_positive_definite():
     camera = _camera()
     pos, scales, q, opac, sh, ids = _random_inputs(rng, 2000)
     stats = FilterStats()
-    batch = fine_filter(camera, tile_rect(7, 9), pos, scales, q, opac, sh, ids, stats)
+    batch = fine_filter(ProjectionCache(camera), tile_rect(7, 9), 0, np.arange(len(pos)),
+                        (pos, scales, q, opac, sh, ids), stats)
     a, b, c = batch.conic[:, 0], batch.conic[:, 1], batch.conic[:, 2]
     assert np.all(a > 0) and np.all(c > 0) and np.all(a * c - b * b > 0)
     assert np.all(batch.depth > camera.near)
@@ -178,8 +186,10 @@ def test_fine_color_is_sh_toward_center():
     sh = rng.normal(0, 0.3, size=(1, 16, 3))
     stats = FilterStats()
     batch = fine_filter(
-        camera, tile_rect(8, 8), pos, np.full((1, 3), 0.3), np.array([[1.0, 0, 0, 0]]),
-        np.array([0.7]), sh, np.array([4]), stats,
+        ProjectionCache(camera), tile_rect(8, 8), 0, np.array([0]),
+        (pos, np.full((1, 3), 0.3), np.array([[1.0, 0, 0, 0]]), np.array([0.7]), sh,
+         np.array([4])),
+        stats,
     )
     d = pos[0] - camera.position
     want = evaluate_sh(sh[0], d / np.linalg.norm(d))

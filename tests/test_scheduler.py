@@ -3,7 +3,7 @@ import pytest
 
 from voxsplat import Aabb, Camera, generate_scene, look_at_camera
 from voxsplat.scheduler import (
-    build_dependency_tables,
+    dependency_graph,
     dump_edges,
     schedule,
     tile_pixel_coords,
@@ -167,7 +167,9 @@ def test_random_tiles_acyclic_constraints_all_hold():
 
 def test_dependency_tables_shape():
     table = [[0, 1, 2], [0, 2]]
-    adjacency, indegree = build_dependency_tables(table)
+    nodes, src, dst = dependency_graph(table)
+    adjacency = {int(v): set(nodes[dst[src == i]].tolist()) for i, v in enumerate(nodes)}
+    indegree = dict(zip(nodes.tolist(), np.bincount(dst, minlength=len(nodes)).tolist()))
     assert adjacency == {0: {1, 2}, 1: {2}, 2: set()}
     assert indegree == {0: 0, 1: 1, 2: 2}
     assert dump_edges(table) == "0 1\n0 2\n1 2"

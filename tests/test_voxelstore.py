@@ -1,11 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
 
 from voxsplat import Aabb, Scene, TrafficLedger, VoxelStore, build_grid, generate_scene
-from voxsplat.errors import StoreFormatError
+from voxsplat.errors import CodebookCorruptionError, StoreFormatError
 from voxsplat.voxelstore import (
     COARSE_BYTES_PER_GAUSSIAN,
     ENCODED_FINE_BYTES,
+    MAX_GRID_CELLS,
     RAW_FINE_STREAM_BYTES,
     encode_records,
     gather_attribute,
@@ -14,6 +17,7 @@ from voxsplat.voxelstore import (
     scene_from_records,
     stream_coarse,
     stream_fine,
+    VoxelGrid,
 )
 from voxsplat.vq import DEFAULT_ENTRIES, train_codebook
 
@@ -99,10 +103,10 @@ def test_stream_fine_charges_survivors_only():
     grid, records = build_grid(scene, 8.0)
     rec = max(records, key=lambda r: r.count)
     ledger = TrafficLedger()
-    out = stream_fine(rec, np.array([], dtype=np.int64), None, ledger)
+    out = stream_fine(rec, np.array([], dtype=np.int64), None, ledger, decode=True)
     assert ledger.bytes["fine-load"] == 0
     survivors = np.arange(min(3, rec.count))
-    stream_fine(rec, survivors, None, ledger)
+    stream_fine(rec, survivors, None, ledger, decode=True)
     assert ledger.bytes["fine-load"] == RAW_FINE_STREAM_BYTES * len(survivors)
 
     books = {name: train_codebook(gather_attribute(records, name), 16, seed=0, attribute=name)
@@ -110,7 +114,7 @@ def test_stream_fine_charges_survivors_only():
     enc = encode_records(records, books)
     rec_e = enc[records.index(rec)]
     ledger2 = TrafficLedger()
-    stream_fine(rec_e, np.array([0]), books, ledger2)
+    stream_fine(rec_e, np.array([0]), books, ledger2, decode=True)
     assert ledger2.bytes["fine-load"] == 12
     assert ENCODED_FINE_BYTES == 12
 
@@ -122,7 +126,7 @@ def test_fine_bytes_never_touch_non_survivors():
     total = 0
     for rec in records:
         survivors = np.flatnonzero(rec.max_scales > np.median(rec.max_scales))
-        stream_fine(rec, survivors, None, ledger)
+        stream_fine(rec, survivors, None, ledger, decode=True)
         total += len(survivors)
     assert ledger.bytes["fine-load"] == RAW_FINE_STREAM_BYTES * total
     assert ledger.records["fine-load"] == total
@@ -182,7 +186,7 @@ def test_encoded_records_refuse_double_encode():
         encode_records(enc, books)
     with pytest.raises(ValueError, match="codebooks"):
         ledger = TrafficLedger()
-        stream_fine(enc[0], np.array([0]), None, ledger)
+        stream_fine(enc[0], np.array([0]), None, ledger, decode=True)
 
 
 def test_empty_scene_builds_empty_grid():
@@ -204,3 +208,67 @@ def test_every_truncation_of_a_store_file_is_a_format_error(tmp_path):
         cut.write_bytes(data[:size])
         with pytest.raises(StoreFormatError):
             load_store(cut)
+
+
+@pytest.mark.parametrize("attribute, field", [
+    ("scale", "scale_idx"), ("rotation", "rot_idx"), ("dc", "dc_idx"), ("sh_rest", "sh_idx"),
+])
+@pytest.mark.parametrize("bad", ["negative", "entry_count"])
+def test_out_of_range_vq_index_is_corruption_error_naming_attribute_and_voxel(
+    attribute, field, bad
+):
+    scene = _random_scene(seed=14, count=40)
+    _, records = build_grid(scene, 4.0)
+    books = {name: train_codebook(gather_attribute(records, name), 8, seed=0, attribute=name)
+             for name in DEFAULT_ENTRIES}
+    rec = encode_records(records, books)[-1]
+    idx = getattr(rec, field).copy()
+    idx[-1] = -1 if bad == "negative" else books[attribute].entry_count
+    setattr(rec, field, idx)
+    with pytest.raises(CodebookCorruptionError,
+                       match=f"{attribute} index .* in voxel {rec.vid_r}$"):
+        stream_fine(rec, np.array([0]), books, TrafficLedger(), decode=True)
+
+
+def _store_header(edge=2.0, origin=(0.0, 0.0, 0.0), dims=(2, 2, 2), vids=(0, 3)):
+    """A GSVX header and renaming table, laid out as save_store writes them."""
+    return (
+        b"GSVX" + struct.pack("<HB", 1, 0) + struct.pack("<d", edge)
+        + np.asarray(origin, dtype="<f8").tobytes() + np.asarray(dims, dtype="<u4").tobytes()
+        + struct.pack("<I", len(vids)) + np.asarray(vids, dtype="<u4").tobytes()
+    )
+
+
+@pytest.mark.parametrize("header, message", [
+    (_store_header(edge=float("nan")), "edge"),
+    (_store_header(edge=float("inf")), "edge"),
+    (_store_header(edge=0.0), "edge"),
+    (_store_header(edge=-2.0), "edge"),
+    (_store_header(origin=(0.0, float("nan"), 0.0)), "origin"),
+    (_store_header(origin=(float("-inf"), 0.0, 0.0)), "origin"),
+    (_store_header(vids=(3, 0)), "ascending"),
+    (_store_header(vids=(3, 3)), "ascending"),
+    (_store_header(vids=(0, 8)), "ascending below 8"),
+    (_store_header(dims=(4000, 4000, 4000)), "cap"),
+    (_store_header(dims=(2**32 - 1,) * 3), "cap"),
+    (_store_header(dims=(2, 2, 2), vids=tuple(range(9))), "9 non-empty voxels"),
+    (_store_header(vids=(0,)) + struct.pack("<I", 2**32 - 1), "truncated record payload"),
+])
+def test_bad_store_headers_are_format_errors(tmp_path, header, message):
+    path = tmp_path / "bad.gsvx"
+    path.write_bytes(header)
+    with pytest.raises(StoreFormatError, match=message):
+        load_store(path)
+
+
+def test_grid_cap_is_shared_by_build_grid_and_the_loader():
+    assert MAX_GRID_CELLS == 1 << 24
+    VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[256, 256, 256])
+    with pytest.raises(ValueError, match="cap"):
+        VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[256, 256, 257])
+    scene = _single_splat_scene([0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="cap"):
+        build_grid(scene, 6.0 / 300)  # 300^3 cells over the scene's 6-unit bounds
+    for edge in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="edge"):
+            build_grid(scene, edge)

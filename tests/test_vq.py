@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,11 @@ def test_truncated_codebook_files_are_corruption_errors(tmp_path):
         cut.write_bytes(data[:size])
         with pytest.raises(CodebookCorruptionError):
             load_codebooks(cut)
+
+
+def test_codebook_header_with_a_huge_count_is_a_corruption_error(tmp_path):
+    """4 * 45 * (2^32 - 1) bytes would be read; the loader checks the file first."""
+    path = tmp_path / "huge.gsvq"
+    path.write_bytes(b"GSVQ" + struct.pack("<HBHI", 1, 3, 45, 2**32 - 1) + b"\x00" * 180)
+    with pytest.raises(CodebookCorruptionError, match="truncated codebook payload"):
+        load_codebooks(path)
