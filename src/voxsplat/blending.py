@@ -35,20 +35,11 @@ from __future__ import annotations
 import numpy as np
 
 from .filtering import ProjectedBatch
-from .scene import TILE_EDGE
 
 ALPHA_CAP = 0.99
 ALPHA_MIN = 1.0 / 255.0
 T_FREEZE = 1e-4
 BLEND_BLOCK = 64  # splats evaluated together as one (block, 256) array
-
-
-def tile_pixel_centers(tx: int, ty: int) -> np.ndarray:
-    """(256, 2) pixel-center coordinates of a tile, row-major."""
-    ys, xs = np.mgrid[0:TILE_EDGE, 0:TILE_EDGE]
-    px = tx * TILE_EDGE + xs.ravel() + 0.5
-    py = ty * TILE_EDGE + ys.ravel() + 0.5
-    return np.stack([px, py], axis=1)
 
 
 def blend(

@@ -17,7 +17,7 @@ from .errors import VoxsplatError
 from .metrics import CBP_BETA_DEFAULT, cbp_loss, cross_boundary_stats, psnr
 from .reference import render_frame_reference, traffic_breakdown
 from .scene import Aabb, Camera, generate_scene, load_ply, look_at_camera, save_ply
-from .scheduler import dump_edges, traverse
+from .scheduler import TileVisits, dump_edges, traverse
 from .traffic import PerfConfig, TrafficLedger, compare_pipelines, counts_from_stats, estimate
 from .streaming import render_frame_streaming, render_tile_streaming
 from .voxelstore import VoxelStore, load_store, save_store, scene_from_records, gather_attribute
@@ -124,13 +124,13 @@ def _render_one(mode, store, books, camera, background, threads):
 def _dump_dag(path, store, camera) -> None:
     """Union of the per-tile dependency edges, one 'src dst' line each."""
     ntx, nty = camera.tile_counts
-    rows = [
-        row
+    walks = [
+        visits
         for ty in range(nty)
-        for tx in range(ntx)
-        for row in traverse((tx, ty), camera, store.grid)
+        for visits in traverse([(tx, ty) for tx in range(ntx)], camera, store.grid)
     ]
-    text = dump_edges(rows)
+    # rays are independent, so the tiles' walks concatenate into one
+    text = dump_edges(TileVisits(*map(np.concatenate, zip(*walks)))) if walks else ""
     with open(path, "w", encoding="utf-8") as f:
         f.write(text + "\n" if text else "")
 

@@ -172,16 +172,19 @@ class FineView:
 class ProjectionCache:
     """One frame's per-voxel projections, shared by every tile of the frame.
 
-    A splat's projection depends on the camera, not on the tile, so each
-    voxel is projected the first time a tile visits it and every later visit
-    only runs the rect tests.  The ledger and the filter counters still
-    charge every visit: the cost model is the hardware's, which streams the
-    voxel again for each tile.  Entries are deterministic, so when two render
-    threads fill the same entry the duplicate fill is harmless.
+    ``depth`` is the camera-space z of every voxel center, indexed by renamed
+    id, which the scheduler orders by.  A splat's projection depends on the
+    camera, not on the tile, so each voxel is projected the first time a tile
+    visits it and every later visit only runs the rect tests.  The ledger and
+    the filter counters still charge every visit: the cost model is the
+    hardware's, which streams the voxel again for each tile.  Entries are
+    deterministic, so when two render threads fill the same entry the
+    duplicate fill is harmless.
     """
 
-    def __init__(self, camera: Camera):
+    def __init__(self, camera: Camera, depth: np.ndarray):
         self.camera = camera
+        self.depth = depth
         self.coarse: dict[int, CoarseView] = {}
         self.fine: dict[int, FineView] = {}
 

@@ -10,9 +10,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .blending import blend, composite_background, tile_pixel_centers
+from .blending import blend, composite_background
 from .filtering import disc_overlaps_rect, project_splats, tile_rect
-from .scene import Camera, Scene, TILE_EDGE, scene_fingerprint
+from .scene import Camera, Scene, TILE_EDGE, scene_fingerprint, tile_pixels
 from .traffic import (
     PIXEL_BYTES,
     PROJECTED_RECORD_BYTES,
@@ -73,7 +73,7 @@ def render_frame_reference(
         transmittance = np.ones(TILE_EDGE * TILE_EDGE)
         if len(members):
             tile_batch = batch.take(members).sorted_by_depth()
-            blend(tile_batch, tile_pixel_centers(tx, ty), color, transmittance)
+            blend(tile_batch, tile_pixels([(tx, ty)])[0] + 0.5, color, transmittance)
         composite_background(color, transmittance, background)
         sub.charge("pixel-writeback", PIXEL_BYTES * TILE_EDGE * TILE_EDGE, TILE_EDGE * TILE_EDGE)
         return color, sub

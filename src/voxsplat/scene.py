@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -20,6 +21,16 @@ from .errors import PlyParseError, PlySchemaError
 GAUSSIAN_PARAMS = 59
 TILE_EDGE = 16
 QUAT_NORM_TOL = 1e-6
+
+
+# (x, y) offsets of a tile's pixels, row-major: mgrid gives (y, x), reversed
+_TILE_OFFSETS = np.stack(np.mgrid[0:TILE_EDGE, 0:TILE_EDGE][::-1], axis=-1).reshape(-1, 2)
+
+
+def tile_pixels(tiles) -> np.ndarray:
+    """(len(tiles), 256, 2) integer (x, y) pixel coordinates of each (tx, ty)
+    tile, row-major inside a tile.  Pixel centers are these plus 0.5."""
+    return np.asarray(tiles, dtype=np.int64).reshape(-1, 1, 2) * TILE_EDGE + _TILE_OFFSETS
 
 
 @dataclass(frozen=True)
@@ -304,6 +315,7 @@ def _parse_ply_header(f) -> tuple[int, list[tuple[str, str]]]:
         raise PlyParseError(f"unsupported format line {fmt!r}; need binary little-endian 1.0")
     count = None
     props: list[tuple[str, str]] = []
+    names: set[str] = set()
     in_vertex = False
     while True:
         raw = f.readline()
@@ -324,17 +336,22 @@ def _parse_ply_header(f) -> tuple[int, list[tuple[str, str]]]:
                     count = int(parts[2])
                 except ValueError:
                     raise PlyParseError(f"bad vertex count in {line!r}") from None
+                if count < 0:
+                    raise PlyParseError(f"negative vertex count in {line!r}")
             elif in_vertex:
                 in_vertex = False  # vertex block done; later elements ignored
             elif count is None:
                 raise PlyParseError(f"element {parts[1]!r} precedes vertex element")
         elif parts[0] == "property" and in_vertex:
-            if parts[1] == "list":
+            if parts[1:2] == ["list"]:
                 raise PlyParseError(f"list property {parts[-1]!r} not supported")
             if len(parts) != 3:
                 raise PlyParseError(f"malformed property line {line!r}")
             if parts[1] not in _PLY_TYPES:
                 raise PlyParseError(f"unknown property type {parts[1]!r}")
+            if parts[2] in names:
+                raise PlyParseError(f"duplicate property {parts[2]!r}")
+            names.add(parts[2])
             props.append((parts[2], _PLY_TYPES[parts[1]]))
     if count is None:
         raise PlyParseError("no vertex element in header")
@@ -350,8 +367,22 @@ def load_ply(path) -> Scene:
             if req not in names:
                 raise PlySchemaError(f"missing vertex property {req!r}")
         dtype = np.dtype(props)
-        data = np.frombuffer(f.read(dtype.itemsize * count), dtype=dtype, count=count)
+        size = dtype.itemsize * count
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if size > left:
+            raise PlyParseError(
+                f"truncated vertex payload: {count} vertices need {size} bytes, {left} follow"
+            )
+        data = np.frombuffer(f.read(size), dtype=dtype, count=count)
+    try:
+        # overflowing or NaN values are rejected by Scene below
+        with np.errstate(all="ignore"):
+            return _scene_from_ply(data, count)
+    except ValueError as exc:
+        raise PlySchemaError(f"invalid splat values: {exc}") from None
 
+
+def _scene_from_ply(data: np.ndarray, count: int) -> Scene:
     pos = np.stack([data["x"], data["y"], data["z"]], axis=1).astype(np.float64)
     scales = np.exp(np.stack([data[f"scale_{i}"] for i in range(3)], axis=1).astype(np.float64))
     rots = np.stack([data[f"rot_{i}"] for i in range(4)], axis=1).astype(np.float64)

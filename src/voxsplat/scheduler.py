@@ -1,26 +1,35 @@
 """Per-tile voxel ordering: exact grid traversal and dependency-driven sort.
 
-For every pixel of a tile the ray is walked through the voxel grid with an
-incremental 3D DDA (all 256 rays advance in lockstep), yielding the non-empty
-voxels front-to-back.  Consecutive voxels of each per-pixel list become edges
-of a dependency graph; a deterministic Kahn pass (nearest voxel first) emits
-one global order per tile.  Conflicting per-pixel orders are geometrically
-possible, so cycles are broken by releasing the nearest remaining voxel and
-counted instead of treated as fatal.
+The pixel rays of a list of tiles are walked through the voxel grid together
+with an incremental 3D DDA.  Every ray advances in lockstep but
+independently of the others, so a ray's visits do not depend on which rays
+share its walk; each yields the non-empty voxels it crosses, front-to-back.
+Consecutive voxels of each ray become edges of a dependency graph; a
+deterministic Kahn pass (nearest voxel first) emits one global order per
+tile.  Conflicting per-pixel orders are geometrically possible, so cycles
+are broken by releasing the nearest remaining voxel and counted instead of
+treated as fatal.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
-from .scene import Camera, TILE_EDGE
+from .scene import Camera, TILE_EDGE, tile_pixels
 from .voxelstore import VoxelGrid
 
-VoxelOrderingTable = list[list[int]]  # per-pixel renamed voxel ids, front-to-back
+
+class TileVisits(NamedTuple):
+    """One tile's ray walk: the renamed ids of the non-empty voxels each ray
+    crosses, ray after ray and front to back along each ray, and how many of
+    them belong to each ray (row-major pixel order)."""
+
+    ids: np.ndarray
+    counts: np.ndarray
 
 
 @dataclass
@@ -28,37 +37,24 @@ class ScheduleMeta:
     cycles_broken: int = 0
 
 
-def tile_pixel_coords(tx: int, ty: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major pixel coordinates of a tile (y rows, then x)."""
-    ys, xs = np.mgrid[0:TILE_EDGE, 0:TILE_EDGE]
-    return (tx * TILE_EDGE + xs).ravel(), (ty * TILE_EDGE + ys).ravel()
-
-
-def traverse(tile: tuple[int, int], camera: Camera, grid: VoxelGrid) -> VoxelOrderingTable:
-    """Ordered non-empty voxels along each pixel ray of the tile.
+def traverse(tiles, camera: Camera, grid: VoxelGrid) -> list[TileVisits]:
+    """Ordered non-empty voxels along each pixel ray of every tile, in one walk.
 
     Exact traversal: every voxel whose box the ray crosses inside the grid is
     visited, in strictly increasing ray-parameter order, truncated at grid
-    exit.  Rays that miss the grid get empty lists.
+    exit.  Rays that miss the grid have no visits.
     """
-    tx, ty = tile
     ntx, nty = camera.tile_counts
-    if not (0 <= tx < ntx and 0 <= ty < nty):
-        raise ValueError(f"tile {tile} outside a {ntx}x{nty} tile grid")
-    px, py = tile_pixel_coords(tx, ty)
-    dirs = camera.ray_directions(px, py)
-    origin = camera.position
-    return _walk_rays(origin, dirs, grid)
-
-
-def _walk_rays(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> VoxelOrderingTable:
-    """Per-ray lists read off the (rays, steps) visit array: one boolean
-    gather keeps each ray's visits in step order, a cumsum splits them."""
-    visits = _ray_visits(origin, dirs, grid)
+    for tx, ty in tiles:
+        if not (0 <= tx < ntx and 0 <= ty < nty):
+            raise ValueError(f"tile {(tx, ty)} outside a {ntx}x{nty} tile grid")
+    pixels = tile_pixels(tiles).reshape(-1, 2)
+    visits = _ray_visits(camera.position, camera.ray_directions(pixels[:, 0], pixels[:, 1]), grid)
     hit = visits >= 0
-    flat = visits[hit].tolist()
-    ends = np.cumsum(hit.sum(axis=1)).tolist()
-    return [flat[b:e] for b, e in zip([0] + ends[:-1], ends)]
+    ids = visits[hit]  # row-major: ray after ray, each in step order
+    counts = np.count_nonzero(hit, axis=1).reshape(len(pixels) // TILE_EDGE**2, TILE_EDGE**2)
+    bounds = np.concatenate([[0], np.cumsum(counts.sum(axis=1))]).tolist()
+    return [TileVisits(ids[b:e], c) for b, e, c in zip(bounds, bounds[1:], counts)]
 
 
 def _ray_visits(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> np.ndarray:
@@ -103,39 +99,37 @@ def _ray_visits(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> np.nda
     return np.stack(steps, axis=1) if steps else np.full((n, 0), -1, dtype=np.int64)
 
 
-def dependency_graph(table: VoxelOrderingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct voxels of a table and the distinct edges between
-    consecutive voxels of each per-pixel list.
+def dependency_graph(visits: TileVisits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct voxels of a ray walk and the distinct edges between
+    consecutive voxels of each ray.
 
     Returns (nodes, src, dst): ``nodes`` ascending renamed ids, ``src`` and
     ``dst`` indices into ``nodes``, one entry per edge, sorted by (src, dst).
     """
-    lengths = np.fromiter(map(len, table), dtype=np.int64, count=len(table))
-    flat = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=int(lengths.sum()))
-    nodes, local = np.unique(flat, return_inverse=True)
-    # flat[i] -> flat[i + 1] is an edge unless a new row starts at i + 1
-    starts = np.cumsum(lengths)[:-1]
-    follows = np.ones(max(len(flat) - 1, 0), dtype=bool)
-    follows[starts[(starts > 0) & (starts < len(flat))] - 1] = False
+    ids, counts = visits
+    nodes, local = np.unique(ids, return_inverse=True)
+    # ids[i] -> ids[i + 1] is an edge unless a new ray starts at i + 1
+    starts = np.cumsum(counts)[:-1]
+    follows = np.ones(max(len(ids) - 1, 0), dtype=bool)
+    follows[starts[(starts > 0) & (starts < len(ids))] - 1] = False
     codes = np.unique(local[:-1][follows] * len(nodes) + local[1:][follows])
     return nodes, codes // len(nodes), codes % len(nodes)
 
 
-def schedule(
-    table: VoxelOrderingTable, depths: dict[int, float]
-) -> tuple[list[int], ScheduleMeta]:
+def schedule(visits: TileVisits, depth: np.ndarray) -> tuple[list[int], ScheduleMeta]:
     """Kahn's algorithm over the per-pixel order constraints.
 
     The ready queue pops the voxel with the smallest centroid depth (ties by
     renamed id), so the output is deterministic.  If the ready queue drains
     while nodes remain, the nearest remaining voxel is released and the event
-    counted in the metadata.  Nodes are ascending renamed ids, so the heap
-    key (depth, node index) orders exactly like (depth, renamed id).
+    counted in the metadata.  ``depth`` is indexed by renamed id
+    (``voxel_depths``).  Nodes are ascending renamed ids, so the heap key
+    (depth, node index) orders exactly like (depth, renamed id).
     """
-    nodes, src, dst = dependency_graph(table)
+    nodes, src, dst = dependency_graph(visits)
     n = len(nodes)
     ids = nodes.tolist()
-    depth = [depths[v] for v in ids]
+    depth = depth[nodes].tolist()
     remaining = np.bincount(dst, minlength=n).tolist()
     bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
     successors = dst.tolist()
@@ -165,21 +159,16 @@ def schedule(
     return [ids[i] for i in emitted], meta
 
 
-def voxel_depths(vid_rs, camera: Camera, grid: VoxelGrid) -> dict[int, float]:
-    """Camera-space z of voxel centers, keyed by renamed id."""
-    vid_rs = sorted(vid_rs)
-    if not vid_rs:
-        return {}
-    centers = grid.centers(np.asarray(vid_rs, dtype=np.int64))
-    z = camera.to_camera(centers)[:, 2]
-    return {v: float(z[i]) for i, v in enumerate(vid_rs)}
+def voxel_depths(camera: Camera, grid: VoxelGrid) -> np.ndarray:
+    """Camera-space z of every non-empty voxel's center, indexed by renamed id."""
+    return camera.to_camera(grid.centers(np.arange(grid.nonempty_count)))[:, 2]
 
 
-def dump_edges(table: VoxelOrderingTable) -> str:
+def dump_edges(visits: TileVisits) -> str:
     """Dependency edges as sorted 'src dst' lines, for graph debugging.
 
-    Rows are independent, so the table may hold the rows of many tiles: the
+    Rays are independent, so the walk may hold the rays of many tiles: the
     dump is then the union of their edges.
     """
-    nodes, src, dst = dependency_graph(table)
+    nodes, src, dst = dependency_graph(visits)
     return "\n".join(f"{a} {b}" for a, b in zip(nodes[src].tolist(), nodes[dst].tolist()))

@@ -7,14 +7,16 @@ back, so the intermediate traffic stages stay at zero bytes by construction.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .blending import T_FREEZE, blend, composite_background, tile_pixel_centers
+from .blending import T_FREEZE, blend, composite_background
 from .filtering import FilterStats, ProjectionCache, coarse_filter, fine_filter, tile_rect
-from .scene import Camera, TILE_EDGE
-from .scheduler import schedule, traverse, voxel_depths
+from .scene import Camera, TILE_EDGE, tile_pixels
+from .scheduler import TileVisits, schedule, traverse, voxel_depths
 from .traffic import PIXEL_BYTES, TrafficLedger
 from .voxelstore import VoxelGrid, VoxelRecord, stream_coarse, stream_fine
 from .vq import Codebook
@@ -63,24 +65,26 @@ def render_tile_streaming(
     early_exit: bool = True,
     batch_capacity: int = VOXEL_BATCH_CAPACITY,
     cache: ProjectionCache | None = None,
+    visits: TileVisits | None = None,
 ) -> tuple[np.ndarray, StreamStats]:
     """Render one 16x16 tile; returns (256, 3) colors and the tile's stats.
 
-    ``cache`` holds the frame's voxel projections for ``camera``; a tile
-    rendered on its own gets a fresh one.
+    ``cache`` holds the frame's voxel depths and projections for ``camera``,
+    and ``visits`` the tile's ray walk from ``traverse``; a tile rendered on
+    its own makes both.
     """
     if cache is None:
-        cache = ProjectionCache(camera)
+        cache = ProjectionCache(camera, voxel_depths(camera, grid))
+    if visits is None:
+        (visits,) = traverse([tile], camera, grid)
     tx, ty = tile
     stats = StreamStats()
     rect = tile_rect(tx, ty)
-    centers = tile_pixel_centers(tx, ty)
+    centers = tile_pixels([tile])[0] + 0.5
     color = np.zeros((TILE_EDGE * TILE_EDGE, 3))
     transmittance = np.ones(TILE_EDGE * TILE_EDGE)
 
-    table = traverse(tile, camera, grid)
-    seen = {v for row in table for v in row}
-    order, meta = schedule(table, voxel_depths(seen, camera, grid))
+    order, meta = schedule(visits, cache.depth)
     stats.cycles_broken = meta.cycles_broken
     stats.voxels_scheduled = len(order)
 
@@ -123,30 +127,36 @@ def render_frame_streaming(
 ) -> tuple[np.ndarray, TrafficLedger, StreamStats]:
     """Render all tiles; output is independent of the worker count.
 
-    Returns (framebuffer (H, W, 3) float32, ledger, aggregate stats).
+    The rays of each tile row are walked in one ``traverse`` call, and that
+    row's tiles are then rendered from their share of the walk, so one row's
+    visit arrays are alive at a time.  Returns (framebuffer (H, W, 3)
+    float32, ledger, aggregate stats).
     """
     ntx, nty = camera.tile_counts
-    tiles = [(tx, ty) for ty in range(nty) for tx in range(ntx)]
-    cache = ProjectionCache(camera)  # shared by the workers, dropped with the frame
+    bands = [[(tx, ty) for tx in range(ntx)] for ty in range(nty)]
+    # shared by the workers, dropped with the frame
+    cache = ProjectionCache(camera, voxel_depths(camera, grid))
 
-    def run(tile):
+    def run(tile, visits):
         sub = TrafficLedger()
         color, stats = render_tile_streaming(
             tile, camera, grid, records, books, sub, background=background,
-            early_exit=early_exit, cache=cache,
+            early_exit=early_exit, cache=cache, visits=visits,
         )
         return color, sub, stats
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tiles))
-    else:
-        results = [run(t) for t in tiles]
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        tile_map = pool.map if pool else map
+        results = [
+            result
+            for band in bands
+            for result in tile_map(run, band, traverse(band, camera, grid))
+        ]
 
     frame = np.zeros((camera.height, camera.width, 3), dtype=np.float64)
     ledger = TrafficLedger(scene_hash=scene_hash)
     stats = StreamStats()
-    for (tx, ty), (color, sub, tstats) in zip(tiles, results):
+    for (tx, ty), (color, sub, tstats) in zip(chain.from_iterable(bands), results):
         y0, x0 = ty * TILE_EDGE, tx * TILE_EDGE
         frame[y0 : y0 + TILE_EDGE, x0 : x0 + TILE_EDGE] = color.reshape(TILE_EDGE, TILE_EDGE, 3)
         ledger.merge(sub)

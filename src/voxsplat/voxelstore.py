@@ -52,8 +52,13 @@ class VoxelGrid:
         cells = math.prod(int(d) for d in self.dims)
         if cells > MAX_GRID_CELLS:
             raise ValueError(f"grid of {cells} cells exceeds the cap of {MAX_GRID_CELLS}")
-        self._dense = None
-        self._inverse = None
+
+    def __setattr__(self, name, value):
+        # the lookup tables below derive from ``renaming``; nothing mutates
+        # the dict in place, so reassigning it is the only way they go stale
+        if name == "renaming":
+            self._dense = self._inverse = None
+        super().__setattr__(name, value)
 
     @property
     def voxel_count(self) -> int:
@@ -81,8 +86,8 @@ class VoxelGrid:
         return np.stack([ix, iy, iz], axis=-1)
 
     def renamed_vids(self) -> np.ndarray:
-        """Original VIDs ordered by renamed id (cached)."""
-        if self._inverse is None or len(self._inverse) != len(self.renaming):
+        """Original VIDs ordered by renamed id (cached until ``renaming`` is reassigned)."""
+        if self._inverse is None:
             out = np.empty(len(self.renaming), dtype=np.int64)
             for vid, vid_r in self.renaming.items():
                 out[vid_r] = vid
@@ -90,8 +95,9 @@ class VoxelGrid:
         return self._inverse
 
     def dense_renaming(self) -> np.ndarray:
-        """Array lookup VID -> VID_r with -1 for empty voxels (cached)."""
-        if self._dense is None or (self._dense >= 0).sum() != len(self.renaming):
+        """Array lookup VID -> VID_r with -1 for empty voxels (cached until
+        ``renaming`` is reassigned)."""
+        if self._dense is None:
             table = np.full(self.voxel_count, -1, dtype=np.int64)
             for vid, vid_r in self.renaming.items():
                 table[vid] = vid_r
@@ -439,6 +445,8 @@ def load_store(path) -> VoxelStore:
                     opacities=fine[:, 55].astype(np.float64),
                 )
             )
-    store = VoxelStore(grid=grid, records=records, scene_hash="")
-    store.scene_hash = scene_fingerprint(scene_from_records(grid, records))
-    return store
+    try:
+        scene = scene_from_records(grid, records)
+    except ValueError as exc:
+        raise StoreFormatError(f"invalid splat values: {exc}") from None
+    return VoxelStore(grid=grid, records=records, scene_hash=scene_fingerprint(scene))

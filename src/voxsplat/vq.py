@@ -244,7 +244,10 @@ def load_codebooks(path) -> dict[str, Codebook]:
             if 4 * dim * count > os.fstat(f.fileno()).st_size - f.tell():
                 raise CodebookCorruptionError("truncated codebook payload")
             entries = np.frombuffer(f.read(4 * dim * count), dtype="<f4").reshape(count, dim)
-            books[name] = Codebook(attribute=name, entries=entries)
+            try:
+                books[name] = Codebook(attribute=name, entries=entries)
+            except ValueError as exc:
+                raise CodebookCorruptionError(f"codebook {name!r}: {exc}") from None
     missing = [n for n in ATTRIBUTES if n not in books]
     if missing:
         raise CodebookCorruptionError(f"codebook file missing attributes {missing}")

@@ -28,7 +28,8 @@ from voxsplat.filtering import (
     project_means,
     project_splats,
 )
-from voxsplat.scheduler import ScheduleMeta, _ray_visits
+from voxsplat.scene import TILE_EDGE
+from voxsplat.scheduler import ScheduleMeta, TileVisits, _ray_visits
 from voxsplat.voxelstore import ENCODED_FINE_BYTES, RAW_FINE_STREAM_BYTES
 
 
@@ -69,8 +70,42 @@ def walk_rays_per_visit(origin, dirs, grid) -> list[list[int]]:
     return table
 
 
-def schedule_dict_based(table, depths):
+def visits_of(rows) -> TileVisits:
+    """The array form of a walk given as one list of renamed ids per ray."""
+    ids = np.array([v for row in rows for v in row], dtype=np.int64)
+    return TileVisits(ids, np.array([len(row) for row in rows], dtype=np.int64))
+
+
+def rows_of(visits) -> list[list[int]]:
+    """One list of renamed ids per ray, read off a walk's arrays."""
+    ids = visits.ids.tolist()
+    ends = np.cumsum(visits.counts).tolist()
+    return [ids[b:e] for b, e in zip([0] + ends[:-1], ends)]
+
+
+def depth_table(depths) -> np.ndarray:
+    """A {renamed id: depth} dict as the renamed-id-indexed array ``schedule`` reads."""
+    table = np.full(max(depths, default=-1) + 1, np.nan)
+    for v, z in depths.items():
+        table[v] = z
+    return table
+
+
+def traverse_per_visit(tiles, camera, grid) -> list[TileVisits]:
+    """``traverse`` one tile at a time, with pixel coordinates from np.mgrid
+    and each ray table from ``walk_rays_per_visit``."""
+    ys, xs = np.mgrid[0:TILE_EDGE, 0:TILE_EDGE]
+    out = []
+    for tx, ty in tiles:
+        dirs = camera.ray_directions(tx * TILE_EDGE + xs.ravel(), ty * TILE_EDGE + ys.ravel())
+        out.append(visits_of(walk_rays_per_visit(camera.position, dirs, grid)))
+    return out
+
+
+def schedule_dict_based(visits, depth):
     """Kahn's algorithm over dict/set adjacency; same contract as ``schedule``."""
+    table = rows_of(visits)
+    depths = {v: float(depth[v]) for row in table for v in row}
     adjacency: dict[int, set[int]] = {}
     indegree: dict[int, int] = {}
     for row in table:

@@ -38,6 +38,7 @@ from voxsplat.voxelstore import encode_records, gather_attribute
 from voxsplat.vq import DEFAULT_ENTRIES, train_codebook
 
 from conftest import constrained_scene
+from oracles import depth_table, rows_of, visits_of
 
 SEEDS = tuple(range(20))
 ORACLE_CAMERA = dict(eye=[0.0, 0.0, -10.0], target=[0.0, 0.0, 0.0], focal=300.0)
@@ -148,7 +149,7 @@ def test_criterion_03_coarse_filter_conservative():
         tile = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
         rect = tile_rect(*tile)
         stats = FilterStats()
-        cache = ProjectionCache(camera)
+        cache = ProjectionCache(camera, np.empty(0))
         cmask = coarse_filter(cache, rect, 0, positions, scales.max(axis=1), stats)
         fine = fine_filter(cache, rect, 0, np.arange(n),
                            (positions, scales, quats, opac, sh, np.arange(n)), stats)
@@ -218,11 +219,12 @@ def test_criterion_08_scheduler_correctness():
         eye = rng.uniform([-4, -4, -14], [4, 4, -7])
         camera = look_at_camera(eye, rng.uniform(-3, 3, size=3),
                                 focal=float(rng.uniform(200, 420)))
+        depth = voxel_depths(camera, grid)
         for _ in range(64):  # several tiles per camera keeps this fast
             tile = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-            table = traverse(tile, camera, grid)
-            seen = {v for row in table for v in row}
-            order, meta = schedule(table, voxel_depths(seen, camera, grid))
+            (visits,) = traverse([tile], camera, grid)
+            table = rows_of(visits)
+            order, meta = schedule(visits, depth)
             if meta.cycles_broken == 0:
                 acyclic_violations += _order_violations(order, table)
             else:
@@ -232,7 +234,7 @@ def test_criterion_08_scheduler_correctness():
                 break
     # crafted cycle: two pixels traverse the same pair in opposite orders
     crafted = [[0, 1], [1, 0]]
-    order, meta = schedule(crafted, {0: 1.0, 1: 2.0})
+    order, meta = schedule(visits_of(crafted), depth_table({0: 1.0, 1: 2.0}))
     crafted_ok = (meta.cycles_broken >= 1 and sorted(order) == [0, 1]
                   and _order_violations(order, crafted) == 1)
     ok = acyclic_violations == 0 and crafted_ok

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from voxsplat import Scene, save_ply
+from voxsplat import Camera, Scene, load_store, save_ply
 from voxsplat.cli import main
 from voxsplat.frameio import read_png
+from voxsplat.scheduler import dependency_graph, traverse
 
 
 def _run(argv, capsys=None):
@@ -150,3 +151,35 @@ def test_store_header_with_a_huge_grid_exits_1_with_one_line(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("voxsplat: bad voxel-store header: ") and err.count("\n") == 1
     assert "cap" in err
+
+
+def test_build_voxels_on_a_bad_ply_exits_1_with_one_line(workspace, capsys):
+    good = (workspace / "scene.ply").read_bytes()
+    bad = workspace / "bad.ply"
+    for data, message in [
+        (good.replace(b"property float nx\n", b"property\n", 1), "malformed property line"),
+        (good[:-1], "truncated vertex payload"),
+    ]:
+        bad.write_bytes(data)
+        capsys.readouterr()
+        assert _run(["build-voxels", "--scene", bad, "--out", workspace / "bad.gsvx"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("voxsplat: ") and message in err and err.count("\n") == 1
+
+
+def test_dump_dag_is_the_union_of_single_tile_edges(workspace):
+    dag = workspace / "edges.txt"
+    assert _run(["render", "--mode", "streaming", "--voxels", workspace / "scene.gsvx",
+                 "--camera", workspace / "cam.json", "--out", workspace / "frame.ppm",
+                 "--dump-dag", dag]) == 0
+    store = load_store(workspace / "scene.gsvx")
+    camera = Camera.load(workspace / "cam.json")
+    ntx, nty = camera.tile_counts
+    edges = set()
+    for ty in range(nty):
+        for tx in range(ntx):
+            (visits,) = traverse([(tx, ty)], camera, store.grid)
+            nodes, src, dst = dependency_graph(visits)
+            edges |= set(zip(nodes[src].tolist(), nodes[dst].tolist()))
+    assert edges
+    assert dag.read_text() == "".join(f"{a} {b}\n" for a, b in sorted(edges))

@@ -1,7 +1,7 @@
 """Vectorized hot loops against their per-splat / per-visit test oracles.
 
-``blend`` evaluates blocks of splats as one array, ``_walk_rays`` builds
-the ray table from one gather, ``schedule`` runs Kahn over array-built
+``blend`` evaluates blocks of splats as one array, ``traverse`` walks the
+rays of a whole tile row at once, ``schedule`` runs Kahn over array-built
 edges, and the filters project each voxel once per frame; all must
 reproduce the straightforward forms in ``oracles.py`` bit for bit.
 """
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import voxsplat.reference as reference_mod
-import voxsplat.scheduler as scheduler_mod
 import voxsplat.streaming as streaming_mod
 from voxsplat import Aabb, VoxelStore, generate_scene, look_at_camera, train_codebook
 from voxsplat.blending import (
@@ -23,7 +22,6 @@ from voxsplat.blending import (
     BLEND_BLOCK,
     T_FREEZE,
     blend,
-    tile_pixel_centers,
 )
 from voxsplat.filtering import (
     FilterStats,
@@ -34,25 +32,30 @@ from voxsplat.filtering import (
     tile_rect,
 )
 from voxsplat.reference import render_frame_reference
-from voxsplat.scheduler import schedule
-from voxsplat.streaming import render_frame_streaming
-from voxsplat.voxelstore import gather_attribute
+from voxsplat.scene import tile_pixels
+from voxsplat.scheduler import schedule, traverse
+from voxsplat.streaming import render_frame_streaming, render_tile_streaming
+from voxsplat.traffic import TrafficLedger
+from voxsplat.voxelstore import VoxelGrid, build_grid, gather_attribute
 from voxsplat.vq import ATTRIBUTES
 
 from conftest import constrained_scene
 from oracles import (
     blend_per_splat,
     coarse_filter_per_visit,
+    depth_table,
     fine_filter_per_visit,
+    rows_of,
     schedule_dict_based,
     stream_fine_per_visit,
-    walk_rays_per_visit,
+    traverse_per_visit,
+    visits_of,
 )
 
 B = BLEND_BLOCK
 LENGTHS = [0, 1, B - 1, B, B + 1, 3 * B + 5]
 TILE = (1, 2)
-CENTERS = tile_pixel_centers(*TILE)
+CENTERS = tile_pixels([TILE])[0] + 0.5
 
 
 def _batch(rng, n, opaque_share, clamp_share):
@@ -188,13 +191,41 @@ def _grid(seed):
     return VoxelStore.build(constrained_scene(seed, count=300), 2.0).grid
 
 
+def _walks(camera, grid):
+    """Every tile's walk four ways: one ``traverse`` per tile row (as the
+    renderer walks), one per tile, one for the whole frame, and the per-tile
+    per-visit oracle."""
+    ntx, nty = camera.tile_counts
+    rows = [[(tx, ty) for tx in range(ntx)] for ty in range(nty)]
+    tiles = [tile for row in rows for tile in row]
+    return (
+        [visits for row in rows for visits in traverse(row, camera, grid)],
+        [visits for tile in tiles for visits in traverse([tile], camera, grid)],
+        traverse(tiles, camera, grid),
+        traverse_per_visit(tiles, camera, grid),
+    )
+
+
+def _assert_same_walks(walks):
+    first = walks[0]
+    for other in walks[1:]:
+        assert len(other) == len(first)
+        for got, want in zip(first, other):
+            assert got.ids.dtype == want.ids.dtype
+            assert got.ids.tobytes() == want.ids.tobytes()
+            assert got.counts.tobytes() == want.counts.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     distance=st.floats(2.0, 40.0),
     away=st.booleans(),
+    tiles=st.tuples(st.integers(1, 4), st.integers(1, 4)),
 )
-def test_array_built_ray_table_matches_per_visit_builder(seed, distance, away):
+@example(seed=0, distance=10.0, away=False, tiles=(1, 1))
+@example(seed=1, distance=10.0, away=True, tiles=(3, 2))
+def test_array_built_ray_table_matches_per_visit_builder(seed, distance, away, tiles):
     rng = np.random.default_rng(seed)
     grid = _grid(seed % 7)
     direction = rng.normal(size=3)
@@ -203,23 +234,29 @@ def test_array_built_ray_table_matches_per_visit_builder(seed, distance, away):
     # looking away from the grid makes every ray miss; otherwise the frame
     # edges of a wide view still miss while the middle crosses the grid
     target = eye + direction if away else rng.uniform(-6.0, 6.0, 3)
-    camera = look_at_camera(eye, target, width=48, height=32, focal=rng.uniform(10.0, 200.0))
-    py, px = np.mgrid[0 : camera.height, 0 : camera.width]
-    dirs = camera.ray_directions(px.ravel(), py.ravel())
-    table = scheduler_mod._walk_rays(camera.position, dirs, grid)
-    assert table == walk_rays_per_visit(camera.position, dirs, grid)
+    camera = look_at_camera(eye, target, width=16 * tiles[0], height=16 * tiles[1],
+                            focal=rng.uniform(10.0, 200.0))
+    _assert_same_walks(_walks(camera, grid))
 
 
 def test_ray_table_covers_hits_and_misses():
-    """A camera inside the grid's slab: some rays cross voxels, some miss."""
+    """A camera inside the grid's slab: some rays cross voxels, some miss.
+    Turned away from the grid, every ray misses."""
     grid = _grid(0)
     camera = look_at_camera([0.0, 0.0, -10.0], [0.0, 0.0, 0.0], width=64, height=64, focal=12.0)
-    py, px = np.mgrid[0:64, 0:64]
-    dirs = camera.ray_directions(px.ravel(), py.ravel())
-    table = scheduler_mod._walk_rays(camera.position, dirs, grid)
-    assert table == walk_rays_per_visit(camera.position, dirs, grid)
-    lengths = [len(row) for row in table]
+    walks = _walks(camera, grid)
+    _assert_same_walks(walks)
+    lengths = [len(row) for visits in walks[0] for row in rows_of(visits)]
     assert min(lengths) == 0 and max(lengths) > 1
+    away = look_at_camera([0.0, 0.0, -10.0], [0.0, 0.0, -20.0], width=48, height=32, focal=12.0)
+    walks = _walks(away, grid)
+    _assert_same_walks(walks)
+    assert all(len(visits.ids) == 0 and not visits.counts.any() for visits in walks[0])
+
+
+def test_walk_of_no_tiles_is_empty():
+    camera = look_at_camera([0.0, 0.0, -10.0], [0.0, 0.0, 0.0], width=64, height=64)
+    assert traverse([], camera, _grid(0)) == []
 
 
 def _cluttered_fixture():
@@ -259,7 +296,7 @@ def test_whole_frames_match_with_the_oracles_patched_in(kind, monkeypatch):
     fast = _frames(scene, camera, store)
     monkeypatch.setattr(streaming_mod, "blend", blend_per_splat)
     monkeypatch.setattr(reference_mod, "blend", blend_per_splat)
-    monkeypatch.setattr(scheduler_mod, "_walk_rays", walk_rays_per_visit)
+    monkeypatch.setattr(streaming_mod, "traverse", traverse_per_visit)
     slow = _frames(scene, camera, store)
     assert fast == slow
     if kind == "cluttered":
@@ -285,8 +322,9 @@ def _ordering_tables(draw):
 @example(case=([[], []], {4: 1.0}))
 def test_array_schedule_matches_dict_based_oracle(case):
     table, depths = case
-    order, meta = schedule(table, depths)
-    want, want_meta = schedule_dict_based(table, depths)
+    visits, depth = visits_of(table), depth_table(depths)
+    order, meta = schedule(visits, depth)
+    want, want_meta = schedule_dict_based(visits, depth)
     assert order == want
     assert meta.cycles_broken == want_meta.cycles_broken
 
@@ -335,10 +373,10 @@ def test_projecting_a_whole_voxel_then_taking_equals_projecting_survivors(
 
         for tile in [(1, 1), (2, 1), (0, 3)]:
             got_stats, want_stats = FilterStats(), FilterStats()
-            got = fine_filter(ProjectionCache(camera), tile_rect(*tile), 0, survivors, splats,
-                              got_stats)
+            got = fine_filter(ProjectionCache(camera, np.empty(0)), tile_rect(*tile), 0,
+                              survivors, splats, got_stats)
             want = fine_filter_per_visit(
-                ProjectionCache(camera), tile_rect(*tile), 0, survivors,
+                ProjectionCache(camera, np.empty(0)), tile_rect(*tile), 0, survivors,
                 tuple(a[survivors] for a in splats), want_stats,
             )
             assert _batch_bytes(got) == _batch_bytes(want)
@@ -406,3 +444,50 @@ def test_frames_match_with_the_per_visit_filters_and_dict_scheduler(
     assert fast == slow
     # dense enough that early exit skips voxels whenever it is on
     assert (fast[2]["voxels_skipped_early"] > 0) == early_exit
+
+
+def _one_voxel_store():
+    """Every splat inside one voxel, so each tile that sees it schedules it alone."""
+    scene = generate_scene(count=60, bounds=Aabb([0.3, 0.3, 0.3], [1.7, 1.7, 1.7]), seed=4,
+                           max_extent_fraction=0.2, voxel_edge=2.0, constrained=True)
+    return VoxelStore.build(scene, 2.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    one_voxel=st.booleans(),
+    threads=st.sampled_from([1, 2]),
+    early_exit=st.booleans(),
+)
+@example(seed=0, one_voxel=True, threads=1, early_exit=True)
+def test_frame_tiles_match_tiles_rendered_alone(seed, one_voxel, threads, early_exit):
+    rng = np.random.default_rng(seed)
+    if one_voxel:
+        store = _one_voxel_store()
+        direction = rng.normal(size=3)
+        eye = 1.0 + direction / np.linalg.norm(direction) * rng.uniform(6.0, 12.0)
+        camera = look_at_camera(eye, [1.0, 1.0, 1.0], width=48, height=32, focal=40.0)
+    else:
+        store, _ = _small_store(seed, encoded=False)
+        camera = look_at_camera(rng.uniform(-2.0, 2.0, 3) + [0.0, 0.0, -6.0], [0.0, 0.0, 6.0],
+                                width=48, height=32, focal=100.0)
+    in_frame = {}
+    render_tile = streaming_mod.render_tile_streaming
+
+    def recording(tile, camera, grid, records, books, ledger, **kwargs):
+        color, stats = render_tile(tile, camera, grid, records, books, ledger, **kwargs)
+        in_frame[tile] = (color.tobytes(), ledger.as_dict(), stats.as_dict())
+        return color, stats
+
+    with mock.patch.object(streaming_mod, "render_tile_streaming", recording):
+        render_frame_streaming(camera, store.grid, store.records, threads=threads,
+                               early_exit=early_exit)
+    assert len(in_frame) == 6
+    for tile, want in in_frame.items():
+        ledger = TrafficLedger()
+        color, stats = render_tile_streaming(tile, camera, store.grid, store.records, None,
+                                             ledger, early_exit=early_exit)
+        assert (color.tobytes(), ledger.as_dict(), stats.as_dict()) == want
+    if one_voxel:
+        assert any(tile_stats["voxels_scheduled"] == 1 for _, _, tile_stats in in_frame.values())

@@ -96,7 +96,7 @@ def test_behind_camera_rejected_by_coarse():
     camera = _camera()
     stats = FilterStats()
     mask = coarse_filter(
-        ProjectionCache(camera), tile_rect(8, 8), 0, np.array([[0.0, 0.0, -20.0]]),
+        ProjectionCache(camera, np.empty(0)), tile_rect(8, 8), 0, np.array([[0.0, 0.0, -20.0]]),
         np.array([1.0]), stats,
     )
     assert not mask[0]
@@ -107,7 +107,7 @@ def test_center_of_tile_passes_coarse():
     camera = _camera()
     stats = FilterStats()
     mask = coarse_filter(
-        ProjectionCache(camera), tile_rect(8, 8), 0, np.array([[0.0, 0.0, 0.0]]),
+        ProjectionCache(camera, np.empty(0)), tile_rect(8, 8), 0, np.array([[0.0, 0.0, 0.0]]),
         np.array([0.01]), stats,
     )
     assert mask[0]
@@ -117,7 +117,7 @@ def test_mac_charges_are_55_and_427():
     camera = _camera()
     stats = FilterStats()
     pos = np.array([[0.0, 0.0, 0.0]])
-    cache = ProjectionCache(camera)
+    cache = ProjectionCache(camera, np.empty(0))
     mask = coarse_filter(cache, tile_rect(8, 8), 0, pos, np.array([0.1]), stats)
     assert stats.macs_coarse == 55 == COARSE_MACS
     fine_filter(
@@ -143,7 +143,7 @@ def test_conservativeness_fine_pass_implies_coarse_pass():
         tile = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
         rect = tile_rect(*tile)
         stats = FilterStats()
-        cache = ProjectionCache(camera)
+        cache = ProjectionCache(camera, np.empty(0))
         cmask = coarse_filter(cache, rect, 0, pos, scales.max(axis=1), stats)
         fine = fine_filter(cache, rect, 0, np.arange(n), (pos, scales, q, opac, sh, ids), stats)
         fine_ids = set(fine.ids.tolist())
@@ -160,7 +160,7 @@ def test_filter_stats_monotone():
     for _ in range(10):
         pos, scales, q, opac, sh, ids = _random_inputs(rng, 100)
         rect = tile_rect(int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-        cache = ProjectionCache(camera)
+        cache = ProjectionCache(camera, np.empty(0))
         cmask = coarse_filter(cache, rect, 0, pos, scales.max(axis=1), stats)
         sel = np.flatnonzero(cmask)
         fine_filter(cache, rect, 0, sel, (pos, scales, q, opac, sh, ids), stats)
@@ -172,8 +172,8 @@ def test_emitted_conics_positive_definite():
     camera = _camera()
     pos, scales, q, opac, sh, ids = _random_inputs(rng, 2000)
     stats = FilterStats()
-    batch = fine_filter(ProjectionCache(camera), tile_rect(7, 9), 0, np.arange(len(pos)),
-                        (pos, scales, q, opac, sh, ids), stats)
+    batch = fine_filter(ProjectionCache(camera, np.empty(0)), tile_rect(7, 9), 0,
+                        np.arange(len(pos)), (pos, scales, q, opac, sh, ids), stats)
     a, b, c = batch.conic[:, 0], batch.conic[:, 1], batch.conic[:, 2]
     assert np.all(a > 0) and np.all(c > 0) and np.all(a * c - b * b > 0)
     assert np.all(batch.depth > camera.near)
@@ -186,7 +186,7 @@ def test_fine_color_is_sh_toward_center():
     sh = rng.normal(0, 0.3, size=(1, 16, 3))
     stats = FilterStats()
     batch = fine_filter(
-        ProjectionCache(camera), tile_rect(8, 8), 0, np.array([0]),
+        ProjectionCache(camera, np.empty(0)), tile_rect(8, 8), 0, np.array([0]),
         (pos, np.full((1, 3), 0.3), np.array([[1.0, 0, 0, 0]]), np.array([0.7]), sh,
          np.array([4])),
         stats,

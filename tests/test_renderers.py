@@ -13,8 +13,9 @@ from voxsplat import (
     render_frame_streaming,
     render_tile_streaming,
 )
-from voxsplat.blending import T_FREEZE, blend, tile_pixel_centers
+from voxsplat.blending import T_FREEZE, blend
 from voxsplat.filtering import ProjectedBatch
+from voxsplat.scene import tile_pixels
 from voxsplat.traffic import INTERMEDIATE_STAGES
 from voxsplat.voxelstore import encode_records, gather_attribute
 from voxsplat.vq import DEFAULT_ENTRIES, train_codebook
@@ -158,7 +159,7 @@ def test_transmittance_monotone_and_frozen_pixels_stop():
         max_scale=np.full(n, 0.5),
         ids=np.arange(n),
     )
-    centers = tile_pixel_centers(0, 0)
+    centers = tile_pixels([(0, 0)])[0] + 0.5
     color = np.zeros((256, 3))
     t = np.ones(256)
     prev = t.copy()

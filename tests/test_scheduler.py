@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 
 from voxsplat import Aabb, Camera, generate_scene, look_at_camera
+from voxsplat.scene import tile_pixels
 from voxsplat.scheduler import (
     dependency_graph,
     dump_edges,
     schedule,
-    tile_pixel_coords,
     traverse,
     voxel_depths,
 )
 from voxsplat.voxelstore import VoxelGrid, build_grid
+
+from oracles import depth_table, rows_of, visits_of
+
+
+def _walk(tile, camera, grid):
+    """One tile's walk through ``traverse``, as one list per ray."""
+    (visits,) = traverse([tile], camera, grid)
+    return rows_of(visits)
 
 
 def _axis_camera():
@@ -22,19 +30,19 @@ def _axis_camera():
 def test_axis_ray_visits_column_in_order():
     grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[1, 1, 4],
                      renaming={0: 0, 1: 1, 2: 2, 3: 3})
-    table = traverse((8, 8), _axis_camera(), grid)
+    table = _walk((8, 8), _axis_camera(), grid)
     assert table[0] == [0, 1, 2, 3]
 
 
 def test_empty_voxels_skipped_in_lists():
     grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[1, 1, 4], renaming={0: 0, 2: 1, 3: 2})
-    table = traverse((8, 8), _axis_camera(), grid)
+    table = _walk((8, 8), _axis_camera(), grid)
     assert table[0] == [0, 1, 2]  # voxel 1 is empty; renamed ids are contiguous
 
 
 def test_ray_missing_grid_gives_empty_list():
     grid = VoxelGrid(origin=[100, 100, 100], edge=1.0, dims=[2, 2, 2], renaming={0: 0})
-    table = traverse((0, 0), _axis_camera(), grid)
+    table = _walk((0, 0), _axis_camera(), grid)
     assert all(row == [] for row in table)
 
 
@@ -73,9 +81,9 @@ def test_traversal_matches_slab_oracle_on_random_scenes():
         eye = rng.uniform([-3, -3, -14], [3, 3, -8])
         camera = look_at_camera(eye, rng.uniform(-2, 2, size=3), focal=rng.uniform(200, 400))
         tile = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-        table = traverse(tile, camera, grid)
-        px, py = tile_pixel_coords(*tile)
-        dirs = camera.ray_directions(px, py)
+        table = _walk(tile, camera, grid)
+        pixels = tile_pixels([tile])[0]
+        dirs = camera.ray_directions(pixels[:, 0], pixels[:, 1])
         for k in range(0, 256, 17):  # sample rays across the tile
             want = _slab_oracle(camera.position, dirs[k], grid)
             assert table[k] == want
@@ -87,7 +95,7 @@ def test_per_pixel_lists_are_duplicate_free():
     grid, _ = build_grid(scene, 1.5)
     camera = look_at_camera([0, 0, -9], [0, 0, 0])
     for tile in [(0, 0), (8, 8), (15, 15)]:
-        for row in traverse(tile, camera, grid):
+        for row in _walk(tile, camera, grid):
             assert len(row) == len(set(row))
 
 
@@ -115,14 +123,14 @@ def _full_order_violations(order, table):
 def test_single_pixel_schedule_is_its_list():
     table = [[3, 1, 2]]
     depths = {1: 5.0, 2: 6.0, 3: 4.0}
-    order, meta = schedule(table, depths)
+    order, meta = schedule(visits_of(table), depth_table(depths))
     assert order == [3, 1, 2]
     assert meta.cycles_broken == 0
 
 
 def test_two_pixel_chain_satisfies_all_constraints():
     table = [[0, 1], [1, 2]]
-    order, meta = schedule(table, {0: 1.0, 1: 2.0, 2: 3.0})
+    order, meta = schedule(visits_of(table), depth_table({0: 1.0, 1: 2.0, 2: 3.0}))
     assert _violations(order, table) == 0
     assert _full_order_violations(order, table) == 0
     assert sorted(order) == [0, 1, 2]
@@ -131,7 +139,7 @@ def test_two_pixel_chain_satisfies_all_constraints():
 
 def test_crafted_two_cycle_terminates_and_counts():
     table = [[0, 1], [1, 0]]
-    order, meta = schedule(table, {0: 2.0, 1: 3.0})
+    order, meta = schedule(visits_of(table), depth_table({0: 2.0, 1: 3.0}))
     assert sorted(order) == [0, 1]
     assert meta.cycles_broken == 1
     assert _violations(order, table) == 1  # exactly one constraint had to give
@@ -142,8 +150,8 @@ def test_schedule_deterministic():
     table = [list(rng.permutation(10)[: rng.integers(2, 8)]) for _ in range(40)]
     table = [[int(v) for v in row] for row in table]
     depths = {v: float(rng.uniform(1, 9)) for v in range(10)}
-    a = schedule(table, depths)
-    b = schedule([list(r) for r in table], dict(depths))
+    a = schedule(visits_of(table), depth_table(depths))
+    b = schedule(visits_of([list(r) for r in table]), depth_table(dict(depths)))
     assert a[0] == b[0] and a[1].cycles_broken == b[1].cycles_broken
 
 
@@ -156,9 +164,10 @@ def test_random_tiles_acyclic_constraints_all_hold():
         eye = rng.uniform([-3, -3, -14], [3, 3, -8])
         camera = look_at_camera(eye, rng.uniform(-2, 2, size=3))
         tile = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-        table = traverse(tile, camera, grid)
+        (visits,) = traverse([tile], camera, grid)
+        table = rows_of(visits)
         seen = {v for row in table for v in row}
-        order, meta = schedule(table, voxel_depths(seen, camera, grid))
+        order, meta = schedule(visits, voxel_depths(camera, grid))
         assert sorted(order) == sorted(seen)
         if meta.cycles_broken == 0:
             assert _violations(order, table) == 0
@@ -167,15 +176,15 @@ def test_random_tiles_acyclic_constraints_all_hold():
 
 def test_dependency_tables_shape():
     table = [[0, 1, 2], [0, 2]]
-    nodes, src, dst = dependency_graph(table)
+    nodes, src, dst = dependency_graph(visits_of(table))
     adjacency = {int(v): set(nodes[dst[src == i]].tolist()) for i, v in enumerate(nodes)}
     indegree = dict(zip(nodes.tolist(), np.bincount(dst, minlength=len(nodes)).tolist()))
     assert adjacency == {0: {1, 2}, 1: {2}, 2: set()}
     assert indegree == {0: 0, 1: 1, 2: 2}
-    assert dump_edges(table) == "0 1\n0 2\n1 2"
+    assert dump_edges(visits_of(table)) == "0 1\n0 2\n1 2"
 
 
 def test_tile_outside_image_rejected():
     grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[1, 1, 1], renaming={0: 0})
     with pytest.raises(ValueError, match="tile"):
-        traverse((16, 0), _axis_camera(), grid)
+        traverse([(16, 0)], _axis_camera(), grid)

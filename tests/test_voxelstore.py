@@ -79,6 +79,22 @@ def test_renaming_is_dense_bijection():
     assert len(ids) == len(set(ids.tolist()))
 
 
+def test_reassigning_renaming_rebuilds_the_lookup_tables():
+    grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[2, 2, 2], renaming={1: 0, 6: 1})
+    dense = grid.dense_renaming()
+    assert dense.tolist() == [-1, 0, -1, -1, -1, -1, 1, -1]
+    assert grid.renamed_vids().tolist() == [1, 6]
+    assert grid.dense_renaming() is dense  # cached between reassignments
+    # same size as before, so a table counting its entries could not tell
+    grid.renaming = {2: 0, 7: 1}
+    assert grid.dense_renaming().tolist() == [-1, -1, 0, -1, -1, -1, -1, 1]
+    assert grid.renamed_vids().tolist() == [2, 7]
+    assert grid.centers(np.arange(2)).tolist() == [[0.5, 1.5, 0.5], [1.5, 1.5, 1.5]]
+    grid.renaming = {0: 0, 3: 1, 5: 2}
+    assert grid.dense_renaming().tolist() == [0, -1, -1, 1, -1, 2, -1, -1]
+    assert grid.renamed_vids().tolist() == [0, 3, 5]
+
+
 def test_records_sorted_by_renamed_id_and_by_splat_id():
     grid, records = build_grid(_random_scene(seed=5), 2.0)
     assert [r.vid_r for r in records] == list(range(len(records)))
