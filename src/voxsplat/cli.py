@@ -272,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--stats", default=None)
     p.add_argument("--background", type=_parse_rgb, default=(0.0, 0.0, 0.0))
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, at most one per CPU and per tile row")
     p.add_argument("--dump-dag", default=None,
                    help="write the per-tile voxel dependency edges ('src dst' lines)")
     p.set_defaults(func=cmd_render)
@@ -284,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.add_argument("--csv", default=None)
     p.add_argument("--background", type=_parse_rgb, default=(0.0, 0.0, 0.0))
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, at most one per CPU and per tile row")
     p.set_defaults(func=cmd_compare)
     return parser
 

@@ -170,7 +170,7 @@ class FineView:
 
 
 class ProjectionCache:
-    """One frame's per-voxel projections, shared by every tile of the frame.
+    """One frame's per-voxel projections, shared by the tiles one process renders.
 
     ``depth`` is the camera-space z of every voxel center, indexed by renamed
     id, which the scheduler orders by.  A splat's projection depends on the
@@ -178,8 +178,8 @@ class ProjectionCache:
     visits it and every later visit only runs the rect tests.  The ledger and
     the filter counters still charge every visit: the cost model is the
     hardware's, which streams the voxel again for each tile.  Entries are
-    deterministic, so when two render threads fill the same entry the
-    duplicate fill is harmless.
+    deterministic, so each worker process of a frame fills its own copy and
+    every copy holds the same bits.
     """
 
     def __init__(self, camera: Camera, depth: np.ndarray):

@@ -6,13 +6,12 @@ the streaming pipeline exists to avoid.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .blending import blend, composite_background
 from .filtering import disc_overlaps_rect, project_splats, tile_rect
 from .scene import Camera, Scene, TILE_EDGE, scene_fingerprint, tile_pixels
+from .tileloop import render_rows
 from .traffic import (
     PIXEL_BYTES,
     PROJECTED_RECORD_BYTES,
@@ -53,44 +52,31 @@ def render_frame_reference(
     keep = np.flatnonzero(valid)
     ledger.charge("projection-writeback", PROJECTED_RECORD_BYTES * len(keep), len(keep))
 
-    ntx, nty = camera.tile_counts
-    tiles = [(tx, ty) for ty in range(nty) for tx in range(ntx)]
-    per_tile: list[np.ndarray] = []
-    for tx, ty in tiles:
-        if len(keep):
-            rect = tile_rect(tx, ty)
-            hit = disc_overlaps_rect(batch.mean2d[keep], batch.radius[keep], rect)
-            per_tile.append(keep[hit])
-        else:
-            per_tile.append(np.empty(0, dtype=np.int64))
+    ntx, _ = camera.tile_counts
+    centers = batch.mean2d[keep] if n else np.empty((0, 2))
+    radii = batch.radius[keep] if n else np.empty(0)
 
-    def run(args):
-        (tx, ty), members = args
-        sub = TrafficLedger()
-        sub.charge("sort-spill", merge_sort_pass_bytes(len(members)), len(members))
-        sub.charge("render-load", PROJECTED_RECORD_BYTES * len(members), len(members))
-        color = np.zeros((TILE_EDGE * TILE_EDGE, 3))
-        transmittance = np.ones(TILE_EDGE * TILE_EDGE)
-        if len(members):
-            tile_batch = batch.take(members).sorted_by_depth()
-            blend(tile_batch, tile_pixels([(tx, ty)])[0] + 0.5, color, transmittance)
-        composite_background(color, transmittance, background)
-        sub.charge("pixel-writeback", PIXEL_BYTES * TILE_EDGE * TILE_EDGE, TILE_EDGE * TILE_EDGE)
-        return color, sub
+    def render_row(ty):
+        colors, sub = [], TrafficLedger()
+        for tx in range(ntx):
+            members = keep[disc_overlaps_rect(centers, radii, tile_rect(tx, ty))]
+            sub.charge("sort-spill", merge_sort_pass_bytes(len(members)), len(members))
+            sub.charge("render-load", PROJECTED_RECORD_BYTES * len(members), len(members))
+            color = np.zeros((TILE_EDGE * TILE_EDGE, 3))
+            transmittance = np.ones(TILE_EDGE * TILE_EDGE)
+            if len(members):
+                tile_batch = batch.take(members).sorted_by_depth()
+                blend(tile_batch, tile_pixels([(tx, ty)])[0] + 0.5, color, transmittance)
+            composite_background(color, transmittance, background)
+            sub.charge("pixel-writeback", PIXEL_BYTES * TILE_EDGE * TILE_EDGE,
+                       TILE_EDGE * TILE_EDGE)
+            colors.append(color)
+        return colors, sub
 
-    jobs = list(zip(tiles, per_tile))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-
-    frame = np.zeros((camera.height, camera.width, 3), dtype=np.float64)
-    for (tx, ty), (color, sub) in zip(tiles, results):
-        y0, x0 = ty * TILE_EDGE, tx * TILE_EDGE
-        frame[y0 : y0 + TILE_EDGE, x0 : x0 + TILE_EDGE] = color.reshape(TILE_EDGE, TILE_EDGE, 3)
+    frame, rows = render_rows(camera, render_row, threads)
+    for sub in rows:
         ledger.merge(sub)
-    return frame.astype(np.float32), ledger
+    return frame, ledger
 
 
 def traffic_breakdown(ledger: TrafficLedger) -> dict:

@@ -6,10 +6,7 @@ back, so the intermediate traffic stages stay at zero bytes by construction.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -17,6 +14,7 @@ from .blending import T_FREEZE, blend, composite_background
 from .filtering import FilterStats, ProjectionCache, coarse_filter, fine_filter, tile_rect
 from .scene import Camera, TILE_EDGE, tile_pixels
 from .scheduler import TileVisits, schedule, traverse, voxel_depths
+from .tileloop import render_rows
 from .traffic import PIXEL_BYTES, TrafficLedger
 from .voxelstore import VoxelGrid, VoxelRecord, stream_coarse, stream_fine
 from .vq import Codebook
@@ -129,38 +127,34 @@ def render_frame_streaming(
 
     The rays of each tile row are walked in one ``traverse`` call, and that
     row's tiles are then rendered from their share of the walk, so one row's
-    visit arrays are alive at a time.  Returns (framebuffer (H, W, 3)
-    float32, ledger, aggregate stats).
+    visit arrays are alive at a time.  With ``threads > 1`` this process
+    and forked workers share the rows (``tileloop.render_rows``), each
+    filling its own copy of the frame's projection cache.  Returns
+    (framebuffer (H, W, 3) float32, ledger, aggregate stats).
     """
-    ntx, nty = camera.tile_counts
-    bands = [[(tx, ty) for tx in range(ntx)] for ty in range(nty)]
-    # shared by the workers, dropped with the frame
+    ntx, _ = camera.tile_counts
     cache = ProjectionCache(camera, voxel_depths(camera, grid))
 
-    def run(tile, visits):
-        sub = TrafficLedger()
-        color, stats = render_tile_streaming(
-            tile, camera, grid, records, books, sub, background=background,
-            early_exit=early_exit, cache=cache, visits=visits,
-        )
-        return color, sub, stats
+    def render_row(ty):
+        band = [(tx, ty) for tx in range(ntx)]
+        colors, ledger, stats = [], TrafficLedger(), StreamStats()
+        for tile, visits in zip(band, traverse(band, camera, grid)):
+            sub = TrafficLedger()
+            color, tile_stats = render_tile_streaming(
+                tile, camera, grid, records, books, sub, background=background,
+                early_exit=early_exit, cache=cache, visits=visits,
+            )
+            colors.append(color)
+            ledger.merge(sub)
+            stats.merge(tile_stats)
+        return colors, (ledger, stats)
 
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        tile_map = pool.map if pool else map
-        results = [
-            result
-            for band in bands
-            for result in tile_map(run, band, traverse(band, camera, grid))
-        ]
-
-    frame = np.zeros((camera.height, camera.width, 3), dtype=np.float64)
+    frame, rows = render_rows(camera, render_row, threads)
     ledger = TrafficLedger(scene_hash=scene_hash)
     stats = StreamStats()
-    for (tx, ty), (color, sub, tstats) in zip(chain.from_iterable(bands), results):
-        y0, x0 = ty * TILE_EDGE, tx * TILE_EDGE
-        frame[y0 : y0 + TILE_EDGE, x0 : x0 + TILE_EDGE] = color.reshape(TILE_EDGE, TILE_EDGE, 3)
-        ledger.merge(sub)
-        stats.merge(tstats)
+    for row_ledger, row_stats in rows:
+        ledger.merge(row_ledger)
+        stats.merge(row_stats)
     ledger.macs_coarse = stats.filter.macs_coarse
     ledger.macs_fine = stats.filter.macs_fine
-    return frame.astype(np.float32), ledger, stats
+    return frame, ledger, stats

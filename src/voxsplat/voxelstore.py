@@ -397,7 +397,9 @@ class _StoreReader:
 
 
 def load_store(path) -> VoxelStore:
-    with open(path, "rb") as f:
+    # a signalling NaN in the payload would warn in the float32 -> float64
+    # casts; the checks below and Scene reject it with one StoreFormatError
+    with open(path, "rb") as f, np.errstate(invalid="ignore"):
         if f.read(4) != _MAGIC:
             raise StoreFormatError("bad voxel-store magic bytes")
         reader = _StoreReader(f)
@@ -444,6 +446,16 @@ def load_store(path) -> VoxelStore:
                     sh_rest=fine[:, 10:55].astype(np.float64).reshape(count, 15, 3),
                     opacities=fine[:, 55].astype(np.float64),
                 )
+            )
+    if records:
+        # float32 rounding is monotone, so a saved store's coarse half is
+        # exactly the max of its scales; NaN never compares equal
+        stored = np.concatenate([rec.max_scales for rec in records])
+        bad = np.flatnonzero(stored != np.concatenate([rec.scales for rec in records]).max(axis=1))
+        if len(bad):
+            r = int(np.searchsorted(np.cumsum([rec.count for rec in records]), bad[0], "right"))
+            raise StoreFormatError(
+                f"voxel {r}: a coarse max scale is not the largest of its splat's scales"
             )
     try:
         scene = scene_from_records(grid, records)

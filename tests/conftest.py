@@ -1,5 +1,9 @@
+import os
+from unittest import mock
+
 import pytest
 
+import voxsplat.tileloop as tileloop
 from voxsplat import Aabb, generate_scene, look_at_camera
 
 
@@ -30,3 +34,11 @@ def cluttered_scene(seed=0, count=30000):
         max_extent_fraction=0.4,
         voxel_edge=2.0,
     )
+
+
+def leave_rows_to_workers():
+    """Patch the row loop so the parent takes no rows: every row is then
+    rendered in a forked worker, which inherits the patch."""
+    parent, drain = os.getpid(), tileloop._drain
+    return mock.patch.object(tileloop, "_drain",
+                             lambda state: [] if os.getpid() == parent else drain(state))

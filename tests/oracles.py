@@ -8,9 +8,9 @@ scheduler and one filter chain to ship.
 The filter-chain oracles take the per-tile signatures of ``coarse_filter``,
 ``stream_fine`` and ``fine_filter`` but ignore the frame's projection cache:
 every visit projects its voxel again, and ``stream_fine_per_visit`` decodes
-the survivors only, so ``fine_filter_per_visit`` projects just those and
-sorts them with ``sorted_by_depth``.  The two fine oracles must be patched
-in together.
+the survivors only (``survivor_rows``), so ``fine_filter_per_visit``
+projects just those and sorts them with ``sorted_by_depth``.  The two fine
+oracles must be patched in together.
 """
 
 from __future__ import annotations
@@ -157,36 +157,54 @@ def coarse_filter_per_visit(cache, rect, vid_r, positions, max_scales, stats):
     return mask
 
 
+def survivor_rows(survivors, count):
+    """The rows of a ``count``-splat voxel that the per-visit oracles decode
+    and project for ``survivors``.
+
+    ``fine_filter`` projects the whole voxel.  On one row,
+    ``Camera.to_camera`` takes BLAS's matrix-vector path, on more the
+    matrix-matrix path, and under an oblique camera the two can differ in
+    the last bit.  So a lone survivor of a larger voxel is projected beside
+    a copy of itself, and ``fine_filter_per_visit`` keeps the first row.
+    """
+    if len(survivors) == 1 and count > 1:
+        return np.concatenate([survivors, survivors])
+    return survivors
+
+
 def stream_fine_per_visit(record, survivors, books, ledger, *, decode):
-    """Charges like ``stream_fine`` but always decodes, and only the survivors."""
+    """Charges like ``stream_fine`` but always decodes, and only the survivors
+    (``survivor_rows``)."""
     survivors = np.asarray(survivors, dtype=np.int64)
     n = len(survivors)
+    rows = survivor_rows(survivors, record.count)
     if record.encoded:
         ledger.charge("fine-load", ENCODED_FINE_BYTES * n, n)
-        scales = books["scale"].entries[record.scale_idx[survivors]].astype(np.float64)
-        rots = books["rotation"].entries[record.rot_idx[survivors]].astype(np.float64)
+        scales = books["scale"].entries[record.scale_idx[rows]].astype(np.float64)
+        rots = books["rotation"].entries[record.rot_idx[rows]].astype(np.float64)
         norms = np.linalg.norm(rots, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         rots = rots / norms
-        dc = books["dc"].entries[record.dc_idx[survivors]].astype(np.float64)
-        rest = books["sh_rest"].entries[record.sh_idx[survivors]].astype(np.float64)
-        rest = rest.reshape(n, 15, 3)
+        dc = books["dc"].entries[record.dc_idx[rows]].astype(np.float64)
+        rest = books["sh_rest"].entries[record.sh_idx[rows]].astype(np.float64)
+        rest = rest.reshape(len(rows), 15, 3)
     else:
         ledger.charge("fine-load", RAW_FINE_STREAM_BYTES * n, n)
-        scales = record.scales[survivors]
-        rots = record.rotations[survivors]
-        dc = record.dc[survivors]
-        rest = record.sh_rest[survivors]
+        scales = record.scales[rows]
+        rots = record.rotations[rows]
+        dc = record.dc[rows]
+        rest = record.sh_rest[rows]
     sh = np.concatenate([dc[:, None, :], rest], axis=1)
-    return (record.positions[survivors], scales, rots, record.opacities[survivors], sh,
-            record.ids[survivors])
+    return (record.positions[rows], scales, rots, record.opacities[rows], sh, record.ids[rows])
 
 
 def fine_filter_per_visit(cache, rect, vid_r, survivors, splats, stats):
     """Projects the survivors ``stream_fine_per_visit`` decoded, then sorts."""
-    stats.macs_fine += FINE_MACS * len(splats[0])
-    valid, batch, degenerate = project_splats(cache.camera, *splats)
-    stats.degenerate += degenerate
+    n = len(survivors)
+    stats.macs_fine += FINE_MACS * n
+    valid, batch, _ = project_splats(cache.camera, *splats)
+    valid, batch = valid[:n], batch.take(np.arange(n))  # drop survivor_rows's copy
+    stats.degenerate += int(np.count_nonzero((batch.depth > cache.camera.near) & ~valid))
     mask = valid & disc_overlaps_rect(batch.mean2d, batch.radius, rect)
     stats.fine_survivors += int(mask.sum())
     return batch.take(np.flatnonzero(mask)).sorted_by_depth()

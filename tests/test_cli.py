@@ -1,12 +1,24 @@
 import json
+import multiprocessing
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import voxsplat
+import voxsplat.streaming as streaming_mod
 from voxsplat import Camera, Scene, load_store, save_ply
 from voxsplat.cli import main
+from voxsplat.errors import CodebookCorruptionError
 from voxsplat.frameio import read_png
 from voxsplat.scheduler import dependency_graph, traverse
+
+from conftest import leave_rows_to_workers
 
 
 def _run(argv, capsys=None):
@@ -183,3 +195,55 @@ def test_dump_dag_is_the_union_of_single_tile_edges(workspace):
             edges |= set(zip(nodes[src].tolist(), nodes[dst].tolist()))
     assert edges
     assert dag.read_text() == "".join(f"{a} {b}\n" for a, b in sorted(edges))
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_threads_below_one_exits_1_with_one_line(workspace, capsys, threads):
+    for command in (["render", "--mode", "streaming", "--out", workspace / "never.png"],
+                    ["compare", "--report", workspace / "never.json"]):
+        capsys.readouterr()
+        assert _run(command + ["--voxels", workspace / "scene.gsvx", "--camera",
+                               workspace / "cam.json", "--threads", threads]) == 1
+        err = capsys.readouterr().err
+        assert err == f"voxsplat: threads must be at least 1, got {threads}\n"
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_codebook_error_in_a_render_worker_exits_1_with_one_line(workspace, capfd):
+    def corrupt(record, *args, **kwargs):
+        raise CodebookCorruptionError(f"scale index 99 out of range for 16 entries in voxel "
+                                      f"{record.vid_r}")
+
+    argv = ["render", "--mode", "streaming", "--voxels", workspace / "scene.gsvx",
+            "--camera", workspace / "cam.json", "--out", workspace / "never.png",
+            "--threads", 2]
+    capfd.readouterr()
+    # forked workers inherit the patched attributes; capfd also sees their stderr
+    with mock.patch.object(streaming_mod, "stream_fine", corrupt), leave_rows_to_workers():
+        assert _run(argv) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("voxsplat: scale index 99 out of range") and err.count("\n") == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_signalling_nan_in_a_store_exits_1_with_one_line(workspace):
+    """Run as its own process, so numpy's warnings reach stderr unfiltered."""
+    data = bytearray((workspace / "scene.gsvx").read_bytes())
+    nonempty = struct.unpack("<I", data[51:55])[0]
+    count = struct.unpack("<I", data[55 + 4 * nonempty : 59 + 4 * nonempty])[0]
+    # the first splat's first higher-order SH value, in its fine half
+    offset = 59 + 4 * nonempty + 16 * count + 4 * 10
+    data[offset : offset + 4] = np.array([0x7FA00000], dtype="<u4").tobytes()
+    bad = workspace / "snan.gsvx"
+    bad.write_bytes(bytes(data))
+    src = str(Path(voxsplat.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "voxsplat.cli", "render", "--mode", "streaming", "--voxels", bad,
+         "--camera", workspace / "cam.json", "--out", workspace / "never.png"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("voxsplat: invalid splat values: ")
+    assert proc.stderr.count("\n") == 1

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -288,3 +289,40 @@ def test_grid_cap_is_shared_by_build_grid_and_the_loader():
     for edge in (float("nan"), float("inf"), 0.0):
         with pytest.raises(ValueError, match="edge"):
             build_grid(scene, edge)
+
+
+def _edit_first_splat(tmp_path, column, value):
+    """A saved store whose first record's first splat has float32 ``column``
+    (0-3 coarse half, 4-59 fine half) replaced by the raw bits ``value``;
+    returns (path, the original float32)."""
+    store = VoxelStore.build(_random_scene(seed=15, count=20), 2.0)
+    path = tmp_path / "edit.gsvx"
+    save_store(store, path)
+    data = bytearray(path.read_bytes())
+    first = 55 + 4 * store.grid.nonempty_count + 4  # header, renaming table, count
+    count = store.records[0].count
+    offset = first + 4 * column if column < 4 else first + 16 * count + 4 * (column - 4)
+    original = np.frombuffer(bytes(data[offset : offset + 4]), dtype="<f4")[0]
+    data[offset : offset + 4] = value(original).tobytes()
+    path.write_bytes(bytes(data))
+    return path, original
+
+
+@pytest.mark.parametrize("value", [
+    lambda v: np.array([np.nan], dtype="<f4"),
+    lambda v: np.nextafter(np.array([v], dtype="<f4"), np.float32(0)),  # the least shrink
+    lambda v: np.nextafter(np.array([v], dtype="<f4"), np.float32(np.inf)),
+], ids=["nan", "shrunk", "grown"])
+def test_coarse_max_scale_must_be_the_max_of_the_scales(tmp_path, value):
+    path, _ = _edit_first_splat(tmp_path, 3, value)
+    with pytest.raises(StoreFormatError, match="voxel 0: a coarse max scale"):
+        load_store(path)
+
+
+@pytest.mark.parametrize("column", [0, 3, 4, 20, 59])
+def test_signalling_nan_in_a_store_is_one_format_error_without_warnings(tmp_path, column):
+    path, _ = _edit_first_splat(tmp_path, column, lambda v: np.array([0x7FA00000], dtype="<u4"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StoreFormatError):
+            load_store(path)
