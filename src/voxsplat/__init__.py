@@ -15,7 +15,6 @@ from .reference import render_frame_reference, traffic_breakdown
 from .scene import (
     Aabb,
     Camera,
-    Gaussian,
     Scene,
     generate_scene,
     load_ply,
@@ -28,8 +27,8 @@ from .sh import evaluate_sh
 from .streaming import StreamStats, render_frame_streaming, render_tile_streaming
 from .traffic import PerfConfig, PipelineEstimate, TrafficLedger, compare_pipelines, estimate
 from .voxelstore import (
+    FlatRecords,
     VoxelGrid,
-    VoxelRecord,
     VoxelStore,
     build_grid,
     load_store,
@@ -37,6 +36,6 @@ from .voxelstore import (
     stream_coarse,
     stream_fine,
 )
-from .vq import Codebook, EncodedGaussian, decode, encode, load_codebooks, save_codebooks, train_codebook
+from .vq import Codebook, load_codebooks, save_codebooks, train_codebook
 
 __version__ = "0.1.0"

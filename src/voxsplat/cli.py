@@ -101,24 +101,18 @@ def cmd_train_codebook(args) -> int:
     return 0
 
 
-def _render_one(mode, store, books, camera, background, threads):
-    if mode == "reference":
-        scene = scene_from_records(store.grid, store.records)
-        frame, ledger = render_frame_reference(
-            camera, scene, background=background, threads=threads
-        )
-        return frame, ledger, None
-    records = store.records if books is None else store.encode(books).records
-    frame, ledger, stats = render_frame_streaming(
+def _render_streaming(store, books, camera, background, threads):
+    """Streaming frame of ``store``, whose records are already encoded when
+    ``books`` is given."""
+    return render_frame_streaming(
         camera,
         store.grid,
-        records,
+        store.records,
         books,
         background=background,
         threads=threads,
         scene_hash=store.scene_hash,
     )
-    return frame, ledger, stats
 
 
 def _dump_dag(path, store, camera) -> None:
@@ -136,8 +130,8 @@ def _dump_dag(path, store, camera) -> None:
 
 
 def _cbp_diagnostics(store, books, camera, background) -> dict:
-    """Depth-order penalty over sampled tile and center-pixel blend traces."""
-    records = store.records if books is None else store.encode(books).records
+    """Depth-order penalty over sampled tile and center-pixel blend traces;
+    ``store`` is encoded as for ``_render_streaming``."""
     ntx, nty = camera.tile_counts
     tile_vals, pixel_vals = [], []
     center = 8 * 16 + 8
@@ -146,7 +140,7 @@ def _cbp_diagnostics(store, books, camera, background) -> dict:
             tile_trace: list = []
             px_trace: list = []
             render_tile_streaming(
-                (tx, ty), camera, store.grid, records, books, TrafficLedger(),
+                (tx, ty), camera, store.grid, store.records, books, TrafficLedger(),
                 background=background, trace=tile_trace, pixel_trace=(center, px_trace),
             )
             tile_vals.append(cbp_loss(tile_trace))
@@ -165,9 +159,17 @@ def cmd_render(args) -> int:
     store = load_store(args.voxels)
     books = load_codebooks(args.books) if args.books else None
     camera = Camera.load(args.camera)
-    frame, ledger, stats = _render_one(
-        args.mode, store, books, camera, args.background, args.threads
-    )
+    if args.mode == "reference":
+        scene = scene_from_records(store.grid, store.records)
+        frame, ledger = render_frame_reference(
+            camera, scene, background=args.background, threads=args.threads
+        )
+        stats = None
+    else:
+        streamed = store if books is None else store.encode(books)
+        frame, ledger, stats = _render_streaming(
+            streamed, books, camera, args.background, args.threads
+        )
     if args.dump_dag:
         if args.mode != "streaming":
             raise VoxsplatError("--dump-dag applies to streaming renders only")
@@ -194,11 +196,13 @@ def cmd_compare(args) -> int:
     store = load_store(args.voxels)
     books = load_codebooks(args.books) if args.books else None
     camera = Camera.load(args.camera)
-    stream_frame, stream_ledger, stream_stats = _render_one(
-        "streaming", store, books, camera, args.background, args.threads
+    streamed = store if books is None else store.encode(books)
+    scene = scene_from_records(store.grid, store.records)
+    stream_frame, stream_ledger, stream_stats = _render_streaming(
+        streamed, books, camera, args.background, args.threads
     )
-    ref_frame, ref_ledger, _ = _render_one(
-        "reference", store, None, camera, args.background, args.threads
+    ref_frame, ref_ledger = render_frame_reference(
+        camera, scene, background=args.background, threads=args.threads
     )
     report = {
         "psnr_vs_reference": psnr(stream_frame, ref_frame),
@@ -215,10 +219,8 @@ def cmd_compare(args) -> int:
         ).as_dict(),
         "config": PerfConfig().as_dict(),
         "stream_stats": stream_stats.as_dict(),
-        "cross_boundary": cross_boundary_stats(
-            scene_from_records(store.grid, store.records), store.grid
-        )["ratio"],
-        "depth_order_penalty": _cbp_diagnostics(store, books, camera, args.background),
+        "cross_boundary": cross_boundary_stats(scene, store.grid)["ratio"],
+        "depth_order_penalty": _cbp_diagnostics(streamed, books, camera, args.background),
     }
     with open(args.report, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2)

@@ -41,12 +41,10 @@ def cross_boundary_stats(scene: Scene, grid: VoxelGrid) -> dict:
     vox_lo = grid.origin + cells * grid.edge
     vox_hi = vox_lo + grid.edge
     crossing = np.any((lo < vox_lo) | (hi > vox_hi), axis=1)
-    rename = grid.dense_renaming()
-    vids = grid.vid_of_cell(cells)
-    per_voxel: dict[int, int] = {}
-    for i in np.flatnonzero(crossing):
-        vid_r = int(rename[vids[i]])
-        per_voxel[vid_r] = per_voxel.get(vid_r, 0) + 1
+    vid_r = grid.dense_renaming()[grid.vid_of_cell(cells)]
+    counts = np.bincount(vid_r[crossing])
+    voxels = np.flatnonzero(counts)
+    per_voxel = dict(zip(voxels.tolist(), counts[voxels].tolist()))
     return {
         "ratio": float(crossing.mean()),
         "crossing": int(crossing.sum()),
@@ -62,13 +60,15 @@ def cbp_loss(render_order) -> float:
     blended; splat i counts iff its depth is below the running maximum of all
     earlier depths.  Empty traces score 0.
     """
-    order = list(render_order)
-    if not order:
+    order = np.array(list(render_order), dtype=np.float64).reshape(-1, 2)
+    if not len(order):
         return 0.0
-    total = 0.0
-    running_max = -np.inf
-    for depth, s in order:
-        if depth < running_max:
-            total += s
-        running_max = max(running_max, depth)
-    return total / len(order)
+    depth, scale = order[:, 0], order[:, 1]
+    # fmax skips NaN depths, as the running max of a loop comparing with > would
+    before = np.fmax.accumulate(np.concatenate([[-np.inf], depth[:-1]]))
+    # cumsum adds in order, starting from the first entry, which is always
+    # +0.0; adding +0.0 for in-order splats leaves every partial sum unchanged.
+    # Overflow to inf and inf - inf stay silent, as in Python float sums.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.cumsum(np.where(depth < before, scale, 0.0))[-1]
+    return float(total / len(order))

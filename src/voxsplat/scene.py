@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import PlyParseError, PlySchemaError
 
-GAUSSIAN_PARAMS = 59
 TILE_EDGE = 16
 QUAT_NORM_TOL = 1e-6
 
@@ -53,32 +52,6 @@ class Aabb:
     @property
     def extent(self) -> np.ndarray:
         return self.hi - self.lo
-
-
-@dataclass
-class Gaussian:
-    """One splat.  Field layout mirrors the 59-parameter representation."""
-
-    position: np.ndarray
-    scale: np.ndarray
-    rotation: np.ndarray
-    opacity: float
-    sh: np.ndarray  # (16, 3), coefficient 0 is the DC term
-    id: int
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float64).reshape(3)
-        self.scale = np.asarray(self.scale, dtype=np.float64).reshape(3)
-        self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(4)
-        self.sh = np.asarray(self.sh, dtype=np.float64).reshape(16, 3)
-        n = self.position.size + self.scale.size + self.rotation.size + 1 + self.sh.size
-        assert n == GAUSSIAN_PARAMS
-        if not np.all(self.scale > 0):
-            raise ValueError("scale components must be positive")
-        if not 0.0 <= self.opacity <= 1.0:
-            raise ValueError("opacity outside [0, 1]")
-        if abs(np.linalg.norm(self.rotation) - 1.0) > QUAT_NORM_TOL:
-            raise ValueError("rotation quaternion not normalized")
 
 
 @dataclass
@@ -123,16 +96,6 @@ class Scene:
     def __len__(self) -> int:
         return len(self.positions)
 
-    def gaussian(self, i: int) -> Gaussian:
-        return Gaussian(
-            position=self.positions[i],
-            scale=self.scales[i],
-            rotation=self.rotations[i],
-            opacity=float(self.opacities[i]),
-            sh=self.sh[i],
-            id=int(self.ids[i]),
-        )
-
 
 def scene_fingerprint(scene: Scene) -> str:
     """Order-stable content hash used to guard cross-pipeline comparisons."""
@@ -156,7 +119,7 @@ class Camera:
 
     `rotation` maps world to camera coordinates (camera looks along +z), so a
     world point p lands at ``rotation @ p + translation``.  Width and height
-    must be multiples of the 16-pixel tile edge.
+    must be positive multiples of the 16-pixel tile edge.
     """
 
     width: int
@@ -172,6 +135,10 @@ class Camera:
     def __post_init__(self):
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64).reshape(3, 3))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64).reshape(3))
+        if self.width < TILE_EDGE or self.height < TILE_EDGE:
+            raise ValueError(
+                f"image size {self.width}x{self.height} is below one {TILE_EDGE}-pixel tile"
+            )
         if self.width % TILE_EDGE or self.height % TILE_EDGE:
             raise ValueError(f"image size must be a multiple of {TILE_EDGE}")
         if self.near <= 0:

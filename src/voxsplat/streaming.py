@@ -16,7 +16,7 @@ from .scene import Camera, TILE_EDGE, tile_pixels
 from .scheduler import TileVisits, schedule, traverse, voxel_depths
 from .tileloop import render_rows
 from .traffic import PIXEL_BYTES, TrafficLedger
-from .voxelstore import VoxelGrid, VoxelRecord, stream_coarse, stream_fine
+from .voxelstore import FlatRecords, VoxelGrid, stream_coarse, stream_fine
 from .vq import Codebook
 
 VOXEL_BATCH_CAPACITY = 4096  # on-chip sorting buffer bound; overflow splits in depth order
@@ -54,7 +54,7 @@ def render_tile_streaming(
     tile: tuple[int, int],
     camera: Camera,
     grid: VoxelGrid,
-    records: list[VoxelRecord],
+    records: FlatRecords,
     books: dict[str, Codebook] | None,
     ledger: TrafficLedger,
     background=(0.0, 0.0, 0.0),
@@ -90,13 +90,14 @@ def render_tile_streaming(
         if early_exit and np.all(transmittance < T_FREEZE):
             stats.voxels_skipped_early += len(order) - k
             break
-        rec = records[vid_r]
-        positions, max_scales = stream_coarse(rec, ledger)
+        positions, max_scales = stream_coarse(records, vid_r, ledger)
         mask = coarse_filter(cache, rect, vid_r, positions, max_scales, stats.filter)
         survivors = np.flatnonzero(mask)
         if not len(survivors):
             continue
-        splats = stream_fine(rec, survivors, books, ledger, decode=vid_r not in cache.fine)
+        splats = stream_fine(
+            records, vid_r, survivors, books, ledger, decode=vid_r not in cache.fine
+        )
         batch = fine_filter(cache, rect, vid_r, survivors, splats, stats.filter)
         if not len(batch):
             continue
@@ -115,7 +116,7 @@ def render_tile_streaming(
 def render_frame_streaming(
     camera: Camera,
     grid: VoxelGrid,
-    records: list[VoxelRecord],
+    records: FlatRecords,
     books: dict[str, Codebook] | None = None,
     *,
     background=(0.0, 0.0, 0.0),

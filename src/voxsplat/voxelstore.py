@@ -1,9 +1,11 @@
-"""Voxel partition of a scene and the two-half per-voxel record layout.
+"""Voxel partition of a scene and the flat two-half splat layout.
 
 Each splat lives in exactly one voxel, chosen by its center (extent may
-overhang).  Non-empty voxels get dense renamed ids; each record keeps the
-lightweight first half (position + max scale, streamed for coarse filtering)
-apart from the second half (everything else, raw or codebook-encoded).
+overhang).  Non-empty voxels get dense renamed ids.  The records keep every
+splat in one array per attribute, sorted by (renamed voxel id, splat id),
+so voxel r is rows ``offsets[r]:offsets[r + 1]`` of each.  The lightweight
+first half (position + max scale, streamed for coarse filtering) lives apart
+from the second half (everything else, raw or codebook-encoded).
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CodebookCorruptionError, StoreFormatError
-from .scene import Aabb, Scene, scene_fingerprint
-from .vq import ATTRIBUTES, Codebook, nearest_indices
+from .scene import Scene, scene_fingerprint
+from .vq import ATTRIBUTE_DIMS, ATTRIBUTES, Codebook, nearest_indices
 
 COARSE_BYTES_PER_GAUSSIAN = 16  # 4 params x float32
 ENCODED_FINE_BYTES = 12  # 2+2+2+2 byte-aligned indices + raw float32 opacity
@@ -39,11 +41,12 @@ class VoxelGrid:
     origin: np.ndarray
     edge: float
     dims: np.ndarray  # (3,) int
-    renaming: dict[int, int] = field(default_factory=dict)  # VID -> VID_r
+    vids: np.ndarray | None = None  # VID of each renamed id VID_r, ascending
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         self.dims = np.asarray(self.dims, dtype=np.int64).reshape(3)
+        self.vids = np.asarray([] if self.vids is None else self.vids, dtype=np.int64).reshape(-1)
         _check_edge(self.edge)
         if not np.all(np.isfinite(self.origin)):
             raise ValueError("grid origin must be finite")
@@ -52,13 +55,9 @@ class VoxelGrid:
         cells = math.prod(int(d) for d in self.dims)
         if cells > MAX_GRID_CELLS:
             raise ValueError(f"grid of {cells} cells exceeds the cap of {MAX_GRID_CELLS}")
-
-    def __setattr__(self, name, value):
-        # the lookup tables below derive from ``renaming``; nothing mutates
-        # the dict in place, so reassigning it is the only way they go stale
-        if name == "renaming":
-            self._dense = self._inverse = None
-        super().__setattr__(name, value)
+        if np.any(np.diff(self.vids) <= 0) or np.any((self.vids < 0) | (self.vids >= cells)):
+            raise ValueError(f"voxel ids are not strictly ascending below {cells}")
+        self._dense = None
 
     @property
     def voxel_count(self) -> int:
@@ -66,7 +65,7 @@ class VoxelGrid:
 
     @property
     def nonempty_count(self) -> int:
-        return len(self.renaming)
+        return len(self.vids)
 
     def cell_of(self, points: np.ndarray) -> np.ndarray:
         """Integer cell coordinates by the floor convention (faces belong to
@@ -86,36 +85,19 @@ class VoxelGrid:
         return np.stack([ix, iy, iz], axis=-1)
 
     def renamed_vids(self) -> np.ndarray:
-        """Original VIDs ordered by renamed id (cached until ``renaming`` is reassigned)."""
-        if self._inverse is None:
-            out = np.empty(len(self.renaming), dtype=np.int64)
-            for vid, vid_r in self.renaming.items():
-                out[vid_r] = vid
-            self._inverse = out
-        return self._inverse
+        """Original VIDs ordered by renamed id."""
+        return self.vids
 
     def dense_renaming(self) -> np.ndarray:
-        """Array lookup VID -> VID_r with -1 for empty voxels (cached until
-        ``renaming`` is reassigned)."""
+        """Array lookup VID -> VID_r with -1 for empty voxels, built on first use."""
         if self._dense is None:
-            table = np.full(self.voxel_count, -1, dtype=np.int64)
-            for vid, vid_r in self.renaming.items():
-                table[vid] = vid_r
-            self._dense = table
+            self._dense = np.full(self.voxel_count, -1, dtype=np.int64)
+            self._dense[self.vids] = np.arange(len(self.vids))
         return self._dense
 
     def centers(self, vid_r: np.ndarray) -> np.ndarray:
-        cells = self.cell_of_vid(self.renamed_vids()[np.asarray(vid_r)])
+        cells = self.cell_of_vid(self.vids[np.asarray(vid_r)])
         return self.origin + (cells + 0.5) * self.edge
-
-    def voxel_aabb(self, vid_r: int) -> Aabb:
-        cell = self.cell_of_vid(np.asarray(self.renamed_vids()[vid_r]))
-        lo = self.origin + cell * self.edge
-        return Aabb(lo, lo + self.edge)
-
-    @property
-    def world_aabb(self) -> Aabb:
-        return Aabb(self.origin, self.origin + self.dims * self.edge)
 
 
 def _check_edge(edge: float) -> None:
@@ -124,35 +106,39 @@ def _check_edge(edge: float) -> None:
 
 
 @dataclass
-class VoxelRecord:
-    """All splats resident in one voxel, in ascending-id order."""
+class FlatRecords:
+    """Every splat of a store, one array per attribute, sorted by (renamed
+    voxel id, splat id); voxel r is rows ``offsets[r]:offsets[r + 1]``."""
 
-    vid_r: int
+    offsets: np.ndarray  # (nonempty + 1,)
     positions: np.ndarray  # (n, 3) first half
     max_scales: np.ndarray  # (n,) first half
     ids: np.ndarray  # (n,)
+    opacities: np.ndarray  # (n,) raw in both layouts
     # raw second half (present unless encoded)
     scales: np.ndarray | None = None
     rotations: np.ndarray | None = None
-    dc: np.ndarray | None = None
-    sh_rest: np.ndarray | None = None  # (n, 15, 3)
-    opacities: np.ndarray | None = None  # raw in both layouts
+    sh: np.ndarray | None = None  # (n, 16, 3), coefficient 0 is the DC term
     # encoded second half
     scale_idx: np.ndarray | None = None
     rot_idx: np.ndarray | None = None
     dc_idx: np.ndarray | None = None
     sh_idx: np.ndarray | None = None
 
-    @property
-    def count(self) -> int:
-        return len(self.ids)
+    def __len__(self) -> int:
+        """The number of voxels."""
+        return len(self.offsets) - 1
 
     @property
     def encoded(self) -> bool:
         return self.scale_idx is not None
 
+    def rows(self, vid_r: int) -> slice:
+        """Voxel ``vid_r``'s rows of every per-splat array."""
+        return slice(*self.offsets[vid_r : vid_r + 2].tolist())
 
-def build_grid(scene: Scene, edge: float) -> tuple[VoxelGrid, list[VoxelRecord]]:
+
+def build_grid(scene: Scene, edge: float) -> tuple[VoxelGrid, FlatRecords]:
     """Partition by splat centers; records ordered by renamed voxel id.
 
     The grid origin is snapped down to a multiple of the edge, so cell
@@ -167,92 +153,78 @@ def build_grid(scene: Scene, edge: float) -> tuple[VoxelGrid, list[VoxelRecord]]
     else:
         dims = np.ones(3, dtype=np.int64)
     grid = VoxelGrid(origin=origin, edge=float(edge), dims=dims)
-
-    records: list[VoxelRecord] = []
-    if len(scene):
-        vids = grid.vid_of_cell(grid.cell_of(scene.positions))
-        order = np.lexsort((scene.ids, vids))
-        sorted_vids = vids[order]
-        uniq, starts = np.unique(sorted_vids, return_index=True)
-        grid.renaming = {int(v): r for r, v in enumerate(uniq)}
-        boundaries = np.append(starts, len(sorted_vids))
-        max_scales = scene.scales.max(axis=1)
-        for r in range(len(uniq)):
-            sel = order[boundaries[r] : boundaries[r + 1]]
-            records.append(
-                VoxelRecord(
-                    vid_r=r,
-                    positions=scene.positions[sel].copy(),
-                    max_scales=max_scales[sel].copy(),
-                    ids=scene.ids[sel].copy(),
-                    scales=scene.scales[sel].copy(),
-                    rotations=scene.rotations[sel].copy(),
-                    dc=scene.sh[sel, 0, :].copy(),
-                    sh_rest=scene.sh[sel, 1:, :].copy(),
-                    opacities=scene.opacities[sel].copy(),
-                )
-            )
-    return grid, records
+    vids = grid.vid_of_cell(grid.cell_of(scene.positions))
+    order = np.lexsort((scene.ids, vids))
+    uniq, starts = np.unique(vids[order], return_index=True)
+    scales = scene.scales[order]
+    records = FlatRecords(
+        offsets=np.append(starts, len(order)),
+        positions=scene.positions[order],
+        max_scales=scales.max(axis=1),
+        ids=scene.ids[order],
+        opacities=scene.opacities[order],
+        scales=scales,
+        rotations=scene.rotations[order],
+        sh=scene.sh[order],
+    )
+    return replace(grid, vids=uniq), records
 
 
-def gather_attribute(records: list[VoxelRecord], attribute: str) -> np.ndarray:
-    """Concatenated raw attribute vectors across records, in VID_r order."""
+def gather_attribute(records: FlatRecords, attribute: str) -> np.ndarray:
+    """Raw attribute vectors of every splat, in VID_r order."""
     if attribute not in ATTRIBUTES:
         raise ValueError(f"unknown attribute {attribute!r}")
-    parts = []
-    for rec in records:
-        if rec.encoded:
-            raise ValueError("records already encoded; raw attributes unavailable")
-        if attribute == "scale":
-            parts.append(rec.scales)
-        elif attribute == "rotation":
-            parts.append(rec.rotations)
-        elif attribute == "dc":
-            parts.append(rec.dc)
-        else:
-            parts.append(rec.sh_rest.reshape(rec.count, 45))
-    if not parts:
-        return np.empty((0, {"scale": 3, "rotation": 4, "dc": 3, "sh_rest": 45}[attribute]))
-    return np.concatenate(parts, axis=0)
+    if records.encoded:
+        raise ValueError("records already encoded; raw attributes unavailable")
+    if attribute == "scale":
+        return records.scales
+    if attribute == "rotation":
+        return records.rotations
+    if attribute == "dc":
+        return np.ascontiguousarray(records.sh[:, 0])
+    return records.sh[:, 1:].reshape(-1, 45)
 
 
-def encode_records(records: list[VoxelRecord], books: dict[str, Codebook]) -> list[VoxelRecord]:
-    """Replace raw second halves with codebook indices (new record list)."""
-    out = []
-    for rec in records:
-        if rec.encoded:
-            raise ValueError("records already encoded")
-        out.append(
-            VoxelRecord(
-                vid_r=rec.vid_r,
-                positions=rec.positions,
-                max_scales=rec.max_scales,
-                ids=rec.ids,
-                opacities=rec.opacities,
-                scale_idx=nearest_indices(rec.scales, books["scale"]),
-                rot_idx=nearest_indices(rec.rotations, books["rotation"]),
-                dc_idx=nearest_indices(rec.dc, books["dc"]),
-                sh_idx=nearest_indices(rec.sh_rest.reshape(rec.count, 45), books["sh_rest"]),
-            )
-        )
-    return out
+def encode_records(records: FlatRecords, books: dict[str, Codebook]) -> FlatRecords:
+    """Replace raw second halves with codebook indices (new records sharing
+    the first halves and the opacities)."""
+    if records.encoded:
+        raise ValueError("records already encoded")
+    for name in ATTRIBUTES:
+        if books[name].dim != ATTRIBUTE_DIMS[name]:
+            raise ValueError(f"codebook {name!r} has dim {books[name].dim}")
+    idx = [nearest_indices(gather_attribute(records, name), books[name]) for name in ATTRIBUTES]
+    return FlatRecords(
+        offsets=records.offsets,
+        positions=records.positions,
+        max_scales=records.max_scales,
+        ids=records.ids,
+        opacities=records.opacities,
+        scale_idx=idx[0],
+        rot_idx=idx[1],
+        dc_idx=idx[2],
+        sh_idx=idx[3],
+    )
 
 
-def stream_coarse(record: VoxelRecord, ledger) -> tuple[np.ndarray, np.ndarray]:
+def stream_coarse(records: FlatRecords, vid_r: int, ledger) -> tuple[np.ndarray, np.ndarray]:
     """Fetch the first halves of a voxel, charging 16 bytes per splat."""
-    ledger.charge("coarse-load", COARSE_BYTES_PER_GAUSSIAN * record.count, record.count)
-    return record.positions, record.max_scales
+    rows = records.rows(vid_r)
+    count = rows.stop - rows.start
+    ledger.charge("coarse-load", COARSE_BYTES_PER_GAUSSIAN * count, count)
+    return records.positions[rows], records.max_scales[rows]
 
 
 def stream_fine(
-    record: VoxelRecord,
+    records: FlatRecords,
+    vid_r: int,
     survivors: np.ndarray,
     books: dict[str, Codebook] | None,
     ledger,
     *,
     decode: bool,
 ) -> tuple | None:
-    """Fetch the second halves of the surviving splats, charging for them only.
+    """Fetch the second halves of a voxel's surviving splats, charging for them only.
 
     Encoded records charge the 12-byte packed layout; raw records charge 56
     float32 values.  With ``decode``, returns the whole voxel decoded as
@@ -260,28 +232,30 @@ def stream_fine(
     ids), else None: a renderer decodes each voxel once per frame and
     reuses its projection on later visits, which the ledger still charges.
     """
+    rows = records.rows(vid_r)
+    count = rows.stop - rows.start
     survivors = np.asarray(survivors, dtype=np.int64)
     n = len(survivors)
-    if np.any((survivors < 0) | (survivors >= record.count)):
+    if np.any((survivors < 0) | (survivors >= count)):
         raise ValueError("survivor index out of range")
-    if record.encoded and books is None:
+    if records.encoded and books is None:
         raise ValueError("encoded records need codebooks to decode")
-    per_splat = ENCODED_FINE_BYTES if record.encoded else RAW_FINE_STREAM_BYTES
+    per_splat = ENCODED_FINE_BYTES if records.encoded else RAW_FINE_STREAM_BYTES
     ledger.charge("fine-load", per_splat * n, n)
     if not decode:
         return None
-    if record.encoded:
-        scales = _lookup(books, "scale", record.scale_idx, record.vid_r)
-        rots = _lookup(books, "rotation", record.rot_idx, record.vid_r)
+    if records.encoded:
+        scales = _lookup(books, "scale", records.scale_idx[rows], vid_r)
+        rots = _lookup(books, "rotation", records.rot_idx[rows], vid_r)
         norms = np.linalg.norm(rots, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         rots = rots / norms
-        dc = _lookup(books, "dc", record.dc_idx, record.vid_r)
-        rest = _lookup(books, "sh_rest", record.sh_idx, record.vid_r).reshape(record.count, 15, 3)
+        dc = _lookup(books, "dc", records.dc_idx[rows], vid_r)
+        rest = _lookup(books, "sh_rest", records.sh_idx[rows], vid_r).reshape(count, 15, 3)
+        sh = np.concatenate([dc[:, None, :], rest], axis=1)
     else:
-        scales, rots, dc, rest = record.scales, record.rotations, record.dc, record.sh_rest
-    sh = np.concatenate([dc[:, None, :], rest], axis=1)
-    return record.positions, scales, rots, record.opacities, sh, record.ids
+        scales, rots, sh = records.scales[rows], records.rotations[rows], records.sh[rows]
+    return records.positions[rows], scales, rots, records.opacities[rows], sh, records.ids[rows]
 
 
 def _lookup(books: dict[str, Codebook], attribute: str, idx: np.ndarray, vid_r: int):
@@ -295,29 +269,21 @@ def _lookup(books: dict[str, Codebook], attribute: str, idx: np.ndarray, vid_r: 
     return books[attribute].entries[idx].astype(np.float64)
 
 
-def scene_from_records(grid: VoxelGrid, records: list[VoxelRecord]) -> Scene:
+def scene_from_records(grid: VoxelGrid, records: FlatRecords) -> Scene:
     """Rebuild the flat scene (id order) from raw records, e.g. for the oracle."""
-    if not records:
-        return Scene(
-            positions=np.empty((0, 3)),
-            scales=np.empty((0, 3)),
-            rotations=np.empty((0, 4)),
-            opacities=np.empty(0),
-            sh=np.empty((0, 16, 3)),
-            ids=np.empty(0, dtype=np.int64),
-        )
-    ids = np.concatenate([r.ids for r in records])
-    order = np.argsort(ids, kind="stable")
-    sh = np.concatenate(
-        [np.concatenate([r.dc[:, None, :], r.sh_rest], axis=1) for r in records]
-    )
+    return _scene(records, np.argsort(records.ids, kind="stable"))
+
+
+def _scene(records: FlatRecords, order) -> Scene:
+    if records.encoded:
+        raise ValueError("records already encoded; raw attributes unavailable")
     return Scene(
-        positions=np.concatenate([r.positions for r in records])[order],
-        scales=np.concatenate([r.scales for r in records])[order],
-        rotations=np.concatenate([r.rotations for r in records])[order],
-        opacities=np.concatenate([r.opacities for r in records])[order],
-        sh=sh[order],
-        ids=ids[order],
+        positions=records.positions[order],
+        scales=records.scales[order],
+        rotations=records.rotations[order],
+        opacities=records.opacities[order],
+        sh=records.sh[order],
+        ids=records.ids[order],
     )
 
 
@@ -326,7 +292,7 @@ class VoxelStore:
     """Grid + records + the fingerprint of the scene they came from."""
 
     grid: VoxelGrid
-    records: list[VoxelRecord]
+    records: FlatRecords
     scene_hash: str
 
     @classmethod
@@ -340,19 +306,28 @@ class VoxelStore:
         )
 
     def occupancy(self) -> dict:
-        counts = [r.count for r in self.records]
+        counts = np.diff(self.records.offsets)
         return {
             "voxels": self.grid.voxel_count,
-            "nonempty": len(self.records),
-            "gaussians": int(sum(counts)),
-            "min_per_voxel": int(min(counts)) if counts else 0,
-            "max_per_voxel": int(max(counts)) if counts else 0,
+            "nonempty": len(counts),
+            "gaussians": int(counts.sum()),
+            "min_per_voxel": int(counts.min()) if len(counts) else 0,
+            "max_per_voxel": int(counts.max()) if len(counts) else 0,
         }
 
 
 def save_store(store: VoxelStore, path) -> None:
     """GSVX file: header, renaming table, then raw per-voxel blocks."""
-    grid = store.grid
+    grid, records = store.grid, store.records
+    if records.encoded:
+        raise ValueError("store files hold raw second halves; encode at load time")
+    coarse = np.concatenate([records.positions, records.max_scales[:, None]], axis=1, dtype="<f4")
+    fine = np.concatenate(
+        [records.scales, records.rotations, records.sh.reshape(-1, 48), records.opacities[:, None]],
+        axis=1,
+        dtype="<f4",
+    )
+    ids = records.ids.astype("<u4")
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<HB", _VERSION, 0))  # fine-block kind 0 = raw
@@ -360,25 +335,13 @@ def save_store(store: VoxelStore, path) -> None:
         f.write(np.asarray(grid.origin, dtype="<f8").tobytes())
         f.write(np.asarray(grid.dims, dtype="<u4").tobytes())
         f.write(struct.pack("<I", grid.nonempty_count))
-        f.write(grid.renamed_vids().astype("<u4").tobytes())
-        for rec in store.records:
-            if rec.encoded:
-                raise ValueError("store files hold raw second halves; encode at load time")
-            f.write(struct.pack("<I", rec.count))
-            coarse = np.concatenate([rec.positions, rec.max_scales[:, None]], axis=1)
-            f.write(coarse.astype("<f4").tobytes())
-            fine = np.concatenate(
-                [
-                    rec.scales,
-                    rec.rotations,
-                    rec.dc,
-                    rec.sh_rest.reshape(rec.count, 45),
-                    rec.opacities[:, None],
-                ],
-                axis=1,
-            )
-            f.write(fine.astype("<f4").tobytes())
-            f.write(rec.ids.astype("<u4").tobytes())
+        f.write(grid.vids.astype("<u4").tobytes())
+        for r in range(len(records)):
+            rows = records.rows(r)
+            f.write(struct.pack("<I", rows.stop - rows.start))
+            f.write(coarse[rows].tobytes())
+            f.write(fine[rows].tobytes())
+            f.write(ids[rows].tobytes())
 
 
 class _StoreReader:
@@ -411,54 +374,50 @@ def load_store(path) -> VoxelStore:
         dims = np.frombuffer(reader.read(12, "voxel-store header"), dtype="<u4")
         dims = dims.astype(np.int64)
         (nonempty,) = struct.unpack("<I", reader.read(4, "voxel-store header"))
+        cells = math.prod(int(d) for d in dims)
+        if nonempty > cells:
+            raise StoreFormatError(f"{nonempty} non-empty voxels in a grid of {cells} cells")
+        vids = np.frombuffer(reader.read(4 * nonempty, "voxel renaming table"), dtype="<u4")
         try:
-            grid = VoxelGrid(origin=origin, edge=edge, dims=dims)
+            grid = VoxelGrid(origin=origin, edge=edge, dims=dims, vids=vids)
         except ValueError as exc:
             raise StoreFormatError(f"bad voxel-store header: {exc}") from None
-        if nonempty > grid.voxel_count:
-            raise StoreFormatError(
-                f"{nonempty} non-empty voxels in a grid of {grid.voxel_count} cells"
-            )
-        table = reader.read(4 * nonempty, "voxel renaming table")
-        vids = np.frombuffer(table, dtype="<u4").astype(np.int64)
-        if np.any(np.diff(vids) <= 0) or np.any(vids >= grid.voxel_count):
-            raise StoreFormatError(
-                f"voxel renaming table is not strictly ascending below {grid.voxel_count}"
-            )
-        grid.renaming = {int(v): r for r, v in enumerate(vids)}
-        records = []
-        for r in range(nonempty):
-            (count,) = struct.unpack("<I", reader.read(4, f"record header for voxel {r}"))
-            payload = reader.read(4 * 61 * count, f"record payload for voxel {r}")
-            coarse = np.frombuffer(payload, dtype="<f4", count=4 * count).reshape(count, 4)
-            fine = np.frombuffer(payload, dtype="<f4", count=56 * count, offset=16 * count)
-            fine = fine.reshape(count, 56)
-            ids = np.frombuffer(payload, dtype="<u4", offset=4 * 60 * count).astype(np.int64)
-            records.append(
-                VoxelRecord(
-                    vid_r=r,
-                    positions=coarse[:, :3].astype(np.float64),
-                    max_scales=coarse[:, 3].astype(np.float64),
-                    ids=ids,
-                    scales=fine[:, 0:3].astype(np.float64),
-                    rotations=fine[:, 3:7].astype(np.float64),
-                    dc=fine[:, 7:10].astype(np.float64),
-                    sh_rest=fine[:, 10:55].astype(np.float64).reshape(count, 15, 3),
-                    opacities=fine[:, 55].astype(np.float64),
-                )
-            )
-    if records:
-        # float32 rounding is monotone, so a saved store's coarse half is
-        # exactly the max of its scales; NaN never compares equal
-        stored = np.concatenate([rec.max_scales for rec in records])
-        bad = np.flatnonzero(stored != np.concatenate([rec.scales for rec in records]).max(axis=1))
-        if len(bad):
-            r = int(np.searchsorted(np.cumsum([rec.count for rec in records]), bad[0], "right"))
-            raise StoreFormatError(
-                f"voxel {r}: a coarse max scale is not the largest of its splat's scales"
-            )
+        records = _read_records(reader, nonempty)
+    # float32 rounding is monotone, so a saved store's coarse half is exactly
+    # the max of its scales; NaN never compares equal
+    bad = np.flatnonzero(records.max_scales != records.scales.max(axis=1))
+    if len(bad):
+        r = int(np.searchsorted(records.offsets, bad[0], "right")) - 1
+        raise StoreFormatError(
+            f"voxel {r}: a coarse max scale is not the largest of its splat's scales"
+        )
     try:
-        scene = scene_from_records(grid, records)
+        # voxel order: the fingerprint sorts by id itself
+        scene = _scene(records, slice(None))
     except ValueError as exc:
         raise StoreFormatError(f"invalid splat values: {exc}") from None
     return VoxelStore(grid=grid, records=records, scene_hash=scene_fingerprint(scene))
+
+
+def _read_records(reader: _StoreReader, nonempty: int) -> FlatRecords:
+    """The per-voxel blocks of a store file, cast into flat float64 arrays."""
+    counts, coarse, fine, ids = [], [], [], []
+    for r in range(nonempty):
+        (count,) = struct.unpack("<I", reader.read(4, f"record header for voxel {r}"))
+        payload = memoryview(reader.read(4 * 61 * count, f"record payload for voxel {r}"))
+        counts.append(count)
+        coarse.append(payload[: 16 * count])
+        fine.append(payload[16 * count : 240 * count])
+        ids.append(payload[240 * count :])
+    coarse = np.frombuffer(b"".join(coarse), dtype="<f4").reshape(-1, 4)
+    fine = np.frombuffer(b"".join(fine), dtype="<f4").reshape(-1, 56)
+    return FlatRecords(
+        offsets=np.cumsum([0] + counts),
+        positions=coarse[:, :3].astype(np.float64),
+        max_scales=coarse[:, 3].astype(np.float64),
+        ids=np.frombuffer(b"".join(ids), dtype="<u4").astype(np.int64),
+        opacities=fine[:, 55].astype(np.float64),
+        scales=fine[:, 0:3].astype(np.float64),
+        rotations=fine[:, 3:7].astype(np.float64),
+        sh=fine[:, 7:55].astype(np.float64).reshape(-1, 16, 3),
+    )

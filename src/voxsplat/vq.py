@@ -1,4 +1,4 @@
-"""Per-attribute codebooks: k-means training, index encoding, decoding, file I/O.
+"""Per-attribute codebooks: k-means training, nearest-centroid indices, file I/O.
 
 The quantized second half of a splat is split into four attribute vectors —
 scale (3), rotation (4), DC color (3) and the 45 higher-order SH values —
@@ -19,6 +19,7 @@ ATTRIBUTES = ("scale", "rotation", "dc", "sh_rest")
 ATTRIBUTE_DIMS = {"scale": 3, "rotation": 4, "dc": 3, "sh_rest": 45}
 DEFAULT_ENTRIES = {"scale": 4096, "rotation": 4096, "dc": 4096, "sh_rest": 512}
 INDEX_BITS = {"scale": 12, "rotation": 12, "dc": 12, "sh_rest": 9}
+NEAREST_CHUNK_ROWS = 1024  # 32 MB of float64 distances per chunk at 4096 entries
 
 _MAGIC = b"GSVQ"
 _VERSION = 1
@@ -53,29 +54,6 @@ class Codebook:
     @property
     def dim(self) -> int:
         return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
-class EncodedGaussian:
-    """Second-half record as stored off-chip: four indices plus raw opacity."""
-
-    scale_idx: int
-    rot_idx: int
-    dc_idx: int
-    sh_idx: int
-    opacity: float
-
-    def validate(self, books: dict[str, Codebook]) -> None:
-        for name, idx in (
-            ("scale", self.scale_idx),
-            ("rotation", self.rot_idx),
-            ("dc", self.dc_idx),
-            ("sh_rest", self.sh_idx),
-        ):
-            if not 0 <= idx < books[name].entry_count:
-                raise CodebookCorruptionError(
-                    f"{name} index {idx} out of range for {books[name].entry_count} entries"
-                )
 
 
 def _squared_distances(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -179,35 +157,18 @@ def train_codebook(
 
 
 def nearest_indices(vectors: np.ndarray, book: Codebook) -> np.ndarray:
-    """Index of the nearest centroid per vector (Euclidean, ties -> lowest)."""
+    """Index of the nearest centroid per vector (Euclidean, ties -> lowest).
+
+    Vectors go through in near-equal chunks of at most ``NEAREST_CHUNK_ROWS``
+    rows, so encoding a whole store holds one (chunk, entries) distance
+    matrix at a time rather than one with a row per splat.
+    """
     vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, book.dim)
-    d2 = _squared_distances(vectors, book.entries.astype(np.float64))
-    return np.argmin(d2, axis=1).astype(np.int64)
-
-
-def encode(g, books: dict[str, Codebook]) -> EncodedGaussian:
-    """Map one splat's second half onto codebook indices."""
-    for name in ATTRIBUTES:
-        if books[name].dim != ATTRIBUTE_DIMS[name]:
-            raise ValueError(f"codebook {name!r} has dim {books[name].dim}")
-    return EncodedGaussian(
-        scale_idx=int(nearest_indices(g.scale, books["scale"])[0]),
-        rot_idx=int(nearest_indices(g.rotation, books["rotation"])[0]),
-        dc_idx=int(nearest_indices(g.sh[0], books["dc"])[0]),
-        sh_idx=int(nearest_indices(g.sh[1:].reshape(-1), books["sh_rest"])[0]),
-        opacity=float(g.opacity),
-    )
-
-
-def decode(e: EncodedGaussian, books: dict[str, Codebook]):
-    """Centroid values for one encoded splat: (scale, rotation, dc, sh_rest, opacity)."""
-    e.validate(books)
-    scale = books["scale"].entries[e.scale_idx].astype(np.float64)
-    rot = books["rotation"].entries[e.rot_idx].astype(np.float64)
-    rot = rot / np.linalg.norm(rot)
-    dc = books["dc"].entries[e.dc_idx].astype(np.float64)
-    rest = books["sh_rest"].entries[e.sh_idx].astype(np.float64).reshape(15, 3)
-    return scale, rot, dc, rest, e.opacity
+    entries = book.entries.astype(np.float64)
+    chunks = np.array_split(vectors, max(1, -(-len(vectors) // NEAREST_CHUNK_ROWS)))
+    return np.concatenate(
+        [np.argmin(_squared_distances(chunk, entries), axis=1) for chunk in chunks]
+    ).astype(np.int64)
 
 
 def save_codebooks(books: dict[str, Codebook], path) -> None:

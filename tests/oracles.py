@@ -5,6 +5,10 @@ production code must match bit for bit.  They live here, not in the
 package, so there is exactly one blend, one ray-table builder, one
 scheduler and one filter chain to ship.
 
+``encode_per_voxel``, ``cbp_loss_loop`` and ``per_voxel_crossings_loop``
+are the per-voxel and per-element forms of the store encoder and the two
+metrics.
+
 The filter-chain oracles take the per-tile signatures of ``coarse_filter``,
 ``stream_fine`` and ``fine_filter`` but ignore the frame's projection cache:
 every visit projects its voxel again, and ``stream_fine_per_visit`` decodes
@@ -28,9 +32,11 @@ from voxsplat.filtering import (
     project_means,
     project_splats,
 )
+from voxsplat.metrics import extent_boxes
 from voxsplat.scene import TILE_EDGE
 from voxsplat.scheduler import ScheduleMeta, TileVisits, _ray_visits
 from voxsplat.voxelstore import ENCODED_FINE_BYTES, RAW_FINE_STREAM_BYTES
+from voxsplat.vq import ATTRIBUTES, nearest_indices
 
 
 def blend_per_splat(batch, centers, color, transmittance, trace=None, pixel_trace=None) -> int:
@@ -172,30 +178,27 @@ def survivor_rows(survivors, count):
     return survivors
 
 
-def stream_fine_per_visit(record, survivors, books, ledger, *, decode):
+def stream_fine_per_visit(records, vid_r, survivors, books, ledger, *, decode):
     """Charges like ``stream_fine`` but always decodes, and only the survivors
-    (``survivor_rows``)."""
+    (``survivor_rows``), each gathered on its own from the voxel's rows."""
     survivors = np.asarray(survivors, dtype=np.int64)
     n = len(survivors)
-    rows = survivor_rows(survivors, record.count)
-    if record.encoded:
+    start, stop = records.offsets[vid_r], records.offsets[vid_r + 1]
+    rows = start + survivor_rows(survivors, stop - start)
+    if records.encoded:
         ledger.charge("fine-load", ENCODED_FINE_BYTES * n, n)
-        scales = books["scale"].entries[record.scale_idx[rows]].astype(np.float64)
-        rots = books["rotation"].entries[record.rot_idx[rows]].astype(np.float64)
+        scales = books["scale"].entries[records.scale_idx[rows]].astype(np.float64)
+        rots = books["rotation"].entries[records.rot_idx[rows]].astype(np.float64)
         norms = np.linalg.norm(rots, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         rots = rots / norms
-        dc = books["dc"].entries[record.dc_idx[rows]].astype(np.float64)
-        rest = books["sh_rest"].entries[record.sh_idx[rows]].astype(np.float64)
-        rest = rest.reshape(len(rows), 15, 3)
+        dc = books["dc"].entries[records.dc_idx[rows]].astype(np.float64)
+        rest = books["sh_rest"].entries[records.sh_idx[rows]].astype(np.float64)
+        sh = np.concatenate([dc[:, None, :], rest.reshape(len(rows), 15, 3)], axis=1)
     else:
         ledger.charge("fine-load", RAW_FINE_STREAM_BYTES * n, n)
-        scales = record.scales[rows]
-        rots = record.rotations[rows]
-        dc = record.dc[rows]
-        rest = record.sh_rest[rows]
-    sh = np.concatenate([dc[:, None, :], rest], axis=1)
-    return (record.positions[rows], scales, rots, record.opacities[rows], sh, record.ids[rows])
+        scales, rots, sh = records.scales[rows], records.rotations[rows], records.sh[rows]
+    return (records.positions[rows], scales, rots, records.opacities[rows], sh, records.ids[rows])
 
 
 def fine_filter_per_visit(cache, rect, vid_r, survivors, splats, stats):
@@ -208,3 +211,50 @@ def fine_filter_per_visit(cache, rect, vid_r, survivors, splats, stats):
     mask = valid & disc_overlaps_rect(batch.mean2d, batch.radius, rect)
     stats.fine_survivors += int(mask.sum())
     return batch.take(np.flatnonzero(mask)).sorted_by_depth()
+
+
+def encode_per_voxel(records, books) -> list[np.ndarray]:
+    """The index arrays of ``encode_records`` in ``ATTRIBUTES`` order, from
+    one ``nearest_indices`` call per voxel and attribute."""
+    parts = {name: [np.empty(0, dtype=np.int64)] for name in ATTRIBUTES}
+    for r in range(len(records)):
+        rows = records.rows(r)
+        sh = records.sh[rows]
+        vectors = {
+            "scale": records.scales[rows].copy(),
+            "rotation": records.rotations[rows].copy(),
+            "dc": sh[:, 0, :].copy(),
+            "sh_rest": sh[:, 1:, :].reshape(len(sh), 45),
+        }
+        for name in ATTRIBUTES:
+            parts[name].append(nearest_indices(vectors[name], books[name]))
+    return [np.concatenate(parts[name]) for name in ATTRIBUTES]
+
+
+def cbp_loss_loop(render_order) -> float:
+    """``cbp_loss`` one trace entry at a time."""
+    order = list(render_order)
+    if not order:
+        return 0.0
+    total = 0.0
+    running_max = -np.inf
+    for depth, s in order:
+        if depth < running_max:
+            total += s
+        running_max = max(running_max, depth)
+    return total / len(order)
+
+
+def per_voxel_crossings_loop(scene, grid) -> dict:
+    """``cross_boundary_stats(...)["per_voxel"]`` counted one splat at a time."""
+    lo, hi = extent_boxes(scene)
+    cells = grid.cell_of(scene.positions)
+    vox_lo = grid.origin + cells * grid.edge
+    crossing = np.any((lo < vox_lo) | (hi > vox_lo + grid.edge), axis=1)
+    rename = grid.dense_renaming()
+    vids = grid.vid_of_cell(cells)
+    per_voxel: dict[int, int] = {}
+    for i in np.flatnonzero(crossing):
+        vid_r = int(rename[vids[i]])
+        per_voxel[vid_r] = per_voxel.get(vid_r, 0) + 1
+    return per_voxel

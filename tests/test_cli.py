@@ -12,7 +12,7 @@ import pytest
 
 import voxsplat
 import voxsplat.streaming as streaming_mod
-from voxsplat import Camera, Scene, load_store, save_ply
+from voxsplat import Camera, Scene, VoxelStore, cli, load_store, save_ply
 from voxsplat.cli import main
 from voxsplat.errors import CodebookCorruptionError
 from voxsplat.frameio import read_png
@@ -197,6 +197,42 @@ def test_dump_dag_is_the_union_of_single_tile_edges(workspace):
     assert dag.read_text() == "".join(f"{a} {b}\n" for a, b in sorted(edges))
 
 
+@pytest.mark.parametrize("width", [0, -16])
+def test_camera_narrower_than_a_tile_exits_1_with_one_line(workspace, capsys, width):
+    cam = json.loads((workspace / "cam.json").read_text())
+    cam["width"] = width
+    bad = workspace / "narrow.json"
+    bad.write_text(json.dumps(cam))
+    out = workspace / "never.png"
+    capsys.readouterr()
+    assert _run(["render", "--mode", "streaming", "--voxels", workspace / "scene.gsvx",
+                 "--camera", bad, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("voxsplat: image size ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_compare_encodes_once_and_builds_one_flat_scene(workspace):
+    books = workspace / "books.gsvq"
+    assert _run(["train-codebook", "--voxels", workspace / "scene.gsvx", "--entries",
+                 "scale=16,rot=16,dc=16,sh=16", "--out", books]) == 0
+    calls = {"encode": 0, "scene_from_records": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with mock.patch.object(VoxelStore, "encode", counted("encode", VoxelStore.encode)), \
+            mock.patch.object(cli, "scene_from_records",
+                              counted("scene_from_records", cli.scene_from_records)):
+        assert _run(["compare", "--voxels", workspace / "scene.gsvx", "--books", books,
+                     "--camera", workspace / "cam.json",
+                     "--report", workspace / "report.json"]) == 0
+    assert calls == {"encode": 1, "scene_from_records": 1}
+
+
 @pytest.mark.parametrize("threads", [0, -2])
 def test_threads_below_one_exits_1_with_one_line(workspace, capsys, threads):
     for command in (["render", "--mode", "streaming", "--out", workspace / "never.png"],
@@ -211,9 +247,9 @@ def test_threads_below_one_exits_1_with_one_line(workspace, capsys, threads):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
 def test_codebook_error_in_a_render_worker_exits_1_with_one_line(workspace, capfd):
-    def corrupt(record, *args, **kwargs):
+    def corrupt(records, vid_r, *args, **kwargs):
         raise CodebookCorruptionError(f"scale index 99 out of range for 16 entries in voxel "
-                                      f"{record.vid_r}")
+                                      f"{vid_r}")
 
     argv = ["render", "--mode", "streaming", "--voxels", workspace / "scene.gsvx",
             "--camera", workspace / "cam.json", "--out", workspace / "never.png",

@@ -2,10 +2,12 @@
 
 ``blend`` evaluates blocks of splats as one array, ``traverse`` walks the
 rays of a whole tile row at once, ``schedule`` runs Kahn over array-built
-edges, and the filters project each voxel once per frame; all must
-reproduce the straightforward forms in ``oracles.py`` bit for bit.
+edges, the filters project each voxel once per frame, the store encodes all
+voxels in one call per attribute, and the metrics scan whole arrays; all
+must reproduce the straightforward forms in ``oracles.py`` bit for bit.
 """
 
+import warnings
 from contextlib import ExitStack
 from unittest import mock
 
@@ -15,7 +17,16 @@ from hypothesis import example, given, settings, strategies as st
 
 import voxsplat.reference as reference_mod
 import voxsplat.streaming as streaming_mod
-from voxsplat import Aabb, VoxelStore, generate_scene, look_at_camera, train_codebook
+from voxsplat import (
+    Aabb,
+    Scene,
+    VoxelStore,
+    cbp_loss,
+    cross_boundary_stats,
+    generate_scene,
+    look_at_camera,
+    train_codebook,
+)
 from voxsplat.blending import (
     ALPHA_CAP,
     ALPHA_MIN,
@@ -37,14 +48,17 @@ from voxsplat.scheduler import schedule, traverse
 from voxsplat.streaming import render_frame_streaming, render_tile_streaming
 from voxsplat.traffic import TrafficLedger
 from voxsplat.voxelstore import VoxelGrid, build_grid, gather_attribute
-from voxsplat.vq import ATTRIBUTES
+from voxsplat.vq import ATTRIBUTE_DIMS, ATTRIBUTES
 
 from conftest import constrained_scene
 from oracles import (
     blend_per_splat,
+    cbp_loss_loop,
     coarse_filter_per_visit,
     depth_table,
+    encode_per_voxel,
     fine_filter_per_visit,
+    per_voxel_crossings_loop,
     rows_of,
     schedule_dict_based,
     stream_fine_per_visit,
@@ -507,3 +521,72 @@ def test_frame_tiles_match_tiles_rendered_alone(seed, one_voxel, threads, early_
         assert (color.tobytes(), ledger.as_dict(), stats.as_dict()) == want
     if one_voxel:
         assert any(tile_stats["voxels_scheduled"] == 1 for _, _, tile_stats in in_frame.values())
+
+
+def _cell_scene(n, seed):
+    """``n`` random splats over a 3x3x3 lattice of 2-unit cells, so small
+    scenes leave many voxels holding a single splat."""
+    rng = np.random.default_rng(seed)
+    rotations = rng.normal(size=(n, 4))
+    return Scene(
+        positions=rng.integers(0, 3, (n, 3)) * 2.0 + rng.uniform(0.1, 1.9, (n, 3)),
+        scales=rng.uniform(0.01, 0.6, (n, 3)),
+        rotations=rotations / np.linalg.norm(rotations, axis=1, keepdims=True),
+        opacities=rng.uniform(0.0, 1.0, n),
+        sh=rng.normal(0.0, 0.5, (n, 16, 3)),
+        ids=rng.permutation(n),
+        bounds=Aabb([0.0] * 3, [6.0] * 3),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 30), seed=st.integers(0, 2**16), k=st.sampled_from([1, 2, 8, 64]))
+@example(n=0, seed=0, k=8)  # an empty store
+@example(n=1, seed=0, k=8)  # one voxel holding one splat
+def test_flat_encode_matches_per_voxel_encode(n, seed, k):
+    store = VoxelStore.build(_cell_scene(n, seed), 2.0)
+    rng = np.random.default_rng(seed + 1)
+    books = {name: train_codebook(rng.normal(0.0, 0.5, (4 * k, dim)), k, seed=0, attribute=name)
+             for name, dim in ATTRIBUTE_DIMS.items()}
+    encoded = store.encode(books).records
+    got = [encoded.scale_idx, encoded.rot_idx, encoded.dc_idx, encoded.sh_idx]
+    want = encode_per_voxel(store.records, books)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    assert all(len(a) == n for a in got)
+
+
+_DEPTHS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0]),
+                    st.floats(allow_nan=True, allow_infinity=True))
+_SCALES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+                    st.floats(allow_nan=False, allow_infinity=True))
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(order=st.lists(st.tuples(_DEPTHS, _SCALES), max_size=40))
+@example(order=[])
+@example(order=[(1.0, 0.5), (1.0, 0.5), (0.5, -0.0), (1.0, -0.0)])  # depth ties
+@example(order=[(2.0, -0.0), (1.0, -0.0), (0.0, -0.0)])  # only -0.0 scales violate
+@example(order=[(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.25)])
+@example(order=[(float("nan"), 1.0), (1.0, 0.5), (0.0, 0.25)])  # NaN never raises the max
+def test_cbp_loss_matches_the_loop_bit_for_bit(order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the loop never warns, so neither may this
+        assert _bits(cbp_loss(order)) == _bits(cbp_loss_loop(order))
+        assert _bits(cbp_loss(iter(order))) == _bits(cbp_loss_loop(order))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), count=st.integers(1, 200),
+       fraction=st.floats(0.1, 1.0), edge=st.sampled_from([1.0, 2.0, 4.0]))
+def test_per_voxel_crossings_match_the_loop(seed, count, fraction, edge):
+    scene = generate_scene(count=count, bounds=Aabb([-4, -4, -2], [4, 4, 2]), seed=seed,
+                           max_extent_fraction=fraction, voxel_edge=edge)
+    grid = VoxelStore.build(scene, edge).grid
+    out = cross_boundary_stats(scene, grid)
+    assert out["per_voxel"] == per_voxel_crossings_loop(scene, grid)
+    assert sum(out["per_voxel"].values()) == out["crossing"]
+    assert all(isinstance(k, int) and isinstance(v, int) for k, v in out["per_voxel"].items())

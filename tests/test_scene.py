@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from voxsplat import Aabb, Camera, Gaussian, Scene, generate_scene, load_ply, save_ply
+from voxsplat import Aabb, Camera, Scene, generate_scene, load_ply, save_ply
 from voxsplat.errors import PlyParseError, PlySchemaError
 from voxsplat.scene import scene_fingerprint
 
@@ -151,16 +151,19 @@ def test_constrained_scene_margins():
     assert np.all(scene.positions <= lo + edge - margin[:, None] + 1e-12)
 
 
-def test_gaussian_validation():
+def _one_splat(scale=(1, 1, 1), rotation=(1, 0, 0, 0), opacity=0.5):
+    return Scene(positions=[[0, 0, 0]], scales=[scale], rotations=[rotation],
+                 opacities=[opacity], sh=np.zeros((1, 16, 3)), ids=[0])
+
+
+def test_splat_validation():
+    _one_splat()
     with pytest.raises(ValueError, match="opacity"):
-        Gaussian(position=[0, 0, 0], scale=[1, 1, 1], rotation=[1, 0, 0, 0],
-                 opacity=1.5, sh=np.zeros((16, 3)), id=0)
+        _one_splat(opacity=1.5)
     with pytest.raises(ValueError, match="scale"):
-        Gaussian(position=[0, 0, 0], scale=[0, 1, 1], rotation=[1, 0, 0, 0],
-                 opacity=0.5, sh=np.zeros((16, 3)), id=0)
+        _one_splat(scale=(0, 1, 1))
     with pytest.raises(ValueError, match="quaternion"):
-        Gaussian(position=[0, 0, 0], scale=[1, 1, 1], rotation=[2, 0, 0, 0],
-                 opacity=0.5, sh=np.zeros((16, 3)), id=0)
+        _one_splat(rotation=(2, 0, 0, 0))
 
 
 def test_camera_validation_and_json(tmp_path):

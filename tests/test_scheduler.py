@@ -29,19 +29,19 @@ def _axis_camera():
 
 def test_axis_ray_visits_column_in_order():
     grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[1, 1, 4],
-                     renaming={0: 0, 1: 1, 2: 2, 3: 3})
+                     vids=[0, 1, 2, 3])
     table = _walk((8, 8), _axis_camera(), grid)
     assert table[0] == [0, 1, 2, 3]
 
 
 def test_empty_voxels_skipped_in_lists():
-    grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[1, 1, 4], renaming={0: 0, 2: 1, 3: 2})
+    grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[1, 1, 4], vids=[0, 2, 3])
     table = _walk((8, 8), _axis_camera(), grid)
     assert table[0] == [0, 1, 2]  # voxel 1 is empty; renamed ids are contiguous
 
 
 def test_ray_missing_grid_gives_empty_list():
-    grid = VoxelGrid(origin=[100, 100, 100], edge=1.0, dims=[2, 2, 2], renaming={0: 0})
+    grid = VoxelGrid(origin=[100, 100, 100], edge=1.0, dims=[2, 2, 2], vids=[0])
     table = _walk((0, 0), _axis_camera(), grid)
     assert all(row == [] for row in table)
 
@@ -185,6 +185,6 @@ def test_dependency_tables_shape():
 
 
 def test_tile_outside_image_rejected():
-    grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[1, 1, 1], renaming={0: 0})
+    grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[1, 1, 1], vids=[0])
     with pytest.raises(ValueError, match="tile"):
         traverse([(16, 0)], _axis_camera(), grid)

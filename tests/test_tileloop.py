@@ -120,8 +120,8 @@ def test_codebook_error_in_a_worker_reaches_the_caller_as_its_class(store):
     books = {name: train_codebook(gather_attribute(store.records, name), 16, seed=0,
                                   attribute=name) for name in ATTRIBUTES}
     encoded = store.encode(books)
-    for rec in encoded.records:
-        rec.scale_idx = np.full_like(rec.scale_idx, books["scale"].entry_count)
+    encoded.records.scale_idx = np.full_like(encoded.records.scale_idx,
+                                             books["scale"].entry_count)
     with leave_rows_to_workers(), \
             pytest.raises(CodebookCorruptionError, match="scale index 16 out of range") as info:
         render_frame_streaming(_camera(2), encoded.grid, encoded.records, books, threads=2)

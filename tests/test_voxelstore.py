@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import warnings
 
@@ -44,8 +45,8 @@ def _random_scene(seed=0, count=1000):
 def test_single_splat_single_voxel():
     grid, records = build_grid(_single_splat_scene([0.0, 0.0, 0.0]), 2.0)
     assert grid.nonempty_count == 1
-    assert len(records) == 1 and records[0].count == 1
-    assert list(grid.renaming.values()) == [0]
+    assert len(records) == 1 and records.offsets.tolist() == [0, 1]
+    assert grid.dense_renaming()[grid.vids].tolist() == [0]
 
 
 def test_face_position_goes_to_higher_voxel():
@@ -59,79 +60,83 @@ def test_face_position_goes_to_higher_voxel():
 def test_occupancy_matches_brute_force_histogram():
     scene = _random_scene(seed=3)
     grid, records = build_grid(scene, 2.0)
-    assert sum(r.count for r in records) == len(scene)
+    counts = np.diff(records.offsets)
+    assert counts.sum() == len(scene)
     # oracle: independent per-splat floor histogram
     hist = {}
     for p in scene.positions:
         key = tuple(int(np.floor((p[i] - grid.origin[i]) / 2.0)) for i in range(3))
         hist[key] = hist.get(key, 0) + 1
-    by_cell = {tuple(grid.cell_of_vid(np.array(grid.renamed_vids()[r.vid_r]))): r.count
-               for r in records}
+    by_cell = {tuple(grid.cell_of_vid(np.array(grid.renamed_vids()[r]))): counts[r]
+               for r in range(len(records))}
     assert by_cell == hist
 
 
-def test_renaming_is_dense_bijection():
+def test_vids_are_a_dense_bijection():
     grid, records = build_grid(_random_scene(seed=4), 2.0)
-    vals = sorted(grid.renaming.values())
-    assert vals == list(range(len(grid.renaming)))
-    assert len(set(grid.renaming.keys())) == len(grid.renaming)
-    # every splat in exactly one record; ids partition the scene
-    ids = np.concatenate([r.ids for r in records])
-    assert len(ids) == len(set(ids.tolist()))
+    assert np.all(np.diff(grid.vids) > 0)
+    dense = grid.dense_renaming()
+    assert dense[grid.vids].tolist() == list(range(grid.nonempty_count))
+    assert np.count_nonzero(dense >= 0) == grid.nonempty_count
+    # every splat in exactly one voxel; ids partition the scene
+    assert len(records.ids) == len(set(records.ids.tolist()))
 
 
-def test_reassigning_renaming_rebuilds_the_lookup_tables():
-    grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[2, 2, 2], renaming={1: 0, 6: 1})
+def test_vids_lookup_tables():
+    grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[2, 2, 2], vids=[1, 6])
     dense = grid.dense_renaming()
     assert dense.tolist() == [-1, 0, -1, -1, -1, -1, 1, -1]
     assert grid.renamed_vids().tolist() == [1, 6]
-    assert grid.dense_renaming() is dense  # cached between reassignments
-    # same size as before, so a table counting its entries could not tell
-    grid.renaming = {2: 0, 7: 1}
+    assert grid.dense_renaming() is dense  # built once
+    grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[2, 2, 2], vids=[2, 7])
     assert grid.dense_renaming().tolist() == [-1, -1, 0, -1, -1, -1, -1, 1]
-    assert grid.renamed_vids().tolist() == [2, 7]
     assert grid.centers(np.arange(2)).tolist() == [[0.5, 1.5, 0.5], [1.5, 1.5, 1.5]]
-    grid.renaming = {0: 0, 3: 1, 5: 2}
+    grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[2, 2, 2], vids=[0, 3, 5])
     assert grid.dense_renaming().tolist() == [0, -1, -1, 1, -1, 2, -1, -1]
     assert grid.renamed_vids().tolist() == [0, 3, 5]
+    for vids in ([3, 1], [2, 2], [-1, 0], [0, 8]):
+        with pytest.raises(ValueError, match="ascending below 8"):
+            VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[2, 2, 2], vids=vids)
 
 
 def test_records_sorted_by_renamed_id_and_by_splat_id():
     grid, records = build_grid(_random_scene(seed=5), 2.0)
-    assert [r.vid_r for r in records] == list(range(len(records)))
-    for r in records:
-        assert np.all(np.diff(r.ids) > 0)
-        assert np.allclose(r.max_scales, np.maximum.reduce([r.scales[:, i] for i in range(3)]))
+    assert records.offsets[0] == 0 and records.offsets[-1] == len(records.ids)
+    assert np.all(np.diff(records.offsets) > 0)
+    for r in range(len(records)):
+        assert np.all(np.diff(records.ids[records.rows(r)]) > 0)
+    assert np.allclose(records.max_scales, np.maximum.reduce(records.scales.T))
 
 
 def test_stream_coarse_charges_16_bytes_per_splat():
     grid, records = build_grid(_random_scene(seed=6, count=10), 8.0)
     assert len(records) >= 1
-    rec = max(records, key=lambda r: r.count)
+    counts = np.diff(records.offsets)
+    r = int(np.argmax(counts))
     ledger = TrafficLedger()
-    pos, smax = stream_coarse(rec, ledger)
-    assert ledger.bytes["coarse-load"] == 16 * rec.count
+    pos, smax = stream_coarse(records, r, ledger)
+    assert ledger.bytes["coarse-load"] == 16 * counts[r]
     assert COARSE_BYTES_PER_GAUSSIAN == 16
-    assert len(pos) == rec.count and len(smax) == rec.count
+    assert len(pos) == counts[r] and len(smax) == counts[r]
 
 
 def test_stream_fine_charges_survivors_only():
     scene = _random_scene(seed=7, count=50)
     grid, records = build_grid(scene, 8.0)
-    rec = max(records, key=lambda r: r.count)
+    counts = np.diff(records.offsets)
+    r = int(np.argmax(counts))
     ledger = TrafficLedger()
-    out = stream_fine(rec, np.array([], dtype=np.int64), None, ledger, decode=True)
+    out = stream_fine(records, r, np.array([], dtype=np.int64), None, ledger, decode=True)
     assert ledger.bytes["fine-load"] == 0
-    survivors = np.arange(min(3, rec.count))
-    stream_fine(rec, survivors, None, ledger, decode=True)
+    survivors = np.arange(min(3, counts[r]))
+    stream_fine(records, r, survivors, None, ledger, decode=True)
     assert ledger.bytes["fine-load"] == RAW_FINE_STREAM_BYTES * len(survivors)
 
     books = {name: train_codebook(gather_attribute(records, name), 16, seed=0, attribute=name)
              for name in DEFAULT_ENTRIES}
     enc = encode_records(records, books)
-    rec_e = enc[records.index(rec)]
     ledger2 = TrafficLedger()
-    stream_fine(rec_e, np.array([0]), books, ledger2, decode=True)
+    stream_fine(enc, r, np.array([0]), books, ledger2, decode=True)
     assert ledger2.bytes["fine-load"] == 12
     assert ENCODED_FINE_BYTES == 12
 
@@ -141,9 +146,10 @@ def test_fine_bytes_never_touch_non_survivors():
     grid, records = build_grid(scene, 4.0)
     ledger = TrafficLedger()
     total = 0
-    for rec in records:
-        survivors = np.flatnonzero(rec.max_scales > np.median(rec.max_scales))
-        stream_fine(rec, survivors, None, ledger, decode=True)
+    for r in range(len(records)):
+        max_scales = records.max_scales[records.rows(r)]
+        survivors = np.flatnonzero(max_scales > np.median(max_scales))
+        stream_fine(records, r, survivors, None, ledger, decode=True)
         total += len(survivors)
     assert ledger.bytes["fine-load"] == RAW_FINE_STREAM_BYTES * total
     assert ledger.records["fine-load"] == total
@@ -155,8 +161,8 @@ def test_full_sweep_coarse_bytes_scale_with_visits():
     ledger = TrafficLedger()
     visits = 3
     for _ in range(visits):
-        for rec in records:
-            stream_coarse(rec, ledger)
+        for r in range(len(records)):
+            stream_coarse(records, r, ledger)
     assert ledger.bytes["coarse-load"] == 16 * len(scene) * visits
 
 
@@ -176,14 +182,28 @@ def test_store_file_round_trip(tmp_path):
     save_store(store, path)
     back = load_store(path)
     assert np.array_equal(back.grid.dims, store.grid.dims)
-    assert back.grid.renaming == store.grid.renaming
-    assert len(back.records) == len(store.records)
-    for a, b in zip(back.records, store.records):
-        assert np.array_equal(a.ids, b.ids)
-        assert np.array_equal(a.positions, b.positions.astype(np.float32).astype(np.float64))
+    assert np.array_equal(back.grid.vids, store.grid.vids)
+    assert np.array_equal(back.records.offsets, store.records.offsets)
+    assert np.array_equal(back.records.ids, store.records.ids)
+    assert np.array_equal(back.records.positions,
+                          store.records.positions.astype(np.float32).astype(np.float64))
     # loading is a fixed point at float32
     save_store(back, tmp_path / "again.gsvx")
     assert (tmp_path / "again.gsvx").read_bytes() == path.read_bytes()
+
+
+def test_store_file_bytes_are_pinned(tmp_path):
+    """The GSVX v1 bytes of a fixed seeded scene, as written before the store
+    moved to flat arrays; the digest also pins ``generate_scene``'s output."""
+    scene = generate_scene(count=300, bounds=Aabb([-4, -4, -4], [4, 4, 4]), seed=2024,
+                           max_extent_fraction=0.5)
+    path = tmp_path / "pinned.gsvx"
+    save_store(VoxelStore.build(scene, 2.0), path)
+    data = path.read_bytes()
+    assert len(data) == 73759
+    assert hashlib.sha256(data).hexdigest() == (
+        "1017e60931609a340d2227c10a34585d59481ac2f68d5338d1baeae63d9d1feb"
+    )
 
 
 def test_store_rejects_garbage(tmp_path):
@@ -203,7 +223,16 @@ def test_encoded_records_refuse_double_encode():
         encode_records(enc, books)
     with pytest.raises(ValueError, match="codebooks"):
         ledger = TrafficLedger()
-        stream_fine(enc[0], np.array([0]), None, ledger, decode=True)
+        stream_fine(enc, 0, np.array([0]), None, ledger, decode=True)
+
+
+def test_encode_rejects_a_codebook_of_the_wrong_dim():
+    _, records = build_grid(_random_scene(seed=12, count=40), 4.0)
+    books = {name: train_codebook(gather_attribute(records, name), 8, seed=0, attribute=name)
+             for name in DEFAULT_ENTRIES}
+    books["dc"] = train_codebook(np.random.default_rng(0).normal(size=(30, 4)), 8, seed=0)
+    with pytest.raises(ValueError, match="codebook 'dc' has dim 4"):
+        encode_records(records, books)
 
 
 def test_empty_scene_builds_empty_grid():
@@ -213,7 +242,7 @@ def test_empty_scene_builds_empty_grid():
     )
     grid, records = build_grid(scene, 2.0)
     assert grid.nonempty_count == 0
-    assert records == []
+    assert len(records) == 0 and records.offsets.tolist() == [0]
 
 
 def test_every_truncation_of_a_store_file_is_a_format_error(tmp_path):
@@ -238,13 +267,14 @@ def test_out_of_range_vq_index_is_corruption_error_naming_attribute_and_voxel(
     _, records = build_grid(scene, 4.0)
     books = {name: train_codebook(gather_attribute(records, name), 8, seed=0, attribute=name)
              for name in DEFAULT_ENTRIES}
-    rec = encode_records(records, books)[-1]
-    idx = getattr(rec, field).copy()
+    enc = encode_records(records, books)
+    idx = getattr(enc, field).copy()
     idx[-1] = -1 if bad == "negative" else books[attribute].entry_count
-    setattr(rec, field, idx)
+    setattr(enc, field, idx)
+    last = len(enc) - 1
     with pytest.raises(CodebookCorruptionError,
-                       match=f"{attribute} index .* in voxel {rec.vid_r}$"):
-        stream_fine(rec, np.array([0]), books, TrafficLedger(), decode=True)
+                       match=f"{attribute} index .* in voxel {last}$"):
+        stream_fine(enc, last, np.array([0]), books, TrafficLedger(), decode=True)
 
 
 def _store_header(edge=2.0, origin=(0.0, 0.0, 0.0), dims=(2, 2, 2), vids=(0, 3)):
@@ -300,7 +330,7 @@ def _edit_first_splat(tmp_path, column, value):
     save_store(store, path)
     data = bytearray(path.read_bytes())
     first = 55 + 4 * store.grid.nonempty_count + 4  # header, renaming table, count
-    count = store.records[0].count
+    count = int(store.records.offsets[1])
     offset = first + 4 * column if column < 4 else first + 16 * count + 4 * (column - 4)
     original = np.frombuffer(bytes(data[offset : offset + 4]), dtype="<f4")[0]
     data[offset : offset + 4] = value(original).tobytes()

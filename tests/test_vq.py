@@ -3,15 +3,15 @@ import struct
 import numpy as np
 import pytest
 
+from voxsplat import Scene, TrafficLedger, VoxelStore
 from voxsplat.errors import CodebookCorruptionError
+from voxsplat.voxelstore import stream_fine
 from voxsplat.vq import (
     ATTRIBUTE_DIMS,
     Codebook,
     DEFAULT_ENTRIES,
-    EncodedGaussian,
     INDEX_BITS,
-    decode,
-    encode,
+    NEAREST_CHUNK_ROWS,
     kmeans_pp_init,
     load_codebooks,
     nearest_indices,
@@ -95,12 +95,15 @@ def test_rotation_centroids_renormalized():
     assert np.allclose(norms, 1.0, atol=1e-6)
 
 
-class _Splat:
-    def __init__(self, scale, rotation, sh, opacity):
-        self.scale = np.asarray(scale, dtype=np.float64)
-        self.rotation = np.asarray(rotation, dtype=np.float64)
-        self.sh = np.asarray(sh, dtype=np.float64)
-        self.opacity = opacity
+def _encoded_splat(books, scale, rotation, sh, opacity):
+    """The encoded records of a one-splat store."""
+    scene = Scene(positions=[[0.0, 0.0, 0.0]], scales=[scale], rotations=[rotation],
+                  opacities=[opacity], sh=[sh], ids=[0])
+    return VoxelStore.build(scene, 1.0).encode(books).records
+
+
+def _indices(records):
+    return tuple(int(getattr(records, f)[0]) for f in ("scale_idx", "rot_idx", "dc_idx", "sh_idx"))
 
 
 def _books_from(rng, n=64):
@@ -119,16 +122,24 @@ def test_encode_exact_centroid_hits_its_index():
     sh = np.zeros((16, 3))
     sh[0] = books["dc"].entries[7]
     sh[1:] = books["sh_rest"].entries[3].reshape(15, 3)
-    g = _Splat(books["scale"].entries[11], books["rotation"].entries[5], sh, 0.7)
-    e = encode(g, books)
-    assert (e.scale_idx, e.rot_idx, e.dc_idx, e.sh_idx) == (11, 5, 7, 3)
-    assert e.opacity == 0.7
+    e = _encoded_splat(books, books["scale"].entries[11], books["rotation"].entries[5], sh, 0.7)
+    assert _indices(e) == (11, 5, 7, 3)
+    assert e.opacities[0] == 0.7
 
 
 def test_equidistant_tie_takes_lower_index():
     # vector at the origin, centroids with bit-identical squared norms
     book = Codebook(attribute="dc", entries=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     assert nearest_indices(np.zeros((1, 3)), book)[0] == 0
+
+
+def test_nearest_indices_do_not_depend_on_the_chunking():
+    rng = np.random.default_rng(12)
+    book = train_codebook(rng.normal(size=(600, 45)), 64, seed=0, attribute="sh_rest")
+    vectors = rng.normal(size=(2 * NEAREST_CHUNK_ROWS + 5, 45))
+    pieces = [nearest_indices(vectors[i : i + 7], book) for i in range(0, len(vectors), 7)]
+    assert nearest_indices(vectors, book).tolist() == np.concatenate(pieces).tolist()
+    assert nearest_indices(vectors[:0], book).tolist() == []
 
 
 def test_decode_encode_round_trip_error_is_nearest_distance():
@@ -144,21 +155,23 @@ def test_decode_encode_round_trip_error_is_nearest_distance():
 def test_decode_is_identity_on_centroid_valued_splat():
     rng = np.random.default_rng(7)
     books = _books_from(rng)
-    e = EncodedGaussian(scale_idx=2, rot_idx=3, dc_idx=4, sh_idx=5, opacity=0.25)
-    scale, rot, dc, rest, op = decode(e, books)
-    assert np.allclose(scale, books["scale"].entries[2])
-    assert np.allclose(dc, books["dc"].entries[4])
-    assert op == 0.25
-    e2 = encode(_Splat(scale, rot, np.concatenate([dc[None], rest]), op), books)
-    assert (e2.scale_idx, e2.rot_idx, e2.dc_idx, e2.sh_idx) == (2, 3, 4, 5)
+    e = _encoded_splat(books, [1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], np.zeros((16, 3)), 0.25)
+    e.scale_idx[0], e.rot_idx[0], e.dc_idx[0], e.sh_idx[0] = 2, 3, 4, 5
+    _, scale, rot, op, sh, _ = stream_fine(e, 0, [0], books, TrafficLedger(), decode=True)
+    assert np.allclose(scale[0], books["scale"].entries[2])
+    assert np.allclose(sh[0, 0], books["dc"].entries[4])
+    assert op[0] == 0.25
+    e2 = _encoded_splat(books, scale[0], rot[0], sh[0], op[0])
+    assert _indices(e2) == (2, 3, 4, 5)
 
 
 def test_out_of_range_index_is_corruption_error():
     rng = np.random.default_rng(8)
     books = _books_from(rng)
-    bad = EncodedGaussian(scale_idx=16, rot_idx=0, dc_idx=0, sh_idx=0, opacity=0.5)
+    bad = _encoded_splat(books, [1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], np.zeros((16, 3)), 0.5)
+    bad.scale_idx[0], bad.rot_idx[0], bad.dc_idx[0], bad.sh_idx[0] = 16, 0, 0, 0
     with pytest.raises(CodebookCorruptionError, match="16"):
-        decode(bad, books)
+        stream_fine(bad, 0, [0], books, TrafficLedger(), decode=True)
 
 
 def test_reported_mse_matches_recomputation_from_entries():
