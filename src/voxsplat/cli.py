@@ -9,6 +9,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -124,7 +125,7 @@ def _dump_dag(path, store, camera) -> None:
         for visits in traverse([(tx, ty) for tx in range(ntx)], camera, store.grid)
     ]
     # rays are independent, so the tiles' walks concatenate into one
-    text = dump_edges(TileVisits(*map(np.concatenate, zip(*walks)))) if walks else ""
+    text = dump_edges(TileVisits(*map(np.concatenate, zip(*walks))))
     with open(path, "w", encoding="utf-8") as f:
         f.write(text + "\n" if text else "")
 
@@ -206,18 +207,18 @@ def cmd_compare(args) -> int:
     )
     report = {
         "psnr_vs_reference": psnr(stream_frame, ref_frame),
-        "max_abs_diff": float(np.max(np.abs(stream_frame - ref_frame))) if stream_frame.size else 0.0,
+        "max_abs_diff": float(np.max(np.abs(stream_frame - ref_frame))),
         "stages": {
             "stream": stream_ledger.as_dict(),
             "reference": ref_ledger.as_dict(),
         },
-        "macs": {"coarse": stream_ledger.macs_coarse, "fine": stream_ledger.macs_fine},
+        "macs": stream_ledger.macs,
         "reductions": compare_pipelines(stream_ledger, ref_ledger, stream_stats.filter),
         "reference_breakdown": traffic_breakdown(ref_ledger),
-        "estimate": estimate(
-            PerfConfig(), stream_stats.filter, counts_from_stats(stream_stats.filter)
-        ).as_dict(),
-        "config": PerfConfig().as_dict(),
+        "estimate": asdict(
+            estimate(PerfConfig(), stream_stats.filter, counts_from_stats(stream_stats.filter))
+        ),
+        "config": asdict(PerfConfig()),
         "stream_stats": stream_stats.as_dict(),
         "cross_boundary": cross_boundary_stats(scene, store.grid)["ratio"],
         "depth_order_penalty": _cbp_diagnostics(streamed, books, camera, args.background),

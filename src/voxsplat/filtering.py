@@ -19,12 +19,13 @@ alone, because every step is row by row.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .scene import Camera
+from .scene import Camera, TILE_EDGE
 from .sh import evaluate_sh
 
 COARSE_MACS = 55
@@ -35,9 +36,35 @@ COARSE_SAFETY = 1.1
 COARSE_DILATION_MARGIN = RADIUS_SIGMAS * math.sqrt(COVARIANCE_DILATION)
 DEGENERATE_DET = 1e-12
 
+# dataclass fields looked up once per class: tallies merge per tile, batches take per visit
+_fields = functools.cache(fields)
+
+
+class Tally:
+    """Counters that sum to the same totals in any merge order.
+
+    ``merge`` adds every int field, every dict of ints key by key and every
+    nested tally; any other field, such as a ledger's scene hash, is left
+    alone.  ``as_dict`` lists the fields in declaration order.
+    """
+
+    def merge(self, other: "Tally") -> None:
+        for f in _fields(type(self)):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, int):
+                setattr(self, f.name, mine + theirs)
+            elif isinstance(mine, dict):
+                for key, value in theirs.items():
+                    mine[key] += value
+            elif isinstance(mine, Tally):
+                mine.merge(theirs)
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
 
 @dataclass
-class FilterStats:
+class FilterStats(Tally):
     loaded: int = 0
     coarse_survivors: int = 0
     fine_survivors: int = 0
@@ -45,30 +72,12 @@ class FilterStats:
     macs_fine: int = 0
     degenerate: int = 0
 
-    def merge(self, other: "FilterStats") -> None:
-        self.loaded += other.loaded
-        self.coarse_survivors += other.coarse_survivors
-        self.fine_survivors += other.fine_survivors
-        self.macs_coarse += other.macs_coarse
-        self.macs_fine += other.macs_fine
-        self.degenerate += other.degenerate
-
     def check(self) -> None:
         if not 0 <= self.fine_survivors <= self.coarse_survivors <= self.loaded:
             raise RuntimeError(
                 f"filter counters out of order: fine {self.fine_survivors}, "
                 f"coarse {self.coarse_survivors}, loaded {self.loaded}"
             )
-
-    def as_dict(self) -> dict:
-        return {
-            "loaded": self.loaded,
-            "coarse_survivors": self.coarse_survivors,
-            "fine_survivors": self.fine_survivors,
-            "macs_coarse": self.macs_coarse,
-            "macs_fine": self.macs_fine,
-            "degenerate": self.degenerate,
-        }
 
 
 @dataclass
@@ -88,28 +97,19 @@ class ProjectedBatch:
         return len(self.ids)
 
     def take(self, idx: np.ndarray) -> "ProjectedBatch":
-        return ProjectedBatch(
-            mean2d=self.mean2d[idx],
-            conic=self.conic[idx],
-            radius=self.radius[idx],
-            depth=self.depth[idx],
-            rgb=self.rgb[idx],
-            opacity=self.opacity[idx],
-            max_scale=self.max_scale[idx],
-            ids=self.ids[idx],
-        )
+        return ProjectedBatch(*[getattr(self, f.name)[idx] for f in _fields(ProjectedBatch)])
 
     def sorted_by_depth(self) -> "ProjectedBatch":
         return self.take(np.lexsort((self.ids, self.depth)))
 
 
-def tile_rect(tx: int, ty: int, tile_edge: int = 16) -> tuple[float, float, float, float]:
+def tile_rect(tx: int, ty: int) -> tuple[float, float, float, float]:
     """Continuous pixel-space rectangle of a tile: (x0, y0, x1, y1)."""
     return (
-        float(tx * tile_edge),
-        float(ty * tile_edge),
-        float((tx + 1) * tile_edge),
-        float((ty + 1) * tile_edge),
+        float(tx * TILE_EDGE),
+        float(ty * TILE_EDGE),
+        float((tx + 1) * TILE_EDGE),
+        float((ty + 1) * TILE_EDGE),
     )
 
 

@@ -36,25 +36,14 @@ def render_frame_reference(
     n = len(scene)
     ledger.charge("projection", PROJECTION_LOAD_BYTES * n, n)
 
-    valid, batch, _ = (
-        project_splats(
-            camera,
-            scene.positions,
-            scene.scales,
-            scene.rotations,
-            scene.opacities,
-            scene.sh,
-            scene.ids,
-        )
-        if n
-        else (np.zeros(0, dtype=bool), None, 0)
-    )
+    valid, batch, _ = project_splats(camera, scene.positions, scene.scales, scene.rotations,
+                                     scene.opacities, scene.sh, scene.ids)
     keep = np.flatnonzero(valid)
     ledger.charge("projection-writeback", PROJECTED_RECORD_BYTES * len(keep), len(keep))
 
     ntx, _ = camera.tile_counts
-    centers = batch.mean2d[keep] if n else np.empty((0, 2))
-    radii = batch.radius[keep] if n else np.empty(0)
+    centers = batch.mean2d[keep]
+    radii = batch.radius[keep]
 
     def render_row(ty):
         colors, sub = [], TrafficLedger()

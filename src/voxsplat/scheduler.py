@@ -14,7 +14,6 @@ treated as fatal.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,11 +29,6 @@ class TileVisits(NamedTuple):
 
     ids: np.ndarray
     counts: np.ndarray
-
-
-@dataclass
-class ScheduleMeta:
-    cycles_broken: int = 0
 
 
 def traverse(tiles, camera: Camera, grid: VoxelGrid) -> list[TileVisits]:
@@ -116,13 +110,14 @@ def dependency_graph(visits: TileVisits) -> tuple[np.ndarray, np.ndarray, np.nda
     return nodes, codes // len(nodes), codes % len(nodes)
 
 
-def schedule(visits: TileVisits, depth: np.ndarray) -> tuple[list[int], ScheduleMeta]:
-    """Kahn's algorithm over the per-pixel order constraints.
+def schedule(visits: TileVisits, depth: np.ndarray) -> tuple[list[int], int]:
+    """Kahn's algorithm over the per-pixel order constraints; returns (order,
+    cycles broken).
 
     The ready queue pops the voxel with the smallest centroid depth (ties by
     renamed id), so the output is deterministic.  If the ready queue drains
     while nodes remain, the nearest remaining voxel is released and the event
-    counted in the metadata.  ``depth`` is indexed by renamed id
+    counted.  ``depth`` is indexed by renamed id
     (``voxel_depths``).  Nodes are ascending renamed ids, so the heap key
     (depth, node index) orders exactly like (depth, renamed id).
     """
@@ -133,14 +128,14 @@ def schedule(visits: TileVisits, depth: np.ndarray) -> tuple[list[int], Schedule
     remaining = np.bincount(dst, minlength=n).tolist()
     bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
     successors = dst.tolist()
-    meta = ScheduleMeta()
+    broken = 0
     ready = [(depth[i], i) for i in range(n) if remaining[i] == 0]
     heapq.heapify(ready)
     emitted: list[int] = []
     done = [False] * n
     while len(emitted) < n:
         if not ready:
-            meta.cycles_broken += 1
+            broken += 1
             forced = min((depth[i], i) for i in range(n) if not done[i])[1]
             remaining[forced] = 0
             heapq.heappush(ready, (depth[forced], forced))
@@ -156,7 +151,7 @@ def schedule(visits: TileVisits, depth: np.ndarray) -> tuple[list[int], Schedule
             remaining[succ] -= 1
             if remaining[succ] == 0:
                 heapq.heappush(ready, (depth[succ], succ))
-    return [ids[i] for i in emitted], meta
+    return [ids[i] for i in emitted], broken
 
 
 def voxel_depths(camera: Camera, grid: VoxelGrid) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blending import T_FREEZE, blend, composite_background
-from .filtering import FilterStats, ProjectionCache, coarse_filter, fine_filter, tile_rect
+from .filtering import FilterStats, ProjectionCache, Tally, coarse_filter, fine_filter, tile_rect
 from .scene import Camera, TILE_EDGE, tile_pixels
 from .scheduler import TileVisits, schedule, traverse, voxel_depths
 from .tileloop import render_rows
@@ -23,31 +23,13 @@ VOXEL_BATCH_CAPACITY = 4096  # on-chip sorting buffer bound; overflow splits in 
 
 
 @dataclass
-class StreamStats:
+class StreamStats(Tally):
     filter: FilterStats = field(default_factory=FilterStats)
     voxels_scheduled: int = 0
     voxels_skipped_early: int = 0
     cycles_broken: int = 0
     batch_splits: int = 0
     blended: int = 0
-
-    def merge(self, other: "StreamStats") -> None:
-        self.filter.merge(other.filter)
-        self.voxels_scheduled += other.voxels_scheduled
-        self.voxels_skipped_early += other.voxels_skipped_early
-        self.cycles_broken += other.cycles_broken
-        self.batch_splits += other.batch_splits
-        self.blended += other.blended
-
-    def as_dict(self) -> dict:
-        return {
-            "filter": self.filter.as_dict(),
-            "voxels_scheduled": self.voxels_scheduled,
-            "voxels_skipped_early": self.voxels_skipped_early,
-            "cycles_broken": self.cycles_broken,
-            "batch_splits": self.batch_splits,
-            "blended": self.blended,
-        }
 
 
 def render_tile_streaming(
@@ -61,7 +43,6 @@ def render_tile_streaming(
     trace: list | None = None,
     pixel_trace: tuple[int, list] | None = None,
     early_exit: bool = True,
-    batch_capacity: int = VOXEL_BATCH_CAPACITY,
     cache: ProjectionCache | None = None,
     visits: TileVisits | None = None,
 ) -> tuple[np.ndarray, StreamStats]:
@@ -82,8 +63,7 @@ def render_tile_streaming(
     color = np.zeros((TILE_EDGE * TILE_EDGE, 3))
     transmittance = np.ones(TILE_EDGE * TILE_EDGE)
 
-    order, meta = schedule(visits, cache.depth)
-    stats.cycles_broken = meta.cycles_broken
+    order, stats.cycles_broken = schedule(visits, cache.depth)
     stats.voxels_scheduled = len(order)
 
     for k, vid_r in enumerate(order):
@@ -101,10 +81,10 @@ def render_tile_streaming(
         batch = fine_filter(cache, rect, vid_r, survivors, splats, stats.filter)
         if not len(batch):
             continue
-        for start in range(0, len(batch), batch_capacity):
+        for start in range(0, len(batch), VOXEL_BATCH_CAPACITY):
             if start:
                 stats.batch_splits += 1
-            chunk = batch.take(np.arange(start, min(start + batch_capacity, len(batch))))
+            chunk = batch.take(np.arange(start, min(start + VOXEL_BATCH_CAPACITY, len(batch))))
             stats.blended += blend(chunk, centers, color, transmittance, trace, pixel_trace)
 
     composite_background(color, transmittance, background)
@@ -156,6 +136,5 @@ def render_frame_streaming(
     for row_ledger, row_stats in rows:
         ledger.merge(row_ledger)
         stats.merge(row_stats)
-    ledger.macs_coarse = stats.filter.macs_coarse
-    ledger.macs_fine = stats.filter.macs_fine
+    ledger.macs = {"coarse": stats.filter.macs_coarse, "fine": stats.filter.macs_fine}
     return frame, ledger, stats

@@ -77,7 +77,7 @@ def render_rows(camera: Camera, render_row, threads: int) -> tuple[np.ndarray, l
         tallies = [_render_into(frame, render_row, ty) for ty in range(nty)]
         return frame.astype(np.float32), tallies
     size = camera.height * camera.width * 3
-    shared = mmap.mmap(-1, 8 * max(size, 1))  # a zero-width frame still maps a page
+    shared = mmap.mmap(-1, 8 * size)
     frame = np.frombuffer(shared, dtype=np.float64, count=size).reshape(shape)
     context = multiprocessing.get_context("fork")
     state = (render_row, frame, context.Value("q", 0), nty)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import SceneMismatchError
-from .filtering import FilterStats
+from .filtering import FilterStats, Tally
 from .voxelstore import ENCODED_FINE_BYTES, PACKED_INDEX_BITS, RAW_FINE_BYTES
 
 STAGES = (
@@ -38,11 +38,10 @@ PIXEL_BYTES = 12
 
 
 @dataclass
-class TrafficLedger:
+class TrafficLedger(Tally):
     bytes: dict[str, int] = field(default_factory=lambda: {s: 0 for s in STAGES})
     records: dict[str, int] = field(default_factory=lambda: {s: 0 for s in STAGES})
-    macs_coarse: int = 0
-    macs_fine: int = 0
+    macs: dict[str, int] = field(default_factory=lambda: {"coarse": 0, "fine": 0})
     scene_hash: str = ""
 
     def charge(self, stage: str, nbytes: int, nrecords: int = 0) -> None:
@@ -53,13 +52,6 @@ class TrafficLedger:
         self.bytes[stage] += int(nbytes)
         self.records[stage] += int(nrecords)
 
-    def merge(self, other: "TrafficLedger") -> None:
-        for s in STAGES:
-            self.bytes[s] += other.bytes[s]
-            self.records[s] += other.records[s]
-        self.macs_coarse += other.macs_coarse
-        self.macs_fine += other.macs_fine
-
     @property
     def total_bytes(self) -> int:
         return sum(self.bytes.values())
@@ -67,14 +59,6 @@ class TrafficLedger:
     @property
     def intermediate_bytes(self) -> int:
         return sum(self.bytes[s] for s in INTERMEDIATE_STAGES)
-
-    def as_dict(self) -> dict:
-        return {
-            "bytes": dict(self.bytes),
-            "records": dict(self.records),
-            "macs": {"coarse": self.macs_coarse, "fine": self.macs_fine},
-            "scene_hash": self.scene_hash,
-        }
 
 
 def merge_sort_pass_bytes(n_records: int) -> int:
@@ -103,17 +87,6 @@ class PerfConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
-    def as_dict(self) -> dict:
-        return {
-            "coarse_units": self.coarse_units,
-            "fine_units": self.fine_units,
-            "sorter_units": self.sorter_units,
-            "render_units": self.render_units,
-            "macs_per_unit_cycle": self.macs_per_unit_cycle,
-            "coarse_macs": self.coarse_macs,
-            "fine_macs": self.fine_macs,
-        }
-
 
 @dataclass
 class PipelineEstimate:
@@ -121,14 +94,6 @@ class PipelineEstimate:
     bottleneck: str
     total_cycles: float
     assumption: str = "perfect stage overlap; total = max over stages"
-
-    def as_dict(self) -> dict:
-        return {
-            "stage_cycles": dict(self.stage_cycles),
-            "bottleneck": self.bottleneck,
-            "total_cycles": self.total_cycles,
-            "assumption": self.assumption,
-        }
 
 
 def estimate(config: PerfConfig, stats: FilterStats, counts: dict[str, int]) -> PipelineEstimate:

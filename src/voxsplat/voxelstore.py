@@ -84,10 +84,6 @@ class VoxelGrid:
         iz = vids // (self.dims[0] * self.dims[1])
         return np.stack([ix, iy, iz], axis=-1)
 
-    def renamed_vids(self) -> np.ndarray:
-        """Original VIDs ordered by renamed id."""
-        return self.vids
-
     def dense_renaming(self) -> np.ndarray:
         """Array lookup VID -> VID_r with -1 for empty voxels, built on first use."""
         if self._dense is None:
@@ -193,18 +189,10 @@ def encode_records(records: FlatRecords, books: dict[str, Codebook]) -> FlatReco
     for name in ATTRIBUTES:
         if books[name].dim != ATTRIBUTE_DIMS[name]:
             raise ValueError(f"codebook {name!r} has dim {books[name].dim}")
-    idx = [nearest_indices(gather_attribute(records, name), books[name]) for name in ATTRIBUTES]
-    return FlatRecords(
-        offsets=records.offsets,
-        positions=records.positions,
-        max_scales=records.max_scales,
-        ids=records.ids,
-        opacities=records.opacities,
-        scale_idx=idx[0],
-        rot_idx=idx[1],
-        dc_idx=idx[2],
-        sh_idx=idx[3],
-    )
+    scale, rot, dc, sh = (nearest_indices(gather_attribute(records, name), books[name])
+                          for name in ATTRIBUTES)
+    return replace(records, scales=None, rotations=None, sh=None,
+                   scale_idx=scale, rot_idx=rot, dc_idx=dc, sh_idx=sh)
 
 
 def stream_coarse(records: FlatRecords, vid_r: int, ledger) -> tuple[np.ndarray, np.ndarray]:

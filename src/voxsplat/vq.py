@@ -113,8 +113,7 @@ def train_codebook(
         reps = -(-k // len(distinct))  # ceil
         entries = np.tile(distinct, (reps, 1))[:k]
         book = Codebook(attribute=attribute, entries=entries, padded=len(distinct) < k)
-        d2 = _squared_distances(vectors, book.entries.astype(np.float64))
-        book.mse = float(d2.min(axis=1).mean())
+        book.mse = float(_nearest(vectors, book.entries.astype(np.float64))[1].mean())
         return book
 
     if max_iters < 1:
@@ -124,9 +123,8 @@ def train_codebook(
     prev_mse = np.inf
     iterations = 0
     for _ in range(max_iters):
-        d2 = _squared_distances(vectors, centroids)
-        assign = np.argmin(d2, axis=1)  # ties resolve to the lowest index
-        mse = float(d2[np.arange(len(vectors)), assign].mean())
+        assign, dist = _nearest(vectors, centroids)
+        mse = float(dist.mean())
         if not mse <= prev_mse + 1e-9:
             raise RuntimeError(f"k-means objective increased from {prev_mse} to {mse}")
         iterations += 1
@@ -143,32 +141,38 @@ def train_codebook(
 
         empties = np.flatnonzero(~nonempty)
         if len(empties):
-            dist_to_own = d2[np.arange(len(vectors)), assign].copy()
             for j in empties:
-                far = int(np.argmax(dist_to_own))
+                far = int(np.argmax(dist))
                 centroids[j] = vectors[far]
-                dist_to_own[far] = -1.0  # not reused for another empty cluster
+                dist[far] = -1.0  # not reused for another empty cluster
 
     # report the error of the float32 entries actually returned
     book = Codebook(attribute=attribute, entries=centroids, iterations=iterations)
-    d2 = _squared_distances(vectors, book.entries.astype(np.float64))
-    book.mse = float(d2.min(axis=1).mean())
+    book.mse = float(_nearest(vectors, book.entries.astype(np.float64))[1].mean())
     return book
 
 
-def nearest_indices(vectors: np.ndarray, book: Codebook) -> np.ndarray:
-    """Index of the nearest centroid per vector (Euclidean, ties -> lowest).
+def _nearest(vectors: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the nearest centroid per vector (Euclidean, ties -> lowest)
+    and the squared distance to it.
 
     Vectors go through in near-equal chunks of at most ``NEAREST_CHUNK_ROWS``
-    rows, so encoding a whole store holds one (chunk, entries) distance
-    matrix at a time rather than one with a row per splat.
+    rows, so only one (chunk, entries) distance matrix is alive at a time
+    rather than one with a row per vector.
     """
+    index, dist = [], []
+    for chunk in np.array_split(vectors, max(1, -(-len(vectors) // NEAREST_CHUNK_ROWS))):
+        d2 = _squared_distances(chunk, centroids)
+        nearest = np.argmin(d2, axis=1)
+        index.append(nearest)
+        dist.append(d2[np.arange(len(chunk)), nearest])
+    return np.concatenate(index), np.concatenate(dist)
+
+
+def nearest_indices(vectors: np.ndarray, book: Codebook) -> np.ndarray:
+    """Index of the nearest centroid per vector (Euclidean, ties -> lowest)."""
     vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, book.dim)
-    entries = book.entries.astype(np.float64)
-    chunks = np.array_split(vectors, max(1, -(-len(vectors) // NEAREST_CHUNK_ROWS)))
-    return np.concatenate(
-        [np.argmin(_squared_distances(chunk, entries), axis=1) for chunk in chunks]
-    ).astype(np.int64)
+    return _nearest(vectors, book.entries.astype(np.float64))[0]
 
 
 def save_codebooks(books: dict[str, Codebook], path) -> None:

@@ -34,7 +34,7 @@ from voxsplat.filtering import (
 )
 from voxsplat.metrics import extent_boxes
 from voxsplat.scene import TILE_EDGE
-from voxsplat.scheduler import ScheduleMeta, TileVisits, _ray_visits
+from voxsplat.scheduler import TileVisits, _ray_visits
 from voxsplat.voxelstore import ENCODED_FINE_BYTES, RAW_FINE_STREAM_BYTES
 from voxsplat.vq import ATTRIBUTES, nearest_indices
 
@@ -122,7 +122,7 @@ def schedule_dict_based(visits, depth):
             if b not in adjacency[a]:
                 adjacency[a].add(b)
                 indegree[b] += 1
-    meta = ScheduleMeta()
+    broken = 0
     remaining = dict(indegree)
     ready = [(depths[v], v) for v, deg in sorted(remaining.items()) if deg == 0]
     heapq.heapify(ready)
@@ -130,7 +130,7 @@ def schedule_dict_based(visits, depth):
     done: set[int] = set()
     while len(emitted) < len(remaining):
         if not ready:
-            meta.cycles_broken += 1
+            broken += 1
             pending = [(depths[v], v) for v in sorted(remaining) if v not in done]
             forced = min(pending)[1]
             remaining[forced] = 0
@@ -147,7 +147,7 @@ def schedule_dict_based(visits, depth):
             remaining[succ] -= 1
             if remaining[succ] == 0:
                 heapq.heappush(ready, (depths[succ], succ))
-    return emitted, meta
+    return emitted, broken
 
 
 def coarse_filter_per_visit(cache, rect, vid_r, positions, max_scales, stats):

@@ -224,8 +224,8 @@ def test_criterion_08_scheduler_correctness():
             tile = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
             (visits,) = traverse([tile], camera, grid)
             table = rows_of(visits)
-            order, meta = schedule(visits, depth)
-            if meta.cycles_broken == 0:
+            order, broken = schedule(visits, depth)
+            if broken == 0:
                 acyclic_violations += _order_violations(order, table)
             else:
                 cyclic_cases += 1
@@ -234,8 +234,8 @@ def test_criterion_08_scheduler_correctness():
                 break
     # crafted cycle: two pixels traverse the same pair in opposite orders
     crafted = [[0, 1], [1, 0]]
-    order, meta = schedule(visits_of(crafted), depth_table({0: 1.0, 1: 2.0}))
-    crafted_ok = (meta.cycles_broken >= 1 and sorted(order) == [0, 1]
+    order, broken = schedule(visits_of(crafted), depth_table({0: 1.0, 1: 2.0}))
+    crafted_ok = (broken >= 1 and sorted(order) == [0, 1]
                   and _order_violations(order, crafted) == 1)
     ok = acyclic_violations == 0 and crafted_ok
     check(8, "scheduler satisfies per-pixel orders; cycles broken safely", ok,
@@ -250,8 +250,8 @@ def test_criterion_09_mac_constants(oracle_runs, cluttered_run):
         "oracle": (oracle_runs[0][0]["s_stats"].filter, oracle_runs[0][0]["s_ledger"]),
         "cluttered": (cluttered_run["s_stats"].filter, cluttered_run["s_ledger"]),
     }.items():
-        ok &= ledger.macs_coarse == 55 * stats.loaded
-        ok &= ledger.macs_fine == (427 - 55) * stats.coarse_survivors
+        ok &= ledger.macs["coarse"] == 55 * stats.loaded
+        ok &= ledger.macs["fine"] == (427 - 55) * stats.coarse_survivors
         details.append(f"{tag}: coarse=55x{stats.loaded} fine=+372x{stats.coarse_survivors}")
     check(9, "ledger MAC charges are exactly 55 / 427", ok, "; ".join(details))
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from voxsplat import (
     render_frame_reference,
     render_frame_streaming,
     render_tile_streaming,
+    streaming,
 )
 from voxsplat.blending import T_FREEZE, blend
 from voxsplat.filtering import ProjectedBatch
@@ -53,6 +56,9 @@ def test_empty_scene_renders_background_with_zero_intermediate_bytes():
     assert np.allclose(frame[..., 2], np.float32(0.3))
     assert ledger.intermediate_bytes == 0
     assert ledger.bytes["coarse-load"] == 0 and ledger.bytes["fine-load"] == 0
+    ref, ref_ledger = render_frame_reference(camera, scene, background=(0.1, 0.2, 0.3))
+    assert np.array_equal(ref, frame)
+    assert ref_ledger.total_bytes == ref_ledger.bytes["pixel-writeback"]
 
 
 def test_opaque_front_splat_occludes_back_splat():
@@ -195,8 +201,8 @@ def test_sort_buffer_overflow_splits_without_changing_output():
     base, base_stats = render_tile_streaming(tile, camera, grid, records, None,
                                              TrafficLedger())
     assert base_stats.filter.fine_survivors > 4
-    tiny, stats = render_tile_streaming(tile, camera, grid, records, None, TrafficLedger(),
-                                        batch_capacity=2)
+    with mock.patch.object(streaming, "VOXEL_BATCH_CAPACITY", 2):
+        tiny, stats = render_tile_streaming(tile, camera, grid, records, None, TrafficLedger())
     assert stats.batch_splits > 0
     assert np.array_equal(base, tiny)
 

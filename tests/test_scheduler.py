@@ -49,7 +49,7 @@ def test_ray_missing_grid_gives_empty_list():
 def _slab_oracle(origin, direction, grid):
     """Independent ray/AABB test over every non-empty voxel."""
     hits = []
-    inv = grid.renamed_vids()
+    inv = grid.vids
     for vid_r in range(grid.nonempty_count):
         cell = grid.cell_of_vid(np.array(inv[vid_r]))
         lo = grid.origin + np.asarray(cell) * grid.edge
@@ -123,25 +123,25 @@ def _full_order_violations(order, table):
 def test_single_pixel_schedule_is_its_list():
     table = [[3, 1, 2]]
     depths = {1: 5.0, 2: 6.0, 3: 4.0}
-    order, meta = schedule(visits_of(table), depth_table(depths))
+    order, broken = schedule(visits_of(table), depth_table(depths))
     assert order == [3, 1, 2]
-    assert meta.cycles_broken == 0
+    assert broken == 0
 
 
 def test_two_pixel_chain_satisfies_all_constraints():
     table = [[0, 1], [1, 2]]
-    order, meta = schedule(visits_of(table), depth_table({0: 1.0, 1: 2.0, 2: 3.0}))
+    order, broken = schedule(visits_of(table), depth_table({0: 1.0, 1: 2.0, 2: 3.0}))
     assert _violations(order, table) == 0
     assert _full_order_violations(order, table) == 0
     assert sorted(order) == [0, 1, 2]
-    assert meta.cycles_broken == 0
+    assert broken == 0
 
 
 def test_crafted_two_cycle_terminates_and_counts():
     table = [[0, 1], [1, 0]]
-    order, meta = schedule(visits_of(table), depth_table({0: 2.0, 1: 3.0}))
+    order, broken = schedule(visits_of(table), depth_table({0: 2.0, 1: 3.0}))
     assert sorted(order) == [0, 1]
-    assert meta.cycles_broken == 1
+    assert broken == 1
     assert _violations(order, table) == 1  # exactly one constraint had to give
 
 
@@ -152,7 +152,7 @@ def test_schedule_deterministic():
     depths = {v: float(rng.uniform(1, 9)) for v in range(10)}
     a = schedule(visits_of(table), depth_table(depths))
     b = schedule(visits_of([list(r) for r in table]), depth_table(dict(depths)))
-    assert a[0] == b[0] and a[1].cycles_broken == b[1].cycles_broken
+    assert a[0] == b[0] and a[1] == b[1]
 
 
 def test_random_tiles_acyclic_constraints_all_hold():
@@ -167,9 +167,9 @@ def test_random_tiles_acyclic_constraints_all_hold():
         (visits,) = traverse([tile], camera, grid)
         table = rows_of(visits)
         seen = {v for row in table for v in row}
-        order, meta = schedule(visits, voxel_depths(camera, grid))
+        order, broken = schedule(visits, voxel_depths(camera, grid))
         assert sorted(order) == sorted(seen)
-        if meta.cycles_broken == 0:
+        if broken == 0:
             assert _violations(order, table) == 0
             assert _full_order_violations(order, table) == 0
 

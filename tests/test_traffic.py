@@ -1,4 +1,8 @@
+import json
+from dataclasses import asdict, fields
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voxsplat import (
     Aabb,
@@ -11,12 +15,13 @@ from voxsplat import (
     look_at_camera,
     render_frame_reference,
     render_frame_streaming,
+    StreamStats,
     traffic_breakdown,
 )
 from voxsplat.errors import SceneMismatchError
 from voxsplat.filtering import FilterStats
 from voxsplat.scene import scene_fingerprint
-from voxsplat.traffic import counts_from_stats, merge_sort_pass_bytes
+from voxsplat.traffic import STAGES, counts_from_stats, merge_sort_pass_bytes
 from voxsplat.voxelstore import encode_records, gather_attribute
 from voxsplat.vq import DEFAULT_ENTRIES, train_codebook
 
@@ -40,11 +45,85 @@ def test_ledger_merge_adds_counters():
     a, b = TrafficLedger(), TrafficLedger()
     a.charge("projection", 100, 2)
     b.charge("projection", 50, 1)
-    b.macs_coarse = 5
+    b.macs["coarse"] = 5
     a.merge(b)
     assert a.bytes["projection"] == 150
     assert a.records["projection"] == 3
-    assert a.macs_coarse == 5
+    assert a.macs == {"coarse": 5, "fine": 0}
+
+
+def test_tally_and_model_dicts_are_pinned():
+    """perfbench hashes ledgers, so the keys, their order and the nesting of
+    every dict below are part of the contract; the literals were taken from
+    the hand-written ``as_dict`` methods the generic ones replaced."""
+    ledger = TrafficLedger(scene_hash="0f1e")
+    for k, stage in enumerate(STAGES):
+        ledger.charge(stage, 100 * (k + 1) + k, k + 2)
+    ledger.macs["fine"] = 372 * 3
+    ledger.macs["coarse"] = 55 * 7
+    assert json.dumps(ledger.as_dict()) == (
+        '{"bytes": {"coarse-load": 100, "fine-load": 201, "projection": 302, '
+        '"projection-writeback": 403, "sort-spill": 504, "render-load": 605, '
+        '"pixel-writeback": 706}, "records": {"coarse-load": 2, "fine-load": 3, '
+        '"projection": 4, "projection-writeback": 5, "sort-spill": 6, "render-load": 7, '
+        '"pixel-writeback": 8}, "macs": {"coarse": 385, "fine": 1116}, "scene_hash": "0f1e"}'
+    )
+    f = FilterStats(loaded=10000, coarse_survivors=3000, fine_survivors=1000,
+                    macs_coarse=550000, macs_fine=1116000, degenerate=4)
+    stats = StreamStats(filter=f, voxels_scheduled=9, voxels_skipped_early=2, cycles_broken=1,
+                        batch_splits=3, blended=777)
+    assert json.dumps(stats.as_dict()) == (
+        '{"filter": {"loaded": 10000, "coarse_survivors": 3000, "fine_survivors": 1000, '
+        '"macs_coarse": 550000, "macs_fine": 1116000, "degenerate": 4}, '
+        '"voxels_scheduled": 9, "voxels_skipped_early": 2, "cycles_broken": 1, '
+        '"batch_splits": 3, "blended": 777}'
+    )
+    config = PerfConfig(fine_units=3)
+    assert json.dumps(asdict(config)) == (
+        '{"coarse_units": 4, "fine_units": 3, "sorter_units": 2, "render_units": 64, '
+        '"macs_per_unit_cycle": 1, "coarse_macs": 55, "fine_macs": 372}'
+    )
+    assert json.dumps(asdict(estimate(config, f, counts_from_stats(f)))) == (
+        '{"stage_cycles": {"coarse": 137500.0, "fine": 372000.0, "sort": 500.0, '
+        '"render": 15.625}, "bottleneck": "fine", "total_cycles": 372000.0, '
+        '"assumption": "perfect stage overlap; total = max over stages"}'
+    )
+
+
+_counts = st.integers(0, 2**40)
+
+
+@st.composite
+def _tallies(draw):
+    """A ledger and stream stats with every counter drawn."""
+    ledger = TrafficLedger(scene_hash=draw(st.text(max_size=4)))
+    for stage in STAGES:
+        ledger.charge(stage, draw(_counts), draw(_counts))
+    ledger.macs = {"coarse": draw(_counts), "fine": draw(_counts)}
+    stats = StreamStats(FilterStats(*(draw(_counts) for _ in fields(FilterStats))),
+                        *(draw(_counts) for _ in fields(StreamStats)[1:]))
+    return ledger, stats
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), parts=st.lists(_tallies(), min_size=1, max_size=6))
+def test_tallies_merge_to_the_same_totals_in_any_order(data, parts):
+    order = data.draw(st.permutations(range(len(parts))))
+
+    def merged(indices):
+        ledger, stats = TrafficLedger(scene_hash="frame"), StreamStats()
+        for i in indices:
+            ledger.merge(parts[i][0])
+            stats.merge(parts[i][1])
+        return json.dumps(ledger.as_dict()), json.dumps(stats.as_dict()), ledger, stats
+
+    *want, ledger, stats = merged(range(len(parts)))
+    assert merged(order)[:2] == tuple(want)
+    assert ledger.scene_hash == "frame"  # never summed, whatever the parts hold
+    assert ledger.records == {s: sum(p[0].records[s] for p in parts) for s in STAGES}
+    assert ledger.macs["fine"] == sum(p[0].macs["fine"] for p in parts)
+    assert stats.blended == sum(p[1].blended for p in parts)
+    assert stats.filter.degenerate == sum(p[1].filter.degenerate for p in parts)
 
 
 def test_merge_sort_pass_model():

@@ -67,7 +67,7 @@ def test_occupancy_matches_brute_force_histogram():
     for p in scene.positions:
         key = tuple(int(np.floor((p[i] - grid.origin[i]) / 2.0)) for i in range(3))
         hist[key] = hist.get(key, 0) + 1
-    by_cell = {tuple(grid.cell_of_vid(np.array(grid.renamed_vids()[r]))): counts[r]
+    by_cell = {tuple(grid.cell_of_vid(np.array(grid.vids[r]))): counts[r]
                for r in range(len(records))}
     assert by_cell == hist
 
@@ -86,14 +86,14 @@ def test_vids_lookup_tables():
     grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[2, 2, 2], vids=[1, 6])
     dense = grid.dense_renaming()
     assert dense.tolist() == [-1, 0, -1, -1, -1, -1, 1, -1]
-    assert grid.renamed_vids().tolist() == [1, 6]
+    assert grid.vids.tolist() == [1, 6]
     assert grid.dense_renaming() is dense  # built once
     grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[2, 2, 2], vids=[2, 7])
     assert grid.dense_renaming().tolist() == [-1, -1, 0, -1, -1, -1, -1, 1]
     assert grid.centers(np.arange(2)).tolist() == [[0.5, 1.5, 0.5], [1.5, 1.5, 1.5]]
     grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[2, 2, 2], vids=[0, 3, 5])
     assert grid.dense_renaming().tolist() == [0, -1, -1, 1, -1, 2, -1, -1]
-    assert grid.renamed_vids().tolist() == [0, 3, 5]
+    assert grid.vids.tolist() == [0, 3, 5]
     for vids in ([3, 1], [2, 2], [-1, 0], [0, 8]):
         with pytest.raises(ValueError, match="ascending below 8"):
             VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[2, 2, 2], vids=vids)

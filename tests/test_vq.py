@@ -1,9 +1,11 @@
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from voxsplat import Scene, TrafficLedger, VoxelStore
+from voxsplat import Scene, TrafficLedger, VoxelStore, vq
 from voxsplat.errors import CodebookCorruptionError
 from voxsplat.voxelstore import stream_fine
 from voxsplat.vq import (
@@ -140,6 +142,43 @@ def test_nearest_indices_do_not_depend_on_the_chunking():
     pieces = [nearest_indices(vectors[i : i + 7], book) for i in range(0, len(vectors), 7)]
     assert nearest_indices(vectors, book).tolist() == np.concatenate(pieces).tolist()
     assert nearest_indices(vectors[:0], book).tolist() == []
+
+
+def _far_init(vectors, k, rng):
+    """Every centroid but the first far from the data, so the first step
+    leaves k - 1 clusters empty and reseeds them."""
+    far = 1e3 * np.arange(1, k)[:, None] * np.ones(vectors.shape[1])
+    return np.concatenate([vectors[:1], far])
+
+
+@pytest.mark.parametrize("dim", [3, 4, 45])
+@pytest.mark.parametrize("init", [kmeans_pp_init, _far_init])
+def test_training_does_not_depend_on_the_chunking(dim, init):
+    # 512 entries, as the real books have at least: with 16 entries and 45
+    # dims, OpenBLAS sums a 7-row product in another order than the whole
+    # matrix's, and a distance can differ in its last bit
+    vectors = np.random.default_rng(dim).normal(size=(1200, dim))
+    padded = np.repeat(vectors[:5], 120, axis=0)
+    runs = []
+    for rows in (NEAREST_CHUNK_ROWS, 7):
+        with mock.patch.object(vq, "NEAREST_CHUNK_ROWS", rows), \
+                mock.patch.object(vq, "kmeans_pp_init", init):
+            runs.append([train_codebook(v, 512, seed=0) for v in (vectors, padded)])
+    for want, got in zip(*runs):
+        assert got.entries.tobytes() == want.entries.tobytes()
+        assert (got.mse, got.iterations, got.padded) == (want.mse, want.iterations, want.padded)
+
+
+def test_training_holds_no_distance_matrix_with_a_row_per_vector():
+    vectors = np.random.default_rng(5).normal(size=(2000, 3))
+    with mock.patch.object(vq, "NEAREST_CHUNK_ROWS", 64):
+        tracemalloc.start()
+        try:
+            train_codebook(vectors, 512, seed=0, max_iters=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2000 * 512 * 8  # one float64 (vectors, entries) matrix
 
 
 def test_decode_encode_round_trip_error_is_nearest_distance():
