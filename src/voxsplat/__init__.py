@@ -2,6 +2,7 @@
 byte/MAC-accurate DRAM traffic model."""
 
 from .errors import (
+    CameraFormatError,
     CodebookCorruptionError,
     PlyParseError,
     PlySchemaError,

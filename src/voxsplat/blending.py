@@ -106,4 +106,4 @@ def blend(
 
 
 def composite_background(color: np.ndarray, transmittance: np.ndarray, background) -> None:
-    color += transmittance[:, None] * np.asarray(background, dtype=np.float64)
+    color += transmittance[..., None] * np.asarray(background, dtype=np.float64)

@@ -7,6 +7,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -19,7 +20,7 @@ from .metrics import CBP_BETA_DEFAULT, cbp_loss, cross_boundary_stats, psnr
 from .reference import render_frame_reference, traffic_breakdown
 from .scene import Aabb, Camera, generate_scene, load_ply, look_at_camera, save_ply
 from .scheduler import TileVisits, dump_edges, traverse
-from .traffic import PerfConfig, TrafficLedger, compare_pipelines, counts_from_stats, estimate
+from .traffic import PerfConfig, compare_pipelines, counts_from_stats, estimate
 from .streaming import render_frame_streaming, render_tile_streaming
 from .voxelstore import VoxelStore, load_store, save_store, scene_from_records, gather_attribute
 from .vq import DEFAULT_ENTRIES, load_codebooks, save_codebooks, train_codebook
@@ -41,6 +42,8 @@ def _parse_rgb(text: str):
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("background needs three comma-separated values")
+    if not all(math.isfinite(v) for v in parts):
+        raise argparse.ArgumentTypeError(f"background values must be finite, got {text!r}")
     return tuple(parts)
 
 
@@ -119,12 +122,8 @@ def _render_streaming(store, books, camera, background, threads):
 def _dump_dag(path, store, camera) -> None:
     """Union of the per-tile dependency edges, one 'src dst' line each."""
     ntx, nty = camera.tile_counts
-    walks = [
-        visits
-        for ty in range(nty)
-        for visits in traverse([(tx, ty) for tx in range(ntx)], camera, store.grid)
-    ]
-    # rays are independent, so the tiles' walks concatenate into one
+    walks = [traverse([(tx, ty) for tx in range(ntx)], camera, store.grid) for ty in range(nty)]
+    # rays are independent, so the rows' walks concatenate into one
     text = dump_edges(TileVisits(*map(np.concatenate, zip(*walks))))
     with open(path, "w", encoding="utf-8") as f:
         f.write(text + "\n" if text else "")
@@ -141,7 +140,7 @@ def _cbp_diagnostics(store, books, camera, background) -> dict:
             tile_trace: list = []
             px_trace: list = []
             render_tile_streaming(
-                (tx, ty), camera, store.grid, store.records, books, TrafficLedger(),
+                [(tx, ty)], camera, store.grid, store.records, books,
                 background=background, trace=tile_trace, pixel_trace=(center, px_trace),
             )
             tile_vals.append(cbp_loss(tile_trace))

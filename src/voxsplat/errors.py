@@ -23,3 +23,7 @@ class StoreFormatError(VoxsplatError):
 
 class SceneMismatchError(VoxsplatError):
     """Two ledgers being compared were produced from different scenes."""
+
+
+class CameraFormatError(VoxsplatError):
+    """Camera JSON that is not an object, lacks a key, or holds an invalid value."""

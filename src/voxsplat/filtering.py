@@ -11,10 +11,13 @@ multiplier covers floating-point slack.
 The fine phase computes the exact projected covariance, conic, radius and
 view-dependent color for coarse survivors.
 
-Both phases project a voxel once per frame (``ProjectionCache``) and test
-each tile's rectangle against the cached projection; projecting a whole
-voxel and taking some splats gives the same bits as projecting those splats
-alone, because every step is row by row.
+The fine phase projects a voxel once per frame (``ProjectionCache``) and
+tests each tile's rectangle against the cached projection; the coarse phase
+is cheap enough to project the streamed first halves on every pass.  Both
+phases take the splats of many (tile, voxel) pairs in one call, one
+rectangle per splat.  Projecting many voxels at once gives the same bits as
+projecting each voxel on its own, because every step is row by row, except
+for one BLAS path that ``project_means`` steers around.
 """
 
 from __future__ import annotations
@@ -72,6 +75,13 @@ class FilterStats(Tally):
     macs_fine: int = 0
     degenerate: int = 0
 
+    @classmethod
+    def counted(cls, loaded: int, coarse: int, fine: int, degenerate: int) -> "FilterStats":
+        """The counters of streaming ``loaded`` splats of which ``coarse``
+        pass the coarse test and ``fine`` the fine test: every loaded splat
+        costs COARSE_MACS and every coarse survivor FINE_MACS more."""
+        return cls(loaded, coarse, fine, COARSE_MACS * loaded, FINE_MACS * coarse, degenerate)
+
     def check(self) -> None:
         if not 0 <= self.fine_survivors <= self.coarse_survivors <= self.loaded:
             raise RuntimeError(
@@ -124,12 +134,20 @@ def disc_overlaps_rect(center: np.ndarray, radius: np.ndarray, rect) -> np.ndarr
     return dx * dx + dy * dy <= radius * radius
 
 
-def project_means(camera: Camera, positions: np.ndarray):
+def project_means(camera: Camera, positions: np.ndarray, alone: np.ndarray | None = None):
     """Camera-space coordinates, depths, and pixel-space centers.
 
     Centers are well-defined only where depth > 0; callers mask on depth.
+    Rows marked in ``alone`` are transformed as a batch of that one row would
+    be: on one row ``Camera.to_camera`` takes BLAS's matrix-vector path, on
+    more the matrix-matrix path, and under an oblique camera the two can
+    differ in the last bit.  A batch of many voxels marks the rows of
+    one-splat voxels, so each voxel keeps the bits of projecting it alone.
     """
     cam = camera.to_camera(positions)
+    if alone is not None and alone.any():
+        # a stack of one-row products takes the matrix-vector path row by row
+        cam[alone] = camera.to_camera(positions[alone][:, None, :])[:, 0]
     depth = cam[:, 2]
     safe_z = np.where(np.abs(depth) < 1e-12, 1e-12, depth)
     mean2d = np.stack(
@@ -150,67 +168,61 @@ def coarse_screen_radius(camera: Camera, cam: np.ndarray, max_scales: np.ndarray
     return COARSE_SAFETY * RADIUS_SIGMAS * max_scales * np.abs(j_frob) + COARSE_DILATION_MARGIN
 
 
-@dataclass
-class CoarseView:
-    """A voxel's coarse projection: depth > near, pixel centers, coarse radii."""
-
-    in_front: np.ndarray
-    mean2d: np.ndarray
-    radius: np.ndarray
-
-
-@dataclass
-class FineView:
-    """A voxel's exact projection and each splat's rank in (depth, id) order."""
-
-    valid: np.ndarray
-    degenerate: np.ndarray  # in front of the near plane, covariance unusable
-    batch: ProjectedBatch
-    rank: np.ndarray
-
-
 class ProjectionCache:
-    """One frame's per-voxel projections, shared by the tiles one process renders.
+    """One frame's splat projections, shared by the tiles one process renders.
 
     ``depth`` is the camera-space z of every voxel center, indexed by renamed
     id, which the scheduler orders by.  A splat's projection depends on the
-    camera, not on the tile, so each voxel is projected the first time a tile
-    visits it and every later visit only runs the rect tests.  The ledger and
-    the filter counters still charge every visit: the cost model is the
-    hardware's, which streams the voxel again for each tile.  Entries are
-    deterministic, so each worker process of a frame fills its own copy and
-    every copy holds the same bits.
+    camera, not on the tile, so a voxel is projected the first time one of
+    its splats passes a tile's coarse test, and every later visit only runs
+    the rect test.  The per-splat arrays are indexed like the records' rows
+    (``offsets`` are the records' voxel bounds) and hold values only for the
+    voxels whose ``projected`` flag is set.  The ledger and the filter
+    counters still charge every visit: the cost model is the hardware's,
+    which streams the voxel again for each tile.  Entries are deterministic,
+    so each worker process of a frame fills its own copy and every copy
+    holds the same bits.
     """
 
-    def __init__(self, camera: Camera, depth: np.ndarray):
+    def __init__(self, camera: Camera, depth: np.ndarray, offsets: np.ndarray):
+        sizes = np.diff(offsets)
+        n = int(offsets[-1])
         self.camera = camera
         self.depth = depth
-        self.coarse: dict[int, CoarseView] = {}
-        self.fine: dict[int, FineView] = {}
+        self.alone = np.repeat(sizes == 1, sizes)  # rows that are their voxel's only splat
+        self.projected = np.zeros(len(sizes), dtype=bool)
+        self.valid = np.empty(n, dtype=bool)
+        self.degenerate = np.empty(n, dtype=bool)  # in front of the near plane, covariance unusable
+        self.batch = ProjectedBatch(
+            mean2d=np.empty((n, 2)),
+            conic=np.empty((n, 3)),
+            radius=np.empty(n),
+            depth=np.empty(n),
+            rgb=np.empty((n, 3)),
+            opacity=np.empty(n),
+            max_scale=np.empty(n),
+            ids=np.empty(n, dtype=np.int64),
+        )
 
 
 def coarse_filter(
     cache: ProjectionCache,
-    rect,
-    vid_r: int,
+    rows: np.ndarray,
     positions: np.ndarray,
     max_scales: np.ndarray,
-    stats: FilterStats,
+    rect,
 ) -> np.ndarray:
-    """Conservative 4-parameter tile test of one voxel's splats; returns the
-    survivor mask.  The voxel is projected on its first visit of the frame."""
-    view = cache.coarse.get(vid_r)
-    if view is None:
-        camera = cache.camera
-        cam, depth, mean2d = project_means(camera, positions)
-        radius = coarse_screen_radius(camera, cam, max_scales)
-        view = cache.coarse[vid_r] = CoarseView(depth > camera.near, mean2d, radius)
-    mask = view.in_front & disc_overlaps_rect(view.mean2d, view.radius, rect)
-    n = len(positions)
-    stats.loaded += n
-    stats.macs_coarse += COARSE_MACS * n
-    stats.coarse_survivors += int(np.count_nonzero(mask))
-    return mask
+    """Conservative 4-parameter tile test of streamed first halves; returns
+    the survivor mask.
+
+    Splat i is records row ``rows[i]`` with first half (``positions[i]``,
+    ``max_scales[i]``); each bound of ``rect`` (x0, y0, x1, y1) is a scalar
+    or holds one value per splat.
+    """
+    camera = cache.camera
+    cam, depth, mean2d = project_means(camera, positions, cache.alone[rows])
+    radius = coarse_screen_radius(camera, cam, max_scales)
+    return (depth > camera.near) & disc_overlaps_rect(mean2d, radius, rect)
 
 
 def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
@@ -263,15 +275,16 @@ def project_splats(
     opacities: np.ndarray,
     sh: np.ndarray,
     ids: np.ndarray,
+    alone: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ProjectedBatch, int]:
     """Full projection shared by both pipelines.
 
     Returns (valid_mask, batch_over_all_inputs, degenerate_count); entries
     where valid_mask is False hold unusable values and must be dropped by the
     caller.  Validity covers depth > near and a non-degenerate covariance;
-    tile overlap is a separate test.
+    tile overlap is a separate test.  ``alone`` is ``project_means``'s.
     """
-    cam, depth, mean2d = project_means(camera, positions)
+    cam, depth, mean2d = project_means(camera, positions, alone)
     cov = projected_covariance(camera, cam, scales, rotations)
     det = cov[:, 0] * cov[:, 2] - cov[:, 1] * cov[:, 1]
     ok_det = det > DEGENERATE_DET
@@ -302,36 +315,32 @@ def project_splats(
 
 def fine_filter(
     cache: ProjectionCache,
+    rows: np.ndarray,
+    groups: np.ndarray,
     rect,
-    vid_r: int,
-    survivors: np.ndarray,
-    splats: tuple | None,
-    stats: FilterStats,
-) -> ProjectedBatch:
-    """Exact tile test for one voxel's coarse survivors; returns the splats
-    that truly meet the tile, sorted by (depth, id) and ready to blend.
+    fresh: tuple | None = None,
+) -> np.ndarray:
+    """Exact tile test of coarse survivors; returns the indices into ``rows``
+    of the splats that truly meet their rectangle, ordered by (group, depth,
+    id).  With ``groups`` ascending along each tile's schedule, that is the
+    blend order.
 
-    ``splats`` holds ``project_splats``'s inputs for the whole voxel
-    (positions, scales, rotations, opacities, sh, ids).  Only the voxel's
-    first fine visit of the frame reads it: that visit projects every splat
-    of the voxel once and ranks them by (depth, id).
+    ``rect`` is ``coarse_filter``'s.  ``fresh`` is (vids, rows, splats) for
+    voxels not yet projected: ``splats`` holds ``project_splats``'s inputs
+    (positions, scales, rotations, opacities, sh, ids) for every row of
+    those voxels, which are projected here in one call and cached.
     """
-    view = cache.fine.get(vid_r)
-    if view is None:
-        view = cache.fine[vid_r] = _project_voxel(cache.camera, splats)
-    stats.macs_fine += FINE_MACS * len(survivors)
-    stats.degenerate += int(np.count_nonzero(view.degenerate[survivors]))
-    batch = view.batch
-    hit = view.valid[survivors] & disc_overlaps_rect(
-        batch.mean2d[survivors], batch.radius[survivors], rect
-    )
-    keep = survivors[hit]
-    stats.fine_survivors += len(keep)
-    return batch.take(keep[np.argsort(view.rank[keep])])
-
-
-def _project_voxel(camera: Camera, splats: tuple) -> FineView:
-    valid, batch, _ = project_splats(camera, *splats)
-    rank = np.empty(len(batch), dtype=np.int64)
-    rank[np.lexsort((batch.ids, batch.depth))] = np.arange(len(batch))
-    return FineView(valid, (batch.depth > camera.near) & ~valid, batch, rank)
+    if fresh is not None:
+        vids, new_rows, splats = fresh
+        camera = cache.camera
+        valid, batch, _ = project_splats(camera, *splats, alone=cache.alone[new_rows])
+        cache.valid[new_rows] = valid
+        cache.degenerate[new_rows] = (batch.depth > camera.near) & ~valid
+        for f in _fields(ProjectedBatch):
+            getattr(cache.batch, f.name)[new_rows] = getattr(batch, f.name)
+        cache.projected[vids] = True
+    batch = cache.batch
+    hit = cache.valid[rows] & disc_overlaps_rect(batch.mean2d[rows], batch.radius[rows], rect)
+    kept = np.flatnonzero(hit)
+    kept_rows = rows[kept]
+    return kept[np.lexsort((batch.ids[kept_rows], batch.depth[kept_rows], groups[kept]))]

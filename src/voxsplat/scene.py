@@ -10,15 +10,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PlyParseError, PlySchemaError
+from .errors import CameraFormatError, PlyParseError, PlySchemaError
 
 TILE_EDGE = 16
+# Per-pixel arrays such as a frame or a tile row's ray walk scale with the
+# image; the cap bounds them whatever a camera file asks for.
+MAX_PIXELS = 1 << 24
 QUAT_NORM_TOL = 1e-6
 
 
@@ -119,7 +123,9 @@ class Camera:
 
     `rotation` maps world to camera coordinates (camera looks along +z), so a
     world point p lands at ``rotation @ p + translation``.  Width and height
-    must be positive multiples of the 16-pixel tile edge.
+    must be positive multiples of the 16-pixel tile edge, at most MAX_PIXELS
+    in all; focal lengths and the near plane finite and positive, and every
+    other value finite.
     """
 
     width: int
@@ -141,8 +147,17 @@ class Camera:
             )
         if self.width % TILE_EDGE or self.height % TILE_EDGE:
             raise ValueError(f"image size must be a multiple of {TILE_EDGE}")
-        if self.near <= 0:
-            raise ValueError("near plane must be positive")
+        if self.width * self.height > MAX_PIXELS:
+            raise ValueError(
+                f"image size {self.width}x{self.height} exceeds the cap of {MAX_PIXELS} pixels"
+            )
+        for name in ("fx", "fy", "near"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"camera {name} must be finite and positive, got {value}")
+        for name in ("cx", "cy", "rotation", "translation"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"camera {name} must be finite")
         rrt = self.rotation @ self.rotation.T
         if not np.allclose(rrt, np.eye(3), atol=1e-8):
             raise ValueError("world-to-camera rotation is not orthonormal")
@@ -183,19 +198,32 @@ class Camera:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Camera":
-        w2c = obj["world_to_camera"]
-        return cls(
-            width=int(obj["width"]),
-            height=int(obj["height"]),
-            fx=float(obj["fx"]),
-            fy=float(obj["fy"]),
-            cx=float(obj["cx"]),
-            cy=float(obj["cy"]),
-            rotation=np.array(w2c["rotation"], dtype=np.float64),
-            translation=np.array(w2c["translation"], dtype=np.float64),
-            near=float(obj.get("near", 0.1)),
-        )
+    def from_json(cls, obj) -> "Camera":
+        """The camera a parsed JSON object describes; any missing key, wrong
+        type or invalid value raises ``CameraFormatError``."""
+        if not isinstance(obj, dict):
+            raise CameraFormatError(f"camera JSON must be an object, not {type(obj).__name__}")
+        try:
+            w2c = obj["world_to_camera"]
+            values = dict(
+                width=int(obj["width"]),
+                height=int(obj["height"]),
+                fx=float(obj["fx"]),
+                fy=float(obj["fy"]),
+                cx=float(obj["cx"]),
+                cy=float(obj["cy"]),
+                rotation=np.array(w2c["rotation"], dtype=np.float64),
+                translation=np.array(w2c["translation"], dtype=np.float64),
+                near=float(obj.get("near", 0.1)),
+            )
+        except KeyError as exc:
+            raise CameraFormatError(f"camera JSON is missing {exc.args[0]!r}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CameraFormatError(f"bad camera JSON value: {exc}") from None
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise CameraFormatError(str(exc)) from None
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

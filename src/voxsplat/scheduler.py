@@ -23,15 +23,26 @@ from .voxelstore import VoxelGrid
 
 
 class TileVisits(NamedTuple):
-    """One tile's ray walk: the renamed ids of the non-empty voxels each ray
-    crosses, ray after ray and front to back along each ray, and how many of
-    them belong to each ray (row-major pixel order)."""
+    """The ray walk of a list of tiles: the renamed ids of the non-empty
+    voxels each ray crosses, ray after ray and front to back along each ray,
+    and how many of them belong to each ray, one row of ``counts`` per tile
+    (row-major pixel order)."""
 
     ids: np.ndarray
     counts: np.ndarray
 
 
-def traverse(tiles, camera: Camera, grid: VoxelGrid) -> list[TileVisits]:
+class RowSchedule(NamedTuple):
+    """The voxel orders of a list of tiles: tile t visits
+    ``ids[offsets[t]:offsets[t + 1]]`` in that order, and breaking its
+    cycles released ``broken[t]`` voxels."""
+
+    ids: np.ndarray
+    offsets: np.ndarray
+    broken: np.ndarray
+
+
+def traverse(tiles, camera: Camera, grid: VoxelGrid) -> TileVisits:
     """Ordered non-empty voxels along each pixel ray of every tile, in one walk.
 
     Exact traversal: every voxel whose box the ray crosses inside the grid is
@@ -45,10 +56,9 @@ def traverse(tiles, camera: Camera, grid: VoxelGrid) -> list[TileVisits]:
     pixels = tile_pixels(tiles).reshape(-1, 2)
     visits = _ray_visits(camera.position, camera.ray_directions(pixels[:, 0], pixels[:, 1]), grid)
     hit = visits >= 0
-    ids = visits[hit]  # row-major: ray after ray, each in step order
+    # row-major: ray after ray, each in step order
     counts = np.count_nonzero(hit, axis=1).reshape(len(pixels) // TILE_EDGE**2, TILE_EDGE**2)
-    bounds = np.concatenate([[0], np.cumsum(counts.sum(axis=1))]).tolist()
-    return [TileVisits(ids[b:e], c) for b, e, c in zip(bounds, bounds[1:], counts)]
+    return TileVisits(visits[hit], counts)
 
 
 def _ray_visits(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> np.ndarray:
@@ -93,38 +103,73 @@ def _ray_visits(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> np.nda
     return np.stack(steps, axis=1) if steps else np.full((n, 0), -1, dtype=np.int64)
 
 
+def _edges(local: np.ndarray, counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct edges between consecutive visits of each ray, as (src, dst)
+    indices into ``n`` nodes sorted by (src, dst); ``local`` is each visit's
+    node and ``counts`` the visits of each ray."""
+    # local[i] -> local[i + 1] is an edge unless a new ray starts at i + 1
+    starts = np.cumsum(counts)[:-1]
+    follows = np.ones(max(len(local) - 1, 0), dtype=bool)
+    follows[starts[(starts > 0) & (starts < len(local))] - 1] = False
+    codes = np.unique(local[:-1][follows] * n + local[1:][follows])
+    return codes // max(n, 1), codes % max(n, 1)
+
+
 def dependency_graph(visits: TileVisits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct voxels of a ray walk and the distinct edges between
-    consecutive voxels of each ray.
+    consecutive voxels of each ray, over all of the walk's tiles.
 
     Returns (nodes, src, dst): ``nodes`` ascending renamed ids, ``src`` and
     ``dst`` indices into ``nodes``, one entry per edge, sorted by (src, dst).
     """
-    ids, counts = visits
-    nodes, local = np.unique(ids, return_inverse=True)
-    # ids[i] -> ids[i + 1] is an edge unless a new ray starts at i + 1
-    starts = np.cumsum(counts)[:-1]
-    follows = np.ones(max(len(ids) - 1, 0), dtype=bool)
-    follows[starts[(starts > 0) & (starts < len(ids))] - 1] = False
-    codes = np.unique(local[:-1][follows] * len(nodes) + local[1:][follows])
-    return nodes, codes // len(nodes), codes % len(nodes)
+    nodes, local = np.unique(visits.ids, return_inverse=True)
+    return (nodes, *_edges(local, visits.counts, len(nodes)))
 
 
-def schedule(visits: TileVisits, depth: np.ndarray) -> tuple[list[int], int]:
-    """Kahn's algorithm over the per-pixel order constraints; returns (order,
-    cycles broken).
+def schedule(visits: TileVisits, depth: np.ndarray) -> RowSchedule:
+    """One voxel order per tile of a walk, from Kahn's algorithm over that
+    tile's per-pixel order constraints.
 
     The ready queue pops the voxel with the smallest centroid depth (ties by
     renamed id), so the output is deterministic.  If the ready queue drains
     while nodes remain, the nearest remaining voxel is released and the event
-    counted.  ``depth`` is indexed by renamed id
-    (``voxel_depths``).  Nodes are ascending renamed ids, so the heap key
-    (depth, node index) orders exactly like (depth, renamed id).
+    counted.  ``depth`` is indexed by renamed id (``voxel_depths``).  A walk
+    whose ``counts`` is one flat row of rays is one tile.
+
+    The graph of the whole walk is built once, keyed by (tile, renamed id).
+    When every edge of a tile runs forward in (depth, id), the heap pops the
+    nodes in exactly that order: the smallest remaining node then has every
+    predecessor emitted, so it is ready and the least of the ready heap.
+    Such a tile takes its order from one ``np.lexsort`` and has no cycles;
+    only the others run the heap.
     """
-    nodes, src, dst = dependency_graph(visits)
+    counts = visits.counts if visits.counts.ndim == 2 else visits.counts[None]
+    tiles = len(counts)
+    stride = len(depth)
+    tile_of_visit = np.repeat(np.arange(tiles), counts.sum(axis=1))
+    nodes, local = np.unique(tile_of_visit * stride + visits.ids, return_inverse=True)
     n = len(nodes)
-    ids = nodes.tolist()
-    depth = depth[nodes].tolist()
+    src, dst = _edges(local, counts, n)
+    node_tile, node_id = np.divmod(nodes, stride) if stride else (nodes, nodes)
+    node_depth = depth[node_id]
+    offsets = np.searchsorted(node_tile, np.arange(tiles + 1))
+    ds, dd = node_depth[src], node_depth[dst]
+    forward = (ds < dd) | ((ds == dd) & (node_id[src] < node_id[dst]))
+    order = np.lexsort((node_id, node_depth, node_tile))
+    broken = np.zeros(tiles, dtype=np.int64)
+    for t in np.unique(node_tile[src[~forward]]).tolist():
+        a, b = offsets[t], offsets[t + 1]
+        lo, hi = np.searchsorted(src, [a, b])
+        order[a:b], broken[t] = _kahn(node_depth[a:b].tolist(), src[lo:hi] - a, dst[lo:hi] - a)
+        order[a:b] += a
+    return RowSchedule(node_id[order], offsets, broken)
+
+
+def _kahn(depth: list, src: np.ndarray, dst: np.ndarray) -> tuple[list[int], int]:
+    """Heap Kahn over one tile's nodes, which ascend by renamed id, so the heap
+    key (depth, node index) orders exactly like (depth, renamed id); returns
+    (node indices in emitted order, cycles broken)."""
+    n = len(depth)
     remaining = np.bincount(dst, minlength=n).tolist()
     bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
     successors = dst.tolist()
@@ -151,7 +196,7 @@ def schedule(visits: TileVisits, depth: np.ndarray) -> tuple[list[int], int]:
             remaining[succ] -= 1
             if remaining[succ] == 0:
                 heapq.heappush(ready, (depth[succ], succ))
-    return [ids[i] for i in emitted], broken
+    return emitted, broken
 
 
 def voxel_depths(camera: Camera, grid: VoxelGrid) -> np.ndarray:

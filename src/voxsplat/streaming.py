@@ -2,24 +2,43 @@
 hierarchical filter, sort survivors by depth inside each voxel, and blend with
 pixel state carried across voxels.  Nothing but final pixels is ever written
 back, so the intermediate traffic stages stay at zero bytes by construction.
+
+The tiles of a row are rendered together, in rounds.  Each round takes the
+next chunk of every unfinished tile's schedule and runs one coarse pass over
+all of those (tile, voxel) pairs, decodes and projects their not yet cached
+voxels in one call, runs one fine pass, orders the survivors by (tile,
+schedule position, depth, id), and blends each tile's share in one call.
+The first chunk is FIRST_CHUNK voxels and each later one twice the last, so
+a tile that saturates early projects few voxels it never reaches.  Counts
+are kept per (tile, voxel) pair and trimmed to the voxels a tile walking its
+schedule one voxel at a time would stream: when every pixel of a tile has
+frozen, its walk ends at the voxel of the last splat ``blend`` processed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .blending import T_FREEZE, blend, composite_background
-from .filtering import FilterStats, ProjectionCache, Tally, coarse_filter, fine_filter, tile_rect
+from .filtering import FilterStats, ProjectionCache, Tally, coarse_filter, fine_filter
 from .scene import Camera, TILE_EDGE, tile_pixels
 from .scheduler import TileVisits, schedule, traverse, voxel_depths
 from .tileloop import render_rows
 from .traffic import PIXEL_BYTES, TrafficLedger
-from .voxelstore import FlatRecords, VoxelGrid, stream_coarse, stream_fine
+from .voxelstore import (
+    FlatRecords,
+    VoxelGrid,
+    charge_loads,
+    concat_ranges,
+    stream_coarse,
+    stream_fine,
+)
 from .vq import Codebook
 
 VOXEL_BATCH_CAPACITY = 4096  # on-chip sorting buffer bound; overflow splits in depth order
+FIRST_CHUNK = 8  # schedule voxels per tile in the first round; each later round doubles it
 
 
 @dataclass
@@ -32,65 +51,136 @@ class StreamStats(Tally):
     blended: int = 0
 
 
+@dataclass
+class TileCounts:
+    """The counters of a list of tiles, one array entry per tile."""
+
+    encoded: bool  # the records stream encoded second halves
+    loaded: np.ndarray
+    coarse_survivors: np.ndarray
+    fine_survivors: np.ndarray
+    degenerate: np.ndarray
+    voxels_scheduled: np.ndarray
+    voxels_skipped_early: np.ndarray
+    cycles_broken: np.ndarray
+    batch_splits: np.ndarray
+    blended: np.ndarray
+
+    def tally(self, tiles=slice(None)) -> tuple[TrafficLedger, StreamStats]:
+        """The ledger and stats of the selected tiles (an index or a slice), summed."""
+        loaded, coarse, fine, degenerate, scheduled, skipped, broken, splits, blended = (
+            int(np.sum(getattr(self, f.name)[tiles])) for f in fields(self)[1:]
+        )
+        stats = StreamStats(FilterStats.counted(loaded, coarse, fine, degenerate),
+                            scheduled, skipped, broken, splits, blended)
+        stats.filter.check()
+        ledger = TrafficLedger()
+        charge_loads(ledger, self.encoded, loaded, coarse)
+        pixels = np.size(self.loaded[tiles]) * TILE_EDGE**2
+        ledger.charge("pixel-writeback", PIXEL_BYTES * pixels, pixels)
+        return ledger, stats
+
+
 def render_tile_streaming(
-    tile: tuple[int, int],
+    tiles: list[tuple[int, int]],
     camera: Camera,
     grid: VoxelGrid,
     records: FlatRecords,
     books: dict[str, Codebook] | None,
-    ledger: TrafficLedger,
     background=(0.0, 0.0, 0.0),
     trace: list | None = None,
     pixel_trace: tuple[int, list] | None = None,
     early_exit: bool = True,
     cache: ProjectionCache | None = None,
     visits: TileVisits | None = None,
-) -> tuple[np.ndarray, StreamStats]:
-    """Render one 16x16 tile; returns (256, 3) colors and the tile's stats.
+) -> tuple[np.ndarray, TileCounts]:
+    """Render 16x16 tiles together, normally one tile row; returns
+    ((tiles, 256, 3) colors, the tiles' counters).
 
     ``cache`` holds the frame's voxel depths and projections for ``camera``,
-    and ``visits`` the tile's ray walk from ``traverse``; a tile rendered on
-    its own makes both.
+    and ``visits`` the tiles' ray walk from ``traverse``; a call on its own
+    makes both.  ``trace`` and ``pixel_trace`` follow ``blend`` and need a
+    single tile.
     """
+    if (trace is not None or pixel_trace is not None) and len(tiles) != 1:
+        raise ValueError("blend traces follow a single tile")
     if cache is None:
-        cache = ProjectionCache(camera, voxel_depths(camera, grid))
+        cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
     if visits is None:
-        (visits,) = traverse([tile], camera, grid)
-    tx, ty = tile
-    stats = StreamStats()
-    rect = tile_rect(tx, ty)
-    centers = tile_pixels([tile])[0] + 0.5
-    color = np.zeros((TILE_EDGE * TILE_EDGE, 3))
-    transmittance = np.ones(TILE_EDGE * TILE_EDGE)
+        visits = traverse(tiles, camera, grid)
+    plan = schedule(visits, cache.depth)
+    ntiles = len(tiles)
+    corner = np.asarray(tiles, dtype=np.float64).reshape(-1, 2) * TILE_EDGE
+    centers = tile_pixels(tiles) + 0.5
+    color = np.zeros((ntiles, TILE_EDGE * TILE_EDGE, 3))
+    transmittance = np.ones((ntiles, TILE_EDGE * TILE_EDGE))
+    sizes = np.diff(records.offsets)
+    scheduled = np.diff(plan.offsets)
+    walked = np.zeros(ntiles, dtype=np.int64)  # schedule voxels taken by past rounds
+    skipped = np.zeros(ntiles, dtype=np.int64)
+    # per tile: splats loaded, coarse and fine survivors, degenerate, batch splits
+    counts = np.zeros((5, ntiles), dtype=np.int64)
+    blended = np.zeros(ntiles, dtype=np.int64)
+    live = np.flatnonzero(scheduled)
+    chunk = FIRST_CHUNK if early_exit else max(int(scheduled.max(initial=0)), 1)
 
-    order, stats.cycles_broken = schedule(visits, cache.depth)
-    stats.voxels_scheduled = len(order)
+    while len(live):
+        take = np.minimum(scheduled[live] - walked[live], chunk)
+        pair_tile = np.repeat(live, take)
+        pair = concat_ranges(plan.offsets[live] + walked[live], take)  # into plan.ids
+        vids = plan.ids[pair]
+        walked[live] += take
+        npairs = len(pair)
 
-    for k, vid_r in enumerate(order):
-        if early_exit and np.all(transmittance < T_FREEZE):
-            stats.voxels_skipped_early += len(order) - k
-            break
-        positions, max_scales = stream_coarse(records, vid_r, ledger)
-        mask = coarse_filter(cache, rect, vid_r, positions, max_scales, stats.filter)
-        survivors = np.flatnonzero(mask)
-        if not len(survivors):
-            continue
-        splats = stream_fine(
-            records, vid_r, survivors, books, ledger, decode=vid_r not in cache.fine
+        rows, positions, max_scales = stream_coarse(records, vids)
+        row_pair = np.repeat(np.arange(npairs), sizes[vids])
+        passed = np.flatnonzero(
+            coarse_filter(cache, rows, positions, max_scales, _rects(corner[pair_tile[row_pair]]))
         )
-        batch = fine_filter(cache, rect, vid_r, survivors, splats, stats.filter)
-        if not len(batch):
-            continue
-        for start in range(0, len(batch), VOXEL_BATCH_CAPACITY):
-            if start:
-                stats.batch_splits += 1
-            chunk = batch.take(np.arange(start, min(start + VOXEL_BATCH_CAPACITY, len(batch))))
-            stats.blended += blend(chunk, centers, color, transmittance, trace, pixel_trace)
+        coarse_rows, coarse_pair = rows[passed], row_pair[passed]
+        coarse = np.bincount(coarse_pair, minlength=npairs)
+
+        fresh = np.unique(vids[(coarse > 0) & ~cache.projected[vids]])
+        kept = fine_filter(
+            cache, coarse_rows, coarse_pair, _rects(corner[pair_tile[coarse_pair]]),
+            (fresh, *stream_fine(records, fresh, books)) if len(fresh) else None,
+        )
+        kept_rows, kept_pair = coarse_rows[kept], coarse_pair[kept]
+        fine = np.bincount(kept_pair, minlength=npairs)
+        degenerate = np.bincount(coarse_pair[cache.degenerate[coarse_rows]], minlength=npairs)
+
+        # each tile's walk ends after its last pair unless it freezes sooner
+        last = np.full(ntiles, npairs)
+        batch = cache.batch.take(kept_rows)
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(pair_tile[kept_pair],
+                                                            minlength=ntiles))]).tolist()
+        for t in np.flatnonzero(np.diff(bounds)).tolist():
+            a, b = bounds[t], bounds[t + 1]
+            n = blend(batch.take(slice(a, b)), centers[t], color[t], transmittance[t],
+                      trace, pixel_trace)
+            blended[t] += n
+            if early_exit and not np.any(transmittance[t] >= T_FREEZE):
+                last[t] = kept_pair[a + n - 1]
+                skipped[t] = plan.offsets[t + 1] - pair[last[t]] - 1
+                walked[t] = scheduled[t]
+        counted = np.arange(npairs) <= last[pair_tile]
+        splits = np.maximum((fine - 1) // VOXEL_BATCH_CAPACITY, 0)
+        for i, per_pair in enumerate((sizes[vids], coarse, fine, degenerate, splits)):
+            counts[i] += np.bincount(pair_tile[counted], weights=per_pair[counted],
+                                     minlength=ntiles).astype(np.int64)
+        live = live[walked[live] < scheduled[live]]
+        chunk *= 2
 
     composite_background(color, transmittance, background)
-    ledger.charge("pixel-writeback", PIXEL_BYTES * len(centers), len(centers))
-    stats.filter.check()
-    return color, stats
+    loaded, coarse, fine, degenerate, splits = counts
+    return color, TileCounts(records.encoded, loaded, coarse, fine, degenerate, scheduled,
+                             skipped, plan.broken, splits, blended)
+
+
+def _rects(corners: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(x0, y0, x1, y1) pixel rectangles of the tiles with these top-left corners."""
+    x0, y0 = corners[:, 0], corners[:, 1]
+    return x0, y0, x0 + TILE_EDGE, y0 + TILE_EDGE
 
 
 def render_frame_streaming(
@@ -106,29 +196,24 @@ def render_frame_streaming(
 ) -> tuple[np.ndarray, TrafficLedger, StreamStats]:
     """Render all tiles; output is independent of the worker count.
 
-    The rays of each tile row are walked in one ``traverse`` call, and that
-    row's tiles are then rendered from their share of the walk, so one row's
-    visit arrays are alive at a time.  With ``threads > 1`` this process
-    and forked workers share the rows (``tileloop.render_rows``), each
-    filling its own copy of the frame's projection cache.  Returns
-    (framebuffer (H, W, 3) float32, ledger, aggregate stats).
+    The rays of each tile row are walked in one ``traverse`` call, and the
+    row's tiles are then rendered together in one ``render_tile_streaming``
+    call, so one row's visit arrays are alive at a time.  With
+    ``threads > 1`` this process and forked workers share the rows
+    (``tileloop.render_rows``), each filling its own copy of the frame's
+    projection cache.  Returns (framebuffer (H, W, 3) float32, ledger,
+    aggregate stats).
     """
     ntx, _ = camera.tile_counts
-    cache = ProjectionCache(camera, voxel_depths(camera, grid))
+    cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
 
     def render_row(ty):
         band = [(tx, ty) for tx in range(ntx)]
-        colors, ledger, stats = [], TrafficLedger(), StreamStats()
-        for tile, visits in zip(band, traverse(band, camera, grid)):
-            sub = TrafficLedger()
-            color, tile_stats = render_tile_streaming(
-                tile, camera, grid, records, books, sub, background=background,
-                early_exit=early_exit, cache=cache, visits=visits,
-            )
-            colors.append(color)
-            ledger.merge(sub)
-            stats.merge(tile_stats)
-        return colors, (ledger, stats)
+        colors, counts = render_tile_streaming(
+            band, camera, grid, records, books, background=background,
+            early_exit=early_exit, cache=cache, visits=traverse(band, camera, grid),
+        )
+        return colors, counts.tally()
 
     frame, rows = render_rows(camera, render_row, threads)
     ledger = TrafficLedger(scene_hash=scene_hash)

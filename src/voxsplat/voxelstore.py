@@ -195,66 +195,77 @@ def encode_records(records: FlatRecords, books: dict[str, Codebook]) -> FlatReco
                    scale_idx=scale, rot_idx=rot, dc_idx=dc, sh_idx=sh)
 
 
-def stream_coarse(records: FlatRecords, vid_r: int, ledger) -> tuple[np.ndarray, np.ndarray]:
-    """Fetch the first halves of a voxel, charging 16 bytes per splat."""
-    rows = records.rows(vid_r)
-    count = rows.stop - rows.start
-    ledger.charge("coarse-load", COARSE_BYTES_PER_GAUSSIAN * count, count)
-    return records.positions[rows], records.max_scales[rows]
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] .. starts[i] + lengths[i] - 1``, one after another."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _rows(records: FlatRecords, vids: np.ndarray) -> np.ndarray:
+    """The rows of voxels ``vids``, voxel after voxel."""
+    vids = np.asarray(vids, dtype=np.int64)
+    starts = records.offsets[vids]
+    return concat_ranges(starts, records.offsets[vids + 1] - starts)
+
+
+def stream_coarse(records: FlatRecords, vids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Stream the first halves of voxels ``vids``, voxel after voxel; returns
+    (rows, positions, max_scales), ``rows`` indexing the records' arrays."""
+    rows = _rows(records, vids)
+    return rows, records.positions[rows], records.max_scales[rows]
 
 
 def stream_fine(
-    records: FlatRecords,
-    vid_r: int,
-    survivors: np.ndarray,
-    books: dict[str, Codebook] | None,
-    ledger,
-    *,
-    decode: bool,
-) -> tuple | None:
-    """Fetch the second halves of a voxel's surviving splats, charging for them only.
+    records: FlatRecords, vids: np.ndarray, books: dict[str, Codebook] | None
+) -> tuple[np.ndarray, tuple]:
+    """Decode the second halves of whole voxels ``vids``, voxel after voxel.
 
-    Encoded records charge the 12-byte packed layout; raw records charge 56
-    float32 values.  With ``decode``, returns the whole voxel decoded as
-    ``project_splats``'s inputs (positions, scales, rotations, opacities, sh,
-    ids), else None: a renderer decodes each voxel once per frame and
-    reuses its projection on later visits, which the ledger still charges.
+    Returns (rows, splats): ``rows`` index the records' arrays and ``splats``
+    holds ``project_splats``'s inputs (positions, scales, rotations,
+    opacities, sh, ids).  A renderer decodes each voxel once per frame and
+    reuses its projection on later visits; ``charge_loads`` charges the
+    visits.
     """
-    rows = records.rows(vid_r)
-    count = rows.stop - rows.start
-    survivors = np.asarray(survivors, dtype=np.int64)
-    n = len(survivors)
-    if np.any((survivors < 0) | (survivors >= count)):
-        raise ValueError("survivor index out of range")
     if records.encoded and books is None:
         raise ValueError("encoded records need codebooks to decode")
-    per_splat = ENCODED_FINE_BYTES if records.encoded else RAW_FINE_STREAM_BYTES
-    ledger.charge("fine-load", per_splat * n, n)
-    if not decode:
-        return None
+    rows = _rows(records, vids)
     if records.encoded:
-        scales = _lookup(books, "scale", records.scale_idx[rows], vid_r)
-        rots = _lookup(books, "rotation", records.rot_idx[rows], vid_r)
+        offsets = records.offsets
+        scales = _lookup(books, "scale", records.scale_idx[rows], rows, offsets)
+        rots = _lookup(books, "rotation", records.rot_idx[rows], rows, offsets)
         norms = np.linalg.norm(rots, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         rots = rots / norms
-        dc = _lookup(books, "dc", records.dc_idx[rows], vid_r)
-        rest = _lookup(books, "sh_rest", records.sh_idx[rows], vid_r).reshape(count, 15, 3)
-        sh = np.concatenate([dc[:, None, :], rest], axis=1)
+        dc = _lookup(books, "dc", records.dc_idx[rows], rows, offsets)
+        rest = _lookup(books, "sh_rest", records.sh_idx[rows], rows, offsets)
+        sh = np.concatenate([dc[:, None, :], rest.reshape(len(rows), 15, 3)], axis=1)
     else:
         scales, rots, sh = records.scales[rows], records.rotations[rows], records.sh[rows]
-    return records.positions[rows], scales, rots, records.opacities[rows], sh, records.ids[rows]
+    splats = (records.positions[rows], scales, rots, records.opacities[rows], sh, records.ids[rows])
+    return rows, splats
 
 
-def _lookup(books: dict[str, Codebook], attribute: str, idx: np.ndarray, vid_r: int):
-    """Centroids for one voxel's indices into one codebook, range-checked."""
+def _lookup(books: dict[str, Codebook], attribute: str, idx: np.ndarray, rows: np.ndarray,
+            offsets: np.ndarray) -> np.ndarray:
+    """Centroids for the indices of records ``rows`` into one codebook,
+    range-checked; an error names the voxel of the first bad index."""
     count = books[attribute].entry_count
-    bad = idx[(idx < 0) | (idx >= count)]
+    bad = np.flatnonzero((idx < 0) | (idx >= count))
     if len(bad):
+        vid_r = int(np.searchsorted(offsets, rows[bad[0]], "right")) - 1
         raise CodebookCorruptionError(
-            f"{attribute} index {bad[0]} out of range for {count} entries in voxel {vid_r}"
+            f"{attribute} index {idx[bad[0]]} out of range for {count} entries in voxel {vid_r}"
         )
     return books[attribute].entries[idx].astype(np.float64)
+
+
+def charge_loads(ledger, encoded: bool, coarse: int, fine: int) -> None:
+    """Charge streaming ``coarse`` first halves, 16 bytes each, and ``fine``
+    second halves: the 12-byte packed layout when encoded, else 56 float32
+    values."""
+    ledger.charge("coarse-load", COARSE_BYTES_PER_GAUSSIAN * coarse, coarse)
+    per_splat = ENCODED_FINE_BYTES if encoded else RAW_FINE_STREAM_BYTES
+    ledger.charge("fine-load", per_splat * fine, fine)
 
 
 def scene_from_records(grid: VoxelGrid, records: FlatRecords) -> Scene:

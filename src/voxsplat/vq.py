@@ -19,7 +19,9 @@ ATTRIBUTES = ("scale", "rotation", "dc", "sh_rest")
 ATTRIBUTE_DIMS = {"scale": 3, "rotation": 4, "dc": 3, "sh_rest": 45}
 DEFAULT_ENTRIES = {"scale": 4096, "rotation": 4096, "dc": 4096, "sh_rest": 512}
 INDEX_BITS = {"scale": 12, "rotation": 12, "dc": 12, "sh_rest": 9}
-NEAREST_CHUNK_ROWS = 1024  # 32 MB of float64 distances per chunk at 4096 entries
+# one chunk's float64 distances, 32 MB at 4096 entries, are the only large array
+# alive in an assignment step: training 5,000 vectors peaks at 35 MB
+NEAREST_CHUNK_ROWS = 1024
 
 _MAGIC = b"GSVQ"
 _VERSION = 1
@@ -57,13 +59,12 @@ class Codebook:
 
 
 def _squared_distances(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # |x - c|^2 via the dot expansion; clip tiny negatives from rounding.
-    d2 = (
-        np.sum(vectors * vectors, axis=1)[:, None]
-        - 2.0 * vectors @ centroids.T
-        + np.sum(centroids * centroids, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    # |x - c|^2 via the dot expansion, computed in one (vectors, centroids)
+    # buffer in the order |x|^2 - (2x . c) + |c|^2; clip tiny negatives from rounding.
+    d2 = (2.0 * vectors) @ centroids.T
+    np.subtract(np.sum(vectors * vectors, axis=1)[:, None], d2, out=d2)
+    d2 += np.sum(centroids * centroids, axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def kmeans_pp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -166,6 +167,7 @@ def _nearest(vectors: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np
         nearest = np.argmin(d2, axis=1)
         index.append(nearest)
         dist.append(d2[np.arange(len(chunk)), nearest])
+        del d2  # free this chunk's matrix before the next one is built
     return np.concatenate(index), np.concatenate(dist)
 
 

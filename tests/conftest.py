@@ -1,10 +1,12 @@
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import voxsplat.tileloop as tileloop
 from voxsplat import Aabb, generate_scene, look_at_camera
+from voxsplat.filtering import FilterStats, ProjectionCache, coarse_filter, fine_filter
 
 
 @pytest.fixture
@@ -42,3 +44,23 @@ def leave_rows_to_workers():
     parent, drain = os.getpid(), tileloop._drain
     return mock.patch.object(tileloop, "_drain",
                              lambda state: [] if os.getpid() == parent else drain(state))
+
+
+def filter_voxel(camera, rect, splats, survivors=None):
+    """One voxel's splats (``project_splats``'s inputs) through both filters
+    against one rectangle, as the renderer runs them.
+
+    The fine test takes ``survivors``, by default the coarse survivors.
+    Returns (coarse mask, the fine survivors in blend order, the counters).
+    """
+    positions, scales = splats[0], splats[1]
+    n = len(positions)
+    rows = np.arange(n)
+    cache = ProjectionCache(camera, np.empty(0), np.array([0, n]))
+    mask = coarse_filter(cache, rows, positions, scales.max(axis=1), rect)
+    survivors = np.flatnonzero(mask) if survivors is None else np.asarray(survivors)
+    kept = fine_filter(cache, survivors, np.zeros(len(survivors), dtype=np.int64), rect,
+                       (np.array([0]), rows, splats))
+    degenerate = int(np.count_nonzero(cache.degenerate[survivors]))
+    stats = FilterStats.counted(n, len(survivors), len(kept), degenerate)
+    return mask, cache.batch.take(survivors[kept]), stats

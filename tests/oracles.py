@@ -9,12 +9,15 @@ scheduler and one filter chain to ship.
 are the per-voxel and per-element forms of the store encoder and the two
 metrics.
 
-The filter-chain oracles take the per-tile signatures of ``coarse_filter``,
-``stream_fine`` and ``fine_filter`` but ignore the frame's projection cache:
-every visit projects its voxel again, and ``stream_fine_per_visit`` decodes
-the survivors only (``survivor_rows``), so ``fine_filter_per_visit``
-projects just those and sorts them with ``sorted_by_depth``.  The two fine
-oracles must be patched in together.
+``render_tile_per_visit`` is the streaming renderer's tile loop one (tile,
+voxel) visit at a time, as it stood before tiles were batched by row: the
+dict-based scheduler, then per scheduled voxel a coarse test, a fine test
+and one ``blend`` call per sorting-buffer chunk, with the ledger charged
+visit by visit and the walk cut at the first voxel that finds every pixel
+frozen.  Its filter oracles keep no projection cache: every visit projects
+its voxel again, and ``stream_fine_per_visit`` decodes the survivors only
+(``survivor_rows``), so ``fine_filter_per_visit`` projects just those and
+sorts them with ``sorted_by_depth``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import heapq
 
 import numpy as np
 
-from voxsplat.blending import ALPHA_CAP, ALPHA_MIN, T_FREEZE
+import voxsplat.streaming as streaming_mod
+from voxsplat.blending import ALPHA_CAP, ALPHA_MIN, T_FREEZE, blend, composite_background
 from voxsplat.filtering import (
     COARSE_MACS,
     FINE_MACS,
@@ -31,11 +35,18 @@ from voxsplat.filtering import (
     disc_overlaps_rect,
     project_means,
     project_splats,
+    tile_rect,
 )
 from voxsplat.metrics import extent_boxes
-from voxsplat.scene import TILE_EDGE
-from voxsplat.scheduler import TileVisits, _ray_visits
-from voxsplat.voxelstore import ENCODED_FINE_BYTES, RAW_FINE_STREAM_BYTES
+from voxsplat.scene import TILE_EDGE, tile_pixels
+from voxsplat.scheduler import TileVisits, _ray_visits, voxel_depths
+from voxsplat.streaming import StreamStats
+from voxsplat.traffic import PIXEL_BYTES, TrafficLedger
+from voxsplat.voxelstore import (
+    COARSE_BYTES_PER_GAUSSIAN,
+    ENCODED_FINE_BYTES,
+    RAW_FINE_STREAM_BYTES,
+)
 from voxsplat.vq import ATTRIBUTES, nearest_indices
 
 
@@ -77,9 +88,16 @@ def walk_rays_per_visit(origin, dirs, grid) -> list[list[int]]:
 
 
 def visits_of(rows) -> TileVisits:
-    """The array form of a walk given as one list of renamed ids per ray."""
+    """The array form of a one-tile walk given as one list of renamed ids per ray."""
     ids = np.array([v for row in rows for v in row], dtype=np.int64)
     return TileVisits(ids, np.array([len(row) for row in rows], dtype=np.int64))
+
+
+def tiles_of(visits) -> list[TileVisits]:
+    """A many-tile walk split into one walk per tile."""
+    counts = visits.counts.reshape(-1, visits.counts.shape[-1])
+    bounds = np.concatenate([[0], np.cumsum(counts.sum(axis=1))]).tolist()
+    return [TileVisits(visits.ids[b:e], c) for b, e, c in zip(bounds, bounds[1:], counts)]
 
 
 def rows_of(visits) -> list[list[int]]:
@@ -97,15 +115,16 @@ def depth_table(depths) -> np.ndarray:
     return table
 
 
-def traverse_per_visit(tiles, camera, grid) -> list[TileVisits]:
+def traverse_per_visit(tiles, camera, grid) -> TileVisits:
     """``traverse`` one tile at a time, with pixel coordinates from np.mgrid
     and each ray table from ``walk_rays_per_visit``."""
     ys, xs = np.mgrid[0:TILE_EDGE, 0:TILE_EDGE]
-    out = []
+    table = []
     for tx, ty in tiles:
         dirs = camera.ray_directions(tx * TILE_EDGE + xs.ravel(), ty * TILE_EDGE + ys.ravel())
-        out.append(visits_of(walk_rays_per_visit(camera.position, dirs, grid)))
-    return out
+        table += walk_rays_per_visit(camera.position, dirs, grid)
+    ids, counts = visits_of(table)
+    return TileVisits(ids, counts.reshape(len(tiles), TILE_EDGE * TILE_EDGE))
 
 
 def schedule_dict_based(visits, depth):
@@ -150,9 +169,46 @@ def schedule_dict_based(visits, depth):
     return emitted, broken
 
 
-def coarse_filter_per_visit(cache, rect, vid_r, positions, max_scales, stats):
-    """Coarse test that projects the voxel on every visit."""
-    camera = cache.camera
+def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0.0, 0.0),
+                          trace=None, pixel_trace=None, early_exit=True):
+    """One tile, visit by visit; returns (color, ledger, stats).  The sorting
+    buffer is ``streaming.VOXEL_BATCH_CAPACITY`` as it reads at call time."""
+    ledger, stats = TrafficLedger(), StreamStats()
+    rect = tile_rect(*tile)
+    centers = tile_pixels([tile])[0] + 0.5
+    color = np.zeros((TILE_EDGE * TILE_EDGE, 3))
+    transmittance = np.ones(TILE_EDGE * TILE_EDGE)
+    capacity = streaming_mod.VOXEL_BATCH_CAPACITY
+    order, stats.cycles_broken = schedule_dict_based(
+        traverse_per_visit([tile], camera, grid), voxel_depths(camera, grid)
+    )
+    stats.voxels_scheduled = len(order)
+    for k, vid_r in enumerate(order):
+        if early_exit and np.all(transmittance < T_FREEZE):
+            stats.voxels_skipped_early += len(order) - k
+            break
+        rows = records.rows(vid_r)
+        n = rows.stop - rows.start
+        ledger.charge("coarse-load", COARSE_BYTES_PER_GAUSSIAN * n, n)
+        mask = coarse_filter_per_visit(camera, rect, records.positions[rows],
+                                       records.max_scales[rows], stats.filter)
+        survivors = np.flatnonzero(mask)
+        if not len(survivors):
+            continue
+        splats = stream_fine_per_visit(records, vid_r, survivors, books, ledger)
+        batch = fine_filter_per_visit(camera, rect, survivors, splats, stats.filter)
+        for start in range(0, len(batch), capacity):
+            if start:
+                stats.batch_splits += 1
+            chunk = batch.take(np.arange(start, min(start + capacity, len(batch))))
+            stats.blended += blend(chunk, centers, color, transmittance, trace, pixel_trace)
+    composite_background(color, transmittance, background)
+    ledger.charge("pixel-writeback", PIXEL_BYTES * len(centers), len(centers))
+    return color, ledger, stats
+
+
+def coarse_filter_per_visit(camera, rect, positions, max_scales, stats):
+    """Coarse test of one voxel's first halves, projected on every visit."""
     n = len(positions)
     cam, depth, mean2d = project_means(camera, positions)
     radius = coarse_screen_radius(camera, cam, max_scales)
@@ -167,7 +223,7 @@ def survivor_rows(survivors, count):
     """The rows of a ``count``-splat voxel that the per-visit oracles decode
     and project for ``survivors``.
 
-    ``fine_filter`` projects the whole voxel.  On one row,
+    The renderer projects whole voxels.  On one row,
     ``Camera.to_camera`` takes BLAS's matrix-vector path, on more the
     matrix-matrix path, and under an oblique camera the two can differ in
     the last bit.  So a lone survivor of a larger voxel is projected beside
@@ -178,8 +234,8 @@ def survivor_rows(survivors, count):
     return survivors
 
 
-def stream_fine_per_visit(records, vid_r, survivors, books, ledger, *, decode):
-    """Charges like ``stream_fine`` but always decodes, and only the survivors
+def stream_fine_per_visit(records, vid_r, survivors, books, ledger):
+    """Charges the survivors' second halves and decodes only them
     (``survivor_rows``), each gathered on its own from the voxel's rows."""
     survivors = np.asarray(survivors, dtype=np.int64)
     n = len(survivors)
@@ -201,13 +257,13 @@ def stream_fine_per_visit(records, vid_r, survivors, books, ledger, *, decode):
     return (records.positions[rows], scales, rots, records.opacities[rows], sh, records.ids[rows])
 
 
-def fine_filter_per_visit(cache, rect, vid_r, survivors, splats, stats):
+def fine_filter_per_visit(camera, rect, survivors, splats, stats):
     """Projects the survivors ``stream_fine_per_visit`` decoded, then sorts."""
     n = len(survivors)
     stats.macs_fine += FINE_MACS * n
-    valid, batch, _ = project_splats(cache.camera, *splats)
+    valid, batch, _ = project_splats(camera, *splats)
     valid, batch = valid[:n], batch.take(np.arange(n))  # drop survivor_rows's copy
-    stats.degenerate += int(np.count_nonzero((batch.depth > cache.camera.near) & ~valid))
+    stats.degenerate += int(np.count_nonzero((batch.depth > camera.near) & ~valid))
     mask = valid & disc_overlaps_rect(batch.mean2d, batch.radius, rect)
     stats.fine_survivors += int(mask.sum())
     return batch.take(np.flatnonzero(mask)).sorted_by_depth()

@@ -24,20 +24,14 @@ from voxsplat import (
     render_frame_streaming,
     traffic_breakdown,
 )
-from voxsplat.filtering import (
-    FilterStats,
-    ProjectionCache,
-    coarse_filter,
-    fine_filter,
-    tile_rect,
-)
+from voxsplat.filtering import tile_rect
 from voxsplat.scene import scene_fingerprint
 from voxsplat.scheduler import schedule, traverse, voxel_depths
 from voxsplat.traffic import INTERMEDIATE_STAGES, counts_from_stats
 from voxsplat.voxelstore import encode_records, gather_attribute
 from voxsplat.vq import DEFAULT_ENTRIES, train_codebook
 
-from conftest import constrained_scene
+from conftest import constrained_scene, filter_voxel
 from oracles import depth_table, rows_of, visits_of
 
 SEEDS = tuple(range(20))
@@ -148,11 +142,9 @@ def test_criterion_03_coarse_filter_conservative():
         sh = rng.normal(0, 0.2, size=(n, 16, 3))
         tile = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
         rect = tile_rect(*tile)
-        stats = FilterStats()
-        cache = ProjectionCache(camera, np.empty(0))
-        cmask = coarse_filter(cache, rect, 0, positions, scales.max(axis=1), stats)
-        fine = fine_filter(cache, rect, 0, np.arange(n),
-                           (positions, scales, quats, opac, sh, np.arange(n)), stats)
+        cmask, fine, _ = filter_voxel(camera, rect,
+                                      (positions, scales, quats, opac, sh, np.arange(n)),
+                                      survivors=np.arange(n))
         false_rejects += len(set(fine.ids.tolist()) - set(np.flatnonzero(cmask).tolist()))
         total += n
     ok = total >= 100000 and false_rejects == 0
@@ -222,9 +214,10 @@ def test_criterion_08_scheduler_correctness():
         depth = voxel_depths(camera, grid)
         for _ in range(64):  # several tiles per camera keeps this fast
             tile = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-            (visits,) = traverse([tile], camera, grid)
+            visits = traverse([tile], camera, grid)
             table = rows_of(visits)
-            order, broken = schedule(visits, depth)
+            plan = schedule(visits, depth)
+            order, broken = plan.ids.tolist(), int(plan.broken[0])
             if broken == 0:
                 acyclic_violations += _order_violations(order, table)
             else:
@@ -234,7 +227,8 @@ def test_criterion_08_scheduler_correctness():
                 break
     # crafted cycle: two pixels traverse the same pair in opposite orders
     crafted = [[0, 1], [1, 0]]
-    order, broken = schedule(visits_of(crafted), depth_table({0: 1.0, 1: 2.0}))
+    plan = schedule(visits_of(crafted), depth_table({0: 1.0, 1: 2.0}))
+    order, broken = plan.ids.tolist(), int(plan.broken[0])
     crafted_ok = (broken >= 1 and sorted(order) == [0, 1]
                   and _order_violations(order, crafted) == 1)
     ok = acyclic_violations == 0 and crafted_ok

@@ -190,7 +190,7 @@ def test_dump_dag_is_the_union_of_single_tile_edges(workspace):
     edges = set()
     for ty in range(nty):
         for tx in range(ntx):
-            (visits,) = traverse([(tx, ty)], camera, store.grid)
+            visits = traverse([(tx, ty)], camera, store.grid)
             nodes, src, dst = dependency_graph(visits)
             edges |= set(zip(nodes[src].tolist(), nodes[dst].tolist()))
     assert edges
@@ -210,6 +210,43 @@ def test_camera_narrower_than_a_tile_exits_1_with_one_line(workspace, capsys, wi
     err = capsys.readouterr().err
     assert err.startswith("voxsplat: image size ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cam: {}, "camera JSON is missing 'world_to_camera'"),
+    (lambda cam: [1, 2], "camera JSON must be an object, not list"),
+    (lambda cam: {**cam, "fx": float("nan")}, "camera fx must be finite and positive"),
+    (lambda cam: {**cam, "near": float("nan")}, "camera near must be finite and positive"),
+    (lambda cam: {**cam, "width": 1600000, "height": 1600000}, "exceeds the cap of 16777216"),
+    (lambda cam: {**cam, "world_to_camera": {**cam["world_to_camera"],
+                                             "translation": [0, 0, float("inf")]}},
+     "camera translation must be finite"),
+])
+def test_bad_camera_json_exits_1_with_one_line(workspace, capfd, edit, message):
+    """Run as its own process, so a numpy warning or a traceback would show."""
+    bad = workspace / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads((workspace / "cam.json").read_text()))))
+    src = str(Path(voxsplat.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "voxsplat.cli", "render", "--mode", "streaming", "--voxels",
+         workspace / "scene.gsvx", "--camera", bad, "--out", workspace / "never.png"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("voxsplat: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert not (workspace / "never.png").exists()
+
+
+def test_non_finite_background_is_rejected(workspace, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _run(["render", "--mode", "streaming", "--voxels", workspace / "scene.gsvx",
+              "--camera", workspace / "cam.json", "--out", workspace / "never.png",
+              "--background", "nan,0,0"])
+    assert exit_info.value.code == 2
+    assert "background values must be finite" in capsys.readouterr().err
+    assert not (workspace / "never.png").exists()
 
 
 def test_compare_encodes_once_and_builds_one_flat_scene(workspace):
@@ -247,9 +284,9 @@ def test_threads_below_one_exits_1_with_one_line(workspace, capsys, threads):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
 def test_codebook_error_in_a_render_worker_exits_1_with_one_line(workspace, capfd):
-    def corrupt(records, vid_r, *args, **kwargs):
+    def corrupt(records, vids, *args, **kwargs):
         raise CodebookCorruptionError(f"scale index 99 out of range for 16 entries in voxel "
-                                      f"{vid_r}")
+                                      f"{vids[0]}")
 
     argv = ["render", "--mode", "streaming", "--voxels", workspace / "scene.gsvx",
             "--camera", workspace / "cam.json", "--out", workspace / "never.png",

@@ -1,10 +1,12 @@
 """Vectorized hot loops against their per-splat / per-visit test oracles.
 
 ``blend`` evaluates blocks of splats as one array, ``traverse`` walks the
-rays of a whole tile row at once, ``schedule`` runs Kahn over array-built
-edges, the filters project each voxel once per frame, the store encodes all
-voxels in one call per attribute, and the metrics scan whole arrays; all
-must reproduce the straightforward forms in ``oracles.py`` bit for bit.
+rays of a whole tile row at once, ``schedule`` orders a row's tiles from one
+array-built graph, the renderer streams a row's tiles through the filters
+together in rounds and projects each voxel once per frame, the store
+encodes all voxels in one call per attribute, and the metrics scan whole
+arrays; all must reproduce the straightforward forms in ``oracles.py`` bit
+for bit.
 """
 
 import warnings
@@ -35,22 +37,24 @@ from voxsplat.blending import (
     blend,
 )
 from voxsplat.filtering import (
+    COARSE_MACS,
     FilterStats,
     ProjectedBatch,
     ProjectionCache,
+    coarse_filter,
     fine_filter,
     project_splats,
     tile_rect,
 )
 from voxsplat.reference import render_frame_reference
-from voxsplat.scene import tile_pixels
-from voxsplat.scheduler import schedule, traverse
-from voxsplat.streaming import render_frame_streaming, render_tile_streaming
+from voxsplat.scene import TILE_EDGE, tile_pixels
+from voxsplat.scheduler import TileVisits, schedule, traverse
+from voxsplat.streaming import StreamStats, render_frame_streaming, render_tile_streaming
 from voxsplat.traffic import TrafficLedger
-from voxsplat.voxelstore import VoxelGrid, build_grid, gather_attribute
+from voxsplat.voxelstore import VoxelGrid, build_grid, gather_attribute, stream_fine
 from voxsplat.vq import ATTRIBUTE_DIMS, ATTRIBUTES
 
-from conftest import constrained_scene
+from conftest import constrained_scene, filter_voxel
 from oracles import (
     blend_per_splat,
     cbp_loss_loop,
@@ -59,10 +63,11 @@ from oracles import (
     encode_per_voxel,
     fine_filter_per_visit,
     per_voxel_crossings_loop,
+    render_tile_per_visit,
     rows_of,
     schedule_dict_based,
-    stream_fine_per_visit,
     survivor_rows,
+    tiles_of,
     traverse_per_visit,
     visits_of,
 )
@@ -209,15 +214,15 @@ def _grid(seed):
 def _walks(camera, grid):
     """Every tile's walk four ways: one ``traverse`` per tile row (as the
     renderer walks), one per tile, one for the whole frame, and the per-tile
-    per-visit oracle."""
+    per-visit oracle; each split into one walk per tile."""
     ntx, nty = camera.tile_counts
     rows = [[(tx, ty) for tx in range(ntx)] for ty in range(nty)]
     tiles = [tile for row in rows for tile in row]
     return (
-        [visits for row in rows for visits in traverse(row, camera, grid)],
-        [visits for tile in tiles for visits in traverse([tile], camera, grid)],
-        traverse(tiles, camera, grid),
-        traverse_per_visit(tiles, camera, grid),
+        [visits for row in rows for visits in tiles_of(traverse(row, camera, grid))],
+        [visits for tile in tiles for visits in tiles_of(traverse([tile], camera, grid))],
+        tiles_of(traverse(tiles, camera, grid)),
+        tiles_of(traverse_per_visit(tiles, camera, grid)),
     )
 
 
@@ -271,7 +276,9 @@ def test_ray_table_covers_hits_and_misses():
 
 def test_walk_of_no_tiles_is_empty():
     camera = look_at_camera([0.0, 0.0, -10.0], [0.0, 0.0, 0.0], width=64, height=64)
-    assert traverse([], camera, _grid(0)) == []
+    visits = traverse([], camera, _grid(0))
+    assert tiles_of(visits) == []
+    assert len(visits.ids) == 0 and visits.counts.shape == (0, TILE_EDGE**2)
 
 
 def _cluttered_fixture():
@@ -338,7 +345,8 @@ def _ordering_tables(draw):
 def test_array_schedule_matches_dict_based_oracle(case):
     table, depths = case
     visits, depth = visits_of(table), depth_table(depths)
-    order, broken = schedule(visits, depth)
+    plan = schedule(visits, depth)
+    order, broken = plan.ids.tolist(), int(plan.broken[0])
     want, want_broken = schedule_dict_based(visits, depth)
     assert order == want
     assert broken == want_broken
@@ -394,13 +402,12 @@ def test_projecting_a_whole_voxel_then_taking_equals_projecting_survivors(
         assert _batch_bytes(whole.take(survivors)) == _batch_bytes(alone.take(kept))
 
         for tile in [(1, 1), (2, 1), (0, 3)]:
-            got_stats, want_stats = FilterStats(), FilterStats()
-            got = fine_filter(ProjectionCache(camera, np.empty(0)), tile_rect(*tile), 0,
-                              survivors, splats, got_stats)
-            want = fine_filter_per_visit(
-                ProjectionCache(camera, np.empty(0)), tile_rect(*tile), 0, survivors,
-                tuple(a[rows] for a in splats), want_stats,
-            )
+            _, got, got_stats = filter_voxel(camera, tile_rect(*tile), splats, survivors)
+            # the coarse phase as filter_voxel counts it; the oracle adds the fine phase
+            want_stats = FilterStats(loaded=n, coarse_survivors=len(survivors),
+                                     macs_coarse=COARSE_MACS * n)
+            want = fine_filter_per_visit(camera, tile_rect(*tile), survivors,
+                                         tuple(a[rows] for a in splats), want_stats)
             assert _batch_bytes(got) == _batch_bytes(want)
             assert got_stats.as_dict() == want_stats.as_dict()
 
@@ -433,6 +440,24 @@ def _small_store(seed, encoded):
     return store.encode(books), books
 
 
+def _per_visit_frame(camera, store, books, early_exit):
+    """A frame assembled from ``render_tile_per_visit`` tiles, as
+    (image bytes, ledger dict, stats dict) like ``render_frame_streaming``'s."""
+    ntx, nty = camera.tile_counts
+    image = np.zeros((camera.height, camera.width, 3))
+    ledger, stats = TrafficLedger(), StreamStats()
+    for ty in range(nty):
+        for tx in range(ntx):
+            color, tile_ledger, tile_stats = render_tile_per_visit(
+                (tx, ty), camera, store.grid, store.records, books, early_exit=early_exit)
+            image[ty * TILE_EDGE : (ty + 1) * TILE_EDGE,
+                  tx * TILE_EDGE : (tx + 1) * TILE_EDGE] = color.reshape(TILE_EDGE, TILE_EDGE, 3)
+            ledger.merge(tile_ledger)
+            stats.merge(tile_stats)
+    ledger.macs = {"coarse": stats.filter.macs_coarse, "fine": stats.filter.macs_fine}
+    return image.astype(np.float32).tobytes(), ledger.as_dict(), stats.as_dict()
+
+
 @settings(max_examples=16, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
@@ -456,15 +481,7 @@ def test_frames_match_with_the_per_visit_filters_and_dict_scheduler(
         return image.tobytes(), ledger.as_dict(), stats.as_dict()
 
     fast = frame()
-    with ExitStack() as patches:
-        for name, oracle in [
-            ("coarse_filter", coarse_filter_per_visit),
-            ("stream_fine", stream_fine_per_visit),
-            ("fine_filter", fine_filter_per_visit),
-            ("schedule", schedule_dict_based),
-        ]:
-            patches.enter_context(mock.patch.object(streaming_mod, name, oracle))
-        slow = frame()
+    slow = _per_visit_frame(camera, store, books, early_exit)
     assert fast == slow
     if not early_exit:
         assert fast[2]["voxels_skipped_early"] == 0
@@ -483,6 +500,12 @@ def _one_voxel_store():
     scene = generate_scene(count=60, bounds=Aabb([0.3, 0.3, 0.3], [1.7, 1.7, 1.7]), seed=4,
                            max_extent_fraction=0.2, voxel_edge=2.0, constrained=True)
     return VoxelStore.build(scene, 2.0)
+
+
+def _tile_result(colors, counts, i):
+    """Tile i of a ``render_tile_streaming`` call as (color, ledger, stats) bytes and dicts."""
+    ledger, stats = counts.tally(i)
+    return colors[i].tobytes(), ledger.as_dict(), stats.as_dict()
 
 
 @settings(max_examples=12, deadline=None)
@@ -505,30 +528,30 @@ def test_frame_tiles_match_tiles_rendered_alone(seed, one_voxel, threads, early_
         camera = look_at_camera(rng.uniform(-2.0, 2.0, 3) + [0.0, 0.0, -6.0], [0.0, 0.0, 6.0],
                                 width=48, height=32, focal=100.0)
     in_frame = {}
-    render_tile = streaming_mod.render_tile_streaming
+    render_tiles = streaming_mod.render_tile_streaming
 
-    def recording(tile, camera, grid, records, books, ledger, **kwargs):
-        color, stats = render_tile(tile, camera, grid, records, books, ledger, **kwargs)
-        in_frame[tile] = (color.tobytes(), ledger.as_dict(), stats.as_dict())
-        return color, stats
+    def recording(tiles, camera, grid, records, books, **kwargs):
+        colors, counts = render_tiles(tiles, camera, grid, records, books, **kwargs)
+        for i, tile in enumerate(tiles):
+            in_frame[tile] = _tile_result(colors, counts, i)
+        return colors, counts
 
     def frame(threads):
         image, ledger, stats = render_frame_streaming(camera, store.grid, store.records,
                                                       threads=threads, early_exit=early_exit)
         return image.tobytes(), ledger.as_dict(), stats.as_dict()
 
-    # the recording closure cannot see tiles rendered in worker processes, so
-    # tiles are recorded in-process and a pooled frame must equal that frame
+    # the recording closure cannot see rows rendered in worker processes, so
+    # rows are recorded in-process and a pooled frame must equal that frame
     with mock.patch.object(streaming_mod, "render_tile_streaming", recording):
         one = frame(1)
     if threads > 1:
         assert frame(threads) == one
     assert len(in_frame) == 6
     for tile, want in in_frame.items():
-        ledger = TrafficLedger()
-        color, stats = render_tile_streaming(tile, camera, store.grid, store.records, None,
-                                             ledger, early_exit=early_exit)
-        assert (color.tobytes(), ledger.as_dict(), stats.as_dict()) == want
+        colors, counts = render_tile_streaming([tile], camera, store.grid, store.records, None,
+                                               early_exit=early_exit)
+        assert _tile_result(colors, counts, 0) == want
     if one_voxel:
         assert any(tile_stats["voxels_scheduled"] == 1 for _, _, tile_stats in in_frame.values())
 
@@ -547,6 +570,136 @@ def _cell_scene(n, seed):
         ids=rng.permutation(n),
         bounds=Aabb([0.0] * 3, [6.0] * 3),
     )
+
+
+def _wall_scene(n, seed):
+    """``_cell_scene`` moved one layer of cells back, behind three wide
+    opaque splats in one voxel of the front layer: any tile that schedules
+    that voxel first freezes on its last splat."""
+    cells = _cell_scene(n, seed)
+    rotations = np.zeros((3, 4))
+    rotations[:, 0] = 1.0
+    return Scene(
+        positions=np.concatenate([cells.positions + [0.0, 0.0, 2.0],
+                                  [[3.0, 3.0, 0.9], [3.0, 3.0, 1.0], [3.0, 3.0, 1.1]]]),
+        scales=np.concatenate([cells.scales, np.tile([40.0, 40.0, 0.05], (3, 1))]),
+        rotations=np.concatenate([cells.rotations, rotations]),
+        opacities=np.concatenate([cells.opacities, np.ones(3)]),
+        sh=np.concatenate([cells.sh, np.zeros((3, 16, 3))]),
+        ids=np.concatenate([cells.ids, n + np.arange(3)]),
+        bounds=Aabb([0.0] * 3, [6.0, 6.0, 8.0]),
+    )
+
+
+def _lattice_camera(seed, oblique):
+    """A 3x2-tile camera on the lattice's center: straight down +z, or from a
+    random direction."""
+    rng = np.random.default_rng(seed + 1)
+    eye = [3.0, 3.0, -6.0]
+    if oblique:
+        direction = rng.normal(size=3)
+        eye = 3.0 + direction / np.linalg.norm(direction) * rng.uniform(7.0, 12.0)
+    return look_at_camera(eye, [3.0, 3.0, 3.0], width=48, height=32, focal=40.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+    wall=st.booleans(),
+    encoded=st.booleans(),
+    early_exit=st.booleans(),
+    oblique=st.booleans(),
+    chunk=st.sampled_from([1, 8, 10**6]),
+    capacity=st.sampled_from([2, streaming_mod.VOXEL_BATCH_CAPACITY]),
+)
+# tile (1, 0) freezes on the last wall splat, and the next voxel of its
+# five-voxel schedule has no coarse survivors: the first round streams all
+# five, and the counts must stop at the wall
+@example(n=5, seed=27, wall=True, encoded=False, early_exit=True, oblique=False, chunk=8,
+         capacity=streaming_mod.VOXEL_BATCH_CAPACITY)
+@example(n=30, seed=3, wall=False, encoded=True, early_exit=True, oblique=True, chunk=1,
+         capacity=2)
+def test_batched_row_tiles_match_per_visit_tiles(
+    n, seed, wall, encoded, early_exit, oblique, chunk, capacity
+):
+    store = VoxelStore.build((_wall_scene if wall else _cell_scene)(n, seed), 2.0)
+    books = None
+    if encoded:
+        books = {name: train_codebook(gather_attribute(store.records, name), 4, seed=0,
+                                      attribute=name) for name in ATTRIBUTES}
+        store = store.encode(books)
+    camera = _lattice_camera(seed, oblique)
+    ntx, nty = camera.tile_counts
+    with mock.patch.object(streaming_mod, "FIRST_CHUNK", chunk), \
+            mock.patch.object(streaming_mod, "VOXEL_BATCH_CAPACITY", capacity):
+        for ty in range(nty):
+            row = [(tx, ty) for tx in range(ntx)]
+            colors, counts = render_tile_streaming(row, camera, store.grid, store.records,
+                                                   books, early_exit=early_exit)
+            for i, tile in enumerate(row):
+                color, ledger, stats = render_tile_per_visit(
+                    tile, camera, store.grid, store.records, books, early_exit=early_exit)
+                want = (color.tobytes(), ledger.as_dict(), stats.as_dict())
+                assert _tile_result(colors, counts, i) == want
+
+
+@st.composite
+def _row_tables(draw):
+    """A row of tiles with the same number of rays each, over a few voxels
+    with tied, signed-zero and distinct depths; rays repeat voxels,
+    contradict each other (cycles), run against depth order, or are empty."""
+    vids = draw(st.lists(st.integers(0, 300), min_size=1, max_size=10, unique=True))
+    depth = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(-5.0, 60.0))
+    depths = {v: draw(depth) for v in vids}
+    rays = draw(st.integers(0, 6))
+    ray = st.lists(st.sampled_from(vids), max_size=6)
+    tiles = draw(st.lists(st.lists(ray, min_size=rays, max_size=rays), max_size=5))
+    return tiles, depths
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_row_tables())
+@example(case=([], {1: 1.0}))
+@example(case=([[[9, 3], []], [[], []], [[3, 9], [9, 3]], [[3, 9], [3]]], {3: 0.0, 9: -0.0}))
+@example(case=([[[5, 5, 7], [7, 1, 5]], [[1, 7], [5]]], {1: 1.0, 5: 1.0, 7: 0.5}))
+def test_row_schedule_matches_dict_based_oracle_tile_by_tile(case):
+    tiles, depths = case
+    walks = [visits_of(rays) for rays in tiles]
+    rays = len(tiles[0]) if tiles else 0
+    visits = TileVisits(np.concatenate([w.ids for w in walks] + [np.empty(0, dtype=np.int64)]),
+                        np.array([w.counts for w in walks], dtype=np.int64).reshape(len(tiles), rays))
+    depth = depth_table(depths)
+    plan = schedule(visits, depth)
+    assert len(plan.offsets) == len(tiles) + 1
+    for t, walk in enumerate(walks):
+        want, want_broken = schedule_dict_based(walk, depth)
+        assert plan.ids[plan.offsets[t] : plan.offsets[t + 1]].tolist() == want
+        assert plan.broken[t] == want_broken
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**16), oblique=st.booleans())
+# one-splat voxels under an oblique camera: projected among other voxels on
+# the matrix-matrix path, they would differ in the last bit from alone
+@example(n=20, seed=0, oblique=True)
+def test_projecting_many_voxels_at_once_equals_voxel_by_voxel(n, seed, oblique):
+    records = VoxelStore.build(_cell_scene(n, seed), 2.0).records
+    camera = _lattice_camera(seed, oblique)
+    cache = ProjectionCache(camera, np.empty(0), records.offsets)
+    vids = np.arange(len(records))
+    rows, splats = stream_fine(records, vids, None)
+    rect = (0.0, 0.0, float(camera.width), float(camera.height))
+    coarse = coarse_filter(cache, rows, splats[0], records.max_scales[rows], rect)
+    fine_filter(cache, rows, np.zeros(len(rows), dtype=np.int64), rect, (vids, rows, splats))
+    for r in vids.tolist():
+        part = records.rows(r)
+        valid, alone, _ = project_splats(camera, *(a[part] for a in splats))
+        assert cache.valid[part].tobytes() == valid.tobytes()
+        assert _batch_bytes(cache.batch.take(part)) == _batch_bytes(alone)
+        want = coarse_filter_per_visit(camera, rect, records.positions[part],
+                                       records.max_scales[part], FilterStats())
+        assert coarse[part].tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

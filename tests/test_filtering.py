@@ -9,12 +9,13 @@ from voxsplat.filtering import (
     ProjectionCache,
     coarse_filter,
     disc_overlaps_rect,
-    fine_filter,
     project_splats,
     quat_to_rotmat,
     tile_rect,
 )
 from voxsplat.sh import evaluate_sh
+
+from conftest import filter_voxel
 
 
 def _camera():
@@ -92,40 +93,36 @@ def test_isotropic_splat_has_symmetric_conic():
     assert b == pytest.approx(0.0, abs=1e-5)
 
 
+def _coarse_one(camera, rect, positions, max_scales):
+    cache = ProjectionCache(camera, np.empty(0), np.array([0, len(positions)]))
+    return coarse_filter(cache, np.arange(len(positions)), positions, max_scales, rect)
+
+
 def test_behind_camera_rejected_by_coarse():
     camera = _camera()
-    stats = FilterStats()
-    mask = coarse_filter(
-        ProjectionCache(camera, np.empty(0)), tile_rect(8, 8), 0, np.array([[0.0, 0.0, -20.0]]),
-        np.array([1.0]), stats,
-    )
+    pos = np.array([[0.0, 0.0, -20.0]])
+    mask = _coarse_one(camera, tile_rect(8, 8), pos, np.array([1.0]))
+    stats = FilterStats.counted(len(pos), int(mask.sum()), 0, 0)
     assert not mask[0]
     assert stats.loaded == 1 and stats.coarse_survivors == 0
 
 
 def test_center_of_tile_passes_coarse():
     camera = _camera()
-    stats = FilterStats()
-    mask = coarse_filter(
-        ProjectionCache(camera, np.empty(0)), tile_rect(8, 8), 0, np.array([[0.0, 0.0, 0.0]]),
-        np.array([0.01]), stats,
-    )
+    mask = _coarse_one(camera, tile_rect(8, 8), np.array([[0.0, 0.0, 0.0]]), np.array([0.01]))
     assert mask[0]
 
 
 def test_mac_charges_are_55_and_427():
     camera = _camera()
-    stats = FilterStats()
     pos = np.array([[0.0, 0.0, 0.0]])
-    cache = ProjectionCache(camera, np.empty(0))
-    mask = coarse_filter(cache, tile_rect(8, 8), 0, pos, np.array([0.1]), stats)
-    assert stats.macs_coarse == 55 == COARSE_MACS
-    fine_filter(
-        cache, tile_rect(8, 8), 0, np.array([0]),
+    mask, batch, stats = filter_voxel(
+        camera, tile_rect(8, 8),
         (pos, np.full((1, 3), 0.1), np.array([[1.0, 0, 0, 0]]), np.array([0.5]),
          np.zeros((1, 16, 3)), np.array([0])),
-        stats,
     )
+    assert mask[0] and len(batch) == 1
+    assert stats.macs_coarse == 55 == COARSE_MACS
     assert stats.macs_coarse + stats.macs_fine == 427
     assert FINE_MACS == 427 - 55
 
@@ -142,10 +139,8 @@ def test_conservativeness_fine_pass_implies_coarse_pass():
         scales *= rng.uniform(0.05, 2.0)  # include near-zero and large splats
         tile = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
         rect = tile_rect(*tile)
-        stats = FilterStats()
-        cache = ProjectionCache(camera, np.empty(0))
-        cmask = coarse_filter(cache, rect, 0, pos, scales.max(axis=1), stats)
-        fine = fine_filter(cache, rect, 0, np.arange(n), (pos, scales, q, opac, sh, ids), stats)
+        cmask, fine, _ = filter_voxel(camera, rect, (pos, scales, q, opac, sh, ids),
+                                      survivors=np.arange(n))
         fine_ids = set(fine.ids.tolist())
         coarse_ids = set(np.asarray(ids)[cmask].tolist())
         assert fine_ids <= coarse_ids
@@ -160,10 +155,7 @@ def test_filter_stats_monotone():
     for _ in range(10):
         pos, scales, q, opac, sh, ids = _random_inputs(rng, 100)
         rect = tile_rect(int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-        cache = ProjectionCache(camera, np.empty(0))
-        cmask = coarse_filter(cache, rect, 0, pos, scales.max(axis=1), stats)
-        sel = np.flatnonzero(cmask)
-        fine_filter(cache, rect, 0, sel, (pos, scales, q, opac, sh, ids), stats)
+        stats.merge(filter_voxel(camera, rect, (pos, scales, q, opac, sh, ids))[2])
         stats.check()
 
 
@@ -171,9 +163,8 @@ def test_emitted_conics_positive_definite():
     rng = np.random.default_rng(24)
     camera = _camera()
     pos, scales, q, opac, sh, ids = _random_inputs(rng, 2000)
-    stats = FilterStats()
-    batch = fine_filter(ProjectionCache(camera, np.empty(0)), tile_rect(7, 9), 0,
-                        np.arange(len(pos)), (pos, scales, q, opac, sh, ids), stats)
+    _, batch, _ = filter_voxel(camera, tile_rect(7, 9), (pos, scales, q, opac, sh, ids),
+                               survivors=np.arange(len(pos)))
     a, b, c = batch.conic[:, 0], batch.conic[:, 1], batch.conic[:, 2]
     assert np.all(a > 0) and np.all(c > 0) and np.all(a * c - b * b > 0)
     assert np.all(batch.depth > camera.near)
@@ -184,12 +175,11 @@ def test_fine_color_is_sh_toward_center():
     camera = _camera()
     pos = np.array([[0.3, -0.2, 0.5]])
     sh = rng.normal(0, 0.3, size=(1, 16, 3))
-    stats = FilterStats()
-    batch = fine_filter(
-        ProjectionCache(camera, np.empty(0)), tile_rect(8, 8), 0, np.array([0]),
+    _, batch, _ = filter_voxel(
+        camera, tile_rect(8, 8),
         (pos, np.full((1, 3), 0.3), np.array([[1.0, 0, 0, 0]]), np.array([0.7]), sh,
          np.array([4])),
-        stats,
+        survivors=np.array([0]),
     )
     d = pos[0] - camera.position
     want = evaluate_sh(sh[0], d / np.linalg.norm(d))

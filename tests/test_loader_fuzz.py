@@ -1,5 +1,6 @@
-"""The PLY, GSVX and GSVQ loaders against hostile bytes: whatever a file
-holds, a loader returns or raises a ``VoxsplatError``, never anything else."""
+"""The PLY, GSVX and GSVQ loaders against hostile bytes, and camera JSON
+against hostile values: whatever a file holds, a loader returns or raises a
+``VoxsplatError``, never anything else."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from voxsplat import (
     Aabb,
+    Camera,
     VoxelStore,
     generate_scene,
     load_codebooks,
@@ -18,6 +20,7 @@ from voxsplat import (
     train_codebook,
 )
 from voxsplat.errors import (
+    CameraFormatError,
     CodebookCorruptionError,
     PlyParseError,
     PlySchemaError,
@@ -128,3 +131,51 @@ def test_non_finite_values_raise_each_loaders_error(files):
         data = valid[kind][:at] + NAN + valid[kind][at + 4:]
         with pytest.raises(error, match="non-finite"):
             _load(kind, path, data)
+
+
+_CAMERA = {
+    "width": 64, "height": 48, "fx": 60.0, "fy": 60.0, "cx": 32.0, "cy": 24.0,
+    "world_to_camera": {"rotation": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                        "translation": [0.0, 0.0, 10.0]},
+    "near": 0.1,
+}
+_ODD_VALUES = st.sampled_from([float("nan"), float("inf"), -float("inf"), 0, 0.0, -1.0, 1e300,
+                               2**64, 1600000, -16, True, None, "x", [], [1.0], {}, [[1.0]]])
+
+
+@st.composite
+def _camera_json(draw):
+    """The valid camera with keys deleted, values swapped for other types and
+    NaN, infinite, zero and huge values, or replaced by a non-object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([[], [1, 2], "camera", 3.5, None]))
+    obj = {k: (dict(v) if isinstance(v, dict) else v) for k, v in _CAMERA.items()}
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(obj) + ["rotation", "translation"]))
+        target = obj.get("world_to_camera") if key in ("rotation", "translation") else obj
+        if not isinstance(target, dict):
+            continue
+        if draw(st.booleans()):
+            target.pop(key, None)
+        elif key == "translation" and draw(st.booleans()):
+            target[key] = [0.0, 0.0, draw(_ODD_VALUES)]
+        else:
+            target[key] = draw(_ODD_VALUES)
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_camera_json())
+@example(obj={})
+@example(obj=[1, 2])
+@example(obj={**_CAMERA, "fx": float("nan")})
+@example(obj={**_CAMERA, "near": float("nan")})
+@example(obj={**_CAMERA, "width": 1600000, "height": 1600000})
+def test_camera_json_raises_only_camera_format_errors(obj):
+    try:
+        camera = Camera.from_json(obj)
+    except CameraFormatError:
+        return
+    assert camera.width * camera.height <= 1 << 24
+    assert all(np.isfinite(v) for v in (camera.fx, camera.fy, camera.cx, camera.cy, camera.near))
+    assert camera.fx > 0 and camera.fy > 0 and camera.near > 0

@@ -6,7 +6,6 @@ import pytest
 from voxsplat import (
     Aabb,
     Scene,
-    TrafficLedger,
     build_grid,
     generate_scene,
     look_at_camera,
@@ -192,17 +191,22 @@ def test_vq_render_stays_close_to_reference():
     assert ledger.bytes["fine-load"] == 12 * ledger.records["fine-load"]
 
 
+def _tile(tile, camera, grid, records, **kwargs):
+    """One tile rendered on its own: (color, ledger, stats)."""
+    colors, counts = render_tile_streaming([tile], camera, grid, records, None, **kwargs)
+    return (colors[0], *counts.tally(0))
+
+
 def test_sort_buffer_overflow_splits_without_changing_output():
     scene = generate_scene(count=1500, bounds=Aabb([-3, -3, -2], [3, 3, 2]), seed=7,
                            max_extent_fraction=0.6)
     camera = look_at_camera([0, 0, -9], [0, 0, 0])
     grid, records = build_grid(scene, 2.0)
     tile = (8, 8)
-    base, base_stats = render_tile_streaming(tile, camera, grid, records, None,
-                                             TrafficLedger())
+    base, _, base_stats = _tile(tile, camera, grid, records)
     assert base_stats.filter.fine_survivors > 4
     with mock.patch.object(streaming, "VOXEL_BATCH_CAPACITY", 2):
-        tiny, stats = render_tile_streaming(tile, camera, grid, records, None, TrafficLedger())
+        tiny, _, stats = _tile(tile, camera, grid, records)
     assert stats.batch_splits > 0
     assert np.array_equal(base, tiny)
 
@@ -212,8 +216,8 @@ def test_blend_traces_tile_and_pixel():
     camera = look_at_camera([0, 0, -10], [0, 0, 0])
     grid, records = build_grid(scene, 2.0)
     tile_trace, px_trace = [], []
-    _, stats = render_tile_streaming((8, 8), camera, grid, records, None, TrafficLedger(),
-                                     trace=tile_trace, pixel_trace=(136, px_trace))
+    _, _, stats = _tile((8, 8), camera, grid, records, trace=tile_trace,
+                        pixel_trace=(136, px_trace))
     assert len(tile_trace) == stats.blended
     assert len(px_trace) <= len(tile_trace)
     # pixel trace only holds splats that contributed, so its pairs appear in the tile trace
@@ -227,8 +231,6 @@ def test_tile_render_empty_schedule_is_background():
         2.0,
     )
     camera = look_at_camera([0, 0, -5], [0, 0, 0])
-    ledger = TrafficLedger()
-    color, stats = render_tile_streaming((3, 4), camera, grid, records, None, ledger,
-                                         background=(0.25, 0.5, 0.75))
+    color, ledger, stats = _tile((3, 4), camera, grid, records, background=(0.25, 0.5, 0.75))
     assert np.allclose(color, [0.25, 0.5, 0.75])
     assert stats.voxels_scheduled == 0

@@ -17,8 +17,14 @@ from oracles import depth_table, rows_of, visits_of
 
 def _walk(tile, camera, grid):
     """One tile's walk through ``traverse``, as one list per ray."""
-    (visits,) = traverse([tile], camera, grid)
-    return rows_of(visits)
+    return rows_of(traverse([tile], camera, grid))
+
+
+def _schedule(visits, depth):
+    """``schedule`` of a one-tile walk, as (order, cycles broken)."""
+    plan = schedule(visits, depth)
+    assert plan.offsets.tolist() == [0, len(plan.ids)]
+    return plan.ids.tolist(), int(plan.broken[0])
 
 
 def _axis_camera():
@@ -123,14 +129,14 @@ def _full_order_violations(order, table):
 def test_single_pixel_schedule_is_its_list():
     table = [[3, 1, 2]]
     depths = {1: 5.0, 2: 6.0, 3: 4.0}
-    order, broken = schedule(visits_of(table), depth_table(depths))
+    order, broken = _schedule(visits_of(table), depth_table(depths))
     assert order == [3, 1, 2]
     assert broken == 0
 
 
 def test_two_pixel_chain_satisfies_all_constraints():
     table = [[0, 1], [1, 2]]
-    order, broken = schedule(visits_of(table), depth_table({0: 1.0, 1: 2.0, 2: 3.0}))
+    order, broken = _schedule(visits_of(table), depth_table({0: 1.0, 1: 2.0, 2: 3.0}))
     assert _violations(order, table) == 0
     assert _full_order_violations(order, table) == 0
     assert sorted(order) == [0, 1, 2]
@@ -139,7 +145,7 @@ def test_two_pixel_chain_satisfies_all_constraints():
 
 def test_crafted_two_cycle_terminates_and_counts():
     table = [[0, 1], [1, 0]]
-    order, broken = schedule(visits_of(table), depth_table({0: 2.0, 1: 3.0}))
+    order, broken = _schedule(visits_of(table), depth_table({0: 2.0, 1: 3.0}))
     assert sorted(order) == [0, 1]
     assert broken == 1
     assert _violations(order, table) == 1  # exactly one constraint had to give
@@ -150,8 +156,8 @@ def test_schedule_deterministic():
     table = [list(rng.permutation(10)[: rng.integers(2, 8)]) for _ in range(40)]
     table = [[int(v) for v in row] for row in table]
     depths = {v: float(rng.uniform(1, 9)) for v in range(10)}
-    a = schedule(visits_of(table), depth_table(depths))
-    b = schedule(visits_of([list(r) for r in table]), depth_table(dict(depths)))
+    a = _schedule(visits_of(table), depth_table(depths))
+    b = _schedule(visits_of([list(r) for r in table]), depth_table(dict(depths)))
     assert a[0] == b[0] and a[1] == b[1]
 
 
@@ -164,10 +170,10 @@ def test_random_tiles_acyclic_constraints_all_hold():
         eye = rng.uniform([-3, -3, -14], [3, 3, -8])
         camera = look_at_camera(eye, rng.uniform(-2, 2, size=3))
         tile = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-        (visits,) = traverse([tile], camera, grid)
+        visits = traverse([tile], camera, grid)
         table = rows_of(visits)
         seen = {v for row in table for v in row}
-        order, broken = schedule(visits, voxel_depths(camera, grid))
+        order, broken = _schedule(visits, voxel_depths(camera, grid))
         assert sorted(order) == sorted(seen)
         if broken == 0:
             assert _violations(order, table) == 0

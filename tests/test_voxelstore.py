@@ -12,6 +12,7 @@ from voxsplat.voxelstore import (
     ENCODED_FINE_BYTES,
     MAX_GRID_CELLS,
     RAW_FINE_STREAM_BYTES,
+    charge_loads,
     encode_records,
     gather_attribute,
     load_store,
@@ -114,7 +115,8 @@ def test_stream_coarse_charges_16_bytes_per_splat():
     counts = np.diff(records.offsets)
     r = int(np.argmax(counts))
     ledger = TrafficLedger()
-    pos, smax = stream_coarse(records, r, ledger)
+    rows, pos, smax = stream_coarse(records, [r])
+    charge_loads(ledger, records.encoded, len(rows), 0)
     assert ledger.bytes["coarse-load"] == 16 * counts[r]
     assert COARSE_BYTES_PER_GAUSSIAN == 16
     assert len(pos) == counts[r] and len(smax) == counts[r]
@@ -126,17 +128,20 @@ def test_stream_fine_charges_survivors_only():
     counts = np.diff(records.offsets)
     r = int(np.argmax(counts))
     ledger = TrafficLedger()
-    out = stream_fine(records, r, np.array([], dtype=np.int64), None, ledger, decode=True)
+    rows, _ = stream_fine(records, [r], None)
+    charge_loads(ledger, records.encoded, 0, 0)
     assert ledger.bytes["fine-load"] == 0
     survivors = np.arange(min(3, counts[r]))
-    stream_fine(records, r, survivors, None, ledger, decode=True)
+    charge_loads(ledger, records.encoded, 0, len(survivors))
     assert ledger.bytes["fine-load"] == RAW_FINE_STREAM_BYTES * len(survivors)
+    assert len(rows) == counts[r]
 
     books = {name: train_codebook(gather_attribute(records, name), 16, seed=0, attribute=name)
              for name in DEFAULT_ENTRIES}
     enc = encode_records(records, books)
     ledger2 = TrafficLedger()
-    stream_fine(enc, r, np.array([0]), books, ledger2, decode=True)
+    stream_fine(enc, [r], books)
+    charge_loads(ledger2, enc.encoded, 0, 1)
     assert ledger2.bytes["fine-load"] == 12
     assert ENCODED_FINE_BYTES == 12
 
@@ -149,7 +154,7 @@ def test_fine_bytes_never_touch_non_survivors():
     for r in range(len(records)):
         max_scales = records.max_scales[records.rows(r)]
         survivors = np.flatnonzero(max_scales > np.median(max_scales))
-        stream_fine(records, r, survivors, None, ledger, decode=True)
+        charge_loads(ledger, records.encoded, 0, len(survivors))
         total += len(survivors)
     assert ledger.bytes["fine-load"] == RAW_FINE_STREAM_BYTES * total
     assert ledger.records["fine-load"] == total
@@ -162,7 +167,8 @@ def test_full_sweep_coarse_bytes_scale_with_visits():
     visits = 3
     for _ in range(visits):
         for r in range(len(records)):
-            stream_coarse(records, r, ledger)
+            rows, _, _ = stream_coarse(records, [r])
+            charge_loads(ledger, records.encoded, len(rows), 0)
     assert ledger.bytes["coarse-load"] == 16 * len(scene) * visits
 
 
@@ -222,8 +228,7 @@ def test_encoded_records_refuse_double_encode():
     with pytest.raises(ValueError, match="already encoded"):
         encode_records(enc, books)
     with pytest.raises(ValueError, match="codebooks"):
-        ledger = TrafficLedger()
-        stream_fine(enc, 0, np.array([0]), None, ledger, decode=True)
+        stream_fine(enc, [0], None)
 
 
 def test_encode_rejects_a_codebook_of_the_wrong_dim():
@@ -274,7 +279,7 @@ def test_out_of_range_vq_index_is_corruption_error_naming_attribute_and_voxel(
     last = len(enc) - 1
     with pytest.raises(CodebookCorruptionError,
                        match=f"{attribute} index .* in voxel {last}$"):
-        stream_fine(enc, last, np.array([0]), books, TrafficLedger(), decode=True)
+        stream_fine(enc, [last], books)
 
 
 def _store_header(edge=2.0, origin=(0.0, 0.0, 0.0), dims=(2, 2, 2), vids=(0, 3)):

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from voxsplat import Scene, TrafficLedger, VoxelStore, vq
+from voxsplat import Scene, VoxelStore, vq
 from voxsplat.errors import CodebookCorruptionError
 from voxsplat.voxelstore import stream_fine
 from voxsplat.vq import (
@@ -181,6 +181,20 @@ def test_training_holds_no_distance_matrix_with_a_row_per_vector():
     assert peak < 2000 * 512 * 8  # one float64 (vectors, entries) matrix
 
 
+def test_training_holds_one_chunk_of_distances_at_a_time():
+    """5,000 vectors against 4,096 entries go through in 1,000-row chunks:
+    the peak stays within a quarter of one chunk's 32.8 MB distance matrix."""
+    vectors = np.random.default_rng(0).normal(size=(5000, 3))
+    tracemalloc.start()
+    try:
+        train_codebook(vectors, 4096, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = 1000 * 4096 * 8
+    assert peak < 1.25 * chunk
+
+
 def test_decode_encode_round_trip_error_is_nearest_distance():
     rng = np.random.default_rng(6)
     books = _books_from(rng)
@@ -196,7 +210,7 @@ def test_decode_is_identity_on_centroid_valued_splat():
     books = _books_from(rng)
     e = _encoded_splat(books, [1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], np.zeros((16, 3)), 0.25)
     e.scale_idx[0], e.rot_idx[0], e.dc_idx[0], e.sh_idx[0] = 2, 3, 4, 5
-    _, scale, rot, op, sh, _ = stream_fine(e, 0, [0], books, TrafficLedger(), decode=True)
+    _, (_, scale, rot, op, sh, _) = stream_fine(e, [0], books)
     assert np.allclose(scale[0], books["scale"].entries[2])
     assert np.allclose(sh[0, 0], books["dc"].entries[4])
     assert op[0] == 0.25
@@ -210,7 +224,7 @@ def test_out_of_range_index_is_corruption_error():
     bad = _encoded_splat(books, [1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], np.zeros((16, 3)), 0.5)
     bad.scale_idx[0], bad.rot_idx[0], bad.dc_idx[0], bad.sh_idx[0] = 16, 0, 0, 0
     with pytest.raises(CodebookCorruptionError, match="16"):
-        stream_fine(bad, 0, [0], books, TrafficLedger(), decode=True)
+        stream_fine(bad, [0], books)
 
 
 def test_reported_mse_matches_recomputation_from_entries():
