@@ -150,7 +150,7 @@ def schedule(visits: TileVisits, depth: np.ndarray) -> RowSchedule:
     nodes, local = np.unique(tile_of_visit * stride + visits.ids, return_inverse=True)
     n = len(nodes)
     src, dst = _edges(local, counts, n)
-    node_tile, node_id = np.divmod(nodes, stride) if stride else (nodes, nodes)
+    node_tile, node_id = np.divmod(nodes, max(stride, 1))
     node_depth = depth[node_id]
     offsets = np.searchsorted(node_tile, np.arange(tiles + 1))
     ds, dd = node_depth[src], node_depth[dst]
