@@ -68,11 +68,10 @@ class TileCounts:
 
     def tally(self, tiles=slice(None)) -> tuple[TrafficLedger, StreamStats]:
         """The ledger and stats of the selected tiles (an index or a slice), summed."""
-        loaded, coarse, fine, degenerate, scheduled, skipped, broken, splits, blended = (
-            int(np.sum(getattr(self, f.name)[tiles])) for f in fields(self)[1:]
-        )
-        stats = StreamStats(FilterStats.counted(loaded, coarse, fine, degenerate),
-                            scheduled, skipped, broken, splits, blended)
+        total = {f.name: int(np.sum(getattr(self, f.name)[tiles])) for f in fields(self)[1:]}
+        loaded, coarse = total.pop("loaded"), total.pop("coarse_survivors")
+        fine, degenerate = total.pop("fine_survivors"), total.pop("degenerate")
+        stats = StreamStats(FilterStats.counted(loaded, coarse, fine, degenerate), **total)
         stats.filter.check()
         ledger = TrafficLedger()
         charge_loads(ledger, self.encoded, loaded, coarse)
