@@ -224,6 +224,14 @@ def test_blend_traces_tile_and_pixel():
     assert set(px_trace) <= set(tile_trace)
 
 
+def test_blend_traces_need_a_single_tile():
+    scene = constrained_scene(seed=8, count=100)
+    camera = look_at_camera([0, 0, -10], [0, 0, 0])
+    grid, records = build_grid(scene, 2.0)
+    with pytest.raises(ValueError, match="single tile"):
+        render_tile_streaming([(7, 8), (8, 8)], camera, grid, records, None, trace=[])
+
+
 def test_tile_render_empty_schedule_is_background():
     grid, records = build_grid(
         Scene(positions=np.empty((0, 3)), scales=np.empty((0, 3)), rotations=np.empty((0, 4)),
