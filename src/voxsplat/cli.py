@@ -237,8 +237,17 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a ``VoxsplatError``, which ``main`` prints
+    as one line with exit code 1 like any other bad input; subcommand
+    parsers are of this class too."""
+
+    def error(self, message):
+        raise VoxsplatError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="voxsplat")
+    parser = _Parser(prog="voxsplat")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-scene", help="write a procedural splat point cloud")
@@ -295,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("VOXSPLAT_LOG", "WARNING").upper())
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (VoxsplatError, ValueError, OSError, RuntimeError) as exc:
         print(f"voxsplat: {exc}", file=sys.stderr)

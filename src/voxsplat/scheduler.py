@@ -1,9 +1,10 @@
 """Per-tile voxel ordering: exact grid traversal and dependency-driven sort.
 
 The pixel rays of a list of tiles are walked through the voxel grid together
-with an incremental 3D DDA.  Every ray advances in lockstep but
-independently of the others, so a ray's visits do not depend on which rays
-share its walk; each yields the non-empty voxels it crosses, front-to-back.
+with an incremental 3D DDA on one array per axis.  Every ray still inside
+the grid advances one cell per step, independently of the others, so a
+ray's visits do not depend on which rays share its walk; each yields the
+non-empty voxels it crosses, front-to-back.
 Consecutive voxels of each ray become edges of a dependency graph; a
 deterministic Kahn pass (nearest voxel first) emits one global order per
 tile.  Conflicting per-pixel orders are geometrically possible, so cycles
@@ -54,53 +55,75 @@ def traverse(tiles, camera: Camera, grid: VoxelGrid) -> TileVisits:
         if not (0 <= tx < ntx and 0 <= ty < nty):
             raise ValueError(f"tile {(tx, ty)} outside a {ntx}x{nty} tile grid")
     pixels = tile_pixels(tiles).reshape(-1, 2)
-    visits = _ray_visits(camera.position, camera.ray_directions(pixels[:, 0], pixels[:, 1]), grid)
-    hit = visits >= 0
-    # row-major: ray after ray, each in step order
-    counts = np.count_nonzero(hit, axis=1).reshape(len(pixels) // TILE_EDGE**2, TILE_EDGE**2)
-    return TileVisits(visits[hit], counts)
+    dirs = camera.ray_directions(pixels[:, 0], pixels[:, 1])
+    rays, ids = _walk(camera.position, dirs, grid)
+    counts = np.bincount(rays, minlength=len(pixels))
+    return TileVisits(ids, counts.reshape(len(pixels) // TILE_EDGE**2, TILE_EDGE**2))
 
 
-def _ray_visits(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> np.ndarray:
-    """(rays, steps) renamed ids of the non-empty voxel each ray is in at each
-    DDA step, -1 where the ray is in an empty voxel or has left the grid."""
-    n = len(dirs)
+def _walk(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
+    """3D DDA (Amanatides & Woo) of the rays with (rays, 3) directions ``dirs``:
+    the ray and renamed id of every non-empty voxel visit, ray after ray and
+    front to back along each ray.
+
+    Each axis is one array row, so the step axis, the first smallest face
+    distance as ``np.argmin`` picks it, takes two compares, and a ray leaves
+    the arrays once it leaves the grid.  A ray parallel to a face far from
+    the grid has slab distances that overflow to +-inf, which is the right
+    answer: it misses.
+    """
+    lo, hi = grid.origin[:, None], (grid.origin + grid.dims * grid.edge)[:, None]
+    o, dims = origin[:, None], grid.dims[:, None]
+    d = dirs.T.copy()
+    d[np.abs(d) < 1e-300] = 1e-300
+    with np.errstate(over="ignore"):
+        t_lo, t_hi = (lo - o) / d, (hi - o) / d
+        near, far = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+        t_enter = np.maximum(np.maximum(np.maximum(near[0], near[1]), near[2]), 0.0)
+        t_exit = np.minimum(np.minimum(far[0], far[1]), far[2])
+        hits = t_enter < t_exit
+        rays = np.flatnonzero(hits)
+        d, t_enter, t_exit = np.compress(hits, d, axis=1), t_enter[rays], t_exit[rays]
+        # nudge inside the box so the start cell is unambiguous
+        start = o + (t_enter * (1.0 + 1e-12) + 1e-12) * d
+        cell = np.clip(np.floor((start - lo) / grid.edge).astype(np.int64), 0, dims - 1)
+        ahead = d > 0
+        # per axis: ray parameter of the next face and between faces
+        times = np.concatenate([(lo + (cell + ahead) * grid.edge - o) / d,
+                                grid.edge / np.abs(d), t_exit[None]])
+    # per axis: steps left inside the grid and the signed stride of the flat cell index
+    strides = np.array([1, grid.dims[0], grid.dims[0] * grid.dims[1]])[:, None]
+    state = np.concatenate([np.where(ahead, dims - 1 - cell, cell), np.where(ahead, strides, -strides),
+                            grid.vid_of_cell(cell.T)[None], rays[None]])
     rename = grid.dense_renaming()
-    lo = grid.origin
-    hi = grid.origin + grid.dims * grid.edge
-
-    d = np.where(np.abs(dirs) < 1e-300, 1e-300, dirs)
-    t_lo = (lo[None, :] - origin[None, :]) / d
-    t_hi = (hi[None, :] - origin[None, :]) / d
-    t_enter = np.maximum(np.minimum(t_lo, t_hi).max(axis=1), 0.0)
-    t_exit = np.maximum(t_lo, t_hi).min(axis=1)
-    active = t_enter < t_exit
-
-    # nudge inside the box so the start cell is unambiguous
-    start = origin[None, :] + (t_enter * (1.0 + 1e-12) + 1e-12)[:, None] * d
-    cell = np.floor((start - lo[None, :]) / grid.edge).astype(np.int64)
-    cell = np.clip(cell, 0, np.asarray(grid.dims) - 1)
-
-    step = np.where(d > 0, 1, -1).astype(np.int64)
-    next_face = lo[None, :] + (cell + (step > 0)) * grid.edge
-    t_next = (next_face - origin[None, :]) / d
-    t_delta = grid.edge / np.abs(d)
-
-    steps = []
-    rows = np.arange(n)
-    max_steps = int(np.asarray(grid.dims).sum()) + 3
-    for _ in range(max_steps):
-        if not active.any():
-            break
-        vids = grid.vid_of_cell(cell)
-        steps.append(np.where(active, rename[np.clip(vids, 0, len(rename) - 1)], -1))
-        axis = np.argmin(t_next, axis=1)
-        t_hit = t_next[rows, axis]
-        cell[rows, axis] += step[rows, axis]
-        t_next[rows, axis] += t_delta[rows, axis]
-        inside = (cell[rows, axis] >= 0) & (cell[rows, axis] < np.asarray(grid.dims)[axis])
-        active = active & inside & (t_hit < t_exit)
-    return np.stack(steps, axis=1) if steps else np.full((n, 0), -1, dtype=np.int64)
+    out_rays, out_ids = [], []
+    while state.shape[1]:
+        tx, ty, tz, dx, dy, dz, t_exit = times
+        lx, ly, lz, sx, sy, sz, flat, rays = state
+        out_rays.append(rays.copy())  # not a view, which would keep this state alive
+        out_ids.append(rename[flat])
+        x = (tx <= ty) & (tx <= tz)
+        y = (ty <= tz) & ~x
+        z = ~(x | y)
+        live = np.minimum(np.minimum(tx, ty), tz) < t_exit
+        with np.errstate(over="ignore"):
+            np.putmask(tx, x, tx + dx)
+            np.putmask(ty, y, ty + dy)
+            np.putmask(tz, z, tz + dz)
+        flat += sx * x + sy * y + sz * z
+        lx -= x
+        ly -= y
+        lz -= z
+        live &= (lx | ly | lz) >= 0
+        if not live.all():
+            times, state = np.compress(live, times, axis=1), np.compress(live, state, axis=1)
+    rays = np.concatenate(out_rays) if out_rays else np.empty(0, dtype=np.int64)
+    ids = np.concatenate(out_ids) if out_ids else np.empty(0, dtype=np.int64)
+    hit = ids >= 0
+    rays, ids = rays[hit], ids[hit]
+    # emitted step after step; a stable sort by ray keeps each ray's steps in order
+    order = np.argsort(rays, kind="stable")
+    return rays[order], ids[order]
 
 
 def _edges(local: np.ndarray, counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,8 +2,12 @@
 
 These are the straightforward per-splat and per-visit forms that the
 production code must match bit for bit.  They live here, not in the
-package, so there is exactly one blend, one ray-table builder, one
-scheduler and one filter chain to ship.
+package, so there is exactly one blend, one ray walk, one ray-table
+builder, one scheduler and one filter chain to ship.
+
+``ray_visits_dense`` is the DDA ray walk on dense (rays, steps) arrays, every
+ray advanced every step, as it stood before the walk stepped per axis over
+live rays only; ``dda_start`` is its state before the first step.
 
 ``encode_per_voxel``, ``cbp_loss_loop`` and ``per_voxel_crossings_loop``
 are the per-voxel and per-element forms of the store encoder and the two
@@ -23,6 +27,7 @@ sorts them with ``sorted_by_depth``.
 from __future__ import annotations
 
 import heapq
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from voxsplat.filtering import (
 )
 from voxsplat.metrics import extent_boxes
 from voxsplat.scene import TILE_EDGE, tile_pixels
-from voxsplat.scheduler import TileVisits, _ray_visits, voxel_depths
+from voxsplat.scheduler import TileVisits, voxel_depths
 from voxsplat.streaming import StreamStats
 from voxsplat.traffic import PIXEL_BYTES, TrafficLedger
 from voxsplat.voxelstore import (
@@ -75,10 +80,81 @@ def blend_per_splat(batch, centers, color, transmittance, trace=None, pixel_trac
     return n
 
 
+class DdaStart(NamedTuple):
+    """The dense walk's per-ray state before its first step; rows are rays,
+    columns axes."""
+
+    t_enter: np.ndarray
+    t_exit: np.ndarray
+    cell: np.ndarray
+    step: np.ndarray
+    t_next: np.ndarray
+    t_delta: np.ndarray
+
+
+def dda_start(origin, dirs, grid) -> DdaStart:
+    """Slab entry and exit, start cell and face distances of each ray.  The
+    slab distances of a ray parallel to a face far from the grid overflow
+    to +-inf, which is the right answer: it misses."""
+    lo = grid.origin
+    hi = grid.origin + grid.dims * grid.edge
+
+    d = np.where(np.abs(dirs) < 1e-300, 1e-300, dirs)
+    with np.errstate(over="ignore"):
+        t_lo = (lo[None, :] - origin[None, :]) / d
+        t_hi = (hi[None, :] - origin[None, :]) / d
+    t_enter = np.maximum(np.minimum(t_lo, t_hi).max(axis=1), 0.0)
+    t_exit = np.maximum(t_lo, t_hi).min(axis=1)
+
+    # nudge inside the box so the start cell is unambiguous; a ray that
+    # misses may start past the int64 range, and its cell is never read
+    start = origin[None, :] + (t_enter * (1.0 + 1e-12) + 1e-12)[:, None] * d
+    with np.errstate(invalid="ignore"):
+        cell = np.floor((start - lo[None, :]) / grid.edge).astype(np.int64)
+    cell = np.clip(cell, 0, np.asarray(grid.dims) - 1)
+
+    step = np.where(d > 0, 1, -1).astype(np.int64)
+    next_face = lo[None, :] + (cell + (step > 0)) * grid.edge
+    with np.errstate(over="ignore"):
+        t_next = (next_face - origin[None, :]) / d
+        t_delta = grid.edge / np.abs(d)
+    return DdaStart(t_enter, t_exit, cell, step, t_next, t_delta)
+
+
+def ray_visits_dense(origin, dirs, grid) -> np.ndarray:
+    """(rays, steps) renamed ids of the non-empty voxel each ray is in at each
+    DDA step, -1 where the ray is in an empty voxel or has left the grid.
+
+    The walk as it stood before ``scheduler.traverse`` stepped per axis over
+    live rays only: every ray advances every step, on (rays, 3) arrays.
+    """
+    n = len(dirs)
+    rename = grid.dense_renaming()
+    t_enter, t_exit, cell, step, t_next, t_delta = dda_start(origin, dirs, grid)
+    active = t_enter < t_exit
+
+    steps = []
+    rows = np.arange(n)
+    max_steps = int(np.asarray(grid.dims).sum()) + 3
+    for _ in range(max_steps):
+        if not active.any():
+            break
+        vids = grid.vid_of_cell(cell)
+        steps.append(np.where(active, rename[np.clip(vids, 0, len(rename) - 1)], -1))
+        axis = np.argmin(t_next, axis=1)
+        t_hit = t_next[rows, axis]
+        cell[rows, axis] += step[rows, axis]
+        t_next[rows, axis] += t_delta[rows, axis]
+        inside = (cell[rows, axis] >= 0) & (cell[rows, axis] < np.asarray(grid.dims)[axis])
+        active = active & inside & (t_hit < t_exit)
+    return np.stack(steps, axis=1) if steps else np.full((n, 0), -1, dtype=np.int64)
+
+
 def walk_rays_per_visit(origin, dirs, grid) -> list[list[int]]:
-    """Ray table built by appending every (ray, step, voxel) visit, then sorting."""
+    """Ray table built by appending every (ray, step, voxel) visit of
+    ``ray_visits_dense``, then sorting."""
     visits = []
-    for step_idx, vr in enumerate(_ray_visits(origin, dirs, grid).T):
+    for step_idx, vr in enumerate(ray_visits_dense(origin, dirs, grid).T):
         for ray in np.flatnonzero(vr >= 0):
             visits.append((int(ray), step_idx, int(vr[ray])))
     table = [[] for _ in range(len(dirs))]

@@ -239,13 +239,16 @@ def test_bad_camera_json_exits_1_with_one_line(workspace, capfd, edit, message):
     assert not (workspace / "never.png").exists()
 
 
-def test_non_finite_background_is_rejected(workspace, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        _run(["render", "--mode", "streaming", "--voxels", workspace / "scene.gsvx",
-              "--camera", workspace / "cam.json", "--out", workspace / "never.png",
-              "--background", "nan,0,0"])
-    assert exit_info.value.code == 2
-    assert "background values must be finite" in capsys.readouterr().err
+@pytest.mark.parametrize("background, message", [
+    ("nan,0,0", "background values must be finite, got 'nan,0,0'"),
+    ("1,2", "background needs three comma-separated values"),
+])
+def test_non_finite_background_is_rejected(workspace, capsys, background, message):
+    capsys.readouterr()
+    assert _run(["render", "--mode", "streaming", "--voxels", workspace / "scene.gsvx",
+                 "--camera", workspace / "cam.json", "--out", workspace / "never.png",
+                 "--background", background]) == 1
+    assert capsys.readouterr().err == f"voxsplat: argument --background: {message}\n"
     assert not (workspace / "never.png").exists()
 
 
@@ -270,15 +273,19 @@ def test_compare_encodes_once_and_builds_one_flat_scene(workspace):
     assert calls == {"encode": 1, "scene_from_records": 1}
 
 
-@pytest.mark.parametrize("threads", [0, -2])
-def test_threads_below_one_exits_1_with_one_line(workspace, capsys, threads):
+@pytest.mark.parametrize("threads, message", [
+    (0, "threads must be at least 1, got 0"),
+    (-2, "threads must be at least 1, got -2"),
+    ("x", "argument --threads: invalid int value: 'x'"),
+])
+def test_threads_below_one_exits_1_with_one_line(workspace, capsys, threads, message):
     for command in (["render", "--mode", "streaming", "--out", workspace / "never.png"],
                     ["compare", "--report", workspace / "never.json"]):
         capsys.readouterr()
         assert _run(command + ["--voxels", workspace / "scene.gsvx", "--camera",
                                workspace / "cam.json", "--threads", threads]) == 1
         err = capsys.readouterr().err
-        assert err == f"voxsplat: threads must be at least 1, got {threads}\n"
+        assert err == f"voxsplat: {message}\n"
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

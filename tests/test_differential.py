@@ -11,6 +11,7 @@ for bit.
 
 import warnings
 from contextlib import ExitStack
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ import voxsplat.reference as reference_mod
 import voxsplat.streaming as streaming_mod
 from voxsplat import (
     Aabb,
+    Camera,
     Scene,
     VoxelStore,
     cbp_loss,
@@ -59,6 +61,7 @@ from oracles import (
     blend_per_splat,
     cbp_loss_loop,
     coarse_filter_per_visit,
+    dda_start,
     depth_table,
     encode_per_voxel,
     fine_filter_per_visit,
@@ -207,8 +210,8 @@ def test_block_blend_alpha_clamps_at_a_pixel_center():
     assert got[2][5] == (1.0 - ALPHA_MIN) * (1.0 - ALPHA_CAP)
 
 
-def _grid(seed):
-    return VoxelStore.build(constrained_scene(seed, count=300), 2.0).grid
+def _grid(seed, count=300):
+    return VoxelStore.build(constrained_scene(seed, count=count), 2.0).grid
 
 
 def _walks(camera, grid):
@@ -236,16 +239,19 @@ def _assert_same_walks(walks):
             assert got.counts.tobytes() == want.counts.tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    distance=st.floats(2.0, 40.0),
-    away=st.booleans(),
-    tiles=st.tuples(st.integers(1, 4), st.integers(1, 4)),
-)
-@example(seed=0, distance=10.0, away=False, tiles=(1, 1))
-@example(seed=1, distance=10.0, away=True, tiles=(3, 2))
-def test_array_built_ray_table_matches_per_visit_builder(seed, distance, away, tiles):
+class WalkCase(NamedTuple):
+    """A camera and grid to walk, and what the reference walk must see:
+    ``edge`` "tie" means the ray of ``pixel`` starts with three equal face
+    distances, "graze" that it enters and leaves the grid at one ray
+    parameter, and "miss" that every ray misses."""
+
+    camera: Camera
+    grid: VoxelGrid
+    edge: str = ""
+    pixel: tuple[int, int] = (0, 0)
+
+
+def _random_walk(seed, distance, away, tiles) -> WalkCase:
     rng = np.random.default_rng(seed)
     grid = _grid(seed % 7)
     direction = rng.normal(size=3)
@@ -256,7 +262,75 @@ def test_array_built_ray_table_matches_per_visit_builder(seed, distance, away, t
     target = eye + direction if away else rng.uniform(-6.0, 6.0, 3)
     camera = look_at_camera(eye, target, width=16 * tiles[0], height=16 * tiles[1],
                             focal=rng.uniform(10.0, 200.0))
-    _assert_same_walks(_walks(camera, grid))
+    return WalkCase(camera, grid)
+
+
+def _full_grid(dims):
+    """A unit-edge grid at the origin with every cell non-empty."""
+    return VoxelGrid(origin=[0.0, 0.0, 0.0], edge=1.0, dims=dims, vids=np.arange(np.prod(dims)))
+
+
+def _unit_camera(eye, cx=0.5, cy=0.5):
+    """A 16x16 camera at ``eye`` looking down +z with focal 8 and no
+    rotation, so its ray directions are exact: pixel (8, 8) shoots (1, 1, 1),
+    and with the principal point at 8.5 column and row 8 shoot rays with a
+    zero x or y component."""
+    return Camera(width=16, height=16, fx=8.0, fy=8.0, cx=cx, cy=cy, rotation=np.eye(3),
+                  translation=-np.asarray(eye, dtype=np.float64))
+
+
+def _far_axis_camera():
+    """Looks down +z from x = 5e8 with the principal point on a pixel center:
+    the rays of column 8 have a zero x component, whose slab distances
+    overflow to -inf."""
+    obj = look_at_camera([5e8, 0.0, -10.0], [5e8, 0.0, 0.0], width=16, height=16,
+                         focal=50.0).to_json()
+    obj["cx"] = obj["cy"] = 8.5
+    return Camera.from_json(obj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.builds(
+    _random_walk,
+    seed=st.integers(0, 2**32 - 1),
+    distance=st.floats(2.0, 40.0),
+    away=st.booleans(),
+    tiles=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+))
+@example(case=_random_walk(0, 10.0, False, (1, 1)))
+@example(case=_random_walk(1, 10.0, True, (3, 2)))
+# zero direction components, clamped to 1e-300; column 8 runs in the face plane x = 2
+@example(case=WalkCase(_unit_camera([2.0, 1.5, -3.0], cx=8.5, cy=8.5), _full_grid((4, 4, 4))))
+# from a lattice point along (1, 1, 1): x, y and z faces tie, and argmin steps x first
+@example(case=WalkCase(_unit_camera([-1.0, -1.0, -1.0]), _full_grid((3, 3, 3)), "tie", (8, 8)))
+# the eye inside the grid, among empty voxels
+@example(case=WalkCase(
+    look_at_camera([1.3, 1.7, 1.1], [3.0, 2.5, 3.5], width=32, height=16, focal=10.0),
+    VoxelGrid(origin=[0.0, 0.0, 0.0], edge=1.0, dims=[4, 4, 4], vids=np.arange(0, 64, 3)),
+))
+# a single voxel
+@example(case=WalkCase(
+    look_at_camera([1.0, 1.0, -5.0], [1.0, 1.0, 1.0], width=16, height=16, focal=8.0),
+    VoxelGrid(origin=[0.0, 0.0, 0.0], edge=2.0, dims=[1, 1, 1], vids=[0]),
+))
+# (1, 1, 1) from (2, -1, 0) touches the grid only on its edge x = 3, y = 0
+@example(case=WalkCase(_unit_camera([2.0, -1.0, 0.0]), _full_grid((3, 3, 3)), "graze", (8, 8)))
+@example(case=WalkCase(_far_axis_camera(), _grid(0, count=100), "miss"))
+def test_array_built_ray_table_matches_per_visit_builder(case):
+    walks = _walks(case.camera, case.grid)
+    _assert_same_walks(walks)
+    if case.edge == "miss":
+        assert all(not visits.counts.any() for visits in walks[0])
+    elif case.edge:
+        x, y = case.pixel
+        pixels = tile_pixels([(x // TILE_EDGE, y // TILE_EDGE)])[0]
+        start = dda_start(case.camera.position,
+                          case.camera.ray_directions(pixels[:, 0], pixels[:, 1]), case.grid)
+        ray = (y % TILE_EDGE) * TILE_EDGE + x % TILE_EDGE
+        if case.edge == "tie":
+            assert start.t_next[ray, 0] == start.t_next[ray, 1] == start.t_next[ray, 2]
+        else:
+            assert start.t_enter[ray] == start.t_exit[ray]
 
 
 def test_ray_table_covers_hits_and_misses():

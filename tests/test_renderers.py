@@ -95,7 +95,7 @@ def test_constrained_scene_matches_reference(seed):
     grid, records = build_grid(scene, 2.0)
     got, ledger, stats = render_frame_streaming(camera, grid, records)
     want, _ = render_frame_reference(camera, scene)
-    assert np.max(np.abs(got.astype(np.float64) - want.astype(np.float64))) <= 1e-4
+    assert np.array_equal(got, want)
     assert psnr(got, want) >= 60.0
 
 
@@ -148,7 +148,7 @@ def test_early_exit_equals_exhaustive_blending():
     fast, _, stats = render_frame_streaming(camera, grid, records)
     slow, _, _ = render_frame_streaming(camera, grid, records, early_exit=False)
     assert stats.voxels_skipped_early > 0
-    assert np.max(np.abs(fast.astype(np.float64) - slow.astype(np.float64))) <= 1e-3
+    assert np.array_equal(fast, slow)
 
 
 def test_transmittance_monotone_and_frozen_pixels_stop():
