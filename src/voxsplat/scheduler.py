@@ -93,10 +93,12 @@ def _walk(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> tuple[np.nda
                                 grid.edge / np.abs(d), t_exit[None]])
     # per axis: steps left inside the grid and the signed stride of the flat cell index
     strides = np.array([1, grid.dims[0], grid.dims[0] * grid.dims[1]])[:, None]
-    state = np.concatenate([np.where(ahead, dims - 1 - cell, cell), np.where(ahead, strides, -strides),
+    state = np.concatenate([np.where(ahead, dims - 1 - cell, cell),
+                            np.where(ahead, strides, -strides),
                             grid.vid_of_cell(cell.T)[None], rays[None]])
     rename = grid.dense_renaming()
-    out_rays, out_ids = [], []
+    empty = np.empty(0, dtype=np.int64)
+    out_rays, out_ids = [empty], [empty]
     while state.shape[1]:
         tx, ty, tz, dx, dy, dz, t_exit = times
         lx, ly, lz, sx, sy, sz, flat, rays = state
@@ -106,7 +108,7 @@ def _walk(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> tuple[np.nda
         y = (ty <= tz) & ~x
         z = ~(x | y)
         live = np.minimum(np.minimum(tx, ty), tz) < t_exit
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # on an axis a ray runs parallel to
             np.putmask(tx, x, tx + dx)
             np.putmask(ty, y, ty + dy)
             np.putmask(tz, z, tz + dz)
@@ -117,8 +119,7 @@ def _walk(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> tuple[np.nda
         live &= (lx | ly | lz) >= 0
         if not live.all():
             times, state = np.compress(live, times, axis=1), np.compress(live, state, axis=1)
-    rays = np.concatenate(out_rays) if out_rays else np.empty(0, dtype=np.int64)
-    ids = np.concatenate(out_ids) if out_ids else np.empty(0, dtype=np.int64)
+    rays, ids = np.concatenate(out_rays), np.concatenate(out_ids)
     hit = ids >= 0
     rays, ids = rays[hit], ids[hit]
     # emitted step after step; a stable sort by ray keeps each ray's steps in order
