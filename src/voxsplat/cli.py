@@ -105,20 +105,6 @@ def cmd_train_codebook(args) -> int:
     return 0
 
 
-def _render_streaming(store, books, camera, background, threads):
-    """Streaming frame of ``store``, whose records are already encoded when
-    ``books`` is given."""
-    return render_frame_streaming(
-        camera,
-        store.grid,
-        store.records,
-        books,
-        background=background,
-        threads=threads,
-        scene_hash=store.scene_hash,
-    )
-
-
 def _dump_dag(path, store, camera) -> None:
     """Union of the per-tile dependency edges, one 'src dst' line each."""
     ntx, nty = camera.tile_counts
@@ -131,7 +117,7 @@ def _dump_dag(path, store, camera) -> None:
 
 def _cbp_diagnostics(store, books, camera, background) -> dict:
     """Depth-order penalty over sampled tile and center-pixel blend traces;
-    ``store`` is encoded as for ``_render_streaming``."""
+    ``store``'s records are already encoded when ``books`` is given."""
     ntx, nty = camera.tile_counts
     tile_vals, pixel_vals = [], []
     center = 8 * 16 + 8
@@ -162,13 +148,15 @@ def cmd_render(args) -> int:
     if args.mode == "reference":
         scene = scene_from_records(store.grid, store.records)
         frame, ledger = render_frame_reference(
-            camera, scene, background=args.background, threads=args.threads
+            camera, scene, background=args.background, threads=args.threads,
+            scene_hash=store.scene_hash,
         )
         stats = None
     else:
         streamed = store if books is None else store.encode(books)
-        frame, ledger, stats = _render_streaming(
-            streamed, books, camera, args.background, args.threads
+        frame, ledger, stats = render_frame_streaming(
+            camera, streamed.grid, streamed.records, books, background=args.background,
+            threads=args.threads, scene_hash=store.scene_hash,
         )
     if args.dump_dag:
         if args.mode != "streaming":
@@ -198,11 +186,13 @@ def cmd_compare(args) -> int:
     camera = Camera.load(args.camera)
     streamed = store if books is None else store.encode(books)
     scene = scene_from_records(store.grid, store.records)
-    stream_frame, stream_ledger, stream_stats = _render_streaming(
-        streamed, books, camera, args.background, args.threads
+    stream_frame, stream_ledger, stream_stats = render_frame_streaming(
+        camera, streamed.grid, streamed.records, books, background=args.background,
+        threads=args.threads, scene_hash=store.scene_hash,
     )
     ref_frame, ref_ledger = render_frame_reference(
-        camera, scene, background=args.background, threads=args.threads
+        camera, scene, background=args.background, threads=args.threads,
+        scene_hash=store.scene_hash,
     )
     report = {
         "psnr_vs_reference": psnr(stream_frame, ref_frame),

@@ -1,4 +1,4 @@
-"""Minimal PNG/PPM output (and readback for tests) without image dependencies."""
+"""Minimal PNG/PPM output without image dependencies."""
 
 from __future__ import annotations
 
@@ -33,37 +33,6 @@ def write_png(path, img: np.ndarray) -> None:
         f.write(chunk(b"IHDR", ihdr))
         f.write(chunk(b"IDAT", zlib.compress(raw, 6)))
         f.write(chunk(b"IEND", b""))
-
-
-def read_png(path) -> np.ndarray:
-    """Read back PNGs produced by :func:`write_png` (filter-0 RGB only)."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:8] != b"\x89PNG\r\n\x1a\n":
-        raise ValueError("not a PNG file")
-    pos = 8
-    w = h = None
-    idat = b""
-    while pos < len(blob):
-        (length,) = struct.unpack(">I", blob[pos : pos + 4])
-        tag = blob[pos + 4 : pos + 8]
-        payload = blob[pos + 8 : pos + 8 + length]
-        if tag == b"IHDR":
-            w, h, depth, ctype = struct.unpack(">IIBB", payload[:10])
-            if depth != 8 or ctype != 2:
-                raise ValueError("only 8-bit RGB supported")
-        elif tag == b"IDAT":
-            idat += payload
-        pos += 12 + length
-    raw = zlib.decompress(idat)
-    stride = 1 + 3 * w
-    rows = []
-    for y in range(h):
-        row = raw[y * stride : (y + 1) * stride]
-        if row[0] != 0:
-            raise ValueError("only filter 0 supported")
-        rows.append(np.frombuffer(row[1:], dtype=np.uint8).reshape(w, 3))
-    return np.stack(rows).astype(np.float64) / 255.0
 
 
 def write_ppm(path, img: np.ndarray) -> None:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .blending import blend, composite_background
 from .filtering import disc_overlaps_rect, project_splats, tile_rect
-from .scene import Camera, Scene, TILE_EDGE, scene_fingerprint, tile_pixels
+from .scene import Camera, Scene, TILE_EDGE, tile_pixels
 from .tileloop import render_rows
 from .traffic import (
     PIXEL_BYTES,
@@ -24,15 +24,14 @@ from .traffic import (
 def render_frame_reference(
     camera: Camera,
     scene: Scene,
-    ledger: TrafficLedger | None = None,
     *,
     background=(0.0, 0.0, 0.0),
     threads: int = 1,
+    scene_hash: str = "",
 ) -> tuple[np.ndarray, TrafficLedger]:
-    """Render the whole frame; returns (framebuffer float32, ledger)."""
-    if ledger is None:
-        ledger = TrafficLedger()
-    ledger.scene_hash = scene_fingerprint(scene)
+    """Render the whole frame; returns (framebuffer float32, ledger).  Like
+    ``render_frame_streaming``, the ledger carries ``scene_hash`` as given."""
+    ledger = TrafficLedger(scene_hash=scene_hash)
     n = len(scene)
     ledger.charge("projection", PROJECTION_LOAD_BYTES * n, n)
 

@@ -408,14 +408,7 @@ def save_ply(scene: Scene, path) -> None:
     save -> load cycle is a fixed point at float32 precision.
     """
     n = len(scene)
-    header_props = (
-        ["x", "y", "z", "nx", "ny", "nz"]
-        + [f"f_dc_{i}" for i in range(3)]
-        + [f"f_rest_{i}" for i in range(45)]
-        + ["opacity"]
-        + [f"scale_{i}" for i in range(3)]
-        + [f"rot_{i}" for i in range(4)]
-    )
+    header_props = _REQUIRED_PROPS[:3] + ["nx", "ny", "nz"] + _REQUIRED_PROPS[3:]
     dtype = np.dtype([(nm, "<f4") for nm in header_props])
     rec = np.zeros(n, dtype=dtype)
     rec["x"], rec["y"], rec["z"] = scene.positions.T.astype(np.float32)
@@ -448,6 +441,18 @@ def _random_unit_quaternions(rng: np.random.Generator, n: int) -> np.ndarray:
     return q / np.linalg.norm(q, axis=1, keepdims=True)
 
 
+# generate_scene's SH spreads, and its constrained regime's SH prototypes and
+# jitter, face margin and cross-voxel separation (in units of max scale)
+DC_SIGMA = 0.35
+REST_SIGMA = 0.04
+REST_PROTOTYPES = 48
+REST_JITTER = 0.0015
+MARGIN_SIGMAS = 6.0
+MIN_SEPARATION_SIGMAS = 16.0
+# Like MAX_PIXELS, bounds the generator's per-splat arrays whatever is asked.
+MAX_SPLATS = 1 << 24
+
+
 def generate_scene(
     count: int,
     bounds: Aabb,
@@ -456,14 +461,7 @@ def generate_scene(
     *,
     voxel_edge: float = 2.0,
     constrained: bool = False,
-    scale_range: tuple[float, float] | None = None,
     opacity_range: tuple[float, float] = (0.05, 0.98),
-    dc_sigma: float = 0.35,
-    rest_sigma: float = 0.04,
-    rest_prototypes: int = 48,
-    rest_jitter: float = 0.0015,
-    margin_sigmas: float = 6.0,
-    min_separation_sigmas: float = 16.0,
 ) -> Scene:
     """Deterministic synthetic desk-scale scene.
 
@@ -472,53 +470,51 @@ def generate_scene(
     additionally guarantees an unambiguous cross-voxel blending order for
     moderate-field-of-view cameras:
 
-    * each center sits at least ``margin_sigmas * max(scale)`` from every
+    * each center sits at least ``MARGIN_SIGMAS * max(scale)`` from every
       face of its voxel, so a splat's visible footprint never reaches rays
       that miss its voxel;
     * centers in *different* voxels are at least
-      ``min_separation_sigmas * (s_a + s_b)`` apart, which rules out pairs
+      ``MIN_SEPARATION_SIGMAS * (s_a + s_b)`` apart, which rules out pairs
       whose screen footprints overlap while their depth order disagrees
       with the voxel traversal order;
     * higher-order SH vectors are drawn from a small per-scene prototype
       set plus jitter, mimicking the clustering of trained scenes.
+
+    ``bounds`` must be finite and inside the float32 range a PLY stores.
     """
-    if count <= 0:
-        raise ValueError("count must be positive")
+    if not 0 < count <= MAX_SPLATS:
+        raise ValueError(f"count must be in [1, {MAX_SPLATS}], got {count}")
     if not 0.0 < max_extent_fraction <= 1.0:
         raise ValueError("max_extent_fraction must be in (0, 1]")
-    if voxel_edge <= 0:
-        raise ValueError("voxel_edge must be positive")
+    if not (math.isfinite(voxel_edge) and voxel_edge > 0):
+        raise ValueError(f"voxel_edge must be finite and positive, got {voxel_edge}")
+    corners = np.concatenate([bounds.lo, bounds.hi])
+    if not np.all(np.abs(corners) <= np.finfo(np.float32).max):
+        raise ValueError(f"bounds must be finite float32 values, got {corners.tolist()}")
 
     rng = np.random.default_rng(seed)
     s_cap = max_extent_fraction * voxel_edge / 6.0  # 3*s_max <= fraction*edge/2
-    if scale_range is None:
-        scale_range = (2.0 / 3.0 * s_cap, s_cap) if constrained else (0.25 * s_cap, s_cap)
-    if not 0 < scale_range[0] <= scale_range[1] <= s_cap * (1 + 1e-12):
-        raise ValueError("scale_range inconsistent with max_extent_fraction")
-
-    s_max = rng.uniform(scale_range[0], scale_range[1], size=count)
+    s_max = rng.uniform((2.0 / 3.0 if constrained else 0.25) * s_cap, s_cap, size=count)
     # per-splat anisotropy: components in [0.5, 1] of the max scale
     scales = s_max[:, None] * rng.uniform(0.5, 1.0, size=(count, 3))
     axis_pick = rng.integers(0, 3, size=count)
     scales[np.arange(count), axis_pick] = s_max
 
     if constrained:
-        positions = _place_constrained(
-            rng, count, bounds, voxel_edge, s_max, margin_sigmas, min_separation_sigmas
-        )
+        positions = _place_constrained(rng, count, bounds, voxel_edge, s_max)
     else:
         positions = rng.uniform(bounds.lo, bounds.hi, size=(count, 3))
 
     rotations = _random_unit_quaternions(rng, count)
     opacities = rng.uniform(opacity_range[0], opacity_range[1], size=count)
     sh = np.zeros((count, 16, 3))
-    sh[:, 0, :] = rng.normal(0.0, dc_sigma, size=(count, 3))
+    sh[:, 0, :] = rng.normal(0.0, DC_SIGMA, size=(count, 3))
     if constrained:
-        protos = rng.normal(0.0, rest_sigma, size=(rest_prototypes, 15, 3))
-        pick = rng.integers(0, rest_prototypes, size=count)
-        sh[:, 1:, :] = protos[pick] + rng.normal(0.0, rest_jitter, size=(count, 15, 3))
+        protos = rng.normal(0.0, REST_SIGMA, size=(REST_PROTOTYPES, 15, 3))
+        pick = rng.integers(0, REST_PROTOTYPES, size=count)
+        sh[:, 1:, :] = protos[pick] + rng.normal(0.0, REST_JITTER, size=(count, 15, 3))
     else:
-        sh[:, 1:, :] = rng.normal(0.0, rest_sigma, size=(count, 15, 3))
+        sh[:, 1:, :] = rng.normal(0.0, REST_SIGMA, size=(count, 15, 3))
 
     return Scene(
         positions=positions,
@@ -537,8 +533,6 @@ def _place_constrained(
     bounds: Aabb,
     edge: float,
     s_max: np.ndarray,
-    margin_sigmas: float,
-    min_separation_sigmas: float,
 ) -> np.ndarray:
     # same snapped lattice as the voxel store, so margins survive a round trip
     origin = np.floor(bounds.lo / edge) * edge
@@ -546,12 +540,12 @@ def _place_constrained(
     # voxel occupancy hash for the cross-voxel separation test
     by_voxel: dict[tuple[int, int, int], list[int]] = {}
     positions = np.empty((count, 3))
-    max_margin = margin_sigmas * s_max.max()
+    max_margin = MARGIN_SIGMAS * s_max.max()
     if 2.0 * max_margin >= edge:
         raise ValueError("voxel edge too small for the requested placement margin")
 
     for i in range(count):
-        margin = margin_sigmas * s_max[i]
+        margin = MARGIN_SIGMAS * s_max[i]
         placed = False
         for _ in range(500):
             vox = tuple(rng.integers(0, dims))
@@ -566,7 +560,7 @@ def _place_constrained(
                 if nb == vox:
                     continue  # same-voxel neighbors are ordered consistently anyway
                 for j in by_voxel.get(nb, ()):
-                    sep = min_separation_sigmas * (s_max[i] + s_max[j])
+                    sep = MIN_SEPARATION_SIGMAS * (s_max[i] + s_max[j])
                     if np.sum((p - positions[j]) ** 2) < sep * sep:
                         ok = False
                         break

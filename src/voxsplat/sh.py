@@ -22,7 +22,6 @@ C3 = (
 )
 
 SH_COEFFS = 16  # (degree+1)^2 with degree 3
-SH_VALUES = SH_COEFFS * 3  # three color channels
 
 
 def sh_basis(dirs: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from .blending import T_FREEZE, blend, composite_background
 from .filtering import FilterStats, ProjectionCache, Tally, coarse_filter, fine_filter
 from .scene import Camera, TILE_EDGE, tile_pixels
-from .scheduler import TileVisits, schedule, traverse, voxel_depths
+from .scheduler import schedule, traverse, voxel_depths
 from .tileloop import render_rows
 from .traffic import PIXEL_BYTES, TrafficLedger
 from .voxelstore import (
@@ -91,23 +91,20 @@ def render_tile_streaming(
     pixel_trace: tuple[int, list] | None = None,
     early_exit: bool = True,
     cache: ProjectionCache | None = None,
-    visits: TileVisits | None = None,
 ) -> tuple[np.ndarray, TileCounts]:
     """Render 16x16 tiles together, normally one tile row; returns
     ((tiles, 256, 3) colors, the tiles' counters).
 
-    ``cache`` holds the frame's voxel depths and projections for ``camera``,
-    and ``visits`` the tiles' ray walk from ``traverse``; a call on its own
-    makes both.  ``trace`` and ``pixel_trace`` follow ``blend`` and need a
-    single tile.
+    The tiles' rays are walked here, in one ``traverse`` call.  ``cache``
+    holds the frame's voxel depths and projections for ``camera``; a call on
+    its own makes one.  ``trace`` and ``pixel_trace`` follow ``blend`` and
+    need a single tile.
     """
     if (trace is not None or pixel_trace is not None) and len(tiles) != 1:
         raise ValueError("blend traces follow a single tile")
     if cache is None:
         cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
-    if visits is None:
-        visits = traverse(tiles, camera, grid)
-    plan = schedule(visits, cache.depth)
+    plan = schedule(traverse(tiles, camera, grid), cache.depth)
     ntiles = len(tiles)
     corner = np.asarray(tiles, dtype=np.float64).reshape(-1, 2) * TILE_EDGE
     centers = tile_pixels(tiles) + 0.5
@@ -195,13 +192,12 @@ def render_frame_streaming(
 ) -> tuple[np.ndarray, TrafficLedger, StreamStats]:
     """Render all tiles; output is independent of the worker count.
 
-    The rays of each tile row are walked in one ``traverse`` call, and the
-    row's tiles are then rendered together in one ``render_tile_streaming``
-    call, so one row's visit arrays are alive at a time.  With
-    ``threads > 1`` this process and forked workers share the rows
-    (``tileloop.render_rows``), each filling its own copy of the frame's
-    projection cache.  Returns (framebuffer (H, W, 3) float32, ledger,
-    aggregate stats).
+    Each tile row is rendered in one ``render_tile_streaming`` call, which
+    walks the row's rays in one ``traverse`` call, so one row's visit arrays
+    are alive at a time.  With ``threads > 1`` this process and forked
+    workers share the rows (``tileloop.render_rows``), each filling its own
+    copy of the frame's projection cache.  Returns (framebuffer (H, W, 3)
+    float32, ledger, aggregate stats).
     """
     ntx, _ = camera.tile_counts
     cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
@@ -210,7 +206,7 @@ def render_frame_streaming(
         band = [(tx, ty) for tx in range(ntx)]
         colors, counts = render_tile_streaming(
             band, camera, grid, records, books, background=background,
-            early_exit=early_exit, cache=cache, visits=traverse(band, camera, grid),
+            early_exit=early_exit, cache=cache,
         )
         return colors, counts.tally()
 

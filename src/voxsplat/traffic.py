@@ -124,8 +124,9 @@ def compare_pipelines(
     ref_ledger: TrafficLedger,
     stream_stats: FilterStats,
 ) -> dict:
-    """Memory-efficiency report for one scene rendered by both pipelines."""
-    if stream_ledger.scene_hash != ref_ledger.scene_hash:
+    """Memory-efficiency report for one scene rendered by both pipelines,
+    whose ledgers must carry the same scene hash, and not an empty one."""
+    if not stream_ledger.scene_hash or stream_ledger.scene_hash != ref_ledger.scene_hash:
         raise SceneMismatchError(
             f"ledgers from different scenes: {stream_ledger.scene_hash!r} vs "
             f"{ref_ledger.scene_hash!r}"

@@ -18,7 +18,9 @@ from .errors import CodebookCorruptionError
 ATTRIBUTES = ("scale", "rotation", "dc", "sh_rest")
 ATTRIBUTE_DIMS = {"scale": 3, "rotation": 4, "dc": 3, "sh_rest": 45}
 DEFAULT_ENTRIES = {"scale": 4096, "rotation": 4096, "dc": 4096, "sh_rest": 512}
+# an attribute's codebook holds at most 2**bits entries, the width of its index
 INDEX_BITS = {"scale": 12, "rotation": 12, "dc": 12, "sh_rest": 9}
+KMEANS_TOL = 1e-6  # Lloyd stops once the relative drop in mean squared error is below this
 # one chunk's float64 distances, 32 MB at 4096 entries, are the only large array
 # alive in an assignment step: training 5,000 vectors peaks at 35 MB
 NEAREST_CHUNK_ROWS = 1024
@@ -41,6 +43,7 @@ class Codebook:
         k = self.entry_count
         if k < 1 or (k & (k - 1)) != 0:
             raise ValueError(f"entry count {k} is not a power of two")
+        _check_index_width(self.attribute, k)
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("codebook contains non-finite centroids")
         if self.attribute == "rotation":
@@ -90,15 +93,15 @@ def train_codebook(
     *,
     seed: int = 0,
     max_iters: int = 50,
-    tol: float = 1e-6,
     attribute: str = "generic",
 ) -> Codebook:
     """Lloyd's k-means with k-means++ init.
 
     Terminates at ``max_iters`` or when the relative decrease of the mean
-    squared quantization error drops below ``tol``.  Empty clusters are
+    squared quantization error drops below ``KMEANS_TOL``.  Empty clusters are
     re-seeded from the point currently farthest from its centroid, which
-    leaves the objective non-increasing (checked every iteration).  If there
+    leaves the objective non-increasing (checked every iteration).  A named
+    attribute's ``k`` may not exceed its index width (``INDEX_BITS``).  If there
     are fewer distinct vectors than ``k``, the distinct set becomes the
     codebook and the remaining entries duplicate existing centroids
     (``padded=True``).
@@ -108,6 +111,7 @@ def train_codebook(
         raise ValueError("vectors must be a non-empty (n, d) array")
     if k < 1:
         raise ValueError("entry count must be >= 1")
+    _check_index_width(attribute, k)
 
     distinct = np.unique(vectors, axis=0)
     if len(distinct) <= k:
@@ -129,7 +133,7 @@ def train_codebook(
         if not mse <= prev_mse + 1e-9:
             raise RuntimeError(f"k-means objective increased from {prev_mse} to {mse}")
         iterations += 1
-        if np.isfinite(prev_mse) and prev_mse > 0 and (prev_mse - mse) / prev_mse < tol:
+        if np.isfinite(prev_mse) and prev_mse > 0 and (prev_mse - mse) / prev_mse < KMEANS_TOL:
             prev_mse = mse
             break
         prev_mse = mse
@@ -151,6 +155,13 @@ def train_codebook(
     book = Codebook(attribute=attribute, entries=centroids, iterations=iterations)
     book.mse = float(_nearest(vectors, book.entries.astype(np.float64))[1].mean())
     return book
+
+
+def _check_index_width(attribute: str, k: int) -> None:
+    bits = INDEX_BITS.get(attribute)
+    if bits is not None and k > 2**bits:
+        raise ValueError(f"{attribute} codebook of {k} entries exceeds its {bits}-bit index "
+                         f"({2**bits} entries)")
 
 
 def _nearest(vectors: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,6 @@
 import os
+import struct
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -64,3 +66,34 @@ def filter_voxel(camera, rect, splats, survivors=None):
     degenerate = int(np.count_nonzero(cache.degenerate[survivors]))
     stats = FilterStats.counted(n, len(survivors), len(kept), degenerate)
     return mask, cache.batch.take(survivors[kept]), stats
+
+
+def read_png(path) -> np.ndarray:
+    """Read back PNGs produced by ``frameio.write_png`` (filter-0 RGB only)."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    if blob[:8] != b"\x89PNG\r\n\x1a\n":
+        raise ValueError("not a PNG file")
+    pos = 8
+    w = h = None
+    idat = b""
+    while pos < len(blob):
+        (length,) = struct.unpack(">I", blob[pos : pos + 4])
+        tag = blob[pos + 4 : pos + 8]
+        payload = blob[pos + 8 : pos + 8 + length]
+        if tag == b"IHDR":
+            w, h, depth, ctype = struct.unpack(">IIBB", payload[:10])
+            if depth != 8 or ctype != 2:
+                raise ValueError("only 8-bit RGB supported")
+        elif tag == b"IDAT":
+            idat += payload
+        pos += 12 + length
+    raw = zlib.decompress(idat)
+    stride = 1 + 3 * w
+    rows = []
+    for y in range(h):
+        row = raw[y * stride : (y + 1) * stride]
+        if row[0] != 0:
+            raise ValueError("only filter 0 supported")
+        rows.append(np.frombuffer(row[1:], dtype=np.uint8).reshape(w, 3))
+    return np.stack(rows).astype(np.float64) / 255.0

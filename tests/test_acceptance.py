@@ -55,7 +55,7 @@ def oracle_runs():
         stream, s_ledger, s_stats = render_frame_streaming(
             camera, grid, records, scene_hash=scene_fingerprint(scene)
         )
-        ref, r_ledger = render_frame_reference(camera, scene)
+        ref, r_ledger = render_frame_reference(camera, scene, scene_hash=scene_fingerprint(scene))
         runs.append(
             dict(seed=seed, scene=scene, camera=camera, grid=grid, records=records,
                  stream=stream, ref=ref, s_ledger=s_ledger, r_ledger=r_ledger,
@@ -96,7 +96,7 @@ def cluttered_run():
     stream, s_ledger, s_stats = render_frame_streaming(
         camera, grid, records, scene_hash=scene_fingerprint(scene)
     )
-    ref, r_ledger = render_frame_reference(camera, scene)
+    ref, r_ledger = render_frame_reference(camera, scene, scene_hash=scene_fingerprint(scene))
     return dict(scene=scene, camera=camera, grid=grid, stream=stream, ref=ref,
                 s_ledger=s_ledger, r_ledger=r_ledger, s_stats=s_stats)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -15,10 +16,9 @@ import voxsplat.streaming as streaming_mod
 from voxsplat import Camera, Scene, VoxelStore, cli, load_store, save_ply
 from voxsplat.cli import main
 from voxsplat.errors import CodebookCorruptionError
-from voxsplat.frameio import read_png
 from voxsplat.scheduler import dependency_graph, traverse
 
-from conftest import leave_rows_to_workers
+from conftest import leave_rows_to_workers, read_png
 
 
 def _run(argv, capsys=None):
@@ -71,6 +71,13 @@ def test_compare_without_books_hits_oracle_floor(workspace):
 
 
 def test_render_modes_write_images_and_stats(workspace):
+    """Both modes stamp the store's scene hash; the stats files' digests were
+    taken when the reference renderer still hashed the scene itself."""
+    digests = {
+        "streaming": "fbe6f2f7256bcb2a07cb93ec7ae45bf36c883823a81b542586f4379dfe3a21f0",
+        "reference": "09c860b65509cdea598070c7a1ba8a5b82bac3802691f9c13658c4074b46dffa",
+    }
+    scene_hash = load_store(workspace / "scene.gsvx").scene_hash
     for mode in ("streaming", "reference"):
         out = workspace / f"{mode}.png"
         stats = workspace / f"{mode}.json"
@@ -80,6 +87,8 @@ def test_render_modes_write_images_and_stats(workspace):
         img = read_png(out)
         assert img.shape == (256, 256, 3)
         payload = json.loads(stats.read_text())
+        assert payload["ledger"]["scene_hash"] == scene_hash
+        assert hashlib.sha256(stats.read_bytes()).hexdigest() == digests[mode]
         if mode == "streaming":
             assert payload["intermediate_bytes"] == 0
     ppm = workspace / "frame.ppm"
@@ -127,6 +136,33 @@ def test_gen_scene_rejects_zero_count(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("voxsplat:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--count", 10**12], "count must be in [1, 16777216], got 1000000000000"),
+    (["--bounds", "0,0,0:nan,1,1"], "bounds must be finite float32 values"),
+    (["--bounds", "0,0,0:1e300,1,1"], "bounds must be finite float32 values"),
+    (["--edge", "nan"], "voxel_edge must be finite and positive, got nan"),
+    (["--edge", "inf"], "voxel_edge must be finite and positive, got inf"),
+])
+def test_bad_gen_scene_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.ply"
+    argv = ["gen-scene", "--count", 10, *argv, "--out", out]  # a later --count wins
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("voxsplat: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entries", [2**40, 2**13])
+def test_codebook_wider_than_its_index_exits_1_with_one_line(workspace, capsys, entries):
+    out = workspace / "wide.gsvq"
+    capsys.readouterr()
+    assert _run(["train-codebook", "--voxels", workspace / "scene.gsvx", "--entries",
+                 f"scale={entries}", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"voxsplat: scale codebook of {entries} entries exceeds its 12-bit")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_missing_input_file_is_error(tmp_path, capsys):

@@ -2,7 +2,9 @@ import numpy as np
 
 from voxsplat import Aabb, generate_scene, look_at_camera, render_frame_reference
 from voxsplat.filtering import ProjectedBatch
-from voxsplat.frameio import read_png, write_png, write_ppm
+from voxsplat.frameio import write_png, write_ppm
+
+from conftest import read_png
 
 
 def test_per_tile_sort_is_depth_correct_permutation():

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -126,6 +127,31 @@ def test_generate_scene_deterministic():
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.sh, b.sh)
     assert scene_fingerprint(a) == scene_fingerprint(b)
+
+
+def test_generated_scenes_and_ply_bytes_are_pinned(tmp_path):
+    """Fingerprints of a constrained, an unconstrained and a narrowed-opacity
+    scene, and the PLY bytes of the first, fixed before the generator's
+    distribution parameters became constants and the PLY header came from
+    ``_REQUIRED_PROPS``."""
+    bounds = Aabb([-4, -4, -2], [4, 4, 2])
+    base = dict(count=120, bounds=bounds, seed=31)
+    constrained = generate_scene(**base, max_extent_fraction=0.135, voxel_edge=2.0,
+                                 constrained=True)
+    scenes = [
+        constrained,
+        generate_scene(**base, max_extent_fraction=0.4),
+        generate_scene(**base, max_extent_fraction=0.4, opacity_range=(0.5, 0.98)),
+    ]
+    assert [scene_fingerprint(s) for s in scenes] == [
+        "bf70d4ba44dff7f3", "7e28d3452a8d0961", "3302c3a66e42d803"]
+    path = tmp_path / "pinned.ply"
+    save_ply(constrained, path)
+    data = path.read_bytes()
+    assert len(data) == 31288
+    assert hashlib.sha256(data).hexdigest() == (
+        "5446369455ea12e5076669e49d0c733833023a5242600d3b537478f57cce2f4d"
+    )
 
 
 def test_generate_scene_honors_extent_bound():

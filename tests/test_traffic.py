@@ -210,7 +210,7 @@ def _rendered_pair(seed=7, vq=True):
     _, s_ledger, s_stats = render_frame_streaming(
         camera, grid, records, books, scene_hash=scene_fingerprint(scene)
     )
-    _, r_ledger = render_frame_reference(camera, scene)
+    _, r_ledger = render_frame_reference(camera, scene, scene_hash=scene_fingerprint(scene))
     return s_ledger, r_ledger, s_stats
 
 
@@ -231,6 +231,12 @@ def test_compare_pipelines_rejects_mismatched_scenes():
     s_ledger.scene_hash = "deadbeefdeadbeef"
     with pytest.raises(SceneMismatchError):
         compare_pipelines(s_ledger, r_ledger, s_stats.filter)
+    # an unstamped streaming ledger matches no scene, not even an unstamped reference
+    s_ledger.scene_hash = ""
+    for ref_hash in (r_ledger.scene_hash, ""):
+        r_ledger.scene_hash = ref_hash
+        with pytest.raises(SceneMismatchError):
+            compare_pipelines(s_ledger, r_ledger, s_stats.filter)
 
 
 def test_all_survivors_means_zero_gaussian_reduction():

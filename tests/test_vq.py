@@ -277,8 +277,13 @@ def test_truncated_codebook_files_are_corruption_errors(tmp_path):
 
 
 def test_codebook_header_with_a_huge_count_is_a_corruption_error(tmp_path):
-    """4 * 45 * (2^32 - 1) bytes would be read; the loader checks the file first."""
+    """4 * 45 * (2^32 - 1) bytes would be read; the loader checks the file first.
+    A whole scale book of 8,192 entries is refused too: its index has 12 bits."""
     path = tmp_path / "huge.gsvq"
     path.write_bytes(b"GSVQ" + struct.pack("<HBHI", 1, 3, 45, 2**32 - 1) + b"\x00" * 180)
     with pytest.raises(CodebookCorruptionError, match="truncated codebook payload"):
+        load_codebooks(path)
+    path.write_bytes(b"GSVQ" + struct.pack("<HBHI", 1, 0, 3, 8192) + b"\x00" * (4 * 3 * 8192))
+    with pytest.raises(CodebookCorruptionError,
+                       match="codebook 'scale': scale codebook of 8192 entries exceeds"):
         load_codebooks(path)
