@@ -6,9 +6,10 @@ transmittance falls below 1e-4 is frozen and accumulates nothing further;
 because the rule is part of the blend itself, exhaustive and early-exiting
 schedules produce identical pixels.
 
-``blend`` evaluates BLEND_BLOCK depth-sorted splats at a time as one
-(splats, pixels) array and still returns the bits of the splat-by-splat
-definition above:
+``blend`` takes many independent tiles at once, normally a tile row, one
+after another.  Inside a tile it evaluates BLEND_BLOCK depth-sorted splats
+at a time as one (splats, pixels) array and still returns the bits of the
+splat-by-splat definition above:
 
 - Every per-element expression (offset, power, alpha, T * alpha * rgb) is the
   same sequence of float64 operations as in the per-splat form.
@@ -44,65 +45,72 @@ BLEND_BLOCK = 64  # splats evaluated together as one (block, 256) array
 
 def blend(
     batch: ProjectedBatch,
+    bounds: list[int],
     centers: np.ndarray,
     color: np.ndarray,
     transmittance: np.ndarray,
     trace: list | None = None,
     pixel_trace: tuple[int, list] | None = None,
-) -> int:
-    """Blend depth-sorted splats into the running pixel state (in place).
+) -> np.ndarray:
+    """Blend each tile's depth-sorted splats into its running pixel state (in place).
 
-    Returns the number of splats processed: all of them, or the index of the
-    first splat reached with every pixel frozen.  ``trace`` collects one
-    (depth, max_scale) pair per processed splat, in blend order;
-    ``pixel_trace`` is (pixel_index, list) and collects only the splats that
-    actually contributed to that pixel.
+    Tile t's splats are rows ``bounds[t]:bounds[t + 1]`` of ``batch`` and
+    its pixels ``centers[t]``, ``color[t]`` and ``transmittance[t]``.
+    Returns the number of splats processed per tile: all of them, or the
+    index of the first splat reached with every pixel frozen.  ``trace``
+    holds one list per tile, which collects one (depth, max_scale) pair per
+    processed splat, in blend order; ``pixel_trace`` is (pixel_index, one
+    list per tile) and collects only the splats that actually contributed
+    to that pixel.
     """
-    n = 0
-    for start in range(0, len(batch), BLEND_BLOCK):
-        live = np.flatnonzero(transmittance >= T_FREEZE)
-        if not len(live):
-            break
-        # frozen pixels never change again: evaluate only the live columns,
-        # through a plain view while no pixel has frozen yet
-        cols = slice(None) if len(live) == len(transmittance) else live
-        stop = min(start + BLEND_BLOCK, len(batch))
-        k = stop - start
-        dx = centers[cols, 0] - batch.mean2d[start:stop, 0, None]
-        dy = centers[cols, 1] - batch.mean2d[start:stop, 1, None]
-        a, b, c = (batch.conic[start:stop, j, None] for j in range(3))
-        power = -0.5 * (a * dx**2 + c * dy**2) - b * dx * dy
-        alpha = np.minimum(ALPHA_CAP, batch.opacity[start:stop, None] * np.exp(power))
-        opaque = alpha >= ALPHA_MIN
-        # factors[0] is the entry transmittance, factors[j + 1] splat j's 1 - alpha
-        factors = np.ones((k + 1, len(live)))
-        factors[0] = transmittance[cols]
-        np.subtract(1.0, alpha, out=factors[1:], where=opaque)
-        t_front = np.multiply.accumulate(factors)  # row j: in front of splat j
-        active = t_front >= T_FREEZE
-        hit = opaque & active[:-1]
-        miss = ~hit
-        # channel-major (k, 3, pixels) summands keep the pixel axis contiguous
-        summands = np.empty((k + 1, 3, len(live)))
-        summands[0] = color[cols].T
-        np.multiply(t_front[:-1, None] * alpha[:, None], batch.rgb[start:stop, :, None],
-                    out=summands[1:])
-        np.copyto(summands[1:], -0.0, where=miss[:, None])
-        color[cols] = np.add.reduce(summands, axis=0, initial=-0.0).T
-        np.copyto(factors[1:], 1.0, where=miss)
-        transmittance[cols] = np.multiply.reduce(factors, axis=0)
+    processed = np.zeros(len(centers), dtype=np.int64)
+    for t, (first, end) in enumerate(zip(bounds, bounds[1:])):
+        tile_color, tile_t = color[t], transmittance[t]
+        for start in range(first, end, BLEND_BLOCK):
+            live = np.flatnonzero(tile_t >= T_FREEZE)
+            if not len(live):
+                break
+            # frozen pixels never change again: evaluate only the live columns,
+            # through a plain view while no pixel has frozen yet
+            cols = slice(None) if len(live) == len(tile_t) else live
+            stop = min(start + BLEND_BLOCK, end)
+            k = stop - start
+            dx = centers[t, cols, 0] - batch.mean2d[start:stop, 0, None]
+            dy = centers[t, cols, 1] - batch.mean2d[start:stop, 1, None]
+            a, b, c = (batch.conic[start:stop, j, None] for j in range(3))
+            power = -0.5 * (a * dx**2 + c * dy**2) - b * dx * dy
+            alpha = np.minimum(ALPHA_CAP, batch.opacity[start:stop, None] * np.exp(power))
+            opaque = alpha >= ALPHA_MIN
+            # factors[0] is the entry transmittance, factors[j + 1] splat j's 1 - alpha
+            factors = np.ones((k + 1, len(live)))
+            factors[0] = tile_t[cols]
+            np.subtract(1.0, alpha, out=factors[1:], where=opaque)
+            t_front = np.multiply.accumulate(factors)  # row j: in front of splat j
+            active = t_front >= T_FREEZE
+            hit = opaque & active[:-1]
+            miss = ~hit
+            # channel-major (k, 3, pixels) summands keep the pixel axis contiguous
+            summands = np.empty((k + 1, 3, len(live)))
+            summands[0] = tile_color[cols].T
+            np.multiply(t_front[:-1, None] * alpha[:, None], batch.rgb[start:stop, :, None],
+                        out=summands[1:])
+            np.copyto(summands[1:], -0.0, where=miss[:, None])
+            tile_color[cols] = np.add.reduce(summands, axis=0, initial=-0.0).T
+            np.copyto(factors[1:], 1.0, where=miss)
+            tile_t[cols] = np.multiply.reduce(factors, axis=0)
 
-        processed = int(np.count_nonzero(active[:-1].any(axis=1)))
-        n += processed
-        if trace is not None:
-            done = slice(start, start + processed)
-            trace.extend(zip(batch.depth[done].tolist(), batch.max_scale[done].tolist()))
-        if pixel_trace is not None:
-            rows = start + np.flatnonzero(hit[:, live == pixel_trace[0]])
-            pixel_trace[1].extend(zip(batch.depth[rows].tolist(), batch.max_scale[rows].tolist()))
-        if processed < k:
-            break
-    return n
+            done = int(np.count_nonzero(active[:-1].any(axis=1)))
+            processed[t] += done
+            if trace is not None:
+                rows = slice(start, start + done)
+                trace[t].extend(zip(batch.depth[rows].tolist(), batch.max_scale[rows].tolist()))
+            if pixel_trace is not None:
+                rows = start + np.flatnonzero(hit[:, live == pixel_trace[0]])
+                pixel_trace[1][t].extend(zip(batch.depth[rows].tolist(),
+                                             batch.max_scale[rows].tolist()))
+            if done < k:
+                break
+    return processed
 
 
 def composite_background(color: np.ndarray, transmittance: np.ndarray, background) -> None:

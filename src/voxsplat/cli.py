@@ -116,23 +116,19 @@ def _dump_dag(path, store, camera) -> None:
 
 
 def _cbp_diagnostics(store, books, camera, background) -> dict:
-    """Depth-order penalty over sampled tile and center-pixel blend traces;
-    ``store``'s records are already encoded when ``books`` is given."""
+    """Depth-order penalty over sampled tile and center-pixel blend traces,
+    all sampled tiles rendered in one call; ``store``'s records are already
+    encoded when ``books`` is given."""
     ntx, nty = camera.tile_counts
-    tile_vals, pixel_vals = [], []
-    center = 8 * 16 + 8
-    for ty in range(2, nty, 4):
-        for tx in range(2, ntx, 4):
-            tile_trace: list = []
-            px_trace: list = []
-            render_tile_streaming(
-                [(tx, ty)], camera, store.grid, store.records, books,
-                background=background, trace=tile_trace, pixel_trace=(center, px_trace),
-            )
-            tile_vals.append(cbp_loss(tile_trace))
-            pixel_vals.append(cbp_loss(px_trace))
-    per_tile = float(np.mean(tile_vals)) if tile_vals else 0.0
-    per_pixel = float(np.mean(pixel_vals)) if pixel_vals else 0.0
+    tiles = [(tx, ty) for ty in range(2, nty, 4) for tx in range(2, ntx, 4)]
+    tile_traces = [[] for _ in tiles]
+    pixel_traces = [[] for _ in tiles]
+    render_tile_streaming(
+        tiles, camera, store.grid, store.records, books, background=background,
+        trace=tile_traces, pixel_trace=(8 * 16 + 8, pixel_traces),
+    )
+    per_tile = float(np.mean([cbp_loss(t) for t in tile_traces])) if tiles else 0.0
+    per_pixel = float(np.mean([cbp_loss(t) for t in pixel_traces])) if tiles else 0.0
     return {
         "per_tile_trace": per_tile,
         "per_pixel_trace": per_pixel,

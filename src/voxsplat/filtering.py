@@ -109,18 +109,12 @@ class ProjectedBatch:
     def take(self, idx: np.ndarray) -> "ProjectedBatch":
         return ProjectedBatch(*[getattr(self, f.name)[idx] for f in _fields(ProjectedBatch)])
 
-    def sorted_by_depth(self) -> "ProjectedBatch":
-        return self.take(np.lexsort((self.ids, self.depth)))
 
-
-def tile_rect(tx: int, ty: int) -> tuple[float, float, float, float]:
-    """Continuous pixel-space rectangle of a tile: (x0, y0, x1, y1)."""
-    return (
-        float(tx * TILE_EDGE),
-        float(ty * TILE_EDGE),
-        float((tx + 1) * TILE_EDGE),
-        float((ty + 1) * TILE_EDGE),
-    )
+def tile_rects(tiles) -> np.ndarray:
+    """Continuous pixel-space rectangles of (tx, ty) tiles: rows x0, y0, x1,
+    y1 of a (4, tiles) array."""
+    corners = np.asarray(tiles, dtype=np.float64).reshape(-1, 2).T * TILE_EDGE
+    return np.concatenate([corners, corners + TILE_EDGE])
 
 
 def disc_overlaps_rect(center: np.ndarray, radius: np.ndarray, rect) -> np.ndarray:

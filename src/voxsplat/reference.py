@@ -1,7 +1,8 @@
-"""Tile-centric baseline renderer: project everything once, duplicate per
-intersected tile, depth-sort each tile's list, then blend.  Serves as the
-correctness oracle and charges the intermediate projection/sorting traffic
-the streaming pipeline exists to avoid.
+"""Tile-centric baseline renderer, binned like the 3DGS tile rasterizer:
+project everything once, duplicate each splat per intersected tile, sort a
+tile row's duplicates by (tile, depth, id) at once, then blend the row.
+Serves as the correctness oracle and charges the intermediate
+projection/sorting traffic the streaming pipeline exists to avoid.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blending import blend, composite_background
-from .filtering import disc_overlaps_rect, project_splats, tile_rect
+from .filtering import disc_overlaps_rect, project_splats, tile_rects
 from .scene import Camera, Scene, TILE_EDGE, tile_pixels
 from .tileloop import render_rows
 from .traffic import (
@@ -19,6 +20,7 @@ from .traffic import (
     TrafficLedger,
     merge_sort_pass_bytes,
 )
+from .voxelstore import concat_ranges
 
 
 def render_frame_reference(
@@ -37,29 +39,39 @@ def render_frame_reference(
 
     valid, batch, _ = project_splats(camera, scene.positions, scene.scales, scene.rotations,
                                      scene.opacities, scene.sh, scene.ids)
-    keep = np.flatnonzero(valid)
-    ledger.charge("projection-writeback", PROJECTED_RECORD_BYTES * len(keep), len(keep))
+    batch = batch.take(np.flatnonzero(valid))
+    ledger.charge("projection-writeback", PROJECTED_RECORD_BYTES * len(batch), len(batch))
 
-    ntx, _ = camera.tile_counts
-    centers = batch.mean2d[keep]
-    radii = batch.radius[keep]
+    ntx, nty = camera.tile_counts
+    # candidate tiles per axis: the pixel of margin keeps discs that only touch a
+    # tile's closed edge; spans are cut to the frame before any integer cast
+    reach = batch.radius[:, None] + 1.0
+    first = np.maximum(np.floor((batch.mean2d - reach) / TILE_EDGE), 0.0)
+    last = np.minimum(np.floor((batch.mean2d + reach) / TILE_EDGE), [ntx - 1.0, nty - 1.0])
+    across = first[:, 0] <= last[:, 0]
 
     def render_row(ty):
-        colors, sub = [], TrafficLedger()
-        for tx in range(ntx):
-            members = keep[disc_overlaps_rect(centers, radii, tile_rect(tx, ty))]
-            sub.charge("sort-spill", merge_sort_pass_bytes(len(members)), len(members))
-            sub.charge("render-load", PROJECTED_RECORD_BYTES * len(members), len(members))
-            color = np.zeros((TILE_EDGE * TILE_EDGE, 3))
-            transmittance = np.ones(TILE_EDGE * TILE_EDGE)
-            if len(members):
-                tile_batch = batch.take(members).sorted_by_depth()
-                blend(tile_batch, tile_pixels([(tx, ty)])[0] + 0.5, color, transmittance)
-            composite_background(color, transmittance, background)
-            sub.charge("pixel-writeback", PIXEL_BYTES * TILE_EDGE * TILE_EDGE,
-                       TILE_EDGE * TILE_EDGE)
-            colors.append(color)
-        return colors, sub
+        row = np.stack([np.arange(ntx), np.full(ntx, ty)], axis=1)
+        inside = np.flatnonzero(across & (first[:, 1] <= ty) & (ty <= last[:, 1]))
+        span = (last[inside, 0] - first[inside, 0]).astype(np.int64) + 1
+        splat = np.repeat(inside, span)  # one (splat, tile) record per candidate tile
+        tile = concat_ranges(first[inside, 0].astype(np.int64), span)
+        rects = tile_rects(row)[:, tile]
+        hit = disc_overlaps_rect(batch.mean2d[splat], batch.radius[splat], rects)
+        members, tile = splat[hit], tile[hit]
+        # a stable sort of records made splat after splat: (depth, id) ties keep splat order
+        order = np.lexsort((batch.ids[members], batch.depth[members], tile))
+        counts = np.bincount(tile, minlength=ntx)
+        sub = TrafficLedger()
+        sub.charge("sort-spill", sum(map(merge_sort_pass_bytes, counts.tolist())), len(members))
+        sub.charge("render-load", PROJECTED_RECORD_BYTES * len(members), len(members))
+        color = np.zeros((ntx, TILE_EDGE * TILE_EDGE, 3))
+        transmittance = np.ones((ntx, TILE_EDGE * TILE_EDGE))
+        bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        blend(batch.take(members[order]), bounds, tile_pixels(row) + 0.5, color, transmittance)
+        composite_background(color, transmittance, background)
+        sub.charge("pixel-writeback", PIXEL_BYTES * transmittance.size, transmittance.size)
+        return color, sub
 
     frame, rows = render_rows(camera, render_row, threads)
     for sub in rows:

@@ -23,6 +23,11 @@ TILE_EDGE = 16
 # Per-pixel arrays such as a frame or a tile row's ray walk scale with the
 # image; the cap bounds them whatever a camera file asks for.
 MAX_PIXELS = 1 << 24
+# Focal lengths and principal point in pixels, translation in world units:
+# within these, projection, ray set-up and tile binning stay finite in float64.
+FOCAL_RANGE = (1e-3, 1e6)
+PRINCIPAL_POINT_RANGE = (-1e7, 1e7)
+TRANSLATION_RANGE = (-1e9, 1e9)
 QUAT_NORM_TOL = 1e-6
 
 
@@ -79,8 +84,9 @@ class Scene:
         self.sh = np.asarray(self.sh, dtype=np.float64).reshape(n, 16, 3)
         self.ids = np.asarray(self.ids, dtype=np.int64).reshape(n)
         for name in ("positions", "scales", "rotations", "opacities", "sh"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"non-finite values in splat {name}")
+            if not np.all(np.abs(getattr(self, name)) <= np.finfo(np.float32).max):
+                raise ValueError(f"non-finite values in splat {name}, or values past the "
+                                 "float32 range a store holds")
         if self.bounds is None:
             if n:
                 self.bounds = Aabb(self.positions.min(axis=0), self.positions.max(axis=0))
@@ -124,8 +130,10 @@ class Camera:
     `rotation` maps world to camera coordinates (camera looks along +z), so a
     world point p lands at ``rotation @ p + translation``.  Width and height
     must be positive multiples of the 16-pixel tile edge, at most MAX_PIXELS
-    in all; focal lengths and the near plane finite and positive, and every
-    other value finite.
+    in all; the near plane finite and positive, the rotation orthonormal,
+    and the focal lengths, the principal point and each translation
+    component within FOCAL_RANGE, PRINCIPAL_POINT_RANGE and
+    TRANSLATION_RANGE.
     """
 
     width: int
@@ -151,14 +159,18 @@ class Camera:
             raise ValueError(
                 f"image size {self.width}x{self.height} exceeds the cap of {MAX_PIXELS} pixels"
             )
-        for name in ("fx", "fy", "near"):
+        if not (math.isfinite(self.near) and self.near > 0):
+            raise ValueError(f"camera near must be finite and positive, got {self.near}")
+        for name, (lo, hi) in (("fx", FOCAL_RANGE), ("fy", FOCAL_RANGE),
+                               ("cx", PRINCIPAL_POINT_RANGE), ("cy", PRINCIPAL_POINT_RANGE),
+                               ("translation", TRANSLATION_RANGE)):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"camera {name} must be finite and positive, got {value}")
-        for name in ("cx", "cy", "rotation", "translation"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"camera {name} must be finite")
-        rrt = self.rotation @ self.rotation.T
+            if not np.all((lo <= value) & (value <= hi)):
+                positive = " and positive" if lo > 0 else ""
+                raise ValueError(f"camera {name} must be finite{positive} and in [{lo:g}, {hi:g}], "
+                                 f"got {value}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge or non-finite entry fails
+            rrt = self.rotation @ self.rotation.T
         if not np.allclose(rrt, np.eye(3), atol=1e-8):
             raise ValueError("world-to-camera rotation is not orthonormal")
 

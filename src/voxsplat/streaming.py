@@ -7,7 +7,7 @@ The tiles of a row are rendered together, in rounds.  Each round takes the
 next chunk of every unfinished tile's schedule and runs one coarse pass over
 all of those (tile, voxel) pairs, decodes and projects their not yet cached
 voxels in one call, runs one fine pass, orders the survivors by (tile,
-schedule position, depth, id), and blends each tile's share in one call.
+schedule position, depth, id), and blends them in one ``blend`` call.
 The first chunk is FIRST_CHUNK voxels and each later one twice the last, so
 a tile that saturates early projects few voxels it never reaches.  Counts
 are kept per (tile, voxel) pair and trimmed to the voxels a tile walking its
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .blending import T_FREEZE, blend, composite_background
-from .filtering import FilterStats, ProjectionCache, Tally, coarse_filter, fine_filter
+from .filtering import FilterStats, ProjectionCache, Tally, coarse_filter, fine_filter, tile_rects
 from .scene import Camera, TILE_EDGE, tile_pixels
 from .scheduler import schedule, traverse, voxel_depths
 from .tileloop import render_rows
@@ -97,16 +97,14 @@ def render_tile_streaming(
 
     The tiles' rays are walked here, in one ``traverse`` call.  ``cache``
     holds the frame's voxel depths and projections for ``camera``; a call on
-    its own makes one.  ``trace`` and ``pixel_trace`` follow ``blend`` and
-    need a single tile.
+    its own makes one.  ``trace`` and ``pixel_trace`` follow ``blend``: one
+    list per tile.
     """
-    if (trace is not None or pixel_trace is not None) and len(tiles) != 1:
-        raise ValueError("blend traces follow a single tile")
     if cache is None:
         cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
     plan = schedule(traverse(tiles, camera, grid), cache.depth)
     ntiles = len(tiles)
-    corner = np.asarray(tiles, dtype=np.float64).reshape(-1, 2) * TILE_EDGE
+    rects = tile_rects(tiles)
     centers = tile_pixels(tiles) + 0.5
     color = np.zeros((ntiles, TILE_EDGE * TILE_EDGE, 3))
     transmittance = np.ones((ntiles, TILE_EDGE * TILE_EDGE))
@@ -131,34 +129,32 @@ def render_tile_streaming(
         rows, positions, max_scales = stream_coarse(records, vids)
         row_pair = np.repeat(np.arange(npairs), sizes[vids])
         passed = np.flatnonzero(
-            coarse_filter(cache, rows, positions, max_scales, _rects(corner[pair_tile[row_pair]]))
+            coarse_filter(cache, rows, positions, max_scales, rects[:, pair_tile[row_pair]])
         )
         coarse_rows, coarse_pair = rows[passed], row_pair[passed]
         coarse = np.bincount(coarse_pair, minlength=npairs)
 
         fresh = np.unique(vids[(coarse > 0) & ~cache.projected[vids]])
         kept = fine_filter(
-            cache, coarse_rows, coarse_pair, _rects(corner[pair_tile[coarse_pair]]),
+            cache, coarse_rows, coarse_pair, rects[:, pair_tile[coarse_pair]],
             (fresh, *stream_fine(records, fresh, books)) if len(fresh) else None,
         )
         kept_rows, kept_pair = coarse_rows[kept], coarse_pair[kept]
         fine = np.bincount(kept_pair, minlength=npairs)
         degenerate = np.bincount(coarse_pair[cache.degenerate[coarse_rows]], minlength=npairs)
 
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(pair_tile[kept_pair],
+                                                            minlength=ntiles))])
+        n = blend(cache.batch.take(kept_rows), bounds.tolist(), centers, color, transmittance,
+                  trace, pixel_trace)
+        blended += n
         # each tile's walk ends after its last pair unless it freezes sooner
         last = np.full(ntiles, npairs)
-        batch = cache.batch.take(kept_rows)
-        bounds = np.concatenate([[0], np.cumsum(np.bincount(pair_tile[kept_pair],
-                                                            minlength=ntiles))]).tolist()
-        for t in np.flatnonzero(np.diff(bounds)).tolist():
-            a, b = bounds[t], bounds[t + 1]
-            n = blend(batch.take(slice(a, b)), centers[t], color[t], transmittance[t],
-                      trace, pixel_trace)
-            blended[t] += n
-            if early_exit and not np.any(transmittance[t] >= T_FREEZE):
-                last[t] = kept_pair[a + n - 1]
-                skipped[t] = plan.offsets[t + 1] - pair[last[t]] - 1
-                walked[t] = scheduled[t]
+        if early_exit:
+            frozen = np.flatnonzero((n > 0) & ~np.any(transmittance >= T_FREEZE, axis=1))
+            last[frozen] = kept_pair[bounds[frozen] + n[frozen] - 1]
+            skipped[frozen] = plan.offsets[frozen + 1] - pair[last[frozen]] - 1
+            walked[frozen] = scheduled[frozen]
         counted = np.arange(npairs) <= last[pair_tile]
         splits = np.maximum((fine - 1) // VOXEL_BATCH_CAPACITY, 0)
         for i, per_pair in enumerate((sizes[vids], coarse, fine, degenerate, splits)):
@@ -171,12 +167,6 @@ def render_tile_streaming(
     loaded, coarse, fine, degenerate, splits = counts
     return color, TileCounts(records.encoded, loaded, coarse, fine, degenerate, scheduled,
                              skipped, plan.broken, splits, blended)
-
-
-def _rects(corners: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(x0, y0, x1, y1) pixel rectangles of the tiles with these top-left corners."""
-    x0, y0 = corners[:, 0], corners[:, 1]
-    return x0, y0, x0 + TILE_EDGE, y0 + TILE_EDGE
 
 
 def render_frame_streaming(

@@ -139,16 +139,22 @@ def build_grid(scene: Scene, edge: float) -> tuple[VoxelGrid, FlatRecords]:
 
     The grid origin is snapped down to a multiple of the edge, so cell
     boundaries form a global lattice: assignment does not depend on which
-    splats happen to be present.
+    splats happen to be present.  The scene's bounds must span at most
+    MAX_GRID_CELLS voxels.
     """
     _check_edge(edge)
-    origin = np.floor(scene.bounds.lo / edge) * edge
-    if len(scene):
-        # +1 so positions exactly on the far bound stay in range under floor
-        dims = np.floor((scene.bounds.hi - origin) / edge).astype(np.int64) + 1
-    else:
-        dims = np.ones(3, dtype=np.int64)
-    grid = VoxelGrid(origin=origin, edge=float(edge), dims=dims)
+    with np.errstate(over="ignore"):  # bounds too wide for the cap may overflow to inf
+        origin = np.floor(scene.bounds.lo / edge) * edge
+        if len(scene):
+            # +1 so positions exactly on the far bound stay in range under floor
+            dims = np.floor((scene.bounds.hi - origin) / edge) + 1
+        else:
+            dims = np.ones(3)
+    cells = math.prod(dims.tolist())
+    if not (np.all(np.isfinite(origin) & (dims >= 1)) and cells <= MAX_GRID_CELLS):
+        raise ValueError(f"scene bounds {scene.bounds.lo.tolist()} to {scene.bounds.hi.tolist()} "
+                         f"fit no grid within the cap of {MAX_GRID_CELLS} voxels of edge {edge}")
+    grid = VoxelGrid(origin=origin, edge=float(edge), dims=dims.astype(np.int64))
     vids = grid.vid_of_cell(grid.cell_of(scene.positions))
     order = np.lexsort((scene.ids, vids))
     uniq, starts = np.unique(vids[order], return_index=True)

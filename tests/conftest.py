@@ -9,6 +9,7 @@ import pytest
 import voxsplat.tileloop as tileloop
 from voxsplat import Aabb, generate_scene, look_at_camera
 from voxsplat.filtering import FilterStats, ProjectionCache, coarse_filter, fine_filter
+from voxsplat.scene import _REQUIRED_PROPS
 
 
 @pytest.fixture
@@ -66,6 +67,15 @@ def filter_voxel(camera, rect, splats, survivors=None):
     degenerate = int(np.count_nonzero(cache.degenerate[survivors]))
     stats = FilterStats.counted(n, len(survivors), len(kept), degenerate)
     return mask, cache.batch.take(survivors[kept]), stats
+
+
+def double_ply(path, xs):
+    """Write a PLY of ``double`` properties holding unit splats at x = ``xs``."""
+    header = "".join(f"property double {name}\n" for name in _REQUIRED_PROPS)
+    data = np.zeros(len(xs), dtype=[(name, "<f8") for name in _REQUIRED_PROPS])
+    data["x"], data["rot_0"] = xs, 1.0
+    path.write_bytes(f"ply\nformat binary_little_endian 1.0\nelement vertex {len(xs)}\n{header}"
+                     f"end_header\n".encode() + data.tobytes())
 
 
 def read_png(path) -> np.ndarray:

@@ -21,7 +21,12 @@ visit by visit and the walk cut at the first voxel that finds every pixel
 frozen.  Its filter oracles keep no projection cache: every visit projects
 its voxel again, and ``stream_fine_per_visit`` decodes the survivors only
 (``survivor_rows``), so ``fine_filter_per_visit`` projects just those and
-sorts them with ``sorted_by_depth``.
+sorts them by (depth, id) on its own.
+
+``render_frame_reference_per_tile`` is the reference renderer as it stood
+before it binned a tile row's splats in one sort: per tile, the disc test
+over every valid splat, then a (depth, id) lexsort of the members and one
+``blend`` call for the tile alone.
 """
 
 from __future__ import annotations
@@ -40,13 +45,19 @@ from voxsplat.filtering import (
     disc_overlaps_rect,
     project_means,
     project_splats,
-    tile_rect,
+    tile_rects,
 )
 from voxsplat.metrics import extent_boxes
 from voxsplat.scene import TILE_EDGE, tile_pixels
 from voxsplat.scheduler import TileVisits, voxel_depths
 from voxsplat.streaming import StreamStats
-from voxsplat.traffic import PIXEL_BYTES, TrafficLedger
+from voxsplat.traffic import (
+    PIXEL_BYTES,
+    PROJECTED_RECORD_BYTES,
+    PROJECTION_LOAD_BYTES,
+    TrafficLedger,
+    merge_sort_pass_bytes,
+)
 from voxsplat.voxelstore import (
     COARSE_BYTES_PER_GAUSSIAN,
     ENCODED_FINE_BYTES,
@@ -55,29 +66,32 @@ from voxsplat.voxelstore import (
 from voxsplat.vq import ATTRIBUTES, nearest_indices
 
 
-def blend_per_splat(batch, centers, color, transmittance, trace=None, pixel_trace=None) -> int:
-    """One splat at a time over all 256 pixels; same contract as ``blend``."""
-    n = 0
-    for i in range(len(batch)):
-        active = transmittance >= T_FREEZE
-        if not active.any():
-            break
-        n += 1
-        if trace is not None:
-            trace.append((float(batch.depth[i]), float(batch.max_scale[i])))
-        d = centers - batch.mean2d[i]
-        a, b, c = batch.conic[i]
-        power = -0.5 * (a * d[:, 0] ** 2 + c * d[:, 1] ** 2) - b * d[:, 0] * d[:, 1]
-        alpha = np.minimum(ALPHA_CAP, batch.opacity[i] * np.exp(power))
-        hit = active & (alpha >= ALPHA_MIN)
-        if pixel_trace is not None and hit[pixel_trace[0]]:
-            pixel_trace[1].append((float(batch.depth[i]), float(batch.max_scale[i])))
-        if not hit.any():
-            continue
-        w = transmittance[hit] * alpha[hit]
-        color[hit] += w[:, None] * batch.rgb[i]
-        transmittance[hit] *= 1.0 - alpha[hit]
-    return n
+def blend_per_splat(batch, bounds, centers, color, transmittance, trace=None,
+                    pixel_trace=None) -> np.ndarray:
+    """One tile after another, one splat at a time over all 256 pixels; same
+    contract as ``blend``."""
+    processed = np.zeros(len(centers), dtype=np.int64)
+    for t in range(len(centers)):
+        for i in range(bounds[t], bounds[t + 1]):
+            active = transmittance[t] >= T_FREEZE
+            if not active.any():
+                break
+            processed[t] += 1
+            if trace is not None:
+                trace[t].append((float(batch.depth[i]), float(batch.max_scale[i])))
+            d = centers[t] - batch.mean2d[i]
+            a, b, c = batch.conic[i]
+            power = -0.5 * (a * d[:, 0] ** 2 + c * d[:, 1] ** 2) - b * d[:, 0] * d[:, 1]
+            alpha = np.minimum(ALPHA_CAP, batch.opacity[i] * np.exp(power))
+            hit = active & (alpha >= ALPHA_MIN)
+            if pixel_trace is not None and hit[pixel_trace[0]]:
+                pixel_trace[1][t].append((float(batch.depth[i]), float(batch.max_scale[i])))
+            if not hit.any():
+                continue
+            w = transmittance[t, hit] * alpha[hit]
+            color[t, hit] += w[:, None] * batch.rgb[i]
+            transmittance[t, hit] *= 1.0 - alpha[hit]
+    return processed
 
 
 class DdaStart(NamedTuple):
@@ -246,14 +260,14 @@ def schedule_dict_based(visits, depth):
 
 
 def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0.0, 0.0),
-                          trace=None, pixel_trace=None, early_exit=True):
+                          early_exit=True):
     """One tile, visit by visit; returns (color, ledger, stats).  The sorting
     buffer is ``streaming.VOXEL_BATCH_CAPACITY`` as it reads at call time."""
     ledger, stats = TrafficLedger(), StreamStats()
-    rect = tile_rect(*tile)
-    centers = tile_pixels([tile])[0] + 0.5
-    color = np.zeros((TILE_EDGE * TILE_EDGE, 3))
-    transmittance = np.ones(TILE_EDGE * TILE_EDGE)
+    rect = tile_rects([tile])
+    centers = tile_pixels([tile]) + 0.5
+    color = np.zeros((1, TILE_EDGE * TILE_EDGE, 3))
+    transmittance = np.ones((1, TILE_EDGE * TILE_EDGE))
     capacity = streaming_mod.VOXEL_BATCH_CAPACITY
     order, stats.cycles_broken = schedule_dict_based(
         traverse_per_visit([tile], camera, grid), voxel_depths(camera, grid)
@@ -277,10 +291,10 @@ def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0
             if start:
                 stats.batch_splits += 1
             chunk = batch.take(np.arange(start, min(start + capacity, len(batch))))
-            stats.blended += blend(chunk, centers, color, transmittance, trace, pixel_trace)
+            stats.blended += int(blend(chunk, [0, len(chunk)], centers, color, transmittance)[0])
     composite_background(color, transmittance, background)
-    ledger.charge("pixel-writeback", PIXEL_BYTES * len(centers), len(centers))
-    return color, ledger, stats
+    ledger.charge("pixel-writeback", PIXEL_BYTES * TILE_EDGE**2, TILE_EDGE**2)
+    return color[0], ledger, stats
 
 
 def coarse_filter_per_visit(camera, rect, positions, max_scales, stats):
@@ -340,9 +354,38 @@ def fine_filter_per_visit(camera, rect, survivors, splats, stats):
     valid, batch, _ = project_splats(camera, *splats)
     valid, batch = valid[:n], batch.take(np.arange(n))  # drop survivor_rows's copy
     stats.degenerate += int(np.count_nonzero((batch.depth > camera.near) & ~valid))
-    mask = valid & disc_overlaps_rect(batch.mean2d, batch.radius, rect)
-    stats.fine_survivors += int(mask.sum())
-    return batch.take(np.flatnonzero(mask)).sorted_by_depth()
+    kept = np.flatnonzero(valid & disc_overlaps_rect(batch.mean2d, batch.radius, rect))
+    stats.fine_survivors += len(kept)
+    return batch.take(kept[np.lexsort((batch.ids[kept], batch.depth[kept]))])
+
+
+def render_frame_reference_per_tile(camera, scene, background=(0.0, 0.0, 0.0), scene_hash=""):
+    """``render_frame_reference`` one tile at a time; returns (frame float32, ledger)."""
+    ledger = TrafficLedger(scene_hash=scene_hash)
+    n = len(scene)
+    ledger.charge("projection", PROJECTION_LOAD_BYTES * n, n)
+    valid, batch, _ = project_splats(camera, scene.positions, scene.scales, scene.rotations,
+                                     scene.opacities, scene.sh, scene.ids)
+    keep = np.flatnonzero(valid)
+    ledger.charge("projection-writeback", PROJECTED_RECORD_BYTES * len(keep), len(keep))
+    image = np.zeros((camera.height, camera.width, 3))
+    ntx, nty = camera.tile_counts
+    for ty in range(nty):
+        for tx in range(ntx):
+            members = keep[disc_overlaps_rect(batch.mean2d[keep], batch.radius[keep],
+                                              tile_rects([(tx, ty)]))]
+            ledger.charge("sort-spill", merge_sort_pass_bytes(len(members)), len(members))
+            ledger.charge("render-load", PROJECTED_RECORD_BYTES * len(members), len(members))
+            members = members[np.lexsort((batch.ids[members], batch.depth[members]))]
+            color = np.zeros((1, TILE_EDGE * TILE_EDGE, 3))
+            transmittance = np.ones((1, TILE_EDGE * TILE_EDGE))
+            blend(batch.take(members), [0, len(members)], tile_pixels([(tx, ty)]) + 0.5,
+                  color, transmittance)
+            composite_background(color, transmittance, background)
+            ledger.charge("pixel-writeback", PIXEL_BYTES * TILE_EDGE**2, TILE_EDGE**2)
+            image[ty * TILE_EDGE : (ty + 1) * TILE_EDGE,
+                  tx * TILE_EDGE : (tx + 1) * TILE_EDGE] = color.reshape(TILE_EDGE, TILE_EDGE, 3)
+    return image.astype(np.float32), ledger
 
 
 def encode_per_voxel(records, books) -> list[np.ndarray]:

@@ -24,7 +24,7 @@ from voxsplat import (
     render_frame_streaming,
     traffic_breakdown,
 )
-from voxsplat.filtering import tile_rect
+from voxsplat.filtering import tile_rects
 from voxsplat.scene import scene_fingerprint
 from voxsplat.scheduler import schedule, traverse, voxel_depths
 from voxsplat.traffic import INTERMEDIATE_STAGES, counts_from_stats
@@ -141,7 +141,7 @@ def test_criterion_03_coarse_filter_conservative():
         opac = rng.uniform(0.05, 0.99, size=n)
         sh = rng.normal(0, 0.2, size=(n, 16, 3))
         tile = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-        rect = tile_rect(*tile)
+        rect = tile_rects([tile])
         cmask, fine, _ = filter_voxel(camera, rect,
                                       (positions, scales, quats, opac, sh, np.arange(n)),
                                       survivors=np.arange(n))

@@ -18,7 +18,7 @@ from voxsplat.cli import main
 from voxsplat.errors import CodebookCorruptionError
 from voxsplat.scheduler import dependency_graph, traverse
 
-from conftest import leave_rows_to_workers, read_png
+from conftest import double_ply, leave_rows_to_workers, read_png
 
 
 def _run(argv, capsys=None):
@@ -215,6 +215,21 @@ def test_build_voxels_on_a_bad_ply_exits_1_with_one_line(workspace, capsys):
         assert err.startswith("voxsplat: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("xs, message", [
+    ([1e308, -1e308], "splat positions, or values past the float32 range a store holds"),
+    ([1e300, 1e300], "splat positions, or values past the float32 range a store holds"),
+    ([3e38, -3e38], "fit no grid within the cap of 16777216 voxels"),
+])
+def test_build_voxels_on_extreme_ply_coordinates_exits_1_with_one_line(tmp_path, capsys, xs,
+                                                                       message):
+    double_ply(tmp_path / "far.ply", xs)
+    out = tmp_path / "far.gsvx"
+    assert _run(["build-voxels", "--scene", tmp_path / "far.ply", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("voxsplat: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_dump_dag_is_the_union_of_single_tile_edges(workspace):
     dag = workspace / "edges.txt"
     assert _run(["render", "--mode", "streaming", "--voxels", workspace / "scene.gsvx",
@@ -257,6 +272,14 @@ def test_camera_narrower_than_a_tile_exits_1_with_one_line(workspace, capsys, wi
     (lambda cam: {**cam, "world_to_camera": {**cam["world_to_camera"],
                                              "translation": [0, 0, float("inf")]}},
      "camera translation must be finite"),
+    (lambda cam: {**cam, "fx": 1e300}, "camera fx must be finite and positive and in [0.001, 1e+06]"),
+    (lambda cam: {**cam, "cx": 1e300}, "camera cx must be finite and in [-1e+07, 1e+07]"),
+    (lambda cam: {**cam, "world_to_camera": {**cam["world_to_camera"],
+                                             "translation": [0, 0, 1e300]}},
+     "camera translation must be finite and in [-1e+09, 1e+09]"),
+    (lambda cam: {**cam, "world_to_camera": {**cam["world_to_camera"],
+                                             "rotation": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+     "world-to-camera rotation is not orthonormal"),
 ])
 def test_bad_camera_json_exits_1_with_one_line(workspace, capfd, edit, message):
     """Run as its own process, so a numpy warning or a traceback would show."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voxsplat import look_at_camera
 from voxsplat.filtering import (
@@ -11,7 +12,7 @@ from voxsplat.filtering import (
     disc_overlaps_rect,
     project_splats,
     quat_to_rotmat,
-    tile_rect,
+    tile_rects,
 )
 from voxsplat.sh import evaluate_sh
 
@@ -101,7 +102,7 @@ def _coarse_one(camera, rect, positions, max_scales):
 def test_behind_camera_rejected_by_coarse():
     camera = _camera()
     pos = np.array([[0.0, 0.0, -20.0]])
-    mask = _coarse_one(camera, tile_rect(8, 8), pos, np.array([1.0]))
+    mask = _coarse_one(camera, tile_rects([(8, 8)]), pos, np.array([1.0]))
     stats = FilterStats.counted(len(pos), int(mask.sum()), 0, 0)
     assert not mask[0]
     assert stats.loaded == 1 and stats.coarse_survivors == 0
@@ -109,7 +110,8 @@ def test_behind_camera_rejected_by_coarse():
 
 def test_center_of_tile_passes_coarse():
     camera = _camera()
-    mask = _coarse_one(camera, tile_rect(8, 8), np.array([[0.0, 0.0, 0.0]]), np.array([0.01]))
+    mask = _coarse_one(camera, tile_rects([(8, 8)]), np.array([[0.0, 0.0, 0.0]]),
+                       np.array([0.01]))
     assert mask[0]
 
 
@@ -117,7 +119,7 @@ def test_mac_charges_are_55_and_427():
     camera = _camera()
     pos = np.array([[0.0, 0.0, 0.0]])
     mask, batch, stats = filter_voxel(
-        camera, tile_rect(8, 8),
+        camera, tile_rects([(8, 8)]),
         (pos, np.full((1, 3), 0.1), np.array([[1.0, 0, 0, 0]]), np.array([0.5]),
          np.zeros((1, 16, 3)), np.array([0])),
     )
@@ -138,7 +140,7 @@ def test_conservativeness_fine_pass_implies_coarse_pass():
         pos, scales, q, opac, sh, ids = _random_inputs(rng, n)
         scales *= rng.uniform(0.05, 2.0)  # include near-zero and large splats
         tile = (int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-        rect = tile_rect(*tile)
+        rect = tile_rects([tile])
         cmask, fine, _ = filter_voxel(camera, rect, (pos, scales, q, opac, sh, ids),
                                       survivors=np.arange(n))
         fine_ids = set(fine.ids.tolist())
@@ -148,13 +150,43 @@ def test_conservativeness_fine_pass_implies_coarse_pass():
     assert total >= 100000
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    focal=st.floats(8.0, 80.0),
+    near=st.floats(0.05, 2.0),
+    tile=st.tuples(st.integers(0, 15), st.integers(0, 15)),
+)
+def test_coarse_keeps_every_fine_survivor_under_wide_fov_near_plane_cameras(
+    seed, focal, near, tile
+):
+    """Wide fields of view and splats whose centers sit from 0.3 in front of
+    to 0.6 behind the near plane: the coarse radius must still bound the fine
+    one wherever the fine test keeps a splat."""
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=3)
+    eye = direction / np.linalg.norm(direction) * rng.uniform(2.0, 10.0)
+    camera = look_at_camera(eye, rng.uniform(-1.0, 1.0, 3), focal=focal, near=near)
+    n = 2000
+    pos, scales, q, opac, sh, ids = _random_inputs(rng, n)
+    # camera-space centers across the frame's view and around the near plane
+    z = near + rng.uniform(-0.3, 0.6, n)
+    xy = (rng.uniform(0.0, 256.0, (n, 2)) - 128.0) / focal * np.abs(z)[:, None]
+    cam = np.column_stack([xy, z])
+    pos = (cam - camera.translation) @ camera.rotation  # rotation^T (cam - t)
+    scales *= rng.uniform(0.05, 2.0)
+    cmask, fine, _ = filter_voxel(camera, tile_rects([tile]), (pos, scales, q, opac, sh, ids),
+                                  survivors=np.arange(n))
+    assert set(fine.ids.tolist()) <= set(np.flatnonzero(cmask).tolist())
+
+
 def test_filter_stats_monotone():
     rng = np.random.default_rng(23)
     camera = _camera()
     stats = FilterStats()
     for _ in range(10):
         pos, scales, q, opac, sh, ids = _random_inputs(rng, 100)
-        rect = tile_rect(int(rng.integers(0, 16)), int(rng.integers(0, 16)))
+        rect = tile_rects([(int(rng.integers(0, 16)), int(rng.integers(0, 16)))])
         stats.merge(filter_voxel(camera, rect, (pos, scales, q, opac, sh, ids))[2])
         stats.check()
 
@@ -163,7 +195,7 @@ def test_emitted_conics_positive_definite():
     rng = np.random.default_rng(24)
     camera = _camera()
     pos, scales, q, opac, sh, ids = _random_inputs(rng, 2000)
-    _, batch, _ = filter_voxel(camera, tile_rect(7, 9), (pos, scales, q, opac, sh, ids),
+    _, batch, _ = filter_voxel(camera, tile_rects([(7, 9)]), (pos, scales, q, opac, sh, ids),
                                survivors=np.arange(len(pos)))
     a, b, c = batch.conic[:, 0], batch.conic[:, 1], batch.conic[:, 2]
     assert np.all(a > 0) and np.all(c > 0) and np.all(a * c - b * b > 0)
@@ -176,7 +208,7 @@ def test_fine_color_is_sh_toward_center():
     pos = np.array([[0.3, -0.2, 0.5]])
     sh = rng.normal(0, 0.3, size=(1, 16, 3))
     _, batch, _ = filter_voxel(
-        camera, tile_rect(8, 8),
+        camera, tile_rects([(8, 8)]),
         (pos, np.full((1, 3), 0.3), np.array([[1.0, 0, 0, 0]]), np.array([0.7]), sh,
          np.array([4])),
         survivors=np.array([0]),

@@ -2,6 +2,8 @@
 against hostile values: whatever a file holds, a loader returns or raises a
 ``VoxsplatError``, never anything else."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +13,8 @@ from voxsplat import (
     Camera,
     VoxelStore,
     generate_scene,
+    render_frame_reference,
+    render_frame_streaming,
     load_codebooks,
     load_ply,
     load_store,
@@ -27,8 +31,12 @@ from voxsplat.errors import (
     StoreFormatError,
     VoxsplatError,
 )
+from voxsplat.filtering import quat_to_rotmat
+from voxsplat.scene import FOCAL_RANGE, PRINCIPAL_POINT_RANGE, TRANSLATION_RANGE
 from voxsplat.voxelstore import gather_attribute
 from voxsplat.vq import ATTRIBUTES
+
+from conftest import double_ply
 
 LOADERS = {"ply": load_ply, "gsvx": load_store, "gsvq": load_codebooks}
 NAN = np.array([np.nan], dtype="<f4").tobytes()
@@ -179,3 +187,95 @@ def test_camera_json_raises_only_camera_format_errors(obj):
     assert camera.width * camera.height <= 1 << 24
     assert all(np.isfinite(v) for v in (camera.fx, camera.fy, camera.cx, camera.cy, camera.near))
     assert camera.fx > 0 and camera.fy > 0 and camera.near > 0
+
+
+_LOOKING = {"fx": 60.0, "fy": 60.0, "cx": 16.0, "cy": 16.0, "near": 0.1,
+            "translation": [0.0, 0.0, 10.0]}
+
+
+def _inside(bounds):
+    """Values inside ``bounds``: anywhere, at its ends, or near the origin."""
+    lo, hi = bounds
+    return st.one_of(st.floats(lo, hi), st.sampled_from(bounds), st.floats(max(lo, -30.0), 30.0))
+
+
+@pytest.fixture(scope="module")
+def tiny_store():
+    """A 50-splat store and the flat scene the reference renders."""
+    scene = generate_scene(count=50, bounds=Aabb([-2.0, -2.0, -1.0], [2.0, 2.0, 1.0]), seed=2,
+                           max_extent_fraction=0.5)
+    return VoxelStore.build(scene, 2.0), scene
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.fixed_dictionaries({
+        "fx": _inside(FOCAL_RANGE), "fy": _inside(FOCAL_RANGE),
+        "cx": _inside(PRINCIPAL_POINT_RANGE), "cy": _inside(PRINCIPAL_POINT_RANGE),
+        "near": st.floats(0.0, 1e3, exclude_min=True),
+        "translation": st.lists(_inside(TRANSLATION_RANGE), min_size=3, max_size=3),
+    }),
+    wild=st.sampled_from([None, "fx", "fy", "cx", "cy", "near", "translation"]),
+    wild_value=st.floats(allow_nan=False, allow_infinity=False),
+    quaternion=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+)
+@example(values=_LOOKING, wild=None, wild_value=0.0, quaternion=[1.0, 0.0, 0.0, 0.0])
+@example(values=_LOOKING, wild="fx", wild_value=1e300, quaternion=[1.0, 0.0, 0.0, 0.0])
+@example(values=_LOOKING, wild="cx", wild_value=1e300, quaternion=[1.0, 0.0, 0.0, 0.0])
+@example(values=_LOOKING, wild="translation", wild_value=1e300, quaternion=[1.0, 0.0, 0.0, 0.0])
+def test_finite_camera_values_render_or_raise_camera_format_errors(
+    tiny_store, values, wild, wild_value, quaternion
+):
+    """Finite intrinsics, near plane and translation, inside the camera's
+    ranges or with one value anywhere: the camera renders a finite frame
+    through both pipelines without a warning, or is refused with
+    ``CameraFormatError`` where it comes in."""
+    values = dict(values)
+    if wild == "translation":
+        values["translation"] = [0.0, 0.0, wild_value]
+    elif wild is not None:
+        values[wild] = wild_value
+    q = np.asarray(quaternion)
+    if np.linalg.norm(q) < 1e-3:
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+    rotation = quat_to_rotmat((q / np.linalg.norm(q))[None])[0]
+    obj = {**_CAMERA, **{k: values[k] for k in ("fx", "fy", "cx", "cy", "near")},
+           "width": 32, "height": 32,
+           "world_to_camera": {"rotation": rotation.tolist(),
+                               "translation": values["translation"]}}
+    store, scene = tiny_store
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            camera = Camera.from_json(obj)
+        except CameraFormatError:
+            return
+        stream, _, _ = render_frame_streaming(camera, store.grid, store.records)
+        ref, _ = render_frame_reference(camera, scene)
+    assert np.all(np.isfinite(stream)) and np.all(np.isfinite(ref))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    xs=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([1e308, -1e308, 3.4e38, -3.4e38, 1e300, 0.0])),
+                min_size=1, max_size=4),
+    edge=st.sampled_from([2.0, 1e-300, 1e300]),
+)
+@example(xs=[1e308, -1e308], edge=2.0)
+@example(xs=[1e300, 1e300], edge=2.0)
+@example(xs=[3e38, -3e38], edge=2.0)
+def test_extreme_ply_coordinates_build_a_store_or_raise_one_error(files, xs, edge):
+    """``double`` coordinates anywhere in the finite range: loading and
+    building either give a store that saves without a warning, or raise a
+    ``VoxsplatError`` or ``ValueError`` (one line on the command line)."""
+    tmp = files[1].parent
+    double_ply(tmp / "double.ply", xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            store = VoxelStore.build(load_ply(tmp / "double.ply"), edge)
+        except (VoxsplatError, ValueError):
+            return
+        save_store(store, tmp / "double.gsvx")
+    assert np.all(np.isfinite(load_store(tmp / "double.gsvx").records.positions))

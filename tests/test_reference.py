@@ -1,32 +1,52 @@
 import numpy as np
 
-from voxsplat import Aabb, generate_scene, look_at_camera, render_frame_reference
-from voxsplat.filtering import ProjectedBatch
+import voxsplat.reference as reference_mod
+from voxsplat import Aabb, Scene, generate_scene, look_at_camera, render_frame_reference
+from voxsplat.blending import blend
+from voxsplat.filtering import disc_overlaps_rect, project_splats, tile_rects
+from voxsplat.scene import TILE_EDGE
 from voxsplat.frameio import write_png, write_ppm
 
 from conftest import read_png
 
 
-def test_per_tile_sort_is_depth_correct_permutation():
+def test_per_tile_sort_is_depth_correct_permutation(monkeypatch):
+    """Each tile's share of the batch the reference hands ``blend`` holds
+    exactly the valid splats whose disc meets the tile, ascending in depth
+    with ties broken by id."""
     rng = np.random.default_rng(40)
     n = 500
-    depths = rng.uniform(1, 9, n)
-    depths[100:120] = depths[50]  # force ties
-    batch = ProjectedBatch(
-        mean2d=rng.uniform(0, 256, (n, 2)),
-        conic=np.tile([1.0, 0.0, 1.0], (n, 1)),
-        radius=np.ones(n),
-        depth=depths,
-        rgb=rng.uniform(0, 1, (n, 3)),
-        opacity=rng.uniform(0, 1, n),
-        max_scale=np.ones(n),
-        ids=rng.permutation(n),
-    )
-    out = batch.sorted_by_depth()
-    assert sorted(out.ids.tolist()) == sorted(batch.ids.tolist())
-    assert np.all(np.diff(out.depth) >= 0)
-    same = np.flatnonzero(np.diff(out.depth) == 0)
-    assert np.all(out.ids[same] < out.ids[same + 1])  # ties broken by id
+    positions = rng.uniform([-4.0, -4.0, -2.0], [4.0, 4.0, 2.0], (n, 3))
+    positions[100:120, 2] = positions[50, 2]  # force depth ties: this camera's depth is z + 10
+    rotations = rng.normal(size=(n, 4))
+    scene = Scene(positions=positions, scales=rng.uniform(0.05, 0.4, (n, 3)),
+                  rotations=rotations / np.linalg.norm(rotations, axis=1, keepdims=True),
+                  opacities=rng.uniform(0, 1, n), sh=rng.normal(0.0, 0.3, (n, 16, 3)),
+                  ids=rng.permutation(n))
+    camera = look_at_camera([0.0, 0.0, -10.0], [0.0, 0.0, 0.0], width=64, height=64, focal=60.0)
+    calls = []
+
+    def recording(batch, bounds, centers, *args):
+        calls.append((batch, list(bounds), centers.copy()))
+        return blend(batch, bounds, centers, *args)
+
+    monkeypatch.setattr(reference_mod, "blend", recording)
+    reference_mod.render_frame_reference(camera, scene)
+    valid, projected, _ = project_splats(camera, scene.positions, scene.scales, scene.rotations,
+                                         scene.opacities, scene.sh, scene.ids)
+    ties = 0
+    for batch, bounds, centers in calls:
+        for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            tile = (centers[t, 0] // TILE_EDGE).astype(int)
+            meets = valid & disc_overlaps_rect(projected.mean2d, projected.radius,
+                                               tile_rects([tile]))
+            depth, ids = batch.depth[a:b], batch.ids[a:b]
+            assert sorted(ids.tolist()) == sorted(projected.ids[meets].tolist())
+            assert np.all(np.diff(depth) >= 0)
+            same = np.flatnonzero(np.diff(depth) == 0)
+            assert np.all(ids[same] < ids[same + 1])  # ties broken by id
+            ties += len(same)
+    assert len(calls) == camera.tile_counts[1] and ties > 0
 
 
 def test_projection_stage_load_bytes():

@@ -164,12 +164,12 @@ def test_transmittance_monotone_and_frozen_pixels_stop():
         max_scale=np.full(n, 0.5),
         ids=np.arange(n),
     )
-    centers = tile_pixels([(0, 0)])[0] + 0.5
-    color = np.zeros((256, 3))
-    t = np.ones(256)
+    centers = tile_pixels([(0, 0)]) + 0.5
+    color = np.zeros((1, 256, 3))
+    t = np.ones((1, 256))
     prev = t.copy()
     for i in range(n):
-        blend(batch.take(np.array([i])), centers, color, t)
+        blend(batch.take(np.array([i])), [0, 1], centers, color, t)
         assert np.all(t <= prev + 1e-15)
         frozen = prev < T_FREEZE
         assert np.array_equal(t[frozen], prev[frozen])  # frozen pixels unchanged
@@ -216,20 +216,30 @@ def test_blend_traces_tile_and_pixel():
     camera = look_at_camera([0, 0, -10], [0, 0, 0])
     grid, records = build_grid(scene, 2.0)
     tile_trace, px_trace = [], []
-    _, _, stats = _tile((8, 8), camera, grid, records, trace=tile_trace,
-                        pixel_trace=(136, px_trace))
+    _, _, stats = _tile((8, 8), camera, grid, records, trace=[tile_trace],
+                        pixel_trace=(136, [px_trace]))
     assert len(tile_trace) == stats.blended
     assert len(px_trace) <= len(tile_trace)
     # pixel trace only holds splats that contributed, so its pairs appear in the tile trace
     assert set(px_trace) <= set(tile_trace)
 
 
-def test_blend_traces_need_a_single_tile():
-    scene = constrained_scene(seed=8, count=100)
-    camera = look_at_camera([0, 0, -10], [0, 0, 0])
+def test_blend_traces_of_many_tiles_equal_each_tile_rendered_alone():
+    scene = generate_scene(count=1500, bounds=Aabb([-3, -3, -2], [3, 3, 2]), seed=7,
+                           max_extent_fraction=0.6)
+    camera = look_at_camera([0, 0, -9], [0, 0, 0], width=512)
     grid, records = build_grid(scene, 2.0)
-    with pytest.raises(ValueError, match="single tile"):
-        render_tile_streaming([(7, 8), (8, 8)], camera, grid, records, None, trace=[])
+    tiles = [(14, 7), (16, 8), (17, 8), (31, 15), (16, 10)]  # (31, 15) sees no splat
+    traces = [[] for _ in tiles]
+    pixel_traces = [[] for _ in tiles]
+    render_tile_streaming(tiles, camera, grid, records, None, trace=traces,
+                          pixel_trace=(136, pixel_traces))
+    for tile, trace, pixel_trace in zip(tiles, traces, pixel_traces):
+        alone, pixel_alone = [], []
+        _tile(tile, camera, grid, records, trace=[alone], pixel_trace=(136, [pixel_alone]))
+        assert trace == alone
+        assert pixel_trace == pixel_alone
+    assert traces[3] == [] and all(traces[:3]) and all(pixel_traces[:3])
 
 
 def test_tile_render_empty_schedule_is_background():
