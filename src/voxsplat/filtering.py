@@ -16,8 +16,8 @@ tests each tile's rectangle against the cached projection; the coarse phase
 is cheap enough to project the streamed first halves on every pass.  Both
 phases take the splats of many (tile, voxel) pairs in one call, one
 rectangle per splat.  Projecting many voxels at once gives the same bits as
-projecting each voxel on its own, because every step is row by row, except
-for one BLAS path that ``project_means`` steers around.
+projecting each voxel on its own, because every step is row by row
+(``Camera.to_camera`` included).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class Tally:
 
     ``merge`` adds every int field, every dict of ints key by key and every
     nested tally; any other field, such as a ledger's scene hash, is left
-    alone.  ``as_dict`` lists the fields in declaration order.
+    unchanged.  ``as_dict`` lists the fields in declaration order.
     """
 
     def merge(self, other: "Tally") -> None:
@@ -128,20 +128,12 @@ def disc_overlaps_rect(center: np.ndarray, radius: np.ndarray, rect) -> np.ndarr
     return dx * dx + dy * dy <= radius * radius
 
 
-def project_means(camera: Camera, positions: np.ndarray, alone: np.ndarray | None = None):
+def project_means(camera: Camera, positions: np.ndarray):
     """Camera-space coordinates, depths, and pixel-space centers.
 
     Centers are well-defined only where depth > 0; callers mask on depth.
-    Rows marked in ``alone`` are transformed as a batch of that one row would
-    be: on one row ``Camera.to_camera`` takes BLAS's matrix-vector path, on
-    more the matrix-matrix path, and under an oblique camera the two can
-    differ in the last bit.  A batch of many voxels marks the rows of
-    one-splat voxels, so each voxel keeps the bits of projecting it alone.
     """
     cam = camera.to_camera(positions)
-    if alone is not None and alone.any():
-        # a stack of one-row products takes the matrix-vector path row by row
-        cam[alone] = camera.to_camera(positions[alone][:, None, :])[:, 0]
     depth = cam[:, 2]
     safe_z = np.where(np.abs(depth) < 1e-12, 1e-12, depth)
     mean2d = np.stack(
@@ -179,12 +171,10 @@ class ProjectionCache:
     """
 
     def __init__(self, camera: Camera, depth: np.ndarray, offsets: np.ndarray):
-        sizes = np.diff(offsets)
         n = int(offsets[-1])
         self.camera = camera
         self.depth = depth
-        self.alone = np.repeat(sizes == 1, sizes)  # rows that are their voxel's only splat
-        self.projected = np.zeros(len(sizes), dtype=bool)
+        self.projected = np.zeros(len(offsets) - 1, dtype=bool)
         self.valid = np.empty(n, dtype=bool)
         self.degenerate = np.empty(n, dtype=bool)  # in front of the near plane, covariance unusable
         self.batch = ProjectedBatch(
@@ -200,8 +190,7 @@ class ProjectionCache:
 
 
 def coarse_filter(
-    cache: ProjectionCache,
-    rows: np.ndarray,
+    camera: Camera,
     positions: np.ndarray,
     max_scales: np.ndarray,
     rect,
@@ -209,12 +198,10 @@ def coarse_filter(
     """Conservative 4-parameter tile test of streamed first halves; returns
     the survivor mask.
 
-    Splat i is records row ``rows[i]`` with first half (``positions[i]``,
-    ``max_scales[i]``); each bound of ``rect`` (x0, y0, x1, y1) is a scalar
-    or holds one value per splat.
+    Splat i has first half (``positions[i]``, ``max_scales[i]``); each bound
+    of ``rect`` (x0, y0, x1, y1) is a scalar or holds one value per splat.
     """
-    camera = cache.camera
-    cam, depth, mean2d = project_means(camera, positions, cache.alone[rows])
+    cam, depth, mean2d = project_means(camera, positions)
     radius = coarse_screen_radius(camera, cam, max_scales)
     return (depth > camera.near) & disc_overlaps_rect(mean2d, radius, rect)
 
@@ -269,16 +256,16 @@ def project_splats(
     opacities: np.ndarray,
     sh: np.ndarray,
     ids: np.ndarray,
-    alone: np.ndarray | None = None,
-) -> tuple[np.ndarray, ProjectedBatch, int]:
+) -> tuple[np.ndarray, ProjectedBatch, np.ndarray]:
     """Full projection shared by both pipelines.
 
-    Returns (valid_mask, batch_over_all_inputs, degenerate_count); entries
+    Returns (valid_mask, batch_over_all_inputs, degenerate_mask); entries
     where valid_mask is False hold unusable values and must be dropped by the
     caller.  Validity covers depth > near and a non-degenerate covariance;
-    tile overlap is a separate test.  ``alone`` is ``project_means``'s.
+    tile overlap is a separate test.  A degenerate splat is in front of the
+    near plane with an unusable covariance.
     """
-    cam, depth, mean2d = project_means(camera, positions, alone)
+    cam, depth, mean2d = project_means(camera, positions)
     cov = projected_covariance(camera, cam, scales, rotations)
     det = cov[:, 0] * cov[:, 2] - cov[:, 1] * cov[:, 1]
     ok_det = det > DEGENERATE_DET
@@ -293,7 +280,7 @@ def project_splats(
     norms[norms == 0.0] = 1.0
     rgb = evaluate_sh(sh, view_dir / norms)
     valid = in_front & ok_det
-    degenerate = int((in_front & ~ok_det).sum())
+    degenerate = in_front & ~ok_det
     batch = ProjectedBatch(
         mean2d=mean2d,
         conic=conic,
@@ -326,10 +313,9 @@ def fine_filter(
     """
     if fresh is not None:
         vids, new_rows, splats = fresh
-        camera = cache.camera
-        valid, batch, _ = project_splats(camera, *splats, alone=cache.alone[new_rows])
+        valid, batch, degenerate = project_splats(cache.camera, *splats)
         cache.valid[new_rows] = valid
-        cache.degenerate[new_rows] = (batch.depth > camera.near) & ~valid
+        cache.degenerate[new_rows] = degenerate
         for f in _fields(ProjectedBatch):
             getattr(cache.batch, f.name)[new_rows] = getattr(batch, f.name)
         cache.projected[vids] = True

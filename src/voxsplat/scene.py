@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,11 +127,11 @@ class Camera:
     """Pinhole camera with pixel-unit intrinsics and a rigid world-to-camera map.
 
     `rotation` maps world to camera coordinates (camera looks along +z), so a
-    world point p lands at ``rotation @ p + translation``.  Width and height
-    must be positive multiples of the 16-pixel tile edge, at most MAX_PIXELS
-    in all; the near plane finite and positive, the rotation orthonormal,
-    and the focal lengths, the principal point and each translation
-    component within FOCAL_RANGE, PRINCIPAL_POINT_RANGE and
+    world point p lands at ``rotation`` times p plus ``translation``.  Width
+    and height must be positive multiples of the 16-pixel tile edge, at most
+    MAX_PIXELS in all; the near plane finite and positive, the rotation
+    orthonormal, and the focal lengths, the principal point and each
+    translation component within FOCAL_RANGE, PRINCIPAL_POINT_RANGE and
     TRANSLATION_RANGE.
     """
 
@@ -184,15 +183,24 @@ class Camera:
         return self.width // TILE_EDGE, self.height // TILE_EDGE
 
     def to_camera(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64)
-        return points @ self.rotation.T + self.translation
+        """Camera-space coordinates of (..., 3) world points.
+
+        Element-wise products summed in one fixed order, not a matrix
+        product: BLAS sums a one-row batch in another order than a larger
+        one, and a row's bits must not depend on the rows beside it.
+        """
+        p = np.asarray(points, dtype=np.float64)
+        rot = self.rotation
+        return (p[..., :1] * rot[:, 0] + p[..., 1:2] * rot[:, 1] + p[..., 2:] * rot[:, 2]
+                + self.translation)
 
     def ray_directions(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """World-space directions through pixel centers (not normalized)."""
+        """World-space directions through pixel centers (not normalized),
+        row-independent like ``to_camera``."""
         dx = (np.asarray(px, dtype=np.float64) + 0.5 - self.cx) / self.fx
         dy = (np.asarray(py, dtype=np.float64) + 0.5 - self.cy) / self.fy
-        d_cam = np.stack([dx, dy, np.ones_like(dx)], axis=-1)
-        return d_cam @ self.rotation
+        rot = self.rotation
+        return dx[..., None] * rot[0] + dy[..., None] * rot[1] + rot[2]
 
     def to_json(self) -> dict:
         return {

@@ -157,8 +157,7 @@ def schedule(visits: TileVisits, depth: np.ndarray) -> RowSchedule:
     The ready queue pops the voxel with the smallest centroid depth (ties by
     renamed id), so the output is deterministic.  If the ready queue drains
     while nodes remain, the nearest remaining voxel is released and the event
-    counted.  ``depth`` is indexed by renamed id (``voxel_depths``).  A walk
-    whose ``counts`` is one flat row of rays is one tile.
+    counted.  ``depth`` is indexed by renamed id (``voxel_depths``).
 
     The graph of the whole walk is built once, keyed by (tile, renamed id).
     When every edge of a tile runs forward in (depth, id), the heap pops the
@@ -167,7 +166,7 @@ def schedule(visits: TileVisits, depth: np.ndarray) -> RowSchedule:
     Such a tile takes its order from one ``np.lexsort`` and has no cycles;
     only the others run the heap.
     """
-    counts = visits.counts if visits.counts.ndim == 2 else visits.counts[None]
+    counts = visits.counts
     tiles = len(counts)
     stride = len(depth)
     tile_of_visit = np.repeat(np.arange(tiles), counts.sum(axis=1))

@@ -89,7 +89,6 @@ def render_tile_streaming(
     background=(0.0, 0.0, 0.0),
     trace: list | None = None,
     pixel_trace: tuple[int, list] | None = None,
-    early_exit: bool = True,
     cache: ProjectionCache | None = None,
 ) -> tuple[np.ndarray, TileCounts]:
     """Render 16x16 tiles together, normally one tile row; returns
@@ -116,7 +115,7 @@ def render_tile_streaming(
     counts = np.zeros((5, ntiles), dtype=np.int64)
     blended = np.zeros(ntiles, dtype=np.int64)
     live = np.flatnonzero(scheduled)
-    chunk = FIRST_CHUNK if early_exit else max(int(scheduled.max(initial=0)), 1)
+    chunk = FIRST_CHUNK
 
     while len(live):
         take = np.minimum(scheduled[live] - walked[live], chunk)
@@ -129,7 +128,7 @@ def render_tile_streaming(
         rows, positions, max_scales = stream_coarse(records, vids)
         row_pair = np.repeat(np.arange(npairs), sizes[vids])
         passed = np.flatnonzero(
-            coarse_filter(cache, rows, positions, max_scales, rects[:, pair_tile[row_pair]])
+            coarse_filter(camera, positions, max_scales, rects[:, pair_tile[row_pair]])
         )
         coarse_rows, coarse_pair = rows[passed], row_pair[passed]
         coarse = np.bincount(coarse_pair, minlength=npairs)
@@ -150,11 +149,10 @@ def render_tile_streaming(
         blended += n
         # each tile's walk ends after its last pair unless it freezes sooner
         last = np.full(ntiles, npairs)
-        if early_exit:
-            frozen = np.flatnonzero((n > 0) & ~np.any(transmittance >= T_FREEZE, axis=1))
-            last[frozen] = kept_pair[bounds[frozen] + n[frozen] - 1]
-            skipped[frozen] = plan.offsets[frozen + 1] - pair[last[frozen]] - 1
-            walked[frozen] = scheduled[frozen]
+        frozen = np.flatnonzero((n > 0) & ~np.any(transmittance >= T_FREEZE, axis=1))
+        last[frozen] = kept_pair[bounds[frozen] + n[frozen] - 1]
+        skipped[frozen] = plan.offsets[frozen + 1] - pair[last[frozen]] - 1
+        walked[frozen] = scheduled[frozen]
         counted = np.arange(npairs) <= last[pair_tile]
         splits = np.maximum((fine - 1) // VOXEL_BATCH_CAPACITY, 0)
         for i, per_pair in enumerate((sizes[vids], coarse, fine, degenerate, splits)):
@@ -178,7 +176,6 @@ def render_frame_streaming(
     background=(0.0, 0.0, 0.0),
     threads: int = 1,
     scene_hash: str = "",
-    early_exit: bool = True,
 ) -> tuple[np.ndarray, TrafficLedger, StreamStats]:
     """Render all tiles; output is independent of the worker count.
 
@@ -195,8 +192,7 @@ def render_frame_streaming(
     def render_row(ty):
         band = [(tx, ty) for tx in range(ntx)]
         colors, counts = render_tile_streaming(
-            band, camera, grid, records, books, background=background,
-            early_exit=early_exit, cache=cache,
+            band, camera, grid, records, books, background=background, cache=cache,
         )
         return colors, counts.tally()
 

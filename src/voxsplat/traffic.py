@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import SceneMismatchError
-from .filtering import FilterStats, Tally
+from .filtering import COARSE_MACS, FINE_MACS, FilterStats, Tally
 from .voxelstore import ENCODED_FINE_BYTES, PACKED_INDEX_BITS, RAW_FINE_BYTES
 
 STAGES = (
@@ -78,8 +78,8 @@ class PerfConfig:
     sorter_units: int = 2
     render_units: int = 64
     macs_per_unit_cycle: int = 1
-    coarse_macs: int = 55
-    fine_macs: int = 372
+    coarse_macs: int = COARSE_MACS
+    fine_macs: int = FINE_MACS
 
     def __post_init__(self):
         for name in ("coarse_units", "fine_units", "sorter_units", "render_units",

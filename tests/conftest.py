@@ -60,7 +60,7 @@ def filter_voxel(camera, rect, splats, survivors=None):
     n = len(positions)
     rows = np.arange(n)
     cache = ProjectionCache(camera, np.empty(0), np.array([0, n]))
-    mask = coarse_filter(cache, rows, positions, scales.max(axis=1), rect)
+    mask = coarse_filter(camera, positions, scales.max(axis=1), rect)
     survivors = np.flatnonzero(mask) if survivors is None else np.asarray(survivors)
     kept = fine_filter(cache, survivors, np.zeros(len(survivors), dtype=np.int64), rect,
                        (np.array([0]), rows, splats))

@@ -18,15 +18,17 @@ voxel) visit at a time, as it stood before tiles were batched by row: the
 dict-based scheduler, then per scheduled voxel a coarse test, a fine test
 and one ``blend`` call per sorting-buffer chunk, with the ledger charged
 visit by visit and the walk cut at the first voxel that finds every pixel
-frozen.  Its filter oracles keep no projection cache: every visit projects
-its voxel again, and ``stream_fine_per_visit`` decodes the survivors only
-(``survivor_rows``), so ``fine_filter_per_visit`` projects just those and
-sorts them by (depth, id) on its own.
+frozen, or with ``early_exit=False`` never cut: the exhaustive render that
+early exit must equal pixel for pixel.  ``render_frame_per_visit``
+assembles a frame from its tiles.  Its filter oracles keep no projection
+cache: every visit projects its voxel again, and ``stream_fine_per_visit``
+decodes the survivors only, so ``fine_filter_per_visit`` projects just
+those and sorts them by (depth, id) on its own.
 
 ``render_frame_reference_per_tile`` is the reference renderer as it stood
 before it binned a tile row's splats in one sort: per tile, the disc test
 over every valid splat, then a (depth, id) lexsort of the members and one
-``blend`` call for the tile alone.
+``blend`` call for that one tile.
 """
 
 from __future__ import annotations
@@ -178,9 +180,10 @@ def walk_rays_per_visit(origin, dirs, grid) -> list[list[int]]:
 
 
 def visits_of(rows) -> TileVisits:
-    """The array form of a one-tile walk given as one list of renamed ids per ray."""
+    """The array form of a one-tile walk given as one list of renamed ids per
+    ray: ``counts`` is one (1, rays) row."""
     ids = np.array([v for row in rows for v in row], dtype=np.int64)
-    return TileVisits(ids, np.array([len(row) for row in rows], dtype=np.int64))
+    return TileVisits(ids, np.array([[len(row) for row in rows]], dtype=np.int64))
 
 
 def tiles_of(visits) -> list[TileVisits]:
@@ -297,6 +300,24 @@ def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0
     return color[0], ledger, stats
 
 
+def render_frame_per_visit(camera, grid, records, books, early_exit=True):
+    """A frame assembled from ``render_tile_per_visit`` tiles; returns
+    (frame float32, ledger, stats) like ``render_frame_streaming``."""
+    ntx, nty = camera.tile_counts
+    image = np.zeros((camera.height, camera.width, 3))
+    ledger, stats = TrafficLedger(), StreamStats()
+    for ty in range(nty):
+        for tx in range(ntx):
+            color, tile_ledger, tile_stats = render_tile_per_visit(
+                (tx, ty), camera, grid, records, books, early_exit=early_exit)
+            image[ty * TILE_EDGE : (ty + 1) * TILE_EDGE,
+                  tx * TILE_EDGE : (tx + 1) * TILE_EDGE] = color.reshape(TILE_EDGE, TILE_EDGE, 3)
+            ledger.merge(tile_ledger)
+            stats.merge(tile_stats)
+    ledger.macs = {"coarse": stats.filter.macs_coarse, "fine": stats.filter.macs_fine}
+    return image.astype(np.float32), ledger, stats
+
+
 def coarse_filter_per_visit(camera, rect, positions, max_scales, stats):
     """Coarse test of one voxel's first halves, projected on every visit."""
     n = len(positions)
@@ -309,28 +330,12 @@ def coarse_filter_per_visit(camera, rect, positions, max_scales, stats):
     return mask
 
 
-def survivor_rows(survivors, count):
-    """The rows of a ``count``-splat voxel that the per-visit oracles decode
-    and project for ``survivors``.
-
-    The renderer projects whole voxels.  On one row,
-    ``Camera.to_camera`` takes BLAS's matrix-vector path, on more the
-    matrix-matrix path, and under an oblique camera the two can differ in
-    the last bit.  So a lone survivor of a larger voxel is projected beside
-    a copy of itself, and ``fine_filter_per_visit`` keeps the first row.
-    """
-    if len(survivors) == 1 and count > 1:
-        return np.concatenate([survivors, survivors])
-    return survivors
-
-
 def stream_fine_per_visit(records, vid_r, survivors, books, ledger):
-    """Charges the survivors' second halves and decodes only them
-    (``survivor_rows``), each gathered on its own from the voxel's rows."""
+    """Charges the survivors' second halves and decodes only them, each
+    gathered on its own from the voxel's rows."""
     survivors = np.asarray(survivors, dtype=np.int64)
     n = len(survivors)
-    start, stop = records.offsets[vid_r], records.offsets[vid_r + 1]
-    rows = start + survivor_rows(survivors, stop - start)
+    rows = records.offsets[vid_r] + survivors
     if records.encoded:
         ledger.charge("fine-load", ENCODED_FINE_BYTES * n, n)
         scales = books["scale"].entries[records.scale_idx[rows]].astype(np.float64)
@@ -352,7 +357,6 @@ def fine_filter_per_visit(camera, rect, survivors, splats, stats):
     n = len(survivors)
     stats.macs_fine += FINE_MACS * n
     valid, batch, _ = project_splats(camera, *splats)
-    valid, batch = valid[:n], batch.take(np.arange(n))  # drop survivor_rows's copy
     stats.degenerate += int(np.count_nonzero((batch.depth > camera.near) & ~valid))
     kept = np.flatnonzero(valid & disc_overlaps_rect(batch.mean2d, batch.radius, rect))
     stats.fine_survivors += len(kept)

@@ -7,7 +7,6 @@ from voxsplat.filtering import (
     COARSE_MACS,
     FINE_MACS,
     FilterStats,
-    ProjectionCache,
     coarse_filter,
     disc_overlaps_rect,
     project_splats,
@@ -94,15 +93,10 @@ def test_isotropic_splat_has_symmetric_conic():
     assert b == pytest.approx(0.0, abs=1e-5)
 
 
-def _coarse_one(camera, rect, positions, max_scales):
-    cache = ProjectionCache(camera, np.empty(0), np.array([0, len(positions)]))
-    return coarse_filter(cache, np.arange(len(positions)), positions, max_scales, rect)
-
-
 def test_behind_camera_rejected_by_coarse():
     camera = _camera()
     pos = np.array([[0.0, 0.0, -20.0]])
-    mask = _coarse_one(camera, tile_rects([(8, 8)]), pos, np.array([1.0]))
+    mask = coarse_filter(camera, pos, np.array([1.0]), tile_rects([(8, 8)]))
     stats = FilterStats.counted(len(pos), int(mask.sum()), 0, 0)
     assert not mask[0]
     assert stats.loaded == 1 and stats.coarse_survivors == 0
@@ -110,8 +104,8 @@ def test_behind_camera_rejected_by_coarse():
 
 def test_center_of_tile_passes_coarse():
     camera = _camera()
-    mask = _coarse_one(camera, tile_rects([(8, 8)]), np.array([[0.0, 0.0, 0.0]]),
-                       np.array([0.01]))
+    mask = coarse_filter(camera, np.array([[0.0, 0.0, 0.0]]), np.array([0.01]),
+                         tile_rects([(8, 8)]))
     assert mask[0]
 
 

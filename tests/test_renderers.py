@@ -23,6 +23,7 @@ from voxsplat.voxelstore import encode_records, gather_attribute
 from voxsplat.vq import DEFAULT_ENTRIES, train_codebook
 
 from conftest import constrained_scene
+from oracles import render_frame_per_visit
 
 
 def _scene_of(splats, bounds):
@@ -146,7 +147,7 @@ def test_early_exit_equals_exhaustive_blending():
     camera = look_at_camera([0, 0, -8], [0, 0, 0])
     grid, records = build_grid(scene, 2.0)
     fast, _, stats = render_frame_streaming(camera, grid, records)
-    slow, _, _ = render_frame_streaming(camera, grid, records, early_exit=False)
+    slow, _, _ = render_frame_per_visit(camera, grid, records, None, early_exit=False)
     assert stats.voxels_skipped_early > 0
     assert np.array_equal(fast, slow)
 
