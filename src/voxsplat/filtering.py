@@ -18,6 +18,13 @@ phases take the splats of many (tile, voxel) pairs in one call, one
 rectangle per splat.  Projecting many voxels at once gives the same bits as
 projecting each voxel on its own, because every step is row by row
 (``Camera.to_camera`` included).
+
+The projection's small matrices are entry-major (rows, cols, n) blocks, one
+contiguous row of n splats per entry, and each product is an element-wise
+sum in one fixed order: the order ``np.einsum`` used on row-major (n, rows,
+cols) arrays, so the bits are einsum's.  ``einsum`` picks its order from its
+operands' memory layout, so the one left on this path, in
+``sh.evaluate_sh``, is pinned by a differential test against row-major forms.
 """
 
 from __future__ import annotations
@@ -207,20 +214,23 @@ def coarse_filter(
 
 
 def quat_to_rotmat(q: np.ndarray) -> np.ndarray:
-    """(n, 4) unit quaternions (w, x, y, z) -> (n, 3, 3) rotation matrices."""
-    q = np.asarray(q, dtype=np.float64)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    out = np.empty((len(q), 3, 3))
-    out[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    out[:, 0, 1] = 2 * (x * y - w * z)
-    out[:, 0, 2] = 2 * (x * z + w * y)
-    out[:, 1, 0] = 2 * (x * y + w * z)
-    out[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    out[:, 1, 2] = 2 * (y * z - w * x)
-    out[:, 2, 0] = 2 * (x * z - w * y)
-    out[:, 2, 1] = 2 * (y * z + w * x)
-    out[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return out
+    """(n, 4) unit quaternions (w, x, y, z) -> (n, 3, 3) rotation matrices,
+    a view of the entry-major (3, 3, n) block that ``.transpose(1, 2, 0)``
+    recovers."""
+    w, x, y, z = np.asarray(q, dtype=np.float64).T
+    xx, yy, zz, xy, xz, yz = x * x, y * y, z * z, x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    out = np.empty((3, 3, len(w)))
+    out[0, 0] = 1 - 2 * (yy + zz)
+    out[0, 1] = 2 * (xy - wz)
+    out[0, 2] = 2 * (xz + wy)
+    out[1, 0] = 2 * (xy + wz)
+    out[1, 1] = 1 - 2 * (xx + zz)
+    out[1, 2] = 2 * (yz - wx)
+    out[2, 0] = 2 * (xz - wy)
+    out[2, 1] = 2 * (yz + wx)
+    out[2, 2] = 1 - 2 * (xx + yy)
+    return out.transpose(2, 0, 1)
 
 
 def projected_covariance(
@@ -230,21 +240,22 @@ def projected_covariance(
 
     Built as B @ B.T with B = J @ W @ R @ diag(s), which keeps the result
     positive semi-definite by construction before the +0.3 px dilation.
+    W @ (R diag(s)) and J @ (W R diag(s)) sum their inner index in sequence,
+    J's zero entries included, and B @ B.T sums it (0 + 2) + 1.
     """
-    rot = quat_to_rotmat(rotations)
-    m = rot * scales[:, None, :]  # R @ diag(s)
-    a = np.einsum("ij,njk->nik", camera.rotation, m)  # W @ R @ diag(s)
+    m = quat_to_rotmat(rotations).transpose(1, 2, 0) * scales.T  # R @ diag(s)
+    w = camera.rotation.T[:, :, None, None]  # w[j] is column j of W, as (3, 1, 1)
+    a = (w[0] * m[0] + w[1] * m[1]) + w[2] * m[2]  # W @ R @ diag(s)
     z = np.where(np.abs(cam[:, 2]) < 1e-12, 1e-12, cam[:, 2])
-    jac = np.zeros((len(cam), 2, 3))
-    jac[:, 0, 0] = camera.fx / z
-    jac[:, 0, 2] = -camera.fx * cam[:, 0] / (z * z)
-    jac[:, 1, 1] = camera.fy / z
-    jac[:, 1, 2] = -camera.fy * cam[:, 1] / (z * z)
-    b = np.einsum("nij,njk->nik", jac, a)
-    cov = np.einsum("nij,nkj->nik", b, b)
+    jac = np.zeros((2, 3, 1, len(cam)))  # jac[:, j] is column j of J, as (2, 1, n)
+    jac[0, 0] = camera.fx / z
+    jac[0, 2] = -camera.fx * cam[:, 0] / (z * z)
+    jac[1, 1] = camera.fy / z
+    jac[1, 2] = -camera.fy * cam[:, 1] / (z * z)
+    b = (jac[:, 0] * a[0] + jac[:, 1] * a[1]) + jac[:, 2] * a[2]
+    cov = (b[:, None, 0] * b[:, 0] + b[:, None, 2] * b[:, 2]) + b[:, None, 1] * b[:, 1]  # B @ B.T
     return np.stack(
-        [cov[:, 0, 0] + COVARIANCE_DILATION, cov[:, 0, 1], cov[:, 1, 1] + COVARIANCE_DILATION],
-        axis=1,
+        [cov[0, 0] + COVARIANCE_DILATION, cov[0, 1], cov[1, 1] + COVARIANCE_DILATION], axis=1
     )
 
 

@@ -29,6 +29,14 @@ those and sorts them by (depth, id) on its own.
 before it binned a tile row's splats in one sort: per tile, the disc test
 over every valid splat, then a (depth, id) lexsort of the members and one
 ``blend`` call for that one tile.
+
+``quat_to_rotmat_row_major``, ``projected_covariance_einsum``,
+``sh_basis_row_major``, ``evaluate_sh_row_major`` and ``extent_half_einsum``
+are the projection's small-matrix math as it stood before it was written out
+entry by entry: row-major (n, rows, cols) matrices multiplied by
+``np.einsum``, whose summation order the entry-wise forms reproduce.
+``einsum`` picks that order from the operands' memory layout, so these
+oracles must keep the row-major layout they were written for.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ import voxsplat.streaming as streaming_mod
 from voxsplat.blending import ALPHA_CAP, ALPHA_MIN, T_FREEZE, blend, composite_background
 from voxsplat.filtering import (
     COARSE_MACS,
+    COVARIANCE_DILATION,
     FINE_MACS,
     coarse_screen_radius,
     disc_overlaps_rect,
@@ -49,9 +58,10 @@ from voxsplat.filtering import (
     project_splats,
     tile_rects,
 )
-from voxsplat.metrics import extent_boxes
+from voxsplat.metrics import EXTENT_SIGMAS, extent_boxes
 from voxsplat.scene import TILE_EDGE, tile_pixels
 from voxsplat.scheduler import TileVisits, voxel_depths
+from voxsplat.sh import C0, C1, C2, C3, SH_COEFFS
 from voxsplat.streaming import StreamStats
 from voxsplat.traffic import (
     PIXEL_BYTES,
@@ -437,3 +447,80 @@ def per_voxel_crossings_loop(scene, grid) -> dict:
         vid_r = int(rename[vids[i]])
         per_voxel[vid_r] = per_voxel.get(vid_r, 0) + 1
     return per_voxel
+
+
+def quat_to_rotmat_row_major(q: np.ndarray) -> np.ndarray:
+    """(n, 4) quaternions (w, x, y, z) -> C-contiguous (n, 3, 3) matrices."""
+    q = np.asarray(q, dtype=np.float64)
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    out = np.empty((len(q), 3, 3))
+    out[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    out[:, 0, 1] = 2 * (x * y - w * z)
+    out[:, 0, 2] = 2 * (x * z + w * y)
+    out[:, 1, 0] = 2 * (x * y + w * z)
+    out[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    out[:, 1, 2] = 2 * (y * z - w * x)
+    out[:, 2, 0] = 2 * (x * z - w * y)
+    out[:, 2, 1] = 2 * (y * z + w * x)
+    out[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return out
+
+
+def projected_covariance_einsum(camera, cam, scales, rotations) -> np.ndarray:
+    """``projected_covariance`` as three ``einsum`` products of row-major
+    matrices."""
+    rot = quat_to_rotmat_row_major(rotations)
+    m = rot * scales[:, None, :]  # R @ diag(s)
+    a = np.einsum("ij,njk->nik", camera.rotation, m)  # W @ R @ diag(s)
+    z = np.where(np.abs(cam[:, 2]) < 1e-12, 1e-12, cam[:, 2])
+    jac = np.zeros((len(cam), 2, 3))
+    jac[:, 0, 0] = camera.fx / z
+    jac[:, 0, 2] = -camera.fx * cam[:, 0] / (z * z)
+    jac[:, 1, 1] = camera.fy / z
+    jac[:, 1, 2] = -camera.fy * cam[:, 1] / (z * z)
+    b = np.einsum("nij,njk->nik", jac, a)
+    cov = np.einsum("nij,nkj->nik", b, b)
+    return np.stack(
+        [cov[:, 0, 0] + COVARIANCE_DILATION, cov[:, 0, 1], cov[:, 1, 1] + COVARIANCE_DILATION],
+        axis=1,
+    )
+
+
+def sh_basis_row_major(dirs: np.ndarray) -> np.ndarray:
+    """``sh_basis`` filled into a C-contiguous (..., 16) array."""
+    dirs = np.asarray(dirs, dtype=np.float64)
+    x, y, z = dirs[..., 0], dirs[..., 1], dirs[..., 2]
+    xx, yy, zz = x * x, y * y, z * z
+    xy, yz, xz = x * y, y * z, x * z
+    out = np.empty(dirs.shape[:-1] + (SH_COEFFS,), dtype=np.float64)
+    out[..., 0] = C0
+    out[..., 1] = -C1 * y
+    out[..., 2] = C1 * z
+    out[..., 3] = -C1 * x
+    out[..., 4] = C2[0] * xy
+    out[..., 5] = C2[1] * yz
+    out[..., 6] = C2[2] * (2.0 * zz - xx - yy)
+    out[..., 7] = C2[3] * xz
+    out[..., 8] = C2[4] * (xx - yy)
+    out[..., 9] = C3[0] * y * (3.0 * xx - yy)
+    out[..., 10] = C3[1] * xy * z
+    out[..., 11] = C3[2] * y * (4.0 * zz - xx - yy)
+    out[..., 12] = C3[3] * z * (2.0 * zz - 3.0 * xx - 3.0 * yy)
+    out[..., 13] = C3[4] * x * (4.0 * zz - xx - yy)
+    out[..., 14] = C3[5] * z * (xx - yy)
+    out[..., 15] = C3[6] * x * (xx - 3.0 * yy)
+    return out
+
+
+def evaluate_sh_row_major(sh: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """``evaluate_sh`` on the row-major basis."""
+    rgb = 0.5 + np.einsum("...k,...kc->...c", sh_basis_row_major(dirs),
+                          np.asarray(sh, dtype=np.float64))
+    return np.clip(rgb, 0.0, 1.0)
+
+
+def extent_half_einsum(scene) -> np.ndarray:
+    """Half-widths of ``extent_boxes``: ``einsum`` of row-major |R| and the
+    scales."""
+    rot = quat_to_rotmat_row_major(scene.rotations)
+    return EXTENT_SIGMAS * np.einsum("nij,nj->ni", np.abs(rot), scene.scales)

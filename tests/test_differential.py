@@ -47,11 +47,15 @@ from voxsplat.filtering import (
     coarse_filter,
     fine_filter,
     project_splats,
+    projected_covariance,
+    quat_to_rotmat,
     tile_rects,
 )
+from voxsplat.metrics import extent_boxes
 from voxsplat.reference import render_frame_reference
 from voxsplat.scene import TILE_EDGE, tile_pixels
 from voxsplat.scheduler import TileVisits, schedule, traverse, voxel_depths
+from voxsplat.sh import evaluate_sh, sh_basis
 from voxsplat.streaming import render_frame_streaming, render_tile_streaming
 from voxsplat.voxelstore import VoxelGrid, gather_attribute, stream_fine
 from voxsplat.vq import ATTRIBUTE_DIMS, ATTRIBUTES
@@ -64,13 +68,18 @@ from oracles import (
     dda_start,
     depth_table,
     encode_per_voxel,
+    evaluate_sh_row_major,
+    extent_half_einsum,
     fine_filter_per_visit,
     per_voxel_crossings_loop,
+    projected_covariance_einsum,
+    quat_to_rotmat_row_major,
     render_frame_per_visit,
     render_frame_reference_per_tile,
     render_tile_per_visit,
     rows_of,
     schedule_dict_based,
+    sh_basis_row_major,
     tiles_of,
     traverse_per_visit,
     visits_of,
@@ -937,6 +946,55 @@ def test_projection_bits_do_not_depend_on_the_rows_beside_them(seed, count, inde
     for t, tile in enumerate(pixels):
         assert camera.ray_directions(tile[:, 0], tile[:, 1]).tobytes() == row[t].tobytes()
     assert camera.ray_directions(pixels[0, :1, 0], pixels[0, :1, 1]).tobytes() == row[0, :1].tobytes()
+
+
+# camera-space depths at and around the 1e-12 guard of the perspective divide
+_NEAR_ZERO_Z = np.array([0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, np.nextafter(1e-12, 0.0), 1e-300])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1), unit=st.booleans())
+@example(n=0, seed=0, unit=True)
+@example(n=1, seed=1, unit=False)
+@example(n=2, seed=2, unit=True)
+@example(n=7, seed=7, unit=False)
+@example(n=3000, seed=3, unit=False)
+def test_projection_math_matches_the_einsum_oracles_bit_for_bit(n, seed, unit):
+    """The entry-wise rotation, covariance, SH basis and extent sums give
+    the bits of the row-major ``einsum`` forms, under oblique cameras with
+    fx != fy, camera-space depths near zero and behind the camera, scales
+    from 1e-6 to 1e4, and quaternions normalised or not."""
+    rng = np.random.default_rng(seed)
+    turn = rng.normal(size=(1, 4))
+    camera = Camera(64, 48, *rng.uniform(20.0, 400.0, 2), 32.0, 24.0,
+                    quat_to_rotmat_row_major(turn / np.linalg.norm(turn))[0],
+                    rng.uniform(-5.0, 5.0, 3))
+    cam = rng.uniform(-20.0, 20.0, (n, 3))
+    near_zero = rng.random(n) < 0.2
+    cam[near_zero, 2] = rng.choice(_NEAR_ZERO_Z, near_zero.sum())
+    scales = 10.0 ** rng.uniform(-6.0, 4.0, (n, 3))
+    q = rng.normal(size=(n, 4))
+    unit_q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    if not unit:
+        q *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    quats = unit_q if unit else q
+    assert quat_to_rotmat(quats).tobytes() == quat_to_rotmat_row_major(quats).tobytes()
+    got = projected_covariance(camera, cam, scales, quats)
+    assert got.shape == (n, 3)
+    assert got.tobytes() == projected_covariance_einsum(camera, cam, scales, quats).tobytes()
+
+    dirs = unit_q[:, 1:] / np.linalg.norm(unit_q[:, 1:], axis=1, keepdims=True)
+    sh = rng.normal(0.0, 0.5, (n, 16, 3))
+    assert sh_basis(dirs).tobytes() == sh_basis_row_major(dirs).tobytes()
+    assert evaluate_sh(sh, dirs).tobytes() == evaluate_sh_row_major(sh, dirs).tobytes()
+    if n:
+        one = evaluate_sh_row_major(sh[0], dirs[0])
+        assert evaluate_sh(sh[0], dirs[0]).tobytes() == one.tobytes()
+
+    scene = Scene(cam, scales, unit_q, np.full(n, 0.5), sh, np.arange(n))
+    lo, hi = extent_boxes(scene)
+    half = extent_half_einsum(scene)
+    assert lo.tobytes() == (cam - half).tobytes() and hi.tobytes() == (cam + half).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
