@@ -45,24 +45,27 @@ BLEND_BLOCK = 64  # splats evaluated together as one (block, 256) array
 
 def blend(
     batch: ProjectedBatch,
+    rows: np.ndarray,
     bounds: list[int],
     centers: np.ndarray,
     color: np.ndarray,
     transmittance: np.ndarray,
-    trace: list | None = None,
     pixel_trace: tuple[int, list] | None = None,
 ) -> np.ndarray:
     """Blend each tile's depth-sorted splats into its running pixel state (in place).
 
-    Tile t's splats are rows ``bounds[t]:bounds[t + 1]`` of ``batch`` and
-    its pixels ``centers[t]``, ``color[t]`` and ``transmittance[t]``.
+    ``batch`` is a frame's projection, read by row: tile t blends rows
+    ``rows[bounds[t]:bounds[t + 1]]`` of it, in that order, into its pixels
+    ``centers[t]``, ``color[t]`` and ``transmittance[t]``.  Only ``mean2d``,
+    ``conic``, ``opacity`` and ``rgb`` are read, gathered once per call.
     Returns the number of splats processed per tile: all of them, or the
-    index of the first splat reached with every pixel frozen.  ``trace``
-    holds one list per tile, which collects one (depth, max_scale) pair per
-    processed splat, in blend order; ``pixel_trace`` is (pixel_index, one
-    list per tile) and collects only the splats that actually contributed
-    to that pixel.
+    index of the first splat reached with every pixel frozen, so tile t
+    processed ``rows[bounds[t]:bounds[t] + processed[t]]``.  ``pixel_trace``
+    is (pixel_index, one list per tile) and collects the rows of only the
+    splats that actually contributed to that pixel, in blend order.
     """
+    mean2d, conic, opacity, rgb = (batch.mean2d[rows], batch.conic[rows], batch.opacity[rows],
+                                   batch.rgb[rows])
     processed = np.zeros(len(centers), dtype=np.int64)
     for t, (first, end) in enumerate(zip(bounds, bounds[1:])):
         tile_color, tile_t = color[t], transmittance[t]
@@ -75,11 +78,11 @@ def blend(
             cols = slice(None) if len(live) == len(tile_t) else live
             stop = min(start + BLEND_BLOCK, end)
             k = stop - start
-            dx = centers[t, cols, 0] - batch.mean2d[start:stop, 0, None]
-            dy = centers[t, cols, 1] - batch.mean2d[start:stop, 1, None]
-            a, b, c = (batch.conic[start:stop, j, None] for j in range(3))
+            dx = centers[t, cols, 0] - mean2d[start:stop, 0, None]
+            dy = centers[t, cols, 1] - mean2d[start:stop, 1, None]
+            a, b, c = (conic[start:stop, j, None] for j in range(3))
             power = -0.5 * (a * dx**2 + c * dy**2) - b * dx * dy
-            alpha = np.minimum(ALPHA_CAP, batch.opacity[start:stop, None] * np.exp(power))
+            alpha = np.minimum(ALPHA_CAP, opacity[start:stop, None] * np.exp(power))
             opaque = alpha >= ALPHA_MIN
             # factors[0] is the entry transmittance, factors[j + 1] splat j's 1 - alpha
             factors = np.ones((k + 1, len(live)))
@@ -92,7 +95,7 @@ def blend(
             # channel-major (k, 3, pixels) summands keep the pixel axis contiguous
             summands = np.empty((k + 1, 3, len(live)))
             summands[0] = tile_color[cols].T
-            np.multiply(t_front[:-1, None] * alpha[:, None], batch.rgb[start:stop, :, None],
+            np.multiply(t_front[:-1, None] * alpha[:, None], rgb[start:stop, :, None],
                         out=summands[1:])
             np.copyto(summands[1:], -0.0, where=miss[:, None])
             tile_color[cols] = np.add.reduce(summands, axis=0, initial=-0.0).T
@@ -101,13 +104,9 @@ def blend(
 
             done = int(np.count_nonzero(active[:-1].any(axis=1)))
             processed[t] += done
-            if trace is not None:
-                rows = slice(start, start + done)
-                trace[t].extend(zip(batch.depth[rows].tolist(), batch.max_scale[rows].tolist()))
             if pixel_trace is not None:
-                rows = start + np.flatnonzero(hit[:, live == pixel_trace[0]])
-                pixel_trace[1][t].extend(zip(batch.depth[rows].tolist(),
-                                             batch.max_scale[rows].tolist()))
+                reached = start + np.flatnonzero(hit[:, live == pixel_trace[0]])
+                pixel_trace[1][t].extend(rows[reached].tolist())
             if done < k:
                 break
     return processed

@@ -30,12 +30,12 @@ log = logging.getLogger("voxsplat")
 
 def _parse_bounds(text: str) -> Aabb:
     try:
-        lo_s, hi_s = text.split(":")
-        lo = [float(v) for v in lo_s.split(",")]
-        hi = [float(v) for v in hi_s.split(",")]
-        return Aabb(lo, hi)
-    except (ValueError, IndexError):
-        raise argparse.ArgumentTypeError(f"bounds must look like 'x0,y0,z0:x1,y1,z1', got {text!r}")
+        lo, hi = ([float(v) for v in corner.split(",")] for corner in text.split(":"))
+        if len(lo) == len(hi) == 3:
+            return Aabb(lo, hi)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"bounds must look like 'x0,y0,z0:x1,y1,z1', got {text!r}")
 
 
 def _parse_rgb(text: str):
@@ -138,6 +138,8 @@ def _cbp_diagnostics(store, books, camera, background) -> dict:
 
 
 def cmd_render(args) -> int:
+    if args.dump_dag and args.mode != "streaming":
+        raise VoxsplatError("--dump-dag applies to streaming renders only")
     store = load_store(args.voxels)
     books = load_codebooks(args.books) if args.books else None
     camera = Camera.load(args.camera)
@@ -155,8 +157,6 @@ def cmd_render(args) -> int:
             threads=args.threads, scene_hash=store.scene_hash,
         )
     if args.dump_dag:
-        if args.mode != "streaming":
-            raise VoxsplatError("--dump-dag applies to streaming renders only")
         _dump_dag(args.dump_dag, store, camera)
     if args.out.endswith(".ppm"):
         frameio.write_ppm(args.out, frame)

@@ -46,7 +46,7 @@ COARSE_SAFETY = 1.1
 COARSE_DILATION_MARGIN = RADIUS_SIGMAS * math.sqrt(COVARIANCE_DILATION)
 DEGENERATE_DET = 1e-12
 
-# dataclass fields looked up once per class: tallies merge per tile, batches take per visit
+# dataclass fields looked up once per class: tallies merge per tile, projections cache per round
 _fields = functools.cache(fields)
 
 
@@ -110,12 +110,6 @@ class ProjectedBatch:
     max_scale: np.ndarray  # (n,) carried for order diagnostics
     ids: np.ndarray  # (n,)
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def take(self, idx: np.ndarray) -> "ProjectedBatch":
-        return ProjectedBatch(*[getattr(self, f.name)[idx] for f in _fields(ProjectedBatch)])
-
 
 def tile_rects(tiles) -> np.ndarray:
     """Continuous pixel-space rectangles of (tx, ty) tiles: rows x0, y0, x1,
@@ -170,9 +164,10 @@ class ProjectionCache:
     its splats passes a tile's coarse test, and every later visit only runs
     the rect test.  The per-splat arrays are indexed like the records' rows
     (``offsets`` are the records' voxel bounds) and hold values only for the
-    voxels whose ``projected`` flag is set.  The ledger and the filter
-    counters still charge every visit: the cost model is the hardware's,
-    which streams the voxel again for each tile.  Entries are deterministic,
+    voxels whose ``projected`` flag is set; ``blend`` reads the survivors'
+    rows of ``batch`` where they lie.  The ledger and the filter counters
+    still charge every visit: the cost model is the hardware's, which
+    streams the voxel again for each tile.  Entries are deterministic,
     so each worker process of a frame fills its own copy and every copy
     holds the same bits.
     """

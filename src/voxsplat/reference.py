@@ -32,22 +32,25 @@ def render_frame_reference(
     scene_hash: str = "",
 ) -> tuple[np.ndarray, TrafficLedger]:
     """Render the whole frame; returns (framebuffer float32, ledger).  Like
-    ``render_frame_streaming``, the ledger carries ``scene_hash`` as given."""
+    ``render_frame_streaming``, the ledger carries ``scene_hash`` as given.
+    The projection stays whole: binning gathers the valid rows' centers and
+    radii, and ``blend`` reads each tile row's sorted rows where they lie."""
     ledger = TrafficLedger(scene_hash=scene_hash)
     n = len(scene)
     ledger.charge("projection", PROJECTION_LOAD_BYTES * n, n)
 
     valid, batch, _ = project_splats(camera, scene.positions, scene.scales, scene.rotations,
                                      scene.opacities, scene.sh, scene.ids)
-    batch = batch.take(np.flatnonzero(valid))
-    ledger.charge("projection-writeback", PROJECTED_RECORD_BYTES * len(batch), len(batch))
+    kept = np.flatnonzero(valid)
+    ledger.charge("projection-writeback", PROJECTED_RECORD_BYTES * len(kept), len(kept))
+    mean2d, radius = batch.mean2d[kept], batch.radius[kept]
 
     ntx, nty = camera.tile_counts
     # candidate tiles per axis: the pixel of margin keeps discs that only touch a
     # tile's closed edge; spans are cut to the frame before any integer cast
-    reach = batch.radius[:, None] + 1.0
-    first = np.maximum(np.floor((batch.mean2d - reach) / TILE_EDGE), 0.0)
-    last = np.minimum(np.floor((batch.mean2d + reach) / TILE_EDGE), [ntx - 1.0, nty - 1.0])
+    reach = radius[:, None] + 1.0
+    first = np.maximum(np.floor((mean2d - reach) / TILE_EDGE), 0.0)
+    last = np.minimum(np.floor((mean2d + reach) / TILE_EDGE), [ntx - 1.0, nty - 1.0])
     across = first[:, 0] <= last[:, 0]
 
     def render_row(ty):
@@ -57,8 +60,8 @@ def render_frame_reference(
         splat = np.repeat(inside, span)  # one (splat, tile) record per candidate tile
         tile = concat_ranges(first[inside, 0].astype(np.int64), span)
         rects = tile_rects(row)[:, tile]
-        hit = disc_overlaps_rect(batch.mean2d[splat], batch.radius[splat], rects)
-        members, tile = splat[hit], tile[hit]
+        hit = disc_overlaps_rect(mean2d[splat], radius[splat], rects)
+        members, tile = kept[splat[hit]], tile[hit]
         # a stable sort of records made splat after splat: (depth, id) ties keep splat order
         order = np.lexsort((batch.ids[members], batch.depth[members], tile))
         counts = np.bincount(tile, minlength=ntx)
@@ -68,7 +71,7 @@ def render_frame_reference(
         color = np.zeros((ntx, TILE_EDGE * TILE_EDGE, 3))
         transmittance = np.ones((ntx, TILE_EDGE * TILE_EDGE))
         bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
-        blend(batch.take(members[order]), bounds, tile_pixels(row) + 0.5, color, transmittance)
+        blend(batch, members[order], bounds, tile_pixels(row) + 0.5, color, transmittance)
         composite_background(color, transmittance, background)
         sub.charge("pixel-writeback", PIXEL_BYTES * transmittance.size, transmittance.size)
         return color, sub

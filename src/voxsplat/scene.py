@@ -220,21 +220,22 @@ class Camera:
     @classmethod
     def from_json(cls, obj) -> "Camera":
         """The camera a parsed JSON object describes; any missing key, wrong
-        type or invalid value raises ``CameraFormatError``."""
+        type (a value that is not a JSON number, or lists of them for the
+        rotation and translation) or invalid value raises ``CameraFormatError``."""
         if not isinstance(obj, dict):
             raise CameraFormatError(f"camera JSON must be an object, not {type(obj).__name__}")
         try:
             w2c = obj["world_to_camera"]
             values = dict(
-                width=int(obj["width"]),
-                height=int(obj["height"]),
-                fx=float(obj["fx"]),
-                fy=float(obj["fy"]),
-                cx=float(obj["cx"]),
-                cy=float(obj["cy"]),
-                rotation=np.array(w2c["rotation"], dtype=np.float64),
-                translation=np.array(w2c["translation"], dtype=np.float64),
-                near=float(obj.get("near", 0.1)),
+                width=int(_json_numbers(obj["width"], "width", integral=True)),
+                height=int(_json_numbers(obj["height"], "height", integral=True)),
+                fx=float(_json_numbers(obj["fx"], "fx")),
+                fy=float(_json_numbers(obj["fy"], "fy")),
+                cx=float(_json_numbers(obj["cx"], "cx")),
+                cy=float(_json_numbers(obj["cy"], "cy")),
+                rotation=_json_numbers(w2c["rotation"], "rotation"),
+                translation=_json_numbers(w2c["translation"], "translation"),
+                near=float(_json_numbers(obj.get("near", 0.1), "near")),
             )
         except KeyError as exc:
             raise CameraFormatError(f"camera JSON is missing {exc.args[0]!r}") from None
@@ -242,7 +243,7 @@ class Camera:
             raise CameraFormatError(f"bad camera JSON value: {exc}") from None
         try:
             return cls(**values)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise CameraFormatError(str(exc)) from None
 
     def save(self, path) -> None:
@@ -253,6 +254,18 @@ class Camera:
     def load(cls, path) -> "Camera":
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_json(json.load(f))
+
+
+def _json_numbers(value, name: str, integral: bool = False):
+    """``value`` if it is a JSON number or nested lists of them, integral
+    when asked; an entry of any other type, a bool or a string included,
+    raises ``CameraFormatError``."""
+    for entry in np.array(value, dtype=object).flat:
+        if type(entry) not in (int, float):
+            raise CameraFormatError(f"camera {name} must hold JSON numbers only, got {value!r}")
+        if integral and not (type(entry) is int or entry.is_integer()):
+            raise CameraFormatError(f"camera {name} must be an integer, got {value!r}")
+    return value
 
 
 def look_at_camera(

@@ -96,11 +96,16 @@ def render_tile_streaming(
 
     The tiles' rays are walked here, in one ``traverse`` call.  ``cache``
     holds the frame's voxel depths and projections for ``camera``; a call on
-    its own makes one.  ``trace`` and ``pixel_trace`` follow ``blend``: one
-    list per tile.
+    its own makes one.  ``trace``, one list per tile, and ``pixel_trace``,
+    as in ``blend``, collect (depth, max_scale) pairs in blend order: of
+    every splat blended, or of only those that reached the pixel.
     """
     if cache is None:
         cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
+
+    def pairs(rows):  # the (depth, max_scale) pairs of projection rows, for the traces
+        return zip(cache.batch.depth[rows].tolist(), cache.batch.max_scale[rows].tolist())
+
     plan = schedule(traverse(tiles, camera, grid), cache.depth)
     ntiles = len(tiles)
     rects = tile_rects(tiles)
@@ -144,9 +149,14 @@ def render_tile_streaming(
 
         bounds = np.concatenate([[0], np.cumsum(np.bincount(pair_tile[kept_pair],
                                                             minlength=ntiles))])
-        n = blend(cache.batch.take(kept_rows), bounds.tolist(), centers, color, transmittance,
-                  trace, pixel_trace)
+        hits = None if pixel_trace is None else (pixel_trace[0], [[] for _ in tiles])
+        n = blend(cache.batch, kept_rows, bounds.tolist(), centers, color, transmittance, hits)
         blended += n
+        for t in range(ntiles):
+            if trace is not None:
+                trace[t].extend(pairs(kept_rows[bounds[t] : bounds[t] + n[t]]))
+            if hits is not None:
+                pixel_trace[1][t].extend(pairs(hits[1][t]))
         # each tile's walk ends after its last pair unless it freezes sooner
         last = np.full(ntiles, npairs)
         frozen = np.flatnonzero((n > 0) & ~np.any(transmittance >= T_FREEZE, axis=1))

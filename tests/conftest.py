@@ -9,6 +9,8 @@ import pytest
 import voxsplat.tileloop as tileloop
 from voxsplat import Aabb, generate_scene, look_at_camera
 from voxsplat.filtering import FilterStats, ProjectionCache, coarse_filter, fine_filter
+
+from oracles import take
 from voxsplat.scene import _REQUIRED_PROPS
 
 
@@ -66,7 +68,7 @@ def filter_voxel(camera, rect, splats, survivors=None):
                        (np.array([0]), rows, splats))
     degenerate = int(np.count_nonzero(cache.degenerate[survivors]))
     stats = FilterStats.counted(n, len(survivors), len(kept), degenerate)
-    return mask, cache.batch.take(survivors[kept]), stats
+    return mask, take(cache.batch, survivors[kept]), stats
 
 
 def double_ply(path, xs):

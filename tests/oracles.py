@@ -5,6 +5,10 @@ production code must match bit for bit.  They live here, not in the
 package, so there is exactly one blend, one ray walk, one ray-table
 builder, one scheduler and one filter chain to ship.
 
+``blend_per_splat`` reads the projection by row, as ``blend`` does, and can
+also collect each tile's processed rows; ``take`` copies rows of a
+projection, as the renderers did before ``blend`` read it by row.
+
 ``ray_visits_dense`` is the DDA ray walk on dense (rays, steps) arrays, every
 ray advanced every step, as it stood before the walk stepped per axis over
 live rays only; ``dda_start`` is its state before the first step.
@@ -52,6 +56,7 @@ from voxsplat.filtering import (
     COARSE_MACS,
     COVARIANCE_DILATION,
     FINE_MACS,
+    ProjectedBatch,
     coarse_screen_radius,
     disc_overlaps_rect,
     project_means,
@@ -78,26 +83,32 @@ from voxsplat.voxelstore import (
 from voxsplat.vq import ATTRIBUTES, nearest_indices
 
 
-def blend_per_splat(batch, bounds, centers, color, transmittance, trace=None,
-                    pixel_trace=None) -> np.ndarray:
+def take(batch, idx):
+    """A copy of rows ``idx`` of every field of a ``ProjectedBatch``."""
+    return ProjectedBatch(*[getattr(batch, f)[idx] for f in ProjectedBatch.__dataclass_fields__])
+
+
+def blend_per_splat(batch, rows, bounds, centers, color, transmittance, pixel_trace=None,
+                    trace=None) -> np.ndarray:
     """One tile after another, one splat at a time over all 256 pixels; same
-    contract as ``blend``."""
+    contract as ``blend``.  ``trace`` holds one list per tile, which collects
+    the row of every splat processed, in blend order."""
     processed = np.zeros(len(centers), dtype=np.int64)
     for t in range(len(centers)):
-        for i in range(bounds[t], bounds[t + 1]):
+        for i in rows[bounds[t] : bounds[t + 1]].tolist():
             active = transmittance[t] >= T_FREEZE
             if not active.any():
                 break
             processed[t] += 1
             if trace is not None:
-                trace[t].append((float(batch.depth[i]), float(batch.max_scale[i])))
+                trace[t].append(i)
             d = centers[t] - batch.mean2d[i]
             a, b, c = batch.conic[i]
             power = -0.5 * (a * d[:, 0] ** 2 + c * d[:, 1] ** 2) - b * d[:, 0] * d[:, 1]
             alpha = np.minimum(ALPHA_CAP, batch.opacity[i] * np.exp(power))
             hit = active & (alpha >= ALPHA_MIN)
             if pixel_trace is not None and hit[pixel_trace[0]]:
-                pixel_trace[1][t].append((float(batch.depth[i]), float(batch.max_scale[i])))
+                pixel_trace[1][t].append(i)
             if not hit.any():
                 continue
             w = transmittance[t, hit] * alpha[hit]
@@ -300,11 +311,12 @@ def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0
             continue
         splats = stream_fine_per_visit(records, vid_r, survivors, books, ledger)
         batch = fine_filter_per_visit(camera, rect, survivors, splats, stats.filter)
-        for start in range(0, len(batch), capacity):
+        for start in range(0, len(batch.ids), capacity):
             if start:
                 stats.batch_splits += 1
-            chunk = batch.take(np.arange(start, min(start + capacity, len(batch))))
-            stats.blended += int(blend(chunk, [0, len(chunk)], centers, color, transmittance)[0])
+            chunk = np.arange(start, min(start + capacity, len(batch.ids)))
+            stats.blended += int(blend(batch, chunk, [0, len(chunk)], centers, color,
+                                       transmittance)[0])
     composite_background(color, transmittance, background)
     ledger.charge("pixel-writeback", PIXEL_BYTES * TILE_EDGE**2, TILE_EDGE**2)
     return color[0], ledger, stats
@@ -370,7 +382,7 @@ def fine_filter_per_visit(camera, rect, survivors, splats, stats):
     stats.degenerate += int(np.count_nonzero((batch.depth > camera.near) & ~valid))
     kept = np.flatnonzero(valid & disc_overlaps_rect(batch.mean2d, batch.radius, rect))
     stats.fine_survivors += len(kept)
-    return batch.take(kept[np.lexsort((batch.ids[kept], batch.depth[kept]))])
+    return take(batch, kept[np.lexsort((batch.ids[kept], batch.depth[kept]))])
 
 
 def render_frame_reference_per_tile(camera, scene, background=(0.0, 0.0, 0.0), scene_hash=""):
@@ -393,8 +405,8 @@ def render_frame_reference_per_tile(camera, scene, background=(0.0, 0.0, 0.0), s
             members = members[np.lexsort((batch.ids[members], batch.depth[members]))]
             color = np.zeros((1, TILE_EDGE * TILE_EDGE, 3))
             transmittance = np.ones((1, TILE_EDGE * TILE_EDGE))
-            blend(batch.take(members), [0, len(members)], tile_pixels([(tx, ty)]) + 0.5,
-                  color, transmittance)
+            blend(batch, members, [0, len(members)], tile_pixels([(tx, ty)]) + 0.5, color,
+                  transmittance)
             composite_background(color, transmittance, background)
             ledger.charge("pixel-writeback", PIXEL_BYTES * TILE_EDGE**2, TILE_EDGE**2)
             image[ty * TILE_EDGE : (ty + 1) * TILE_EDGE,

@@ -13,7 +13,16 @@ import pytest
 
 import voxsplat
 import voxsplat.streaming as streaming_mod
-from voxsplat import Camera, Scene, VoxelStore, cli, load_store, save_ply
+from voxsplat import (
+    Camera,
+    Scene,
+    VoxelStore,
+    cli,
+    load_store,
+    render_frame_reference,
+    render_frame_streaming,
+    save_ply,
+)
 from voxsplat.cli import main
 from voxsplat.errors import CodebookCorruptionError
 from voxsplat.scheduler import dependency_graph, traverse
@@ -103,6 +112,58 @@ def test_render_modes_write_images_and_stats(workspace):
                  "--camera", workspace / "cam.json", "--out", ppm, "--dump-dag", dag]) == 1
 
 
+@pytest.mark.parametrize("flags, digests", [
+    (["--count", 150, "--seed", 4, "--constrained", "--extent-fraction", "0.135"], {
+        "stream-1": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
+        "stream-2": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
+        "reference": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
+        "report": "ec51ef7715091ff5d687c3bda4e63479c613b9d4be953005ae71fa7a8a086b40",
+        "csv": "7268337ab613135f4edb47d01b23cb329eecd77fe9ba109249c1ab542598613d",
+    }),
+    (["--count", 500, "--seed", 1, "--extent-fraction", "1.0"], {
+        "stream-1": "a65af20f81316080e2a2a4028e93e574f3e9fab2ebd15f61dac31df3c1a6c964",
+        "stream-2": "a65af20f81316080e2a2a4028e93e574f3e9fab2ebd15f61dac31df3c1a6c964",
+        "reference": "f60a339924c96114a3b8c6d03177c6b438edb649e6c2980091674d8c87d2f338",
+        "report": "8795b698b1190273a51cfc6f7b342ae97fa990d05340b0a25fa5edfa7ba33226",
+        "csv": "7a2420d9c6ab7f8cc216816b5c4c956a468b0c93a24d717d3d6b3d0a7193a229",
+    }),
+])
+def test_frames_and_compare_report_keep_their_pinned_bits(tmp_path, flags, digests):
+    """Digests taken while ``blend`` still read gathered copies of the
+    projection: the float32 frames of both renderers and the bytes of the
+    ``compare`` report, whose depth-order penalty comes from blend traces.
+    The unconstrained scene blends out of depth order in tiles and pixels."""
+    scene, cam, store = tmp_path / "scene.ply", tmp_path / "cam.json", tmp_path / "scene.gsvx"
+    report, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
+    assert _run(["gen-scene", *flags, "--out", scene, "--camera-out", cam]) == 0
+    assert _run(["build-voxels", "--scene", scene, "--out", store]) == 0
+    assert _run(["compare", "--voxels", store, "--camera", cam, "--report", report,
+                 "--csv", csv_path]) == 0
+    loaded, camera = load_store(store), Camera.load(cam)
+    frames = {f"stream-{threads}": render_frame_streaming(camera, loaded.grid, loaded.records,
+                                                          threads=threads)[0]
+              for threads in (1, 2)}
+    frames["reference"] = render_frame_reference(camera, cli.scene_from_records(
+        loaded.grid, loaded.records))[0]
+    got = {name: hashlib.sha256(frame.tobytes()).hexdigest() for name, frame in frames.items()}
+    got["report"] = hashlib.sha256(report.read_bytes()).hexdigest()
+    got["csv"] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert got == digests
+    penalty = json.loads(report.read_text())["depth_order_penalty"]
+    assert (penalty["per_tile_trace"] > 0) == ("--constrained" not in flags)
+    assert (penalty["per_pixel_trace"] > 0) == ("--constrained" not in flags)
+
+
+def test_dump_dag_of_a_reference_render_is_refused_before_any_load(tmp_path, capsys):
+    """The inputs do not exist: the refusal comes before anything is read,
+    rendered or written."""
+    out, dag = tmp_path / "never.png", tmp_path / "never.txt"
+    assert _run(["render", "--mode", "reference", "--voxels", tmp_path / "none.gsvx",
+                 "--camera", tmp_path / "none.json", "--out", out, "--dump-dag", dag]) == 1
+    assert capsys.readouterr().err == "voxsplat: --dump-dag applies to streaming renders only\n"
+    assert not out.exists() and not dag.exists()
+
+
 def test_streaming_render_on_empty_scene(tmp_path):
     empty = Scene(positions=np.empty((0, 3)), scales=np.empty((0, 3)),
                   rotations=np.empty((0, 4)), opacities=np.empty(0),
@@ -144,6 +205,7 @@ def test_gen_scene_rejects_zero_count(tmp_path, capsys):
     (["--bounds", "0,0,0:1e300,1,1"], "bounds must be finite float32 values"),
     (["--edge", "nan"], "voxel_edge must be finite and positive, got nan"),
     (["--edge", "inf"], "voxel_edge must be finite and positive, got inf"),
+    (["--bounds", "1,2:3,4"], "bounds must look like 'x0,y0,z0:x1,y1,z1', got '1,2:3,4'"),
 ])
 def test_bad_gen_scene_input_exits_1_with_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "x.ply"
@@ -280,6 +342,16 @@ def test_camera_narrower_than_a_tile_exits_1_with_one_line(workspace, capsys, wi
     (lambda cam: {**cam, "world_to_camera": {**cam["world_to_camera"],
                                              "rotation": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]}},
      "world-to-camera rotation is not orthonormal"),
+    (lambda cam: {**cam, "width": "256"}, "camera width must hold JSON numbers only, got '256'"),
+    (lambda cam: {**cam, "width": 256.9}, "camera width must be an integer, got 256.9"),
+    (lambda cam: {**cam, "fx": True}, "camera fx must hold JSON numbers only, got True"),
+    (lambda cam: {**cam, "near": "0.1"}, "camera near must hold JSON numbers only"),
+    (lambda cam: {**cam, "world_to_camera": {**cam["world_to_camera"],
+                                             "rotation": [["1", 0, 0], [0, 1, 0], [0, 0, 1]]}},
+     "camera rotation must hold JSON numbers only"),
+    (lambda cam: {**cam, "world_to_camera": {**cam["world_to_camera"],
+                                             "translation": [0, 0, "10"]}},
+     "camera translation must hold JSON numbers only"),
 ])
 def test_bad_camera_json_exits_1_with_one_line(workspace, capfd, edit, message):
     """Run as its own process, so a numpy warning or a traceback would show."""

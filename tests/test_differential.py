@@ -136,15 +136,35 @@ def _pixel_state(rng, frozen_share, edge_share):
     return color, transmittance
 
 
+def _tile_states(rng, frozen):
+    """Entry states of tiles stacked as (tiles, 256, ...), tile t with a
+    ``frozen[t]`` share of its pixels frozen."""
+    states = [_pixel_state(rng, share, edge_share=0.1) for share in frozen]
+    return np.stack([c for c, _ in states]), np.stack([t for _, t in states])
+
+
+def _blend_both(batch, rows, bounds, centers, color, transmittance, pixel):
+    """The tiles blended by ``blend`` and by the oracle; each gives per tile
+    its count, pixels, processed rows and rows that reached ``pixel``.
+    ``blend``'s processed rows are the first ``processed[t]`` of tile t's."""
+    tiles = range(len(centers))
+    col, t, hits = color.copy(), transmittance.copy(), (pixel, [[] for _ in tiles])
+    n = blend(batch, rows, bounds, centers, col, t, hits)
+    done = [rows[bounds[k] : bounds[k] + n[k]].tolist() for k in tiles]
+    got = (n.tolist(), col, t, done, hits[1])
+    col, t, hits = color.copy(), transmittance.copy(), (pixel, [[] for _ in tiles])
+    trace = [[] for _ in tiles]
+    n = blend_per_splat(batch, rows, bounds, centers, col, t, hits, trace)
+    return got, (n.tolist(), col, t, trace, hits[1])
+
+
 def _run_both(batch, color, transmittance, pixel):
-    """``batch`` blended into one tile by ``blend`` and by the oracle."""
-    results = []
-    for fn in (blend, blend_per_splat):
-        col, t = color[None].copy(), transmittance[None].copy()
-        trace, pixel_trace = [[]], (pixel, [[]])
-        n = fn(batch, [0, len(batch)], CENTERS[None], col, t, trace, pixel_trace)
-        results.append((int(n[0]), col[0], t[0], trace[0], pixel_trace[1][0]))
-    return results
+    """``batch`` blended into one tile, row after row, by ``blend`` and by
+    the oracle."""
+    rows = np.arange(len(batch.ids))
+    both = _blend_both(batch, rows, [0, len(rows)], CENTERS[None], color[None],
+                       transmittance[None], pixel)
+    return [tuple(part[0] for part in result) for result in both]
 
 
 def _assert_same(got, want):
@@ -217,7 +237,7 @@ def test_block_blend_alpha_clamps_at_a_pixel_center():
     )
     got, want = _run_both(batch, np.zeros((256, 3)), np.ones(256), pixel=5)
     _assert_same(got, want)
-    assert [d for d, _ in got[4]] == [2.0, 3.0]
+    assert got[4] == [1, 2]  # the rows of depths 2.0 and 3.0
     assert got[2][5] == (1.0 - ALPHA_MIN) * (1.0 - ALPHA_CAP)
 
 
@@ -243,17 +263,45 @@ def test_multi_tile_blend_matches_per_splat_oracle(lengths, seed, frozen, pixel)
     batch = ProjectedBatch(*[np.concatenate([getattr(part, f) for part in parts])
                              for f in ProjectedBatch.__dataclass_fields__])
     bounds = np.concatenate([[0], np.cumsum(lengths)]).tolist()
-    states = [_pixel_state(rng, frozen[t], edge_share=0.1) for t in range(len(lengths))]
-    color = np.stack([c for c, _ in states])
-    transmittance = np.stack([t for _, t in states])
-    results = []
-    for fn in (blend, blend_per_splat):
-        col, t = color.copy(), transmittance.copy()
-        trace, pixel_trace = [[] for _ in tiles], (pixel, [[] for _ in tiles])
-        n = fn(batch, bounds, tile_pixels(tiles) + 0.5, col, t, trace, pixel_trace)
-        results.append((n.tolist(), col.tobytes(), t.tobytes(), trace, pixel_trace[1]))
-    assert results[0] == results[1]
-    assert all(n == 0 for n, length in zip(results[0][0], lengths) if not length)
+    color, transmittance = _tile_states(rng, frozen[: len(lengths)])
+    got, want = _blend_both(batch, np.arange(bounds[-1]), bounds, tile_pixels(tiles) + 0.5,
+                            color, transmittance, pixel)
+    _assert_same(got, want)
+    assert all(n == 0 for n, length in zip(got[0], lengths) if not length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.sampled_from([0, 1, 7, B, B + 3]), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    frozen=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=5, max_size=5),
+    pixel=st.integers(0, 255),
+)
+# a long tile, empty ones and ones frozen on entry, drawing on one pool of rows
+@example(lengths=[B + 3, 0, 7, 0, B], seed=0, frozen=[0.0, 0.0, 1.0, 1.0, 0.5], pixel=3)
+def test_blend_reading_rows_in_place_equals_the_oracle_on_a_gathered_copy(
+    lengths, seed, frozen, pixel
+):
+    """Each tile's rows are unsorted and repeat across tiles, as the reference
+    duplicates a splat into every tile its disc meets.  ``blend`` reading
+    them where they lie equals the per-splat oracle on a copy gathered in
+    blend order, and each tile's first ``processed[t]`` rows are exactly the
+    splats the oracle processed."""
+    rng = np.random.default_rng(seed)
+    tiles = [(TILE[0] + t, TILE[1]) for t in range(len(lengths))]
+    pool = _batch(rng, 2 * B, opaque_share=0.3, clamp_share=0.2)
+    pool.mean2d[:, 0] += rng.integers(0, len(tiles), 2 * B) * TILE_EDGE  # still on the pixel grid
+    rows = np.concatenate([rng.choice(2 * B, n, replace=False) for n in lengths]).astype(np.int64)
+    bounds = np.concatenate([[0], np.cumsum(lengths)]).tolist()
+    color, transmittance = _tile_states(rng, frozen[: len(lengths)])
+    centers = tile_pixels(tiles) + 0.5
+    got, _ = _blend_both(pool, rows, bounds, centers, color, transmittance, pixel)
+    _, want = _blend_both(oracles.take(pool, rows), np.arange(len(rows)), bounds, centers, color,
+                          transmittance, pixel)
+    # the oracle ran on the copy: its traces hold positions in ``rows``
+    want = (*want[:3], *([rows[at].tolist() for at in trace] for trace in want[3:]))
+    _assert_same(got, want)
+    assert got[3] == [rows[a : a + n].tolist() for a, n in zip(bounds, got[0])]
 
 
 def _grid(seed, count=300):
@@ -459,7 +507,7 @@ def _crafted_projection(seed, touch_share, duplicate_share):
     def projected(*args, **kwargs):
         valid, batch, degenerate = project(*args, **kwargs)
         rng = np.random.default_rng(seed)
-        n = len(batch)
+        n = len(batch.ids)
         touch = np.flatnonzero(rng.random(n) < touch_share)
         # r = 5k / 8 and offsets of 3k / 8, 4k / 8 or 5k / 8: exact, and
         # dx^2 + dy^2 == r^2 exactly at the touched edge or corner
@@ -619,7 +667,7 @@ def test_projecting_a_whole_voxel_then_taking_equals_projecting_survivors(
         valid, whole, _ = project_splats(camera, *splats)
         valid_s, alone, _ = project_splats(camera, *(a[survivors] for a in splats))
         assert valid[survivors].tobytes() == valid_s.tobytes()
-        assert _batch_bytes(whole.take(survivors)) == _batch_bytes(alone)
+        assert _batch_bytes(oracles.take(whole, survivors)) == _batch_bytes(alone)
 
         for tile in [(1, 1), (2, 1), (0, 3)]:
             _, got, got_stats = filter_voxel(camera, tile_rects([tile]), splats, survivors)
@@ -888,7 +936,7 @@ def test_projecting_many_voxels_at_once_equals_voxel_by_voxel(n, seed, oblique):
         part = records.rows(r)
         valid, alone, _ = project_splats(camera, *(a[part] for a in splats))
         assert cache.valid[part].tobytes() == valid.tobytes()
-        assert _batch_bytes(cache.batch.take(part)) == _batch_bytes(alone)
+        assert _batch_bytes(oracles.take(cache.batch, part)) == _batch_bytes(alone)
         want = coarse_filter_per_visit(camera, rect, records.positions[part],
                                        records.max_scales[part], FilterStats())
         assert coarse[part].tobytes() == want.tobytes()
@@ -914,11 +962,11 @@ def test_projection_bits_do_not_depend_on_the_rows_beside_them(seed, count, inde
     def assert_rows_alike(part):
         got_valid, got, _ = project_splats(camera, *(a[part] for a in splats))
         assert got_valid.tobytes() == valid[part].tobytes()
-        assert _batch_bytes(got) == _batch_bytes(whole.take(part))
+        assert _batch_bytes(got) == _batch_bytes(oracles.take(whole, part))
 
     rng = np.random.default_rng(seed)
-    assert_rows_alike(rng.integers(0, len(whole), 1))
-    assert_rows_alike(np.flatnonzero(rng.random(len(whole)) < 0.5))
+    assert_rows_alike(rng.integers(0, len(whole.ids), 1))
+    assert_rows_alike(np.flatnonzero(rng.random(len(whole.ids)) < 0.5))
     for r in range(len(records)):
         assert_rows_alike(np.arange(records.offsets[r], records.offsets[r + 1]))
 
@@ -939,7 +987,7 @@ def test_projection_bits_do_not_depend_on_the_rows_beside_them(seed, count, inde
     filled = np.flatnonzero(np.repeat(cache.projected, np.diff(records.offsets)))
     at = records.ids[filled]  # the scene's ids are its row numbers
     assert cache.valid[filled].tobytes() == ref_valid[at].tobytes()
-    assert _batch_bytes(cache.batch.take(filled)) == _batch_bytes(ref.take(at))
+    assert _batch_bytes(oracles.take(cache.batch, filled)) == _batch_bytes(oracles.take(ref, at))
 
     pixels = tile_pixels([(tx, rng.integers(nty)) for tx in range(ntx)])
     row = camera.ray_directions(pixels[..., 0], pixels[..., 1])

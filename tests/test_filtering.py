@@ -117,7 +117,7 @@ def test_mac_charges_are_55_and_427():
         (pos, np.full((1, 3), 0.1), np.array([[1.0, 0, 0, 0]]), np.array([0.5]),
          np.zeros((1, 16, 3)), np.array([0])),
     )
-    assert mask[0] and len(batch) == 1
+    assert mask[0] and len(batch.ids) == 1
     assert stats.macs_coarse == 55 == COARSE_MACS
     assert stats.macs_coarse + stats.macs_fine == 427
     assert FINE_MACS == 427 - 55

@@ -148,7 +148,8 @@ _CAMERA = {
     "near": 0.1,
 }
 _ODD_VALUES = st.sampled_from([float("nan"), float("inf"), -float("inf"), 0, 0.0, -1.0, 1e300,
-                               2**64, 1600000, -16, True, None, "x", [], [1.0], {}, [[1.0]]])
+                               2**64, 1600000, -16, True, False, None, "x", "64", 64.5, [],
+                               [1.0], {}, [[1.0]]])
 
 
 @st.composite
@@ -179,11 +180,23 @@ def _camera_json(draw):
 @example(obj={**_CAMERA, "fx": float("nan")})
 @example(obj={**_CAMERA, "near": float("nan")})
 @example(obj={**_CAMERA, "width": 1600000, "height": 1600000})
+@example(obj={**_CAMERA, "width": "64"})
+@example(obj={**_CAMERA, "height": 48.5})
+@example(obj={**_CAMERA, "fx": True})
+@example(obj={**_CAMERA, "world_to_camera": {**_CAMERA["world_to_camera"],
+                                             "translation": [0.0, 0.0, "10"]}})
 def test_camera_json_raises_only_camera_format_errors(obj):
     try:
         camera = Camera.from_json(obj)
     except CameraFormatError:
         return
+    # a loaded camera came from JSON numbers only, and from integral sizes
+    w2c = obj["world_to_camera"]
+    read = [obj[k] for k in ("width", "height", "fx", "fy", "cx", "cy")] + [obj.get("near", 0.1)]
+    read += [*np.array(w2c["rotation"], dtype=object).flat,
+             *np.array(w2c["translation"], dtype=object).flat]
+    assert all(type(v) in (int, float) for v in read)
+    assert (camera.width, camera.height) == (obj["width"], obj["height"])
     assert camera.width * camera.height <= 1 << 24
     assert all(np.isfinite(v) for v in (camera.fx, camera.fy, camera.cx, camera.cy, camera.near))
     assert camera.fx > 0 and camera.fy > 0 and camera.near > 0

@@ -26,21 +26,21 @@ def test_per_tile_sort_is_depth_correct_permutation(monkeypatch):
     camera = look_at_camera([0.0, 0.0, -10.0], [0.0, 0.0, 0.0], width=64, height=64, focal=60.0)
     calls = []
 
-    def recording(batch, bounds, centers, *args):
-        calls.append((batch, list(bounds), centers.copy()))
-        return blend(batch, bounds, centers, *args)
+    def recording(batch, rows, bounds, centers, *args):
+        calls.append((batch, rows, list(bounds), centers.copy()))
+        return blend(batch, rows, bounds, centers, *args)
 
     monkeypatch.setattr(reference_mod, "blend", recording)
     reference_mod.render_frame_reference(camera, scene)
     valid, projected, _ = project_splats(camera, scene.positions, scene.scales, scene.rotations,
                                          scene.opacities, scene.sh, scene.ids)
     ties = 0
-    for batch, bounds, centers in calls:
+    for batch, rows, bounds, centers in calls:
         for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
             tile = (centers[t, 0] // TILE_EDGE).astype(int)
             meets = valid & disc_overlaps_rect(projected.mean2d, projected.radius,
                                                tile_rects([tile]))
-            depth, ids = batch.depth[a:b], batch.ids[a:b]
+            depth, ids = batch.depth[rows[a:b]], batch.ids[rows[a:b]]
             assert sorted(ids.tolist()) == sorted(projected.ids[meets].tolist())
             assert np.all(np.diff(depth) >= 0)
             same = np.flatnonzero(np.diff(depth) == 0)

@@ -170,7 +170,7 @@ def test_transmittance_monotone_and_frozen_pixels_stop():
     t = np.ones((1, 256))
     prev = t.copy()
     for i in range(n):
-        blend(batch.take(np.array([i])), [0, 1], centers, color, t)
+        blend(batch, np.array([i]), [0, 1], centers, color, t)
         assert np.all(t <= prev + 1e-15)
         frozen = prev < T_FREEZE
         assert np.array_equal(t[frozen], prev[frozen])  # frozen pixels unchanged
