@@ -141,7 +141,6 @@ def cmd_render(args) -> int:
     if args.dump_dag and args.mode != "streaming":
         raise VoxsplatError("--dump-dag applies to streaming renders only")
     store = load_store(args.voxels)
-    books = load_codebooks(args.books) if args.books else None
     camera = Camera.load(args.camera)
     if args.mode == "reference":
         scene = scene_from_records(store.grid, store.records)
@@ -151,6 +150,7 @@ def cmd_render(args) -> int:
         )
         stats = None
     else:
+        books = load_codebooks(args.books) if args.books else None
         streamed = store if books is None else store.encode(books)
         frame, ledger, stats = render_frame_streaming(
             camera, streamed.grid, streamed.records, books, background=args.background,

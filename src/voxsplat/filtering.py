@@ -46,28 +46,13 @@ COARSE_SAFETY = 1.1
 COARSE_DILATION_MARGIN = RADIUS_SIGMAS * math.sqrt(COVARIANCE_DILATION)
 DEGENERATE_DET = 1e-12
 
-# dataclass fields looked up once per class: tallies merge per tile, projections cache per round
+# ProjectedBatch's fields, looked up once: fine_filter caches projections per round
 _fields = functools.cache(fields)
 
 
 class Tally:
-    """Counters that sum to the same totals in any merge order.
-
-    ``merge`` adds every int field, every dict of ints key by key and every
-    nested tally; any other field, such as a ledger's scene hash, is left
-    unchanged.  ``as_dict`` lists the fields in declaration order.
-    """
-
-    def merge(self, other: "Tally") -> None:
-        for f in _fields(type(self)):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if isinstance(mine, int):
-                setattr(self, f.name, mine + theirs)
-            elif isinstance(mine, dict):
-                for key, value in theirs.items():
-                    mine[key] += value
-            elif isinstance(mine, Tally):
-                mine.merge(theirs)
+    """Counters summed over a frame's tiles once, where a renderer charges
+    its frame; ``as_dict`` lists the fields in declaration order."""
 
     def as_dict(self) -> dict:
         return asdict(self)

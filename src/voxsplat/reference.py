@@ -34,7 +34,9 @@ def render_frame_reference(
     """Render the whole frame; returns (framebuffer float32, ledger).  Like
     ``render_frame_streaming``, the ledger carries ``scene_hash`` as given.
     The projection stays whole: binning gathers the valid rows' centers and
-    radii, and ``blend`` reads each tile row's sorted rows where they lie."""
+    radii, and ``blend`` reads each tile row's sorted rows where they lie.
+    Each row hands back its tiles' record counts, from which the frame
+    charges sort spills, render loads and pixel writebacks once."""
     ledger = TrafficLedger(scene_hash=scene_hash)
     n = len(scene)
     ledger.charge("projection", PROJECTION_LOAD_BYTES * n, n)
@@ -65,20 +67,18 @@ def render_frame_reference(
         # a stable sort of records made splat after splat: (depth, id) ties keep splat order
         order = np.lexsort((batch.ids[members], batch.depth[members], tile))
         counts = np.bincount(tile, minlength=ntx)
-        sub = TrafficLedger()
-        sub.charge("sort-spill", sum(map(merge_sort_pass_bytes, counts.tolist())), len(members))
-        sub.charge("render-load", PROJECTED_RECORD_BYTES * len(members), len(members))
         color = np.zeros((ntx, TILE_EDGE * TILE_EDGE, 3))
         transmittance = np.ones((ntx, TILE_EDGE * TILE_EDGE))
         bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
         blend(batch, members[order], bounds, tile_pixels(row) + 0.5, color, transmittance)
         composite_background(color, transmittance, background)
-        sub.charge("pixel-writeback", PIXEL_BYTES * transmittance.size, transmittance.size)
-        return color, sub
+        return color, counts[None]
 
-    frame, rows = render_rows(camera, render_row, threads)
-    for sub in rows:
-        ledger.merge(sub)
+    frame, counts = render_rows(camera, render_row, threads)
+    records, pixels = int(counts.sum()), counts.size * TILE_EDGE**2
+    ledger.charge("sort-spill", sum(map(merge_sort_pass_bytes, counts.ravel().tolist())), records)
+    ledger.charge("render-load", PROJECTED_RECORD_BYTES * records, records)
+    ledger.charge("pixel-writeback", PIXEL_BYTES * pixels, pixels)
     return frame, ledger
 
 

@@ -17,7 +17,7 @@ frozen, its walk ends at the voxel of the last splat ``blend`` processed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,33 +51,27 @@ class StreamStats(Tally):
     blended: int = 0
 
 
-@dataclass
-class TileCounts:
-    """The counters of a list of tiles, one array entry per tile."""
+# a tile's counters, in the order of the rows of the arrays that count them
+COUNTERS = ("loaded", "coarse_survivors", "fine_survivors", "degenerate", "voxels_scheduled",
+            "voxels_skipped_early", "cycles_broken", "batch_splits", "blended")
 
-    encoded: bool  # the records stream encoded second halves
-    loaded: np.ndarray
-    coarse_survivors: np.ndarray
-    fine_survivors: np.ndarray
-    degenerate: np.ndarray
-    voxels_scheduled: np.ndarray
-    voxels_skipped_early: np.ndarray
-    cycles_broken: np.ndarray
-    batch_splits: np.ndarray
-    blended: np.ndarray
 
-    def tally(self, tiles=slice(None)) -> tuple[TrafficLedger, StreamStats]:
-        """The ledger and stats of the selected tiles (an index or a slice), summed."""
-        total = {f.name: int(np.sum(getattr(self, f.name)[tiles])) for f in fields(self)[1:]}
-        loaded, coarse = total.pop("loaded"), total.pop("coarse_survivors")
-        fine, degenerate = total.pop("fine_survivors"), total.pop("degenerate")
-        stats = StreamStats(FilterStats.counted(loaded, coarse, fine, degenerate), **total)
-        stats.filter.check()
-        ledger = TrafficLedger()
-        charge_loads(ledger, self.encoded, loaded, coarse)
-        pixels = np.size(self.loaded[tiles]) * TILE_EDGE**2
-        ledger.charge("pixel-writeback", PIXEL_BYTES * pixels, pixels)
-        return ledger, stats
+def tally(counts: np.ndarray, encoded: bool,
+          scene_hash: str = "") -> tuple[TrafficLedger, StreamStats]:
+    """The ledger and stats of the tiles whose COUNTERS ``counts`` holds,
+    one (len(COUNTERS), ...) array entry per tile, summed; ``encoded``
+    records stream encoded second halves."""
+    total = dict(zip(COUNTERS, counts.reshape(len(COUNTERS), -1).sum(axis=1).tolist()))
+    loaded, coarse = total.pop("loaded"), total.pop("coarse_survivors")
+    fine, degenerate = total.pop("fine_survivors"), total.pop("degenerate")
+    stats = StreamStats(FilterStats.counted(loaded, coarse, fine, degenerate), **total)
+    stats.filter.check()
+    ledger = TrafficLedger(scene_hash=scene_hash)
+    charge_loads(ledger, encoded, loaded, coarse)
+    pixels = counts[0].size * TILE_EDGE**2
+    ledger.charge("pixel-writeback", PIXEL_BYTES * pixels, pixels)
+    ledger.macs = {"coarse": stats.filter.macs_coarse, "fine": stats.filter.macs_fine}
+    return ledger, stats
 
 
 def render_tile_streaming(
@@ -90,9 +84,10 @@ def render_tile_streaming(
     trace: list | None = None,
     pixel_trace: tuple[int, list] | None = None,
     cache: ProjectionCache | None = None,
-) -> tuple[np.ndarray, TileCounts]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Render 16x16 tiles together, normally one tile row; returns
-    ((tiles, 256, 3) colors, the tiles' counters).
+    ((tiles, 256, 3) colors, (len(COUNTERS), tiles) int64 counters), which
+    ``tally`` turns into the tiles' ledger and stats.
 
     The tiles' rays are walked here, in one ``traverse`` call.  ``cache``
     holds the frame's voxel depths and projections for ``camera``; a call on
@@ -173,8 +168,8 @@ def render_tile_streaming(
 
     composite_background(color, transmittance, background)
     loaded, coarse, fine, degenerate, splits = counts
-    return color, TileCounts(records.encoded, loaded, coarse, fine, degenerate, scheduled,
-                             skipped, plan.broken, splits, blended)
+    return color, np.stack([loaded, coarse, fine, degenerate, scheduled, skipped, plan.broken,
+                            splits, blended])
 
 
 def render_frame_streaming(
@@ -194,23 +189,16 @@ def render_frame_streaming(
     are alive at a time.  With ``threads > 1`` this process and forked
     workers share the rows (``tileloop.render_rows``), each filling its own
     copy of the frame's projection cache.  Returns (framebuffer (H, W, 3)
-    float32, ledger, aggregate stats).
+    float32, ledger, stats), tallied once from every tile's counters.
     """
     ntx, _ = camera.tile_counts
     cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
 
     def render_row(ty):
         band = [(tx, ty) for tx in range(ntx)]
-        colors, counts = render_tile_streaming(
+        return render_tile_streaming(
             band, camera, grid, records, books, background=background, cache=cache,
         )
-        return colors, counts.tally()
 
-    frame, rows = render_rows(camera, render_row, threads)
-    ledger = TrafficLedger(scene_hash=scene_hash)
-    stats = StreamStats()
-    for row_ledger, row_stats in rows:
-        ledger.merge(row_ledger)
-        stats.merge(row_stats)
-    ledger.macs = {"coarse": stats.filter.macs_coarse, "fine": stats.filter.macs_fine}
-    return frame, ledger, stats
+    frame, counts = render_rows(camera, render_row, threads)
+    return (frame, *tally(counts, records.encoded, scene_hash))

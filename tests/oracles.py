@@ -24,7 +24,8 @@ and one ``blend`` call per sorting-buffer chunk, with the ledger charged
 visit by visit and the walk cut at the first voxel that finds every pixel
 frozen, or with ``early_exit=False`` never cut: the exhaustive render that
 early exit must equal pixel for pixel.  ``render_frame_per_visit``
-assembles a frame from its tiles.  Its filter oracles keep no projection
+assembles a frame from its tiles and sums their counters with
+``add_counters``.  Its filter oracles keep no projection
 cache: every visit projects its voxel again, and ``stream_fine_per_visit``
 decodes the survivors only, so ``fine_filter_per_visit`` projects just
 those and sorts them by (depth, id) on its own.
@@ -46,6 +47,7 @@ oracles must keep the row-major layout they were written for.
 from __future__ import annotations
 
 import heapq
+from dataclasses import fields, is_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -319,7 +321,23 @@ def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0
                                        transmittance)[0])
     composite_background(color, transmittance, background)
     ledger.charge("pixel-writeback", PIXEL_BYTES * TILE_EDGE**2, TILE_EDGE**2)
+    ledger.macs = {"coarse": stats.filter.macs_coarse, "fine": stats.filter.macs_fine}
     return color[0], ledger, stats
+
+
+def add_counters(total, part) -> None:
+    """Add ``part``'s counters into ``total``, two ledgers or two stats: every
+    int field, every dict of ints key by key and every nested dataclass;
+    any other field, such as a ledger's scene hash, stays unchanged."""
+    for f in fields(total):
+        mine, theirs = getattr(total, f.name), getattr(part, f.name)
+        if isinstance(mine, int):
+            setattr(total, f.name, mine + theirs)
+        elif isinstance(mine, dict):
+            for key, value in theirs.items():
+                mine[key] += value
+        elif is_dataclass(mine):
+            add_counters(mine, theirs)
 
 
 def render_frame_per_visit(camera, grid, records, books, early_exit=True):
@@ -334,9 +352,8 @@ def render_frame_per_visit(camera, grid, records, books, early_exit=True):
                 (tx, ty), camera, grid, records, books, early_exit=early_exit)
             image[ty * TILE_EDGE : (ty + 1) * TILE_EDGE,
                   tx * TILE_EDGE : (tx + 1) * TILE_EDGE] = color.reshape(TILE_EDGE, TILE_EDGE, 3)
-            ledger.merge(tile_ledger)
-            stats.merge(tile_stats)
-    ledger.macs = {"coarse": stats.filter.macs_coarse, "fine": stats.filter.macs_fine}
+            add_counters(ledger, tile_ledger)
+            add_counters(stats, tile_stats)
     return image.astype(np.float32), ledger, stats
 
 

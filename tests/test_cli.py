@@ -248,6 +248,21 @@ def test_truncated_store_and_codebook_headers_exit_1_with_one_line(
     assert err.startswith("voxsplat: truncated ") and err.count("\n") == 1
 
 
+def test_a_reference_render_never_reads_books(workspace, capsys):
+    bad = workspace / "bad.gsvq"
+    bad.write_bytes(b"GSVQ\x01")
+    argv = ["render", "--voxels", workspace / "scene.gsvx", "--camera", workspace / "cam.json"]
+    plain, with_books = workspace / "plain.png", workspace / "with_books.png"
+    assert _run([*argv, "--mode", "reference", "--out", plain]) == 0
+    assert _run([*argv, "--mode", "reference", "--out", with_books, "--books", bad]) == 0
+    assert with_books.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
+    assert _run([*argv, "--mode", "streaming", "--out", workspace / "never.png",
+                 "--books", bad]) == 1
+    assert capsys.readouterr().err == "voxsplat: truncated codebook header\n"
+    assert not (workspace / "never.png").exists()
+
+
 def test_store_header_with_a_huge_grid_exits_1_with_one_line(workspace, capsys):
     """A 4000^3 grid would need a 512 GB dense id table; the loader refuses it."""
     bad = workspace / "huge.gsvx"

@@ -56,7 +56,7 @@ from voxsplat.reference import render_frame_reference
 from voxsplat.scene import TILE_EDGE, tile_pixels
 from voxsplat.scheduler import TileVisits, schedule, traverse, voxel_depths
 from voxsplat.sh import evaluate_sh, sh_basis
-from voxsplat.streaming import render_frame_streaming, render_tile_streaming
+from voxsplat.streaming import render_frame_streaming, render_tile_streaming, tally
 from voxsplat.voxelstore import VoxelGrid, gather_attribute, stream_fine
 from voxsplat.vq import ATTRIBUTE_DIMS, ATTRIBUTES
 
@@ -747,9 +747,10 @@ def _one_voxel_store():
     return VoxelStore.build(scene, 2.0)
 
 
-def _tile_result(colors, counts, i):
-    """Tile i of a ``render_tile_streaming`` call as (color, ledger, stats) bytes and dicts."""
-    ledger, stats = counts.tally(i)
+def _tile_result(colors, counts, i, encoded=False):
+    """Tile i of a ``render_tile_streaming`` call as (color, ledger, stats)
+    bytes and dicts: its column of the counters, tallied alone."""
+    ledger, stats = tally(counts[:, i], encoded)
     return colors[i].tobytes(), ledger.as_dict(), stats.as_dict()
 
 
@@ -879,7 +880,7 @@ def test_batched_row_tiles_match_per_visit_tiles(n, seed, wall, encoded, oblique
                 color, ledger, stats = render_tile_per_visit(
                     tile, camera, store.grid, store.records, books)
                 want = (color.tobytes(), ledger.as_dict(), stats.as_dict())
-                assert _tile_result(colors, counts, i) == want
+                assert _tile_result(colors, counts, i, store.records.encoded) == want
                 exhaustive, _, _ = render_tile_per_visit(
                     tile, camera, store.grid, store.records, books, early_exit=False)
                 assert colors[i].tobytes() == exhaustive.tobytes()

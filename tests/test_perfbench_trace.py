@@ -1,9 +1,17 @@
 """perfbench's traced run wraps module attributes of the renderers; every
 wrapped layer must stay a real stage that a frame calls through that
-attribute, or ``perfbench/run.py --trace 1`` stops with ``TraceDriftError``."""
+attribute, or ``perfbench/run.py --trace 1`` stops with ``TraceDriftError``.
+Its untraced run reads the renderers' return tuples, ``StreamStats`` fields
+and ``estimate``'s inputs; a small run of it must render every frame
+cleanly."""
 
+import dataclasses
 import importlib.util
+import math
+import sys
 from pathlib import Path
+
+import pytest
 
 import voxsplat.reference as reference_mod
 import voxsplat.streaming as streaming_mod
@@ -12,14 +20,24 @@ from voxsplat.voxelstore import scene_from_records
 
 from conftest import constrained_scene
 
-_TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name, monkeypatch=None):
+    """perfbench/<name>.py as a module, unchanged; with ``monkeypatch``, also
+    importable by its bare name until the test ends, as perfbench/run.py
+    imports it (its dataclasses need that while it loads)."""
+    spec = importlib.util.spec_from_file_location(name if monkeypatch else f"perfbench_{name}",
+                                                  _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    if monkeypatch:
+        monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracing_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
 
 
 def test_every_wrapped_layer_runs_in_a_traced_frame():
@@ -38,3 +56,20 @@ def test_every_wrapped_layer_runs_in_a_traced_frame():
         tracer.uninstall()
     tracer.check_calls(("streaming.frame", "reference.frame"))
     assert len(tracer.frames()) == 2
+
+
+@pytest.mark.parametrize("name", ["oracle-raw", "oracle-vq"])
+def test_a_small_untraced_benchmark_run_renders_every_frame(tmp_path, monkeypatch, name):
+    _load("tracing", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    measure = _load("measure", monkeypatch)
+    workload = dataclasses.replace(workloads.WORKLOADS[name], scenes=2, count=120, size=64,
+                                   setup_repeats=1)
+    paths = workloads.make_inputs(workload, 1, str(tmp_path))
+    runner, metrics, exact = measure.run_untraced(workload, paths, str(tmp_path), seconds=0)
+    assert runner.attempted == 6 and runner.failed == 0
+    assert all(math.isfinite(value) for value in metrics.values()), metrics
+    if workload.bit_exact:  # the run's own check held: streaming == reference, bit for bit
+        for i in range(2):
+            assert (exact[f"scene{i}.stream_frame_sha256"]
+                    == exact[f"scene{i}.reference_frame_sha256"])

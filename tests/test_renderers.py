@@ -18,6 +18,7 @@ from voxsplat import (
 from voxsplat.blending import T_FREEZE, blend
 from voxsplat.filtering import ProjectedBatch
 from voxsplat.scene import tile_pixels
+from voxsplat.streaming import COUNTERS
 from voxsplat.traffic import INTERMEDIATE_STAGES
 from voxsplat.voxelstore import encode_records, gather_attribute
 from voxsplat.vq import DEFAULT_ENTRIES, train_codebook
@@ -193,9 +194,9 @@ def test_vq_render_stays_close_to_reference():
 
 
 def _tile(tile, camera, grid, records, **kwargs):
-    """One tile rendered on its own: (color, ledger, stats)."""
+    """One tile rendered on its own: (color, {counter name: value})."""
     colors, counts = render_tile_streaming([tile], camera, grid, records, None, **kwargs)
-    return (colors[0], *counts.tally(0))
+    return colors[0], dict(zip(COUNTERS, counts[:, 0].tolist()))
 
 
 def test_sort_buffer_overflow_splits_without_changing_output():
@@ -204,11 +205,11 @@ def test_sort_buffer_overflow_splits_without_changing_output():
     camera = look_at_camera([0, 0, -9], [0, 0, 0])
     grid, records = build_grid(scene, 2.0)
     tile = (8, 8)
-    base, _, base_stats = _tile(tile, camera, grid, records)
-    assert base_stats.filter.fine_survivors > 4
+    base, base_counts = _tile(tile, camera, grid, records)
+    assert base_counts["fine_survivors"] > 4
     with mock.patch.object(streaming, "VOXEL_BATCH_CAPACITY", 2):
-        tiny, _, stats = _tile(tile, camera, grid, records)
-    assert stats.batch_splits > 0
+        tiny, counts = _tile(tile, camera, grid, records)
+    assert counts["batch_splits"] > 0
     assert np.array_equal(base, tiny)
 
 
@@ -217,9 +218,9 @@ def test_blend_traces_tile_and_pixel():
     camera = look_at_camera([0, 0, -10], [0, 0, 0])
     grid, records = build_grid(scene, 2.0)
     tile_trace, px_trace = [], []
-    _, _, stats = _tile((8, 8), camera, grid, records, trace=[tile_trace],
-                        pixel_trace=(136, [px_trace]))
-    assert len(tile_trace) == stats.blended
+    _, counts = _tile((8, 8), camera, grid, records, trace=[tile_trace],
+                      pixel_trace=(136, [px_trace]))
+    assert len(tile_trace) == counts["blended"]
     assert len(px_trace) <= len(tile_trace)
     # pixel trace only holds splats that contributed, so its pairs appear in the tile trace
     assert set(px_trace) <= set(tile_trace)
@@ -250,6 +251,6 @@ def test_tile_render_empty_schedule_is_background():
         2.0,
     )
     camera = look_at_camera([0, 0, -5], [0, 0, 0])
-    color, ledger, stats = _tile((3, 4), camera, grid, records, background=(0.25, 0.5, 0.75))
+    color, counts = _tile((3, 4), camera, grid, records, background=(0.25, 0.5, 0.75))
     assert np.allclose(color, [0.25, 0.5, 0.75])
-    assert stats.voxels_scheduled == 0
+    assert counts["voxels_scheduled"] == 0

@@ -2,6 +2,7 @@
 no larger than the frame needs, worker errors that keep their class, and no
 process left behind."""
 
+import contextlib
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool, _RemoteTraceback
@@ -11,9 +12,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import voxsplat.reference as reference_mod
+import voxsplat.streaming as streaming_mod
 import voxsplat.tileloop as tileloop
 from voxsplat import VoxelStore, look_at_camera, render_frame_reference, render_frame_streaming
 from voxsplat.errors import CodebookCorruptionError
+from voxsplat.filtering import disc_overlaps_rect, project_splats, tile_rects
 from voxsplat.voxelstore import gather_attribute, scene_from_records
 from voxsplat.vq import ATTRIBUTES, train_codebook
 
@@ -66,6 +70,18 @@ class _RecordingPool:
     def submit(self, fn):
         result = fn()
         return mock.Mock(result=lambda: result)
+
+
+@contextlib.contextmanager
+def _finishing_last_first():
+    """Run the pool in this process with every batch of rows handed back in
+    reverse, as if the rows had finished last first."""
+    drain = tileloop._drain
+    with mock.patch.object(tileloop, "ProcessPoolExecutor", _RecordingPool([])), \
+            mock.patch.object(tileloop, "_drain", lambda state: drain(state)[::-1]), \
+            mock.patch.object(tileloop.os, "cpu_count", return_value=8), \
+            mock.patch.object(tileloop, "_worker", None):
+        yield
 
 
 def _pool_sizes(camera, store, threads, cpus):
@@ -164,3 +180,64 @@ def test_more_workers_than_cores_render_every_row_once(store):
     assert pooled == _frames(camera, store, 1)
     assert pooled[1]["records"]["pixel-writeback"] == 8 * 3 * 256
     assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_rows_counters_are_stacked_at_their_own_ty_whatever_order_they_finish():
+    camera = _camera(5, cols=3)
+
+    def render_row(ty):  # every pixel of row ty reads ty; counter k of tile tx reads k ty + tx
+        colors = np.full((3, 256, 3), float(ty))
+        return colors, np.arange(2)[:, None] * ty + np.arange(3)
+
+    with _finishing_last_first():
+        frame, counts = tileloop.render_rows(camera, render_row, threads=3)
+    assert counts.dtype == np.int64 and counts.shape == (2, 5, 3)
+    for ty in range(5):
+        assert np.all(frame[16 * ty : 16 * (ty + 1)] == ty)
+        assert counts[:, ty].tolist() == [[0, 1, 2], [ty, ty + 1, ty + 2]]
+
+
+def _row_counters(module, render, threads, pool=contextlib.nullcontext()):
+    """The counters ``render_rows`` hands ``module``'s renderer in one frame."""
+    rows, seen = module.render_rows, []
+
+    def recording(camera, render_row, threads):
+        frame, counts = rows(camera, render_row, threads)
+        seen.append(counts)
+        return frame, counts
+
+    with mock.patch.object(module, "render_rows", recording), pool:
+        render(threads)
+    (counts,) = seen
+    return counts
+
+
+@needs_fork
+def test_both_renderers_get_each_rows_counters_at_its_ty(store):
+    camera = _camera(4)
+    ntx, nty = camera.tile_counts
+    scene = scene_from_records(store.grid, store.records)
+    renders = {
+        streaming_mod: lambda threads: render_frame_streaming(
+            camera, store.grid, store.records, threads=threads),
+        reference_mod: lambda threads: render_frame_reference(camera, scene, threads=threads),
+    }
+    valid, batch, _ = project_splats(camera, scene.positions, scene.scales, scene.rotations,
+                                     scene.opacities, scene.sh, scene.ids)
+    keep = np.flatnonzero(valid)
+    for module, render in renders.items():
+        pooled = _row_counters(module, render, 3, _finishing_last_first())
+        assert np.array_equal(pooled, _row_counters(module, render, 1))
+        assert len({pooled[:, ty].tobytes() for ty in range(nty)}) == nty  # rows tell apart
+        for ty in range(nty):
+            row = [(tx, ty) for tx in range(ntx)]
+            if module is streaming_mod:
+                want = streaming_mod.render_tile_streaming(row, camera, store.grid,
+                                                           store.records, None)[1]
+            else:  # each tile's (tile, splat) records: the valid splats whose disc meets it
+                want = [[np.count_nonzero(disc_overlaps_rect(batch.mean2d[keep],
+                                                             batch.radius[keep],
+                                                             tile_rects([tile])))
+                         for tile in row]]
+            assert pooled[:, ty].tolist() == np.asarray(want).tolist()

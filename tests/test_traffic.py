@@ -1,6 +1,7 @@
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,11 +22,13 @@ from voxsplat import (
 from voxsplat.errors import SceneMismatchError
 from voxsplat.filtering import FilterStats
 from voxsplat.scene import scene_fingerprint
+from voxsplat.streaming import COUNTERS, tally
 from voxsplat.traffic import STAGES, counts_from_stats, merge_sort_pass_bytes
 from voxsplat.voxelstore import encode_records, gather_attribute
 from voxsplat.vq import DEFAULT_ENTRIES, train_codebook
 
 from conftest import constrained_scene
+from oracles import add_counters
 
 
 def _stats(loaded=10000, coarse=3000, fine=1000):
@@ -39,17 +42,6 @@ def test_ledger_rejects_bad_charges():
         ledger.charge("nonsense", 1)
     with pytest.raises(ValueError):
         ledger.charge("projection", -1)
-
-
-def test_ledger_merge_adds_counters():
-    a, b = TrafficLedger(), TrafficLedger()
-    a.charge("projection", 100, 2)
-    b.charge("projection", 50, 1)
-    b.macs["coarse"] = 5
-    a.merge(b)
-    assert a.bytes["projection"] == 150
-    assert a.records["projection"] == 3
-    assert a.macs == {"coarse": 5, "fine": 0}
 
 
 def test_tally_and_model_dicts_are_pinned():
@@ -90,40 +82,26 @@ def test_tally_and_model_dicts_are_pinned():
     )
 
 
-_counts = st.integers(0, 2**40)
-
-
-@st.composite
-def _tallies(draw):
-    """A ledger and stream stats with every counter drawn."""
-    ledger = TrafficLedger(scene_hash=draw(st.text(max_size=4)))
-    for stage in STAGES:
-        ledger.charge(stage, draw(_counts), draw(_counts))
-    ledger.macs = {"coarse": draw(_counts), "fine": draw(_counts)}
-    stats = StreamStats(FilterStats(*(draw(_counts) for _ in fields(FilterStats))),
-                        *(draw(_counts) for _ in fields(StreamStats)[1:]))
-    return ledger, stats
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), parts=st.lists(_tallies(), min_size=1, max_size=6))
-def test_tallies_merge_to_the_same_totals_in_any_order(data, parts):
-    order = data.draw(st.permutations(range(len(parts))))
-
-    def merged(indices):
-        ledger, stats = TrafficLedger(scene_hash="frame"), StreamStats()
-        for i in indices:
-            ledger.merge(parts[i][0])
-            stats.merge(parts[i][1])
-        return json.dumps(ledger.as_dict()), json.dumps(stats.as_dict()), ledger, stats
-
-    *want, ledger, stats = merged(range(len(parts)))
-    assert merged(order)[:2] == tuple(want)
-    assert ledger.scene_hash == "frame"  # never summed, whatever the parts hold
-    assert ledger.records == {s: sum(p[0].records[s] for p in parts) for s in STAGES}
-    assert ledger.macs["fine"] == sum(p[0].macs["fine"] for p in parts)
-    assert stats.blended == sum(p[1].blended for p in parts)
-    assert stats.filter.degenerate == sum(p[1].filter.degenerate for p in parts)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4), tiles=st.integers(1, 5),
+       encoded=st.booleans())
+def test_a_frame_tally_equals_its_tiles_tallied_alone_and_summed(seed, rows, tiles, encoded):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 2**40, (len(COUNTERS), rows, tiles))
+    coarse, fine = COUNTERS.index("coarse_survivors"), COUNTERS.index("fine_survivors")
+    counts[coarse] = rng.integers(0, counts[0] + 1)  # fine <= coarse <= loaded
+    counts[fine] = rng.integers(0, counts[coarse] + 1)
+    ledger, stats = tally(counts, encoded, "frame")
+    want_ledger, want_stats = TrafficLedger(scene_hash="frame"), StreamStats()
+    for ty in range(rows):
+        for tx in range(tiles):
+            tile_ledger, tile_stats = tally(counts[:, ty, tx], encoded)
+            add_counters(want_ledger, tile_ledger)
+            add_counters(want_stats, tile_stats)
+    assert json.dumps(ledger.as_dict()) == json.dumps(want_ledger.as_dict())
+    assert json.dumps(stats.as_dict()) == json.dumps(want_stats.as_dict())
+    assert ledger.records["pixel-writeback"] == rows * tiles * 256
+    assert stats.blended == int(counts[-1].sum())
 
 
 def test_merge_sort_pass_model():
