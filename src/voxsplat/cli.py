@@ -44,6 +44,8 @@ def _parse_rgb(text: str):
         raise argparse.ArgumentTypeError("background needs three comma-separated values")
     if not all(math.isfinite(v) for v in parts):
         raise argparse.ArgumentTypeError(f"background values must be finite, got {text!r}")
+    if not all(abs(v) <= float(np.finfo(np.float32).max) for v in parts):  # the frame is float32
+        raise argparse.ArgumentTypeError(f"background values must fit float32, got {text!r}")
     return tuple(parts)
 
 
@@ -140,6 +142,8 @@ def _cbp_diagnostics(store, books, camera, background) -> dict:
 def cmd_render(args) -> int:
     if args.dump_dag and args.mode != "streaming":
         raise VoxsplatError("--dump-dag applies to streaming renders only")
+    if os.path.splitext(args.out)[1] not in (".png", ".ppm"):
+        raise VoxsplatError(f"--out must name a .png or .ppm file, got {args.out!r}")
     store = load_store(args.voxels)
     camera = Camera.load(args.camera)
     if args.mode == "reference":
@@ -289,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("VOXSPLAT_LOG", "WARNING").upper())
-    try:
+    try:  # an unknown VOXSPLAT_LOG level raises ValueError
+        logging.basicConfig(level=os.environ.get("VOXSPLAT_LOG", "WARNING").upper())
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (VoxsplatError, ValueError, OSError, RuntimeError) as exc:

@@ -4,12 +4,12 @@ The pixel rays of a list of tiles are walked through the voxel grid together
 with an incremental 3D DDA on one array per axis.  Every ray still inside
 the grid advances one cell per step, independently of the others, so a
 ray's visits do not depend on which rays share its walk; each yields the
-non-empty voxels it crosses, front-to-back.
-Consecutive voxels of each ray become edges of a dependency graph; a
-deterministic Kahn pass (nearest voxel first) emits one global order per
-tile.  Conflicting per-pixel orders are geometrically possible, so cycles
-are broken by releasing the nearest remaining voxel and counted instead of
-treated as fatal.
+non-empty voxels it crosses, front-to-back, put in ray order by counting.
+Consecutive voxels of each ray become edges of a dependency graph, deduped
+in dense key masks; a deterministic Kahn pass (nearest voxel first) emits
+one global order per tile.  Conflicting per-pixel orders are geometrically
+possible, so cycles are broken by releasing the nearest remaining voxel and
+counted instead of treated as fatal.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scene import Camera, TILE_EDGE, tile_pixels
+from .scene import Camera, TILE_EDGE
 from .voxelstore import VoxelGrid
 
 
@@ -54,23 +54,27 @@ def traverse(tiles, camera: Camera, grid: VoxelGrid) -> TileVisits:
     for tx, ty in tiles:
         if not (0 <= tx < ntx and 0 <= ty < nty):
             raise ValueError(f"tile {(tx, ty)} outside a {ntx}x{nty} tile grid")
-    pixels = tile_pixels(tiles).reshape(-1, 2)
-    dirs = camera.ray_directions(pixels[:, 0], pixels[:, 1])
-    rays, ids = _walk(camera.position, dirs, grid)
-    counts = np.bincount(rays, minlength=len(pixels))
-    return TileVisits(ids, counts.reshape(len(pixels) // TILE_EDGE**2, TILE_EDGE**2))
+    # one x per column and one y per row, broadcast to (tiles, rows, columns)
+    corners = np.asarray(tiles, dtype=np.int64).reshape(-1, 1, 1, 2) * TILE_EDGE
+    ramp = np.arange(TILE_EDGE)
+    dirs = camera.ray_directions(corners[..., 0] + ramp, corners[..., 1] + ramp[:, None])
+    ids, counts = _walk(camera.position, dirs.reshape(-1, 3), grid)
+    return TileVisits(ids, counts.reshape(-1, TILE_EDGE**2))
 
 
 def _walk(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
     """3D DDA (Amanatides & Woo) of the rays with (rays, 3) directions ``dirs``:
-    the ray and renamed id of every non-empty voxel visit, ray after ray and
-    front to back along each ray.
+    the renamed id of every non-empty voxel visit, ray after ray and front to
+    back along each ray, and the number of visits of each ray.
 
     Each axis is one array row, so the step axis, the first smallest face
     distance as ``np.argmin`` picks it, takes two compares, and a ray leaves
     the arrays once it leaves the grid.  A ray parallel to a face far from
     the grid has slab distances that overflow to +-inf, which is the right
     answer: it misses.
+
+    A ray is live from step 0 until it leaves the grid, so its k-th entry is
+    its step k: counting each ray's steps puts the step-major entries in ray order.
     """
     lo, hi = grid.origin[:, None], (grid.origin + grid.dims * grid.edge)[:, None]
     o, dims = origin[:, None], grid.dims[:, None]
@@ -83,7 +87,8 @@ def _walk(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> tuple[np.nda
         t_exit = np.minimum(np.minimum(far[0], far[1]), far[2])
         hits = t_enter < t_exit
         rays = np.flatnonzero(hits)
-        d, t_enter, t_exit = np.compress(hits, d, axis=1), t_enter[rays], t_exit[rays]
+        if len(rays) < len(dirs):
+            d, t_enter, t_exit = np.compress(hits, d, axis=1), t_enter[rays], t_exit[rays]
         # nudge inside the box so the start cell is unambiguous
         start = o + (t_enter * (1.0 + 1e-12) + 1e-12) * d
         cell = np.clip(np.floor((start - lo) / grid.edge).astype(np.int64), 0, dims - 1)
@@ -119,24 +124,44 @@ def _walk(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> tuple[np.nda
         live &= (lx | ly | lz) >= 0
         if not live.all():
             times, state = np.compress(live, times, axis=1), np.compress(live, state, axis=1)
-    rays, ids = np.concatenate(out_rays), np.concatenate(out_ids)
-    hit = ids >= 0
-    rays, ids = rays[hit], ids[hit]
-    # emitted step after step; a stable sort by ray keeps each ray's steps in order
-    order = np.argsort(rays, kind="stable")
-    return rays[order], ids[order]
+    rays = np.concatenate(out_rays)
+    steps = np.bincount(rays, minlength=len(dirs))
+    slot = np.cumsum(steps) - steps  # each ray's first entry, in ray order
+    ids = np.empty(len(rays), dtype=np.int64)
+    for k, (r, i) in enumerate(zip(out_rays[1:], out_ids[1:])):
+        ids[slot[r] + k] = i
+    misses = np.bincount(rays[np.concatenate(out_ids) < 0], minlength=len(dirs))
+    return ids[ids >= 0], steps - misses
 
 
-def _edges(local: np.ndarray, counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of int64 ``keys`` in [0, ``space``).
+
+    Without a sort while ``space`` is at most ``8 * len(keys) + 4096``: a bool
+    mask marks the keys, ``np.flatnonzero`` reads them back and the mask's
+    int64 ``cumsum`` ranks them, 9 bytes per entry of ``space``.  A wider key
+    space falls back to ``np.unique``.
+    """
+    if space > 8 * len(keys) + 4096:
+        return np.unique(keys, return_inverse=True)
+    mask = np.zeros(space, dtype=bool)
+    mask[keys] = True
+    return np.flatnonzero(mask), (np.cumsum(mask) - 1)[keys]
+
+
+def _edges(local, counts, first, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct edges between consecutive visits of each ray, as (src, dst)
-    indices into ``n`` nodes sorted by (src, dst); ``local`` is each visit's
-    node and ``counts`` the visits of each ray."""
+    node indices sorted by (src, dst); ``local`` is each visit's node and
+    ``counts`` the visits of each ray.  Every ``dst`` lies in [``first[src]``,
+    ``first[src] + width``), so the key src * width + that offset is unique."""
     # local[i] -> local[i + 1] is an edge unless a new ray starts at i + 1
     starts = np.cumsum(counts)[:-1]
     follows = np.ones(max(len(local) - 1, 0), dtype=bool)
     follows[starts[(starts > 0) & (starts < len(local))] - 1] = False
-    codes = np.unique(local[:-1][follows] * n + local[1:][follows])
-    return codes // max(n, 1), codes % max(n, 1)
+    src, dst = local[:-1][follows], local[1:][follows]
+    codes = _distinct(src * width + (dst - first[src]), len(first) * width)[0]
+    src = codes // width
+    return src, codes % width + first[src]
 
 
 def dependency_graph(visits: TileVisits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,8 +171,8 @@ def dependency_graph(visits: TileVisits) -> tuple[np.ndarray, np.ndarray, np.nda
     Returns (nodes, src, dst): ``nodes`` ascending renamed ids, ``src`` and
     ``dst`` indices into ``nodes``, one entry per edge, sorted by (src, dst).
     """
-    nodes, local = np.unique(visits.ids, return_inverse=True)
-    return (nodes, *_edges(local, visits.counts, len(nodes)))
+    nodes, local = _distinct(visits.ids, int(visits.ids.max(initial=-1)) + 1)
+    return (nodes, *_edges(local, visits.counts, np.zeros_like(nodes), len(nodes)))
 
 
 def schedule(visits: TileVisits, depth: np.ndarray) -> RowSchedule:
@@ -159,7 +184,8 @@ def schedule(visits: TileVisits, depth: np.ndarray) -> RowSchedule:
     while nodes remain, the nearest remaining voxel is released and the event
     counted.  ``depth`` is indexed by renamed id (``voxel_depths``).
 
-    The graph of the whole walk is built once, keyed by (tile, renamed id).
+    The graph of the whole walk is built once, ``_distinct`` deduping its
+    (tile, renamed id) nodes and (src node, dst position in the tile) edges.
     When every edge of a tile runs forward in (depth, id), the heap pops the
     nodes in exactly that order: the smallest remaining node then has every
     predecessor emitted, so it is ready and the least of the ready heap.
@@ -170,17 +196,16 @@ def schedule(visits: TileVisits, depth: np.ndarray) -> RowSchedule:
     tiles = len(counts)
     stride = len(depth)
     tile_of_visit = np.repeat(np.arange(tiles), counts.sum(axis=1))
-    nodes, local = np.unique(tile_of_visit * stride + visits.ids, return_inverse=True)
-    n = len(nodes)
-    src, dst = _edges(local, counts, n)
+    nodes, local = _distinct(tile_of_visit * stride + visits.ids, tiles * stride)
     node_tile, node_id = np.divmod(nodes, max(stride, 1))
-    node_depth = depth[node_id]
     offsets = np.searchsorted(node_tile, np.arange(tiles + 1))
+    src, dst = _edges(local, counts, offsets[node_tile], int(np.diff(offsets).max(initial=0)))
+    node_depth = depth[node_id]
     ds, dd = node_depth[src], node_depth[dst]
     forward = (ds < dd) | ((ds == dd) & (node_id[src] < node_id[dst]))
     order = np.lexsort((node_id, node_depth, node_tile))
     broken = np.zeros(tiles, dtype=np.int64)
-    for t in np.unique(node_tile[src[~forward]]).tolist():
+    for t in _distinct(node_tile[src[~forward]], tiles)[0].tolist():
         a, b = offsets[t], offsets[t + 1]
         lo, hi = np.searchsorted(src, [a, b])
         order[a:b], broken[t] = _kahn(node_depth[a:b].tolist(), src[lo:hi] - a, dst[lo:hi] - a)

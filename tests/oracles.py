@@ -17,6 +17,14 @@ live rays only; ``dda_start`` is its state before the first step.
 are the per-voxel and per-element forms of the store encoder and the two
 metrics.
 
+``traverse_argsort`` and ``schedule_unique`` are the row walk and the row
+schedule as they stood before both went sort-free: the walk's step-major
+visits put in ray order by a stable ``np.argsort``, its directions built
+from a ``tile_pixels`` array, and the schedule's nodes and edges
+deduplicated by ``np.unique`` over (tile, renamed id) keys and an n x n edge
+key space; ``dependency_graph_unique`` is the graph of a walk built the same
+way.
+
 ``render_tile_per_visit`` is the streaming renderer's tile loop one (tile,
 voxel) visit at a time, as it stood before tiles were batched by row: the
 dict-based scheduler, then per scheduled voxel a coarse test, a fine test
@@ -67,7 +75,7 @@ from voxsplat.filtering import (
 )
 from voxsplat.metrics import EXTENT_SIGMAS, extent_boxes
 from voxsplat.scene import TILE_EDGE, tile_pixels
-from voxsplat.scheduler import TileVisits, voxel_depths
+from voxsplat.scheduler import RowSchedule, TileVisits, _kahn, voxel_depths
 from voxsplat.sh import C0, C1, C2, C3, SH_COEFFS
 from voxsplat.streaming import StreamStats
 from voxsplat.traffic import (
@@ -241,6 +249,110 @@ def traverse_per_visit(tiles, camera, grid) -> TileVisits:
         table += walk_rays_per_visit(camera.position, dirs, grid)
     ids, counts = visits_of(table)
     return TileVisits(ids, counts.reshape(len(tiles), TILE_EDGE * TILE_EDGE))
+
+
+def walk_argsort(origin, dirs, grid) -> tuple[np.ndarray, np.ndarray]:
+    """The ray and renamed id of every non-empty voxel visit of the rays
+    ``dirs``, emitted step after step by the per-axis DDA, then put in ray
+    order by a stable sort."""
+    lo, hi = grid.origin[:, None], (grid.origin + grid.dims * grid.edge)[:, None]
+    o, dims = origin[:, None], grid.dims[:, None]
+    d = dirs.T.copy()
+    d[np.abs(d) < 1e-300] = 1e-300
+    with np.errstate(over="ignore"):
+        t_lo, t_hi = (lo - o) / d, (hi - o) / d
+        near, far = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+        t_enter = np.maximum(np.maximum(np.maximum(near[0], near[1]), near[2]), 0.0)
+        t_exit = np.minimum(np.minimum(far[0], far[1]), far[2])
+        hits = t_enter < t_exit
+        rays = np.flatnonzero(hits)
+        d, t_enter, t_exit = np.compress(hits, d, axis=1), t_enter[rays], t_exit[rays]
+        start = o + (t_enter * (1.0 + 1e-12) + 1e-12) * d
+        cell = np.clip(np.floor((start - lo) / grid.edge).astype(np.int64), 0, dims - 1)
+        ahead = d > 0
+        times = np.concatenate([(lo + (cell + ahead) * grid.edge - o) / d,
+                                grid.edge / np.abs(d), t_exit[None]])
+    strides = np.array([1, grid.dims[0], grid.dims[0] * grid.dims[1]])[:, None]
+    state = np.concatenate([np.where(ahead, dims - 1 - cell, cell),
+                            np.where(ahead, strides, -strides),
+                            grid.vid_of_cell(cell.T)[None], rays[None]])
+    rename = grid.dense_renaming()
+    empty = np.empty(0, dtype=np.int64)
+    out_rays, out_ids = [empty], [empty]
+    while state.shape[1]:
+        tx, ty, tz, dx, dy, dz, t_exit = times
+        lx, ly, lz, sx, sy, sz, flat, rays = state
+        out_rays.append(rays.copy())
+        out_ids.append(rename[flat])
+        x = (tx <= ty) & (tx <= tz)
+        y = (ty <= tz) & ~x
+        z = ~(x | y)
+        live = np.minimum(np.minimum(tx, ty), tz) < t_exit
+        with np.errstate(over="ignore"):
+            np.putmask(tx, x, tx + dx)
+            np.putmask(ty, y, ty + dy)
+            np.putmask(tz, z, tz + dz)
+        flat += sx * x + sy * y + sz * z
+        lx -= x
+        ly -= y
+        lz -= z
+        live &= (lx | ly | lz) >= 0
+        if not live.all():
+            times, state = np.compress(live, times, axis=1), np.compress(live, state, axis=1)
+    rays, ids = np.concatenate(out_rays), np.concatenate(out_ids)
+    hit = ids >= 0
+    rays, ids = rays[hit], ids[hit]
+    order = np.argsort(rays, kind="stable")
+    return rays[order], ids[order]
+
+
+def traverse_argsort(tiles, camera, grid) -> TileVisits:
+    """``traverse`` on ``walk_argsort``, with one direction per ``tile_pixels`` pixel."""
+    pixels = tile_pixels(tiles).reshape(-1, 2)
+    dirs = camera.ray_directions(pixels[:, 0], pixels[:, 1])
+    rays, ids = walk_argsort(camera.position, dirs, grid)
+    counts = np.bincount(rays, minlength=len(pixels))
+    return TileVisits(ids, counts.reshape(len(pixels) // TILE_EDGE**2, TILE_EDGE**2))
+
+
+def edges_unique(local, counts, n) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (src, dst) edges between consecutive visits of each ray,
+    from ``np.unique`` over src * n + dst."""
+    starts = np.cumsum(counts)[:-1]
+    follows = np.ones(max(len(local) - 1, 0), dtype=bool)
+    follows[starts[(starts > 0) & (starts < len(local))] - 1] = False
+    codes = np.unique(local[:-1][follows] * n + local[1:][follows])
+    return codes // max(n, 1), codes % max(n, 1)
+
+
+def dependency_graph_unique(visits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``dependency_graph`` from ``np.unique`` nodes and ``edges_unique``."""
+    nodes, local = np.unique(visits.ids, return_inverse=True)
+    return (nodes, *edges_unique(local, visits.counts, len(nodes)))
+
+
+def schedule_unique(visits, depth) -> RowSchedule:
+    """``schedule`` with nodes from ``np.unique`` over (tile, renamed id)
+    keys and edges from ``edges_unique``."""
+    counts = visits.counts
+    tiles = len(counts)
+    stride = len(depth)
+    tile_of_visit = np.repeat(np.arange(tiles), counts.sum(axis=1))
+    nodes, local = np.unique(tile_of_visit * stride + visits.ids, return_inverse=True)
+    src, dst = edges_unique(local, counts, len(nodes))
+    node_tile, node_id = np.divmod(nodes, max(stride, 1))
+    node_depth = depth[node_id]
+    offsets = np.searchsorted(node_tile, np.arange(tiles + 1))
+    ds, dd = node_depth[src], node_depth[dst]
+    forward = (ds < dd) | ((ds == dd) & (node_id[src] < node_id[dst]))
+    order = np.lexsort((node_id, node_depth, node_tile))
+    broken = np.zeros(tiles, dtype=np.int64)
+    for t in np.unique(node_tile[src[~forward]]).tolist():
+        a, b = offsets[t], offsets[t + 1]
+        lo, hi = np.searchsorted(src, [a, b])
+        order[a:b], broken[t] = _kahn(node_depth[a:b].tolist(), src[lo:hi] - a, dst[lo:hi] - a)
+        order[a:b] += a
+    return RowSchedule(node_id[order], offsets, broken)
 
 
 def schedule_dict_based(visits, depth):

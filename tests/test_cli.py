@@ -388,6 +388,8 @@ def test_bad_camera_json_exits_1_with_one_line(workspace, capfd, edit, message):
 @pytest.mark.parametrize("background, message", [
     ("nan,0,0", "background values must be finite, got 'nan,0,0'"),
     ("1,2", "background needs three comma-separated values"),
+    # finite, but the float32 frame would hold inf
+    ("1e39,0,0", "background values must fit float32, got '1e39,0,0'"),
 ])
 def test_non_finite_background_is_rejected(workspace, capsys, background, message):
     capsys.readouterr()
@@ -396,6 +398,30 @@ def test_non_finite_background_is_rejected(workspace, capsys, background, messag
                  "--background", background]) == 1
     assert capsys.readouterr().err == f"voxsplat: argument --background: {message}\n"
     assert not (workspace / "never.png").exists()
+
+
+@pytest.mark.parametrize("out", ["frame.bmp", "frame", "frame.png.gz", "frame.PNG"])
+def test_render_refuses_other_image_suffixes_before_loading(workspace, capsys, out):
+    """The store does not exist: the suffix is checked before anything loads."""
+    capsys.readouterr()
+    assert _run(["render", "--mode", "streaming", "--voxels", workspace / "missing.gsvx",
+                 "--camera", workspace / "cam.json", "--out", workspace / out]) == 1
+    assert capsys.readouterr().err == (
+        f"voxsplat: --out must name a .png or .ppm file, got {str(workspace / out)!r}\n")
+    assert not (workspace / out).exists()
+
+
+def test_unknown_log_level_exits_1_with_one_line(tmp_path):
+    """Run as its own process, so a traceback would show; ``--help`` alone
+    would exit 0."""
+    src = str(Path(voxsplat.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "VOXSPLAT_LOG": "bogus"}
+    proc = subprocess.run([sys.executable, "-m", "voxsplat.cli", "--help"], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr == "voxsplat: Unknown level: 'BOGUS'\n"
+    assert proc.stdout == ""
 
 
 def test_compare_encodes_once_and_builds_one_flat_scene(workspace):

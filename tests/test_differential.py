@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 import voxsplat.filtering as filtering_mod
 import voxsplat.reference as reference_mod
+import voxsplat.scheduler as scheduler_mod
 import voxsplat.streaming as streaming_mod
 from voxsplat import (
     Aabb,
@@ -54,7 +55,7 @@ from voxsplat.filtering import (
 from voxsplat.metrics import extent_boxes
 from voxsplat.reference import render_frame_reference
 from voxsplat.scene import TILE_EDGE, tile_pixels
-from voxsplat.scheduler import TileVisits, schedule, traverse, voxel_depths
+from voxsplat.scheduler import TileVisits, dependency_graph, schedule, traverse, voxel_depths
 from voxsplat.sh import evaluate_sh, sh_basis
 from voxsplat.streaming import render_frame_streaming, render_tile_streaming, tally
 from voxsplat.voxelstore import VoxelGrid, gather_attribute, stream_fine
@@ -447,6 +448,85 @@ def test_walk_of_no_tiles_is_empty():
     visits = traverse([], camera, _grid(0))
     assert tiles_of(visits) == []
     assert len(visits.ids) == 0 and visits.counts.shape == (0, TILE_EDGE**2)
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def _axis_camera_x(eye):
+    """A 16x16 camera at ``eye`` looking down +x with focal 8 and the
+    principal point on pixel centers: column 8 shoots rays with a zero
+    z component and row 8 rays with a zero y component."""
+    rotation = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    return Camera(width=16, height=16, fx=8.0, fy=8.0, cx=8.5, cy=8.5, rotation=rotation,
+                  translation=-rotation @ np.asarray(eye, dtype=np.float64))
+
+
+def _wide_grid_case():
+    """1e5 non-empty unit voxels under a narrow one-tile camera: the row's
+    (tile, voxel) key space is far wider than its visits."""
+    grid = VoxelGrid(origin=[0.0, 0.0, 0.0], edge=1.0, dims=[100, 100, 10],
+                     vids=np.arange(100_000))
+    camera = look_at_camera([50.3, 49.6, -20.0], [50.0, 50.0, 5.0], width=16, height=16,
+                            focal=400.0)
+    return WalkCase(camera, grid, "wide")
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.builds(
+    _random_walk,
+    seed=st.integers(0, 2**32 - 1),
+    distance=st.floats(2.0, 40.0),
+    away=st.booleans(),
+    tiles=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+), picks=st.lists(st.integers(0, 15), max_size=6))
+@example(case=_random_walk(0, 10.0, False, (2, 2)), picks=[])
+@example(case=_random_walk(1, 10.0, True, (3, 2)), picks=[0, 4, 5])
+@example(case=WalkCase(_far_axis_camera(), _grid(0, count=100), "miss"), picks=[0])
+# rays with a zero component run inside grid planes: x = 2 and y = 1 looking down +z,
+# y = 1 and z = 2 looking down +x
+@example(case=WalkCase(_unit_camera([2.0, 1.0, -3.0], cx=8.5, cy=8.5), _full_grid((4, 4, 4))),
+         picks=[0])
+@example(case=WalkCase(_axis_camera_x([-3.0, 1.0, 2.0]), _full_grid((4, 4, 4))), picks=[0])
+@example(case=WalkCase(_unit_camera([-1.0, -1.0, -1.0]), _full_grid((3, 3, 3)), "tie"), picks=[0])
+@example(case=_wide_grid_case(), picks=[0])
+def test_sort_free_walk_and_schedule_match_the_sorting_oracles(case, picks):
+    """``traverse``, ``schedule`` and ``dependency_graph`` give the bytes of
+    the argsort walk and the ``np.unique`` schedule and graph on any list of
+    tiles; a row whose key space is far wider than its visits falls back to
+    ``np.unique``."""
+    ntx, nty = case.camera.tile_counts
+    tiles = [(i % ntx, i // ntx % nty) for i in picks]
+    visits = traverse(tiles, case.camera, case.grid)
+    want = oracles.traverse_argsort(tiles, case.camera, case.grid)
+    _assert_same_arrays(visits, want)
+    if case.edge == "miss":
+        assert not visits.counts.any()
+    depth = voxel_depths(case.camera, case.grid)
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        plan = schedule(visits, depth)
+    if case.edge == "wide":
+        assert len(visits.ids) < 1e4 and unique.called
+    _assert_same_arrays(plan, oracles.schedule_unique(want, depth))
+    _assert_same_arrays(dependency_graph(visits), oracles.dependency_graph_unique(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(keys=st.lists(st.integers(0, 5000), max_size=600), spare=st.integers(0, 20000))
+@example(keys=[], spare=0)
+@example(keys=[7, 7, 0], spare=4112)  # a key space of 8 * 3 + 4096 takes the mask
+@example(keys=[7, 7, 0], spare=4113)  # one more takes np.unique
+def test_dedupe_helper_equals_unique_on_both_sides_of_its_mask_bound(keys, spare):
+    keys = np.array(keys, dtype=np.int64)
+    space = int(keys.max(initial=-1)) + 1 + spare
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        got = scheduler_mod._distinct(keys, space)
+    assert unique.called == (space > 8 * len(keys) + 4096)
+    _assert_same_arrays(got, np.unique(keys, return_inverse=True))
 
 
 def _cluttered_fixture():
@@ -905,6 +985,8 @@ def _row_tables(draw):
 @example(case=([], {1: 1.0}))
 @example(case=([[[9, 3], []], [[], []], [[3, 9], [9, 3]], [[3, 9], [3]]], {3: 0.0, 9: -0.0}))
 @example(case=([[[5, 5, 7], [7, 1, 5]], [[1, 7], [5]]], {1: 1.0, 5: 1.0, 7: 0.5}))
+# 100 nodes x 100 wide is an edge key space past the mask bound of 2 edges
+@example(case=([[[v] for v in range(98)] + [[98, 99], [99, 0]]], {v: v % 7 for v in range(100)}))
 def test_row_schedule_matches_dict_based_oracle_tile_by_tile(case):
     tiles, depths = case
     walks = [visits_of(rays) for rays in tiles]
@@ -913,6 +995,7 @@ def test_row_schedule_matches_dict_based_oracle_tile_by_tile(case):
                         np.array([w.counts for w in walks], dtype=np.int64).reshape(len(tiles), rays))
     depth = depth_table(depths)
     plan = schedule(visits, depth)
+    _assert_same_arrays(plan, oracles.schedule_unique(visits, depth))
     assert len(plan.offsets) == len(tiles) + 1
     for t, walk in enumerate(walks):
         want, want_broken = schedule_dict_based(walk, depth)
