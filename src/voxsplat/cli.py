@@ -22,7 +22,7 @@ from .scene import Aabb, Camera, generate_scene, load_ply, look_at_camera, save_
 from .scheduler import TileVisits, dump_edges, traverse
 from .traffic import PerfConfig, compare_pipelines, counts_from_stats, estimate
 from .streaming import render_frame_streaming, render_tile_streaming
-from .voxelstore import VoxelStore, load_store, save_store, scene_from_records, gather_attribute
+from .voxelstore import VoxelStore, load_store, save_store, gather_attribute
 from .vq import DEFAULT_ENTRIES, load_codebooks, save_codebooks, train_codebook
 
 log = logging.getLogger("voxsplat")
@@ -39,7 +39,11 @@ def _parse_bounds(text: str) -> Aabb:
 
 
 def _parse_rgb(text: str):
-    parts = [float(v) for v in text.split(",")]
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"background values must be numbers, got {text!r}") from None
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("background needs three comma-separated values")
     if not all(math.isfinite(v) for v in parts):
@@ -147,9 +151,8 @@ def cmd_render(args) -> int:
     store = load_store(args.voxels)
     camera = Camera.load(args.camera)
     if args.mode == "reference":
-        scene = scene_from_records(store.grid, store.records)
         frame, ledger = render_frame_reference(
-            camera, scene, background=args.background, threads=args.threads,
+            camera, store.records, background=args.background, threads=args.threads,
             scene_hash=store.scene_hash,
         )
         stats = None
@@ -185,13 +188,12 @@ def cmd_compare(args) -> int:
     books = load_codebooks(args.books) if args.books else None
     camera = Camera.load(args.camera)
     streamed = store if books is None else store.encode(books)
-    scene = scene_from_records(store.grid, store.records)
     stream_frame, stream_ledger, stream_stats = render_frame_streaming(
         camera, streamed.grid, streamed.records, books, background=args.background,
         threads=args.threads, scene_hash=store.scene_hash,
     )
     ref_frame, ref_ledger = render_frame_reference(
-        camera, scene, background=args.background, threads=args.threads,
+        camera, store.records, background=args.background, threads=args.threads,
         scene_hash=store.scene_hash,
     )
     report = {
@@ -209,7 +211,7 @@ def cmd_compare(args) -> int:
         ),
         "config": asdict(PerfConfig()),
         "stream_stats": stream_stats.as_dict(),
-        "cross_boundary": cross_boundary_stats(scene, store.grid)["ratio"],
+        "cross_boundary": cross_boundary_stats(store.grid, store.records)["ratio"],
         "depth_order_penalty": _cbp_diagnostics(streamed, books, camera, args.background),
     }
     with open(args.report, "w", encoding="utf-8") as f:
@@ -272,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--camera", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stats", default=None)
-    p.add_argument("--background", type=_parse_rgb, default=(0.0, 0.0, 0.0))
+    p.add_argument("--background", type=_parse_rgb, default=(0.0, 0.0, 0.0),
+                   help="r,g,b; write one that starts with '-' as --background=-5,2,0.5")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes, at most one per CPU and per tile row")
     p.add_argument("--dump-dag", default=None,
@@ -285,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--camera", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--csv", default=None)
-    p.add_argument("--background", type=_parse_rgb, default=(0.0, 0.0, 0.0))
+    p.add_argument("--background", type=_parse_rgb, default=(0.0, 0.0, 0.0),
+                   help="r,g,b; write one that starts with '-' as --background=-5,2,0.5")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes, at most one per CPU and per tile row")
     p.set_defaults(func=cmd_compare)

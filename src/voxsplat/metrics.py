@@ -6,7 +6,7 @@ import numpy as np
 
 from .filtering import quat_to_rotmat
 from .scene import Scene
-from .voxelstore import VoxelGrid
+from .voxelstore import FlatRecords, VoxelGrid
 
 CBP_BETA_DEFAULT = 0.05
 EXTENT_SIGMAS = 3.0
@@ -24,26 +24,26 @@ def psnr(img_a: np.ndarray, img_b: np.ndarray) -> float:
     return 10.0 * np.log10(1.0 / mse)
 
 
-def extent_boxes(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
+def extent_boxes(splats: FlatRecords | Scene) -> tuple[np.ndarray, np.ndarray]:
     """Conservative axis-aligned bounds of each splat's rotated 3-sigma box."""
-    a = np.abs(quat_to_rotmat(scene.rotations).transpose(1, 2, 0)) * scene.scales.T
+    a = np.abs(quat_to_rotmat(splats.rotations).transpose(1, 2, 0)) * splats.scales.T
     # |R| @ s summed (0 + 2) + 1: einsum's order on row-major (n, 3, 3) rotations, and its bits
     half = EXTENT_SIGMAS * ((a[:, 0] + a[:, 2]) + a[:, 1]).T
-    return scene.positions - half, scene.positions + half
+    return splats.positions - half, splats.positions + half
 
 
-def cross_boundary_stats(scene: Scene, grid: VoxelGrid) -> dict:
-    """Fraction of splats whose 3-sigma box exits their resident voxel."""
-    n = len(scene)
+def cross_boundary_stats(grid: VoxelGrid, records: FlatRecords) -> dict:
+    """Fraction of splats whose 3-sigma box exits the voxel holding their
+    record; ``per_voxel`` counts the crossing splats by renamed voxel id."""
+    n = len(records.ids)
     if n == 0:
         return {"ratio": 0.0, "crossing": 0, "total": 0, "per_voxel": {}}
-    lo, hi = extent_boxes(scene)
-    cells = grid.cell_of(scene.positions)
-    vox_lo = grid.origin + cells * grid.edge
+    lo, hi = extent_boxes(records)
+    voxel = np.repeat(np.arange(grid.nonempty_count), np.diff(records.offsets))
+    vox_lo = grid.origin + grid.cell_of_vid(grid.vids[voxel]) * grid.edge
     vox_hi = vox_lo + grid.edge
     crossing = np.any((lo < vox_lo) | (hi > vox_hi), axis=1)
-    vid_r = grid.dense_renaming()[grid.vid_of_cell(cells)]
-    counts = np.bincount(vid_r[crossing])
+    counts = np.bincount(voxel[crossing])
     voxels = np.flatnonzero(counts)
     per_voxel = dict(zip(voxels.tolist(), counts[voxels].tolist()))
     return {

@@ -20,12 +20,12 @@ from .traffic import (
     TrafficLedger,
     merge_sort_pass_bytes,
 )
-from .voxelstore import concat_ranges
+from .voxelstore import FlatRecords, concat_ranges
 
 
 def render_frame_reference(
     camera: Camera,
-    scene: Scene,
+    splats: FlatRecords | Scene,
     *,
     background=(0.0, 0.0, 0.0),
     threads: int = 1,
@@ -33,16 +33,19 @@ def render_frame_reference(
 ) -> tuple[np.ndarray, TrafficLedger]:
     """Render the whole frame; returns (framebuffer float32, ledger).  Like
     ``render_frame_streaming``, the ledger carries ``scene_hash`` as given.
+    ``splats`` are a store's raw records or a ``Scene``, which has the same
+    six per-splat arrays; any row order gives the same frame and ledger, as
+    each row projects alone and the (tile, depth, id) sort keys are unique.
     The projection stays whole: binning gathers the valid rows' centers and
     radii, and ``blend`` reads each tile row's sorted rows where they lie.
     Each row hands back its tiles' record counts, from which the frame
     charges sort spills, render loads and pixel writebacks once."""
     ledger = TrafficLedger(scene_hash=scene_hash)
-    n = len(scene)
+    n = len(splats.ids)
     ledger.charge("projection", PROJECTION_LOAD_BYTES * n, n)
 
-    valid, batch, _ = project_splats(camera, scene.positions, scene.scales, scene.rotations,
-                                     scene.opacities, scene.sh, scene.ids)
+    valid, batch, _ = project_splats(camera, splats.positions, splats.scales, splats.rotations,
+                                     splats.opacities, splats.sh, splats.ids)
     kept = np.flatnonzero(valid)
     ledger.charge("projection-writeback", PROJECTED_RECORD_BYTES * len(kept), len(kept))
     mean2d, radius = batch.mean2d[kept], batch.radius[kept]

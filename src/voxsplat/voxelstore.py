@@ -121,17 +121,9 @@ class FlatRecords:
     dc_idx: np.ndarray | None = None
     sh_idx: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        """The number of voxels."""
-        return len(self.offsets) - 1
-
     @property
     def encoded(self) -> bool:
         return self.scale_idx is not None
-
-    def rows(self, vid_r: int) -> slice:
-        """Voxel ``vid_r``'s rows of every per-splat array."""
-        return slice(*self.offsets[vid_r : vid_r + 2].tolist())
 
 
 def build_grid(scene: Scene, edge: float) -> tuple[VoxelGrid, FlatRecords]:
@@ -341,12 +333,12 @@ def save_store(store: VoxelStore, path) -> None:
         f.write(np.asarray(grid.dims, dtype="<u4").tobytes())
         f.write(struct.pack("<I", grid.nonempty_count))
         f.write(grid.vids.astype("<u4").tobytes())
-        for r in range(len(records)):
-            rows = records.rows(r)
-            f.write(struct.pack("<I", rows.stop - rows.start))
-            f.write(coarse[rows].tobytes())
-            f.write(fine[rows].tobytes())
-            f.write(ids[rows].tobytes())
+        offsets = records.offsets.tolist()
+        for start, stop in zip(offsets, offsets[1:]):  # one block per voxel
+            f.write(struct.pack("<I", stop - start))
+            f.write(coarse[start:stop].tobytes())
+            f.write(fine[start:stop].tobytes())
+            f.write(ids[start:stop].tobytes())
 
 
 class _StoreReader:

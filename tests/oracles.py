@@ -415,7 +415,7 @@ def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0
         if early_exit and np.all(transmittance < T_FREEZE):
             stats.voxels_skipped_early += len(order) - k
             break
-        rows = records.rows(vid_r)
+        rows = slice(records.offsets[vid_r], records.offsets[vid_r + 1])
         n = rows.stop - rows.start
         ledger.charge("coarse-load", COARSE_BYTES_PER_GAUSSIAN * n, n)
         mask = coarse_filter_per_visit(camera, rect, records.positions[rows],
@@ -547,8 +547,8 @@ def encode_per_voxel(records, books) -> list[np.ndarray]:
     """The index arrays of ``encode_records`` in ``ATTRIBUTES`` order, from
     one ``nearest_indices`` call per voxel and attribute."""
     parts = {name: [np.empty(0, dtype=np.int64)] for name in ATTRIBUTES}
-    for r in range(len(records)):
-        rows = records.rows(r)
+    for r in range(len(records.offsets) - 1):
+        rows = slice(records.offsets[r], records.offsets[r + 1])
         sh = records.sh[rows]
         vectors = {
             "scale": records.scales[rows].copy(),
@@ -576,7 +576,9 @@ def cbp_loss_loop(render_order) -> float:
 
 
 def per_voxel_crossings_loop(scene, grid) -> dict:
-    """``cross_boundary_stats(...)["per_voxel"]`` counted one splat at a time."""
+    """``cross_boundary_stats(...)["per_voxel"]`` counted one splat at a time,
+    each in the cell its position falls in: the voxel holding its record in a
+    store built from ``scene``."""
     lo, hi = extent_boxes(scene)
     cells = grid.cell_of(scene.positions)
     vox_lo = grid.origin + cells * grid.edge

@@ -18,10 +18,13 @@ from voxsplat import (
     Scene,
     VoxelStore,
     cli,
+    cross_boundary_stats,
     load_store,
+    look_at_camera,
     render_frame_reference,
     render_frame_streaming,
     save_ply,
+    save_store,
 )
 from voxsplat.cli import main
 from voxsplat.errors import CodebookCorruptionError
@@ -143,8 +146,7 @@ def test_frames_and_compare_report_keep_their_pinned_bits(tmp_path, flags, diges
     frames = {f"stream-{threads}": render_frame_streaming(camera, loaded.grid, loaded.records,
                                                           threads=threads)[0]
               for threads in (1, 2)}
-    frames["reference"] = render_frame_reference(camera, cli.scene_from_records(
-        loaded.grid, loaded.records))[0]
+    frames["reference"] = render_frame_reference(camera, loaded.records)[0]
     got = {name: hashlib.sha256(frame.tobytes()).hexdigest() for name, frame in frames.items()}
     got["report"] = hashlib.sha256(report.read_bytes()).hexdigest()
     got["csv"] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
@@ -390,6 +392,7 @@ def test_bad_camera_json_exits_1_with_one_line(workspace, capfd, edit, message):
     ("1,2", "background needs three comma-separated values"),
     # finite, but the float32 frame would hold inf
     ("1e39,0,0", "background values must fit float32, got '1e39,0,0'"),
+    ("0.1,abc,3", "background values must be numbers, got '0.1,abc,3'"),
 ])
 def test_non_finite_background_is_rejected(workspace, capsys, background, message):
     capsys.readouterr()
@@ -398,6 +401,23 @@ def test_non_finite_background_is_rejected(workspace, capsys, background, messag
                  "--background", background]) == 1
     assert capsys.readouterr().err == f"voxsplat: argument --background: {message}\n"
     assert not (workspace / "never.png").exists()
+
+
+def test_a_negative_background_needs_the_equals_form(workspace, capsys):
+    """argparse reads a value starting with '-' as an option; ``--help``
+    shows the form that works."""
+    argv = ["render", "--mode", "reference", "--voxels", workspace / "scene.gsvx",
+            "--camera", workspace / "cam.json", "--out", workspace / "frame.png"]
+    capsys.readouterr()
+    assert _run(argv + ["--background", "-5,2,0.5"]) == 1
+    assert capsys.readouterr().err == "voxsplat: argument --background: expected one argument\n"
+    assert not (workspace / "frame.png").exists()
+    assert _run(argv + ["--background=-5,2,0.5"]) == 0
+    assert (workspace / "frame.png").exists()
+    for command in ("render", "compare"):
+        with pytest.raises(SystemExit):
+            _run([command, "--help"])
+        assert "--background=-5,2,0.5" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("out", ["frame.bmp", "frame", "frame.png.gz", "frame.PNG"])
@@ -424,11 +444,13 @@ def test_unknown_log_level_exits_1_with_one_line(tmp_path):
     assert proc.stdout == ""
 
 
-def test_compare_encodes_once_and_builds_one_flat_scene(workspace):
+def test_compare_encodes_once_and_builds_only_the_scene_load_store_checks(workspace):
+    """Both renderers read the store's records: the one ``Scene`` built is
+    the one ``load_store`` validates the loaded values with."""
     books = workspace / "books.gsvq"
     assert _run(["train-codebook", "--voxels", workspace / "scene.gsvx", "--entries",
                  "scale=16,rot=16,dc=16,sh=16", "--out", books]) == 0
-    calls = {"encode": 0, "scene_from_records": 0}
+    calls = {"encode": 0, "scene": 0, "scene in load_store": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -436,13 +458,38 @@ def test_compare_encodes_once_and_builds_one_flat_scene(workspace):
             return fn(*args, **kwargs)
         return wrapper
 
+    def loading(path):
+        before = calls["scene"]
+        store = load_store(path)
+        calls["scene in load_store"] += calls["scene"] - before
+        return store
+
     with mock.patch.object(VoxelStore, "encode", counted("encode", VoxelStore.encode)), \
-            mock.patch.object(cli, "scene_from_records",
-                              counted("scene_from_records", cli.scene_from_records)):
+            mock.patch.object(Scene, "__post_init__", counted("scene", Scene.__post_init__)), \
+            mock.patch.object(cli, "load_store", loading):
         assert _run(["compare", "--voxels", workspace / "scene.gsvx", "--books", books,
                      "--camera", workspace / "cam.json",
                      "--report", workspace / "report.json"]) == 0
-    assert calls == {"encode": 1, "scene_from_records": 1}
+    assert calls == {"encode": 1, "scene": 1, "scene in load_store": 1}
+
+
+def test_compare_on_a_splat_saved_onto_its_voxels_far_face(tmp_path):
+    """A float64 position 1e-10 below the far face of its voxel is saved as
+    float32 exactly on that face.  ``cross_boundary`` measures it against the
+    voxel holding its record, not the cell its position falls in, which lies
+    outside this one-voxel grid."""
+    scene = Scene(positions=[[0.5, 0.5, 0.5], [2.0 - 1e-10, 1.0, 1.0]],
+                  scales=np.full((2, 3), 0.05), rotations=[[1.0, 0.0, 0.0, 0.0]] * 2,
+                  opacities=[0.8, 0.8], sh=np.full((2, 16, 3), 0.1), ids=[0, 1])
+    store, cam, report = tmp_path / "face.gsvx", tmp_path / "cam.json", tmp_path / "report.json"
+    save_store(VoxelStore.build(scene, 2.0), store)
+    look_at_camera([1.0, 1.0, -6.0], [1.0, 1.0, 1.0], width=32, height=32, focal=40.0).save(cam)
+    loaded = load_store(store)
+    assert loaded.grid.dims.tolist() == [1, 1, 1] and loaded.records.positions[1, 0] == 2.0
+    assert _run(["compare", "--voxels", store, "--camera", cam, "--report", report]) == 0
+    assert json.loads(report.read_text())["cross_boundary"] == 0.5
+    stats = cross_boundary_stats(loaded.grid, loaded.records)
+    assert stats["per_voxel"] == {0: 1} and stats["crossing"] == 1
 
 
 @pytest.mark.parametrize("threads, message", [

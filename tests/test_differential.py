@@ -1011,13 +1011,13 @@ def test_projecting_many_voxels_at_once_equals_voxel_by_voxel(n, seed, oblique):
     records = VoxelStore.build(_cell_scene(n, seed), 2.0).records
     camera = _lattice_camera(seed, oblique)
     cache = ProjectionCache(camera, np.empty(0), records.offsets)
-    vids = np.arange(len(records))
+    vids = np.arange(len(records.offsets) - 1)
     rows, splats = stream_fine(records, vids, None)
     rect = (0.0, 0.0, float(camera.width), float(camera.height))
     coarse = coarse_filter(camera, splats[0], records.max_scales[rows], rect)
     fine_filter(cache, rows, np.zeros(len(rows), dtype=np.int64), rect, (vids, rows, splats))
     for r in vids.tolist():
-        part = records.rows(r)
+        part = slice(records.offsets[r], records.offsets[r + 1])
         valid, alone, _ = project_splats(camera, *(a[part] for a in splats))
         assert cache.valid[part].tobytes() == valid.tobytes()
         assert _batch_bytes(oracles.take(cache.batch, part)) == _batch_bytes(alone)
@@ -1040,7 +1040,7 @@ def test_projection_bits_do_not_depend_on_the_rows_beside_them(seed, count, inde
     store = VoxelStore.build(scene, 2.0)
     records = store.records
     camera = _found_camera(seed, index)
-    _, splats = stream_fine(records, np.arange(len(records)), None)
+    _, splats = stream_fine(records, np.arange(store.grid.nonempty_count), None)
     valid, whole, _ = project_splats(camera, *splats)
 
     def assert_rows_alike(part):
@@ -1051,7 +1051,7 @@ def test_projection_bits_do_not_depend_on_the_rows_beside_them(seed, count, inde
     rng = np.random.default_rng(seed)
     assert_rows_alike(rng.integers(0, len(whole.ids), 1))
     assert_rows_alike(np.flatnonzero(rng.random(len(whole.ids)) < 0.5))
-    for r in range(len(records)):
+    for r in range(store.grid.nonempty_count):
         assert_rows_alike(np.arange(records.offsets[r], records.offsets[r + 1]))
 
     reference = []
@@ -1175,8 +1175,9 @@ def test_cbp_loss_matches_the_loop_bit_for_bit(order):
 def test_per_voxel_crossings_match_the_loop(seed, count, fraction, edge):
     scene = generate_scene(count=count, bounds=Aabb([-4, -4, -2], [4, 4, 2]), seed=seed,
                            max_extent_fraction=fraction, voxel_edge=edge)
-    grid = VoxelStore.build(scene, edge).grid
-    out = cross_boundary_stats(scene, grid)
+    store = VoxelStore.build(scene, edge)
+    grid = store.grid
+    out = cross_boundary_stats(grid, store.records)
     assert out["per_voxel"] == per_voxel_crossings_loop(scene, grid)
     assert sum(out["per_voxel"].values()) == out["crossing"]
     assert all(isinstance(k, int) and isinstance(v, int) for k, v in out["per_voxel"].items())

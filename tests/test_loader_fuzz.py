@@ -2,6 +2,8 @@
 against hostile values: whatever a file holds, a loader returns or raises a
 ``VoxsplatError``, never anything else."""
 
+import contextlib
+import io
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from voxsplat import (
     Camera,
     VoxelStore,
     generate_scene,
+    look_at_camera,
     render_frame_reference,
     render_frame_streaming,
     load_codebooks,
@@ -31,6 +34,7 @@ from voxsplat.errors import (
     StoreFormatError,
     VoxsplatError,
 )
+from voxsplat.cli import main
 from voxsplat.filtering import quat_to_rotmat
 from voxsplat.scene import FOCAL_RANGE, PRINCIPAL_POINT_RANGE, TRANSLATION_RANGE
 from voxsplat.voxelstore import gather_attribute
@@ -62,6 +66,15 @@ def files(tmp_path_factory):
     return valid, tmp / "mutated", store.grid.nonempty_count
 
 
+@pytest.fixture(scope="module")
+def compare_argv(tmp_path_factory):
+    """``compare`` on a 32x32 camera facing the fuzzed scene, less ``--voxels``."""
+    tmp = tmp_path_factory.mktemp("compare")
+    look_at_camera([0.0, 0.0, -4.0], [0.0, 0.0, 0.0], width=32, height=32, focal=40.0).save(
+        tmp / "cam.json")
+    return ["compare", "--camera", str(tmp / "cam.json"), "--report", str(tmp / "report.json")]
+
+
 def _load(kind, path, data):
     path.write_bytes(bytes(data))
     return LOADERS[kind](path)
@@ -79,7 +92,10 @@ _edits = st.lists(
 @given(edits=_edits, cut=st.one_of(st.none(), st.floats(0.0, 1.0)))
 @example(edits=[], cut=None)
 @example(edits=[], cut=0.999)
-def test_mutated_and_truncated_files_raise_only_voxsplat_errors(files, kind, edits, cut):
+def test_mutated_and_truncated_files_raise_only_voxsplat_errors(files, compare_argv, kind, edits,
+                                                                cut):
+    """A store that loads also goes through ``compare``: it exits 0, or 1
+    with one line."""
     valid, path, _ = files
     data = bytearray(valid[kind])
     for op, where, byte in edits:
@@ -99,7 +115,12 @@ def test_mutated_and_truncated_files_raise_only_voxsplat_errors(files, kind, edi
     try:
         _load(kind, path, data)
     except VoxsplatError:
-        pass
+        return
+    if kind == "gsvx":
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*compare_argv, "--voxels", str(path)])
+        assert code == 0 or (code == 1 and err.getvalue().count("\n") == 1), err.getvalue()
 
 
 def test_ply_property_line_without_a_type_is_a_parse_error(files):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,8 @@ def test_psnr_rejects_mismatched_shapes():
 
 
 def test_constrained_scene_has_zero_crossing_ratio():
-    scene = constrained_scene(seed=3, count=300)
-    grid, _ = build_grid(scene, 2.0)
-    out = cross_boundary_stats(scene, grid)
+    grid, records = build_grid(constrained_scene(seed=3, count=300), 2.0)
+    out = cross_boundary_stats(grid, records)
     assert out["ratio"] == 0.0
     assert out["per_voxel"] == {}
 
@@ -45,10 +46,21 @@ def test_splat_on_voxel_face_crosses():
         ids=np.array([0]),
         bounds=Aabb([-2, -2, -2], [2, 2, 2]),
     )
-    grid, _ = build_grid(scene, 2.0)
-    out = cross_boundary_stats(scene, grid)
+    out = cross_boundary_stats(*build_grid(scene, 2.0))
     assert out["ratio"] == 1.0
     assert out["crossing"] == 1
+
+
+def test_a_record_far_outside_its_voxel_crosses_that_voxel():
+    """Each record is measured against the voxel holding it, wherever its
+    position lies: here past the grid, where no voxel is."""
+    grid, records = build_grid(constrained_scene(seed=3, count=300), 2.0)
+    r = grid.nonempty_count // 2
+    positions = records.positions.copy()
+    positions[records.offsets[r]] += [100.0, -100.0, 0.0]
+    out = cross_boundary_stats(grid, replace(records, positions=positions))
+    assert out["per_voxel"] == {r: 1}
+    assert (out["crossing"], out["total"]) == (1, 300)
 
 
 def _corner_oracle(scene, grid):
@@ -73,8 +85,8 @@ def _corner_oracle(scene, grid):
 def test_crossing_ratio_matches_corner_oracle():
     scene = generate_scene(count=400, bounds=Aabb([-4, -4, -2], [4, 4, 2]), seed=9,
                            max_extent_fraction=0.9)
-    grid, _ = build_grid(scene, 2.0)
-    got = cross_boundary_stats(scene, grid)["ratio"]
+    grid, records = build_grid(scene, 2.0)
+    got = cross_boundary_stats(grid, records)["ratio"]
     assert got == pytest.approx(_corner_oracle(scene, grid))
 
 

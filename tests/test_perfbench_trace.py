@@ -3,7 +3,8 @@ wrapped layer must stay a real stage that a frame calls through that
 attribute, or ``perfbench/run.py --trace 1`` stops with ``TraceDriftError``.
 Its untraced run reads the renderers' return tuples, ``StreamStats`` fields
 and ``estimate``'s inputs; a small run of it must render every frame
-cleanly."""
+cleanly.  It times the reference on a ``Scene``, which must render what the
+command line renders from the store's records."""
 
 import dataclasses
 import importlib.util
@@ -11,6 +12,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import voxsplat.reference as reference_mod
@@ -58,13 +60,35 @@ def test_every_wrapped_layer_runs_in_a_traced_frame():
     assert len(tracer.frames()) == 2
 
 
-@pytest.mark.parametrize("name", ["oracle-raw", "oracle-vq"])
+def _small(workloads, name):
+    return dataclasses.replace(workloads.WORKLOADS[name], scenes=2, count=120, size=64,
+                               setup_repeats=1)
+
+
+@pytest.mark.parametrize("name", ["oracle-raw", "deep-cluttered"])
+def test_the_benchmarks_reference_scene_renders_what_the_cli_renders(tmp_path, monkeypatch,
+                                                                     name):
+    """``Prepared.reference_scene()`` and the loaded store's records give the
+    same reference frame bytes and ledger."""
+    _load("tracing", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = _small(workloads, name)
+    for path in workloads.make_inputs(workload, 1, str(tmp_path)):
+        prepared = workloads.set_up(workload, path, str(tmp_path))
+        scene_frame, scene_ledger = reference_mod.render_frame_reference(
+            workload.camera(), prepared.reference_scene())
+        frame, ledger = reference_mod.render_frame_reference(workload.camera(),
+                                                             prepared.raw.records)
+        assert frame.tobytes() == scene_frame.tobytes() and np.any(frame)
+        assert ledger.as_dict() == scene_ledger.as_dict()
+
+
+@pytest.mark.parametrize("name", ["oracle-raw", "oracle-vq", "deep-cluttered"])
 def test_a_small_untraced_benchmark_run_renders_every_frame(tmp_path, monkeypatch, name):
     _load("tracing", monkeypatch)
     workloads = _load("workloads", monkeypatch)
     measure = _load("measure", monkeypatch)
-    workload = dataclasses.replace(workloads.WORKLOADS[name], scenes=2, count=120, size=64,
-                                   setup_repeats=1)
+    workload = _small(workloads, name)
     paths = workloads.make_inputs(workload, 1, str(tmp_path))
     runner, metrics, exact = measure.run_untraced(workload, paths, str(tmp_path), seconds=0)
     assert runner.attempted == 6 and runner.failed == 0

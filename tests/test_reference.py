@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import voxsplat.reference as reference_mod
-from voxsplat import Aabb, Scene, generate_scene, look_at_camera, render_frame_reference
+from voxsplat import (Aabb, Scene, VoxelStore, generate_scene, look_at_camera,
+                      render_frame_reference)
 from voxsplat.blending import blend
 from voxsplat.filtering import disc_overlaps_rect, project_splats, tile_rects
 from voxsplat.scene import TILE_EDGE
 from voxsplat.frameio import write_png, write_ppm
 
-from conftest import read_png
+from conftest import constrained_scene, read_png
 
 
 def test_per_tile_sort_is_depth_correct_permutation(monkeypatch):
@@ -78,3 +83,29 @@ def test_ppm_output(tmp_path):
     blob = path.read_bytes()
     assert blob.startswith(b"P6\n16 16\n255\n")
     assert blob[-3:] == bytes([0, 255, 0])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**16), constrained=st.booleans())
+@example(seed=0, constrained=True)
+@example(seed=0, constrained=False)
+def test_any_row_order_renders_the_same_frame_and_ledger(threads, seed, constrained):
+    """The id-order scene, the store's records in voxel order and a random
+    row permutation of them give the same frame bytes and ledger.  The
+    unconstrained scene has depth ties, which the splat ids break."""
+    if constrained:
+        scene = constrained_scene(seed, count=300)
+    else:
+        scene = generate_scene(count=400, bounds=Aabb([-4, -4, -2], [4, 4, 2]), seed=seed,
+                               max_extent_fraction=0.8)
+        scene.positions[::5, 2] = scene.positions[0, 2]  # depth is z + 10 for this camera
+    records = VoxelStore.build(scene, 2.0).records
+    perm = np.random.default_rng(seed).permutation(len(records.ids))
+    shuffled = replace(records, **{name: getattr(records, name)[perm] for name in
+                                   ("positions", "scales", "rotations", "opacities", "sh", "ids")})
+    camera = look_at_camera([0.0, 0.0, -10.0], [0.0, 0.0, 0.0], width=64, height=64, focal=75.0)
+    renders = [render_frame_reference(camera, splats, threads=threads)
+               for splats in (scene, records, shuffled)]
+    assert len({frame.tobytes() for frame, _ in renders}) == 1
+    assert all(ledger.as_dict() == renders[0][1].as_dict() for _, ledger in renders)

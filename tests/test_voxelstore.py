@@ -46,7 +46,7 @@ def _random_scene(seed=0, count=1000):
 def test_single_splat_single_voxel():
     grid, records = build_grid(_single_splat_scene([0.0, 0.0, 0.0]), 2.0)
     assert grid.nonempty_count == 1
-    assert len(records) == 1 and records.offsets.tolist() == [0, 1]
+    assert records.offsets.tolist() == [0, 1]
     assert grid.dense_renaming()[grid.vids].tolist() == [0]
 
 
@@ -69,7 +69,7 @@ def test_occupancy_matches_brute_force_histogram():
         key = tuple(int(np.floor((p[i] - grid.origin[i]) / 2.0)) for i in range(3))
         hist[key] = hist.get(key, 0) + 1
     by_cell = {tuple(grid.cell_of_vid(np.array(grid.vids[r]))): counts[r]
-               for r in range(len(records))}
+               for r in range(grid.nonempty_count)}
     assert by_cell == hist
 
 
@@ -104,14 +104,14 @@ def test_records_sorted_by_renamed_id_and_by_splat_id():
     grid, records = build_grid(_random_scene(seed=5), 2.0)
     assert records.offsets[0] == 0 and records.offsets[-1] == len(records.ids)
     assert np.all(np.diff(records.offsets) > 0)
-    for r in range(len(records)):
-        assert np.all(np.diff(records.ids[records.rows(r)]) > 0)
+    for r in range(grid.nonempty_count):
+        assert np.all(np.diff(records.ids[records.offsets[r] : records.offsets[r + 1]]) > 0)
     assert np.allclose(records.max_scales, np.maximum.reduce(records.scales.T))
 
 
 def test_stream_coarse_charges_16_bytes_per_splat():
     grid, records = build_grid(_random_scene(seed=6, count=10), 8.0)
-    assert len(records) >= 1
+    assert grid.nonempty_count >= 1
     counts = np.diff(records.offsets)
     r = int(np.argmax(counts))
     ledger = TrafficLedger()
@@ -151,8 +151,8 @@ def test_fine_bytes_never_touch_non_survivors():
     grid, records = build_grid(scene, 4.0)
     ledger = TrafficLedger()
     total = 0
-    for r in range(len(records)):
-        max_scales = records.max_scales[records.rows(r)]
+    for r in range(grid.nonempty_count):
+        max_scales = records.max_scales[records.offsets[r] : records.offsets[r + 1]]
         survivors = np.flatnonzero(max_scales > np.median(max_scales))
         charge_loads(ledger, records.encoded, 0, len(survivors))
         total += len(survivors)
@@ -166,7 +166,7 @@ def test_full_sweep_coarse_bytes_scale_with_visits():
     ledger = TrafficLedger()
     visits = 3
     for _ in range(visits):
-        for r in range(len(records)):
+        for r in range(grid.nonempty_count):
             rows, _, _ = stream_coarse(records, [r])
             charge_loads(ledger, records.encoded, len(rows), 0)
     assert ledger.bytes["coarse-load"] == 16 * len(scene) * visits
@@ -247,7 +247,7 @@ def test_empty_scene_builds_empty_grid():
     )
     grid, records = build_grid(scene, 2.0)
     assert grid.nonempty_count == 0
-    assert len(records) == 0 and records.offsets.tolist() == [0]
+    assert records.offsets.tolist() == [0]
 
 
 def test_every_truncation_of_a_store_file_is_a_format_error(tmp_path):
@@ -269,14 +269,14 @@ def test_out_of_range_vq_index_is_corruption_error_naming_attribute_and_voxel(
     attribute, field, bad
 ):
     scene = _random_scene(seed=14, count=40)
-    _, records = build_grid(scene, 4.0)
+    grid, records = build_grid(scene, 4.0)
     books = {name: train_codebook(gather_attribute(records, name), 8, seed=0, attribute=name)
              for name in DEFAULT_ENTRIES}
     enc = encode_records(records, books)
     idx = getattr(enc, field).copy()
     idx[-1] = -1 if bad == "negative" else books[attribute].entry_count
     setattr(enc, field, idx)
-    last = len(enc) - 1
+    last = grid.nonempty_count - 1
     with pytest.raises(CodebookCorruptionError,
                        match=f"{attribute} index .* in voxel {last}$"):
         stream_fine(enc, [last], books)
