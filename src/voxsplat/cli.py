@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--background", type=_parse_rgb, default=(0.0, 0.0, 0.0),
                    help="r,g,b; write one that starts with '-' as --background=-5,2,0.5")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, at most one per CPU and per tile row")
+                   help="worker processes, at most one per usable CPU and per tile row")
     p.add_argument("--dump-dag", default=None,
                    help="write the per-tile voxel dependency edges ('src dst' lines)")
     p.set_defaults(func=cmd_render)
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--background", type=_parse_rgb, default=(0.0, 0.0, 0.0),
                    help="r,g,b; write one that starts with '-' as --background=-5,2,0.5")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, at most one per CPU and per tile row")
+                   help="worker processes, at most one per usable CPU and per tile row")
     p.set_defaults(func=cmd_compare)
     return parser
 

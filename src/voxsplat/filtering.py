@@ -107,8 +107,8 @@ def disc_overlaps_rect(center: np.ndarray, radius: np.ndarray, rect) -> np.ndarr
     """True where the disc (center, radius) meets the rectangle; shared by both
     pipelines so per-tile membership is identical."""
     x0, y0, x1, y1 = rect
-    nearest_x = np.clip(center[..., 0], x0, x1)
-    nearest_y = np.clip(center[..., 1], y0, y1)
+    nearest_x = np.minimum(np.maximum(center[..., 0], x0), x1)
+    nearest_y = np.minimum(np.maximum(center[..., 1], y0), y1)
     dx = center[..., 0] - nearest_x
     dy = center[..., 1] - nearest_y
     return dx * dx + dy * dy <= radius * radius

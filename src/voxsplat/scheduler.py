@@ -91,7 +91,7 @@ def _walk(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> tuple[np.nda
             d, t_enter, t_exit = np.compress(hits, d, axis=1), t_enter[rays], t_exit[rays]
         # nudge inside the box so the start cell is unambiguous
         start = o + (t_enter * (1.0 + 1e-12) + 1e-12) * d
-        cell = np.clip(np.floor((start - lo) / grid.edge).astype(np.int64), 0, dims - 1)
+        cell = np.minimum(np.maximum(np.floor((start - lo) / grid.edge).astype(np.int64), 0), dims - 1)
         ahead = d > 0
         # per axis: ray parameter of the next face and between faces
         times = np.concatenate([(lo + (cell + ahead) * grid.edge - o) / d,

@@ -1,5 +1,8 @@
+import contextlib
 import os
+import signal
 import struct
+import threading
 import zlib
 from unittest import mock
 
@@ -43,12 +46,40 @@ def cluttered_scene(seed=0, count=30000):
     )
 
 
+def usable_cpus(count):
+    """Patch the CPUs this process may run on, which cap the row workers, to ``count``."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)), create=True)
+
+
+@contextlib.contextmanager
 def leave_rows_to_workers():
     """Patch the row loop so the parent takes no rows: every row is then
-    rendered in a forked worker, which inherits the patch."""
+    rendered in a forked worker, which inherits the patch.  Two usable CPUs
+    are patched in too, so a two-thread frame forks a worker on any host."""
     parent, drain = os.getpid(), tileloop._drain
-    return mock.patch.object(tileloop, "_drain",
-                             lambda state: [] if os.getpid() == parent else drain(state))
+    with usable_cpus(2), mock.patch.object(
+            tileloop, "_drain", lambda state: [] if os.getpid() == parent else drain(state)):
+        yield
+
+
+@contextlib.contextmanager
+def leaves_no_process_or_thread(seconds=60):
+    """Check that the block ends within ``seconds``, instead of hanging on a
+    worker, and leaves no child process, running or unreaped, and no extra thread."""
+    def timeout(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    threads = threading.active_count()
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert threading.active_count() == threads
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def filter_voxel(camera, rect, splats, survivors=None):

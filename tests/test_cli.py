@@ -1,7 +1,8 @@
 import hashlib
 import json
-import multiprocessing
 import os
+import re
+import signal
 import struct
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import voxsplat
 import voxsplat.streaming as streaming_mod
+import voxsplat.tileloop as tileloop
 from voxsplat import (
     Camera,
     Scene,
@@ -30,7 +32,8 @@ from voxsplat.cli import main
 from voxsplat.errors import CodebookCorruptionError
 from voxsplat.scheduler import dependency_graph, traverse
 
-from conftest import double_ply, leave_rows_to_workers, read_png
+from conftest import (double_ply, leave_rows_to_workers, leaves_no_process_or_thread, read_png,
+                      usable_cpus)
 
 
 def _run(argv, capsys=None):
@@ -507,8 +510,7 @@ def test_threads_below_one_exits_1_with_one_line(workspace, capsys, threads, mes
         assert err == f"voxsplat: {message}\n"
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="needs the fork start method")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_codebook_error_in_a_render_worker_exits_1_with_one_line(workspace, capfd):
     def corrupt(records, vids, *args, **kwargs):
         raise CodebookCorruptionError(f"scale index 99 out of range for 16 entries in voxel "
@@ -519,11 +521,33 @@ def test_codebook_error_in_a_render_worker_exits_1_with_one_line(workspace, capf
             "--threads", 2]
     capfd.readouterr()
     # forked workers inherit the patched attributes; capfd also sees their stderr
-    with mock.patch.object(streaming_mod, "stream_fine", corrupt), leave_rows_to_workers():
+    with leaves_no_process_or_thread(), mock.patch.object(streaming_mod, "stream_fine", corrupt), \
+            leave_rows_to_workers():
         assert _run(argv) == 1
     err = capfd.readouterr().err
     assert err.startswith("voxsplat: scale index 99 out of range") and err.count("\n") == 1
-    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_render_worker_killed_by_a_signal_exits_1_with_one_line(workspace, capfd):
+    parent, drain = os.getpid(), tileloop._drain
+
+    def killed_in_worker(state):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return drain(state)
+
+    argv = ["render", "--mode", "streaming", "--voxels", workspace / "scene.gsvx",
+            "--camera", workspace / "cam.json", "--out", workspace / "never.png",
+            "--threads", 2]
+    capfd.readouterr()
+    with leaves_no_process_or_thread(), usable_cpus(2), \
+            mock.patch.object(tileloop, "_drain", killed_in_worker):
+        assert _run(argv) == 1
+    err = capfd.readouterr().err
+    assert re.fullmatch(r"voxsplat: render worker \d+ exited without a result "
+                        rf"\(wait status {int(signal.SIGKILL)}\)\n", err)
+    assert not (workspace / "never.png").exists()
 
 
 def test_signalling_nan_in_a_store_exits_1_with_one_line(workspace):
