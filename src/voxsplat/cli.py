@@ -23,7 +23,8 @@ from .scheduler import TileVisits, dump_edges, traverse
 from .traffic import PerfConfig, compare_pipelines, counts_from_stats, estimate
 from .streaming import render_frame_streaming, render_tile_streaming
 from .voxelstore import VoxelStore, load_store, save_store, gather_attribute
-from .vq import DEFAULT_ENTRIES, load_codebooks, save_codebooks, train_codebook
+from .vq import (DEFAULT_ENTRIES, check_entry_count, load_codebooks, save_codebooks,
+                 train_codebook)
 
 log = logging.getLogger("voxsplat")
 
@@ -60,8 +61,10 @@ def _parse_entries(text: str) -> dict[str, int]:
     for part in text.split(","):
         key, _, val = part.partition("=")
         if key not in alias or not val:
-            raise argparse.ArgumentTypeError(f"bad entries item {part!r}")
+            raise ValueError(f"bad entries item {part!r}")
         entries[alias[key]] = int(val)
+    for name, k in entries.items():  # every book, before the first one trains
+        check_entry_count(name, k)
     return entries
 
 
@@ -98,9 +101,10 @@ def cmd_build_voxels(args) -> int:
 
 
 def cmd_train_codebook(args) -> int:
+    entries = _parse_entries(args.entries)
     store = load_store(args.voxels)
     books = {}
-    for name, k in _parse_entries(args.entries).items():
+    for name, k in entries.items():
         vectors = gather_attribute(store.records, name)
         if len(vectors) == 0:
             raise VoxsplatError("voxel store holds no splats; nothing to train on")

@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.recfunctions import structured_to_unstructured
 
 from .errors import CameraFormatError, PlyParseError, PlySchemaError
 
@@ -82,8 +83,10 @@ class Scene:
         self.opacities = np.asarray(self.opacities, dtype=np.float64).reshape(n)
         self.sh = np.asarray(self.sh, dtype=np.float64).reshape(n, 16, 3)
         self.ids = np.asarray(self.ids, dtype=np.int64).reshape(n)
+        fmax = np.finfo(np.float32).max
         for name in ("positions", "scales", "rotations", "opacities", "sh"):
-            if not np.all(np.abs(getattr(self, name)) <= np.finfo(np.float32).max):
+            x = getattr(self, name)  # NaN fails both comparisons
+            if not (x.min(initial=0.0) >= -fmax and x.max(initial=0.0) <= fmax):
                 raise ValueError(f"non-finite values in splat {name}, or values past the "
                                  "float32 range a store holds")
         if self.bounds is None:
@@ -107,18 +110,15 @@ class Scene:
 
 
 def scene_fingerprint(scene: Scene) -> str:
-    """Order-stable content hash used to guard cross-pipeline comparisons."""
+    """Order-stable content hash used to guard cross-pipeline comparisons:
+    the arrays' bytes in (stable) id order."""
     h = hashlib.sha256()
-    order = np.argsort(scene.ids, kind="stable")
-    for arr in (
-        scene.ids[order],
-        scene.positions[order],
-        scene.scales[order],
-        scene.rotations[order],
-        scene.opacities[order],
-        scene.sh[order],
-    ):
-        h.update(np.ascontiguousarray(arr).tobytes())
+    arrays = (scene.ids, scene.positions, scene.scales, scene.rotations, scene.opacities, scene.sh)
+    if not np.all(scene.ids[1:] >= scene.ids[:-1]):  # sorted ids are their own stable order
+        order = np.argsort(scene.ids, kind="stable")
+        arrays = [arr[order] for arr in arrays]
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr))
     return h.hexdigest()[:16]
 
 
@@ -419,11 +419,11 @@ def _scene_from_ply(data: np.ndarray, count: int) -> Scene:
         raise PlySchemaError("zero-norm rotation quaternion")
     rots /= norms[:, None]
     opac = 1.0 / (1.0 + np.exp(-data["opacity"].astype(np.float64)))
-    sh = np.zeros((count, 16, 3), dtype=np.float64)
-    for c in range(3):
-        sh[:, 0, c] = data[f"f_dc_{c}"]
-        for j in range(15):
-            sh[:, 1 + j, c] = data[f"f_rest_{c * 15 + j}"]
+    # one cast of the 48 colour columns: f_dc_0..2, then f_rest channel-major
+    cols = structured_to_unstructured(data[_REQUIRED_PROPS[3:51]], dtype=np.float64)
+    sh = np.empty((count, 16, 3), dtype=np.float64)
+    sh[:, 0] = cols[:, :3]
+    sh[:, 1:] = cols[:, 3:].reshape(count, 3, 15).transpose(0, 2, 1)
     return Scene(
         positions=pos,
         scales=scales,

@@ -286,7 +286,11 @@ def _scene(records: FlatRecords, order) -> Scene:
 
 @dataclass
 class VoxelStore:
-    """Grid + records + the fingerprint of the scene they came from."""
+    """Grid + records + the fingerprint of the scene they came from.
+
+    ``scene_hash`` covers the scene's values as held: ``build`` hashes the
+    float64 scene, ``load_store`` the float32 values the file kept, so a
+    save/load round trip changes it once and never again."""
 
     grid: VoxelGrid
     records: FlatRecords
@@ -318,6 +322,9 @@ def save_store(store: VoxelStore, path) -> None:
     grid, records = store.grid, store.records
     if records.encoded:
         raise ValueError("store files hold raw second halves; encode at load time")
+    bad = np.flatnonzero((records.ids < 0) | (records.ids >= 2**32))
+    if len(bad):  # before the file opens, so no partial file is left
+        raise ValueError(f"splat id {records.ids[bad[0]]} does not fit a store file's u4 id")
     coarse = np.concatenate([records.positions, records.max_scales[:, None]], axis=1, dtype="<f4")
     fine = np.concatenate(
         [records.scales, records.rotations, records.sh.reshape(-1, 48), records.opacities[:, None]],
@@ -398,14 +405,21 @@ def load_store(path) -> VoxelStore:
 
 def _read_records(reader: _StoreReader, nonempty: int) -> FlatRecords:
     """The per-voxel blocks of a store file, cast into flat float64 arrays."""
+    # one read, sized by the bytes the file has left rather than by any header
+    data = memoryview(reader.read(reader.left, "record blocks"))
     counts, coarse, fine, ids = [], [], [], []
+    stop = 0
     for r in range(nonempty):
-        (count,) = struct.unpack("<I", reader.read(4, f"record header for voxel {r}"))
-        payload = memoryview(reader.read(4 * 61 * count, f"record payload for voxel {r}"))
+        if stop + 4 > len(data):
+            raise StoreFormatError(f"truncated record header for voxel {r}")
+        (count,) = struct.unpack_from("<I", data, stop)
+        start, stop = stop + 4, stop + 4 + 4 * 61 * count
+        if stop > len(data):
+            raise StoreFormatError(f"truncated record payload for voxel {r}")
         counts.append(count)
-        coarse.append(payload[: 16 * count])
-        fine.append(payload[16 * count : 240 * count])
-        ids.append(payload[240 * count :])
+        coarse.append(data[start : start + 16 * count])
+        fine.append(data[start + 16 * count : start + 240 * count])
+        ids.append(data[start + 240 * count : stop])
     coarse = np.frombuffer(b"".join(coarse), dtype="<f4").reshape(-1, 4)
     fine = np.frombuffer(b"".join(fine), dtype="<f4").reshape(-1, 56)
     return FlatRecords(

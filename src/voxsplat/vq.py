@@ -40,10 +40,7 @@ class Codebook:
 
     def __post_init__(self):
         self.entries = np.ascontiguousarray(self.entries, dtype=np.float32)
-        k = self.entry_count
-        if k < 1 or (k & (k - 1)) != 0:
-            raise ValueError(f"entry count {k} is not a power of two")
-        _check_index_width(self.attribute, k)
+        check_entry_count(self.attribute, self.entry_count)
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("codebook contains non-finite centroids")
         if self.attribute == "rotation":
@@ -100,18 +97,17 @@ def train_codebook(
     Terminates at ``max_iters`` or when the relative decrease of the mean
     squared quantization error drops below ``KMEANS_TOL``.  Empty clusters are
     re-seeded from the point currently farthest from its centroid, which
-    leaves the objective non-increasing (checked every iteration).  A named
-    attribute's ``k`` may not exceed its index width (``INDEX_BITS``).  If there
+    leaves the objective non-increasing (checked every iteration).  ``k``
+    must be a power of two, and a named attribute's may not exceed its index
+    width (``INDEX_BITS``); both are checked before any work.  If there
     are fewer distinct vectors than ``k``, the distinct set becomes the
     codebook and the remaining entries duplicate existing centroids
     (``padded=True``).
     """
+    check_entry_count(attribute, k)
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or len(vectors) == 0:
         raise ValueError("vectors must be a non-empty (n, d) array")
-    if k < 1:
-        raise ValueError("entry count must be >= 1")
-    _check_index_width(attribute, k)
 
     distinct = np.unique(vectors, axis=0)
     if len(distinct) <= k:
@@ -157,7 +153,10 @@ def train_codebook(
     return book
 
 
-def _check_index_width(attribute: str, k: int) -> None:
+def check_entry_count(attribute: str, k: int) -> None:
+    """A codebook's entry count: a power of two within the attribute's index width."""
+    if k < 1 or (k & (k - 1)) != 0:
+        raise ValueError(f"{attribute} codebook entry count {k} is not a power of two")
     bits = INDEX_BITS.get(attribute)
     if bits is not None and k > 2**bits:
         raise ValueError(f"{attribute} codebook of {k} entries exceeds its {bits}-bit index "

@@ -50,11 +50,19 @@ entry by entry: row-major (n, rows, cols) matrices multiplied by
 ``np.einsum``, whose summation order the entry-wise forms reproduce.
 ``einsum`` picks that order from the operands' memory layout, so these
 oracles must keep the row-major layout they were written for.
+
+``scene_fingerprint_sorting``, ``scene_from_ply_per_column`` and
+``read_records_per_voxel`` are the set-up steps as they stood before their
+redundant copies went: the fingerprint argsorts and gathers every scene and
+copies each array with ``tobytes``, the PLY colour block is filled one
+column at a time, and the store reader makes two reads per voxel.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import struct
 from dataclasses import fields, is_dataclass
 from typing import NamedTuple
 
@@ -73,8 +81,9 @@ from voxsplat.filtering import (
     project_splats,
     tile_rects,
 )
+from voxsplat.errors import PlySchemaError
 from voxsplat.metrics import EXTENT_SIGMAS, extent_boxes
-from voxsplat.scene import TILE_EDGE, tile_pixels
+from voxsplat.scene import TILE_EDGE, Scene, tile_pixels
 from voxsplat.scheduler import RowSchedule, TileVisits, _kahn, voxel_depths
 from voxsplat.sh import C0, C1, C2, C3, SH_COEFFS
 from voxsplat.streaming import StreamStats
@@ -89,6 +98,7 @@ from voxsplat.voxelstore import (
     COARSE_BYTES_PER_GAUSSIAN,
     ENCODED_FINE_BYTES,
     RAW_FINE_STREAM_BYTES,
+    FlatRecords,
 )
 from voxsplat.vq import ATTRIBUTES, nearest_indices
 
@@ -667,3 +677,69 @@ def extent_half_einsum(scene) -> np.ndarray:
     scales."""
     rot = quat_to_rotmat_row_major(scene.rotations)
     return EXTENT_SIGMAS * np.einsum("nij,nj->ni", np.abs(rot), scene.scales)
+
+
+def scene_fingerprint_sorting(scene) -> str:
+    """``scene_fingerprint`` with an argsort and a gather for every scene and
+    a ``tobytes`` copy of every array."""
+    h = hashlib.sha256()
+    order = np.argsort(scene.ids, kind="stable")
+    for arr in (
+        scene.ids[order],
+        scene.positions[order],
+        scene.scales[order],
+        scene.rotations[order],
+        scene.opacities[order],
+        scene.sh[order],
+    ):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+def scene_from_ply_per_column(data: np.ndarray, count: int) -> Scene:
+    """``_scene_from_ply`` filling the SH block one colour column at a time."""
+    pos = np.stack([data["x"], data["y"], data["z"]], axis=1).astype(np.float64)
+    scales = np.exp(np.stack([data[f"scale_{i}"] for i in range(3)], axis=1).astype(np.float64))
+    rots = np.stack([data[f"rot_{i}"] for i in range(4)], axis=1).astype(np.float64)
+    norms = np.linalg.norm(rots, axis=1)
+    if np.any(norms == 0):
+        raise PlySchemaError("zero-norm rotation quaternion")
+    rots /= norms[:, None]
+    opac = 1.0 / (1.0 + np.exp(-data["opacity"].astype(np.float64)))
+    sh = np.zeros((count, 16, 3), dtype=np.float64)
+    for c in range(3):
+        sh[:, 0, c] = data[f"f_dc_{c}"]
+        for j in range(15):
+            sh[:, 1 + j, c] = data[f"f_rest_{c * 15 + j}"]
+    return Scene(
+        positions=pos,
+        scales=scales,
+        rotations=rots,
+        opacities=opac,
+        sh=sh,
+        ids=np.arange(count, dtype=np.int64),
+    )
+
+
+def read_records_per_voxel(reader, nonempty: int) -> FlatRecords:
+    """``_read_records`` with a header read and a payload read per voxel."""
+    counts, coarse, fine, ids = [], [], [], []
+    for r in range(nonempty):
+        (count,) = struct.unpack("<I", reader.read(4, f"record header for voxel {r}"))
+        payload = memoryview(reader.read(4 * 61 * count, f"record payload for voxel {r}"))
+        counts.append(count)
+        coarse.append(payload[: 16 * count])
+        fine.append(payload[16 * count : 240 * count])
+        ids.append(payload[240 * count :])
+    coarse = np.frombuffer(b"".join(coarse), dtype="<f4").reshape(-1, 4)
+    fine = np.frombuffer(b"".join(fine), dtype="<f4").reshape(-1, 56)
+    return FlatRecords(
+        offsets=np.cumsum([0] + counts),
+        positions=coarse[:, :3].astype(np.float64),
+        max_scales=coarse[:, 3].astype(np.float64),
+        ids=np.frombuffer(b"".join(ids), dtype="<u4").astype(np.int64),
+        opacities=fine[:, 55].astype(np.float64),
+        scales=fine[:, 0:3].astype(np.float64),
+        rotations=fine[:, 3:7].astype(np.float64),
+        sh=fine[:, 7:55].astype(np.float64).reshape(-1, 16, 3),
+    )

@@ -232,6 +232,23 @@ def test_codebook_wider_than_its_index_exits_1_with_one_line(workspace, capsys, 
     assert err.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("entries, message", [
+    ("sh=500", "sh_rest codebook entry count 500 is not a power of two"),
+    ("scale=0", "scale codebook entry count 0 is not a power of two"),
+    ("foo", "bad entries item 'foo'"),
+])
+def test_bad_entries_exit_1_with_one_line_before_any_book_trains(workspace, capsys, entries,
+                                                                  message):
+    out = workspace / "odd.gsvq"
+    capsys.readouterr()
+    with mock.patch.object(voxsplat.vq, "kmeans_pp_init") as seeding:
+        assert _run(["train-codebook", "--voxels", workspace / "scene.gsvx", "--entries",
+                     entries, "--out", out]) == 1
+    seeding.assert_not_called()
+    assert capsys.readouterr().err == f"voxsplat: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_input_file_is_error(tmp_path, capsys):
     rc = _run(["build-voxels", "--scene", tmp_path / "nope.ply", "--out", tmp_path / "v.gsvx"])
     assert rc == 1

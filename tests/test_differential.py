@@ -10,6 +10,7 @@ for bit.
 """
 
 import warnings
+from dataclasses import fields
 from typing import NamedTuple
 from unittest import mock
 
@@ -20,8 +21,10 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 import voxsplat.filtering as filtering_mod
 import voxsplat.reference as reference_mod
+import voxsplat.scene as scene_mod
 import voxsplat.scheduler as scheduler_mod
 import voxsplat.streaming as streaming_mod
+import voxsplat.voxelstore as voxelstore_mod
 from voxsplat import (
     Aabb,
     Camera,
@@ -30,9 +33,13 @@ from voxsplat import (
     cbp_loss,
     cross_boundary_stats,
     generate_scene,
+    load_ply,
+    load_store,
     look_at_camera,
+    save_store,
     train_codebook,
 )
+from voxsplat.errors import PlySchemaError
 from voxsplat.blending import (
     ALPHA_CAP,
     ALPHA_MIN,
@@ -54,11 +61,11 @@ from voxsplat.filtering import (
 )
 from voxsplat.metrics import extent_boxes
 from voxsplat.reference import render_frame_reference
-from voxsplat.scene import TILE_EDGE, tile_pixels
+from voxsplat.scene import TILE_EDGE, scene_fingerprint, tile_pixels
 from voxsplat.scheduler import TileVisits, dependency_graph, schedule, traverse, voxel_depths
 from voxsplat.sh import evaluate_sh, sh_basis
 from voxsplat.streaming import render_frame_streaming, render_tile_streaming, tally
-from voxsplat.voxelstore import VoxelGrid, gather_attribute, stream_fine
+from voxsplat.voxelstore import FlatRecords, VoxelGrid, gather_attribute, stream_fine
 from voxsplat.vq import ATTRIBUTE_DIMS, ATTRIBUTES
 
 from conftest import constrained_scene, filter_voxel
@@ -1181,3 +1188,99 @@ def test_per_voxel_crossings_match_the_loop(seed, count, fraction, edge):
     assert out["per_voxel"] == per_voxel_crossings_loop(scene, grid)
     assert sum(out["per_voxel"].values()) == out["crossing"]
     assert all(isinstance(k, int) and isinstance(v, int) for k, v in out["per_voxel"].items())
+
+
+def _same_bytes(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _unit_splats(rng, n, ids, fortran):
+    """A valid scene of ``n`` random splats; ``fortran`` hands it
+    non-C-contiguous arrays, which it keeps as views."""
+    rotations = rng.normal(size=(n, 4))
+    rotations /= np.linalg.norm(rotations, axis=1, keepdims=True)
+    positions, sh = rng.normal(size=(n, 3)), rng.normal(size=(n, 16, 3))
+    if fortran:
+        positions, sh = np.asfortranarray(positions), np.asfortranarray(sh)
+    return Scene(positions=positions, scales=rng.uniform(0.1, 1.0, (n, 3)), rotations=rotations,
+                 opacities=rng.uniform(0.0, 1.0, n), sh=sh, ids=ids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 30), seed=st.integers(0, 2**32 - 1), fortran=st.booleans(),
+       kind=st.sampled_from(["ascending", "shuffled", "duplicated", "sorted duplicates"]))
+@example(n=0, seed=0, fortran=False, kind="ascending")
+@example(n=1, seed=0, fortran=True, kind="shuffled")
+def test_fingerprint_matches_the_sorting_oracle(n, seed, fortran, kind):
+    rng = np.random.default_rng(seed)
+    if kind in ("ascending", "shuffled"):
+        ids = np.cumsum(rng.integers(1, 2**20, n)) - 2**19
+        if kind == "shuffled":
+            ids = rng.permutation(ids)
+    else:
+        ids = rng.integers(-3, 4, n)
+        if kind == "sorted duplicates":  # a stable sort of these leaves them in place
+            ids = np.sort(ids)
+    scene = _unit_splats(rng, n, ids, fortran)
+    assert scene_fingerprint(scene) == oracles.scene_fingerprint_sorting(scene)
+
+
+_PLY_KINDS = {"float": "<f4", "double": "<f8", "uchar": "<u1", "short": "<i2"}
+
+
+def _mixed_ply(path, rng, count) -> None:
+    """A PLY with the required properties plus normals and a colour, in
+    shuffled order and of mixed types."""
+    names = rng.permutation(list(scene_mod._REQUIRED_PROPS) + ["nx", "ny", "nz", "red"])
+    kinds = rng.choice(list(_PLY_KINDS), size=len(names))
+    data = np.zeros(count, dtype=[(nm, _PLY_KINDS[k]) for nm, k in zip(names, kinds)])
+    for nm, k in zip(names, kinds):
+        data[nm] = {"uchar": rng.integers(0, 4, count), "short": rng.integers(-3, 4, count)}.get(
+            k, rng.normal(size=count))
+    header = "".join(f"property {k} {nm}\n" for nm, k in zip(names, kinds))
+    path.write_bytes(f"ply\nformat binary_little_endian 1.0\nelement vertex {count}\n{header}"
+                     "end_header\n".encode() + data.tobytes())
+
+
+def _load_ply_or_message(path):
+    try:
+        return load_ply(path)
+    except PlySchemaError as exc:  # e.g. an all-zero integer quaternion
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 40))
+def test_ply_colour_block_matches_the_per_column_oracle(tmp_path_factory, seed, count):
+    path = tmp_path_factory.mktemp("ply") / "mixed.ply"
+    _mixed_ply(path, np.random.default_rng(seed), count)
+    got = _load_ply_or_message(path)
+    with mock.patch.object(scene_mod, "_scene_from_ply", oracles.scene_from_ply_per_column):
+        want = _load_ply_or_message(path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name in ("positions", "scales", "rotations", "opacities", "sh", "ids"):
+        assert _same_bytes(getattr(got, name), getattr(want, name)), name
+    assert _same_bytes(got.bounds.lo, want.bounds.lo) and _same_bytes(got.bounds.hi, want.bounds.hi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), count=st.integers(0, 300),
+       edge=st.sampled_from([1.0, 2.0, 8.0]), tail=st.binary(max_size=8))
+def test_one_read_store_reader_matches_two_reads_per_voxel(tmp_path_factory, seed, count, edge,
+                                                           tail):
+    rng = np.random.default_rng(seed)
+    path = tmp_path_factory.mktemp("store") / "scene.gsvx"
+    save_store(VoxelStore.build(_unit_splats(rng, count, rng.permutation(count), False), edge),
+               path)
+    with open(path, "ab") as f:  # bytes past the last block are never read as records
+        f.write(tail)
+    got = load_store(path)
+    with mock.patch.object(voxelstore_mod, "_read_records", oracles.read_records_per_voxel):
+        want = load_store(path)
+    for field in fields(FlatRecords):
+        a, b = getattr(got.records, field.name), getattr(want.records, field.name)
+        assert (a is None and b is None) or _same_bytes(a, b), field.name
+    assert got.scene_hash == want.scene_hash
+    assert _same_bytes(got.grid.vids, want.grid.vids)

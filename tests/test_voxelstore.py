@@ -1,10 +1,14 @@
 import hashlib
 import struct
 import warnings
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import oracles
+import voxsplat.voxelstore as voxelstore_mod
 from voxsplat import Aabb, Scene, TrafficLedger, VoxelStore, build_grid, generate_scene
 from voxsplat.errors import CodebookCorruptionError, StoreFormatError
 from voxsplat.voxelstore import (
@@ -196,6 +200,9 @@ def test_store_file_round_trip(tmp_path):
     # loading is a fixed point at float32
     save_store(back, tmp_path / "again.gsvx")
     assert (tmp_path / "again.gsvx").read_bytes() == path.read_bytes()
+    # the hash covers the values held: float64 when built, float32 once loaded
+    assert back.scene_hash != store.scene_hash
+    assert load_store(tmp_path / "again.gsvx").scene_hash == back.scene_hash
 
 
 def test_store_file_bytes_are_pinned(tmp_path):
@@ -257,8 +264,30 @@ def test_every_truncation_of_a_store_file_is_a_format_error(tmp_path):
     cut = tmp_path / "cut.gsvx"
     for size in range(len(data)):
         cut.write_bytes(data[:size])
-        with pytest.raises(StoreFormatError):
+        with pytest.raises(StoreFormatError) as got:
             load_store(cut)
+        # the one-read reader names the same part and voxel as two reads per voxel
+        with mock.patch.object(voxelstore_mod, "_read_records", oracles.read_records_per_voxel):
+            with pytest.raises(StoreFormatError) as want:
+                load_store(cut)
+        assert str(got.value) == str(want.value), size
+
+
+@pytest.mark.parametrize("ids, first_bad", [
+    ([2**32 + 7, 5, -1, 2**32], -1),
+    ([6, 2**32 + 7, 5, 2**32], 2**32),  # one voxel: records go in id order
+])
+def test_save_refuses_ids_outside_the_u4_field_before_opening_the_file(tmp_path, ids, first_bad):
+    n = 4
+    scene = Scene(positions=np.zeros((n, 3)), scales=np.full((n, 3), 0.1),
+                  rotations=np.tile([1.0, 0, 0, 0], (n, 1)), opacities=np.full(n, 0.5),
+                  sh=np.zeros((n, 16, 3)), ids=ids)
+    path = tmp_path / "wide.gsvx"
+    with pytest.raises(ValueError, match=rf"^splat id {first_bad} does not fit"):
+        save_store(VoxelStore.build(scene, 2.0), path)
+    assert not path.exists()
+    save_store(VoxelStore.build(replace(scene, ids=[2**32 - 1, 5, 0, 2**31]), 2.0), path)
+    assert load_store(path).records.ids.tolist() == [0, 5, 2**31, 2**32 - 1]
 
 
 @pytest.mark.parametrize("attribute, field", [

@@ -90,6 +90,15 @@ def test_entry_count_must_be_power_of_two():
         Codebook(attribute="scale", entries=np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("k", [0, 500, 2**13 + 1])
+def test_train_codebook_checks_the_power_of_two_before_seeding(k):
+    vectors = np.random.default_rng(4).normal(size=(600, 45))
+    with mock.patch.object(vq, "kmeans_pp_init") as seeding:
+        with pytest.raises(ValueError, match=f"sh_rest codebook entry count {k} is not a power"):
+            train_codebook(vectors, k, attribute="sh_rest")
+    seeding.assert_not_called()
+
+
 def test_rotation_centroids_renormalized():
     vectors = np.random.default_rng(3).normal(size=(50, 4)) * 2.0
     book = train_codebook(vectors, 4, seed=3, attribute="rotation")
