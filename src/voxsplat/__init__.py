@@ -21,7 +21,6 @@ from .scene import (
     load_ply,
     look_at_camera,
     save_ply,
-    scene_fingerprint,
 )
 from .scheduler import schedule, traverse
 from .sh import evaluate_sh

@@ -8,7 +8,6 @@ coefficients (16 per channel, degree 3).  Scales are kept linear in memory
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -107,19 +106,6 @@ class Scene:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-
-def scene_fingerprint(scene: Scene) -> str:
-    """Order-stable content hash used to guard cross-pipeline comparisons:
-    the arrays' bytes in (stable) id order."""
-    h = hashlib.sha256()
-    arrays = (scene.ids, scene.positions, scene.scales, scene.rotations, scene.opacities, scene.sh)
-    if not np.all(scene.ids[1:] >= scene.ids[:-1]):  # sorted ids are their own stable order
-        order = np.argsort(scene.ids, kind="stable")
-        arrays = [arr[order] for arr in arrays]
-    for arr in arrays:
-        h.update(np.ascontiguousarray(arr))
-    return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,15 +10,15 @@ from the second half (everything else, raw or codebook-encoded).
 
 from __future__ import annotations
 
+import hashlib
 import math
-import os
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CodebookCorruptionError, StoreFormatError
-from .scene import Scene, scene_fingerprint
+from .scene import Scene
 from .vq import ATTRIBUTE_DIMS, ATTRIBUTES, Codebook, nearest_indices
 
 COARSE_BYTES_PER_GAUSSIAN = 16  # 4 params x float32
@@ -33,7 +33,10 @@ PACKED_INDEX_BITS = 12 + 12 + 12 + 9 + 32  # bit-exact alternative packing
 MAX_GRID_CELLS = 1 << 24
 
 _MAGIC = b"GSVX"
-_VERSION = 1
+_VERSION = 2
+_HEADER_BYTES = 55  # magic, version, kind, edge, origin, dims, non-empty count
+_BYTES_PER_SPLAT = 4 * (4 + 56 + 1)  # coarse, fine and id blocks
+_DIGEST_BYTES = 32
 
 
 @dataclass
@@ -286,25 +289,40 @@ def _scene(records: FlatRecords, order) -> Scene:
 
 @dataclass
 class VoxelStore:
-    """Grid + records + the fingerprint of the scene they came from.
+    """Grid + records + the sha256 of the store file they make.
 
-    ``scene_hash`` covers the scene's values as held: ``build`` hashes the
-    float64 scene, ``load_store`` the float32 values the file kept, so a
-    save/load round trip changes it once and never again."""
+    ``digest`` is the sha256 that ends the store's GSVX file, and
+    ``scene_hash`` its first 16 hex digits.  ``load_store`` takes it from the
+    file it verified; a built store computes it from the bytes ``save_store``
+    would write, on first use, so a built store, its saved file and the
+    store loaded back share one ``scene_hash``."""
 
     grid: VoxelGrid
     records: FlatRecords
-    scene_hash: str
+    digest: bytes | None = None
+
+    @property
+    def scene_hash(self) -> str:
+        return self._digest().hex()[:16]
+
+    def _digest(self) -> bytes:
+        if self.digest is None:
+            h = hashlib.sha256()
+            for block in _file_blocks(self):
+                h.update(block)
+            self.digest = h.digest()
+        return self.digest
 
     @classmethod
     def build(cls, scene: Scene, edge: float) -> "VoxelStore":
         grid, records = build_grid(scene, edge)
-        return cls(grid=grid, records=records, scene_hash=scene_fingerprint(scene))
+        return cls(grid=grid, records=records)
 
     def encode(self, books: dict[str, Codebook]) -> "VoxelStore":
-        return VoxelStore(
-            grid=self.grid, records=encode_records(self.records, books), scene_hash=self.scene_hash
-        )
+        # taken from the raw records: encoded ones make no store file
+        digest = self._digest()
+        return VoxelStore(grid=self.grid, records=encode_records(self.records, books),
+                          digest=digest)
 
     def occupancy(self) -> dict:
         counts = np.diff(self.records.offsets)
@@ -317,76 +335,96 @@ class VoxelStore:
         }
 
 
-def save_store(store: VoxelStore, path) -> None:
-    """GSVX file: header, renaming table, then raw per-voxel blocks."""
+def _file_blocks(store: VoxelStore) -> list:
+    """The bytes of a GSVX file before its digest, block by block."""
     grid, records = store.grid, store.records
     if records.encoded:
         raise ValueError("store files hold raw second halves; encode at load time")
     bad = np.flatnonzero((records.ids < 0) | (records.ids >= 2**32))
-    if len(bad):  # before the file opens, so no partial file is left
+    if len(bad):
         raise ValueError(f"splat id {records.ids[bad[0]]} does not fit a store file's u4 id")
-    coarse = np.concatenate([records.positions, records.max_scales[:, None]], axis=1, dtype="<f4")
-    fine = np.concatenate(
-        [records.scales, records.rotations, records.sh.reshape(-1, 48), records.opacities[:, None]],
-        axis=1,
-        dtype="<f4",
-    )
-    ids = records.ids.astype("<u4")
+    header = _MAGIC + struct.pack("<HBd3d3II", _VERSION, 0, grid.edge, *grid.origin.tolist(),
+                                  *grid.dims.tolist(), grid.nonempty_count)
+    return [
+        header,
+        grid.vids.astype("<u4"),
+        np.diff(records.offsets).astype("<u4"),
+        np.concatenate([records.positions, records.max_scales[:, None]], axis=1, dtype="<f4"),
+        np.concatenate([records.scales, records.rotations, records.sh.reshape(-1, 48),
+                        records.opacities[:, None]], axis=1, dtype="<f4"),
+        records.ids.astype("<u4"),
+    ]
+
+
+def save_store(store: VoxelStore, path) -> None:
+    """GSVX file: header, renaming table, per-voxel counts, the coarse, fine
+    and id blocks of every splat, then the sha256 of all bytes before it,
+    which becomes ``store.digest``."""
+    blocks = _file_blocks(store)  # before the file opens, so no partial file is left
+    h = hashlib.sha256()
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<HB", _VERSION, 0))  # fine-block kind 0 = raw
-        f.write(struct.pack("<d", grid.edge))
-        f.write(np.asarray(grid.origin, dtype="<f8").tobytes())
-        f.write(np.asarray(grid.dims, dtype="<u4").tobytes())
-        f.write(struct.pack("<I", grid.nonempty_count))
-        f.write(grid.vids.astype("<u4").tobytes())
-        offsets = records.offsets.tolist()
-        for start, stop in zip(offsets, offsets[1:]):  # one block per voxel
-            f.write(struct.pack("<I", stop - start))
-            f.write(coarse[start:stop].tobytes())
-            f.write(fine[start:stop].tobytes())
-            f.write(ids[start:stop].tobytes())
-
-
-class _StoreReader:
-    """Reads a store file without asking for more bytes than are left, so a
-    size taken from a header can never trigger a huge allocation."""
-
-    def __init__(self, f):
-        self.f = f
-        self.left = os.fstat(f.fileno()).st_size - f.tell()
-
-    def read(self, size: int, what: str) -> bytes:
-        if size > self.left:
-            raise StoreFormatError(f"truncated {what}")
-        self.left -= size
-        return self.f.read(size)
+        for block in blocks:
+            h.update(block)
+            f.write(block)
+        f.write(h.digest())
+    store.digest = h.digest()
 
 
 def load_store(path) -> VoxelStore:
+    """Read a GSVX file in one read, check its length and digest, then its
+    grid and values; any fault is one ``StoreFormatError``."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[:4] != _MAGIC:
+        raise StoreFormatError("bad voxel-store magic bytes")
+    if len(data) < _HEADER_BYTES:
+        raise StoreFormatError("truncated voxel-store header")
+    version, kind, edge, *rest = struct.unpack_from("<HBd3d3II", data, 4)
+    if version == 1:
+        raise StoreFormatError(
+            "voxel-store version 1 is no longer read; rebuild it with voxsplat build-voxels"
+        )
+    if version != _VERSION or kind != 0:
+        raise StoreFormatError(f"unsupported store version {version} / kind {kind}")
+    origin, dims, nonempty = rest[:3], rest[3:6], rest[6]
+    cells = math.prod(dims)
+    if nonempty > cells:
+        raise StoreFormatError(f"{nonempty} non-empty voxels in a grid of {cells} cells")
+    blocks = _HEADER_BYTES + 8 * nonempty
+    if len(data) < blocks + _DIGEST_BYTES:
+        raise StoreFormatError(f"truncated voxel store: {len(data)} bytes where its header "
+                               f"gives at least {blocks + _DIGEST_BYTES}")
+    counts = np.frombuffer(data, "<u4", nonempty, _HEADER_BYTES + 4 * nonempty)
+    n = int(counts.sum(dtype=np.uint64))
+    size = blocks + _BYTES_PER_SPLAT * n + _DIGEST_BYTES
+    if len(data) != size:
+        what = "truncated" if len(data) < size else "bytes past the end of the"
+        raise StoreFormatError(
+            f"{what} voxel store: {len(data)} bytes where its counts give {size}"
+        )
+    digest = data[-_DIGEST_BYTES:]
+    if hashlib.sha256(memoryview(data)[:-_DIGEST_BYTES]).digest() != digest:
+        raise StoreFormatError("voxel-store digest mismatch: the file is corrupt")
+    try:
+        grid = VoxelGrid(origin=origin, edge=edge, dims=dims,
+                         vids=np.frombuffer(data, "<u4", nonempty, _HEADER_BYTES))
+    except ValueError as exc:
+        raise StoreFormatError(f"bad voxel-store header: {exc}") from None
+    coarse = np.frombuffer(data, "<f4", 4 * n, blocks).reshape(n, 4)
+    fine = np.frombuffer(data, "<f4", 56 * n, blocks + 16 * n).reshape(n, 56)
     # a signalling NaN in the payload would warn in the float32 -> float64
     # casts; the checks below and Scene reject it with one StoreFormatError
-    with open(path, "rb") as f, np.errstate(invalid="ignore"):
-        if f.read(4) != _MAGIC:
-            raise StoreFormatError("bad voxel-store magic bytes")
-        reader = _StoreReader(f)
-        version, kind = struct.unpack("<HB", reader.read(3, "voxel-store header"))
-        if version != _VERSION or kind != 0:
-            raise StoreFormatError(f"unsupported store version {version} / kind {kind}")
-        (edge,) = struct.unpack("<d", reader.read(8, "voxel-store header"))
-        origin = np.frombuffer(reader.read(24, "voxel-store header"), dtype="<f8").copy()
-        dims = np.frombuffer(reader.read(12, "voxel-store header"), dtype="<u4")
-        dims = dims.astype(np.int64)
-        (nonempty,) = struct.unpack("<I", reader.read(4, "voxel-store header"))
-        cells = math.prod(int(d) for d in dims)
-        if nonempty > cells:
-            raise StoreFormatError(f"{nonempty} non-empty voxels in a grid of {cells} cells")
-        vids = np.frombuffer(reader.read(4 * nonempty, "voxel renaming table"), dtype="<u4")
-        try:
-            grid = VoxelGrid(origin=origin, edge=edge, dims=dims, vids=vids)
-        except ValueError as exc:
-            raise StoreFormatError(f"bad voxel-store header: {exc}") from None
-        records = _read_records(reader, nonempty)
+    with np.errstate(invalid="ignore"):
+        records = FlatRecords(
+            offsets=np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]),
+            positions=coarse[:, :3].astype(np.float64),
+            max_scales=coarse[:, 3].astype(np.float64),
+            ids=np.frombuffer(data, "<u4", n, blocks + 240 * n).astype(np.int64),
+            opacities=fine[:, 55].astype(np.float64),
+            scales=fine[:, 0:3].astype(np.float64),
+            rotations=fine[:, 3:7].astype(np.float64),
+            sh=fine[:, 7:55].astype(np.float64).reshape(-1, 16, 3),
+        )
     # float32 rounding is monotone, so a saved store's coarse half is exactly
     # the max of its scales; NaN never compares equal
     bad = np.flatnonzero(records.max_scales != records.scales.max(axis=1))
@@ -396,39 +434,7 @@ def load_store(path) -> VoxelStore:
             f"voxel {r}: a coarse max scale is not the largest of its splat's scales"
         )
     try:
-        # voxel order: the fingerprint sorts by id itself
-        scene = _scene(records, slice(None))
+        _scene(records, slice(None))
     except ValueError as exc:
         raise StoreFormatError(f"invalid splat values: {exc}") from None
-    return VoxelStore(grid=grid, records=records, scene_hash=scene_fingerprint(scene))
-
-
-def _read_records(reader: _StoreReader, nonempty: int) -> FlatRecords:
-    """The per-voxel blocks of a store file, cast into flat float64 arrays."""
-    # one read, sized by the bytes the file has left rather than by any header
-    data = memoryview(reader.read(reader.left, "record blocks"))
-    counts, coarse, fine, ids = [], [], [], []
-    stop = 0
-    for r in range(nonempty):
-        if stop + 4 > len(data):
-            raise StoreFormatError(f"truncated record header for voxel {r}")
-        (count,) = struct.unpack_from("<I", data, stop)
-        start, stop = stop + 4, stop + 4 + 4 * 61 * count
-        if stop > len(data):
-            raise StoreFormatError(f"truncated record payload for voxel {r}")
-        counts.append(count)
-        coarse.append(data[start : start + 16 * count])
-        fine.append(data[start + 16 * count : start + 240 * count])
-        ids.append(data[start + 240 * count : stop])
-    coarse = np.frombuffer(b"".join(coarse), dtype="<f4").reshape(-1, 4)
-    fine = np.frombuffer(b"".join(fine), dtype="<f4").reshape(-1, 56)
-    return FlatRecords(
-        offsets=np.cumsum([0] + counts),
-        positions=coarse[:, :3].astype(np.float64),
-        max_scales=coarse[:, 3].astype(np.float64),
-        ids=np.frombuffer(b"".join(ids), dtype="<u4").astype(np.int64),
-        opacities=fine[:, 55].astype(np.float64),
-        scales=fine[:, 0:3].astype(np.float64),
-        rotations=fine[:, 3:7].astype(np.float64),
-        sh=fine[:, 7:55].astype(np.float64).reshape(-1, 16, 3),
-    )
+    return VoxelStore(grid=grid, records=records, digest=digest)

@@ -51,11 +51,14 @@ entry by entry: row-major (n, rows, cols) matrices multiplied by
 ``einsum`` picks that order from the operands' memory layout, so these
 oracles must keep the row-major layout they were written for.
 
-``scene_fingerprint_sorting``, ``scene_from_ply_per_column`` and
-``read_records_per_voxel`` are the set-up steps as they stood before their
-redundant copies went: the fingerprint argsorts and gathers every scene and
-copies each array with ``tobytes``, the PLY colour block is filled one
-column at a time, and the store reader makes two reads per voxel.
+``scene_from_ply_per_column`` is the PLY loader's colour block filled one
+column at a time, as it stood before one cast filled it.
+
+``scene_fingerprint`` is the hash of a scene's values in id order that the
+package stamped on ledgers before a store's ``scene_hash`` became its file
+digest; tests use it for a hash string and to pin ``generate_scene``.
+``save_store_v1`` writes store version 1, one block per voxel, and
+``store_v1_blocks`` splits such a file into its parts.
 """
 
 from __future__ import annotations
@@ -98,7 +101,6 @@ from voxsplat.voxelstore import (
     COARSE_BYTES_PER_GAUSSIAN,
     ENCODED_FINE_BYTES,
     RAW_FINE_STREAM_BYTES,
-    FlatRecords,
 )
 from voxsplat.vq import ATTRIBUTES, nearest_indices
 
@@ -679,20 +681,16 @@ def extent_half_einsum(scene) -> np.ndarray:
     return EXTENT_SIGMAS * np.einsum("nij,nj->ni", np.abs(rot), scene.scales)
 
 
-def scene_fingerprint_sorting(scene) -> str:
-    """``scene_fingerprint`` with an argsort and a gather for every scene and
-    a ``tobytes`` copy of every array."""
+def scene_fingerprint(scene) -> str:
+    """Order-stable content hash used to guard cross-pipeline comparisons:
+    the arrays' bytes in (stable) id order."""
     h = hashlib.sha256()
-    order = np.argsort(scene.ids, kind="stable")
-    for arr in (
-        scene.ids[order],
-        scene.positions[order],
-        scene.scales[order],
-        scene.rotations[order],
-        scene.opacities[order],
-        scene.sh[order],
-    ):
-        h.update(np.ascontiguousarray(arr).tobytes())
+    arrays = (scene.ids, scene.positions, scene.scales, scene.rotations, scene.opacities, scene.sh)
+    if not np.all(scene.ids[1:] >= scene.ids[:-1]):  # sorted ids are their own stable order
+        order = np.argsort(scene.ids, kind="stable")
+        arrays = [arr[order] for arr in arrays]
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr))
     return h.hexdigest()[:16]
 
 
@@ -721,25 +719,45 @@ def scene_from_ply_per_column(data: np.ndarray, count: int) -> Scene:
     )
 
 
-def read_records_per_voxel(reader, nonempty: int) -> FlatRecords:
-    """``_read_records`` with a header read and a payload read per voxel."""
-    counts, coarse, fine, ids = [], [], [], []
-    for r in range(nonempty):
-        (count,) = struct.unpack("<I", reader.read(4, f"record header for voxel {r}"))
-        payload = memoryview(reader.read(4 * 61 * count, f"record payload for voxel {r}"))
-        counts.append(count)
-        coarse.append(payload[: 16 * count])
-        fine.append(payload[16 * count : 240 * count])
-        ids.append(payload[240 * count :])
-    coarse = np.frombuffer(b"".join(coarse), dtype="<f4").reshape(-1, 4)
-    fine = np.frombuffer(b"".join(fine), dtype="<f4").reshape(-1, 56)
-    return FlatRecords(
-        offsets=np.cumsum([0] + counts),
-        positions=coarse[:, :3].astype(np.float64),
-        max_scales=coarse[:, 3].astype(np.float64),
-        ids=np.frombuffer(b"".join(ids), dtype="<u4").astype(np.int64),
-        opacities=fine[:, 55].astype(np.float64),
-        scales=fine[:, 0:3].astype(np.float64),
-        rotations=fine[:, 3:7].astype(np.float64),
-        sh=fine[:, 7:55].astype(np.float64).reshape(-1, 16, 3),
+def save_store_v1(store, path) -> None:
+    """``save_store`` as it stood at store version 1: header, renaming table,
+    then per voxel a count and its coarse, fine and id blocks; no digest."""
+    grid, records = store.grid, store.records
+    coarse = np.concatenate([records.positions, records.max_scales[:, None]], axis=1, dtype="<f4")
+    fine = np.concatenate(
+        [records.scales, records.rotations, records.sh.reshape(-1, 48), records.opacities[:, None]],
+        axis=1,
+        dtype="<f4",
     )
+    ids = records.ids.astype("<u4")
+    with open(path, "wb") as f:
+        f.write(b"GSVX")
+        f.write(struct.pack("<HB", 1, 0))  # fine-block kind 0 = raw
+        f.write(struct.pack("<d", grid.edge))
+        f.write(np.asarray(grid.origin, dtype="<f8").tobytes())
+        f.write(np.asarray(grid.dims, dtype="<u4").tobytes())
+        f.write(struct.pack("<I", grid.nonempty_count))
+        f.write(grid.vids.astype("<u4").tobytes())
+        offsets = records.offsets.tolist()
+        for start, stop in zip(offsets, offsets[1:]):  # one block per voxel
+            f.write(struct.pack("<I", stop - start))
+            f.write(coarse[start:stop].tobytes())
+            f.write(fine[start:stop].tobytes())
+            f.write(ids[start:stop].tobytes())
+
+
+def store_v1_blocks(data: bytes) -> tuple[bytes, ...]:
+    """A version-1 store file's header with its renaming table, then its
+    per-voxel counts, coarse, fine and id blocks, each joined over the
+    voxels in file order."""
+    (nonempty,) = struct.unpack_from("<I", data, 51)
+    at = 55 + 4 * nonempty
+    parts = ([], [], [], [])
+    for _ in range(nonempty):
+        (count,) = struct.unpack_from("<I", data, at)
+        for part, size in zip(parts, (4, 16 * count, 224 * count, 4 * count)):
+            part.append(data[at : at + size])
+            at += size
+    if at != len(data):
+        raise ValueError(f"{len(data) - at} bytes after the last voxel block")
+    return data[: 55 + 4 * nonempty], *(b"".join(part) for part in parts)

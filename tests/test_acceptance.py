@@ -25,14 +25,13 @@ from voxsplat import (
     traffic_breakdown,
 )
 from voxsplat.filtering import tile_rects
-from voxsplat.scene import scene_fingerprint
 from voxsplat.scheduler import schedule, traverse, voxel_depths
 from voxsplat.traffic import INTERMEDIATE_STAGES, counts_from_stats
 from voxsplat.voxelstore import encode_records, gather_attribute
 from voxsplat.vq import DEFAULT_ENTRIES, train_codebook
 
 from conftest import constrained_scene, filter_voxel
-from oracles import depth_table, rows_of, visits_of
+from oracles import depth_table, rows_of, scene_fingerprint, visits_of
 
 SEEDS = tuple(range(20))
 ORACLE_CAMERA = dict(eye=[0.0, 0.0, -10.0], target=[0.0, 0.0, 0.0], focal=300.0)

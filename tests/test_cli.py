@@ -33,7 +33,7 @@ from voxsplat.errors import CodebookCorruptionError
 from voxsplat.scheduler import dependency_graph, traverse
 
 from conftest import (double_ply, leave_rows_to_workers, leaves_no_process_or_thread, read_png,
-                      usable_cpus)
+                      restamp, usable_cpus)
 
 
 def _run(argv, capsys=None):
@@ -86,11 +86,13 @@ def test_compare_without_books_hits_oracle_floor(workspace):
 
 
 def test_render_modes_write_images_and_stats(workspace):
-    """Both modes stamp the store's scene hash; the stats files' digests were
-    taken when the reference renderer still hashed the scene itself."""
+    """Both modes stamp the store's scene hash.  The stats files' digests
+    were re-taken when ``scene_hash`` became the store file's digest; with
+    the hash blanked, each file is byte-identical to the one pinned when the
+    reference renderer still hashed the scene itself."""
     digests = {
-        "streaming": "fbe6f2f7256bcb2a07cb93ec7ae45bf36c883823a81b542586f4379dfe3a21f0",
-        "reference": "09c860b65509cdea598070c7a1ba8a5b82bac3802691f9c13658c4074b46dffa",
+        "streaming": "9514e05640e620d8b4fc7b76b14f174c21d7eb2cf0e2ff50971e2eaa4f832db2",
+        "reference": "7df3b0f688b9aca12347f47cb6a473482c97af1a8ea6746c9a9b5be9d3057ce3",
     }
     scene_hash = load_store(workspace / "scene.gsvx").scene_hash
     for mode in ("streaming", "reference"):
@@ -123,14 +125,14 @@ def test_render_modes_write_images_and_stats(workspace):
         "stream-1": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
         "stream-2": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
         "reference": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
-        "report": "ec51ef7715091ff5d687c3bda4e63479c613b9d4be953005ae71fa7a8a086b40",
+        "report": "e3866df82e89db8e9f1565739e2970e55915cadd95f6a72952bce7aa48cdbb33",
         "csv": "7268337ab613135f4edb47d01b23cb329eecd77fe9ba109249c1ab542598613d",
     }),
     (["--count", 500, "--seed", 1, "--extent-fraction", "1.0"], {
         "stream-1": "a65af20f81316080e2a2a4028e93e574f3e9fab2ebd15f61dac31df3c1a6c964",
         "stream-2": "a65af20f81316080e2a2a4028e93e574f3e9fab2ebd15f61dac31df3c1a6c964",
         "reference": "f60a339924c96114a3b8c6d03177c6b438edb649e6c2980091674d8c87d2f338",
-        "report": "8795b698b1190273a51cfc6f7b342ae97fa990d05340b0a25fa5edfa7ba33226",
+        "report": "577d4aeee47c8a0bbf037b91a74d6c968b4109d7c4dad4a568162184dfd92f76",
         "csv": "7a2420d9c6ab7f8cc216816b5c4c956a468b0c93a24d717d3d6b3d0a7193a229",
     }),
 ])
@@ -138,7 +140,10 @@ def test_frames_and_compare_report_keep_their_pinned_bits(tmp_path, flags, diges
     """Digests taken while ``blend`` still read gathered copies of the
     projection: the float32 frames of both renderers and the bytes of the
     ``compare`` report, whose depth-order penalty comes from blend traces.
-    The unconstrained scene blends out of depth order in tiles and pixels."""
+    The report digests were re-taken when ``scene_hash`` became the store
+    file's digest; with the two hashes blanked, the report is byte-identical
+    to the one pinned before.  The unconstrained scene blends out of depth
+    order in tiles and pixels."""
     scene, cam, store = tmp_path / "scene.ply", tmp_path / "cam.json", tmp_path / "scene.gsvx"
     report, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
     assert _run(["gen-scene", *flags, "--out", scene, "--camera-out", cam]) == 0
@@ -154,6 +159,8 @@ def test_frames_and_compare_report_keep_their_pinned_bits(tmp_path, flags, diges
     got["report"] = hashlib.sha256(report.read_bytes()).hexdigest()
     got["csv"] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
     assert got == digests
+    stages = json.loads(report.read_text())["stages"]
+    assert stages["stream"]["scene_hash"] == stages["reference"]["scene_hash"] == loaded.scene_hash
     penalty = json.loads(report.read_text())["depth_order_penalty"]
     assert (penalty["per_tile_trace"] > 0) == ("--constrained" not in flags)
     assert (penalty["per_pixel_trace"] > 0) == ("--constrained" not in flags)
@@ -290,7 +297,8 @@ def test_store_header_with_a_huge_grid_exits_1_with_one_line(workspace, capsys):
     bad = workspace / "huge.gsvx"
     good = (workspace / "scene.gsvx").read_bytes()
     # magic, version and kind (7 B), edge (8 B), origin (24 B), then the dims
-    bad.write_bytes(good[:39] + np.array([4000, 4000, 4000], dtype="<u4").tobytes() + good[51:])
+    bad.write_bytes(restamp(good[:39] + np.array([4000, 4000, 4000], dtype="<u4").tobytes()
+                            + good[51:]))
     argv = ["render", "--mode", "streaming", "--voxels", bad,
             "--camera", workspace / "cam.json", "--out", workspace / "never.png"]
     capsys.readouterr()
@@ -571,12 +579,12 @@ def test_signalling_nan_in_a_store_exits_1_with_one_line(workspace):
     """Run as its own process, so numpy's warnings reach stderr unfiltered."""
     data = bytearray((workspace / "scene.gsvx").read_bytes())
     nonempty = struct.unpack("<I", data[51:55])[0]
-    count = struct.unpack("<I", data[55 + 4 * nonempty : 59 + 4 * nonempty])[0]
-    # the first splat's first higher-order SH value, in its fine half
-    offset = 59 + 4 * nonempty + 16 * count + 4 * 10
+    count = (len(data) - 55 - 8 * nonempty - 32) // 244
+    # the first splat's first higher-order SH value, in the fine block
+    offset = 55 + 8 * nonempty + 16 * count + 4 * 10
     data[offset : offset + 4] = np.array([0x7FA00000], dtype="<u4").tobytes()
     bad = workspace / "snan.gsvx"
-    bad.write_bytes(bytes(data))
+    bad.write_bytes(restamp(data))
     src = str(Path(voxsplat.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(

@@ -40,7 +40,7 @@ from voxsplat.scene import FOCAL_RANGE, PRINCIPAL_POINT_RANGE, TRANSLATION_RANGE
 from voxsplat.voxelstore import gather_attribute
 from voxsplat.vq import ATTRIBUTES
 
-from conftest import double_ply
+from conftest import double_ply, restamp
 
 LOADERS = {"ply": load_ply, "gsvx": load_store, "gsvq": load_codebooks}
 NAN = np.array([np.nan], dtype="<f4").tobytes()
@@ -112,15 +112,37 @@ def test_mutated_and_truncated_files_raise_only_voxsplat_errors(files, compare_a
             del data[at]
     if cut is not None:
         data = data[: int(cut * len(data))]
-    try:
-        _load(kind, path, data)
-    except VoxsplatError:
-        return
-    if kind == "gsvx":
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main([*compare_argv, "--voxels", str(path)])
-        assert code == 0 or (code == 1 and err.getvalue().count("\n") == 1), err.getvalue()
+    # a store's digest catches the edit; re-stamped, the edit meets the checks behind it
+    for variant in [data, restamp(data)] if kind == "gsvx" and len(data) >= 32 else [data]:
+        try:
+            _load(kind, path, variant)
+        except VoxsplatError:
+            continue
+        if kind == "gsvx":
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([*compare_argv, "--voxels", str(path)])
+            assert code == 0 or (code == 1 and err.getvalue().count("\n") == 1), err.getvalue()
+
+
+def test_hostile_store_bytes_give_one_format_error_and_one_compare_line(files, compare_argv,
+                                                                        capsys):
+    """Every truncation, every appended suffix of 1-8 bytes, a second store
+    appended and every single-byte flip of a small store: one
+    ``StoreFormatError``, and through ``compare`` one line with exit 1."""
+    valid, path, _ = files
+    data = valid["gsvx"]
+    hostile = [data[:size] for size in range(len(data))]
+    hostile += [data + tail[:size] for size in range(1, 9)
+                for tail in (bytes(8), b"\xff" * 8, data)]
+    hostile.append(data + data)
+    hostile += [data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1 :] for at in range(len(data))]
+    for bad in hostile:
+        with pytest.raises(StoreFormatError):
+            _load("gsvx", path, bad)
+        assert main([*compare_argv, "--voxels", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("voxsplat: ") and err.count("\n") == 1, err
 
 
 def test_ply_property_line_without_a_type_is_a_parse_error(files):
@@ -151,13 +173,15 @@ def test_non_finite_values_raise_each_loaders_error(files):
     ply = valid["ply"]
     payload = ply.index(b"end_header\n") + len(b"end_header\n")
     # the first float of the payload: x of the first vertex / splat, first centroid
-    first_splat = 4 + 3 + 8 + 24 + 12 + 4 + 4 * nonempty + 4
+    first_splat = 4 + 3 + 8 + 24 + 12 + 4 + 8 * nonempty
     for kind, at, error in [
         ("ply", payload, PlySchemaError),
         ("gsvx", first_splat, StoreFormatError),
         ("gsvq", 4 + 9, CodebookCorruptionError),
     ]:
         data = valid[kind][:at] + NAN + valid[kind][at + 4:]
+        if kind == "gsvx":  # so the NaN, not the digest, is what the loader refuses
+            data = restamp(data)
         with pytest.raises(error, match="non-finite"):
             _load(kind, path, data)
 

@@ -6,9 +6,9 @@ import pytest
 
 from voxsplat import Aabb, Camera, Scene, generate_scene, load_ply, save_ply
 from voxsplat.errors import PlyParseError, PlySchemaError
-from voxsplat.scene import scene_fingerprint
 
 from conftest import constrained_scene
+from oracles import scene_fingerprint
 
 
 def _write_fixture_ply(path, rows, extra_header=None, props=None):

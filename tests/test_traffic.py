@@ -21,14 +21,13 @@ from voxsplat import (
 )
 from voxsplat.errors import SceneMismatchError
 from voxsplat.filtering import FilterStats
-from voxsplat.scene import scene_fingerprint
 from voxsplat.streaming import COUNTERS, tally
 from voxsplat.traffic import STAGES, counts_from_stats, merge_sort_pass_bytes
 from voxsplat.voxelstore import encode_records, gather_attribute
 from voxsplat.vq import DEFAULT_ENTRIES, train_codebook
 
 from conftest import constrained_scene
-from oracles import add_counters
+from oracles import add_counters, scene_fingerprint
 
 
 def _stats(loaded=10000, coarse=3000, fine=1000):

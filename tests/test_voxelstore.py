@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import oracles
-import voxsplat.voxelstore as voxelstore_mod
 from voxsplat import Aabb, Scene, TrafficLedger, VoxelStore, build_grid, generate_scene
 from voxsplat.errors import CodebookCorruptionError, StoreFormatError
 from voxsplat.voxelstore import (
@@ -27,6 +26,8 @@ from voxsplat.voxelstore import (
     VoxelGrid,
 )
 from voxsplat.vq import DEFAULT_ENTRIES, train_codebook
+
+from conftest import restamp
 
 
 def _single_splat_scene(position, scale=0.1):
@@ -200,21 +201,43 @@ def test_store_file_round_trip(tmp_path):
     # loading is a fixed point at float32
     save_store(back, tmp_path / "again.gsvx")
     assert (tmp_path / "again.gsvx").read_bytes() == path.read_bytes()
-    # the hash covers the values held: float64 when built, float32 once loaded
-    assert back.scene_hash != store.scene_hash
-    assert load_store(tmp_path / "again.gsvx").scene_hash == back.scene_hash
+    # build, load and re-save agree: the hash is the file's digest
+    built = VoxelStore.build(scene, 2.0)
+    assert built.scene_hash == back.scene_hash == load_store(tmp_path / "again.gsvx").scene_hash
+    assert back.digest == path.read_bytes()[-32:]
+
+
+def test_a_set_up_hashes_the_store_twice_and_build_hashes_nothing(tmp_path):
+    """``save_store`` hashes while it writes and ``load_store`` while it
+    verifies; a built store's hash waits until it is read."""
+    scene = _random_scene(seed=11, count=77)
+    path = tmp_path / "scene.gsvx"
+    with mock.patch.object(hashlib, "sha256", wraps=hashlib.sha256) as sha256:
+        store = VoxelStore.build(scene, 2.0)
+        assert sha256.call_count == 0 and store.digest is None
+        save_store(store, path)
+        back = load_store(path)
+        assert store.scene_hash == back.scene_hash
+        assert sha256.call_count == 2
+        assert VoxelStore.build(scene, 2.0).scene_hash == back.scene_hash
+        assert sha256.call_count == 3
 
 
 def test_store_file_bytes_are_pinned(tmp_path):
-    """The GSVX v1 bytes of a fixed seeded scene, as written before the store
-    moved to flat arrays; the digest also pins ``generate_scene``'s output."""
+    """The GSVX v2 bytes of a fixed seeded scene; the digest also pins
+    ``generate_scene``'s output.  The same scene's v1 file keeps the digest
+    pinned while version 1 was current."""
     scene = generate_scene(count=300, bounds=Aabb([-4, -4, -4], [4, 4, 4]), seed=2024,
                            max_extent_fraction=0.5)
     path = tmp_path / "pinned.gsvx"
     save_store(VoxelStore.build(scene, 2.0), path)
     data = path.read_bytes()
-    assert len(data) == 73759
+    assert len(data) == 73791
     assert hashlib.sha256(data).hexdigest() == (
+        "d49da4439c77f580e3c9f1ef708e87a1fa1fe9067ee8bedd45c53cc135b39c19"
+    )
+    oracles.save_store_v1(VoxelStore.build(scene, 2.0), tmp_path / "v1.gsvx")
+    assert hashlib.sha256((tmp_path / "v1.gsvx").read_bytes()).hexdigest() == (
         "1017e60931609a340d2227c10a34585d59481ac2f68d5338d1baeae63d9d1feb"
     )
 
@@ -257,22 +280,6 @@ def test_empty_scene_builds_empty_grid():
     assert records.offsets.tolist() == [0]
 
 
-def test_every_truncation_of_a_store_file_is_a_format_error(tmp_path):
-    path = tmp_path / "small.gsvx"
-    save_store(VoxelStore.build(_random_scene(seed=13, count=6), 2.0), path)
-    data = path.read_bytes()
-    cut = tmp_path / "cut.gsvx"
-    for size in range(len(data)):
-        cut.write_bytes(data[:size])
-        with pytest.raises(StoreFormatError) as got:
-            load_store(cut)
-        # the one-read reader names the same part and voxel as two reads per voxel
-        with mock.patch.object(voxelstore_mod, "_read_records", oracles.read_records_per_voxel):
-            with pytest.raises(StoreFormatError) as want:
-                load_store(cut)
-        assert str(got.value) == str(want.value), size
-
-
 @pytest.mark.parametrize("ids, first_bad", [
     ([2**32 + 7, 5, -1, 2**32], -1),
     ([6, 2**32 + 7, 5, 2**32], 2**32),  # one voxel: records go in id order
@@ -311,35 +318,55 @@ def test_out_of_range_vq_index_is_corruption_error_naming_attribute_and_voxel(
         stream_fine(enc, [last], books)
 
 
-def _store_header(edge=2.0, origin=(0.0, 0.0, 0.0), dims=(2, 2, 2), vids=(0, 3)):
-    """A GSVX header and renaming table, laid out as save_store writes them."""
-    return (
-        b"GSVX" + struct.pack("<HB", 1, 0) + struct.pack("<d", edge)
+def _store_file(edge=2.0, origin=(0.0, 0.0, 0.0), dims=(2, 2, 2), vids=(0, 3), counts=None,
+                version=2):
+    """A GSVX file of splat-free voxels, laid out as save_store writes one,
+    with a digest that matches; ``counts`` overrides the zero counts."""
+    data = (
+        b"GSVX" + struct.pack("<HB", version, 0) + struct.pack("<d", edge)
         + np.asarray(origin, dtype="<f8").tobytes() + np.asarray(dims, dtype="<u4").tobytes()
         + struct.pack("<I", len(vids)) + np.asarray(vids, dtype="<u4").tobytes()
+        + np.asarray(counts or [0] * len(vids), dtype="<u4").tobytes()
     )
+    return data + hashlib.sha256(data).digest()
 
 
 @pytest.mark.parametrize("header, message", [
-    (_store_header(edge=float("nan")), "edge"),
-    (_store_header(edge=float("inf")), "edge"),
-    (_store_header(edge=0.0), "edge"),
-    (_store_header(edge=-2.0), "edge"),
-    (_store_header(origin=(0.0, float("nan"), 0.0)), "origin"),
-    (_store_header(origin=(float("-inf"), 0.0, 0.0)), "origin"),
-    (_store_header(vids=(3, 0)), "ascending"),
-    (_store_header(vids=(3, 3)), "ascending"),
-    (_store_header(vids=(0, 8)), "ascending below 8"),
-    (_store_header(dims=(4000, 4000, 4000)), "cap"),
-    (_store_header(dims=(2**32 - 1,) * 3), "cap"),
-    (_store_header(dims=(2, 2, 2), vids=tuple(range(9))), "9 non-empty voxels"),
-    (_store_header(vids=(0,)) + struct.pack("<I", 2**32 - 1), "truncated record payload"),
+    (_store_file(edge=float("nan")), "edge"),
+    (_store_file(edge=float("inf")), "edge"),
+    (_store_file(edge=0.0), "edge"),
+    (_store_file(edge=-2.0), "edge"),
+    (_store_file(origin=(0.0, float("nan"), 0.0)), "origin"),
+    (_store_file(origin=(float("-inf"), 0.0, 0.0)), "origin"),
+    (_store_file(vids=(3, 0)), "ascending"),
+    (_store_file(vids=(3, 3)), "ascending"),
+    (_store_file(vids=(0, 8)), "ascending below 8"),
+    (_store_file(dims=(4000, 4000, 4000)), "cap"),
+    (_store_file(dims=(2**32 - 1,) * 3), "cap"),
+    (_store_file(dims=(2, 2, 2), vids=tuple(range(9))), "9 non-empty voxels"),
+    (_store_file(vids=(0,), counts=[2**32 - 1]), "^truncated voxel store: 95 bytes where its "
+                                                   "counts give 1047972020075$"),
+    (_store_file()[:-1], "^truncated voxel store: 102 bytes where its header gives at least "
+                        "103$"),
+    (_store_file() + b"\0", "^bytes past the end of the voxel store: 104 bytes where"),
+    (_store_file()[:-1] + b"\0", "^voxel-store digest mismatch"),
+    (_store_file()[:54], "^truncated voxel-store header$"),
+    (_store_file(version=1),
+     "^voxel-store version 1 is no longer read; rebuild it with voxsplat build-voxels$"),
+    (_store_file(version=3), "^unsupported store version 3 / kind 0$"),
 ])
 def test_bad_store_headers_are_format_errors(tmp_path, header, message):
     path = tmp_path / "bad.gsvx"
     path.write_bytes(header)
     with pytest.raises(StoreFormatError, match=message):
         load_store(path)
+
+
+def test_a_version_1_file_is_refused_with_the_rebuild_command(tmp_path):
+    oracles.save_store_v1(VoxelStore.build(_random_scene(seed=13, count=6), 2.0),
+                          tmp_path / "old.gsvx")
+    with pytest.raises(StoreFormatError, match="rebuild it with voxsplat build-voxels$"):
+        load_store(tmp_path / "old.gsvx")
 
 
 def test_grid_cap_is_shared_by_build_grid_and_the_loader():
@@ -356,19 +383,19 @@ def test_grid_cap_is_shared_by_build_grid_and_the_loader():
 
 
 def _edit_first_splat(tmp_path, column, value):
-    """A saved store whose first record's first splat has float32 ``column``
-    (0-3 coarse half, 4-59 fine half) replaced by the raw bits ``value``;
-    returns (path, the original float32)."""
+    """A saved store whose first splat has float32 ``column`` (0-3 coarse
+    half, 4-59 fine half) replaced by the raw bits ``value`` and its digest
+    re-stamped; returns (path, the original float32)."""
     store = VoxelStore.build(_random_scene(seed=15, count=20), 2.0)
     path = tmp_path / "edit.gsvx"
     save_store(store, path)
     data = bytearray(path.read_bytes())
-    first = 55 + 4 * store.grid.nonempty_count + 4  # header, renaming table, count
-    count = int(store.records.offsets[1])
-    offset = first + 4 * column if column < 4 else first + 16 * count + 4 * (column - 4)
+    first = 55 + 8 * store.grid.nonempty_count  # header, renaming table, counts
+    n = len(store.records.ids)
+    offset = first + 4 * column if column < 4 else first + 16 * n + 4 * (column - 4)
     original = np.frombuffer(bytes(data[offset : offset + 4]), dtype="<f4")[0]
     data[offset : offset + 4] = value(original).tobytes()
-    path.write_bytes(bytes(data))
+    path.write_bytes(restamp(data))
     return path, original
 
 
