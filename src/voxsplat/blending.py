@@ -50,7 +50,6 @@ def blend(
     centers: np.ndarray,
     color: np.ndarray,
     transmittance: np.ndarray,
-    pixel_trace: tuple[int, list] | None = None,
 ) -> np.ndarray:
     """Blend each tile's depth-sorted splats into its running pixel state (in place).
 
@@ -60,9 +59,7 @@ def blend(
     ``conic``, ``opacity`` and ``rgb`` are read, gathered once per call.
     Returns the number of splats processed per tile: all of them, or the
     index of the first splat reached with every pixel frozen, so tile t
-    processed ``rows[bounds[t]:bounds[t] + processed[t]]``.  ``pixel_trace``
-    is (pixel_index, one list per tile) and collects the rows of only the
-    splats that actually contributed to that pixel, in blend order.
+    processed ``rows[bounds[t]:bounds[t] + processed[t]]``.
     """
     mean2d, conic, opacity, rgb = (batch.mean2d[rows], batch.conic[rows], batch.opacity[rows],
                                    batch.rgb[rows])
@@ -104,9 +101,6 @@ def blend(
 
             done = int(np.count_nonzero(active[:-1].any(axis=1)))
             processed[t] += done
-            if pixel_trace is not None:
-                reached = start + np.flatnonzero(hit[:, live == pixel_trace[0]])
-                pixel_trace[1][t].extend(rows[reached].tolist())
             if done < k:
                 break
     return processed

@@ -15,14 +15,16 @@ from dataclasses import asdict
 import numpy as np
 
 from . import frameio
+from .blending import blend
 from .errors import VoxsplatError
+from .filtering import ProjectionCache
 from .metrics import CBP_BETA_DEFAULT, cbp_loss, cross_boundary_stats, psnr
 from .reference import render_frame_reference, traffic_breakdown
-from .scene import Aabb, Camera, generate_scene, load_ply, look_at_camera, save_ply
-from .scheduler import TileVisits, dump_edges, traverse
+from .scene import Aabb, Camera, generate_scene, load_ply, look_at_camera, save_ply, tile_pixels
+from .scheduler import TileVisits, dump_edges, traverse, voxel_depths
 from .traffic import PerfConfig, compare_pipelines, counts_from_stats, estimate
 from .streaming import render_frame_streaming, render_tile_streaming
-from .voxelstore import VoxelStore, load_store, save_store, gather_attribute
+from .voxelstore import VoxelStore, gather_attribute, load_store, save_store, stream_fine
 from .vq import (DEFAULT_ENTRIES, check_entry_count, load_codebooks, save_codebooks,
                  train_codebook)
 
@@ -125,20 +127,35 @@ def _dump_dag(path, store, camera) -> None:
         f.write(text + "\n" if text else "")
 
 
-def _cbp_diagnostics(store, books, camera, background) -> dict:
+def _pixel_trace(batch, rows, center) -> list[int]:
+    """The rows of ``rows`` that reach the pixel at ``center``: blended into
+    it alone, a row per ``blend`` call, the ones that lower its transmittance."""
+    color, transmittance, reached = np.zeros((1, 1, 3)), np.ones((1, 1)), []
+    for row in rows:
+        before = transmittance[0, 0]
+        blend(batch, np.array([row]), [0, 1], center.reshape(1, 1, 2), color, transmittance)
+        if transmittance[0, 0] < before:
+            reached.append(row)
+    return reached
+
+
+def _cbp_diagnostics(store, books, camera) -> dict:
     """Depth-order penalty over sampled tile and center-pixel blend traces,
     all sampled tiles rendered in one call; ``store``'s records are already
     encoded when ``books`` is given."""
     ntx, nty = camera.tile_counts
     tiles = [(tx, ty) for ty in range(2, nty, 4) for tx in range(2, ntx, 4)]
+    grid, records = store.grid, store.records
+    cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
     tile_traces = [[] for _ in tiles]
-    pixel_traces = [[] for _ in tiles]
-    render_tile_streaming(
-        tiles, camera, store.grid, store.records, books, background=background,
-        trace=tile_traces, pixel_trace=(8 * 16 + 8, pixel_traces),
-    )
-    per_tile = float(np.mean([cbp_loss(t) for t in tile_traces])) if tiles else 0.0
-    per_pixel = float(np.mean([cbp_loss(t) for t in pixel_traces])) if tiles else 0.0
+    render_tile_streaming(tiles, camera, grid, records, books, trace=tile_traces, cache=cache)
+    centers = tile_pixels(tiles)[:, 8 * 16 + 8] + 0.5
+    pixel_traces = [_pixel_trace(cache.batch, rows, c) for rows, c in zip(tile_traces, centers)]
+    # each row's (depth, max scale), from the one decode of every voxel in record order
+    _, splats = stream_fine(records, np.arange(grid.nonempty_count), books)
+    keys = np.stack([cache.batch.depth, splats[1].max(axis=1)], axis=1)
+    per_tile, per_pixel = (float(np.mean([cbp_loss(keys[t]) for t in traces])) if tiles else 0.0
+                           for traces in (tile_traces, pixel_traces))
     return {
         "per_tile_trace": per_tile,
         "per_pixel_trace": per_pixel,
@@ -216,7 +233,7 @@ def cmd_compare(args) -> int:
         "config": asdict(PerfConfig()),
         "stream_stats": stream_stats.as_dict(),
         "cross_boundary": cross_boundary_stats(store.grid, store.records)["ratio"],
-        "depth_order_penalty": _cbp_diagnostics(streamed, books, camera, args.background),
+        "depth_order_penalty": _cbp_diagnostics(streamed, books, camera),
     }
     with open(args.report, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2)
@@ -271,31 +288,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_codebook)
 
-    p = sub.add_parser("render", help="render one frame")
+    frame = argparse.ArgumentParser(add_help=False)  # the options of both rendering commands
+    frame.add_argument("--voxels", required=True)
+    frame.add_argument("--books", default=None)
+    frame.add_argument("--camera", required=True)
+    frame.add_argument("--background", type=_parse_rgb, default=(0.0, 0.0, 0.0),
+                       help="r,g,b; write one that starts with '-' as --background=-5,2,0.5")
+    frame.add_argument("--threads", type=int, default=1,
+                       help="worker processes, at most one per usable CPU and per tile row")
+
+    p = sub.add_parser("render", parents=[frame], help="render one frame")
     p.add_argument("--mode", choices=("streaming", "reference"), required=True)
-    p.add_argument("--voxels", required=True)
-    p.add_argument("--books", default=None)
-    p.add_argument("--camera", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stats", default=None)
-    p.add_argument("--background", type=_parse_rgb, default=(0.0, 0.0, 0.0),
-                   help="r,g,b; write one that starts with '-' as --background=-5,2,0.5")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, at most one per usable CPU and per tile row")
     p.add_argument("--dump-dag", default=None,
                    help="write the per-tile voxel dependency edges ('src dst' lines)")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("compare", help="render both pipelines and write a report")
-    p.add_argument("--voxels", required=True)
-    p.add_argument("--books", default=None)
-    p.add_argument("--camera", required=True)
+    p = sub.add_parser("compare", parents=[frame], help="render both pipelines and write a report")
     p.add_argument("--report", required=True)
     p.add_argument("--csv", default=None)
-    p.add_argument("--background", type=_parse_rgb, default=(0.0, 0.0, 0.0),
-                   help="r,g,b; write one that starts with '-' as --background=-5,2,0.5")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, at most one per usable CPU and per tile row")
     p.set_defaults(func=cmd_compare)
     return parser
 

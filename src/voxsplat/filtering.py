@@ -92,7 +92,6 @@ class ProjectedBatch:
     depth: np.ndarray  # (n,) camera-space z
     rgb: np.ndarray  # (n, 3)
     opacity: np.ndarray  # (n,)
-    max_scale: np.ndarray  # (n,) carried for order diagnostics
     ids: np.ndarray  # (n,)
 
 
@@ -171,7 +170,6 @@ class ProjectionCache:
             depth=np.empty(n),
             rgb=np.empty((n, 3)),
             opacity=np.empty(n),
-            max_scale=np.empty(n),
             ids=np.empty(n, dtype=np.int64),
         )
 
@@ -279,7 +277,6 @@ def project_splats(
         depth=depth,
         rgb=rgb,
         opacity=np.asarray(opacities, dtype=np.float64),
-        max_scale=scales.max(axis=1),
         ids=np.asarray(ids, dtype=np.int64),
     )
     return valid, batch, degenerate

@@ -57,7 +57,7 @@ def cross_boundary_stats(grid: VoxelGrid, records: FlatRecords) -> dict:
 def cbp_loss(render_order) -> float:
     """Mean max-scale over depth-order violations in a blend trace.
 
-    ``render_order`` is a sequence of (depth, max_scale) in the order actually
+    ``render_order`` is a sequence of (depth, max scale) in the order actually
     blended; splat i counts iff its depth is below the running maximum of all
     earlier depths.  Empty traces score 0.
     """

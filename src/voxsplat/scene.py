@@ -88,7 +88,8 @@ class Scene:
             if not (x.min(initial=0.0) >= -fmax and x.max(initial=0.0) <= fmax):
                 raise ValueError(f"non-finite values in splat {name}, or values past the "
                                  "float32 range a store holds")
-        if self.bounds is None:
+        derived = self.bounds is None
+        if derived:
             if n:
                 self.bounds = Aabb(self.positions.min(axis=0), self.positions.max(axis=0))
             else:
@@ -101,7 +102,7 @@ class Scene:
                 raise ValueError("scale components must be positive")
             if np.any((self.opacities < 0) | (self.opacities > 1)):
                 raise ValueError("opacity outside [0, 1]")
-            if not np.all(self.bounds.contains(self.positions)):
+            if not derived and not np.all(self.bounds.contains(self.positions)):
                 raise ValueError("scene bounds do not contain all positions")
 
     def __len__(self) -> int:

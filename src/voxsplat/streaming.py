@@ -82,7 +82,6 @@ def render_tile_streaming(
     books: dict[str, Codebook] | None,
     background=(0.0, 0.0, 0.0),
     trace: list | None = None,
-    pixel_trace: tuple[int, list] | None = None,
     cache: ProjectionCache | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Render 16x16 tiles together, normally one tile row; returns
@@ -91,16 +90,11 @@ def render_tile_streaming(
 
     The tiles' rays are walked here, in one ``traverse`` call.  ``cache``
     holds the frame's voxel depths and projections for ``camera``; a call on
-    its own makes one.  ``trace``, one list per tile, and ``pixel_trace``,
-    as in ``blend``, collect (depth, max_scale) pairs in blend order: of
-    every splat blended, or of only those that reached the pixel.
+    its own makes one.  ``trace``, one list per tile, collects the
+    projection rows (the records' rows) each tile blended, in blend order.
     """
     if cache is None:
         cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
-
-    def pairs(rows):  # the (depth, max_scale) pairs of projection rows, for the traces
-        return zip(cache.batch.depth[rows].tolist(), cache.batch.max_scale[rows].tolist())
-
     plan = schedule(traverse(tiles, camera, grid), cache.depth)
     ntiles = len(tiles)
     rects = tile_rects(tiles)
@@ -144,14 +138,11 @@ def render_tile_streaming(
 
         bounds = np.concatenate([[0], np.cumsum(np.bincount(pair_tile[kept_pair],
                                                             minlength=ntiles))])
-        hits = None if pixel_trace is None else (pixel_trace[0], [[] for _ in tiles])
-        n = blend(cache.batch, kept_rows, bounds.tolist(), centers, color, transmittance, hits)
+        n = blend(cache.batch, kept_rows, bounds.tolist(), centers, color, transmittance)
         blended += n
-        for t in range(ntiles):
-            if trace is not None:
-                trace[t].extend(pairs(kept_rows[bounds[t] : bounds[t] + n[t]]))
-            if hits is not None:
-                pixel_trace[1][t].extend(pairs(hits[1][t]))
+        if trace is not None:
+            for t in range(ntiles):
+                trace[t].extend(kept_rows[bounds[t] : bounds[t] + n[t]].tolist())
         # each tile's walk ends after its last pair unless it freezes sooner
         last = np.full(ntiles, npairs)
         frozen = np.flatnonzero((n > 0) & ~np.any(transmittance >= T_FREEZE, axis=1))

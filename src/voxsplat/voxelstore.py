@@ -410,6 +410,8 @@ def load_store(path) -> VoxelStore:
                          vids=np.frombuffer(data, "<u4", nonempty, _HEADER_BYTES))
     except ValueError as exc:
         raise StoreFormatError(f"bad voxel-store header: {exc}") from None
+    if not counts.all():
+        raise StoreFormatError(f"voxel {counts.argmin()} is listed as non-empty but holds no splat")
     coarse = np.frombuffer(data, "<f4", 4 * n, blocks).reshape(n, 4)
     fine = np.frombuffer(data, "<f4", 56 * n, blocks + 16 * n).reshape(n, 56)
     # a signalling NaN in the payload would warn in the float32 -> float64

@@ -215,6 +215,8 @@ def load_codebooks(path) -> dict[str, Codebook]:
             if tag not in tag_names:
                 raise CodebookCorruptionError(f"unknown attribute tag {tag}")
             name = tag_names[tag]
+            if name in books:
+                raise CodebookCorruptionError(f"codebook {name!r} appears twice")
             if dim != ATTRIBUTE_DIMS[name]:
                 raise CodebookCorruptionError(f"codebook {name!r} has dim {dim}")
             # compare with the bytes left first, so a header's count never allocates

@@ -32,6 +32,7 @@ from voxsplat import (
     Scene,
     VoxelStore,
     cbp_loss,
+    cli,
     cross_boundary_stats,
     generate_scene,
     load_ply,
@@ -127,7 +128,6 @@ def _batch(rng, n, opaque_share, clamp_share):
         depth=depth,
         rgb=rng.random((n, 3)),
         opacity=opacity,
-        max_scale=rng.uniform(0.01, 1.0, n),
         ids=np.arange(n),
     )
 
@@ -152,37 +152,46 @@ def _tile_states(rng, frozen):
     return np.stack([c for c, _ in states]), np.stack([t for _, t in states])
 
 
-def _blend_both(batch, rows, bounds, centers, color, transmittance, pixel):
+def _blend_both(batch, rows, bounds, centers, color, transmittance):
     """The tiles blended by ``blend`` and by the oracle; each gives per tile
-    its count, pixels, processed rows and rows that reached ``pixel``.
-    ``blend``'s processed rows are the first ``processed[t]`` of tile t's."""
+    its count, pixels and processed rows.  ``blend``'s processed rows are
+    the first ``processed[t]`` of tile t's."""
     tiles = range(len(centers))
-    col, t, hits = color.copy(), transmittance.copy(), (pixel, [[] for _ in tiles])
-    n = blend(batch, rows, bounds, centers, col, t, hits)
+    col, t = color.copy(), transmittance.copy()
+    n = blend(batch, rows, bounds, centers, col, t)
     done = [rows[bounds[k] : bounds[k] + n[k]].tolist() for k in tiles]
-    got = (n.tolist(), col, t, done, hits[1])
-    col, t, hits = color.copy(), transmittance.copy(), (pixel, [[] for _ in tiles])
+    got = (n.tolist(), col, t, done)
+    col, t = color.copy(), transmittance.copy()
     trace = [[] for _ in tiles]
-    n = blend_per_splat(batch, rows, bounds, centers, col, t, hits, trace)
-    return got, (n.tolist(), col, t, trace, hits[1])
+    n = blend_per_splat(batch, rows, bounds, centers, col, t, trace=trace)
+    return got, (n.tolist(), col, t, trace)
 
 
-def _run_both(batch, color, transmittance, pixel):
+def _run_both(batch, color, transmittance):
     """``batch`` blended into one tile, row after row, by ``blend`` and by
     the oracle."""
     rows = np.arange(len(batch.ids))
     both = _blend_both(batch, rows, [0, len(rows)], CENTERS[None], color[None],
-                       transmittance[None], pixel)
+                       transmittance[None])
     return [tuple(part[0] for part in result) for result in both]
 
 
 def _assert_same(got, want):
-    n, col, t, trace, pixel_trace = got
+    n, col, t, trace = got
     assert n == want[0]
     assert col.tobytes() == want[1].tobytes()
     assert t.tobytes() == want[2].tobytes()
     assert trace == want[3]
-    assert pixel_trace == want[4]
+
+
+def _oracle_pixel_trace(batch, rows, center):
+    """The rows the per-splat oracle sees reach the one pixel at ``center``
+    of a fresh pixel state, blending ``rows`` in order."""
+    hits = (0, [[]])
+    blend_per_splat(batch, np.asarray(rows, dtype=np.int64), [0, len(rows)],
+                    np.reshape(center, (1, 1, 2)), np.zeros((1, 1, 3)), np.ones((1, 1)),
+                    pixel_trace=hits)
+    return hits[1][0]
 
 
 @settings(max_examples=120, deadline=None)
@@ -193,16 +202,79 @@ def _assert_same(got, want):
     clamp_share=st.sampled_from([0.0, 0.2, 1.0]),
     frozen_share=st.sampled_from([0.0, 0.5, 0.97, 1.0]),
     edge_share=st.sampled_from([0.0, 0.1]),
-    pixel=st.integers(0, 255),
 )
 def test_block_blend_matches_per_splat_oracle(
-    length, seed, opaque_share, clamp_share, frozen_share, edge_share, pixel
+    length, seed, opaque_share, clamp_share, frozen_share, edge_share
 ):
     rng = np.random.default_rng(seed)
     batch = _batch(rng, length, opaque_share, clamp_share)
     color, transmittance = _pixel_state(rng, frozen_share, edge_share)
-    got, want = _run_both(batch, color, transmittance, pixel)
+    got, want = _run_both(batch, color, transmittance)
     _assert_same(got, want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    length=st.sampled_from(LENGTHS),
+    seed=st.integers(0, 2**32 - 1),
+    opaque_share=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    clamp_share=st.sampled_from([0.0, 0.2, 1.0]),
+    edge=st.booleans(),
+    pixel=st.integers(0, 255),
+)
+def test_pixel_trace_matches_per_splat_oracle(length, seed, opaque_share, clamp_share, edge,
+                                              pixel):
+    """``compare``'s center-pixel trace re-blends a tile's rows into one
+    fresh pixel, a row per ``blend`` call, and keeps the rows that lowered
+    its transmittance: exactly the rows the per-splat oracle sees reach the
+    pixel.  With ``edge``, the first two rows sit on the pixel's center at
+    opacity 1, so two capped alphas leave its transmittance (1 - 0.99)^2, a
+    hair above T_FREEZE."""
+    rng = np.random.default_rng(seed)
+    batch = _batch(rng, length, opaque_share, clamp_share)
+    if edge:
+        batch.mean2d[:2], batch.opacity[:2] = CENTERS[pixel], 1.0
+    rows = np.arange(length)
+    assert cli._pixel_trace(batch, rows, CENTERS[pixel]) == _oracle_pixel_trace(
+        batch, rows, CENTERS[pixel])
+
+
+@pytest.mark.parametrize("encoded", [False, True])
+def test_traces_and_penalties_of_every_sampled_tile_match_the_oracles(encoded):
+    """On the tiles ``compare`` samples, each tile's trace holds the rows the
+    oracle processes blending that tile, and the center-pixel trace the rows
+    it sees reach that pixel, on raw records and on decoded ones.  The
+    penalties score each row by its max scale as rendered: the codebook's,
+    not the record's first half, when the records are encoded."""
+    store, books = _small_store(3, encoded)
+    camera = look_at_camera([0.0, 0.0, -6.0], [0.0, 0.0, 6.0], width=128, height=128,
+                            focal=100.0)
+    ntx, nty = camera.tile_counts
+    tiles = [(tx, ty) for ty in range(2, nty, 4) for tx in range(2, ntx, 4)]
+    cache = ProjectionCache(camera, voxel_depths(camera, store.grid), store.records.offsets)
+    traces = [[] for _ in tiles]
+    render_tile_streaming(tiles, camera, store.grid, store.records, books, trace=traces,
+                          cache=cache)
+    reached = []
+    for trace, centers in zip(traces, tile_pixels(tiles) + 0.5):
+        processed = [[]]
+        blend_per_splat(cache.batch, np.array(trace, dtype=np.int64), [0, len(trace)],
+                        centers[None], np.zeros((1, 256, 3)), np.ones((1, 256)),
+                        trace=processed)
+        assert processed[0] == trace
+        reached.append(cli._pixel_trace(cache.batch, trace, centers[136]))
+        assert reached[-1] == _oracle_pixel_trace(cache.batch, trace, centers[136])
+    assert all(traces) and any(reached)
+    scales = books["scale"].entries[store.records.scale_idx] if encoded else store.records.scales
+    max_scales = scales.max(axis=1).astype(np.float64)
+
+    def penalty(traces):
+        return float(np.mean([cbp_loss_loop(zip(cache.batch.depth[rows], max_scales[rows]))
+                              for rows in traces]))
+
+    got = cli._cbp_diagnostics(store, books, camera)
+    assert (got["per_tile_trace"], got["per_pixel_trace"]) == (penalty(traces), penalty(reached))
+    assert got["per_pixel_trace"] > 0
 
 
 @pytest.mark.parametrize("length", LENGTHS)
@@ -213,7 +285,7 @@ def test_block_blend_freezing_every_pixel_mid_block(length):
     batch = _batch(rng, length, opaque_share=1.0, clamp_share=0.0)
     color = np.zeros((len(CENTERS), 3))
     transmittance = np.ones(len(CENTERS))
-    got, want = _run_both(batch, color, transmittance, pixel=17)
+    got, want = _run_both(batch, color, transmittance)
     _assert_same(got, want)
     if length > 8:
         assert got[0] < length
@@ -224,7 +296,7 @@ def test_block_blend_all_frozen_on_entry_processes_nothing():
     rng = np.random.default_rng(3)
     batch = _batch(rng, B + 1, opaque_share=0.3, clamp_share=0.2)
     color, transmittance = _pixel_state(rng, frozen_share=1.0, edge_share=0.0)
-    got, want = _run_both(batch, color, transmittance, pixel=0)
+    got, want = _run_both(batch, color, transmittance)
     _assert_same(got, want)
     assert got[0] == 0 and got[3] == []
 
@@ -241,12 +313,13 @@ def test_block_blend_alpha_clamps_at_a_pixel_center():
         depth=np.arange(1.0, n + 1.0),
         rgb=np.ones((n, 3)),
         opacity=opacity,
-        max_scale=np.ones(n),
         ids=np.arange(n),
     )
-    got, want = _run_both(batch, np.zeros((256, 3)), np.ones(256), pixel=5)
+    got, want = _run_both(batch, np.zeros((256, 3)), np.ones(256))
     _assert_same(got, want)
-    assert got[4] == [1, 2]  # the rows of depths 2.0 and 3.0
+    rows = np.arange(n)
+    reached = cli._pixel_trace(batch, rows, CENTERS[5])
+    assert reached == _oracle_pixel_trace(batch, rows, CENTERS[5]) == [1, 2]  # depths 2.0, 3.0
     assert got[2][5] == (1.0 - ALPHA_MIN) * (1.0 - ALPHA_CAP)
 
 
@@ -255,11 +328,10 @@ def test_block_blend_alpha_clamps_at_a_pixel_center():
     lengths=st.lists(st.sampled_from([0, 1, 7, B, B + 3]), min_size=1, max_size=5),
     seed=st.integers(0, 2**32 - 1),
     frozen=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=5, max_size=5),
-    pixel=st.integers(0, 255),
 )
 # ragged tiles, empty ones, and tiles frozen on entry beside live ones
-@example(lengths=[B + 3, 0, 7, 0, 1], seed=0, frozen=[0.0, 0.0, 1.0, 1.0, 0.5], pixel=3)
-def test_multi_tile_blend_matches_per_splat_oracle(lengths, seed, frozen, pixel):
+@example(lengths=[B + 3, 0, 7, 0, 1], seed=0, frozen=[0.0, 0.0, 1.0, 1.0, 0.5])
+def test_multi_tile_blend_matches_per_splat_oracle(lengths, seed, frozen):
     """Several tiles in one call: each tile's count, pixels and traces equal
     the per-splat oracle's."""
     rng = np.random.default_rng(seed)
@@ -274,7 +346,7 @@ def test_multi_tile_blend_matches_per_splat_oracle(lengths, seed, frozen, pixel)
     bounds = np.concatenate([[0], np.cumsum(lengths)]).tolist()
     color, transmittance = _tile_states(rng, frozen[: len(lengths)])
     got, want = _blend_both(batch, np.arange(bounds[-1]), bounds, tile_pixels(tiles) + 0.5,
-                            color, transmittance, pixel)
+                            color, transmittance)
     _assert_same(got, want)
     assert all(n == 0 for n, length in zip(got[0], lengths) if not length)
 
@@ -284,12 +356,11 @@ def test_multi_tile_blend_matches_per_splat_oracle(lengths, seed, frozen, pixel)
     lengths=st.lists(st.sampled_from([0, 1, 7, B, B + 3]), min_size=1, max_size=5),
     seed=st.integers(0, 2**32 - 1),
     frozen=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=5, max_size=5),
-    pixel=st.integers(0, 255),
 )
 # a long tile, empty ones and ones frozen on entry, drawing on one pool of rows
-@example(lengths=[B + 3, 0, 7, 0, B], seed=0, frozen=[0.0, 0.0, 1.0, 1.0, 0.5], pixel=3)
+@example(lengths=[B + 3, 0, 7, 0, B], seed=0, frozen=[0.0, 0.0, 1.0, 1.0, 0.5])
 def test_blend_reading_rows_in_place_equals_the_oracle_on_a_gathered_copy(
-    lengths, seed, frozen, pixel
+    lengths, seed, frozen
 ):
     """Each tile's rows are unsorted and repeat across tiles, as the reference
     duplicates a splat into every tile its disc meets.  ``blend`` reading
@@ -304,11 +375,11 @@ def test_blend_reading_rows_in_place_equals_the_oracle_on_a_gathered_copy(
     bounds = np.concatenate([[0], np.cumsum(lengths)]).tolist()
     color, transmittance = _tile_states(rng, frozen[: len(lengths)])
     centers = tile_pixels(tiles) + 0.5
-    got, _ = _blend_both(pool, rows, bounds, centers, color, transmittance, pixel)
+    got, _ = _blend_both(pool, rows, bounds, centers, color, transmittance)
     _, want = _blend_both(oracles.take(pool, rows), np.arange(len(rows)), bounds, centers, color,
-                          transmittance, pixel)
-    # the oracle ran on the copy: its traces hold positions in ``rows``
-    want = (*want[:3], *([rows[at].tolist() for at in trace] for trace in want[3:]))
+                          transmittance)
+    # the oracle ran on the copy: its trace holds positions in ``rows``
+    want = (*want[:3], [rows[at].tolist() for at in want[3]])
     _assert_same(got, want)
     assert got[3] == [rows[a : a + n].tolist() for a, n in zip(bounds, got[0])]
 

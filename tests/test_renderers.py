@@ -7,6 +7,7 @@ from voxsplat import (
     Aabb,
     Scene,
     build_grid,
+    cli,
     generate_scene,
     look_at_camera,
     psnr,
@@ -16,8 +17,9 @@ from voxsplat import (
     streaming,
 )
 from voxsplat.blending import T_FREEZE, blend
-from voxsplat.filtering import ProjectedBatch
+from voxsplat.filtering import ProjectedBatch, ProjectionCache
 from voxsplat.scene import tile_pixels
+from voxsplat.scheduler import voxel_depths
 from voxsplat.streaming import COUNTERS
 from voxsplat.traffic import INTERMEDIATE_STAGES
 from voxsplat.voxelstore import encode_records, gather_attribute
@@ -163,7 +165,6 @@ def test_transmittance_monotone_and_frozen_pixels_stop():
         depth=np.sort(rng.uniform(1, 5, n)),
         rgb=rng.uniform(0, 1, size=(n, 3)),
         opacity=np.full(n, 0.97),
-        max_scale=np.full(n, 0.5),
         ids=np.arange(n),
     )
     centers = tile_pixels([(0, 0)]) + 0.5
@@ -217,13 +218,16 @@ def test_blend_traces_tile_and_pixel():
     scene = constrained_scene(seed=8, count=400)
     camera = look_at_camera([0, 0, -10], [0, 0, 0])
     grid, records = build_grid(scene, 2.0)
-    tile_trace, px_trace = [], []
-    _, counts = _tile((8, 8), camera, grid, records, trace=[tile_trace],
-                      pixel_trace=(136, [px_trace]))
-    assert len(tile_trace) == counts["blended"]
-    assert len(px_trace) <= len(tile_trace)
-    # pixel trace only holds splats that contributed, so its pairs appear in the tile trace
-    assert set(px_trace) <= set(tile_trace)
+    cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
+    tile_trace = []
+    _, counts = _tile((8, 8), camera, grid, records, trace=[tile_trace], cache=cache)
+    # each blended splat once, by its projected row
+    assert len(tile_trace) == len(set(tile_trace)) == counts["blended"]
+    assert cache.valid[tile_trace].all()
+    px_trace = cli._pixel_trace(cache.batch, tile_trace, tile_pixels([(8, 8)])[0, 136] + 0.5)
+    # a pixel's trace holds the splats that reached it, in the tile trace's order
+    reached = set(px_trace)
+    assert px_trace == [row for row in tile_trace if row in reached]
 
 
 def test_blend_traces_of_many_tiles_equal_each_tile_rendered_alone():
@@ -233,15 +237,12 @@ def test_blend_traces_of_many_tiles_equal_each_tile_rendered_alone():
     grid, records = build_grid(scene, 2.0)
     tiles = [(14, 7), (16, 8), (17, 8), (31, 15), (16, 10)]  # (31, 15) sees no splat
     traces = [[] for _ in tiles]
-    pixel_traces = [[] for _ in tiles]
-    render_tile_streaming(tiles, camera, grid, records, None, trace=traces,
-                          pixel_trace=(136, pixel_traces))
-    for tile, trace, pixel_trace in zip(tiles, traces, pixel_traces):
-        alone, pixel_alone = [], []
-        _tile(tile, camera, grid, records, trace=[alone], pixel_trace=(136, [pixel_alone]))
+    render_tile_streaming(tiles, camera, grid, records, None, trace=traces)
+    for tile, trace in zip(tiles, traces):
+        alone = []
+        _tile(tile, camera, grid, records, trace=[alone])
         assert trace == alone
-        assert pixel_trace == pixel_alone
-    assert traces[3] == [] and all(traces[:3]) and all(pixel_traces[:3])
+    assert traces[3] == [] and all(traces[:3])
 
 
 def test_tile_render_empty_schedule_is_background():

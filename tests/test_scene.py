@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -159,6 +160,21 @@ def test_generate_scene_honors_extent_bound():
                            max_extent_fraction=0.4, voxel_edge=2.0)
     assert np.all(3.0 * scene.scales.max(axis=1) < 0.4 * 2.0 / 2.0)
     assert np.all(scene.bounds.contains(scene.positions))
+
+
+def test_scene_checks_only_the_bounds_a_caller_passes():
+    """Bounds a caller passes must hold every position.  Bounds the scene
+    derives from its own positions, which are finite by then, hold them by
+    construction, so the containment test is skipped."""
+    splats = dict(positions=[[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]], scales=np.full((2, 3), 0.1),
+                  rotations=[[1.0, 0.0, 0.0, 0.0]] * 2, opacities=[0.5, 0.5],
+                  sh=np.zeros((2, 16, 3)), ids=[0, 1])
+    with mock.patch.object(Aabb, "contains", side_effect=AssertionError("containment tested")):
+        derived = Scene(**splats)
+    assert np.all(derived.bounds.contains(derived.positions))
+    Scene(**splats, bounds=derived.bounds)
+    with pytest.raises(ValueError, match="^scene bounds do not contain all positions$"):
+        Scene(**splats, bounds=Aabb([0.0, 0.0, 0.0], [1.0, 2.0, 2.5]))
 
 
 def test_generate_scene_rejects_bad_count():

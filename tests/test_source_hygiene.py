@@ -1,0 +1,53 @@
+"""Static checks over the package's modules: every name a module imports is
+read in it, and every module-level private function or class is used in it.
+``__init__.py`` re-exports what it imports, and ``__future__`` imports are
+compiler directives, so neither is checked for reads."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "voxsplat"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _read(tree) -> set[str]:
+    """Every name loaded in ``tree``; ``a.b.c`` loads ``a``."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _imported(tree) -> set[str]:
+    """The names bound by the module's imports, ``__future__`` left out."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_the_scan_sees_the_package():
+    assert {path.name for path in MODULES} >= {"__init__.py", "blending.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_read(path):
+    tree = _parse(path)
+    assert sorted(_imported(tree) - _read(tree)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_function_and_class_is_used(path):
+    tree = _parse(path)
+    private = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    assert sorted(private - _read(tree)) == []

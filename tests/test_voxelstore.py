@@ -362,6 +362,16 @@ def test_bad_store_headers_are_format_errors(tmp_path, header, message):
         load_store(path)
 
 
+def test_a_voxel_listed_with_no_splat_is_a_format_error(tmp_path):
+    """The renaming table names voxels that hold splats; ``build_grid``
+    never lists an empty one, so a count of 0 is refused, after the grid."""
+    path = tmp_path / "empty.gsvx"
+    path.write_bytes(_store_file())
+    with pytest.raises(StoreFormatError,
+                       match="^voxel 0 is listed as non-empty but holds no splat$"):
+        load_store(path)
+
+
 def test_a_version_1_file_is_refused_with_the_rebuild_command(tmp_path):
     oracles.save_store_v1(VoxelStore.build(_random_scene(seed=13, count=6), 2.0),
                           tmp_path / "old.gsvx")

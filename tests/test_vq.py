@@ -285,6 +285,22 @@ def test_truncated_codebook_files_are_corruption_errors(tmp_path):
             load_codebooks(cut)
 
 
+def test_a_repeated_codebook_section_is_a_corruption_error(tmp_path):
+    """A second section for one attribute is refused, not loaded over the first."""
+    rng = np.random.default_rng(12)
+    books = {
+        name: train_codebook(rng.normal(size=(40, dim)), 4, seed=1, attribute=name)
+        for name, dim in ATTRIBUTE_DIMS.items()
+    }
+    path = tmp_path / "books.gsvq"
+    save_codebooks(books, path)
+    second = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], dtype="<f4")  # a valid 2-entry book
+    path.write_bytes(path.read_bytes() + b"GSVQ" + struct.pack("<HBHI", 1, 0, 3, 2)
+                     + second.tobytes())
+    with pytest.raises(CodebookCorruptionError, match="^codebook 'scale' appears twice$"):
+        load_codebooks(path)
+
+
 def test_codebook_header_with_a_huge_count_is_a_corruption_error(tmp_path):
     """4 * 45 * (2^32 - 1) bytes would be read; the loader checks the file first.
     A whole scale book of 8,192 entries is refused too: its index has 12 bits."""
