@@ -20,7 +20,8 @@ from .errors import VoxsplatError
 from .filtering import ProjectionCache
 from .metrics import CBP_BETA_DEFAULT, cbp_loss, cross_boundary_stats, psnr
 from .reference import render_frame_reference, traffic_breakdown
-from .scene import Aabb, Camera, generate_scene, load_ply, look_at_camera, save_ply, tile_pixels
+from .scene import (TILE_EDGE, Aabb, Camera, generate_scene, load_ply, look_at_camera, save_ply,
+                    tile_pixels)
 from .scheduler import TileVisits, dump_edges, traverse, voxel_depths
 from .traffic import PerfConfig, compare_pipelines, counts_from_stats, estimate
 from .streaming import render_frame_streaming, render_tile_streaming
@@ -149,7 +150,7 @@ def _cbp_diagnostics(store, books, camera) -> dict:
     cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
     tile_traces = [[] for _ in tiles]
     render_tile_streaming(tiles, camera, grid, records, books, trace=tile_traces, cache=cache)
-    centers = tile_pixels(tiles)[:, 8 * 16 + 8] + 0.5
+    centers = tile_pixels(tiles)[:, TILE_EDGE // 2 * (TILE_EDGE + 1)] + 0.5  # pixel (8, 8)
     pixel_traces = [_pixel_trace(cache.batch, rows, c) for rows, c in zip(tile_traces, centers)]
     # each row's (depth, max scale), from the one decode of every voxel in record order
     _, splats = stream_fine(records, np.arange(grid.nonempty_count), books)
@@ -164,6 +165,19 @@ def _cbp_diagnostics(store, books, camera) -> dict:
     }
 
 
+def _render_frame(args, store, camera, mode) -> tuple:
+    """One ``mode`` frame of ``store``: (frame, ledger, stats, streamed, books).
+    Only a streaming frame reads ``--books``; it streams ``streamed``, the
+    store encoded with them.  A reference frame gives None for the last three."""
+    common = dict(background=args.background, threads=args.threads, scene_hash=store.scene_hash)
+    if mode == "reference":
+        return (*render_frame_reference(camera, store.records, **common), None, None, None)
+    books = load_codebooks(args.books) if args.books else None
+    streamed = store if books is None else store.encode(books)
+    rendered = render_frame_streaming(camera, streamed.grid, streamed.records, books, **common)
+    return (*rendered, streamed, books)
+
+
 def cmd_render(args) -> int:
     if args.dump_dag and args.mode != "streaming":
         raise VoxsplatError("--dump-dag applies to streaming renders only")
@@ -171,19 +185,7 @@ def cmd_render(args) -> int:
         raise VoxsplatError(f"--out must name a .png or .ppm file, got {args.out!r}")
     store = load_store(args.voxels)
     camera = Camera.load(args.camera)
-    if args.mode == "reference":
-        frame, ledger = render_frame_reference(
-            camera, store.records, background=args.background, threads=args.threads,
-            scene_hash=store.scene_hash,
-        )
-        stats = None
-    else:
-        books = load_codebooks(args.books) if args.books else None
-        streamed = store if books is None else store.encode(books)
-        frame, ledger, stats = render_frame_streaming(
-            camera, streamed.grid, streamed.records, books, background=args.background,
-            threads=args.threads, scene_hash=store.scene_hash,
-        )
+    frame, ledger, stats, *_ = _render_frame(args, store, camera, args.mode)
     if args.dump_dag:
         _dump_dag(args.dump_dag, store, camera)
     if args.out.endswith(".ppm"):
@@ -206,17 +208,10 @@ def cmd_render(args) -> int:
 
 def cmd_compare(args) -> int:
     store = load_store(args.voxels)
-    books = load_codebooks(args.books) if args.books else None
     camera = Camera.load(args.camera)
-    streamed = store if books is None else store.encode(books)
-    stream_frame, stream_ledger, stream_stats = render_frame_streaming(
-        camera, streamed.grid, streamed.records, books, background=args.background,
-        threads=args.threads, scene_hash=store.scene_hash,
-    )
-    ref_frame, ref_ledger = render_frame_reference(
-        camera, store.records, background=args.background, threads=args.threads,
-        scene_hash=store.scene_hash,
-    )
+    stream_frame, stream_ledger, stream_stats, streamed, books = _render_frame(
+        args, store, camera, "streaming")
+    ref_frame, ref_ledger, *_ = _render_frame(args, store, camera, "reference")
     report = {
         "psnr_vs_reference": psnr(stream_frame, ref_frame),
         "max_abs_diff": float(np.max(np.abs(stream_frame - ref_frame))),
@@ -283,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-codebook", help="train per-attribute codebooks from a store")
     p.add_argument("--voxels", required=True)
-    p.add_argument("--entries", default="scale=4096,rot=4096,dc=4096,sh=512")
+    p.add_argument("--entries", default=",".join(f"{k}={v}" for k, v in DEFAULT_ENTRIES.items()),
+                   help="comma-separated attribute=entries items (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_codebook)

@@ -286,6 +286,14 @@ def look_at_camera(
     )
 
 
+def snapped_lattice(bounds: Aabb, edge: float) -> tuple[np.ndarray, np.ndarray]:
+    """The voxel grid over ``bounds``: the origin snapped down to a multiple of
+    ``edge``, so cells form one global lattice, and the float cell count per axis."""
+    origin = np.floor(bounds.lo / edge) * edge
+    # +1 so points exactly on the far bound stay in range under floor
+    return origin, np.floor((bounds.hi - origin) / edge) + 1
+
+
 # --- PLY I/O ----------------------------------------------------------------
 #
 # Binary little-endian layout used by trained splat point clouds: x, y, z,
@@ -429,28 +437,18 @@ def save_ply(scene: Scene, path) -> None:
     """
     n = len(scene)
     header_props = _REQUIRED_PROPS[:3] + ["nx", "ny", "nz"] + _REQUIRED_PROPS[3:]
-    dtype = np.dtype([(nm, "<f4") for nm in header_props])
-    rec = np.zeros(n, dtype=dtype)
-    rec["x"], rec["y"], rec["z"] = scene.positions.T.astype(np.float32)
-    for c in range(3):
-        rec[f"f_dc_{c}"] = scene.sh[:, 0, c]
-        for j in range(15):
-            rec[f"f_rest_{c * 15 + j}"] = scene.sh[:, 1 + j, c]
     op = np.clip(scene.opacities, 1e-9, 1.0 - 1e-9)
-    rec["opacity"] = np.log(op / (1.0 - op))
-    for i in range(3):
-        rec[f"scale_{i}"] = np.log(scene.scales[:, i])
-    for i in range(4):
-        rec[f"rot_{i}"] = scene.rotations[:, i]
-
+    # one column per header property; f_rest channel-major, 15 per channel, as
+    # _scene_from_ply reads it, from views that cost no float64 copy of the SH
+    block = np.concatenate([
+        scene.positions, np.zeros((n, 3)), scene.sh[:, 0], *scene.sh[:, 1:].transpose(2, 0, 1),
+        np.log(op / (1.0 - op))[:, None], np.log(scene.scales), scene.rotations,
+    ], axis=1, dtype="<f4")
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {n}",
+              *(f"property float {nm}" for nm in header_props), "end_header", ""]
     with open(path, "wb") as f:
-        f.write(b"ply\n")
-        f.write(b"format binary_little_endian 1.0\n")
-        f.write(f"element vertex {n}\n".encode("ascii"))
-        for nm in header_props:
-            f.write(f"property float {nm}\n".encode("ascii"))
-        f.write(b"end_header\n")
-        f.write(rec.tobytes())
+        f.write("\n".join(header).encode("ascii"))
+        f.write(block.tobytes())
 
 
 # --- procedural scenes -------------------------------------------------------
@@ -554,9 +552,9 @@ def _place_constrained(
     edge: float,
     s_max: np.ndarray,
 ) -> np.ndarray:
-    # same snapped lattice as the voxel store, so margins survive a round trip
-    origin = np.floor(bounds.lo / edge) * edge
-    dims = np.maximum(1, np.floor((bounds.hi - origin) / edge).astype(int) + 1)
+    # the voxel store's lattice, so margins survive a round trip
+    origin, dims = snapped_lattice(bounds, edge)
+    dims = np.maximum(1, dims.astype(int))
     # voxel occupancy hash for the cross-voxel separation test
     by_voxel: dict[tuple[int, int, int], list[int]] = {}
     positions = np.empty((count, 3))

@@ -97,7 +97,7 @@ def _walk(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> tuple[np.nda
         times = np.concatenate([(lo + (cell + ahead) * grid.edge - o) / d,
                                 grid.edge / np.abs(d), t_exit[None]])
     # per axis: steps left inside the grid and the signed stride of the flat cell index
-    strides = np.array([1, grid.dims[0], grid.dims[0] * grid.dims[1]])[:, None]
+    strides = grid.strides[:, None]
     state = np.concatenate([np.where(ahead, dims - 1 - cell, cell),
                             np.where(ahead, strides, -strides),
                             grid.vid_of_cell(cell.T)[None], rays[None]])

@@ -18,15 +18,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CodebookCorruptionError, StoreFormatError
-from .scene import Scene
-from .vq import ATTRIBUTE_DIMS, ATTRIBUTES, Codebook, nearest_indices
+from .scene import Scene, snapped_lattice
+from .vq import ATTRIBUTE_DIMS, ATTRIBUTES, INDEX_BITS, Codebook, nearest_indices
 
 COARSE_BYTES_PER_GAUSSIAN = 16  # 4 params x float32
-ENCODED_FINE_BYTES = 12  # 2+2+2+2 byte-aligned indices + raw float32 opacity
+# byte-aligned indices (2+2+2+2) + raw float32 opacity
+ENCODED_FINE_BYTES = sum(-(-bits // 8) for bits in INDEX_BITS.values()) + 4
 RAW_FINE_PARAMS = 55  # scale(3) + rotation(4) + dc(3) + sh_rest(45)
 RAW_FINE_BYTES = RAW_FINE_PARAMS * 4
 RAW_FINE_STREAM_BYTES = RAW_FINE_BYTES + 4  # opacity rides along when VQ is off
-PACKED_INDEX_BITS = 12 + 12 + 12 + 9 + 32  # bit-exact alternative packing
+PACKED_INDEX_BITS = sum(INDEX_BITS.values()) + 32  # bit-exact alternative packing
 
 # Lookup tables such as ``dense_renaming`` hold one entry per cell; the cap
 # bounds them (128 MB of int64) whatever a file header claims.
@@ -34,8 +35,11 @@ MAX_GRID_CELLS = 1 << 24
 
 _MAGIC = b"GSVX"
 _VERSION = 2
-_HEADER_BYTES = 55  # magic, version, kind, edge, origin, dims, non-empty count
-_BYTES_PER_SPLAT = 4 * (4 + 56 + 1)  # coarse, fine and id blocks
+# after the magic: version, kind, edge, origin, dims, non-empty count
+_HEADER = struct.Struct("<HBd3d3II")
+_HEADER_BYTES = len(_MAGIC) + _HEADER.size
+# a splat's rows of the coarse and fine blocks are its streamed records; its id is a u4
+_BYTES_PER_SPLAT = COARSE_BYTES_PER_GAUSSIAN + RAW_FINE_STREAM_BYTES + 4
 _DIGEST_BYTES = 32
 
 
@@ -76,16 +80,16 @@ class VoxelGrid:
         points = np.asarray(points, dtype=np.float64)
         return np.floor((points - self.origin) / self.edge).astype(np.int64)
 
+    @property
+    def strides(self) -> np.ndarray:
+        """The step of a voxel id along x, y and z: x varies fastest."""
+        return np.array([1, self.dims[0], self.dims[0] * self.dims[1]])
+
     def vid_of_cell(self, cells: np.ndarray) -> np.ndarray:
-        cells = np.asarray(cells, dtype=np.int64)
-        return cells[..., 0] + self.dims[0] * (cells[..., 1] + self.dims[1] * cells[..., 2])
+        return np.sum(np.asarray(cells, dtype=np.int64) * self.strides, axis=-1)
 
     def cell_of_vid(self, vids: np.ndarray) -> np.ndarray:
-        vids = np.asarray(vids, dtype=np.int64)
-        ix = vids % self.dims[0]
-        iy = (vids // self.dims[0]) % self.dims[1]
-        iz = vids // (self.dims[0] * self.dims[1])
-        return np.stack([ix, iy, iz], axis=-1)
+        return np.asarray(vids, dtype=np.int64)[..., None] // self.strides % self.dims
 
     def dense_renaming(self) -> np.ndarray:
         """Array lookup VID -> VID_r with -1 for empty voxels, built on first use."""
@@ -139,12 +143,9 @@ def build_grid(scene: Scene, edge: float) -> tuple[VoxelGrid, FlatRecords]:
     """
     _check_edge(edge)
     with np.errstate(over="ignore"):  # bounds too wide for the cap may overflow to inf
-        origin = np.floor(scene.bounds.lo / edge) * edge
-        if len(scene):
-            # +1 so positions exactly on the far bound stay in range under floor
-            dims = np.floor((scene.bounds.hi - origin) / edge) + 1
-        else:
-            dims = np.ones(3)
+        origin, dims = snapped_lattice(scene.bounds, edge)
+    if not len(scene):
+        dims = np.ones(3)
     cells = math.prod(dims.tolist())
     if not (np.all(np.isfinite(origin) & (dims >= 1)) and cells <= MAX_GRID_CELLS):
         raise ValueError(f"scene bounds {scene.bounds.lo.tolist()} to {scene.bounds.hi.tolist()} "
@@ -343,8 +344,8 @@ def _file_blocks(store: VoxelStore) -> list:
     bad = np.flatnonzero((records.ids < 0) | (records.ids >= 2**32))
     if len(bad):
         raise ValueError(f"splat id {records.ids[bad[0]]} does not fit a store file's u4 id")
-    header = _MAGIC + struct.pack("<HBd3d3II", _VERSION, 0, grid.edge, *grid.origin.tolist(),
-                                  *grid.dims.tolist(), grid.nonempty_count)
+    header = _MAGIC + _HEADER.pack(_VERSION, 0, grid.edge, *grid.origin.tolist(),
+                                   *grid.dims.tolist(), grid.nonempty_count)
     return [
         header,
         grid.vids.astype("<u4"),
@@ -379,7 +380,7 @@ def load_store(path) -> VoxelStore:
         raise StoreFormatError("bad voxel-store magic bytes")
     if len(data) < _HEADER_BYTES:
         raise StoreFormatError("truncated voxel-store header")
-    version, kind, edge, *rest = struct.unpack_from("<HBd3d3II", data, 4)
+    version, kind, edge, *rest = _HEADER.unpack_from(data, len(_MAGIC))
     if version == 1:
         raise StoreFormatError(
             "voxel-store version 1 is no longer read; rebuild it with voxsplat build-voxels"
@@ -412,8 +413,10 @@ def load_store(path) -> VoxelStore:
         raise StoreFormatError(f"bad voxel-store header: {exc}") from None
     if not counts.all():
         raise StoreFormatError(f"voxel {counts.argmin()} is listed as non-empty but holds no splat")
-    coarse = np.frombuffer(data, "<f4", 4 * n, blocks).reshape(n, 4)
-    fine = np.frombuffer(data, "<f4", 56 * n, blocks + 16 * n).reshape(n, 56)
+    fine_at = blocks + COARSE_BYTES_PER_GAUSSIAN * n
+    ids_at = fine_at + RAW_FINE_STREAM_BYTES * n
+    coarse = np.frombuffer(data, ("<f4", COARSE_BYTES_PER_GAUSSIAN // 4), n, blocks)
+    fine = np.frombuffer(data, ("<f4", RAW_FINE_STREAM_BYTES // 4), n, fine_at)
     # a signalling NaN in the payload would warn in the float32 -> float64
     # casts; the checks below and Scene reject it with one StoreFormatError
     with np.errstate(invalid="ignore"):
@@ -421,7 +424,7 @@ def load_store(path) -> VoxelStore:
             offsets=np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]),
             positions=coarse[:, :3].astype(np.float64),
             max_scales=coarse[:, 3].astype(np.float64),
-            ids=np.frombuffer(data, "<u4", n, blocks + 240 * n).astype(np.int64),
+            ids=np.frombuffer(data, "<u4", n, ids_at).astype(np.int64),
             opacities=fine[:, 55].astype(np.float64),
             scales=fine[:, 0:3].astype(np.float64),
             rotations=fine[:, 3:7].astype(np.float64),

@@ -17,9 +17,9 @@ from .errors import CodebookCorruptionError
 
 ATTRIBUTES = ("scale", "rotation", "dc", "sh_rest")
 ATTRIBUTE_DIMS = {"scale": 3, "rotation": 4, "dc": 3, "sh_rest": 45}
-DEFAULT_ENTRIES = {"scale": 4096, "rotation": 4096, "dc": 4096, "sh_rest": 512}
 # an attribute's codebook holds at most 2**bits entries, the width of its index
 INDEX_BITS = {"scale": 12, "rotation": 12, "dc": 12, "sh_rest": 9}
+DEFAULT_ENTRIES = {name: 2**bits for name, bits in INDEX_BITS.items()}
 KMEANS_TOL = 1e-6  # Lloyd stops once the relative drop in mean squared error is below this
 # one chunk's float64 distances, 32 MB at 4096 entries, are the only large array
 # alive in an assignment step: training 5,000 vectors peaks at 35 MB
@@ -28,6 +28,7 @@ NEAREST_CHUNK_ROWS = 1024
 _MAGIC = b"GSVQ"
 _VERSION = 1
 _ATTR_TAGS = {name: i for i, name in enumerate(ATTRIBUTES)}
+_SECTION = struct.Struct("<HBHI")  # after the magic: version, attribute tag, dim, entry count
 
 
 @dataclass
@@ -192,7 +193,7 @@ def save_codebooks(books: dict[str, Codebook], path) -> None:
         for name in ATTRIBUTES:
             book = books[name]
             f.write(_MAGIC)
-            f.write(struct.pack("<HBHI", _VERSION, _ATTR_TAGS[name], book.dim, book.entry_count))
+            f.write(_SECTION.pack(_VERSION, _ATTR_TAGS[name], book.dim, book.entry_count))
             f.write(book.entries.astype("<f4").tobytes())
 
 
@@ -206,10 +207,10 @@ def load_codebooks(path) -> dict[str, Codebook]:
                 break
             if magic != _MAGIC:
                 raise CodebookCorruptionError("bad codebook magic bytes")
-            header = f.read(9)
-            if len(header) != 9:
+            header = f.read(_SECTION.size)
+            if len(header) != _SECTION.size:
                 raise CodebookCorruptionError("truncated codebook header")
-            version, tag, dim, count = struct.unpack("<HBHI", header)
+            version, tag, dim, count = _SECTION.unpack(header)
             if version != _VERSION:
                 raise CodebookCorruptionError(f"unsupported codebook version {version}")
             if tag not in tag_names:

@@ -176,7 +176,7 @@ def test_dump_dag_of_a_reference_render_is_refused_before_any_load(tmp_path, cap
     assert not out.exists() and not dag.exists()
 
 
-def test_streaming_render_on_empty_scene(tmp_path):
+def test_streaming_render_on_empty_scene(tmp_path, capsys):
     empty = Scene(positions=np.empty((0, 3)), scales=np.empty((0, 3)),
                   rotations=np.empty((0, 4)), opacities=np.empty(0),
                   sh=np.empty((0, 16, 3)), ids=np.empty(0, dtype=np.int64))
@@ -194,6 +194,12 @@ def test_streaming_render_on_empty_scene(tmp_path):
     img = read_png(out)
     assert np.allclose(img, 51 / 255.0)
     assert json.loads(stats.read_text())["intermediate_bytes"] == 0
+    capsys.readouterr()
+    books = tmp_path / "empty.gsvq"
+    assert _run(["train-codebook", "--voxels", store, "--out", books]) == 1
+    assert capsys.readouterr().err == ("voxsplat: voxel store holds no splats; "
+                                       "nothing to train on\n")
+    assert not books.exists()
 
 
 def test_codebook_training_is_byte_deterministic(workspace):
@@ -243,6 +249,7 @@ def test_codebook_wider_than_its_index_exits_1_with_one_line(workspace, capsys, 
     ("sh=500", "sh_rest codebook entry count 500 is not a power of two"),
     ("scale=0", "scale codebook entry count 0 is not a power of two"),
     ("foo", "bad entries item 'foo'"),
+    ("", "bad entries item ''"),
 ])
 def test_bad_entries_exit_1_with_one_line_before_any_book_trains(workspace, capsys, entries,
                                                                   message):

@@ -156,6 +156,9 @@ def test_ply_header_problems_are_parse_errors(files):
     valid, path, _ = files
     for old, new, message in [
         (b"element vertex 3\n", b"element vertex -1\n", "negative vertex count"),
+        (b"element vertex 3\n", b"element vertex three\n", "bad vertex count"),
+        (b"element vertex 3\n", b"element vertex 3 4\n", "malformed element line"),
+        (b"element vertex 3\n", b"", "no vertex element in header"),
         (b"property float nx\n", b"property float x\n", "duplicate property 'x'"),
     ]:
         with pytest.raises(PlyParseError, match=message):

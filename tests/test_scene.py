@@ -72,6 +72,22 @@ def test_quaternions_normalized_on_load(tmp_path):
     _write_fixture_ply(p, [_row(rot=(2.0, 0.0, 0.0, 0.0))])
     scene = load_ply(p)
     assert np.allclose(scene.rotations[0], [1, 0, 0, 0])
+    _write_fixture_ply(p, [_row(), _row(rot=(0.0, 0.0, 0.0, 0.0))])
+    with pytest.raises(PlySchemaError, match="zero-norm rotation quaternion"):
+        load_ply(p)
+
+
+def test_an_element_after_the_vertex_block_is_skipped(tmp_path):
+    """A mesh's faces, list property included, follow the vertices they index."""
+    p = tmp_path / "mesh.ply"
+    rows = [_row(x=1, y=2, z=3), _row(x=-1, y=0, z=5), _row(x=4, y=-2, z=0)]
+    _write_fixture_ply(p, rows, extra_header=b"element face 1\n"
+                                             b"property list uchar int vertex_indices\n")
+    with open(p, "ab") as f:
+        f.write(struct.pack("<B3i", 3, 0, 1, 2))
+    scene = load_ply(p)
+    assert scene.positions.tolist() == [r[:3] for r in rows]
+    assert list(scene.ids) == [0, 1, 2]
 
 
 def test_missing_property_is_schema_error(tmp_path):

@@ -1,9 +1,11 @@
 """Static checks over the package's modules: every name a module imports is
-read in it, and every module-level private function or class is used in it.
+read in it, every module-level private function or class is used in it, and
+every module-level constant is read somewhere in the package.
 ``__init__.py`` re-exports what it imports, and ``__future__`` imports are
 compiler directives, so neither is checked for reads."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,23 @@ def test_every_private_function_and_class_is_used(path):
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.endswith("__")}
     assert sorted(private - _read(tree)) == []
+
+
+def _constants(tree) -> set[str]:
+    """The UPPER_CASE names a module binds at its top level, ``_``-prefixed included."""
+    targets = [t for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+    targets += [node.target for node in tree.body if isinstance(node, ast.AnnAssign)]
+    return {t.id for t in targets
+            if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)}
+
+
+def test_every_constant_is_read_in_the_package():
+    """A constant whose last reader a derivation replaced is left behind unread."""
+    trees = [_parse(path) for path in MODULES]
+    read = set().union(*map(_read, trees))
+    read |= {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    constants = {name: path.name for path, tree in zip(MODULES, trees)
+                 if path.name != "__init__.py" for name in _constants(tree)}
+    assert "INDEX_BITS" in constants and "_HEADER" in constants
+    assert sorted(f"{constants[name]}: {name}" for name in constants.keys() - read) == []

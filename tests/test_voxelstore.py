@@ -14,6 +14,7 @@ from voxsplat.voxelstore import (
     COARSE_BYTES_PER_GAUSSIAN,
     ENCODED_FINE_BYTES,
     MAX_GRID_CELLS,
+    PACKED_INDEX_BITS,
     RAW_FINE_STREAM_BYTES,
     charge_loads,
     encode_records,
@@ -88,6 +89,17 @@ def test_vids_are_a_dense_bijection():
     assert len(records.ids) == len(set(records.ids.tolist()))
 
 
+def test_voxel_ids_are_x_fastest_over_every_cell():
+    """Checked against numpy's Fortran-order ravel, not the grid's own strides."""
+    dims = (3, 5, 7)
+    grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=dims)
+    cells = np.stack(np.unravel_index(np.arange(np.prod(dims)), dims, order="F"), axis=-1)
+    vids = grid.vid_of_cell(cells)
+    assert vids.tolist() == np.ravel_multi_index(cells.T, dims, order="F").tolist()
+    assert grid.cell_of_vid(vids).tolist() == cells.tolist()
+    assert grid.cell_of_vid(np.int64(17)).tolist() == [2, 0, 1]  # 17 = 2 + 3 * (0 + 5 * 1)
+
+
 def test_vids_lookup_tables():
     grid = VoxelGrid(origin=[0, 0, 0], edge=1.0, dims=[2, 2, 2], vids=[1, 6])
     dense = grid.dense_renaming()
@@ -149,6 +161,8 @@ def test_stream_fine_charges_survivors_only():
     charge_loads(ledger2, enc.encoded, 0, 1)
     assert ledger2.bytes["fine-load"] == 12
     assert ENCODED_FINE_BYTES == 12
+    assert PACKED_INDEX_BITS == 77
+    assert DEFAULT_ENTRIES == {"scale": 4096, "rotation": 4096, "dc": 4096, "sh_rest": 512}
 
 
 def test_fine_bytes_never_touch_non_survivors():

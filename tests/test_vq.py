@@ -267,6 +267,9 @@ def test_codebook_file_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(CodebookCorruptionError):
         load_codebooks(path)
+    path.write_bytes(b"GSVQ" + struct.pack("<HBHI", 1, 4, 3, 1) + b"\x00" * 12)
+    with pytest.raises(CodebookCorruptionError, match="^unknown attribute tag 4$"):
+        load_codebooks(path)
 
 
 def test_truncated_codebook_files_are_corruption_errors(tmp_path):
