@@ -22,7 +22,7 @@ from .metrics import CBP_BETA_DEFAULT, cbp_loss, cross_boundary_stats, psnr
 from .reference import render_frame_reference, traffic_breakdown
 from .scene import (TILE_EDGE, Aabb, Camera, generate_scene, load_ply, look_at_camera, save_ply,
                     tile_pixels)
-from .scheduler import TileVisits, dump_edges, traverse, voxel_depths
+from .scheduler import schedule, traverse, voxel_depths
 from .traffic import PerfConfig, compare_pipelines, counts_from_stats, estimate
 from .streaming import render_frame_streaming, render_tile_streaming
 from .voxelstore import VoxelStore, gather_attribute, load_store, save_store, stream_fine
@@ -119,13 +119,19 @@ def cmd_train_codebook(args) -> int:
 
 
 def _dump_dag(path, store, camera) -> None:
-    """Union of the per-tile dependency edges, one 'src dst' line each."""
+    """The union of the per-tile graphs ``schedule`` orders by, one 'src dst'
+    line of renamed ids per distinct edge, in ascending order; the rays are
+    walked and scheduled one tile row at a time, as the render does."""
+    grid = store.grid
+    depth, n = voxel_depths(camera, grid), grid.nonempty_count
     ntx, nty = camera.tile_counts
-    walks = [traverse([(tx, ty) for tx in range(ntx)], camera, store.grid) for ty in range(nty)]
-    # rays are independent, so the rows' walks concatenate into one
-    text = dump_edges(TileVisits(*map(np.concatenate, zip(*walks))))
+    codes = []
+    for ty in range(nty):
+        plan = schedule(traverse([(tx, ty) for tx in range(ntx)], camera, grid), depth)
+        codes.append(np.unique(plan.nodes[plan.src] * n + plan.nodes[plan.dst]))
+    src, dst = np.divmod(np.unique(np.concatenate(codes)), n)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(text + "\n" if text else "")
+        f.writelines(f"{a} {b}\n" for a, b in zip(src.tolist(), dst.tolist()))
 
 
 def _pixel_trace(batch, rows, center) -> list[int]:

@@ -258,18 +258,17 @@ def _json_numbers(value, name: str, integral: bool = False):
 def look_at_camera(
     eye,
     target,
-    up=(0.0, -1.0, 0.0),
     width: int = 256,
     height: int = 256,
     focal: float = 300.0,
     near: float = 0.1,
 ) -> Camera:
-    """Camera at `eye` looking toward `target` (y-down, z-forward image frame)."""
+    """Camera at `eye` looking toward `target` (y-down, z-forward image
+    frame), with world -y up."""
     eye = np.asarray(eye, dtype=np.float64)
     fwd = np.asarray(target, dtype=np.float64) - eye
     fwd = fwd / np.linalg.norm(fwd)
-    up = np.asarray(up, dtype=np.float64)
-    right = np.cross(up, fwd)
+    right = np.cross([0.0, -1.0, 0.0], fwd)
     right /= np.linalg.norm(right)
     down = np.cross(fwd, right)
     rot = np.stack([right, down, fwd])  # world -> camera rows

@@ -34,13 +34,19 @@ class TileVisits(NamedTuple):
 
 
 class RowSchedule(NamedTuple):
-    """The voxel orders of a list of tiles: tile t visits
-    ``ids[offsets[t]:offsets[t + 1]]`` in that order, and breaking its
-    cycles released ``broken[t]`` voxels."""
+    """The voxel orders of a list of tiles and the graph they come from: tile
+    t visits ``ids[offsets[t]:offsets[t + 1]]`` in that order, and breaking
+    its cycles released ``broken[t]`` voxels.  Its graph's nodes are
+    ``nodes[offsets[t]:offsets[t + 1]]``, the renamed ids it visits in
+    ascending order, and its edges the (``src``, ``dst``) node indices,
+    distinct and sorted by (src, dst), between consecutive voxels of a ray."""
 
     ids: np.ndarray
     offsets: np.ndarray
     broken: np.ndarray
+    nodes: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
 
 
 def traverse(tiles, camera: Camera, grid: VoxelGrid) -> TileVisits:
@@ -164,17 +170,6 @@ def _edges(local, counts, first, width: int) -> tuple[np.ndarray, np.ndarray]:
     return src, codes % width + first[src]
 
 
-def dependency_graph(visits: TileVisits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct voxels of a ray walk and the distinct edges between
-    consecutive voxels of each ray, over all of the walk's tiles.
-
-    Returns (nodes, src, dst): ``nodes`` ascending renamed ids, ``src`` and
-    ``dst`` indices into ``nodes``, one entry per edge, sorted by (src, dst).
-    """
-    nodes, local = _distinct(visits.ids, int(visits.ids.max(initial=-1)) + 1)
-    return (nodes, *_edges(local, visits.counts, np.zeros_like(nodes), len(nodes)))
-
-
 def schedule(visits: TileVisits, depth: np.ndarray) -> RowSchedule:
     """One voxel order per tile of a walk, from Kahn's algorithm over that
     tile's per-pixel order constraints.
@@ -185,7 +180,8 @@ def schedule(visits: TileVisits, depth: np.ndarray) -> RowSchedule:
     counted.  ``depth`` is indexed by renamed id (``voxel_depths``).
 
     The graph of the whole walk is built once, ``_distinct`` deduping its
-    (tile, renamed id) nodes and (src node, dst position in the tile) edges.
+    (tile, renamed id) nodes and (src node, dst position in the tile) edges,
+    and returned with the orders.
     When every edge of a tile runs forward in (depth, id), the heap pops the
     nodes in exactly that order: the smallest remaining node then has every
     predecessor emitted, so it is ready and the least of the ready heap.
@@ -210,7 +206,7 @@ def schedule(visits: TileVisits, depth: np.ndarray) -> RowSchedule:
         lo, hi = np.searchsorted(src, [a, b])
         order[a:b], broken[t] = _kahn(node_depth[a:b].tolist(), src[lo:hi] - a, dst[lo:hi] - a)
         order[a:b] += a
-    return RowSchedule(node_id[order], offsets, broken)
+    return RowSchedule(node_id[order], offsets, broken, node_id, src, dst)
 
 
 def _kahn(depth: list, src: np.ndarray, dst: np.ndarray) -> tuple[list[int], int]:
@@ -250,13 +246,3 @@ def _kahn(depth: list, src: np.ndarray, dst: np.ndarray) -> tuple[list[int], int
 def voxel_depths(camera: Camera, grid: VoxelGrid) -> np.ndarray:
     """Camera-space z of every non-empty voxel's center, indexed by renamed id."""
     return camera.to_camera(grid.centers(np.arange(grid.nonempty_count)))[:, 2]
-
-
-def dump_edges(visits: TileVisits) -> str:
-    """Dependency edges as sorted 'src dst' lines, for graph debugging.
-
-    Rays are independent, so the walk may hold the rays of many tiles: the
-    dump is then the union of their edges.
-    """
-    nodes, src, dst = dependency_graph(visits)
-    return "\n".join(f"{a} {b}" for a, b in zip(nodes[src].tolist(), nodes[dst].tolist()))

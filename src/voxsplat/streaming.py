@@ -80,21 +80,19 @@ def render_tile_streaming(
     grid: VoxelGrid,
     records: FlatRecords,
     books: dict[str, Codebook] | None,
+    cache: ProjectionCache,
     background=(0.0, 0.0, 0.0),
     trace: list | None = None,
-    cache: ProjectionCache | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Render 16x16 tiles together, normally one tile row; returns
     ((tiles, 256, 3) colors, (len(COUNTERS), tiles) int64 counters), which
     ``tally`` turns into the tiles' ledger and stats.
 
     The tiles' rays are walked here, in one ``traverse`` call.  ``cache``
-    holds the frame's voxel depths and projections for ``camera``; a call on
-    its own makes one.  ``trace``, one list per tile, collects the
-    projection rows (the records' rows) each tile blended, in blend order.
+    holds the frame's voxel depths and projections for ``camera``.
+    ``trace``, one list per tile, collects the projection rows (the records'
+    rows) each tile blended, in blend order.
     """
-    if cache is None:
-        cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
     plan = schedule(traverse(tiles, camera, grid), cache.depth)
     ntiles = len(tiles)
     rects = tile_rects(tiles)

@@ -44,7 +44,7 @@ class TrafficLedger(Tally):
     macs: dict[str, int] = field(default_factory=lambda: {"coarse": 0, "fine": 0})
     scene_hash: str = ""
 
-    def charge(self, stage: str, nbytes: int, nrecords: int = 0) -> None:
+    def charge(self, stage: str, nbytes: int, nrecords: int) -> None:
         if stage not in self.bytes:
             raise KeyError(f"unknown traffic stage {stage!r}")
         if nbytes < 0 or nrecords < 0:

@@ -24,9 +24,11 @@ from .vq import ATTRIBUTE_DIMS, ATTRIBUTES, INDEX_BITS, Codebook, nearest_indice
 COARSE_BYTES_PER_GAUSSIAN = 16  # 4 params x float32
 # byte-aligned indices (2+2+2+2) + raw float32 opacity
 ENCODED_FINE_BYTES = sum(-(-bits // 8) for bits in INDEX_BITS.values()) + 4
-RAW_FINE_PARAMS = 55  # scale(3) + rotation(4) + dc(3) + sh_rest(45)
-RAW_FINE_BYTES = RAW_FINE_PARAMS * 4
-RAW_FINE_STREAM_BYTES = RAW_FINE_BYTES + 4  # opacity rides along when VQ is off
+RAW_FINE_BYTES = 4 * sum(ATTRIBUTE_DIMS.values())  # the float32 values the codebooks encode
+# a raw fine record's float32 columns in file order: (``FlatRecords`` field, shape per splat)
+RAW_FINE_COLUMNS = (("scales", (3,)), ("rotations", (4,)), ("sh", (16, 3)), ("opacities", ()))
+# 224: the raw record streamed when VQ is off, opacity included
+RAW_FINE_STREAM_BYTES = 4 * sum(math.prod(shape) for _, shape in RAW_FINE_COLUMNS)
 PACKED_INDEX_BITS = sum(INDEX_BITS.values()) + 32  # bit-exact alternative packing
 
 # Lookup tables such as ``dense_renaming`` hold one entry per cell; the cap
@@ -351,8 +353,8 @@ def _file_blocks(store: VoxelStore) -> list:
         grid.vids.astype("<u4"),
         np.diff(records.offsets).astype("<u4"),
         np.concatenate([records.positions, records.max_scales[:, None]], axis=1, dtype="<f4"),
-        np.concatenate([records.scales, records.rotations, records.sh.reshape(-1, 48),
-                        records.opacities[:, None]], axis=1, dtype="<f4"),
+        np.concatenate([getattr(records, name).reshape(-1, math.prod(shape))
+                        for name, shape in RAW_FINE_COLUMNS], axis=1, dtype="<f4"),
         records.ids.astype("<u4"),
     ]
 
@@ -417,6 +419,8 @@ def load_store(path) -> VoxelStore:
     ids_at = fine_at + RAW_FINE_STREAM_BYTES * n
     coarse = np.frombuffer(data, ("<f4", COARSE_BYTES_PER_GAUSSIAN // 4), n, blocks)
     fine = np.frombuffer(data, ("<f4", RAW_FINE_STREAM_BYTES // 4), n, fine_at)
+    columns = np.split(fine, np.cumsum([math.prod(shape) for _, shape in RAW_FINE_COLUMNS])[:-1],
+                       axis=1)
     # a signalling NaN in the payload would warn in the float32 -> float64
     # casts; the checks below and Scene reject it with one StoreFormatError
     with np.errstate(invalid="ignore"):
@@ -425,10 +429,8 @@ def load_store(path) -> VoxelStore:
             positions=coarse[:, :3].astype(np.float64),
             max_scales=coarse[:, 3].astype(np.float64),
             ids=np.frombuffer(data, "<u4", n, ids_at).astype(np.int64),
-            opacities=fine[:, 55].astype(np.float64),
-            scales=fine[:, 0:3].astype(np.float64),
-            rotations=fine[:, 3:7].astype(np.float64),
-            sh=fine[:, 7:55].astype(np.float64).reshape(-1, 16, 3),
+            **{name: column.astype(np.float64).reshape(n, *shape)
+               for (name, shape), column in zip(RAW_FINE_COLUMNS, columns)},
         )
     # float32 rounding is monotone, so a saved store's coarse half is exactly
     # the max of its scales; NaN never compares equal

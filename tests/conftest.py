@@ -13,6 +13,7 @@ import pytest
 import voxsplat.tileloop as tileloop
 from voxsplat import Aabb, generate_scene, look_at_camera
 from voxsplat.filtering import FilterStats, ProjectionCache, coarse_filter, fine_filter
+from voxsplat.scheduler import voxel_depths
 
 from oracles import take
 from voxsplat.scene import _REQUIRED_PROPS
@@ -45,6 +46,11 @@ def cluttered_scene(seed=0, count=30000):
         max_extent_fraction=0.4,
         voxel_edge=2.0,
     )
+
+
+def projection_cache(camera, grid, records) -> ProjectionCache:
+    """An empty projection cache of ``camera``'s frame, for tiles rendered outside a frame."""
+    return ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
 
 
 def usable_cpus(count):

@@ -23,7 +23,7 @@ visits put in ray order by a stable ``np.argsort``, its directions built
 from a ``tile_pixels`` array, and the schedule's nodes and edges
 deduplicated by ``np.unique`` over (tile, renamed id) keys and an n x n edge
 key space; ``dependency_graph_unique`` is the graph of a walk built the same
-way.
+way over all its tiles at once, one tile's graph when the walk holds one.
 
 ``render_tile_per_visit`` is the streaming renderer's tile loop one (tile,
 voxel) visit at a time, as it stood before tiles were batched by row: the
@@ -338,14 +338,16 @@ def edges_unique(local, counts, n) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dependency_graph_unique(visits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``dependency_graph`` from ``np.unique`` nodes and ``edges_unique``."""
+    """The graph of a walk over all its tiles as (nodes, src, dst): ``nodes``
+    the ascending renamed ids from ``np.unique`` and ``src``, ``dst`` indices
+    into them from ``edges_unique``."""
     nodes, local = np.unique(visits.ids, return_inverse=True)
     return (nodes, *edges_unique(local, visits.counts, len(nodes)))
 
 
 def schedule_unique(visits, depth) -> RowSchedule:
-    """``schedule`` with nodes from ``np.unique`` over (tile, renamed id)
-    keys and edges from ``edges_unique``."""
+    """``schedule``, graph included, with nodes from ``np.unique`` over
+    (tile, renamed id) keys and edges from ``edges_unique``."""
     counts = visits.counts
     tiles = len(counts)
     stride = len(depth)
@@ -364,7 +366,7 @@ def schedule_unique(visits, depth) -> RowSchedule:
         lo, hi = np.searchsorted(src, [a, b])
         order[a:b], broken[t] = _kahn(node_depth[a:b].tolist(), src[lo:hi] - a, dst[lo:hi] - a)
         order[a:b] += a
-    return RowSchedule(node_id[order], offsets, broken)
+    return RowSchedule(node_id[order], offsets, broken, node_id, src, dst)
 
 
 def schedule_dict_based(visits, depth):

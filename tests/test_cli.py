@@ -30,10 +30,11 @@ from voxsplat import (
 )
 from voxsplat.cli import main
 from voxsplat.errors import CodebookCorruptionError
-from voxsplat.scheduler import dependency_graph, traverse
+from voxsplat.scheduler import traverse
 
 from conftest import (double_ply, leave_rows_to_workers, leaves_no_process_or_thread, read_png,
                       restamp, usable_cpus)
+from oracles import dependency_graph_unique
 
 
 def _run(argv, capsys=None):
@@ -345,18 +346,22 @@ def test_build_voxels_on_extreme_ply_coordinates_exits_1_with_one_line(tmp_path,
 
 
 def test_dump_dag_is_the_union_of_single_tile_edges(workspace):
+    """The dump is the union of every tile's graph as the oracle builds it,
+    and the dump walks the rays one whole tile row at a time."""
     dag = workspace / "edges.txt"
-    assert _run(["render", "--mode", "streaming", "--voxels", workspace / "scene.gsvx",
-                 "--camera", workspace / "cam.json", "--out", workspace / "frame.ppm",
-                 "--dump-dag", dag]) == 0
+    with mock.patch.object(cli, "traverse", wraps=traverse) as walk:
+        assert _run(["render", "--mode", "streaming", "--voxels", workspace / "scene.gsvx",
+                     "--camera", workspace / "cam.json", "--out", workspace / "frame.ppm",
+                     "--dump-dag", dag]) == 0
     store = load_store(workspace / "scene.gsvx")
     camera = Camera.load(workspace / "cam.json")
     ntx, nty = camera.tile_counts
+    assert [sorted(call.args[0]) for call in walk.call_args_list] == [
+        [(tx, ty) for tx in range(ntx)] for ty in range(nty)]
     edges = set()
     for ty in range(nty):
         for tx in range(ntx):
-            visits = traverse([(tx, ty)], camera, store.grid)
-            nodes, src, dst = dependency_graph(visits)
+            nodes, src, dst = dependency_graph_unique(traverse([(tx, ty)], camera, store.grid))
             edges |= set(zip(nodes[src].tolist(), nodes[dst].tolist()))
     assert edges
     assert dag.read_text() == "".join(f"{a} {b}\n" for a, b in sorted(edges))

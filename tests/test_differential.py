@@ -64,13 +64,13 @@ from voxsplat.filtering import (
 from voxsplat.metrics import extent_boxes
 from voxsplat.reference import render_frame_reference
 from voxsplat.scene import TILE_EDGE, tile_pixels
-from voxsplat.scheduler import TileVisits, dependency_graph, schedule, traverse, voxel_depths
+from voxsplat.scheduler import TileVisits, schedule, traverse, voxel_depths
 from voxsplat.sh import evaluate_sh, sh_basis
 from voxsplat.streaming import render_frame_streaming, render_tile_streaming, tally
 from voxsplat.voxelstore import FlatRecords, VoxelGrid, gather_attribute, stream_fine
 from voxsplat.vq import ATTRIBUTE_DIMS, ATTRIBUTES
 
-from conftest import constrained_scene, filter_voxel
+from conftest import constrained_scene, filter_voxel, projection_cache
 from oracles import (
     blend_per_splat,
     cbp_loss_loop,
@@ -574,9 +574,9 @@ def _wide_grid_case():
 @example(case=WalkCase(_unit_camera([-1.0, -1.0, -1.0]), _full_grid((3, 3, 3)), "tie"), picks=[0])
 @example(case=_wide_grid_case(), picks=[0])
 def test_sort_free_walk_and_schedule_match_the_sorting_oracles(case, picks):
-    """``traverse``, ``schedule`` and ``dependency_graph`` give the bytes of
-    the argsort walk and the ``np.unique`` schedule and graph on any list of
-    tiles; a row whose key space is far wider than its visits falls back to
+    """``traverse`` and ``schedule`` give the bytes of the argsort walk and
+    the ``np.unique`` schedule, its graph included, on any list of tiles; a
+    row whose key space is far wider than its visits falls back to
     ``np.unique``."""
     ntx, nty = case.camera.tile_counts
     tiles = [(i % ntx, i // ntx % nty) for i in picks]
@@ -591,7 +591,6 @@ def test_sort_free_walk_and_schedule_match_the_sorting_oracles(case, picks):
     if case.edge == "wide":
         assert len(visits.ids) < 1e4 and unique.called
     _assert_same_arrays(plan, oracles.schedule_unique(want, depth))
-    _assert_same_arrays(dependency_graph(visits), oracles.dependency_graph_unique(want))
 
 
 @settings(max_examples=100, deadline=None)
@@ -952,7 +951,8 @@ def test_frame_tiles_match_tiles_rendered_alone(seed, one_voxel, threads):
         assert frame(threads) == one
     assert len(in_frame) == 6
     for tile, want in in_frame.items():
-        colors, counts = render_tile_streaming([tile], camera, store.grid, store.records, None)
+        colors, counts = render_tile_streaming([tile], camera, store.grid, store.records, None,
+                                               projection_cache(camera, store.grid, store.records))
         assert _tile_result(colors, counts, 0) == want
     if one_voxel:
         assert any(tile_stats["voxels_scheduled"] == 1 for _, _, tile_stats in in_frame.values())
@@ -1033,8 +1033,9 @@ def test_batched_row_tiles_match_per_visit_tiles(n, seed, wall, encoded, oblique
             mock.patch.object(streaming_mod, "VOXEL_BATCH_CAPACITY", capacity):
         for ty in range(nty):
             row = [(tx, ty) for tx in range(ntx)]
+            cache = projection_cache(camera, store.grid, store.records)
             colors, counts = render_tile_streaming(row, camera, store.grid, store.records,
-                                                   books)
+                                                   books, cache)
             for i, tile in enumerate(row):
                 color, ledger, stats = render_tile_per_visit(
                     tile, camera, store.grid, store.records, books)

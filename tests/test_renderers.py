@@ -17,15 +17,14 @@ from voxsplat import (
     streaming,
 )
 from voxsplat.blending import T_FREEZE, blend
-from voxsplat.filtering import ProjectedBatch, ProjectionCache
+from voxsplat.filtering import ProjectedBatch
 from voxsplat.scene import tile_pixels
-from voxsplat.scheduler import voxel_depths
 from voxsplat.streaming import COUNTERS
 from voxsplat.traffic import INTERMEDIATE_STAGES
 from voxsplat.voxelstore import encode_records, gather_attribute
 from voxsplat.vq import DEFAULT_ENTRIES, train_codebook
 
-from conftest import constrained_scene
+from conftest import constrained_scene, projection_cache
 from oracles import render_frame_per_visit
 
 
@@ -194,9 +193,12 @@ def test_vq_render_stays_close_to_reference():
     assert ledger.bytes["fine-load"] == 12 * ledger.records["fine-load"]
 
 
-def _tile(tile, camera, grid, records, **kwargs):
-    """One tile rendered on its own: (color, {counter name: value})."""
-    colors, counts = render_tile_streaming([tile], camera, grid, records, None, **kwargs)
+def _tile(tile, camera, grid, records, cache=None, **kwargs):
+    """One tile rendered on its own, with a fresh projection cache unless
+    ``cache`` is given: (color, {counter name: value})."""
+    if cache is None:
+        cache = projection_cache(camera, grid, records)
+    colors, counts = render_tile_streaming([tile], camera, grid, records, None, cache, **kwargs)
     return colors[0], dict(zip(COUNTERS, counts[:, 0].tolist()))
 
 
@@ -218,7 +220,7 @@ def test_blend_traces_tile_and_pixel():
     scene = constrained_scene(seed=8, count=400)
     camera = look_at_camera([0, 0, -10], [0, 0, 0])
     grid, records = build_grid(scene, 2.0)
-    cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
+    cache = projection_cache(camera, grid, records)
     tile_trace = []
     _, counts = _tile((8, 8), camera, grid, records, trace=[tile_trace], cache=cache)
     # each blended splat once, by its projected row
@@ -237,7 +239,8 @@ def test_blend_traces_of_many_tiles_equal_each_tile_rendered_alone():
     grid, records = build_grid(scene, 2.0)
     tiles = [(14, 7), (16, 8), (17, 8), (31, 15), (16, 10)]  # (31, 15) sees no splat
     traces = [[] for _ in tiles]
-    render_tile_streaming(tiles, camera, grid, records, None, trace=traces)
+    render_tile_streaming(tiles, camera, grid, records, None,
+                          projection_cache(camera, grid, records), trace=traces)
     for tile, trace in zip(tiles, traces):
         alone = []
         _tile(tile, camera, grid, records, trace=[alone])

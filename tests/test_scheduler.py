@@ -3,13 +3,7 @@ import pytest
 
 from voxsplat import Aabb, Camera, generate_scene, look_at_camera
 from voxsplat.scene import tile_pixels
-from voxsplat.scheduler import (
-    dependency_graph,
-    dump_edges,
-    schedule,
-    traverse,
-    voxel_depths,
-)
+from voxsplat.scheduler import schedule, traverse, voxel_depths
 from voxsplat.voxelstore import VoxelGrid, build_grid
 
 from oracles import depth_table, rows_of, visits_of
@@ -182,12 +176,15 @@ def test_random_tiles_acyclic_constraints_all_hold():
 
 def test_dependency_tables_shape():
     table = [[0, 1, 2], [0, 2]]
-    nodes, src, dst = dependency_graph(visits_of(table))
+    plan = schedule(visits_of(table), depth_table({0: 3.0, 1: 2.0, 2: 1.0}))
+    nodes, src, dst = plan.nodes, plan.src, plan.dst
     adjacency = {int(v): set(nodes[dst[src == i]].tolist()) for i, v in enumerate(nodes)}
     indegree = dict(zip(nodes.tolist(), np.bincount(dst, minlength=len(nodes)).tolist()))
     assert adjacency == {0: {1, 2}, 1: {2}, 2: set()}
     assert indegree == {0: 0, 1: 1, 2: 2}
-    assert dump_edges(visits_of(table)) == "0 1\n0 2\n1 2"
+    assert list(zip(src.tolist(), dst.tolist())) == [(0, 1), (0, 2), (1, 2)]
+    # every edge runs against depth, yet the graph orders: no cycle is broken
+    assert plan.ids.tolist() == [0, 1, 2] and plan.broken.tolist() == [0]
 
 
 def test_tile_outside_image_rejected():

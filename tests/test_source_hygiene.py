@@ -1,6 +1,7 @@
 """Static checks over the package's modules: every name a module imports is
-read in it, every module-level private function or class is used in it, and
-every module-level constant is read somewhere in the package.
+read in it, every module-level private function or class is used in it,
+every public one is used by the package or by perfbench, not by tests
+alone, and every module-level constant is read somewhere in the package.
 ``__init__.py`` re-exports what it imports, and ``__future__`` imports are
 compiler directives, so neither is checked for reads."""
 
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "voxsplat"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "voxsplat"
 MODULES = sorted(SRC.glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _parse(path):
@@ -22,6 +25,13 @@ def _read(tree) -> set[str]:
     """Every name loaded in ``tree``; ``a.b.c`` loads ``a``."""
     return {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _referenced(trees) -> set[str]:
+    """Every name loaded in ``trees`` and every attribute read from a name."""
+    read = set().union(*map(_read, trees))
+    return read | {node.attr for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def _imported(tree) -> set[str]:
@@ -66,10 +76,21 @@ def _constants(tree) -> set[str]:
 def test_every_constant_is_read_in_the_package():
     """A constant whose last reader a derivation replaced is left behind unread."""
     trees = [_parse(path) for path in MODULES]
-    read = set().union(*map(_read, trees))
-    read |= {node.attr for tree in trees for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = _referenced(trees)
     constants = {name: path.name for path, tree in zip(MODULES, trees)
                  if path.name != "__init__.py" for name in _constants(tree)}
     assert "INDEX_BITS" in constants and "_HEADER" in constants
     assert sorted(f"{constants[name]}: {name}" for name in constants.keys() - read) == []
+
+
+def test_every_public_function_and_class_is_used_outside_the_tests():
+    """A public function or class that only tests call is a parallel API:
+    the real path takes it in or it goes.  Re-exports in ``__init__.py``
+    are no use."""
+    trees = {path.name: _parse(path) for path in MODULES if path.name != "__init__.py"}
+    assert len(BENCH) >= 3 and "cli.py" in trees
+    used = _referenced([*trees.values(), *map(_parse, BENCH)])
+    public = {f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    assert sorted(item for item in public if item.split(": ")[1] not in used) == []

@@ -25,7 +25,7 @@ from voxsplat.voxelstore import gather_attribute
 from voxsplat.vq import ATTRIBUTES, train_codebook
 
 from conftest import (constrained_scene, leave_rows_to_workers, leaves_no_process_or_thread,
-                      usable_cpus)
+                      projection_cache, usable_cpus)
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -120,6 +120,17 @@ def test_one_row_frame_starts_no_process(store):
                                            side_effect=AssertionError("forked")):
         frames = _frames(camera, store, 4)
     assert frames == _frames(camera, store, 1)
+
+
+def test_a_platform_without_fork_renders_every_row_in_this_process(monkeypatch, store):
+    camera = _camera(3)
+    want = _frames(camera, store, 1)
+    monkeypatch.delattr(os, "fork", raising=False)
+    with usable_cpus(8), mock.patch.object(tileloop, "_fork",
+                                           side_effect=AssertionError("forked")) as fork:
+        frames = _frames(camera, store, 4)
+    assert not fork.called
+    assert frames == want
 
 
 @needs_fork
@@ -311,8 +322,9 @@ def test_both_renderers_get_each_rows_counters_at_its_ty(store):
         for ty in range(nty):
             row = [(tx, ty) for tx in range(ntx)]
             if module is streaming_mod:
-                want = streaming_mod.render_tile_streaming(row, camera, store.grid,
-                                                           records, None)[1]
+                want = streaming_mod.render_tile_streaming(
+                    row, camera, store.grid, records, None,
+                    projection_cache(camera, store.grid, records))[1]
             else:  # each tile's (tile, splat) records: the valid splats whose disc meets it
                 want = [[np.count_nonzero(disc_overlaps_rect(batch.mean2d[keep],
                                                              batch.radius[keep],

@@ -38,9 +38,10 @@ def _stats(loaded=10000, coarse=3000, fine=1000):
 def test_ledger_rejects_bad_charges():
     ledger = TrafficLedger()
     with pytest.raises(KeyError):
-        ledger.charge("nonsense", 1)
-    with pytest.raises(ValueError):
-        ledger.charge("projection", -1)
+        ledger.charge("nonsense", 1, 1)
+    for nbytes, nrecords in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            ledger.charge("projection", nbytes, nrecords)
 
 
 def test_tally_and_model_dicts_are_pinned():

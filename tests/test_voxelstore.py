@@ -237,6 +237,38 @@ def test_a_set_up_hashes_the_store_twice_and_build_hashes_nothing(tmp_path):
         assert sha256.call_count == 3
 
 
+def test_fine_block_holds_the_documented_columns_in_order(tmp_path):
+    """Every fine value of this store is one no other holds, so its fine
+    block, read straight from the file in the order the README gives
+    (scale, rotation, 48 SH, opacity), shows where each column went."""
+    n = 4
+    k = np.arange(n)[:, None]
+    rotations = np.random.default_rng(5).normal(size=(n, 4))
+    scene = Scene(
+        positions=np.full((n, 3), 0.5) + 0.1 * k,
+        scales=2.0 + k + np.array([0.1, 0.2, 0.3]),
+        rotations=rotations / np.linalg.norm(rotations, axis=1, keepdims=True),
+        opacities=(np.arange(n) + 1) / 8.0,
+        sh=-(1.0 + 48 * k + np.arange(48)).reshape(n, 16, 3),
+        ids=np.arange(n),
+        bounds=Aabb([-2, -2, -2], [4, 4, 4]),
+    )
+    want = np.concatenate([scene.scales, scene.rotations, scene.sh.reshape(n, 48),
+                           scene.opacities[:, None]], axis=1).astype("<f4")
+    assert len(np.unique(want)) == want.size
+    store = VoxelStore.build(scene, 2.0)
+    assert store.records.ids.tolist() == list(range(n))  # one voxel: rows in id order
+    path = tmp_path / "columns.gsvx"
+    save_store(store, path)
+    at = 55 + 8 * store.grid.nonempty_count + COARSE_BYTES_PER_GAUSSIAN * n
+    fine = np.frombuffer(path.read_bytes(), "<f4", 56 * n, at).reshape(n, 56)
+    assert RAW_FINE_STREAM_BYTES == 4 * 56
+    assert fine.tobytes() == want.tobytes()
+    back = load_store(path).records
+    for name in ("scales", "rotations", "sh", "opacities"):
+        assert np.array_equal(getattr(back, name), getattr(scene, name).astype(np.float32))
+
+
 def test_store_file_bytes_are_pinned(tmp_path):
     """The GSVX v2 bytes of a fixed seeded scene; the digest also pins
     ``generate_scene``'s output.  The same scene's v1 file keeps the digest
