@@ -1,12 +1,12 @@
 """Two-phase splat filtering against an image tile.
 
 The coarse phase sees only a splat's position and maximum scale and must
-never reject anything the fine phase would keep.  Its screen radius is
-therefore a proven upper bound on the fine radius: the projected covariance
-satisfies lam_max <= s_max^2 * |J|_F^2 (J the perspective Jacobian, the
-world-to-camera rotation drops out), and sqrt(a + b) <= sqrt(a) + sqrt(b)
-absorbs the +0.3 px low-pass dilation into an additive margin.  A 1.1
-multiplier covers floating-point slack.
+never reject anything the fine phase would keep.  Its screen radius bounds
+the fine radius 3 sqrt(lam_max(B B^T) + 0.3), B = J W R S with J the
+perspective Jacobian, W and R orthonormal rotations and S = diag(scales):
+lam_max(B B^T) = |B|_2^2 <= s_max^2 |J|_2^2 = s_max^2 lam_max(J J^T), equal
+for an isotropic splat.  So 3 sqrt(s_max^2 lam_max(J J^T) + 0.3) bounds it,
+and a 1.1 multiplier covers floating-point slack.
 
 The fine phase computes the exact projected covariance, conic, radius and
 view-dependent color for coarse survivors.
@@ -30,7 +30,6 @@ operands' memory layout, so the one left on this path, in
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -43,7 +42,6 @@ FINE_MACS = 372  # 427 total on the fine path minus the 55 already spent
 COVARIANCE_DILATION = 0.3
 RADIUS_SIGMAS = 3.0
 COARSE_SAFETY = 1.1
-COARSE_DILATION_MARGIN = RADIUS_SIGMAS * math.sqrt(COVARIANCE_DILATION)
 DEGENERATE_DET = 1e-12
 
 # ProjectedBatch's fields, looked up once: fine_filter caches projections per round
@@ -129,14 +127,13 @@ def project_means(camera: Camera, positions: np.ndarray):
 
 
 def coarse_screen_radius(camera: Camera, cam: np.ndarray, max_scales: np.ndarray) -> np.ndarray:
-    z = np.where(np.abs(cam[:, 2]) < 1e-12, 1e-12, cam[:, 2])
-    j_frob = (
-        np.sqrt(
-            camera.fx**2 * (z * z + cam[:, 0] ** 2) + camera.fy**2 * (z * z + cam[:, 1] ** 2)
-        )
-        / (z * z)
-    )
-    return COARSE_SAFETY * RADIUS_SIGMAS * max_scales * np.abs(j_frob) + COARSE_DILATION_MARGIN
+    """The coarse radius in pixels of splats centred at camera-space ``cam``:
+    z^4 J J^T = (a, b; b, c), b = fx fy x y, at the fine phase's clamped z."""
+    x, y = cam[:, 0], cam[:, 1]
+    z2 = np.where(np.abs(cam[:, 2]) < 1e-12, 1e-12, cam[:, 2]) ** 2
+    a, c = camera.fx**2 * (z2 + x * x), camera.fy**2 * (z2 + y * y)
+    j_norm2 = (0.5 * (a + c) + np.hypot(0.5 * (a - c), camera.fx * camera.fy * x * y)) / (z2 * z2)
+    return COARSE_SAFETY * RADIUS_SIGMAS * np.sqrt(max_scales**2 * j_norm2 + COVARIANCE_DILATION)
 
 
 class ProjectionCache:

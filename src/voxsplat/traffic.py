@@ -149,6 +149,8 @@ def compare_pipelines(
         "second_half_reduction": None,
         "second_half_reduction_bit_packed": None,
         "gaussian_reduction": None,
+        "coarse_overfetch": (1.0 - stream_stats.fine_survivors / stream_stats.coarse_survivors
+                             if stream_stats.coarse_survivors else None),
     }
     if vq_enabled:
         report["second_half_reduction"] = 1.0 - fine_bytes / raw_equivalent

@@ -186,8 +186,8 @@ def gather_attribute(records: FlatRecords, attribute: str) -> np.ndarray:
 
 
 def encode_records(records: FlatRecords, books: dict[str, Codebook]) -> FlatRecords:
-    """Replace raw second halves with codebook indices (new records sharing
-    the first halves and the opacities)."""
+    """Replace raw second halves with codebook indices and each max scale with
+    its decoded scale's, which the fine test draws; positions and opacities stay."""
     if records.encoded:
         raise ValueError("records already encoded")
     for name in ATTRIBUTES:
@@ -195,7 +195,8 @@ def encode_records(records: FlatRecords, books: dict[str, Codebook]) -> FlatReco
             raise ValueError(f"codebook {name!r} has dim {books[name].dim}")
     scale, rot, dc, sh = (nearest_indices(gather_attribute(records, name), books[name])
                           for name in ATTRIBUTES)
-    return replace(records, scales=None, rotations=None, sh=None,
+    max_scales = books["scale"].entries[scale].max(axis=1).astype(np.float64)
+    return replace(records, max_scales=max_scales, scales=None, rotations=None, sh=None,
                    scale_idx=scale, rot_idx=rot, dc_idx=dc, sh_idx=sh)
 
 

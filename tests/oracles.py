@@ -51,6 +51,13 @@ entry by entry: row-major (n, rows, cols) matrices multiplied by
 ``einsum`` picks that order from the operands' memory layout, so these
 oracles must keep the row-major layout they were written for.
 
+``frobenius_coarse_radius`` is the coarse screen radius as it stood before
+it followed the Jacobian's spectral norm: the Frobenius norm, which is
+sqrt(2) too large on the optical axis, with the low-pass dilation added
+outside the square root as an additive margin.  Every fine survivor passes
+both, so swapping it in may change the coarse survivors and nothing the
+fine test keeps.
+
 ``scene_from_ply_per_column`` is the PLY loader's colour block filled one
 column at a time, as it stood before one cast filled it.
 
@@ -75,8 +82,10 @@ import voxsplat.streaming as streaming_mod
 from voxsplat.blending import ALPHA_CAP, ALPHA_MIN, T_FREEZE, blend, composite_background
 from voxsplat.filtering import (
     COARSE_MACS,
+    COARSE_SAFETY,
     COVARIANCE_DILATION,
     FINE_MACS,
+    RADIUS_SIGMAS,
     ProjectedBatch,
     coarse_screen_radius,
     disc_overlaps_rect,
@@ -481,6 +490,20 @@ def render_frame_per_visit(camera, grid, records, books, early_exit=True):
             add_counters(ledger, tile_ledger)
             add_counters(stats, tile_stats)
     return image.astype(np.float32), ledger, stats
+
+
+def frobenius_coarse_radius(camera, cam, max_scales):
+    """``coarse_screen_radius`` bounding |J|_2 by |J|_F, with the dilation's
+    3 sqrt(0.3) px added after the square root."""
+    z = np.where(np.abs(cam[:, 2]) < 1e-12, 1e-12, cam[:, 2])
+    j_frob = (
+        np.sqrt(
+            camera.fx**2 * (z * z + cam[:, 0] ** 2) + camera.fy**2 * (z * z + cam[:, 1] ** 2)
+        )
+        / (z * z)
+    )
+    margin = RADIUS_SIGMAS * np.sqrt(COVARIANCE_DILATION)
+    return COARSE_SAFETY * RADIUS_SIGMAS * max_scales * np.abs(j_frob) + margin
 
 
 def coarse_filter_per_visit(camera, rect, positions, max_scales, stats):

@@ -90,9 +90,12 @@ def test_render_modes_write_images_and_stats(workspace):
     """Both modes stamp the store's scene hash.  The stats files' digests
     were re-taken when ``scene_hash`` became the store file's digest; with
     the hash blanked, each file is byte-identical to the one pinned when the
-    reference renderer still hashed the scene itself."""
+    reference renderer still hashed the scene itself.  The streaming digest
+    was re-taken when the coarse radius began to follow the Jacobian's
+    spectral norm: fewer coarse survivors, so fewer fine-load records and
+    fine MACs in its ledger; the reference digest did not move."""
     digests = {
-        "streaming": "9514e05640e620d8b4fc7b76b14f174c21d7eb2cf0e2ff50971e2eaa4f832db2",
+        "streaming": "30d2969bc52a7b629e2c81e5c353a87d1f9a99452b6fdd0e6bf501faccde198a",
         "reference": "7df3b0f688b9aca12347f47cb6a473482c97af1a8ea6746c9a9b5be9d3057ce3",
     }
     scene_hash = load_store(workspace / "scene.gsvx").scene_hash
@@ -126,15 +129,15 @@ def test_render_modes_write_images_and_stats(workspace):
         "stream-1": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
         "stream-2": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
         "reference": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
-        "report": "e3866df82e89db8e9f1565739e2970e55915cadd95f6a72952bce7aa48cdbb33",
-        "csv": "7268337ab613135f4edb47d01b23cb329eecd77fe9ba109249c1ab542598613d",
+        "report": "dc36dfcd0031bc2262f0041a71acd9a3b95cadccbde1fdfb8b4007e9dc7afdca",
+        "csv": "21b3c29f360c6d23e2fbaf8623acbbfa56190dfbd910c74b2279138397f41ab3",
     }),
     (["--count", 500, "--seed", 1, "--extent-fraction", "1.0"], {
         "stream-1": "a65af20f81316080e2a2a4028e93e574f3e9fab2ebd15f61dac31df3c1a6c964",
         "stream-2": "a65af20f81316080e2a2a4028e93e574f3e9fab2ebd15f61dac31df3c1a6c964",
         "reference": "f60a339924c96114a3b8c6d03177c6b438edb649e6c2980091674d8c87d2f338",
-        "report": "577d4aeee47c8a0bbf037b91a74d6c968b4109d7c4dad4a568162184dfd92f76",
-        "csv": "7a2420d9c6ab7f8cc216816b5c4c956a468b0c93a24d717d3d6b3d0a7193a229",
+        "report": "67c769e969f7f67323c5f62b23782339dd6ce8590c18ec428a089470d00e2e61",
+        "csv": "57851282477a904106169b2a2347b958379328d8420ff79377cc30572bab9cf3",
     }),
 ])
 def test_frames_and_compare_report_keep_their_pinned_bits(tmp_path, flags, digests):
@@ -143,7 +146,11 @@ def test_frames_and_compare_report_keep_their_pinned_bits(tmp_path, flags, diges
     ``compare`` report, whose depth-order penalty comes from blend traces.
     The report digests were re-taken when ``scene_hash`` became the store
     file's digest; with the two hashes blanked, the report is byte-identical
-    to the one pinned before.  The unconstrained scene blends out of depth
+    to the one pinned before.  The report and CSV digests were re-taken
+    again when the coarse radius began to follow the Jacobian's spectral
+    norm: the stream ledger's coarse survivors, fine-load bytes and records
+    and fine MACs fell and the report gained ``coarse_overfetch``; the frame
+    digests did not move.  The unconstrained scene blends out of depth
     order in tiles and pixels."""
     scene, cam, store = tmp_path / "scene.ply", tmp_path / "cam.json", tmp_path / "scene.gsvx"
     report, csv_path = tmp_path / "report.json", tmp_path / "report.csv"

@@ -70,7 +70,7 @@ from voxsplat.streaming import render_frame_streaming, render_tile_streaming, ta
 from voxsplat.voxelstore import FlatRecords, VoxelGrid, gather_attribute, stream_fine
 from voxsplat.vq import ATTRIBUTE_DIMS, ATTRIBUTES
 
-from conftest import constrained_scene, filter_voxel, projection_cache
+from conftest import constrained_scene, filter_voxel, projection_cache, usable_cpus
 from oracles import (
     blend_per_splat,
     cbp_loss_loop,
@@ -859,8 +859,11 @@ def _small_store(seed, encoded):
         opacity_range=(0.5, 0.98),
     )
     store = VoxelStore.build(scene, 2.0)
-    if not encoded:
-        return store, None
+    return _encoded(store) if encoded else (store, None)
+
+
+def _encoded(store):
+    """``store`` encoded through 16-entry books trained on it, and the books."""
     books = {name: train_codebook(gather_attribute(store.records, name), 16, seed=0,
                                   attribute=name) for name in ATTRIBUTES}
     return store.encode(books), books
@@ -896,6 +899,50 @@ def test_frames_match_with_the_per_visit_filters_and_dict_scheduler(seed, encode
     assert fast[2]["voxels_scheduled"] == exhaustive[2]["voxels_scheduled"]
     assert ((fast[2]["voxels_skipped_early"] > 0)
             == (fast[2]["filter"]["loaded"] < exhaustive[2]["filter"]["loaded"]))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("encoded", [False, True])
+@pytest.mark.parametrize("kind", ["constrained", "cluttered"])
+def test_frames_match_under_the_frobenius_coarse_radius(kind, encoded, threads, monkeypatch):
+    """The spectral coarse radius drops only second halves the fine test
+    discards: against the Frobenius form, and against a coarse test that
+    passes every splat, every pixel, fine survivor and schedule counter is
+    the same, and only the coarse survivors and their fine-load records
+    fall.  With books, the first half's max scale is the decoded one."""
+    if kind == "constrained":
+        scene = constrained_scene(2, count=300)
+        camera = look_at_camera([0.0, 0.0, -10.0], [0.0, 0.0, 0.0], width=64, height=64,
+                                focal=75.0)
+    else:
+        scene, camera = _cluttered_fixture()
+    store, books = VoxelStore.build(scene, 2.0), None
+    if encoded:
+        store, books = _encoded(store)
+
+    def frame(radius):
+        monkeypatch.setattr(filtering_mod, "coarse_screen_radius", radius)
+        with usable_cpus(2):
+            image, ledger, stats = render_frame_streaming(camera, store.grid, store.records,
+                                                          books, threads=threads)
+        return image.tobytes(), ledger, stats
+
+    spectral = frame(filtering_mod.coarse_screen_radius)
+    frobenius = frame(oracles.frobenius_coarse_radius)
+    everything = frame(lambda camera, cam, max_scales: np.full(len(cam), np.inf))
+    image, ledger, stats = spectral
+    for old_image, old_ledger, old_stats in (frobenius, everything):
+        assert image == old_image
+        for name in ("loaded", "fine_survivors"):
+            assert getattr(stats.filter, name) == getattr(old_stats.filter, name)
+        for name in ("blended", "voxels_scheduled", "voxels_skipped_early", "cycles_broken",
+                     "batch_splits"):
+            assert getattr(stats, name) == getattr(old_stats, name)
+        for stage in ("coarse-load", "pixel-writeback"):
+            assert ledger.bytes[stage] == old_ledger.bytes[stage]
+    _, old_ledger, old_stats = frobenius
+    assert stats.filter.coarse_survivors < old_stats.filter.coarse_survivors
+    assert ledger.records["fine-load"] < old_ledger.records["fine-load"]
 
 
 def _one_voxel_store():

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxsplat import look_at_camera
+from voxsplat import Camera, look_at_camera
 from voxsplat.filtering import (
     COARSE_MACS,
+    COARSE_SAFETY,
     FINE_MACS,
+    RADIUS_SIGMAS,
     FilterStats,
     coarse_filter,
+    coarse_screen_radius,
     disc_overlaps_rect,
+    project_means,
     project_splats,
+    projected_covariance,
     quat_to_rotmat,
     tile_rects,
 )
@@ -173,6 +178,85 @@ def test_coarse_keeps_every_fine_survivor_under_wide_fov_near_plane_cameras(
     cmask, fine, _ = filter_voxel(camera, tile_rects([tile]), (pos, scales, q, opac, sh, ids),
                                   survivors=np.arange(n))
     assert set(fine.ids.tolist()) <= set(np.flatnonzero(cmask).tolist())
+
+
+def _skewed_camera(rng, fx, aspect, offset, near):
+    """A 256x256 camera with fy = aspect * fx, its principal point ``offset``
+    pixels off centre and a random orientation: ``look_at_camera`` makes
+    neither unequal focal lengths nor an off-centre principal point."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return Camera(256, 256, fx, aspect * fx, 128.0 + offset[0], 128.0 + offset[1],
+                  rotation=q * np.sign(np.diag(r)), translation=rng.uniform(-5.0, 5.0, 3),
+                  near=near)
+
+
+def _splats_around(rng, camera, scales):
+    """``project_splats``' inputs for splats of ``scales`` whose camera-space
+    centres run from 0.3 in front of the near plane to 50 deep, |x| and |y|
+    up to 5 z."""
+    n = len(scales)
+    z = camera.near - 0.3 + 10.0 ** rng.uniform(-3.0, np.log10(50.0), n)
+    cam = np.column_stack([rng.uniform(-5.0, 5.0, (n, 2)) * z[:, None], z])
+    pos = (cam - camera.translation) @ camera.rotation  # rotation^T (cam - t)
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    return pos, scales, q, np.full(n, 0.5), rng.normal(0, 0.2, (n, 16, 3)), np.arange(n)
+
+
+_skewed_cameras = dict(
+    seed=st.integers(0, 2**32 - 1),
+    fx=st.floats(20.0, 2000.0),
+    aspect=st.floats(1.0 / 16.0, 16.0),
+    offset=st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+    near=st.floats(0.05, 2.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tile=st.tuples(st.integers(0, 15), st.integers(0, 15)), **_skewed_cameras)
+def test_coarse_radius_bounds_the_fine_one_under_skewed_off_centre_cameras(
+    seed, fx, aspect, offset, near, tile
+):
+    """fx and fy apart by up to 16x, the principal point off centre and
+    scales from 1e-4 to 5: the coarse radius bounds the fine one splat by
+    splat wherever the projection is valid, and no fine survivor of a tile
+    fails its coarse test."""
+    rng = np.random.default_rng(seed)
+    camera = _skewed_camera(rng, fx, aspect, offset, near)
+    n = 2000
+    splats = _splats_around(rng, camera, 10.0 ** rng.uniform(-4.0, np.log10(5.0), (n, 3)))
+    valid, batch, _ = project_splats(camera, *splats)
+    assert valid.any()
+    cam, _, _ = project_means(camera, splats[0])
+    coarse = coarse_screen_radius(camera, cam, splats[1].max(axis=1))
+    assert np.all(coarse[valid] >= batch.radius[valid])
+    cmask, fine, _ = filter_voxel(camera, tile_rects([tile]), splats, survivors=np.arange(n))
+    assert set(fine.ids.tolist()) <= set(np.flatnonzero(cmask).tolist())
+
+
+@settings(max_examples=20, deadline=None)
+@given(**_skewed_cameras)
+def test_coarse_radius_is_the_fine_one_times_the_safety_factor_for_isotropic_splats(
+    seed, fx, aspect, offset, near
+):
+    """With three equal scales B B^T = s^2 J J^T, so the coarse radius is the
+    exact fine radius times COARSE_SAFETY: a looser bound fails here.  The
+    exact fine radius is taken from the fine phase's own covariance by
+    ``eigvalsh``; ``project_splats``' closed-form eigenvalue cancels half
+    the digits of mid^2 - det when the two eigenvalues nearly coincide."""
+    rng = np.random.default_rng(seed)
+    camera = _skewed_camera(rng, fx, aspect, offset, near)
+    n = 2000
+    scales = np.repeat(10.0 ** rng.uniform(-4.0, np.log10(5.0), (n, 1)), 3, axis=1)
+    splats = _splats_around(rng, camera, scales)
+    valid, batch, _ = project_splats(camera, *splats)
+    cam, _, _ = project_means(camera, splats[0])
+    cov = projected_covariance(camera, cam, scales, splats[2])[valid]
+    exact = RADIUS_SIGMAS * np.sqrt(np.linalg.eigvalsh(
+        np.stack([cov[:, :2], cov[:, 1:]], axis=1))[:, 1])
+    coarse = coarse_screen_radius(camera, cam, scales[:, 0])[valid]
+    np.testing.assert_allclose(coarse / exact, COARSE_SAFETY, rtol=1e-12)
+    np.testing.assert_allclose(coarse / batch.radius[valid], COARSE_SAFETY, rtol=1e-7)
 
 
 def test_filter_stats_monotone():

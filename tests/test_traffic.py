@@ -202,6 +202,9 @@ def test_compare_pipelines_reductions_in_band():
     assert 0.90 <= report["second_half_reduction"] <= 0.96
     assert 0.90 <= report["second_half_reduction_bit_packed"] <= 0.96
     assert 0.0 <= report["gaussian_reduction"] <= 1.0
+    assert report["coarse_overfetch"] == (
+        1.0 - s_stats.filter.fine_survivors / s_stats.filter.coarse_survivors)
+    assert 0.0 <= report["coarse_overfetch"] < 1.0
 
 
 def test_compare_pipelines_rejects_mismatched_scenes():
@@ -223,6 +226,14 @@ def test_all_survivors_means_zero_gaussian_reduction():
     b = TrafficLedger(scene_hash="x")
     report = compare_pipelines(a, b, stats)
     assert report["gaussian_reduction"] == 0.0
+    assert report["coarse_overfetch"] == 0.0
+
+
+def test_no_coarse_survivor_means_no_coarse_overfetch():
+    stats = FilterStats(loaded=500, coarse_survivors=0, fine_survivors=0)
+    report = compare_pipelines(TrafficLedger(scene_hash="x"), TrafficLedger(scene_hash="x"),
+                               stats)
+    assert report["coarse_overfetch"] is None
 
 
 def test_breakdown_errors_on_empty_ledger():
