@@ -22,7 +22,7 @@ from .metrics import CBP_BETA_DEFAULT, cbp_loss, cross_boundary_stats, psnr
 from .reference import render_frame_reference, traffic_breakdown
 from .scene import (TILE_EDGE, Aabb, Camera, generate_scene, load_ply, look_at_camera, save_ply,
                     tile_pixels)
-from .scheduler import schedule, traverse, voxel_depths
+from .scheduler import traverse, visibility_key, voxel_depths
 from .traffic import PerfConfig, compare_pipelines, counts_from_stats, estimate
 from .streaming import render_frame_streaming, render_tile_streaming
 from .voxelstore import VoxelStore, gather_attribute, load_store, save_store, stream_fine
@@ -119,16 +119,18 @@ def cmd_train_codebook(args) -> int:
 
 
 def _dump_dag(path, store, camera) -> None:
-    """The union of the per-tile graphs ``schedule`` orders by, one 'src dst'
-    line of renamed ids per distinct edge, in ascending order; the rays are
-    walked and scheduled one tile row at a time, as the render does."""
-    grid = store.grid
-    depth, n = voxel_depths(camera, grid), grid.nonempty_count
+    """Every distinct pair of consecutive non-empty voxels on a pixel ray, the
+    orders each tile's schedule extends, as one 'src dst' line of renamed ids
+    in ascending order; the rays are walked one tile row at a time, as the
+    render does."""
+    grid, n = store.grid, store.grid.nonempty_count
     ntx, nty = camera.tile_counts
     codes = []
     for ty in range(nty):
-        plan = schedule(traverse([(tx, ty) for tx in range(ntx)], camera, grid), depth)
-        codes.append(np.unique(plan.nodes[plan.src] * n + plan.nodes[plan.dst]))
+        visits = traverse([(tx, ty) for tx in range(ntx)], camera, grid)
+        ray = np.repeat(np.arange(visits.counts.size), visits.counts.ravel())
+        same = ray[1:] == ray[:-1]
+        codes.append(np.unique(visits.ids[:-1][same] * n + visits.ids[1:][same]))
     src, dst = np.divmod(np.unique(np.concatenate(codes)), n)
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(f"{a} {b}\n" for a, b in zip(src.tolist(), dst.tolist()))
@@ -153,7 +155,8 @@ def _cbp_diagnostics(store, books, camera) -> dict:
     ntx, nty = camera.tile_counts
     tiles = [(tx, ty) for ty in range(2, nty, 4) for tx in range(2, ntx, 4)]
     grid, records = store.grid, store.records
-    cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
+    key = visibility_key(camera, grid, voxel_depths(camera, grid))
+    cache = ProjectionCache(camera, key, records.offsets)
     tile_traces = [[] for _ in tiles]
     render_tile_streaming(tiles, camera, grid, records, books, trace=tile_traces, cache=cache)
     centers = tile_pixels(tiles)[:, TILE_EDGE // 2 * (TILE_EDGE + 1)] + 0.5  # pixel (8, 8)
@@ -304,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--stats", default=None)
     p.add_argument("--dump-dag", default=None,
-                   help="write the per-tile voxel dependency edges ('src dst' lines)")
+                   help="write the voxel pairs consecutive on a pixel ray, which each "
+                        "tile's order keeps ('src dst' lines)")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("compare", parents=[frame], help="render both pipelines and write a report")

@@ -126,24 +126,30 @@ def project_means(camera: Camera, positions: np.ndarray):
     return cam, depth, mean2d
 
 
+def _largest_eigenvalue(a, b, c):
+    """The larger eigenvalue of the symmetric 2x2 matrices (a, b; b, c), in a
+    form that does not cancel when the two eigenvalues nearly coincide."""
+    return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+
+
 def coarse_screen_radius(camera: Camera, cam: np.ndarray, max_scales: np.ndarray) -> np.ndarray:
     """The coarse radius in pixels of splats centred at camera-space ``cam``:
     z^4 J J^T = (a, b; b, c), b = fx fy x y, at the fine phase's clamped z."""
     x, y = cam[:, 0], cam[:, 1]
     z2 = np.where(np.abs(cam[:, 2]) < 1e-12, 1e-12, cam[:, 2]) ** 2
     a, c = camera.fx**2 * (z2 + x * x), camera.fy**2 * (z2 + y * y)
-    j_norm2 = (0.5 * (a + c) + np.hypot(0.5 * (a - c), camera.fx * camera.fy * x * y)) / (z2 * z2)
+    j_norm2 = _largest_eigenvalue(a, camera.fx * camera.fy * x * y, c) / (z2 * z2)
     return COARSE_SAFETY * RADIUS_SIGMAS * np.sqrt(max_scales**2 * j_norm2 + COVARIANCE_DILATION)
 
 
 class ProjectionCache:
     """One frame's splat projections, shared by the tiles one process renders.
 
-    ``depth`` is the camera-space z of every voxel center, indexed by renamed
-    id, which the scheduler orders by.  A splat's projection depends on the
-    camera, not on the tile, so a voxel is projected the first time one of
-    its splats passes a tile's coarse test, and every later visit only runs
-    the rect test.  The per-splat arrays are indexed like the records' rows
+    ``key`` is the frame's ``visibility_key``, indexed by renamed id, which
+    the scheduler orders by.  A splat's projection depends on the camera,
+    not on the tile, so a voxel is projected the first time one of its
+    splats passes a tile's coarse test, and every later visit only runs the
+    rect test.  The per-splat arrays are indexed like the records' rows
     (``offsets`` are the records' voxel bounds) and hold values only for the
     voxels whose ``projected`` flag is set; ``blend`` reads the survivors'
     rows of ``batch`` where they lie.  The ledger and the filter counters
@@ -153,10 +159,10 @@ class ProjectionCache:
     holds the same bits.
     """
 
-    def __init__(self, camera: Camera, depth: np.ndarray, offsets: np.ndarray):
+    def __init__(self, camera: Camera, key: np.ndarray, offsets: np.ndarray):
         n = int(offsets[-1])
         self.camera = camera
-        self.depth = depth
+        self.key = key
         self.projected = np.zeros(len(offsets) - 1, dtype=bool)
         self.valid = np.empty(n, dtype=bool)
         self.degenerate = np.empty(n, dtype=bool)  # in front of the near plane, covariance unusable
@@ -257,8 +263,7 @@ def project_splats(
     ok_det = det > DEGENERATE_DET
     safe_det = np.where(ok_det, det, 1.0)
     conic = np.stack([cov[:, 2] / safe_det, -cov[:, 1] / safe_det, cov[:, 0] / safe_det], axis=1)
-    mid = 0.5 * (cov[:, 0] + cov[:, 2])
-    lam_max = mid + np.sqrt(np.maximum(mid * mid - det, 0.0))
+    lam_max = _largest_eigenvalue(cov[:, 0], cov[:, 1], cov[:, 2])
     radius = RADIUS_SIGMAS * np.sqrt(np.maximum(lam_max, 0.0))
     in_front = depth > camera.near
     view_dir = positions - camera.position

@@ -1,20 +1,45 @@
-"""Per-tile voxel ordering: exact grid traversal and dependency-driven sort.
+"""Per-tile voxel ordering: exact grid traversal and one visibility key per frame.
 
 The pixel rays of a list of tiles are walked through the voxel grid together
 with an incremental 3D DDA on one array per axis.  Every ray still inside
 the grid advances one cell per step, independently of the others, so a
 ray's visits do not depend on which rays share its walk; each yields the
 non-empty voxels it crosses, front-to-back, put in ray order by counting.
-Consecutive voxels of each ray become edges of a dependency graph, deduped
-in dense key masks; a deterministic Kahn pass (nearest voxel first) emits
-one global order per tile.  Conflicting per-pixel orders are geometrically
-possible, so cycles are broken by releasing the nearest remaining voxel and
-counted instead of treated as fatal.
+
+Each tile streams the distinct voxels its rays visit in the order of one
+per-frame key, ``visibility_key``: the Manhattan distance in cells from the
+eye's cell, then voxel depth, then renamed id, a viewpoint-only order of the
+grid (Frieder, Gordon & Reynolds, IEEE CG&A 1985).  That order is a linear
+extension of every ray's visits, for any pinhole camera, because the
+distance rises by exactly one at every DDA step of ``_walk``:
+
+* Let e be the eye's cell, ``floor((o - origin) / edge)`` per axis as
+  ``VoxelGrid.cell_of`` computes it from the eye o, and d the walk's
+  direction once it has replaced every component smaller than 1e-300 in
+  magnitude with +1e-300.  The nudged start o + s d has s > 0, so on each
+  axis it rounds to a coordinate on d's side of o, or to o; subtracting the
+  origin, dividing by the edge and flooring are monotone, so the start's
+  cell c has (c - e) d >= 0.  Clamping c into [0, dims - 1] moves it with d,
+  or against d onto the grid's last cell in d's direction, from which a step
+  on that axis leaves the grid: such an axis never steps inside the grid.
+* A step moves one axis one cell in the sign of d on that axis, so (c - e) d
+  >= 0 still holds on it and |c - e| grows by one on it and by none on the
+  others.  The distance therefore rises strictly along each ray and
+  between its consecutive non-empty visits, no two voxels of one ray share
+  it, and the depth and id ties never reorder a ray.
+* A component the walk replaced with +1e-300 takes the same argument with
+  the + sign, and in practice it never steps: its next face lies
+  (face - o) / 1e-300 along the ray, beyond the grid exit of any ray that
+  meets the grid unless the eye sits within about 1e-300 exit lengths of
+  that face, where a step it took would still be a + step.
+
+So no per-pixel orders of one eye and an axis-aligned grid conflict, and a
+tile's order needs no dependency graph: one ``_distinct`` over (tile, key)
+pairs gives every tile of a row its order.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import NamedTuple
 
 import numpy as np
@@ -34,19 +59,11 @@ class TileVisits(NamedTuple):
 
 
 class RowSchedule(NamedTuple):
-    """The voxel orders of a list of tiles and the graph they come from: tile
-    t visits ``ids[offsets[t]:offsets[t + 1]]`` in that order, and breaking
-    its cycles released ``broken[t]`` voxels.  Its graph's nodes are
-    ``nodes[offsets[t]:offsets[t + 1]]``, the renamed ids it visits in
-    ascending order, and its edges the (``src``, ``dst``) node indices,
-    distinct and sorted by (src, dst), between consecutive voxels of a ray."""
+    """The voxel orders of a list of tiles: tile t visits
+    ``ids[offsets[t]:offsets[t + 1]]`` in that order."""
 
     ids: np.ndarray
     offsets: np.ndarray
-    broken: np.ndarray
-    nodes: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
 
 
 def traverse(tiles, camera: Camera, grid: VoxelGrid) -> TileVisits:
@@ -140,109 +157,51 @@ def _walk(origin: np.ndarray, dirs: np.ndarray, grid: VoxelGrid) -> tuple[np.nda
     return ids[ids >= 0], steps - misses
 
 
-def _distinct(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_inverse=True)`` of int64 ``keys`` in [0, ``space``).
+def _distinct(keys: np.ndarray, space: int) -> np.ndarray:
+    """``np.unique(keys)`` of int64 ``keys`` in [0, ``space``).
 
     Without a sort while ``space`` is at most ``8 * len(keys) + 4096``: a bool
-    mask marks the keys, ``np.flatnonzero`` reads them back and the mask's
-    int64 ``cumsum`` ranks them, 9 bytes per entry of ``space``.  A wider key
-    space falls back to ``np.unique``.
+    mask marks the keys and ``np.flatnonzero`` reads them back, 1 byte per
+    entry of ``space``.  A wider key space falls back to ``np.unique``.
     """
     if space > 8 * len(keys) + 4096:
-        return np.unique(keys, return_inverse=True)
+        return np.unique(keys)
     mask = np.zeros(space, dtype=bool)
     mask[keys] = True
-    return np.flatnonzero(mask), (np.cumsum(mask) - 1)[keys]
+    return np.flatnonzero(mask)
 
 
-def _edges(local, counts, first, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct edges between consecutive visits of each ray, as (src, dst)
-    node indices sorted by (src, dst); ``local`` is each visit's node and
-    ``counts`` the visits of each ray.  Every ``dst`` lies in [``first[src]``,
-    ``first[src] + width``), so the key src * width + that offset is unique."""
-    # local[i] -> local[i + 1] is an edge unless a new ray starts at i + 1
-    starts = np.cumsum(counts)[:-1]
-    follows = np.ones(max(len(local) - 1, 0), dtype=bool)
-    follows[starts[(starts > 0) & (starts < len(local))] - 1] = False
-    src, dst = local[:-1][follows], local[1:][follows]
-    codes = _distinct(src * width + (dst - first[src]), len(first) * width)[0]
-    src = codes // width
-    return src, codes % width + first[src]
-
-
-def schedule(visits: TileVisits, depth: np.ndarray) -> RowSchedule:
-    """One voxel order per tile of a walk, from Kahn's algorithm over that
-    tile's per-pixel order constraints.
-
-    The ready queue pops the voxel with the smallest centroid depth (ties by
-    renamed id), so the output is deterministic.  If the ready queue drains
-    while nodes remain, the nearest remaining voxel is released and the event
-    counted.  ``depth`` is indexed by renamed id (``voxel_depths``).
-
-    The graph of the whole walk is built once, ``_distinct`` deduping its
-    (tile, renamed id) nodes and (src node, dst position in the tile) edges,
-    and returned with the orders.
-    When every edge of a tile runs forward in (depth, id), the heap pops the
-    nodes in exactly that order: the smallest remaining node then has every
-    predecessor emitted, so it is ready and the least of the ready heap.
-    Such a tile takes its order from one ``np.lexsort`` and has no cycles;
-    only the others run the heap.
-    """
-    counts = visits.counts
-    tiles = len(counts)
-    stride = len(depth)
-    tile_of_visit = np.repeat(np.arange(tiles), counts.sum(axis=1))
-    nodes, local = _distinct(tile_of_visit * stride + visits.ids, tiles * stride)
-    node_tile, node_id = np.divmod(nodes, max(stride, 1))
-    offsets = np.searchsorted(node_tile, np.arange(tiles + 1))
-    src, dst = _edges(local, counts, offsets[node_tile], int(np.diff(offsets).max(initial=0)))
-    node_depth = depth[node_id]
-    ds, dd = node_depth[src], node_depth[dst]
-    forward = (ds < dd) | ((ds == dd) & (node_id[src] < node_id[dst]))
-    order = np.lexsort((node_id, node_depth, node_tile))
-    broken = np.zeros(tiles, dtype=np.int64)
-    for t in _distinct(node_tile[src[~forward]], tiles)[0].tolist():
-        a, b = offsets[t], offsets[t + 1]
-        lo, hi = np.searchsorted(src, [a, b])
-        order[a:b], broken[t] = _kahn(node_depth[a:b].tolist(), src[lo:hi] - a, dst[lo:hi] - a)
-        order[a:b] += a
-    return RowSchedule(node_id[order], offsets, broken, node_id, src, dst)
-
-
-def _kahn(depth: list, src: np.ndarray, dst: np.ndarray) -> tuple[list[int], int]:
-    """Heap Kahn over one tile's nodes, which ascend by renamed id, so the heap
-    key (depth, node index) orders exactly like (depth, renamed id); returns
-    (node indices in emitted order, cycles broken)."""
-    n = len(depth)
-    remaining = np.bincount(dst, minlength=n).tolist()
-    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
-    successors = dst.tolist()
-    broken = 0
-    ready = [(depth[i], i) for i in range(n) if remaining[i] == 0]
-    heapq.heapify(ready)
-    emitted: list[int] = []
-    done = [False] * n
-    while len(emitted) < n:
-        if not ready:
-            broken += 1
-            forced = min((depth[i], i) for i in range(n) if not done[i])[1]
-            remaining[forced] = 0
-            heapq.heappush(ready, (depth[forced], forced))
-            continue
-        _, v = heapq.heappop(ready)
-        if done[v]:
-            continue
-        done[v] = True
-        emitted.append(v)
-        for succ in successors[bounds[v] : bounds[v + 1]]:
-            if done[succ]:
-                continue
-            remaining[succ] -= 1
-            if remaining[succ] == 0:
-                heapq.heappush(ready, (depth[succ], succ))
-    return emitted, broken
+def schedule(visits: TileVisits, key: np.ndarray) -> RowSchedule:
+    """One voxel order per tile of a walk: the distinct voxels the tile's rays
+    visit, ascending in ``key``, a permutation of the renamed ids
+    (``visibility_key``).  ``_distinct`` dedupes the walk's (tile, key)
+    pairs in ascending order, which is every tile's order at once."""
+    tiles, n = len(visits.counts), len(key)
+    tile_of_visit = np.repeat(np.arange(tiles), visits.counts.sum(axis=1))
+    node_tile, rank = np.divmod(_distinct(tile_of_visit * n + key[visits.ids], tiles * n),
+                                max(n, 1))
+    by_rank = np.empty_like(key)
+    by_rank[key] = np.arange(n)
+    return RowSchedule(by_rank[rank], np.searchsorted(node_tile, np.arange(tiles + 1)))
 
 
 def voxel_depths(camera: Camera, grid: VoxelGrid) -> np.ndarray:
     """Camera-space z of every non-empty voxel's center, indexed by renamed id."""
     return camera.to_camera(grid.centers(np.arange(grid.nonempty_count)))[:, 2]
+
+
+def visibility_key(camera: Camera, grid: VoxelGrid, depth: np.ndarray) -> np.ndarray:
+    """Every non-empty voxel's place in the frame's visibility order, indexed
+    by renamed id: by Manhattan distance in cells from the eye's cell, then
+    by ``depth`` (``voxel_depths``), then by renamed id.
+
+    The eye's cell is clipped to one cell past the grid, so a far eye cannot
+    overflow int64.  Every voxel lies on one side of a clipped axis, whose
+    distance the clip then shifts by the same amount for all of them: the
+    order is that of the unclipped cell.
+    """
+    eye = np.clip(np.floor((camera.position - grid.origin) / grid.edge), -1, grid.dims)
+    distance = np.abs(grid.cell_of_vid(grid.vids) - eye.astype(np.int64)).sum(axis=1)
+    key = np.empty(len(depth), dtype=np.int64)
+    key[np.lexsort((depth, distance))] = np.arange(len(depth))
+    return key

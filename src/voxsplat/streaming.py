@@ -24,7 +24,7 @@ import numpy as np
 from .blending import T_FREEZE, blend, composite_background
 from .filtering import FilterStats, ProjectionCache, Tally, coarse_filter, fine_filter, tile_rects
 from .scene import Camera, TILE_EDGE, tile_pixels
-from .scheduler import schedule, traverse, voxel_depths
+from .scheduler import schedule, traverse, visibility_key, voxel_depths
 from .tileloop import render_rows
 from .traffic import PIXEL_BYTES, TrafficLedger
 from .voxelstore import (
@@ -46,14 +46,14 @@ class StreamStats(Tally):
     filter: FilterStats = field(default_factory=FilterStats)
     voxels_scheduled: int = 0
     voxels_skipped_early: int = 0
-    cycles_broken: int = 0
+    cycles_broken: int = 0  # always 0: one eye's ray orders never conflict (``scheduler``)
     batch_splits: int = 0
     blended: int = 0
 
 
 # a tile's counters, in the order of the rows of the arrays that count them
 COUNTERS = ("loaded", "coarse_survivors", "fine_survivors", "degenerate", "voxels_scheduled",
-            "voxels_skipped_early", "cycles_broken", "batch_splits", "blended")
+            "voxels_skipped_early", "batch_splits", "blended")
 
 
 def tally(counts: np.ndarray, encoded: bool,
@@ -89,11 +89,11 @@ def render_tile_streaming(
     ``tally`` turns into the tiles' ledger and stats.
 
     The tiles' rays are walked here, in one ``traverse`` call.  ``cache``
-    holds the frame's voxel depths and projections for ``camera``.
+    holds the frame's visibility key and projections for ``camera``.
     ``trace``, one list per tile, collects the projection rows (the records'
     rows) each tile blended, in blend order.
     """
-    plan = schedule(traverse(tiles, camera, grid), cache.depth)
+    plan = schedule(traverse(tiles, camera, grid), cache.key)
     ntiles = len(tiles)
     rects = tile_rects(tiles)
     centers = tile_pixels(tiles) + 0.5
@@ -157,8 +157,7 @@ def render_tile_streaming(
 
     composite_background(color, transmittance, background)
     loaded, coarse, fine, degenerate, splits = counts
-    return color, np.stack([loaded, coarse, fine, degenerate, scheduled, skipped, plan.broken,
-                            splits, blended])
+    return color, np.stack([loaded, coarse, fine, degenerate, scheduled, skipped, splits, blended])
 
 
 def render_frame_streaming(
@@ -181,7 +180,8 @@ def render_frame_streaming(
     float32, ledger, stats), tallied once from every tile's counters.
     """
     ntx, _ = camera.tile_counts
-    cache = ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
+    key = visibility_key(camera, grid, voxel_depths(camera, grid))
+    cache = ProjectionCache(camera, key, records.offsets)
 
     def render_row(ty):
         band = [(tx, ty) for tx in range(ntx)]

@@ -13,7 +13,7 @@ import pytest
 import voxsplat.tileloop as tileloop
 from voxsplat import Aabb, generate_scene, look_at_camera
 from voxsplat.filtering import FilterStats, ProjectionCache, coarse_filter, fine_filter
-from voxsplat.scheduler import voxel_depths
+from voxsplat.scheduler import visibility_key, voxel_depths
 
 from oracles import take
 from voxsplat.scene import _REQUIRED_PROPS
@@ -50,7 +50,8 @@ def cluttered_scene(seed=0, count=30000):
 
 def projection_cache(camera, grid, records) -> ProjectionCache:
     """An empty projection cache of ``camera``'s frame, for tiles rendered outside a frame."""
-    return ProjectionCache(camera, voxel_depths(camera, grid), records.offsets)
+    key = visibility_key(camera, grid, voxel_depths(camera, grid))
+    return ProjectionCache(camera, key, records.offsets)
 
 
 def usable_cpus(count):

@@ -17,18 +17,19 @@ live rays only; ``dda_start`` is its state before the first step.
 are the per-voxel and per-element forms of the store encoder and the two
 metrics.
 
-``traverse_argsort`` and ``schedule_unique`` are the row walk and the row
-schedule as they stood before both went sort-free: the walk's step-major
-visits put in ray order by a stable ``np.argsort``, its directions built
-from a ``tile_pixels`` array, and the schedule's nodes and edges
-deduplicated by ``np.unique`` over (tile, renamed id) keys and an n x n edge
-key space; ``dependency_graph_unique`` is the graph of a walk built the same
-way over all its tiles at once, one tile's graph when the walk holds one.
+``traverse_argsort`` is the row walk as it stood before it went sort-free:
+the walk's step-major visits put in ray order by a stable ``np.argsort``,
+its directions built from a ``tile_pixels`` array.
+``dependency_graph_unique`` is the graph of consecutive visits along each
+ray of a walk, its nodes and edges deduplicated by ``np.unique`` over all
+its tiles at once, one tile's graph when the walk holds one.
+``visibility_sorted`` orders a walk's voxels with a plain ``sorted`` on the
+visibility key, computed voxel by voxel from the grid's cells.
 
 ``render_tile_per_visit`` is the streaming renderer's tile loop one (tile,
 voxel) visit at a time, as it stood before tiles were batched by row: the
-dict-based scheduler, then per scheduled voxel a coarse test, a fine test
-and one ``blend`` call per sorting-buffer chunk, with the ledger charged
+``visibility_sorted`` order, then per scheduled voxel a coarse test, a fine
+test and one ``blend`` call per sorting-buffer chunk, with the ledger charged
 visit by visit and the walk cut at the first voxel that finds every pixel
 frozen, or with ``early_exit=False`` never cut: the exhaustive render that
 early exit must equal pixel for pixel.  ``render_frame_per_visit``
@@ -71,7 +72,6 @@ digest; tests use it for a hash string and to pin ``generate_scene``.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import struct
 from dataclasses import fields, is_dataclass
 from typing import NamedTuple
@@ -96,7 +96,7 @@ from voxsplat.filtering import (
 from voxsplat.errors import PlySchemaError
 from voxsplat.metrics import EXTENT_SIGMAS, extent_boxes
 from voxsplat.scene import TILE_EDGE, Scene, tile_pixels
-from voxsplat.scheduler import RowSchedule, TileVisits, _kahn, voxel_depths
+from voxsplat.scheduler import TileVisits, voxel_depths
 from voxsplat.sh import C0, C1, C2, C3, SH_COEFFS
 from voxsplat.streaming import StreamStats
 from voxsplat.traffic import (
@@ -252,12 +252,28 @@ def rows_of(visits) -> list[list[int]]:
     return [ids[b:e] for b, e in zip([0] + ends[:-1], ends)]
 
 
-def depth_table(depths) -> np.ndarray:
-    """A {renamed id: depth} dict as the renamed-id-indexed array ``schedule`` reads."""
-    table = np.full(max(depths, default=-1) + 1, np.nan)
+def key_table(depths) -> np.ndarray:
+    """A {renamed id: depth} dict as the key ``schedule`` reads: every id up to
+    the largest ranked by (depth, id), the ids without a depth last."""
+    table = np.full(max(depths, default=-1) + 1, np.inf)
     for v, z in depths.items():
         table[v] = z
-    return table
+    key = np.empty(len(table), dtype=np.int64)
+    key[np.argsort(table, kind="stable")] = np.arange(len(table))
+    return key
+
+
+def visibility_sorted(visits, camera, grid) -> list[int]:
+    """The distinct renamed ids of a walk, put in order by ``sorted`` on
+    (Manhattan distance in cells of the voxel from the eye's cell, the
+    voxel's depth, renamed id)."""
+    eye = grid.cell_of(camera.position)
+    depth = voxel_depths(camera, grid).tolist()
+
+    def key(v):
+        return int(np.abs(grid.cell_of_vid(grid.vids[v]) - eye).sum()), depth[v], v
+
+    return sorted(set(visits.ids.tolist()), key=key)
 
 
 def traverse_per_visit(tiles, camera, grid) -> TileVisits:
@@ -354,72 +370,6 @@ def dependency_graph_unique(visits) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return (nodes, *edges_unique(local, visits.counts, len(nodes)))
 
 
-def schedule_unique(visits, depth) -> RowSchedule:
-    """``schedule``, graph included, with nodes from ``np.unique`` over
-    (tile, renamed id) keys and edges from ``edges_unique``."""
-    counts = visits.counts
-    tiles = len(counts)
-    stride = len(depth)
-    tile_of_visit = np.repeat(np.arange(tiles), counts.sum(axis=1))
-    nodes, local = np.unique(tile_of_visit * stride + visits.ids, return_inverse=True)
-    src, dst = edges_unique(local, counts, len(nodes))
-    node_tile, node_id = np.divmod(nodes, max(stride, 1))
-    node_depth = depth[node_id]
-    offsets = np.searchsorted(node_tile, np.arange(tiles + 1))
-    ds, dd = node_depth[src], node_depth[dst]
-    forward = (ds < dd) | ((ds == dd) & (node_id[src] < node_id[dst]))
-    order = np.lexsort((node_id, node_depth, node_tile))
-    broken = np.zeros(tiles, dtype=np.int64)
-    for t in np.unique(node_tile[src[~forward]]).tolist():
-        a, b = offsets[t], offsets[t + 1]
-        lo, hi = np.searchsorted(src, [a, b])
-        order[a:b], broken[t] = _kahn(node_depth[a:b].tolist(), src[lo:hi] - a, dst[lo:hi] - a)
-        order[a:b] += a
-    return RowSchedule(node_id[order], offsets, broken, node_id, src, dst)
-
-
-def schedule_dict_based(visits, depth):
-    """Kahn's algorithm over dict/set adjacency; same contract as ``schedule``."""
-    table = rows_of(visits)
-    depths = {v: float(depth[v]) for row in table for v in row}
-    adjacency: dict[int, set[int]] = {}
-    indegree: dict[int, int] = {}
-    for row in table:
-        for v in row:
-            indegree.setdefault(v, 0)
-            adjacency.setdefault(v, set())
-        for a, b in zip(row, row[1:]):
-            if b not in adjacency[a]:
-                adjacency[a].add(b)
-                indegree[b] += 1
-    broken = 0
-    remaining = dict(indegree)
-    ready = [(depths[v], v) for v, deg in sorted(remaining.items()) if deg == 0]
-    heapq.heapify(ready)
-    emitted: list[int] = []
-    done: set[int] = set()
-    while len(emitted) < len(remaining):
-        if not ready:
-            broken += 1
-            pending = [(depths[v], v) for v in sorted(remaining) if v not in done]
-            forced = min(pending)[1]
-            remaining[forced] = 0
-            heapq.heappush(ready, (depths[forced], forced))
-            continue
-        _, v = heapq.heappop(ready)
-        if v in done:
-            continue
-        done.add(v)
-        emitted.append(v)
-        for succ in sorted(adjacency[v]):
-            if succ in done:
-                continue
-            remaining[succ] -= 1
-            if remaining[succ] == 0:
-                heapq.heappush(ready, (depths[succ], succ))
-    return emitted, broken
-
-
 def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0.0, 0.0),
                           early_exit=True):
     """One tile, visit by visit; returns (color, ledger, stats).  The sorting
@@ -430,9 +380,7 @@ def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0
     color = np.zeros((1, TILE_EDGE * TILE_EDGE, 3))
     transmittance = np.ones((1, TILE_EDGE * TILE_EDGE))
     capacity = streaming_mod.VOXEL_BATCH_CAPACITY
-    order, stats.cycles_broken = schedule_dict_based(
-        traverse_per_visit([tile], camera, grid), voxel_depths(camera, grid)
-    )
+    order = visibility_sorted(traverse_per_visit([tile], camera, grid), camera, grid)
     stats.voxels_scheduled = len(order)
     for k, vid_r in enumerate(order):
         if early_exit and np.all(transmittance < T_FREEZE):

@@ -2,7 +2,7 @@
 
 ``blend`` evaluates blocks of splats as one array, ``traverse`` walks the
 rays of a whole tile row at once, ``schedule`` orders a row's tiles from one
-array-built graph, the renderer streams a row's tiles through the filters
+sort-free dedupe, the renderer streams a row's tiles through the filters
 together in rounds and projects each voxel once per frame, the store
 encodes all voxels in one call per attribute, and the metrics scan whole
 arrays; all must reproduce the straightforward forms in ``oracles.py`` bit
@@ -64,7 +64,7 @@ from voxsplat.filtering import (
 from voxsplat.metrics import extent_boxes
 from voxsplat.reference import render_frame_reference
 from voxsplat.scene import TILE_EDGE, tile_pixels
-from voxsplat.scheduler import TileVisits, schedule, traverse, voxel_depths
+from voxsplat.scheduler import TileVisits, schedule, traverse, visibility_key, voxel_depths
 from voxsplat.sh import evaluate_sh, sh_basis
 from voxsplat.streaming import render_frame_streaming, render_tile_streaming, tally
 from voxsplat.voxelstore import FlatRecords, VoxelGrid, gather_attribute, stream_fine
@@ -76,11 +76,11 @@ from oracles import (
     cbp_loss_loop,
     coarse_filter_per_visit,
     dda_start,
-    depth_table,
     encode_per_voxel,
     evaluate_sh_row_major,
     extent_half_einsum,
     fine_filter_per_visit,
+    key_table,
     per_voxel_crossings_loop,
     projected_covariance_einsum,
     quat_to_rotmat_row_major,
@@ -88,7 +88,6 @@ from oracles import (
     render_frame_reference_per_tile,
     render_tile_per_visit,
     rows_of,
-    schedule_dict_based,
     sh_basis_row_major,
     tiles_of,
     traverse_per_visit,
@@ -251,7 +250,7 @@ def test_traces_and_penalties_of_every_sampled_tile_match_the_oracles(encoded):
                             focal=100.0)
     ntx, nty = camera.tile_counts
     tiles = [(tx, ty) for ty in range(2, nty, 4) for tx in range(2, ntx, 4)]
-    cache = ProjectionCache(camera, voxel_depths(camera, store.grid), store.records.offsets)
+    cache = projection_cache(camera, store.grid, store.records)
     traces = [[] for _ in tiles]
     render_tile_streaming(tiles, camera, store.grid, store.records, books, trace=traces,
                           cache=cache)
@@ -574,10 +573,10 @@ def _wide_grid_case():
 @example(case=WalkCase(_unit_camera([-1.0, -1.0, -1.0]), _full_grid((3, 3, 3)), "tie"), picks=[0])
 @example(case=_wide_grid_case(), picks=[0])
 def test_sort_free_walk_and_schedule_match_the_sorting_oracles(case, picks):
-    """``traverse`` and ``schedule`` give the bytes of the argsort walk and
-    the ``np.unique`` schedule, its graph included, on any list of tiles; a
-    row whose key space is far wider than its visits falls back to
-    ``np.unique``."""
+    """``traverse`` gives the bytes of the argsort walk, and ``schedule`` each
+    tile's voxels in the order a plain sort by the visibility key puts them,
+    on any list of tiles; a row whose (tile, key) space is far wider than its
+    visits falls back to ``np.unique``."""
     ntx, nty = case.camera.tile_counts
     tiles = [(i % ntx, i // ntx % nty) for i in picks]
     visits = traverse(tiles, case.camera, case.grid)
@@ -585,12 +584,92 @@ def test_sort_free_walk_and_schedule_match_the_sorting_oracles(case, picks):
     _assert_same_arrays(visits, want)
     if case.edge == "miss":
         assert not visits.counts.any()
-    depth = voxel_depths(case.camera, case.grid)
+    key = visibility_key(case.camera, case.grid, voxel_depths(case.camera, case.grid))
     with mock.patch.object(np, "unique", wraps=np.unique) as unique:
-        plan = schedule(visits, depth)
+        plan = schedule(visits, key)
     if case.edge == "wide":
         assert len(visits.ids) < 1e4 and unique.called
-    _assert_same_arrays(plan, oracles.schedule_unique(want, depth))
+    assert plan.ids.dtype == np.int64 and len(plan.offsets) == len(tiles) + 1
+    for t, walk in enumerate(tiles_of(want)):
+        assert (plan.ids[plan.offsets[t] : plan.offsets[t + 1]].tolist()
+                == oracles.visibility_sorted(walk, case.camera, case.grid))
+
+
+def _consecutive(visits):
+    """Every pair of consecutive visits of one ray of a walk, as (earlier
+    renamed id, later renamed id, the ray's tile)."""
+    ray = np.repeat(np.arange(visits.counts.size), visits.counts.ravel())
+    same = ray[1:] == ray[:-1]
+    return visits.ids[:-1][same], visits.ids[1:][same], ray[1:][same] // TILE_EDGE**2
+
+
+# the 24 rotations that map each axis onto an axis
+_AXIS_VIEWS = [m for perm in ([0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1], [2, 1, 0], [1, 0, 2])
+               for signs in np.ndindex(2, 2, 2)
+               for m in [np.eye(3)[perm] * (1 - 2 * np.array(signs))[:, None]]
+               if np.linalg.det(m) > 0]
+
+
+@st.composite
+def _proof_cases(draw):
+    """A grid and a 32x32 camera: the eye inside the grid, outside it, or
+    exactly on grid planes (origin + k * edge), looking along an axis through
+    pixel (16, 16) or anywhere, with focal lengths from 1 to 1e5."""
+    dims = np.array(draw(st.tuples(*[st.integers(1, 5)] * 3)))
+    edge = draw(st.sampled_from([0.3, 0.5, 1.0, 2.0]))
+    scale = draw(st.sampled_from([1.0, 0.7]))
+    origin = np.array(draw(st.tuples(*[st.integers(-3, 3)] * 3))) * scale
+    cells = draw(st.lists(st.integers(0, int(dims.prod()) - 1), min_size=1, unique=True))
+    grid = VoxelGrid(origin=origin, edge=edge, dims=dims, vids=sorted(cells))
+    size = dims * edge
+    u = np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3)))
+    where = draw(st.sampled_from(["inside", "outside", "plane"]))
+    eye = origin + u * size if where == "inside" else origin - 2.0 * size + 5.0 * u * size
+    if where == "plane":
+        for axis in draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True)):
+            eye[axis] = origin[axis] + draw(st.integers(-2, int(dims[axis]) + 2)) * edge
+    if draw(st.booleans()):
+        rotation = draw(st.sampled_from(_AXIS_VIEWS))
+        cx = cy = 16.5
+    else:
+        q = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)))
+        q = q / np.linalg.norm(q) if np.linalg.norm(q) > 1e-3 else np.array([1.0, 0.0, 0.0, 0.0])
+        rotation = quat_to_rotmat(q[None])[0]
+        cx, cy = draw(st.floats(-40.0, 72.0)), draw(st.floats(-40.0, 72.0))
+    focal = draw(st.one_of(st.sampled_from([1.0, 1e5]), st.floats(1.0, 1e5)))
+    camera = Camera(width=32, height=32, fx=focal, fy=focal, cx=cx, cy=cy, rotation=rotation,
+                    translation=-rotation @ eye)
+    return camera, grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_proof_cases())
+# inside the grid on three planes, looking down +z: rays run inside grid planes
+@example(case=(_unit_camera([2.0, 1.0, 2.0], cx=8.5, cy=8.5), _full_grid((4, 4, 4))))
+@example(case=(_axis_camera_x([-3.0, 1.0, 2.0]), _full_grid((4, 4, 4))))
+def test_the_cell_distance_rises_along_every_ray_and_each_order_extends_them(case):
+    """The proof in ``scheduler``'s docstring, checked: along every ray of
+    ``traverse`` and of the argsort walk, the Manhattan distance in cells
+    from the eye's cell rises strictly from each visit to the next, and each
+    tile's ``schedule`` holds its distinct voxels with every ray's earlier
+    visit first."""
+    camera, grid = case
+    ntx, nty = camera.tile_counts
+    tiles = [(tx, ty) for ty in range(nty) for tx in range(ntx)]
+    visits = traverse(tiles, camera, grid)
+    distance = np.abs(grid.cell_of_vid(grid.vids) - grid.cell_of(camera.position)).sum(axis=1)
+    for walk in (visits, oracles.traverse_argsort(tiles, camera, grid)):
+        earlier, later, _ = _consecutive(walk)
+        assert np.all(distance[later] > distance[earlier])
+    plan = schedule(visits, visibility_key(camera, grid, voxel_depths(camera, grid)))
+    n = grid.nonempty_count
+    nodes = np.repeat(np.arange(len(tiles)), np.diff(plan.offsets)) * n + plan.ids
+    tile_of_visit = np.repeat(np.arange(len(tiles)), visits.counts.sum(axis=1))
+    assert sorted(nodes.tolist()) == np.unique(tile_of_visit * n + visits.ids).tolist()
+    position = np.full(len(tiles) * n, -1)
+    position[nodes] = np.arange(len(nodes))
+    earlier, later, tile = _consecutive(visits)
+    assert np.all(position[tile * n + earlier] < position[tile * n + later])
 
 
 @settings(max_examples=100, deadline=None)
@@ -604,7 +683,8 @@ def test_dedupe_helper_equals_unique_on_both_sides_of_its_mask_bound(keys, spare
     with mock.patch.object(np, "unique", wraps=np.unique) as unique:
         got = scheduler_mod._distinct(keys, space)
     assert unique.called == (space > 8 * len(keys) + 4096)
-    _assert_same_arrays(got, np.unique(keys, return_inverse=True))
+    want = np.unique(keys)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
 
 def _cluttered_fixture():
@@ -754,32 +834,6 @@ def test_constrained_scenes_match_under_oblique_cameras_without_dilation(seed, i
         stream, _, _ = render_frame_streaming(camera, store.grid, store.records)
         ref, _ = render_frame_reference(camera, scene)
     assert stream.tobytes() == ref.tobytes()
-
-
-@st.composite
-def _ordering_tables(draw):
-    """A few voxels with tied and distinct depths, and per-pixel rows that
-    repeat voxels, contradict each other (cycles) or are empty."""
-    vids = draw(st.lists(st.integers(0, 5000), min_size=1, max_size=10, unique=True))
-    depth = st.one_of(st.sampled_from([1.0, 2.5, 4.0]), st.floats(0.1, 60.0))
-    depths = {v: draw(depth) for v in vids}
-    rows = draw(st.lists(st.lists(st.sampled_from(vids), max_size=7), max_size=20))
-    return rows, depths
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=_ordering_tables())
-@example(case=([[3, 9], [9, 3], []], {3: 2.0, 9: 2.0}))
-@example(case=([[5, 5, 7], [7, 1, 5]], {1: 1.0, 5: 1.0, 7: 0.5}))
-@example(case=([[], []], {4: 1.0}))
-def test_array_schedule_matches_dict_based_oracle(case):
-    table, depths = case
-    visits, depth = visits_of(table), depth_table(depths)
-    plan = schedule(visits, depth)
-    order, broken = plan.ids.tolist(), int(plan.broken[0])
-    want, want_broken = schedule_dict_based(visits, depth)
-    assert order == want
-    assert broken == want_broken
 
 
 def _voxel_splats(rng, n, behind_share, degenerate_share):
@@ -1097,7 +1151,7 @@ def test_batched_row_tiles_match_per_visit_tiles(n, seed, wall, encoded, oblique
 def _row_tables(draw):
     """A row of tiles with the same number of rays each, over a few voxels
     with tied, signed-zero and distinct depths; rays repeat voxels,
-    contradict each other (cycles), run against depth order, or are empty."""
+    contradict each other, run against depth order, or are empty."""
     vids = draw(st.lists(st.integers(0, 300), min_size=1, max_size=10, unique=True))
     depth = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(-5.0, 60.0))
     depths = {v: draw(depth) for v in vids}
@@ -1112,22 +1166,24 @@ def _row_tables(draw):
 @example(case=([], {1: 1.0}))
 @example(case=([[[9, 3], []], [[], []], [[3, 9], [9, 3]], [[3, 9], [3]]], {3: 0.0, 9: -0.0}))
 @example(case=([[[5, 5, 7], [7, 1, 5]], [[1, 7], [5]]], {1: 1.0, 5: 1.0, 7: 0.5}))
-# 100 nodes x 100 wide is an edge key space past the mask bound of 2 edges
-@example(case=([[[v] for v in range(98)] + [[98, 99], [99, 0]]], {v: v % 7 for v in range(100)}))
-def test_row_schedule_matches_dict_based_oracle_tile_by_tile(case):
+@example(case=([[[3, 9], [9, 3], []]], {3: 2.0, 9: 2.0}))
+@example(case=([[[], []]], {4: 1.0}))
+# a (tile, key) space of 2 x 5000 is past the mask bound of 2 visits
+@example(case=([[[4999]], [[0]]], {0: 1.0, 4999: 0.5}))
+def test_row_schedule_sorts_each_tile_by_the_key(case):
+    """Each tile's order is its distinct voxels sorted by the key, one tile
+    at a time, however the rays of the row contradict each other."""
     tiles, depths = case
     walks = [visits_of(rays) for rays in tiles]
     rays = len(tiles[0]) if tiles else 0
     visits = TileVisits(np.concatenate([w.ids for w in walks] + [np.empty(0, dtype=np.int64)]),
                         np.array([w.counts for w in walks], dtype=np.int64).reshape(len(tiles), rays))
-    depth = depth_table(depths)
-    plan = schedule(visits, depth)
-    _assert_same_arrays(plan, oracles.schedule_unique(visits, depth))
+    key = key_table(depths)
+    plan = schedule(visits, key)
     assert len(plan.offsets) == len(tiles) + 1
     for t, walk in enumerate(walks):
-        want, want_broken = schedule_dict_based(walk, depth)
+        want = sorted(set(walk.ids.tolist()), key=key.__getitem__)
         assert plan.ids[plan.offsets[t] : plan.offsets[t + 1]].tolist() == want
-        assert plan.broken[t] == want_broken
 
 
 @settings(max_examples=40, deadline=None)
@@ -1190,7 +1246,7 @@ def test_projection_bits_do_not_depend_on_the_rows_beside_them(seed, count, inde
     with mock.patch.object(reference_mod, "project_splats", recording):
         render_frame_reference(camera, scene)
     ref_valid, ref, _ = reference[0]
-    cache = ProjectionCache(camera, voxel_depths(camera, store.grid), records.offsets)
+    cache = projection_cache(camera, store.grid, records)
     ntx, nty = camera.tile_counts
     for ty in range(nty):
         render_tile_streaming([(tx, ty) for tx in range(ntx)], camera, store.grid, records,

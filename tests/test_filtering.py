@@ -234,16 +234,10 @@ def test_coarse_radius_bounds_the_fine_one_under_skewed_off_centre_cameras(
     assert set(fine.ids.tolist()) <= set(np.flatnonzero(cmask).tolist())
 
 
-@settings(max_examples=20, deadline=None)
-@given(**_skewed_cameras)
-def test_coarse_radius_is_the_fine_one_times_the_safety_factor_for_isotropic_splats(
-    seed, fx, aspect, offset, near
-):
-    """With three equal scales B B^T = s^2 J J^T, so the coarse radius is the
-    exact fine radius times COARSE_SAFETY: a looser bound fails here.  The
-    exact fine radius is taken from the fine phase's own covariance by
-    ``eigvalsh``; ``project_splats``' closed-form eigenvalue cancels half
-    the digits of mid^2 - det when the two eigenvalues nearly coincide."""
+def _isotropic_radii(seed, fx, aspect, offset, near):
+    """Splats with three equal scales under a skewed camera, where valid: the
+    coarse radius, ``project_splats``' fine radius, and the fine radius from
+    ``eigvalsh`` of the fine phase's own covariance."""
     rng = np.random.default_rng(seed)
     camera = _skewed_camera(rng, fx, aspect, offset, near)
     n = 2000
@@ -254,9 +248,29 @@ def test_coarse_radius_is_the_fine_one_times_the_safety_factor_for_isotropic_spl
     cov = projected_covariance(camera, cam, scales, splats[2])[valid]
     exact = RADIUS_SIGMAS * np.sqrt(np.linalg.eigvalsh(
         np.stack([cov[:, :2], cov[:, 1:]], axis=1))[:, 1])
-    coarse = coarse_screen_radius(camera, cam, scales[:, 0])[valid]
+    return coarse_screen_radius(camera, cam, scales[:, 0])[valid], batch.radius[valid], exact
+
+
+@settings(max_examples=20, deadline=None)
+@given(**_skewed_cameras)
+def test_coarse_radius_is_the_fine_one_times_the_safety_factor_for_isotropic_splats(
+    seed, fx, aspect, offset, near
+):
+    """With three equal scales B B^T = s^2 J J^T, so the coarse radius is the
+    exact fine radius times COARSE_SAFETY: a looser bound fails here."""
+    coarse, fine, exact = _isotropic_radii(seed, fx, aspect, offset, near)
     np.testing.assert_allclose(coarse / exact, COARSE_SAFETY, rtol=1e-12)
-    np.testing.assert_allclose(coarse / batch.radius[valid], COARSE_SAFETY, rtol=1e-7)
+    np.testing.assert_allclose(coarse / fine, COARSE_SAFETY, rtol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(**_skewed_cameras)
+def test_fine_radius_of_isotropic_splats_is_the_eigvalsh_one(seed, fx, aspect, offset, near):
+    """An isotropic splat's two eigenvalues nearly coincide near the optical
+    axis, where mid + sqrt(mid^2 - det) cancels half their digits; the hypot
+    form ``project_splats`` takes matches ``eigvalsh`` to 1e-14."""
+    _, fine, exact = _isotropic_radii(seed, fx, aspect, offset, near)
+    np.testing.assert_allclose(fine, exact, rtol=1e-14)
 
 
 def test_filter_stats_monotone():

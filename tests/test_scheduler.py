@@ -3,10 +3,10 @@ import pytest
 
 from voxsplat import Aabb, Camera, generate_scene, look_at_camera
 from voxsplat.scene import tile_pixels
-from voxsplat.scheduler import schedule, traverse, voxel_depths
+from voxsplat.scheduler import schedule, traverse, visibility_key, voxel_depths
 from voxsplat.voxelstore import VoxelGrid, build_grid
 
-from oracles import depth_table, rows_of, visits_of
+from oracles import key_table, rows_of, visits_of
 
 
 def _walk(tile, camera, grid):
@@ -14,11 +14,11 @@ def _walk(tile, camera, grid):
     return rows_of(traverse([tile], camera, grid))
 
 
-def _schedule(visits, depth):
-    """``schedule`` of a one-tile walk, as (order, cycles broken)."""
-    plan = schedule(visits, depth)
+def _schedule(visits, key):
+    """``schedule`` of a one-tile walk, as a list."""
+    plan = schedule(visits, key)
     assert plan.offsets.tolist() == [0, len(plan.ids)]
-    return plan.ids.tolist(), int(plan.broken[0])
+    return plan.ids.tolist()
 
 
 def _axis_camera():
@@ -123,25 +123,23 @@ def _full_order_violations(order, table):
 def test_single_pixel_schedule_is_its_list():
     table = [[3, 1, 2]]
     depths = {1: 5.0, 2: 6.0, 3: 4.0}
-    order, broken = _schedule(visits_of(table), depth_table(depths))
-    assert order == [3, 1, 2]
-    assert broken == 0
+    assert _schedule(visits_of(table), key_table(depths)) == [3, 1, 2]
 
 
 def test_two_pixel_chain_satisfies_all_constraints():
     table = [[0, 1], [1, 2]]
-    order, broken = _schedule(visits_of(table), depth_table({0: 1.0, 1: 2.0, 2: 3.0}))
+    order = _schedule(visits_of(table), key_table({0: 1.0, 1: 2.0, 2: 3.0}))
     assert _violations(order, table) == 0
     assert _full_order_violations(order, table) == 0
     assert sorted(order) == [0, 1, 2]
-    assert broken == 0
 
 
-def test_crafted_two_cycle_terminates_and_counts():
+def test_crafted_two_cycle_gives_a_permutation():
+    """No camera walks two rays through one pair of voxels in opposite
+    orders, but a table that does still gets each voxel once, in key order."""
     table = [[0, 1], [1, 0]]
-    order, broken = _schedule(visits_of(table), depth_table({0: 2.0, 1: 3.0}))
-    assert sorted(order) == [0, 1]
-    assert broken == 1
+    order = _schedule(visits_of(table), key_table({0: 2.0, 1: 3.0}))
+    assert order == [0, 1]
     assert _violations(order, table) == 1  # exactly one constraint had to give
 
 
@@ -150,9 +148,9 @@ def test_schedule_deterministic():
     table = [list(rng.permutation(10)[: rng.integers(2, 8)]) for _ in range(40)]
     table = [[int(v) for v in row] for row in table]
     depths = {v: float(rng.uniform(1, 9)) for v in range(10)}
-    a = _schedule(visits_of(table), depth_table(depths))
-    b = _schedule(visits_of([list(r) for r in table]), depth_table(dict(depths)))
-    assert a[0] == b[0] and a[1] == b[1]
+    a = _schedule(visits_of(table), key_table(depths))
+    b = _schedule(visits_of([list(r) for r in table]), key_table(dict(depths)))
+    assert a == b
 
 
 def test_random_tiles_acyclic_constraints_all_hold():
@@ -167,24 +165,36 @@ def test_random_tiles_acyclic_constraints_all_hold():
         visits = traverse([tile], camera, grid)
         table = rows_of(visits)
         seen = {v for row in table for v in row}
-        order, broken = _schedule(visits, voxel_depths(camera, grid))
+        order = _schedule(visits, visibility_key(camera, grid, voxel_depths(camera, grid)))
         assert sorted(order) == sorted(seen)
-        if broken == 0:
-            assert _violations(order, table) == 0
-            assert _full_order_violations(order, table) == 0
+        assert _violations(order, table) == 0
+        assert _full_order_violations(order, table) == 0
 
 
-def test_dependency_tables_shape():
-    table = [[0, 1, 2], [0, 2]]
-    plan = schedule(visits_of(table), depth_table({0: 3.0, 1: 2.0, 2: 1.0}))
-    nodes, src, dst = plan.nodes, plan.src, plan.dst
-    adjacency = {int(v): set(nodes[dst[src == i]].tolist()) for i, v in enumerate(nodes)}
-    indegree = dict(zip(nodes.tolist(), np.bincount(dst, minlength=len(nodes)).tolist()))
-    assert adjacency == {0: {1, 2}, 1: {2}, 2: set()}
-    assert indegree == {0: 0, 1: 1, 2: 2}
-    assert list(zip(src.tolist(), dst.tolist())) == [(0, 1), (0, 2), (1, 2)]
-    # every edge runs against depth, yet the graph orders: no cycle is broken
-    assert plan.ids.tolist() == [0, 1, 2] and plan.broken.tolist() == [0]
+def _key_order(eye_z, edge):
+    """The renamed ids of a 3x1x2 grid of every cell, in ``visibility_key``
+    order, from an eye at (1.5, 0.5, ``eye_z``) looking down +z."""
+    grid = VoxelGrid(origin=[0, 0, 0], edge=edge, dims=[3, 1, 2], vids=np.arange(6))
+    camera = Camera(width=16, height=16, fx=8.0, fy=8.0, cx=8.0, cy=8.0, rotation=np.eye(3),
+                    translation=[-1.5, -0.5, -eye_z])
+    return np.argsort(visibility_key(camera, grid, voxel_depths(camera, grid))).tolist()
+
+
+def test_visibility_key_ranks_by_cell_distance_then_depth_then_id():
+    """Renamed id r is cell (r % 3, 0, r // 3).  From the eye's cell (1, 0, 0)
+    the distances are 1, 0, 1, 2, 1, 2: ties go to the nearer center, then
+    to the lower id.  From (1, 0, -50) they are 51, 50, 51, 52, 51, 52, and
+    the eye's cell clipped to (1, 0, -1) gives the same order."""
+    assert _key_order(0.5, 1.0) == [1, 0, 2, 4, 3, 5]
+    assert _key_order(-50.0, 1.0) == [1, 0, 2, 4, 3, 5]
+
+
+def test_visibility_key_of_an_eye_whose_cell_overflows_int64():
+    """At edge 1e-12 the eye (1.5, 0.5, -1e9) is in cell (1.5e12, 5e11, -1e21),
+    past int64 on z.  Clipped to (3, 1, -1), it ranks the cells as the exact
+    distances do: (2, 0, 0) first, then (1, 0, 0) and (2, 0, 1), whose depths
+    round to one value, then (0, 0, 0) and (1, 0, 1), and (0, 0, 1) last."""
+    assert _key_order(-1e9, 1e-12) == [2, 1, 5, 0, 4, 3]
 
 
 def test_tile_outside_image_rejected():

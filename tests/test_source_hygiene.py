@@ -94,3 +94,27 @@ def test_every_public_function_and_class_is_used_outside_the_tests():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and not node.name.startswith("_")}
     assert sorted(item for item in public if item.split(": ")[1] not in used) == []
+
+
+def _names(tree) -> set[str]:
+    """Every name and attribute ``tree`` reads or imports."""
+    return (_referenced([tree])
+            | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names})
+
+
+def test_every_oracle_is_used_by_a_test():
+    """An oracle serves a test module, itself or through another oracle;
+    the oracle of deleted code leaves with it."""
+    tests = ROOT / "tests"
+    oracles = _parse(tests / "oracles.py")
+    defined = {node.name: node for node in oracles.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    modules = [path for path in sorted(tests.glob("*.py")) if path.name != "oracles.py"]
+    assert len(defined) > 20 and len(modules) > 10
+    used = set().union(*(_names(_parse(path)) for path in modules)) & defined.keys()
+    reached = set(used)
+    while reached:
+        reached = set().union(*(_names(defined[name]) for name in reached)) & defined.keys() - used
+        used |= reached
+    assert sorted(defined.keys() - used) == []
