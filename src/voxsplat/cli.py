@@ -23,7 +23,7 @@ from .reference import render_frame_reference, traffic_breakdown
 from .scene import (TILE_EDGE, Aabb, Camera, generate_scene, load_ply, look_at_camera, save_ply,
                     tile_pixels)
 from .scheduler import traverse, visibility_key, voxel_depths
-from .traffic import PerfConfig, compare_pipelines, counts_from_stats, estimate
+from .traffic import PerfConfig, buffer_reuse, compare_pipelines, counts_from_stats, estimate
 from .streaming import render_frame_streaming, render_tile_streaming
 from .voxelstore import VoxelStore, gather_attribute, load_store, save_store, stream_fine
 from .vq import (DEFAULT_ENTRIES, check_entry_count, load_codebooks, save_codebooks,
@@ -210,6 +210,7 @@ def cmd_render(args) -> int:
         }
         if stats is not None:
             payload["stream"] = stats.as_dict()
+            payload["reuse"] = buffer_reuse(ledger, stats.filter)
         with open(args.stats, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2)
     return 0

@@ -152,9 +152,10 @@ class ProjectionCache:
     rect test.  The per-splat arrays are indexed like the records' rows
     (``offsets`` are the records' voxel bounds) and hold values only for the
     voxels whose ``projected`` flag is set; ``blend`` reads the survivors'
-    rows of ``batch`` where they lie.  The ledger and the filter counters
-    still charge every visit: the cost model is the hardware's, which
-    streams the voxel again for each tile.  Entries are deterministic,
+    rows of ``batch`` where they lie.  The filter counters still count every
+    visit, since the hardware tests the voxel again for each tile, but the
+    ledger charges a tile only the halves the tile before it in the row did
+    not hold in the on-chip buffer (``streaming``).  Entries are deterministic,
     so each worker process of a frame fills its own copy and every copy
     holds the same bits.
     """

@@ -13,6 +13,16 @@ a tile that saturates early projects few voxels it never reaches.  Counts
 are kept per (tile, voxel) pair and trimmed to the voxels a tile walking its
 schedule one voxel at a time would stream: when every pixel of a tile has
 frozen, its walk ends at the voxel of the last splat ``blend`` processed.
+
+The ledger models a two-tile on-chip buffer.  A row's tiles stream left to
+right, and the buffer holds one tile's first and second halves while the
+next tile streams, so a tile reads from DRAM only the first halves of the
+voxels the tile before it did not visit and the second halves of the coarse
+survivors the tile before it did not hold; the first tile of a row reads
+all it visits.  ``loaded`` and the survivor counts still count every visit,
+since every visit runs the coarse test; ``first_fetched`` and
+``second_fetched`` count the reads.  Both are taken over the counted
+visits, so they depend neither on FIRST_CHUNK nor on the worker count.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from .voxelstore import (
     VoxelGrid,
     charge_loads,
     concat_ranges,
+    load_bytes,
     stream_coarse,
     stream_fine,
 )
@@ -49,29 +60,56 @@ class StreamStats(Tally):
     cycles_broken: int = 0  # always 0: one eye's ray orders never conflict (``scheduler``)
     batch_splits: int = 0
     blended: int = 0
+    # the largest one tile's first and second halves, in bytes: a max over
+    # the frame's tiles where every other field is a sum
+    buffer_peak_bytes: int = 0
 
 
 # a tile's counters, in the order of the rows of the arrays that count them
-COUNTERS = ("loaded", "coarse_survivors", "fine_survivors", "degenerate", "voxels_scheduled",
-            "voxels_skipped_early", "batch_splits", "blended")
+COUNTERS = ("loaded", "coarse_survivors", "fine_survivors", "degenerate", "first_fetched",
+            "second_fetched", "voxels_scheduled", "voxels_skipped_early", "batch_splits",
+            "blended")
 
 
 def tally(counts: np.ndarray, encoded: bool,
           scene_hash: str = "") -> tuple[TrafficLedger, StreamStats]:
     """The ledger and stats of the tiles whose COUNTERS ``counts`` holds,
     one (len(COUNTERS), ...) array entry per tile, summed; ``encoded``
-    records stream encoded second halves."""
+    records stream encoded second halves.  If ``counts`` has a tile axis,
+    its last axis runs along a row's tiles in stream order."""
+    need = counts[[COUNTERS.index("loaded"), COUNTERS.index("coarse_survivors")]]
+    fetched = counts[[COUNTERS.index("first_fetched"), COUNTERS.index("second_fetched")]]
+    # a tile fetches at most the halves it needs, and a row's first tile all of them
+    if np.any(fetched > need) or counts.ndim > 1 and np.any(fetched[..., 0] != need[..., 0]):
+        raise RuntimeError("fetch counters out of order: a tile fetches more halves than it "
+                           "needs, or a row's first tile fewer")
     total = dict(zip(COUNTERS, counts.reshape(len(COUNTERS), -1).sum(axis=1).tolist()))
     loaded, coarse = total.pop("loaded"), total.pop("coarse_survivors")
     fine, degenerate = total.pop("fine_survivors"), total.pop("degenerate")
-    stats = StreamStats(FilterStats.counted(loaded, coarse, fine, degenerate), **total)
+    first, second = total.pop("first_fetched"), total.pop("second_fetched")
+    peak = sum(load_bytes(encoded, *need)).max(initial=0)
+    stats = StreamStats(FilterStats.counted(loaded, coarse, fine, degenerate), **total,
+                        buffer_peak_bytes=int(peak))
     stats.filter.check()
     ledger = TrafficLedger(scene_hash=scene_hash)
-    charge_loads(ledger, encoded, loaded, coarse)
+    charge_loads(ledger, encoded, first, second)
     pixels = counts[0].size * TILE_EDGE**2
     ledger.charge("pixel-writeback", PIXEL_BYTES * pixels, pixels)
     ledger.macs = {"coarse": stats.filter.macs_coarse, "fine": stats.filter.macs_fine}
     return ledger, stats
+
+
+def _fetched(keys: np.ndarray, ntiles: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """Per tile, the halves it reads from DRAM, given the distinct keys
+    ``id * (ntiles + 1) + tile`` of the halves it needs: those whose id the
+    tile before it did not hold (no key - 1; a first tile's key - 1 names no
+    tile), counted once or weighted by ``weights[id]``."""
+    keys = np.sort(keys)
+    miss = np.ones(len(keys), dtype=bool)
+    miss[1:] = keys[1:] - 1 != keys[:-1]
+    ids, tiles = np.divmod(keys[miss], ntiles + 1)
+    return np.bincount(tiles, None if weights is None else weights[ids],
+                       minlength=ntiles).astype(np.int64)
 
 
 def render_tile_streaming(
@@ -86,7 +124,8 @@ def render_tile_streaming(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Render 16x16 tiles together, normally one tile row; returns
     ((tiles, 256, 3) colors, (len(COUNTERS), tiles) int64 counters), which
-    ``tally`` turns into the tiles' ledger and stats.
+    ``tally`` turns into the tiles' ledger and stats.  The tiles stream in
+    list order: each fetches only the halves the one before it did not hold.
 
     The tiles' rays are walked here, in one ``traverse`` call.  ``cache``
     holds the frame's visibility key and projections for ``camera``.
@@ -105,6 +144,8 @@ def render_tile_streaming(
     skipped = np.zeros(ntiles, dtype=np.int64)
     # per tile: splats loaded, coarse and fine survivors, degenerate, batch splits
     counts = np.zeros((5, ntiles), dtype=np.int64)
+    # keys id * (ntiles + 1) + tile of the counted (tile, voxel) and (tile, coarse row) pairs
+    first_keys, second_keys = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     blended = np.zeros(ntiles, dtype=np.int64)
     live = np.flatnonzero(scheduled)
     chunk = FIRST_CHUNK
@@ -152,12 +193,19 @@ def render_tile_streaming(
         for i, per_pair in enumerate((sizes[vids], coarse, fine, degenerate, splits)):
             counts[i] += np.bincount(pair_tile[counted], weights=per_pair[counted],
                                      minlength=ntiles).astype(np.int64)
+        first_keys.append(vids[counted] * (ntiles + 1) + pair_tile[counted])
+        survived = counted[coarse_pair]
+        second_keys.append(coarse_rows[survived] * (ntiles + 1)
+                           + pair_tile[coarse_pair[survived]])
         live = live[walked[live] < scheduled[live]]
         chunk *= 2
 
     composite_background(color, transmittance, background)
     loaded, coarse, fine, degenerate, splits = counts
-    return color, np.stack([loaded, coarse, fine, degenerate, scheduled, skipped, splits, blended])
+    first = _fetched(np.concatenate(first_keys), ntiles, sizes)
+    second = _fetched(np.concatenate(second_keys), ntiles)
+    return color, np.stack([loaded, coarse, fine, degenerate, first, second, scheduled, skipped,
+                            splits, blended])
 
 
 def render_frame_streaming(

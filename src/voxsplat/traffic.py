@@ -119,6 +119,19 @@ def counts_from_stats(stats: FilterStats) -> dict[str, int]:
     return {"sorted_records": stats.fine_survivors, "blended_records": stats.fine_survivors}
 
 
+def buffer_reuse(stream_ledger: TrafficLedger, stream_stats: FilterStats) -> dict:
+    """The shares of the first halves a streaming frame loaded and of the
+    second halves its coarse survivors needed that came from the on-chip
+    buffer, not from DRAM; None where nothing was needed."""
+    return {
+        "first_half_reuse": (1.0 - stream_ledger.records["coarse-load"] / stream_stats.loaded
+                             if stream_stats.loaded else None),
+        "second_half_reuse": (
+            1.0 - stream_ledger.records["fine-load"] / stream_stats.coarse_survivors
+            if stream_stats.coarse_survivors else None),
+    }
+
+
 def compare_pipelines(
     stream_ledger: TrafficLedger,
     ref_ledger: TrafficLedger,
@@ -151,6 +164,7 @@ def compare_pipelines(
         "gaussian_reduction": None,
         "coarse_overfetch": (1.0 - stream_stats.fine_survivors / stream_stats.coarse_survivors
                              if stream_stats.coarse_survivors else None),
+        **buffer_reuse(stream_ledger, stream_stats),
     }
     if vq_enabled:
         report["second_half_reduction"] = 1.0 - fine_bytes / raw_equivalent

@@ -229,7 +229,8 @@ def stream_fine(
     holds ``project_splats``'s inputs (positions, scales, rotations,
     opacities, sh, ids).  A renderer decodes each voxel once per frame and
     reuses its projection on later visits; ``charge_loads`` charges the
-    visits.
+    second halves a tile fetches, the coarse survivors the tile before it
+    in the row did not hold.
     """
     if records.encoded and books is None:
         raise ValueError("encoded records need codebooks to decode")
@@ -264,13 +265,22 @@ def _lookup(books: dict[str, Codebook], attribute: str, idx: np.ndarray, rows: n
     return books[attribute].entries[idx].astype(np.float64)
 
 
-def charge_loads(ledger, encoded: bool, coarse: int, fine: int) -> None:
-    """Charge streaming ``coarse`` first halves, 16 bytes each, and ``fine``
+def load_bytes(encoded: bool, first, second) -> tuple:
+    """The bytes of ``first`` first halves, 16 each, and of ``second``
     second halves: the 12-byte packed layout when encoded, else 56 float32
-    values."""
-    ledger.charge("coarse-load", COARSE_BYTES_PER_GAUSSIAN * coarse, coarse)
+    values; the counts may be numbers or arrays."""
     per_splat = ENCODED_FINE_BYTES if encoded else RAW_FINE_STREAM_BYTES
-    ledger.charge("fine-load", per_splat * fine, fine)
+    return COARSE_BYTES_PER_GAUSSIAN * first, per_splat * second
+
+
+def charge_loads(ledger, encoded: bool, first: int, second: int) -> None:
+    """Charge reading ``first`` first halves and ``second`` second halves
+    from DRAM.  A streaming frame passes the halves its tiles fetch, not the
+    ones they test: a tile takes from the on-chip buffer every half the tile
+    before it in the row held (``streaming``)."""
+    first_bytes, second_bytes = load_bytes(encoded, first, second)
+    ledger.charge("coarse-load", first_bytes, first)
+    ledger.charge("fine-load", second_bytes, second)
 
 
 def scene_from_records(grid: VoxelGrid, records: FlatRecords) -> Scene:

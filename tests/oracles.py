@@ -29,12 +29,15 @@ visibility key, computed voxel by voxel from the grid's cells.
 ``render_tile_per_visit`` is the streaming renderer's tile loop one (tile,
 voxel) visit at a time, as it stood before tiles were batched by row: the
 ``visibility_sorted`` order, then per scheduled voxel a coarse test, a fine
-test and one ``blend`` call per sorting-buffer chunk, with the ledger charged
-visit by visit and the walk cut at the first voxel that finds every pixel
-frozen, or with ``early_exit=False`` never cut: the exhaustive render that
-early exit must equal pixel for pixel.  ``render_frame_per_visit``
-assembles a frame from its tiles and sums their counters with
-``add_counters``.  Its filter oracles keep no projection
+test and one ``blend`` call per sorting-buffer chunk, with the walk cut at
+the first voxel that finds every pixel frozen, or with ``early_exit=False``
+never cut: the exhaustive render that early exit must equal pixel for
+pixel.  The ledger is charged visit by visit through the two-tile buffer:
+a visit reads from DRAM only the halves missing from the previous tile's
+held sets, one Python set of voxel ids and one of coarse-surviving record
+rows.  ``render_frame_per_visit`` assembles a frame from its tiles, each
+row's tiles handing their held sets on left to right, and sums their
+counters with ``add_counters``.  Its filter oracles keep no projection
 cache: every visit projects its voxel again, and ``stream_fine_per_visit``
 decodes the survivors only, so ``fine_filter_per_visit`` projects just
 those and sorts them by (depth, id) on its own.
@@ -371,9 +374,15 @@ def dependency_graph_unique(visits) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0.0, 0.0),
-                          early_exit=True):
+                          early_exit=True, held=None):
     """One tile, visit by visit; returns (color, ledger, stats).  The sorting
-    buffer is ``streaming.VOXEL_BATCH_CAPACITY`` as it reads at call time."""
+    buffer is ``streaming.VOXEL_BATCH_CAPACITY`` as it reads at call time.
+    ``held`` is the (voxel ids, record rows) pair of sets the tile before it
+    in the row holds on chip, empty for a row's first tile; the tile takes
+    those halves from it and then replaces the sets' contents with its own."""
+    held = (set(), set()) if held is None else held
+    voxels, rows_held = set(), set()
+    per_splat = ENCODED_FINE_BYTES if records.encoded else RAW_FINE_STREAM_BYTES
     ledger, stats = TrafficLedger(), StreamStats()
     rect = tile_rects([tile])
     centers = tile_pixels([tile]) + 0.5
@@ -388,13 +397,19 @@ def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0
             break
         rows = slice(records.offsets[vid_r], records.offsets[vid_r + 1])
         n = rows.stop - rows.start
-        ledger.charge("coarse-load", COARSE_BYTES_PER_GAUSSIAN * n, n)
+        voxels.add(vid_r)
+        if vid_r not in held[0]:
+            ledger.charge("coarse-load", COARSE_BYTES_PER_GAUSSIAN * n, n)
         mask = coarse_filter_per_visit(camera, rect, records.positions[rows],
                                        records.max_scales[rows], stats.filter)
         survivors = np.flatnonzero(mask)
         if not len(survivors):
             continue
-        splats = stream_fine_per_visit(records, vid_r, survivors, books, ledger)
+        for row in (rows.start + survivors).tolist():
+            rows_held.add(row)
+            if row not in held[1]:
+                ledger.charge("fine-load", per_splat, 1)
+        splats = stream_fine_per_visit(records, vid_r, survivors, books)
         batch = fine_filter_per_visit(camera, rect, survivors, splats, stats.filter)
         for start in range(0, len(batch.ids), capacity):
             if start:
@@ -405,16 +420,24 @@ def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0
     composite_background(color, transmittance, background)
     ledger.charge("pixel-writeback", PIXEL_BYTES * TILE_EDGE**2, TILE_EDGE**2)
     ledger.macs = {"coarse": stats.filter.macs_coarse, "fine": stats.filter.macs_fine}
+    stats.buffer_peak_bytes = (COARSE_BYTES_PER_GAUSSIAN * stats.filter.loaded
+                               + per_splat * stats.filter.coarse_survivors)
+    for mine, theirs in zip(held, (voxels, rows_held)):
+        mine.clear()
+        mine.update(theirs)
     return color[0], ledger, stats
 
 
 def add_counters(total, part) -> None:
     """Add ``part``'s counters into ``total``, two ledgers or two stats: every
     int field, every dict of ints key by key and every nested dataclass;
-    any other field, such as a ledger's scene hash, stays unchanged."""
+    ``buffer_peak_bytes`` takes the larger, and any other field, such as a
+    ledger's scene hash, stays unchanged."""
     for f in fields(total):
         mine, theirs = getattr(total, f.name), getattr(part, f.name)
-        if isinstance(mine, int):
+        if f.name == "buffer_peak_bytes":
+            setattr(total, f.name, max(mine, theirs))
+        elif isinstance(mine, int):
             setattr(total, f.name, mine + theirs)
         elif isinstance(mine, dict):
             for key, value in theirs.items():
@@ -430,9 +453,10 @@ def render_frame_per_visit(camera, grid, records, books, early_exit=True):
     image = np.zeros((camera.height, camera.width, 3))
     ledger, stats = TrafficLedger(), StreamStats()
     for ty in range(nty):
+        held = (set(), set())
         for tx in range(ntx):
             color, tile_ledger, tile_stats = render_tile_per_visit(
-                (tx, ty), camera, grid, records, books, early_exit=early_exit)
+                (tx, ty), camera, grid, records, books, early_exit=early_exit, held=held)
             image[ty * TILE_EDGE : (ty + 1) * TILE_EDGE,
                   tx * TILE_EDGE : (tx + 1) * TILE_EDGE] = color.reshape(TILE_EDGE, TILE_EDGE, 3)
             add_counters(ledger, tile_ledger)
@@ -466,14 +490,12 @@ def coarse_filter_per_visit(camera, rect, positions, max_scales, stats):
     return mask
 
 
-def stream_fine_per_visit(records, vid_r, survivors, books, ledger):
-    """Charges the survivors' second halves and decodes only them, each
-    gathered on its own from the voxel's rows."""
+def stream_fine_per_visit(records, vid_r, survivors, books):
+    """Decodes only the survivors' second halves, each gathered on its own
+    from the voxel's rows."""
     survivors = np.asarray(survivors, dtype=np.int64)
-    n = len(survivors)
     rows = records.offsets[vid_r] + survivors
     if records.encoded:
-        ledger.charge("fine-load", ENCODED_FINE_BYTES * n, n)
         scales = books["scale"].entries[records.scale_idx[rows]].astype(np.float64)
         rots = books["rotation"].entries[records.rot_idx[rows]].astype(np.float64)
         norms = np.linalg.norm(rots, axis=1, keepdims=True)
@@ -483,7 +505,6 @@ def stream_fine_per_visit(records, vid_r, survivors, books, ledger):
         rest = books["sh_rest"].entries[records.sh_idx[rows]].astype(np.float64)
         sh = np.concatenate([dc[:, None, :], rest.reshape(len(rows), 15, 3)], axis=1)
     else:
-        ledger.charge("fine-load", RAW_FINE_STREAM_BYTES * n, n)
         scales, rots, sh = records.scales[rows], records.rotations[rows], records.sh[rows]
     return (records.positions[rows], scales, rots, records.opacities[rows], sh, records.ids[rows])
 

@@ -68,6 +68,14 @@ def test_full_pipeline_and_compare_report(workspace):
     assert data["reductions"]["second_half_reduction"] == pytest.approx(1 - 12 / 220)
     assert data["estimate"]["bottleneck"] in data["estimate"]["stage_cycles"]
     assert data["cross_boundary"] == 0.0
+    # neighbouring tiles share voxels, and the largest tile set bounds the buffer
+    stream = data["stages"]["stream"]["records"]
+    stream_stats = data["stream_stats"]
+    assert data["reductions"]["first_half_reuse"] == (
+        1 - stream["coarse-load"] / stream_stats["filter"]["loaded"]) > 0.0
+    assert data["reductions"]["second_half_reuse"] == (
+        1 - stream["fine-load"] / stream_stats["filter"]["coarse_survivors"]) > 0.0
+    assert stream_stats["buffer_peak_bytes"] >= 16 + 12
     # a constrained scene blends each pixel's contributions in depth order
     assert data["depth_order_penalty"]["per_pixel_trace"] == 0.0
     assert data["depth_order_penalty"]["per_tile_trace"] >= 0.0
@@ -93,9 +101,12 @@ def test_render_modes_write_images_and_stats(workspace):
     reference renderer still hashed the scene itself.  The streaming digest
     was re-taken when the coarse radius began to follow the Jacobian's
     spectral norm: fewer coarse survivors, so fewer fine-load records and
-    fine MACs in its ledger; the reference digest did not move."""
+    fine MACs in its ledger; the reference digest did not move.  It was
+    re-taken again when each tile began to reuse the halves the tile before
+    it held on chip: fewer coarse-load and fine-load bytes and records, and
+    the stats' ``buffer_peak_bytes`` and ``reuse`` entries."""
     digests = {
-        "streaming": "30d2969bc52a7b629e2c81e5c353a87d1f9a99452b6fdd0e6bf501faccde198a",
+        "streaming": "be542d7d8b2ba2309141fced44822a669f0666f09961b10a98d487e8ca5371ee",
         "reference": "7df3b0f688b9aca12347f47cb6a473482c97af1a8ea6746c9a9b5be9d3057ce3",
     }
     scene_hash = load_store(workspace / "scene.gsvx").scene_hash
@@ -112,6 +123,8 @@ def test_render_modes_write_images_and_stats(workspace):
         assert hashlib.sha256(stats.read_bytes()).hexdigest() == digests[mode]
         if mode == "streaming":
             assert payload["intermediate_bytes"] == 0
+            assert payload["stream"]["buffer_peak_bytes"] > 0
+            assert sorted(payload["reuse"]) == ["first_half_reuse", "second_half_reuse"]
     ppm = workspace / "frame.ppm"
     dag = workspace / "edges.txt"
     assert _run(["render", "--mode", "streaming", "--voxels", workspace / "scene.gsvx",
@@ -129,15 +142,15 @@ def test_render_modes_write_images_and_stats(workspace):
         "stream-1": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
         "stream-2": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
         "reference": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
-        "report": "dc36dfcd0031bc2262f0041a71acd9a3b95cadccbde1fdfb8b4007e9dc7afdca",
-        "csv": "21b3c29f360c6d23e2fbaf8623acbbfa56190dfbd910c74b2279138397f41ab3",
+        "report": "b99ffbe5dd6a479cf7561aefcd8fcacfcb4db323a34a8912445e1c98821258a6",
+        "csv": "4909dcc75b243015ef33879ebdb608bb8cde5805bbe20db949a5d34e1f58fce7",
     }),
     (["--count", 500, "--seed", 1, "--extent-fraction", "1.0"], {
         "stream-1": "fb021d10f3b90aad94a41917642c748920369b729a0c272bc79ccc08ff599d0a",
         "stream-2": "fb021d10f3b90aad94a41917642c748920369b729a0c272bc79ccc08ff599d0a",
         "reference": "f60a339924c96114a3b8c6d03177c6b438edb649e6c2980091674d8c87d2f338",
-        "report": "0ee29df416838e89eeeebb789cc2f18cd40e33f4a091e06aeb9cbbe9ea5d2f3c",
-        "csv": "57851282477a904106169b2a2347b958379328d8420ff79377cc30572bab9cf3",
+        "report": "68698d8f12bea744e3b889272297592541f072ad7fe62124ce1e001eeb571427",
+        "csv": "c0a35de0b991d94a5dd4ba92904c4304adbfd176a03f6010f9d1c21aee35b247",
     }),
 ])
 def test_frames_and_compare_report_keep_their_pinned_bits(tmp_path, flags, digests):
@@ -154,8 +167,12 @@ def test_frames_and_compare_report_keep_their_pinned_bits(tmp_path, flags, diges
     report were re-taken when tiles began to stream their voxels in
     visibility-key order: voxels that no ray orders against each other
     swapped places in some tiles, which moved its PSNR by 5e-6 dB and no
-    byte of its CSV.  The unconstrained scene blends out of depth order in
-    tiles and pixels."""
+    byte of its CSV.  The report and CSV digests of both scenes were re-taken
+    when each tile began to reuse the halves the tile before it held on
+    chip: the stream ledger's coarse-load and fine-load bytes and records
+    fell, and the report gained ``first_half_reuse``, ``second_half_reuse``
+    and ``buffer_peak_bytes``; no frame digest moved.  The unconstrained
+    scene blends out of depth order in tiles and pixels."""
     scene, cam, store = tmp_path / "scene.ply", tmp_path / "cam.json", tmp_path / "scene.gsvx"
     report, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
     assert _run(["gen-scene", *flags, "--out", scene, "--camera-out", cam]) == 0

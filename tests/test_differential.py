@@ -1021,6 +1021,9 @@ def _tile_result(colors, counts, i, encoded=False):
 )
 @example(seed=0, one_voxel=True, threads=1)
 def test_frame_tiles_match_tiles_rendered_alone(seed, one_voxel, threads):
+    """Each tile of a frame renders and counts as it does alone, or after its
+    left neighbour where it has one: the halves it fetches are those that
+    tile did not hold."""
     rng = np.random.default_rng(seed)
     if one_voxel:
         store = _one_voxel_store()
@@ -1051,10 +1054,12 @@ def test_frame_tiles_match_tiles_rendered_alone(seed, one_voxel, threads):
     if threads > 1:
         assert frame(threads) == one
     assert len(in_frame) == 6
-    for tile, want in in_frame.items():
-        colors, counts = render_tile_streaming([tile], camera, store.grid, store.records, None,
+    for (tx, ty), want in in_frame.items():
+        # a tile's fetches depend on what the tile before it in the row holds
+        tiles = [(tx - 1, ty), (tx, ty)][tx == 0:]
+        colors, counts = render_tile_streaming(tiles, camera, store.grid, store.records, None,
                                                projection_cache(camera, store.grid, store.records))
-        assert _tile_result(colors, counts, 0) == want
+        assert _tile_result(colors, counts, len(tiles) - 1) == want
     if one_voxel:
         assert any(tile_stats["voxels_scheduled"] == 1 for _, _, tile_stats in in_frame.values())
 
@@ -1137,9 +1142,10 @@ def test_batched_row_tiles_match_per_visit_tiles(n, seed, wall, encoded, oblique
             cache = projection_cache(camera, store.grid, store.records)
             colors, counts = render_tile_streaming(row, camera, store.grid, store.records,
                                                    books, cache)
+            held = (set(), set())  # what the tile before holds on chip, left to right
             for i, tile in enumerate(row):
                 color, ledger, stats = render_tile_per_visit(
-                    tile, camera, store.grid, store.records, books)
+                    tile, camera, store.grid, store.records, books, held=held)
                 want = (color.tobytes(), ledger.as_dict(), stats.as_dict())
                 assert _tile_result(colors, counts, i, store.records.encoded) == want
                 exhaustive, _, _ = render_tile_per_visit(

@@ -16,6 +16,7 @@ import numpy as np
 
 from voxsplat import vq
 from voxsplat.filtering import FilterStats
+from voxsplat.streaming import COUNTERS, tally
 
 if __debug__:
     sys.exit("expected to run under python -O")
@@ -24,6 +25,15 @@ try:
     FilterStats(loaded=1, coarse_survivors=2, fine_survivors=1).check()
 except RuntimeError as exc:
     print("filter:", exc)
+
+# a row of two tiles whose second fetches a first half more than it loaded
+counts = np.zeros((len(COUNTERS), 2), dtype=np.int64)
+counts[COUNTERS.index("loaded")] = counts[COUNTERS.index("first_fetched")] = 3
+counts[COUNTERS.index("first_fetched"), 1] = 4
+try:
+    tally(counts, False)
+except RuntimeError as exc:
+    print("fetch:", exc)
 
 # inflate every distance evaluation so the k-means objective rises
 real = vq._squared_distances
@@ -55,4 +65,5 @@ def test_invariant_checks_fire_under_python_O():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0].startswith("filter: filter counters out of order")
-    assert lines[1].startswith("kmeans: k-means objective increased")
+    assert lines[1].startswith("fetch: fetch counters out of order")
+    assert lines[2].startswith("kmeans: k-means objective increased")

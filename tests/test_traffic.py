@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,12 +22,14 @@ from voxsplat import (
 )
 from voxsplat.errors import SceneMismatchError
 from voxsplat.filtering import FilterStats
-from voxsplat.streaming import COUNTERS, tally
-from voxsplat.traffic import STAGES, counts_from_stats, merge_sort_pass_bytes
-from voxsplat.voxelstore import encode_records, gather_attribute
-from voxsplat.vq import DEFAULT_ENTRIES, train_codebook
+import voxsplat.streaming as streaming
+from voxsplat.streaming import COUNTERS, render_tile_streaming, tally
+from voxsplat.traffic import STAGES, buffer_reuse, counts_from_stats, merge_sort_pass_bytes
+from voxsplat.voxelstore import (COARSE_BYTES_PER_GAUSSIAN, ENCODED_FINE_BYTES,
+                                 RAW_FINE_STREAM_BYTES, encode_records, gather_attribute)
+from voxsplat.vq import ATTRIBUTES, DEFAULT_ENTRIES, train_codebook
 
-from conftest import constrained_scene
+from conftest import constrained_scene, projection_cache, usable_cpus
 from oracles import add_counters, scene_fingerprint
 
 
@@ -63,12 +66,12 @@ def test_tally_and_model_dicts_are_pinned():
     f = FilterStats(loaded=10000, coarse_survivors=3000, fine_survivors=1000,
                     macs_coarse=550000, macs_fine=1116000, degenerate=4)
     stats = StreamStats(filter=f, voxels_scheduled=9, voxels_skipped_early=2, cycles_broken=1,
-                        batch_splits=3, blended=777)
+                        batch_splits=3, blended=777, buffer_peak_bytes=5000)
     assert json.dumps(stats.as_dict()) == (
         '{"filter": {"loaded": 10000, "coarse_survivors": 3000, "fine_survivors": 1000, '
         '"macs_coarse": 550000, "macs_fine": 1116000, "degenerate": 4}, '
         '"voxels_scheduled": 9, "voxels_skipped_early": 2, "cycles_broken": 1, '
-        '"batch_splits": 3, "blended": 777}'
+        '"batch_splits": 3, "blended": 777, "buffer_peak_bytes": 5000}'
     )
     config = PerfConfig(fine_units=3)
     assert json.dumps(asdict(config)) == (
@@ -88,9 +91,13 @@ def test_tally_and_model_dicts_are_pinned():
 def test_a_frame_tally_equals_its_tiles_tallied_alone_and_summed(seed, rows, tiles, encoded):
     rng = np.random.default_rng(seed)
     counts = rng.integers(0, 2**40, (len(COUNTERS), rows, tiles))
-    coarse, fine = COUNTERS.index("coarse_survivors"), COUNTERS.index("fine_survivors")
-    counts[coarse] = rng.integers(0, counts[0] + 1)  # fine <= coarse <= loaded
+    loaded, coarse, fine, first, second = (COUNTERS.index(name) for name in (
+        "loaded", "coarse_survivors", "fine_survivors", "first_fetched", "second_fetched"))
+    counts[coarse] = rng.integers(0, counts[loaded] + 1)  # fine <= coarse <= loaded
     counts[fine] = rng.integers(0, counts[coarse] + 1)
+    counts[first] = rng.integers(0, counts[loaded] + 1)  # a tile fetches at most what it needs
+    counts[second] = rng.integers(0, counts[coarse] + 1)
+    counts[[first, second], :, 0] = counts[[loaded, coarse], :, 0]  # and a row's first all
     ledger, stats = tally(counts, encoded, "frame")
     want_ledger, want_stats = TrafficLedger(scene_hash="frame"), StreamStats()
     for ty in range(rows):
@@ -102,6 +109,124 @@ def test_a_frame_tally_equals_its_tiles_tallied_alone_and_summed(seed, rows, til
     assert json.dumps(stats.as_dict()) == json.dumps(want_stats.as_dict())
     assert ledger.records["pixel-writeback"] == rows * tiles * 256
     assert stats.blended == int(counts[-1].sum())
+    assert ledger.records["coarse-load"] == int(counts[first].sum())
+    assert ledger.records["fine-load"] == int(counts[second].sum())
+
+
+@pytest.mark.parametrize("name, tile, value", [
+    ("first_fetched", 1, 11),  # more first halves than the tile loaded
+    ("second_fetched", 1, 6),  # more second halves than it has coarse survivors
+    ("first_fetched", 0, 9),  # a row's first tile fetching less than it loaded
+    ("second_fetched", 0, 4),  # or less than its coarse survivors need
+])
+def test_tally_refuses_fetch_counters_out_of_order(name, tile, value):
+    counts = np.zeros((len(COUNTERS), 2), dtype=np.int64)
+    for counter, per_tile in (("loaded", 10), ("coarse_survivors", 5), ("fine_survivors", 2),
+                              ("first_fetched", 10), ("second_fetched", 5)):
+        counts[COUNTERS.index(counter)] = per_tile
+    tally(counts, False)
+    tally(counts[:, 1], False)  # one tile alone may start its row or not
+    counts[COUNTERS.index(name), tile] = value
+    with pytest.raises(RuntimeError, match="fetch counters out of order"):
+        tally(counts, False)
+
+
+def _buffer_scene(encoded):
+    """A cluttered scene whose neighbouring tiles share voxels, raw or encoded
+    with 16-entry books, and its grid, records and books."""
+    scene = generate_scene(count=3000, bounds=Aabb([-4, -4, -2], [4, 4, 2]), seed=3,
+                           max_extent_fraction=0.5)
+    grid, records = build_grid(scene, 2.0)
+    books = None
+    if encoded:
+        books = {name: train_codebook(gather_attribute(records, name), 16, seed=0,
+                                      attribute=name) for name in ATTRIBUTES}
+        records = encode_records(records, books)
+    return grid, records, books
+
+
+def _per_visit_charges(ledger, stats, encoded):
+    """Whether ``ledger`` charges every visit: a first half per loaded splat
+    and a second half per coarse survivor."""
+    per_splat = ENCODED_FINE_BYTES if encoded else RAW_FINE_STREAM_BYTES
+    f = stats.filter
+    return (ledger.records["coarse-load"] == f.loaded
+            and ledger.bytes["coarse-load"] == COARSE_BYTES_PER_GAUSSIAN * f.loaded
+            and ledger.records["fine-load"] == f.coarse_survivors
+            and ledger.bytes["fine-load"] == per_splat * f.coarse_survivors)
+
+
+@pytest.mark.parametrize("encoded", [False, True])
+def test_a_camera_one_tile_wide_charges_every_visit(encoded):
+    grid, records, books = _buffer_scene(encoded)
+    camera = look_at_camera([0, 0, -9], [0, 0, 0], width=16, height=96, focal=300.0)
+    _, ledger, stats = render_frame_streaming(camera, grid, records, books)
+    assert stats.filter.coarse_survivors > 0
+    assert _per_visit_charges(ledger, stats, encoded)
+    assert buffer_reuse(ledger, stats.filter) == {"first_half_reuse": 0.0,
+                                                  "second_half_reuse": 0.0}
+
+
+@pytest.mark.parametrize("encoded", [False, True])
+def test_fetch_charges_do_not_depend_on_the_round_size(encoded):
+    grid, records, books = _buffer_scene(encoded)
+    camera = look_at_camera([0, 0, -9], [0, 0, 0], width=128, height=96)
+    frames = []
+    for chunk in (1, streaming.FIRST_CHUNK, 1 << 20):
+        with mock.patch.object(streaming, "FIRST_CHUNK", chunk):
+            frame, ledger, stats = render_frame_streaming(camera, grid, records, books)
+        frames.append((frame.tobytes(), ledger.as_dict(), stats.as_dict()))
+    assert frames[0] == frames[1] == frames[2]
+    assert frames[0][1]["records"]["coarse-load"] < frames[0][2]["filter"]["loaded"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_per_tile_fetch_counters_sum_to_the_frame_ledger(threads):
+    grid, records, books = _buffer_scene(False)
+    camera = look_at_camera([0, 0, -9], [0, 0, 0], width=128, height=96)
+    with usable_cpus(2):
+        _, ledger, stats = render_frame_streaming(camera, grid, records, threads=threads)
+    ntx, nty = camera.tile_counts
+    first = second = peak = 0
+    cache = projection_cache(camera, grid, records)
+    for ty in range(nty):
+        _, counts = render_tile_streaming([(tx, ty) for tx in range(ntx)], camera, grid,
+                                          records, None, cache)
+        tiles = dict(zip(COUNTERS, counts))
+        first += int(tiles["first_fetched"].sum())
+        second += int(tiles["second_fetched"].sum())
+        peak = max(peak, int((COARSE_BYTES_PER_GAUSSIAN * tiles["loaded"]
+                              + RAW_FINE_STREAM_BYTES * tiles["coarse_survivors"]).max()))
+    assert (first, second) == (ledger.records["coarse-load"], ledger.records["fine-load"])
+    assert stats.buffer_peak_bytes == peak > 0
+    reuse = buffer_reuse(ledger, stats.filter)
+    assert 0.0 < reuse["first_half_reuse"] < 1.0 and 0.0 < reuse["second_half_reuse"] < 1.0
+
+
+@pytest.mark.parametrize("encoded", [False, True])
+def test_the_buffer_moves_only_the_load_charges(encoded):
+    """Against a frame that charges every visit, as the ledger did before
+    the on-chip buffer, the frame and every stream counter are equal, and
+    only the coarse-load and fine-load charges fall."""
+    grid, records, books = _buffer_scene(encoded)
+    camera = look_at_camera([0, 0, -9], [0, 0, 0], width=128, height=96)
+
+    def every_visit(keys, ntiles, weights=None):
+        ids, tiles = np.divmod(keys, ntiles + 1)
+        return np.bincount(tiles, None if weights is None else weights[ids],
+                           minlength=ntiles).astype(np.int64)
+
+    frame, ledger, stats = render_frame_streaming(camera, grid, records, books)
+    with mock.patch.object(streaming, "_fetched", every_visit):
+        old_frame, old_ledger, old_stats = render_frame_streaming(camera, grid, records, books)
+    assert frame.tobytes() == old_frame.tobytes()
+    assert stats.as_dict() == old_stats.as_dict()
+    assert _per_visit_charges(old_ledger, old_stats, encoded)
+    for stage in STAGES:
+        moved = stage in ("coarse-load", "fine-load")
+        assert (ledger.bytes[stage] < old_ledger.bytes[stage]) == moved
+        assert (ledger.bytes[stage] == old_ledger.bytes[stage]) == (not moved)
+    assert ledger.macs == old_ledger.macs
 
 
 def test_merge_sort_pass_model():
