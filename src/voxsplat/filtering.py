@@ -1,12 +1,50 @@
 """Two-phase splat filtering against an image tile.
 
 The coarse phase sees only a splat's position and maximum scale and must
-never reject anything the fine phase would keep.  Its screen radius bounds
-the fine radius 3 sqrt(lam_max(B B^T) + 0.3), B = J W R S with J the
-perspective Jacobian, W and R orthonormal rotations and S = diag(scales):
-lam_max(B B^T) = |B|_2^2 <= s_max^2 |J|_2^2 = s_max^2 lam_max(J J^T), equal
-for an isotropic splat.  So 3 sqrt(s_max^2 lam_max(J J^T) + 0.3) bounds it,
-and a 1.1 multiplier covers floating-point slack.
+never reject anything the fine phase would keep.  The fine radius is
+3 sqrt(lam_max(B B^T) + d), B = J W R(q) S, with J the perspective
+Jacobian, W the camera rotation, R(q) the quaternion's matrix, S =
+diag(scales) and d = COVARIANCE_DILATION; the coarse radius is
+COARSE_SAFETY * 3 sqrt(s^2 j + d), s = max(scales), j = lam_max(J J^T).
+COARSE_SAFETY = c (1 + gamma_128) proves that the computed coarse radius
+is at least the computed fine one for every input the program accepts,
+where c bounds |W|_2 |R(q)|_2 and gamma_k = k u / (1 - k u), u = 2^-53
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3):
+
+* Quaternion norm.  R(q) = |q|^2 R(q/|q|) + (1 - |q|^2) I, so |R(q)|_2 <=
+  max(1, 2|q|^2 - 1).  ``Scene`` keeps | |q| - 1 | <= QUAT_NORM_TOL on its
+  computed norm, so |q| <= (1 + QUAT_NORM_TOL)(1 + gamma_4); a decoded
+  codebook quaternion is renormalised in float64, far inside that, or is
+  zero, and R(0) = I.
+* Camera rotation.  ``Camera`` keeps every entry of its computed W W^T
+  within tol = CAMERA_ROTATION_TOL of I (the subtraction is exact), and
+  the product errs by at most gamma_3 (1 + tol)/(1 - gamma_3) <= 2 gamma_3
+  per entry, so by Gershgorin on W W^T - I, |W|_2^2 <= 1 + 3(tol +
+  2 gamma_3).  c is the product of the two bounds, and c >= 1.
+* Dilation.  sqrt(c^2 x + d) <= c sqrt(x + d) for c >= 1 and x, d >= 0,
+  so |B|_2 <= c |J|_2 s puts the fine radius under c 3 sqrt(s^2 j + d).
+* Rounding.  Both tests read the same bits of ``cam``, ``mean2d``, the
+  clamped z and s (an encoded store's first half holds the decoded scales'
+  max), and J is taken exact at those bits.  Fine side: R(q)'s entries err
+  by gamma_3 (1 + 2|q|^2), under gamma_30 relative in the 2-norm since
+  R(q) fixes q's axis and so |R(q)|_2 >= 1; the products R S, W (R S) and
+  J (W R S) and J's entries add gamma_2, gamma_9, gamma_8 and gamma_5
+  (|A|_F <= sqrt(rank) |A|_2), so the computed B has 2-norm at most
+  c |J|_2 s (1 + gamma_54).  Squared, with B B^T's gamma_6, the dilation's
+  add and the hypot eigenvalue's gamma_4 (hypot's one ulp counted twice),
+  lam_max errs by gamma_119; the square root halves that, and its rounding
+  and the 3 add gamma_2: r_fine <= c 3 sqrt(s^2 j + d)(1 + gamma_62).
+  Coarse side: the entries of z^4 J J^T err by gamma_5 relative (``fx**2``
+  counted twice), which moves a positive semi-definite 2x2 matrix's lam_max
+  by at most gamma_5 relative; the eigenvalue, z^4, the division, s^2, the
+  product, the add, the square root and the two multiplies leave r_coarse
+  >= COARSE_SAFETY 3 sqrt(s^2 j + d)(1 - gamma_19).  (1 + gamma_62) /
+  (1 - gamma_19) <= 1 + gamma_100, and gamma_128 also covers evaluating c.
+* ``disc_overlaps_rect`` is monotone in the radius and both phases require
+  depth > near, so every fine survivor passes the coarse test.
+
+For an isotropic splat under an exactly orthonormal W and unit q, B B^T =
+s^2 J J^T, so the coarse radius is the fine one times COARSE_SAFETY.
 
 The fine phase computes the exact projected covariance, conic, radius and
 view-dependent color for coarse survivors.
@@ -30,18 +68,31 @@ operands' memory layout, so the one left on this path, in
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .scene import Camera, TILE_EDGE
+from .scene import CAMERA_ROTATION_TOL, QUAT_NORM_TOL, Camera, TILE_EDGE
 from .sh import evaluate_sh
 
 COARSE_MACS = 55
 FINE_MACS = 372  # 427 total on the fine path minus the 55 already spent
 COVARIANCE_DILATION = 0.3
 RADIUS_SIGMAS = 3.0
-COARSE_SAFETY = 1.1
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the float64 unit roundoff."""
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+# the module docstring's c (1 + gamma_128), c >= |W|_2 |R(q)|_2 for every
+# camera rotation W and quaternion q the program accepts
+COARSE_SAFETY = (math.sqrt(1 + 3 * (CAMERA_ROTATION_TOL + 2 * _gamma(3)))  # |W|_2
+                 * (2 * ((1 + QUAT_NORM_TOL) * (1 + _gamma(4))) ** 2 - 1)  # |R(q)|_2
+                 * (1 + _gamma(128)))
 DEGENERATE_DET = 1e-12
 
 # ProjectedBatch's fields, looked up once: fine_filter caches projections per round

@@ -27,7 +27,14 @@ MAX_PIXELS = 1 << 24
 FOCAL_RANGE = (1e-3, 1e6)
 PRINCIPAL_POINT_RANGE = (-1e7, 1e7)
 TRANSLATION_RANGE = (-1e9, 1e9)
+# How far a splat quaternion's norm, and each entry of a camera rotation's
+# W W^T, may stray from 1 and from the identity's; the coarse filter's margin
+# is derived from both (``filtering.COARSE_SAFETY``).  The rotation's is the
+# diagonal reach of np.allclose(W W^T, I, atol=1e-8), numpy's default rtol
+# plus the atol, so it takes every rotation allclose takes, and holds on
+# every entry.
 QUAT_NORM_TOL = 1e-6
+CAMERA_ROTATION_TOL = 1e-5 + 1e-8
 
 
 # (x, y) offsets of a tile's pixels, row-major: mgrid gives (y, x), reversed
@@ -117,7 +124,8 @@ class Camera:
     world point p lands at ``rotation`` times p plus ``translation``.  Width
     and height must be positive multiples of the 16-pixel tile edge, at most
     MAX_PIXELS in all; the near plane finite and positive, the rotation
-    orthonormal, and the focal lengths, the principal point and each
+    orthonormal (every entry of W W^T within CAMERA_ROTATION_TOL of the
+    identity's), and the focal lengths, the principal point and each
     translation component within FOCAL_RANGE, PRINCIPAL_POINT_RANGE and
     TRANSLATION_RANGE.
     """
@@ -156,8 +164,8 @@ class Camera:
                 raise ValueError(f"camera {name} must be finite{positive} and in [{lo:g}, {hi:g}], "
                                  f"got {value}")
         with np.errstate(over="ignore", invalid="ignore"):  # a huge or non-finite entry fails
-            rrt = self.rotation @ self.rotation.T
-        if not np.allclose(rrt, np.eye(3), atol=1e-8):
+            off = np.abs(self.rotation @ self.rotation.T - np.eye(3))
+        if not np.all(off <= CAMERA_ROTATION_TOL):
             raise ValueError("world-to-camera rotation is not orthonormal")
 
     @property

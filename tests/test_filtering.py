@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxsplat import Camera, look_at_camera
+from voxsplat import Camera, Scene, look_at_camera
 from voxsplat.filtering import (
     COARSE_MACS,
     COARSE_SAFETY,
@@ -18,6 +18,7 @@ from voxsplat.filtering import (
     quat_to_rotmat,
     tile_rects,
 )
+from voxsplat.scene import CAMERA_ROTATION_TOL, QUAT_NORM_TOL
 from voxsplat.sh import evaluate_sh
 
 from conftest import filter_voxel
@@ -271,6 +272,95 @@ def test_fine_radius_of_isotropic_splats_is_the_eigvalsh_one(seed, fx, aspect, o
     form ``project_splats`` takes matches ``eigvalsh`` to 1e-14."""
     _, fine, exact = _isotropic_radii(seed, fx, aspect, offset, near)
     np.testing.assert_allclose(fine, exact, rtol=1e-14)
+
+
+def test_coarse_radius_bounds_the_fine_one_at_both_tolerance_edges():
+    """W = sqrt(1 + 0.99 tol) I and q = (0, 1, 0, 0)(1 + 0.99 tol_q) are
+    accepted, and they stretch an isotropic splat on the optical axis by
+    |W|_2 |R(q)|_2 = 1 + 8.9e-6 at the tolerances in ``scene``: the coarse
+    radius must still cover the fine one, and a rectangle the fine disc just
+    reaches must pass the coarse test.  A margin of 1 + 1e-9 fails here, and
+    so does a tolerance loosened without COARSE_SAFETY following it; the
+    margin is that stretch at the tolerances' edges, plus rounding only."""
+    stretch_bound = np.sqrt(1 + 3 * CAMERA_ROTATION_TOL) * (2 * (1 + QUAT_NORM_TOL) ** 2 - 1)
+    assert stretch_bound < COARSE_SAFETY < stretch_bound * (1 + 1e-13)
+    stretch = np.sqrt(1 + 0.99 * CAMERA_ROTATION_TOL)
+    camera = Camera(256, 256, 500.0, 500.0, 128.0, 128.0, rotation=stretch * np.eye(3),
+                    translation=[0.0, 0.0, 5.0])
+    q = np.array([[0.0, 1.0 + 0.99 * QUAT_NORM_TOL, 0.0, 0.0]])
+    splats = (np.zeros((1, 3)), np.ones((1, 3)), q, np.full(1, 0.5), np.zeros((1, 16, 3)),
+              np.arange(1))
+    Scene(*splats)  # accepted
+    valid, batch, _ = project_splats(camera, *splats)
+    cam, _, _ = project_means(camera, splats[0])
+    coarse = coarse_screen_radius(camera, cam, np.ones(1))
+    assert valid[0] and coarse[0] / COARSE_SAFETY * (1 + 8.8e-6) < batch.radius[0] <= coarse[0]
+    # a rectangle right of the centre that the fine disc reaches by 1e-7 of its radius
+    x0 = 128.0 + batch.radius[0] * (1 - 1e-7)
+    cmask, fine, _ = filter_voxel(camera, (x0, 0.0, x0 + 16.0, 256.0), splats,
+                                  survivors=np.arange(1))
+    assert fine.ids.tolist() == [0] and cmask.tolist() == [True]
+
+
+def _stretched_rotation(rng, shape, tol):
+    """sqrt(I + E) times a random rotation Q, E symmetric with every entry
+    within ``tol``: W W^T = I + E.  ``shape`` picks E: tol I (every direction
+    stretched), tol on every entry (Gershgorin's bound 1 + 3 tol attained),
+    or random."""
+    if shape == "scalar":
+        e = tol * np.eye(3)
+    elif shape == "ones":
+        e = np.full((3, 3), tol)
+    else:
+        e = rng.uniform(-tol, tol, (3, 3))
+        e = (e + e.T) / 2
+    lam, v = np.linalg.eigh(np.eye(3) + e)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return (v * np.sqrt(lam)) @ v.T @ (q * np.sign(np.diag(r)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["scalar", "ones", "random"]),
+    q_edge=st.floats(-1.0, 1.0),
+    half_turn=st.booleans(),
+    isotropic=st.booleans(),
+    fx=st.floats(20.0, 2000.0),
+    aspect=st.floats(0.25, 4.0),
+)
+def test_coarse_radius_bounds_the_fine_one_for_every_accepted_rotation_and_quaternion(
+    seed, shape, q_edge, half_turn, isotropic, fx, aspect
+):
+    """Camera rotations and quaternions anywhere inside the tolerances that
+    ``Camera`` and ``Scene`` accept, up to their edges: the coarse radius
+    bounds the fine one for every valid splat, and the coarse survivors of
+    random rectangles hold every fine survivor.  Half the quaternions have
+    |q| = 1 + q_edge tol_q, the rest a random norm within tol_q; a half turn
+    (w = 0) gives R(q) its largest 2-norm, 2|q|^2 - 1."""
+    rng = np.random.default_rng(seed)
+    rotation = _stretched_rotation(rng, shape, CAMERA_ROTATION_TOL * (1 - 1e-6))
+    camera = Camera(256, 256, fx, aspect * fx, 128.0, 128.0, rotation=rotation,
+                    translation=rng.uniform(-5.0, 5.0, 3), near=0.1)
+    n = 2000
+    scales = 10.0 ** rng.uniform(-4.0, np.log10(5.0), (n, 1 if isotropic else 3))
+    pos, scales, q, *values = _splats_around(rng, camera, np.broadcast_to(scales, (n, 3)))
+    if half_turn:
+        q[:, 0] = 0.0
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+    edge = np.where(np.arange(n) < n // 2, q_edge, rng.uniform(-1.0, 1.0, n))
+    q *= (1 + edge * QUAT_NORM_TOL * (1 - 1e-6))[:, None]
+    splats = (pos, scales, q, *values)
+    Scene(*splats)  # accepted
+    valid, batch, _ = project_splats(camera, *splats)
+    assert valid.any()
+    cam, _, _ = project_means(camera, pos)
+    coarse = coarse_screen_radius(camera, cam, scales.max(axis=1))
+    assert np.all(coarse[valid] >= batch.radius[valid])
+    corner = rng.uniform(-64.0, 320.0, (2, n))
+    rect = (*corner, *(corner + rng.uniform(0.0, 64.0, (2, n))))
+    cmask, fine, _ = filter_voxel(camera, rect, splats, survivors=np.arange(n))
+    assert set(fine.ids.tolist()) <= set(np.flatnonzero(cmask).tolist())
 
 
 def test_filter_stats_monotone():

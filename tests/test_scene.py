@@ -7,6 +7,7 @@ import pytest
 
 from voxsplat import Aabb, Camera, Scene, generate_scene, load_ply, save_ply
 from voxsplat.errors import PlyParseError, PlySchemaError
+from voxsplat.scene import CAMERA_ROTATION_TOL
 
 from conftest import constrained_scene
 from oracles import scene_fingerprint
@@ -222,6 +223,46 @@ def test_splat_validation():
         _one_splat(scale=(0, 1, 1))
     with pytest.raises(ValueError, match="quaternion"):
         _one_splat(rotation=(2, 0, 0, 0))
+
+
+def _root(gram):
+    """The symmetric W with W W^T = ``gram``."""
+    lam, v = np.linalg.eigh(gram)
+    return (v * np.sqrt(lam)) @ v.T
+
+
+def _camera(rotation):
+    return Camera(width=256, height=256, fx=100, fy=100, cx=128, cy=128, rotation=rotation,
+                  translation=np.zeros(3))
+
+
+def test_camera_rotation_tolerance_holds_on_every_entry():
+    """Each entry of W W^T may stray CAMERA_ROTATION_TOL from the identity's,
+    off the diagonal as on it, and no further: no relative tolerance widens
+    the diagonal.  Every rotation that np.allclose(W W^T, I, atol=1e-8)
+    takes is taken."""
+    tol = CAMERA_ROTATION_TOL
+    for i, j in ((0, 0), (2, 2), (0, 1), (1, 2)):
+        for e, ok in ((0.999 * tol, True), (-0.999 * tol, True), (1.001 * tol, False),
+                      (-1.001 * tol, False)):
+            gram = np.eye(3)
+            gram[i, j] = gram[j, i] = gram[i, j] + e
+            if ok:
+                _camera(_root(gram))
+            else:
+                with pytest.raises(ValueError, match="orthonormal"):
+                    _camera(_root(gram))
+    rng = np.random.default_rng(29)
+    taken = 0
+    for _ in range(300):
+        # diagonal drifts around allclose's reach of rtol + atol = 1.001e-5
+        e = np.diag(rng.choice([-1.0, 1.0], 3) * rng.uniform(0.999e-5, 1.0011e-5, 3))
+        e[0, 1] = e[1, 0] = rng.uniform(-1.0, 1.0) * 1.01e-8
+        w = _root(np.eye(3) + e)
+        if np.allclose(w @ w.T, np.eye(3), atol=1e-8):
+            _camera(w)
+            taken += 1
+    assert 0 < taken < 300
 
 
 def test_camera_validation_and_json(tmp_path):
