@@ -205,8 +205,8 @@ class ProjectionCache:
     voxels whose ``projected`` flag is set; ``blend`` reads the survivors'
     rows of ``batch`` where they lie.  The filter counters still count every
     visit, since the hardware tests the voxel again for each tile, but the
-    ledger charges a tile only the halves the tile before it in the row did
-    not hold in the on-chip buffer (``streaming``).  Entries are deterministic,
+    ledger charges a tile only the halves that no earlier tile still in the
+    on-chip buffer used (``streaming``).  Entries are deterministic,
     so each worker process of a frame fills its own copy and every copy
     holds the same bits.
     """

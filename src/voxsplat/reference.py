@@ -77,7 +77,8 @@ def render_frame_reference(
         composite_background(color, transmittance, background)
         return color, counts[None]
 
-    frame, counts = render_rows(camera, render_row, threads)
+    frame, rows = render_rows(camera, render_row, threads)
+    counts = np.stack(rows, axis=1)
     records, pixels = int(counts.sum()), counts.size * TILE_EDGE**2
     ledger.charge("sort-spill", sum(map(merge_sort_pass_bytes, counts.ravel().tolist())), records)
     ledger.charge("render-load", PROJECTED_RECORD_BYTES * records, records)

@@ -14,15 +14,18 @@ are kept per (tile, voxel) pair and trimmed to the voxels a tile walking its
 schedule one voxel at a time would stream: when every pixel of a tile has
 frozen, its walk ends at the voxel of the last splat ``blend`` processed.
 
-The ledger models a two-tile on-chip buffer.  A row's tiles stream left to
-right, and the buffer holds one tile's first and second halves while the
-next tile streams, so a tile reads from DRAM only the first halves of the
-voxels the tile before it did not visit and the second halves of the coarse
-survivors the tile before it did not hold; the first tile of a row reads
-all it visits.  ``loaded`` and the survivor counts still count every visit,
-since every visit runs the coarse test; ``first_fetched`` and
-``second_fetched`` count the reads.  Both are taken over the counted
-visits, so they depend neither on FIRST_CHUNK nor on the worker count.
+The ledger models one on-chip buffer of ``traffic.BUFFER_BYTES`` for the
+whole frame.  Tiles stream through it in raster order, row after row, and
+while tile t streams it holds t's working set, the first halves of the
+voxels t visits and the second halves of their coarse survivors, beside the
+whole working sets of the latest earlier tiles that fit with it.  So tile t
+reads from DRAM only the halves that none of those tiles used; the frame's
+first tile, and a tile whose working set fills the buffer alone, read all
+they use.  ``loaded`` and the survivor counts still count every visit,
+since every visit runs the coarse test.  Each row hands back the keys of
+its counted halves, and ``tally`` charges the frame's fetches from them in
+one pass, so the charges depend neither on FIRST_CHUNK nor on which process
+rendered which row.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .filtering import FilterStats, ProjectionCache, Tally, coarse_filter, fine_
 from .scene import Camera, TILE_EDGE, tile_pixels
 from .scheduler import schedule, traverse, visibility_key, voxel_depths
 from .tileloop import render_rows
+from . import traffic
 from .traffic import PIXEL_BYTES, TrafficLedger
 from .voxelstore import (
     FlatRecords,
@@ -60,56 +64,74 @@ class StreamStats(Tally):
     cycles_broken: int = 0  # always 0: one eye's ray orders never conflict (``scheduler``)
     batch_splits: int = 0
     blended: int = 0
-    # the largest one tile's first and second halves, in bytes: a max over
-    # the frame's tiles where every other field is a sum
+    # the on-chip buffer's peak occupancy, in bytes: a max over the frame's
+    # tiles where the fields above are sums; and the capacity it was charged with
     buffer_peak_bytes: int = 0
+    buffer_capacity_bytes: int = 0
 
 
 # a tile's counters, in the order of the rows of the arrays that count them
-COUNTERS = ("loaded", "coarse_survivors", "fine_survivors", "degenerate", "first_fetched",
-            "second_fetched", "voxels_scheduled", "voxels_skipped_early", "batch_splits",
-            "blended")
+COUNTERS = ("loaded", "coarse_survivors", "fine_survivors", "degenerate", "voxels_scheduled",
+            "voxels_skipped_early", "batch_splits", "blended")
 
 
-def tally(counts: np.ndarray, encoded: bool,
-          scene_hash: str = "") -> tuple[TrafficLedger, StreamStats]:
+def tally(counts: np.ndarray, keys: tuple[np.ndarray, np.ndarray], sizes: np.ndarray,
+          encoded: bool, scene_hash: str = "") -> tuple[TrafficLedger, StreamStats]:
     """The ledger and stats of the tiles whose COUNTERS ``counts`` holds,
-    one (len(COUNTERS), ...) array entry per tile, summed; ``encoded``
-    records stream encoded second halves.  If ``counts`` has a tile axis,
-    its last axis runs along a row's tiles in stream order."""
-    need = counts[[COUNTERS.index("loaded"), COUNTERS.index("coarse_survivors")]]
-    fetched = counts[[COUNTERS.index("first_fetched"), COUNTERS.index("second_fetched")]]
-    # a tile fetches at most the halves it needs, and a row's first tile all of them
-    if np.any(fetched > need) or counts.ndim > 1 and np.any(fetched[..., 0] != need[..., 0]):
+    one (len(COUNTERS), ...) array entry per tile; flattened, its tile axes
+    run in stream order.  ``keys`` holds the keys ``id * (tiles + 1) +
+    tile`` of the first halves (voxel ids) and the second halves (record
+    rows) the tiles needed, ``tile`` a flat index; ``sizes`` the splats per
+    voxel; ``encoded`` records stream encoded second halves.  The fetches
+    are charged through the on-chip buffer of ``traffic.BUFFER_BYTES``."""
+    capacity = traffic.BUFFER_BYTES
+    need = counts[[COUNTERS.index("loaded"), COUNTERS.index("coarse_survivors")]].reshape(2, -1)
+    footprint = sum(load_bytes(encoded, *need))  # each tile's working set, in bytes
+    ends = np.concatenate([[0], np.cumsum(footprint)])
+    held = _oldest_held(ends, capacity)
+    fetched = np.stack([_fetched(keys[0], held, sizes), _fetched(keys[1], held)])
+    # raises, not asserts, so the checks hold under python -O
+    if np.any(fetched > need) or np.any(fetched[:, :1] != need[:, :1]):
         raise RuntimeError("fetch counters out of order: a tile fetches more halves than it "
-                           "needs, or a row's first tile fewer")
+                           "needs, or the frame's first tile fewer")
+    peak = int((ends[1:] - ends[held]).max(initial=0))
+    if peak > max(capacity, footprint.max(initial=0)):
+        raise RuntimeError(f"buffer occupancy {peak} B exceeds its {capacity} B capacity and "
+                           "every tile's own working set")
     total = dict(zip(COUNTERS, counts.reshape(len(COUNTERS), -1).sum(axis=1).tolist()))
     loaded, coarse = total.pop("loaded"), total.pop("coarse_survivors")
     fine, degenerate = total.pop("fine_survivors"), total.pop("degenerate")
-    first, second = total.pop("first_fetched"), total.pop("second_fetched")
-    peak = sum(load_bytes(encoded, *need)).max(initial=0)
     stats = StreamStats(FilterStats.counted(loaded, coarse, fine, degenerate), **total,
-                        buffer_peak_bytes=int(peak))
+                        buffer_peak_bytes=peak, buffer_capacity_bytes=capacity)
     stats.filter.check()
     ledger = TrafficLedger(scene_hash=scene_hash)
+    first, second = fetched.sum(axis=1).tolist()
     charge_loads(ledger, encoded, first, second)
-    pixels = counts[0].size * TILE_EDGE**2
+    pixels = need.shape[1] * TILE_EDGE**2
     ledger.charge("pixel-writeback", PIXEL_BYTES * pixels, pixels)
     ledger.macs = {"coarse": stats.filter.macs_coarse, "fine": stats.filter.macs_fine}
     return ledger, stats
 
 
-def _fetched(keys: np.ndarray, ntiles: int, weights: np.ndarray | None = None) -> np.ndarray:
+def _oldest_held(ends: np.ndarray, capacity: int) -> np.ndarray:
+    """Per tile t, the oldest tile whose working set the buffer holds while
+    t streams, given the working sets' running totals ``ends`` (0 first):
+    the latest earlier tiles that fit in ``capacity`` with t's, or t alone."""
+    tiles = len(ends) - 1
+    return np.minimum(np.searchsorted(ends, ends[1:] - capacity), np.arange(tiles))
+
+
+def _fetched(keys: np.ndarray, held: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Per tile, the halves it reads from DRAM, given the distinct keys
-    ``id * (ntiles + 1) + tile`` of the halves it needs: those whose id the
-    tile before it did not hold (no key - 1; a first tile's key - 1 names no
-    tile), counted once or weighted by ``weights[id]``."""
-    keys = np.sort(keys)
-    miss = np.ones(len(keys), dtype=bool)
-    miss[1:] = keys[1:] - 1 != keys[:-1]
-    ids, tiles = np.divmod(keys[miss], ntiles + 1)
-    return np.bincount(tiles, None if weights is None else weights[ids],
-                       minlength=ntiles).astype(np.int64)
+    ``id * (tiles + 1) + tile`` of the halves the tiles need: those whose
+    id's latest earlier use, if any, came before the oldest tile ``held``
+    names for it; counted once or weighted by ``weights[id]``."""
+    # sorted, a key's predecessor with the same id is that id's latest earlier use
+    ids, tiles = np.divmod(np.sort(keys), len(held) + 1)
+    miss = np.ones(len(ids), dtype=bool)
+    miss[1:] = (ids[1:] != ids[:-1]) | (tiles[:-1] < held[tiles[1:]])
+    return np.bincount(tiles[miss], None if weights is None else weights[ids[miss]],
+                       minlength=len(held)).astype(np.int64)
 
 
 def render_tile_streaming(
@@ -121,11 +143,13 @@ def render_tile_streaming(
     cache: ProjectionCache,
     background=(0.0, 0.0, 0.0),
     trace: list | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Render 16x16 tiles together, normally one tile row; returns
-    ((tiles, 256, 3) colors, (len(COUNTERS), tiles) int64 counters), which
-    ``tally`` turns into the tiles' ledger and stats.  The tiles stream in
-    list order: each fetches only the halves the one before it did not hold.
+    ((tiles, 256, 3) colors, (len(COUNTERS), tiles) int64 counters, keys),
+    which ``tally`` turns into the tiles' ledger and stats, the tiles
+    streaming in list order.  ``keys`` are the int64 keys ``id * (tiles + 1)
+    + tile`` of the first halves (voxel ids) and the second halves (record
+    rows) each tile's counted visits need, ``tile`` its list index.
 
     The tiles' rays are walked here, in one ``traverse`` call.  ``cache``
     holds the frame's visibility key and projections for ``camera``.
@@ -202,10 +226,9 @@ def render_tile_streaming(
 
     composite_background(color, transmittance, background)
     loaded, coarse, fine, degenerate, splits = counts
-    first = _fetched(np.concatenate(first_keys), ntiles, sizes)
-    second = _fetched(np.concatenate(second_keys), ntiles)
-    return color, np.stack([loaded, coarse, fine, degenerate, first, second, scheduled, skipped,
-                            splits, blended])
+    return (color, np.stack([loaded, coarse, fine, degenerate, scheduled, skipped, splits,
+                             blended]),
+            (np.concatenate(first_keys), np.concatenate(second_keys)))
 
 
 def render_frame_streaming(
@@ -225,17 +248,29 @@ def render_frame_streaming(
     are alive at a time.  With ``threads > 1`` this process and forked
     workers share the rows (``tileloop.render_rows``), each filling its own
     copy of the frame's projection cache.  Returns (framebuffer (H, W, 3)
-    float32, ledger, stats), tallied once from every tile's counters.
+    float32, ledger, stats), tallied once from every tile's counters and
+    keys, the tiles in raster order.
     """
-    ntx, _ = camera.tile_counts
+    ntx, nty = camera.tile_counts
     key = visibility_key(camera, grid, voxel_depths(camera, grid))
     cache = ProjectionCache(camera, key, records.offsets)
 
     def render_row(ty):
         band = [(tx, ty) for tx in range(ntx)]
-        return render_tile_streaming(
+        colors, *payload = render_tile_streaming(
             band, camera, grid, records, books, background=background, cache=cache,
         )
+        return colors, payload
 
-    frame, counts = render_rows(camera, render_row, threads)
-    return (frame, *tally(counts, records.encoded, scene_hash))
+    frame, rows = render_rows(camera, render_row, threads)
+    counts = np.stack([row_counts for row_counts, _ in rows], axis=1)
+    keys = []
+    for half in range(2):
+        # row ty's key id * (ntx + 1) + tx names the frame's tile ty * ntx + tx.  The
+        # frame's keys fit in int64: MAX_PIXELS caps a frame at 2^16 tiles, so any id
+        # below 2^46, far more voxels or record rows than memory holds, stays below 2^63
+        parts = [row_keys[half] for _, row_keys in rows]
+        ids, tx = np.divmod(np.concatenate(parts), ntx + 1)
+        ty = np.repeat(np.arange(nty), [len(part) for part in parts])
+        keys.append(ids * (ntx * nty + 1) + ty * ntx + tx)
+    return (frame, *tally(counts, keys, np.diff(records.offsets), records.encoded, scene_hash))

@@ -2,15 +2,15 @@
 
 A renderer hands ``render_rows`` a function that renders tile row ``ty`` and
 returns the row's colors, one (256, 3) array per tile in x order, plus the
-row's per-tile counters, an int64 (counters, tiles) array.  Tiles are
-independent, so a row's pixels and counters do not depend on which process
+row's payload, the counts the renderer charges its frame from.  Tiles are
+independent, so a row's pixels and payload do not depend on which process
 renders it or when.
 
 With more than one worker, this process forks the others for the frame, and
 every process takes the next unrendered row from a shared counter until none
 is left, writing the row's pixels into a float64 framebuffer in a shared
-anonymous mmap.  A worker pickles its (ty, counters) pairs, stacked here by
-``ty``, or its exception down its own pipe and leaves through ``os._exit``:
+anonymous mmap.  A worker pickles its (ty, payload) pairs, put back here in
+``ty`` order, or its exception down its own pipe and leaves through ``os._exit``:
 it never returns into the caller, runs ``atexit`` or flushes inherited stdio
 buffers.  A worker's exception is raised here with its class, the worker's
 traceback as its cause; a worker that dies without a payload raises
@@ -33,13 +33,13 @@ import numpy as np
 from .scene import Camera, TILE_EDGE
 
 
-def _render_into(frame: np.ndarray, render_row, ty: int) -> tuple[int, np.ndarray]:
-    colors, counts = render_row(ty)
+def _render_into(frame: np.ndarray, render_row, ty: int) -> tuple:
+    colors, payload = render_row(ty)
     band = frame[ty * TILE_EDGE : (ty + 1) * TILE_EDGE]
     # tile tx's row-major pixels land in columns 16 tx .. 16 tx + 15
     tiles = np.reshape(colors, (len(colors), TILE_EDGE, TILE_EDGE, 3))
     band[:] = tiles.transpose(1, 0, 2, 3).reshape(band.shape)
-    return ty, counts
+    return ty, payload
 
 
 def _drain(state) -> list:
@@ -78,9 +78,9 @@ def _fork(state) -> tuple[int, int]:
         os._exit(0)
 
 
-def render_rows(camera: Camera, render_row, threads: int) -> tuple[np.ndarray, np.ndarray]:
+def render_rows(camera: Camera, render_row, threads: int) -> tuple[np.ndarray, list]:
     """Render every tile row; returns (framebuffer (H, W, 3) float32, the
-    rows' counters stacked by ``ty`` into one (counters, rows, tiles) array)."""
+    rows' payloads in ``ty`` order)."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     _, nty = camera.tile_counts
@@ -120,4 +120,4 @@ def render_rows(camera: Camera, render_row, threads: int) -> tuple[np.ndarray, n
                 os.waitpid(pid, 0)
                 os.close(read)
     rendered.sort(key=lambda row: row[0])
-    return frame.astype(np.float32), np.stack([counts for _, counts in rendered], axis=1)
+    return frame.astype(np.float32), [payload for _, payload in rendered]

@@ -9,6 +9,10 @@ Declared byte constants (all little-endian float32 unless stated):
   pass, ceil(log2 n) passes per tile list
 * coarse first half: 16 B; encoded second half: 12 B (raw equivalent 220 B)
 * final pixel: 12 B (rgb float32)
+* on-chip buffer for the halves tiles stream: 1 MiB.  A tile of perfbench's
+  60k-splat cluttered scenes needs 100-350 KB of raw halves, so the buffer
+  mostly keeps the four to six tiles before it, the tile above included, and
+  charges within 2% of an unbounded buffer's stream bytes there
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ PROJECTION_LOAD_BYTES = 59 * 4
 PROJECTED_RECORD_BYTES = 48
 SORT_RECORD_BYTES = 8
 PIXEL_BYTES = 12
+BUFFER_BYTES = 1 << 20
 
 
 @dataclass
@@ -122,7 +127,8 @@ def counts_from_stats(stats: FilterStats) -> dict[str, int]:
 def buffer_reuse(stream_ledger: TrafficLedger, stream_stats: FilterStats) -> dict:
     """The shares of the first halves a streaming frame loaded and of the
     second halves its coarse survivors needed that came from the on-chip
-    buffer, not from DRAM; None where nothing was needed."""
+    buffer, not from DRAM: halves that one of the earlier tiles the buffer
+    still held had used (``streaming.tally``); None where nothing was needed."""
     return {
         "first_half_reuse": (1.0 - stream_ledger.records["coarse-load"] / stream_stats.loaded
                              if stream_stats.loaded else None),

@@ -229,8 +229,8 @@ def stream_fine(
     holds ``project_splats``'s inputs (positions, scales, rotations,
     opacities, sh, ids).  A renderer decodes each voxel once per frame and
     reuses its projection on later visits; ``charge_loads`` charges the
-    second halves a tile fetches, the coarse survivors the tile before it
-    in the row did not hold.
+    second halves a tile fetches, the coarse survivors that no earlier tile
+    still in the on-chip buffer used.
     """
     if records.encoded and books is None:
         raise ValueError("encoded records need codebooks to decode")
@@ -276,8 +276,8 @@ def load_bytes(encoded: bool, first, second) -> tuple:
 def charge_loads(ledger, encoded: bool, first: int, second: int) -> None:
     """Charge reading ``first`` first halves and ``second`` second halves
     from DRAM.  A streaming frame passes the halves its tiles fetch, not the
-    ones they test: a tile takes from the on-chip buffer every half the tile
-    before it in the row held (``streaming``)."""
+    ones they test: a tile takes from the on-chip buffer every half one of
+    the earlier tiles the buffer still holds used (``streaming``)."""
     first_bytes, second_bytes = load_bytes(encoded, first, second)
     ledger.charge("coarse-load", first_bytes, first)
     ledger.charge("fine-load", second_bytes, second)

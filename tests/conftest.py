@@ -54,6 +54,13 @@ def projection_cache(camera, grid, records) -> ProjectionCache:
     return ProjectionCache(camera, key, records.offsets)
 
 
+def tile_alone(counts, keys, t):
+    """Tile t of ``streaming.tally``'s counters and keys ``id * (tiles + 1) +
+    tile``, as a stream of one tile: its counter column and its own keys."""
+    tiles = counts.shape[1]
+    return counts[:, t : t + 1], [k[k % (tiles + 1) == t] // (tiles + 1) * 2 for k in keys]
+
+
 def usable_cpus(count):
     """Patch the CPUs this process may run on, which cap the row workers, to ``count``."""
     return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)), create=True)

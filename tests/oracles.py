@@ -32,11 +32,13 @@ voxel) visit at a time, as it stood before tiles were batched by row: the
 test and one ``blend`` call per sorting-buffer chunk, with the walk cut at
 the first voxel that finds every pixel frozen, or with ``early_exit=False``
 never cut: the exhaustive render that early exit must equal pixel for
-pixel.  The ledger is charged visit by visit through the two-tile buffer:
-a visit reads from DRAM only the halves missing from the previous tile's
-held sets, one Python set of voxel ids and one of coarse-surviving record
-rows.  ``render_frame_per_visit`` assembles a frame from its tiles, each
-row's tiles handing their held sets on left to right, and sums their
+pixel.  The ledger charges each visit's halves through one on-chip buffer
+of ``traffic.BUFFER_BYTES``: a deque of each earlier tile's held sets, one
+Python set of voxel ids and one of coarse-surviving record rows, with the
+tile's footprint in bytes; a tile drops the oldest tiles until the
+footprints fit with its own and reads from DRAM only the halves none of the
+rest holds.  ``render_frame_per_visit`` assembles a frame from its tiles,
+all streamed in raster order through one deque, and sums their
 counters with ``add_counters``.  Its filter oracles keep no projection
 cache: every visit projects its voxel again, and ``stream_fine_per_visit``
 decodes the survivors only, so ``fine_filter_per_visit`` projects just
@@ -76,12 +78,14 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections import deque
 from dataclasses import fields, is_dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 import voxsplat.streaming as streaming_mod
+import voxsplat.traffic as traffic_mod
 from voxsplat.blending import ALPHA_CAP, ALPHA_MIN, T_FREEZE, blend, composite_background
 from voxsplat.filtering import (
     COARSE_MACS,
@@ -376,12 +380,17 @@ def dependency_graph_unique(visits) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0.0, 0.0),
                           early_exit=True, held=None):
     """One tile, visit by visit; returns (color, ledger, stats).  The sorting
-    buffer is ``streaming.VOXEL_BATCH_CAPACITY`` as it reads at call time.
-    ``held`` is the (voxel ids, record rows) pair of sets the tile before it
-    in the row holds on chip, empty for a row's first tile; the tile takes
-    those halves from it and then replaces the sets' contents with its own."""
-    held = (set(), set()) if held is None else held
-    voxels, rows_held = set(), set()
+    buffer is ``streaming.VOXEL_BATCH_CAPACITY`` and the on-chip buffer
+    ``traffic.BUFFER_BYTES`` as they read at call time.  ``held`` is the
+    deque of (voxel ids, record rows, footprint) of the tiles streamed
+    before this one, oldest first, each footprint the bytes of that tile's
+    voxels' first halves and its coarse survivors' second halves.  Once the
+    tile has streamed, it drops the oldest tiles until their footprints fit
+    in the buffer with its own, charges every visit's halves that none of
+    the rest used, and appends its own; with ``held`` None or empty it
+    charges every visit."""
+    held = deque() if held is None else held
+    voxels, rows_held = [], []
     per_splat = ENCODED_FINE_BYTES if records.encoded else RAW_FINE_STREAM_BYTES
     ledger, stats = TrafficLedger(), StreamStats()
     rect = tile_rects([tile])
@@ -396,19 +405,13 @@ def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0
             stats.voxels_skipped_early += len(order) - k
             break
         rows = slice(records.offsets[vid_r], records.offsets[vid_r + 1])
-        n = rows.stop - rows.start
-        voxels.add(vid_r)
-        if vid_r not in held[0]:
-            ledger.charge("coarse-load", COARSE_BYTES_PER_GAUSSIAN * n, n)
+        voxels.append(vid_r)
         mask = coarse_filter_per_visit(camera, rect, records.positions[rows],
                                        records.max_scales[rows], stats.filter)
         survivors = np.flatnonzero(mask)
         if not len(survivors):
             continue
-        for row in (rows.start + survivors).tolist():
-            rows_held.add(row)
-            if row not in held[1]:
-                ledger.charge("fine-load", per_splat, 1)
+        rows_held.extend((rows.start + survivors).tolist())
         splats = stream_fine_per_visit(records, vid_r, survivors, books)
         batch = fine_filter_per_visit(camera, rect, survivors, splats, stats.filter)
         for start in range(0, len(batch.ids), capacity):
@@ -418,24 +421,33 @@ def render_tile_per_visit(tile, camera, grid, records, books, background=(0.0, 0
             stats.blended += int(blend(batch, chunk, [0, len(chunk)], centers, color,
                                        transmittance)[0])
     composite_background(color, transmittance, background)
+    footprint = (COARSE_BYTES_PER_GAUSSIAN * stats.filter.loaded
+                 + per_splat * stats.filter.coarse_survivors)
+    while held and sum(f for _, _, f in held) + footprint > traffic_mod.BUFFER_BYTES:
+        held.popleft()
+    for vid_r in voxels:
+        if not any(vid_r in ids for ids, _, _ in held):
+            n = int(records.offsets[vid_r + 1] - records.offsets[vid_r])
+            ledger.charge("coarse-load", COARSE_BYTES_PER_GAUSSIAN * n, n)
+    for row in rows_held:
+        if not any(row in theirs for _, theirs, _ in held):
+            ledger.charge("fine-load", per_splat, 1)
+    stats.buffer_peak_bytes = sum(f for _, _, f in held) + footprint
+    stats.buffer_capacity_bytes = traffic_mod.BUFFER_BYTES
+    held.append((set(voxels), set(rows_held), footprint))
     ledger.charge("pixel-writeback", PIXEL_BYTES * TILE_EDGE**2, TILE_EDGE**2)
     ledger.macs = {"coarse": stats.filter.macs_coarse, "fine": stats.filter.macs_fine}
-    stats.buffer_peak_bytes = (COARSE_BYTES_PER_GAUSSIAN * stats.filter.loaded
-                               + per_splat * stats.filter.coarse_survivors)
-    for mine, theirs in zip(held, (voxels, rows_held)):
-        mine.clear()
-        mine.update(theirs)
     return color[0], ledger, stats
 
 
 def add_counters(total, part) -> None:
     """Add ``part``'s counters into ``total``, two ledgers or two stats: every
     int field, every dict of ints key by key and every nested dataclass;
-    ``buffer_peak_bytes`` takes the larger, and any other field, such as a
-    ledger's scene hash, stays unchanged."""
+    ``buffer_peak_bytes`` and ``buffer_capacity_bytes`` take the larger, and
+    any other field, such as a ledger's scene hash, stays unchanged."""
     for f in fields(total):
         mine, theirs = getattr(total, f.name), getattr(part, f.name)
-        if f.name == "buffer_peak_bytes":
+        if f.name.startswith("buffer_"):
             setattr(total, f.name, max(mine, theirs))
         elif isinstance(mine, int):
             setattr(total, f.name, mine + theirs)
@@ -447,13 +459,14 @@ def add_counters(total, part) -> None:
 
 
 def render_frame_per_visit(camera, grid, records, books, early_exit=True):
-    """A frame assembled from ``render_tile_per_visit`` tiles; returns
-    (frame float32, ledger, stats) like ``render_frame_streaming``."""
+    """A frame assembled from ``render_tile_per_visit`` tiles, streamed in
+    raster order through one held deque; returns (frame float32, ledger,
+    stats) like ``render_frame_streaming``."""
     ntx, nty = camera.tile_counts
     image = np.zeros((camera.height, camera.width, 3))
     ledger, stats = TrafficLedger(), StreamStats()
+    held = deque()
     for ty in range(nty):
-        held = (set(), set())
         for tx in range(ntx):
             color, tile_ledger, tile_stats = render_tile_per_visit(
                 (tx, ty), camera, grid, records, books, early_exit=early_exit, held=held)

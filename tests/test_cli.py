@@ -31,6 +31,7 @@ from voxsplat import (
 from voxsplat.cli import main
 from voxsplat.errors import CodebookCorruptionError
 from voxsplat.scheduler import traverse, visibility_key, voxel_depths
+from voxsplat.traffic import BUFFER_BYTES
 
 from conftest import (double_ply, leave_rows_to_workers, leaves_no_process_or_thread, read_png,
                       restamp, usable_cpus)
@@ -75,7 +76,8 @@ def test_full_pipeline_and_compare_report(workspace):
         1 - stream["coarse-load"] / stream_stats["filter"]["loaded"]) > 0.0
     assert data["reductions"]["second_half_reuse"] == (
         1 - stream["fine-load"] / stream_stats["filter"]["coarse_survivors"]) > 0.0
-    assert stream_stats["buffer_peak_bytes"] >= 16 + 12
+    assert 16 + 12 <= stream_stats["buffer_peak_bytes"] <= stream_stats["buffer_capacity_bytes"]
+    assert stream_stats["buffer_capacity_bytes"] == BUFFER_BYTES
     # a constrained scene blends each pixel's contributions in depth order
     assert data["depth_order_penalty"]["per_pixel_trace"] == 0.0
     assert data["depth_order_penalty"]["per_tile_trace"] >= 0.0
@@ -107,9 +109,13 @@ def test_render_modes_write_images_and_stats(workspace):
     the stats' ``buffer_peak_bytes`` and ``reuse`` entries.  It was re-taken
     once more when the coarse margin became the proven 1 + 1.9e-5 in place
     of 1.1: fewer coarse survivors, fine-load bytes and records and fine
-    MACs, and a lower ``second_half_reuse``."""
+    MACs, and a lower ``second_half_reuse``.  It was re-taken when one 1 MiB
+    buffer began to serve the whole frame in raster order: fewer coarse-load
+    and fine-load bytes and records, higher reuse shares, a
+    ``buffer_peak_bytes`` that is the buffer's peak occupancy, and the new
+    ``buffer_capacity_bytes``."""
     digests = {
-        "streaming": "ff73fd61ab76eb0ea7057763df68435b308ccaae4f4917921a3fe978b6bab3cc",
+        "streaming": "2dc251a557d87e62f2e72490184483a97a8628fea7a91a9e50f30cb01af1ee5a",
         "reference": "7df3b0f688b9aca12347f47cb6a473482c97af1a8ea6746c9a9b5be9d3057ce3",
     }
     scene_hash = load_store(workspace / "scene.gsvx").scene_hash
@@ -126,7 +132,8 @@ def test_render_modes_write_images_and_stats(workspace):
         assert hashlib.sha256(stats.read_bytes()).hexdigest() == digests[mode]
         if mode == "streaming":
             assert payload["intermediate_bytes"] == 0
-            assert payload["stream"]["buffer_peak_bytes"] > 0
+            assert 0 < payload["stream"]["buffer_peak_bytes"] <= BUFFER_BYTES
+            assert payload["stream"]["buffer_capacity_bytes"] == BUFFER_BYTES
             assert sorted(payload["reuse"]) == ["first_half_reuse", "second_half_reuse"]
     ppm = workspace / "frame.ppm"
     dag = workspace / "edges.txt"
@@ -145,15 +152,15 @@ def test_render_modes_write_images_and_stats(workspace):
         "stream-1": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
         "stream-2": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
         "reference": "769e64a6801c6219ae7587a8b4fb39c156be0ce200f8a73673fe9b3e88625e7c",
-        "report": "2e4ec6803b500dc925d777825faf3838e4357d3bfb2191f30ccdfc60abfb1c26",
-        "csv": "dc77f624eb1fb96a35e6b92babc09ba7d24ec9a401a11abcf527a3fd8568a9ef",
+        "report": "a34409d86e77a229c982bd817ab852862cbe377f78e3c692fa4d0e8037739fc9",
+        "csv": "85b8a0f5f2f5773ba9e9640c4ce0286762e30c6dc9581ce442dcdd9c132c6e7c",
     }),
     (["--count", 500, "--seed", 1, "--extent-fraction", "1.0"], {
         "stream-1": "fb021d10f3b90aad94a41917642c748920369b729a0c272bc79ccc08ff599d0a",
         "stream-2": "fb021d10f3b90aad94a41917642c748920369b729a0c272bc79ccc08ff599d0a",
         "reference": "f60a339924c96114a3b8c6d03177c6b438edb649e6c2980091674d8c87d2f338",
-        "report": "f899501d28873c30a68fc58135dfd99be8bd053fa188bf41be33465bed8c6068",
-        "csv": "8ee611b63176dbf5c42052cb3b21cb46c9f20a08416908590910410bdc1c73dd",
+        "report": "d06ceeda2dda5392f24e9dec284cd7d32ed89bd03b49a6b51054da72dd087485",
+        "csv": "d33a74c97e4ef00b63e059474f74d5c2be0776b86b93dfb6617280d6f6da9d8f",
     }),
 ])
 def test_frames_and_compare_report_keep_their_pinned_bits(tmp_path, flags, digests):
@@ -179,8 +186,13 @@ def test_frames_and_compare_report_keep_their_pinned_bits(tmp_path, flags, diges
     of 1.1: the coarse survivors, fine-load bytes and records, fine MACs and
     cycles, ``coarse_overfetch``, ``second_half_reuse``, the stream totals
     and, on the unconstrained scene, ``buffer_peak_bytes`` fell; no frame
-    digest moved.  The unconstrained scene blends out of depth order in
-    tiles and pixels."""
+    digest moved.  The report and CSV digests of both scenes were re-taken
+    again when one 1 MiB buffer began to serve the whole frame in raster
+    order: the stream ledger's coarse-load and fine-load bytes and records
+    and the stream totals fell, both reuse shares rose, ``buffer_peak_bytes``
+    became the buffer's peak occupancy and the stats gained
+    ``buffer_capacity_bytes``; no frame digest moved.  The unconstrained
+    scene blends out of depth order in tiles and pixels."""
     scene, cam, store = tmp_path / "scene.ply", tmp_path / "cam.json", tmp_path / "scene.gsvx"
     report, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
     assert _run(["gen-scene", *flags, "--out", scene, "--camera-out", cam]) == 0

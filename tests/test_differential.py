@@ -12,6 +12,7 @@ for bit.
 import hashlib
 import struct
 import warnings
+from collections import deque
 from dataclasses import fields
 from typing import NamedTuple
 from unittest import mock
@@ -26,6 +27,7 @@ import voxsplat.reference as reference_mod
 import voxsplat.scene as scene_mod
 import voxsplat.scheduler as scheduler_mod
 import voxsplat.streaming as streaming_mod
+import voxsplat.traffic as traffic_mod
 from voxsplat import (
     Aabb,
     Camera,
@@ -66,12 +68,14 @@ from voxsplat.reference import render_frame_reference
 from voxsplat.scene import TILE_EDGE, tile_pixels
 from voxsplat.scheduler import TileVisits, schedule, traverse, visibility_key, voxel_depths
 from voxsplat.sh import evaluate_sh, sh_basis
-from voxsplat.streaming import render_frame_streaming, render_tile_streaming, tally
+from voxsplat.streaming import StreamStats, render_frame_streaming, render_tile_streaming, tally
+from voxsplat.traffic import TrafficLedger
 from voxsplat.voxelstore import FlatRecords, VoxelGrid, gather_attribute, stream_fine
 from voxsplat.vq import ATTRIBUTE_DIMS, ATTRIBUTES
 
-from conftest import constrained_scene, filter_voxel, projection_cache, usable_cpus
+from conftest import constrained_scene, filter_voxel, projection_cache, tile_alone, usable_cpus
 from oracles import (
+    add_counters,
     blend_per_splat,
     cbp_loss_loop,
     coarse_filter_per_visit,
@@ -963,7 +967,9 @@ def test_frames_match_under_the_frobenius_coarse_radius(kind, encoded, threads, 
     discards: against the Frobenius form, and against a coarse test that
     passes every splat, every pixel, fine survivor and schedule counter is
     the same, and only the coarse survivors and their fine-load records
-    fall.  With books, the first half's max scale is the decoded one."""
+    fall.  The smaller working sets leave more room in the on-chip buffer,
+    so the coarse-load charge can fall too, but never rise.  With books, the
+    first half's max scale is the decoded one."""
     if kind == "constrained":
         scene = constrained_scene(2, count=300)
         camera = look_at_camera([0.0, 0.0, -10.0], [0.0, 0.0, 0.0], width=64, height=64,
@@ -992,8 +998,8 @@ def test_frames_match_under_the_frobenius_coarse_radius(kind, encoded, threads, 
         for name in ("blended", "voxels_scheduled", "voxels_skipped_early", "cycles_broken",
                      "batch_splits"):
             assert getattr(stats, name) == getattr(old_stats, name)
-        for stage in ("coarse-load", "pixel-writeback"):
-            assert ledger.bytes[stage] == old_ledger.bytes[stage]
+        assert ledger.bytes["pixel-writeback"] == old_ledger.bytes["pixel-writeback"]
+        assert ledger.bytes["coarse-load"] <= old_ledger.bytes["coarse-load"]
     _, old_ledger, old_stats = frobenius
     assert stats.filter.coarse_survivors < old_stats.filter.coarse_survivors
     assert ledger.records["fine-load"] < old_ledger.records["fine-load"]
@@ -1006,10 +1012,11 @@ def _one_voxel_store():
     return VoxelStore.build(scene, 2.0)
 
 
-def _tile_result(colors, counts, i, encoded=False):
-    """Tile i of a ``render_tile_streaming`` call as (color, ledger, stats)
-    bytes and dicts: its column of the counters, tallied alone."""
-    ledger, stats = tally(counts[:, i], encoded)
+def _tile_result(colors, row, i, sizes, encoded=False):
+    """Tile i of a ``render_tile_streaming`` call's (colors, counters, keys)
+    as (color, ledger, stats) bytes and dicts: its column of the counters
+    and its keys, tallied as a stream of its own, which fetches all it needs."""
+    ledger, stats = tally(*tile_alone(*row, i), sizes, encoded)
     return colors[i].tobytes(), ledger.as_dict(), stats.as_dict()
 
 
@@ -1021,9 +1028,8 @@ def _tile_result(colors, counts, i, encoded=False):
 )
 @example(seed=0, one_voxel=True, threads=1)
 def test_frame_tiles_match_tiles_rendered_alone(seed, one_voxel, threads):
-    """Each tile of a frame renders and counts as it does alone, or after its
-    left neighbour where it has one: the halves it fetches are those that
-    tile did not hold."""
+    """Each tile of a frame renders, counts and needs the same halves as it
+    does alone; only what it fetches depends on the tiles before it."""
     rng = np.random.default_rng(seed)
     if one_voxel:
         store = _one_voxel_store()
@@ -1034,14 +1040,15 @@ def test_frame_tiles_match_tiles_rendered_alone(seed, one_voxel, threads):
         store, _ = _small_store(seed, encoded=False)
         camera = look_at_camera(rng.uniform(-2.0, 2.0, 3) + [0.0, 0.0, -6.0], [0.0, 0.0, 6.0],
                                 width=48, height=32, focal=100.0)
+    sizes = np.diff(store.records.offsets)
     in_frame = {}
     render_tiles = streaming_mod.render_tile_streaming
 
     def recording(tiles, camera, grid, records, books, **kwargs):
-        colors, counts = render_tiles(tiles, camera, grid, records, books, **kwargs)
+        colors, *row = render_tiles(tiles, camera, grid, records, books, **kwargs)
         for i, tile in enumerate(tiles):
-            in_frame[tile] = _tile_result(colors, counts, i)
-        return colors, counts
+            in_frame[tile] = _tile_result(colors, row, i, sizes)
+        return (colors, *row)
 
     def frame(threads):
         return _frame_result(*render_frame_streaming(camera, store.grid, store.records,
@@ -1054,12 +1061,10 @@ def test_frame_tiles_match_tiles_rendered_alone(seed, one_voxel, threads):
     if threads > 1:
         assert frame(threads) == one
     assert len(in_frame) == 6
-    for (tx, ty), want in in_frame.items():
-        # a tile's fetches depend on what the tile before it in the row holds
-        tiles = [(tx - 1, ty), (tx, ty)][tx == 0:]
-        colors, counts = render_tile_streaming(tiles, camera, store.grid, store.records, None,
-                                               projection_cache(camera, store.grid, store.records))
-        assert _tile_result(colors, counts, len(tiles) - 1) == want
+    for tile, want in in_frame.items():
+        colors, *row = render_tile_streaming([tile], camera, store.grid, store.records, None,
+                                             projection_cache(camera, store.grid, store.records))
+        assert _tile_result(colors, row, 0, sizes) == want
     if one_voxel:
         assert any(tile_stats["voxels_scheduled"] == 1 for _, _, tile_stats in in_frame.values())
 
@@ -1127,6 +1132,10 @@ def _lattice_camera(seed, oblique):
          capacity=streaming_mod.VOXEL_BATCH_CAPACITY)
 @example(n=30, seed=3, wall=False, encoded=True, oblique=True, chunk=1, capacity=2)
 def test_batched_row_tiles_match_per_visit_tiles(n, seed, wall, encoded, oblique, chunk, capacity):
+    """Each tile of a batched row renders and counts as the per-visit tile
+    does alone, and the row, streamed through the on-chip buffer at a
+    capacity that holds about one tile, the whole row or none, charges what
+    the per-visit tiles charge through their held deque."""
     store = VoxelStore.build((_wall_scene if wall else _cell_scene)(n, seed), 2.0)
     books = None
     if encoded:
@@ -1135,22 +1144,64 @@ def test_batched_row_tiles_match_per_visit_tiles(n, seed, wall, encoded, oblique
         store = store.encode(books)
     camera = _lattice_camera(seed, oblique)
     ntx, nty = camera.tile_counts
+    sizes = np.diff(store.records.offsets)
     with mock.patch.object(streaming_mod, "FIRST_CHUNK", chunk), \
             mock.patch.object(streaming_mod, "VOXEL_BATCH_CAPACITY", capacity):
         for ty in range(nty):
             row = [(tx, ty) for tx in range(ntx)]
             cache = projection_cache(camera, store.grid, store.records)
-            colors, counts = render_tile_streaming(row, camera, store.grid, store.records,
-                                                   books, cache)
-            held = (set(), set())  # what the tile before holds on chip, left to right
+            colors, *counted = render_tile_streaming(row, camera, store.grid, store.records,
+                                                     books, cache)
             for i, tile in enumerate(row):
                 color, ledger, stats = render_tile_per_visit(
-                    tile, camera, store.grid, store.records, books, held=held)
+                    tile, camera, store.grid, store.records, books)
                 want = (color.tobytes(), ledger.as_dict(), stats.as_dict())
-                assert _tile_result(colors, counts, i, store.records.encoded) == want
+                assert _tile_result(colors, counted, i, sizes, store.records.encoded) == want
                 exhaustive, _, _ = render_tile_per_visit(
                     tile, camera, store.grid, store.records, books, early_exit=False)
                 assert colors[i].tobytes() == exhaustive.tobytes()
+            for buffer in (0, 600, 1 << 20):
+                with mock.patch.object(traffic_mod, "BUFFER_BYTES", buffer):
+                    held, want_ledger, want_stats = deque(), TrafficLedger(), StreamStats()
+                    for tile in row:
+                        _, ledger, stats = render_tile_per_visit(
+                            tile, camera, store.grid, store.records, books, held=held)
+                        add_counters(want_ledger, ledger)
+                        add_counters(want_stats, stats)
+                    ledger, stats = tally(*counted, sizes, store.records.encoded)
+                assert ledger.as_dict() == want_ledger.as_dict()
+                assert stats.as_dict() == want_stats.as_dict()
+
+
+@pytest.mark.parametrize("buffer", ["none", "two tiles", "declared"])
+@pytest.mark.parametrize("encoded", [False, True])
+@pytest.mark.parametrize("kind", ["constrained", "cluttered"])
+def test_frame_ledgers_match_the_per_visit_buffer_deque(kind, encoded, buffer):
+    """The frame's vectorised charge equals the per-visit tiles' held deque
+    in raster order, with no buffer, one that holds twice the largest
+    tile's working set and the declared one, on constrained and cluttered
+    scenes, raw and VQ."""
+    if kind == "constrained":
+        store = VoxelStore.build(constrained_scene(2, count=300), 2.0)
+        camera = look_at_camera([0.0, 0.0, -10.0], [0.0, 0.0, 0.0], width=64, height=48,
+                                focal=75.0)
+    else:
+        store, _ = _small_store(3, encoded=False)
+        camera = look_at_camera([0.7, -0.4, -6.0], [0.0, 0.0, 6.0], width=48, height=48,
+                                focal=100.0)
+    books = None
+    if encoded:
+        store, books = _encoded(store)
+    with mock.patch.object(traffic_mod, "BUFFER_BYTES", 0):
+        largest = render_frame_streaming(camera, store.grid, store.records, books)[2]
+    capacity = {"none": 0, "two tiles": 2 * largest.buffer_peak_bytes,
+                "declared": traffic_mod.BUFFER_BYTES}[buffer]
+    with mock.patch.object(traffic_mod, "BUFFER_BYTES", capacity):
+        fast = _frame_result(*render_frame_streaming(camera, store.grid, store.records, books))
+        slow = _frame_result(*render_frame_per_visit(camera, store.grid, store.records, books))
+    assert fast == slow
+    assert fast[2]["buffer_capacity_bytes"] == capacity
+    assert (fast[1]["records"]["coarse-load"] < fast[2]["filter"]["loaded"]) == (capacity > 0)
 
 
 @st.composite

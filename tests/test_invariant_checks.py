@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from voxsplat import vq
+from voxsplat import streaming, traffic, vq
 from voxsplat.filtering import FilterStats
 from voxsplat.streaming import COUNTERS, tally
 
@@ -26,14 +26,22 @@ try:
 except RuntimeError as exc:
     print("filter:", exc)
 
-# a row of two tiles whose second fetches a first half more than it loaded
+# a row of two tiles that load 3 splats each, the second a 4-splat voxel
 counts = np.zeros((len(COUNTERS), 2), dtype=np.int64)
-counts[COUNTERS.index("loaded")] = counts[COUNTERS.index("first_fetched")] = 3
-counts[COUNTERS.index("first_fetched"), 1] = 4
+counts[COUNTERS.index("loaded")] = 3
+keys = (np.array([0 * 3 + 0, 1 * 3 + 1]), np.empty(0, dtype=np.int64))
 try:
-    tally(counts, False)
+    tally(counts, keys, np.array([3, 4]), False)
 except RuntimeError as exc:
     print("fetch:", exc)
+
+# a buffer that keeps every tile it has seen, past its capacity
+traffic.BUFFER_BYTES = 16
+streaming._oldest_held = lambda ends, capacity: np.zeros(len(ends) - 1, dtype=np.int64)
+try:
+    tally(counts, (np.array([0 * 3 + 0, 0 * 3 + 1]), keys[1]), np.array([3]), False)
+except RuntimeError as exc:
+    print("buffer:", exc)
 
 # inflate every distance evaluation so the k-means objective rises
 real = vq._squared_distances
@@ -66,4 +74,5 @@ def test_invariant_checks_fire_under_python_O():
     lines = out.stdout.splitlines()
     assert lines[0].startswith("filter: filter counters out of order")
     assert lines[1].startswith("fetch: fetch counters out of order")
-    assert lines[2].startswith("kmeans: k-means objective increased")
+    assert lines[2].startswith("buffer: buffer occupancy 96 B exceeds its 16 B capacity")
+    assert lines[3].startswith("kmeans: k-means objective increased")

@@ -198,7 +198,8 @@ def _tile(tile, camera, grid, records, cache=None, **kwargs):
     ``cache`` is given: (color, {counter name: value})."""
     if cache is None:
         cache = projection_cache(camera, grid, records)
-    colors, counts = render_tile_streaming([tile], camera, grid, records, None, cache, **kwargs)
+    colors, counts, _ = render_tile_streaming([tile], camera, grid, records, None, cache,
+                                              **kwargs)
     return colors[0], dict(zip(COUNTERS, counts[:, 0].tolist()))
 
 

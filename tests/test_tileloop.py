@@ -96,10 +96,9 @@ def test_workers_are_capped_by_the_cpus_this_process_may_run_on(monkeypatch, sto
                             raising=False)
     camera = _camera(6)
     with leaves_no_process_or_thread(), _counting_forks() as fork:
-        _, counts = tileloop.render_rows(camera, lambda ty: (np.zeros((4, 256, 3)),
-                                                             np.zeros((1, 4), dtype=np.int64)), 8)
+        _, rows = tileloop.render_rows(camera, lambda ty: (np.zeros((4, 256, 3)), ty), 8)
     assert fork.call_count == processes - 1
-    assert counts.shape == (1, 6, 4)
+    assert rows == list(range(6))
 
 
 @needs_fork
@@ -211,15 +210,15 @@ def test_a_raise_in_this_process_kills_and_reaps_a_busy_worker(error):
 
 @needs_fork
 def test_a_large_worker_payload_is_read_before_the_worker_is_reaped():
-    """Each row's counters are 200 kB, past any pipe buffer: waiting for the
+    """Each row's payload is 200 kB, past any pipe buffer: waiting for the
     worker before reading its pipe would hang."""
     def render_row(ty):
         return np.full((2, 256, 3), float(ty)), np.full((12_500, 2), ty, dtype=np.int64)
 
     with leaves_no_process_or_thread(), leave_rows_to_workers():
-        frame, counts = tileloop.render_rows(_camera(3, cols=2), render_row, threads=2)
-    assert counts.shape == (12_500, 3, 2)
-    assert [np.unique(counts[:, ty]).tolist() for ty in range(3)] == [[0], [1], [2]]
+        frame, rows = tileloop.render_rows(_camera(3, cols=2), render_row, threads=2)
+    assert [row.shape for row in rows] == [(12_500, 2)] * 3
+    assert [np.unique(row).tolist() for row in rows] == [[0], [1], [2]]
     assert [np.unique(frame[16 * ty : 16 * (ty + 1)]).tolist() for ty in range(3)] == \
         [[0.0], [1.0], [2.0]]
 
@@ -271,38 +270,49 @@ def test_more_workers_than_cores_render_every_row_once(store):
 
 
 @needs_fork
-def test_rows_counters_are_stacked_at_their_own_ty_whatever_order_they_finish():
+def test_rows_payloads_come_back_at_their_own_ty_whatever_order_they_finish():
     camera = _camera(5, cols=3)
 
     def render_row(ty):  # every pixel of row ty reads ty; counter k of tile tx reads k ty + tx
         colors = np.full((3, 256, 3), float(ty))
-        return colors, np.arange(2)[:, None] * ty + np.arange(3)
+        return colors, (np.arange(2)[:, None] * ty + np.arange(3), [ty] * ty)
 
     with leaves_no_process_or_thread(), _finishing_last_first():
-        frame, counts = tileloop.render_rows(camera, render_row, threads=3)
-    assert counts.dtype == np.int64 and counts.shape == (2, 5, 3)
-    for ty in range(5):
+        frame, rows = tileloop.render_rows(camera, render_row, threads=3)
+    assert len(rows) == 5
+    for ty, (counts, keys) in enumerate(rows):
         assert np.all(frame[16 * ty : 16 * (ty + 1)] == ty)
-        assert counts[:, ty].tolist() == [[0, 1, 2], [ty, ty + 1, ty + 2]]
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [[0, 1, 2], [ty, ty + 1, ty + 2]]
+        assert keys == [ty] * ty
 
 
-def _row_counters(module, render, threads, workers=contextlib.nullcontext()):
-    """The counters ``render_rows`` hands ``module``'s renderer in one frame."""
+def _as_lists(part):
+    """``part``, nested lists and tuples of arrays, as nested lists of each
+    array's (dtype, ``tolist``)."""
+    if isinstance(part, np.ndarray):
+        return [part.dtype.str, part.tolist()]
+    return [_as_lists(item) for item in part]
+
+
+def _row_payloads(module, render, threads, workers=contextlib.nullcontext()):
+    """The row payloads ``render_rows`` hands ``module``'s renderer in one
+    frame, through ``_as_lists``."""
     rows, seen = module.render_rows, []
 
     def recording(camera, render_row, threads):
-        frame, counts = rows(camera, render_row, threads)
-        seen.append(counts)
-        return frame, counts
+        frame, payloads = rows(camera, render_row, threads)
+        seen.append(payloads)
+        return frame, payloads
 
     with mock.patch.object(module, "render_rows", recording), workers:
         render(threads)
-    (counts,) = seen
-    return counts
+    (payloads,) = seen
+    return _as_lists(payloads)
 
 
 @needs_fork
-def test_both_renderers_get_each_rows_counters_at_its_ty(store):
+def test_both_renderers_get_each_rows_payload_at_its_ty(store):
     camera = _camera(4)
     ntx, nty = camera.tile_counts
     records = store.records
@@ -316,18 +326,18 @@ def test_both_renderers_get_each_rows_counters_at_its_ty(store):
                                      records.ids)
     keep = np.flatnonzero(valid)
     for module, render in renders.items():
-        forked = _row_counters(module, render, 3, _finishing_last_first())
-        assert np.array_equal(forked, _row_counters(module, render, 1))
-        assert len({forked[:, ty].tobytes() for ty in range(nty)}) == nty  # rows tell apart
+        forked = _row_payloads(module, render, 3, _finishing_last_first())
+        assert forked == _row_payloads(module, render, 1)
+        assert len({repr(payload) for payload in forked}) == nty  # rows tell apart
         for ty in range(nty):
             row = [(tx, ty) for tx in range(ntx)]
-            if module is streaming_mod:
+            if module is streaming_mod:  # the row's counters and keys
                 want = streaming_mod.render_tile_streaming(
                     row, camera, store.grid, records, None,
-                    projection_cache(camera, store.grid, records))[1]
+                    projection_cache(camera, store.grid, records))[1:]
             else:  # each tile's (tile, splat) records: the valid splats whose disc meets it
-                want = [[np.count_nonzero(disc_overlaps_rect(batch.mean2d[keep],
-                                                             batch.radius[keep],
-                                                             tile_rects([tile])))
-                         for tile in row]]
-            assert forked[:, ty].tolist() == np.asarray(want).tolist()
+                want = np.array([[np.count_nonzero(disc_overlaps_rect(batch.mean2d[keep],
+                                                                      batch.radius[keep],
+                                                                      tile_rects([tile])))
+                                  for tile in row]])
+            assert forked[ty] == _as_lists(want)

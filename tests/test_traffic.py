@@ -23,13 +23,15 @@ from voxsplat import (
 from voxsplat.errors import SceneMismatchError
 from voxsplat.filtering import FilterStats
 import voxsplat.streaming as streaming
+import voxsplat.traffic as traffic
 from voxsplat.streaming import COUNTERS, render_tile_streaming, tally
 from voxsplat.traffic import STAGES, buffer_reuse, counts_from_stats, merge_sort_pass_bytes
 from voxsplat.voxelstore import (COARSE_BYTES_PER_GAUSSIAN, ENCODED_FINE_BYTES,
-                                 RAW_FINE_STREAM_BYTES, encode_records, gather_attribute)
+                                 RAW_FINE_STREAM_BYTES, encode_records, gather_attribute,
+                                 load_bytes)
 from voxsplat.vq import ATTRIBUTES, DEFAULT_ENTRIES, train_codebook
 
-from conftest import constrained_scene, projection_cache, usable_cpus
+from conftest import constrained_scene, projection_cache, tile_alone, usable_cpus
 from oracles import add_counters, scene_fingerprint
 
 
@@ -66,12 +68,14 @@ def test_tally_and_model_dicts_are_pinned():
     f = FilterStats(loaded=10000, coarse_survivors=3000, fine_survivors=1000,
                     macs_coarse=550000, macs_fine=1116000, degenerate=4)
     stats = StreamStats(filter=f, voxels_scheduled=9, voxels_skipped_early=2, cycles_broken=1,
-                        batch_splits=3, blended=777, buffer_peak_bytes=5000)
+                        batch_splits=3, blended=777, buffer_peak_bytes=5000,
+                        buffer_capacity_bytes=6000)
     assert json.dumps(stats.as_dict()) == (
         '{"filter": {"loaded": 10000, "coarse_survivors": 3000, "fine_survivors": 1000, '
         '"macs_coarse": 550000, "macs_fine": 1116000, "degenerate": 4}, '
         '"voxels_scheduled": 9, "voxels_skipped_early": 2, "cycles_broken": 1, '
-        '"batch_splits": 3, "blended": 777, "buffer_peak_bytes": 5000}'
+        '"batch_splits": 3, "blended": 777, "buffer_peak_bytes": 5000, '
+        '"buffer_capacity_bytes": 6000}'
     )
     config = PerfConfig(fine_units=3)
     assert json.dumps(asdict(config)) == (
@@ -85,50 +89,117 @@ def test_tally_and_model_dicts_are_pinned():
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4), tiles=st.integers(1, 5),
-       encoded=st.booleans())
-def test_a_frame_tally_equals_its_tiles_tallied_alone_and_summed(seed, rows, tiles, encoded):
-    rng = np.random.default_rng(seed)
-    counts = rng.integers(0, 2**40, (len(COUNTERS), rows, tiles))
-    loaded, coarse, fine, first, second = (COUNTERS.index(name) for name in (
-        "loaded", "coarse_survivors", "fine_survivors", "first_fetched", "second_fetched"))
-    counts[coarse] = rng.integers(0, counts[loaded] + 1)  # fine <= coarse <= loaded
-    counts[fine] = rng.integers(0, counts[coarse] + 1)
-    counts[first] = rng.integers(0, counts[loaded] + 1)  # a tile fetches at most what it needs
-    counts[second] = rng.integers(0, counts[coarse] + 1)
-    counts[[first, second], :, 0] = counts[[loaded, coarse], :, 0]  # and a row's first all
-    ledger, stats = tally(counts, encoded, "frame")
-    want_ledger, want_stats = TrafficLedger(scene_hash="frame"), StreamStats()
-    for ty in range(rows):
-        for tx in range(tiles):
-            tile_ledger, tile_stats = tally(counts[:, ty, tx], encoded)
-            add_counters(want_ledger, tile_ledger)
-            add_counters(want_stats, tile_stats)
-    assert json.dumps(ledger.as_dict()) == json.dumps(want_ledger.as_dict())
-    assert json.dumps(stats.as_dict()) == json.dumps(want_stats.as_dict())
-    assert ledger.records["pixel-writeback"] == rows * tiles * 256
-    assert stats.blended == int(counts[-1].sum())
-    assert ledger.records["coarse-load"] == int(counts[first].sum())
-    assert ledger.records["fine-load"] == int(counts[second].sum())
+@st.composite
+def _tile_stream(draw):
+    """Counters and keys of a few tiles streamed in order: each tile needs
+    the first halves of some voxels of 1-4 splats and the second halves of
+    some of their rows, and ``tally``'s other arguments."""
+    sizes = np.array(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    tiles = draw(st.integers(1, 8))
+    counts = np.zeros((len(COUNTERS), tiles), dtype=np.int64)
+    keys = ([], [])
+    for t in range(tiles):
+        voxels = draw(st.sets(st.integers(0, len(sizes) - 1)))
+        rows = sorted(r for v in voxels for r in range(offsets[v], offsets[v + 1]))
+        coarse = draw(st.sets(st.sampled_from(rows))) if rows else set()
+        counts[COUNTERS.index("loaded"), t] = sizes[list(voxels)].sum()
+        counts[COUNTERS.index("coarse_survivors"), t] = len(coarse)
+        counts[COUNTERS.index("fine_survivors"), t] = draw(st.integers(0, len(coarse)))
+        counts[COUNTERS.index("blended"), t] = draw(st.integers(0, 9))
+        keys[0].extend(v * (tiles + 1) + t for v in voxels)
+        keys[1].extend(r * (tiles + 1) + t for r in coarse)
+    return counts, tuple(np.array(k, dtype=np.int64) for k in keys), sizes, draw(st.booleans())
+
+
+def _tally_at(capacity, counts, keys, sizes, encoded):
+    with mock.patch.object(traffic, "BUFFER_BYTES", capacity):
+        return tally(counts, keys, sizes, encoded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=_tile_stream(), capacity=st.integers(0, 2000))
+def test_a_stream_tally_counts_every_tile_and_charges_no_more_than_its_visits(stream, capacity):
+    """Every counter but the buffer's sums the tiles tallied alone; the
+    loads never exceed, and with no buffer equal, the visits' charges."""
+    counts, keys, sizes, encoded = stream
+    ledger, stats = _tally_at(capacity, counts, keys, sizes, encoded)
+    want_ledger, want_stats = TrafficLedger(), StreamStats()
+    for t in range(counts.shape[1]):
+        tile_ledger, tile_stats = _tally_at(0, *tile_alone(counts, keys, t), sizes, encoded)
+        add_counters(want_ledger, tile_ledger)
+        add_counters(want_stats, tile_stats)
+    got, want = stats.as_dict(), want_stats.as_dict()
+    assert got["buffer_capacity_bytes"] == capacity
+    assert want["buffer_peak_bytes"] <= got["buffer_peak_bytes"] <= max(
+        capacity, want["buffer_peak_bytes"])
+    for name in ("buffer_peak_bytes", "buffer_capacity_bytes"):
+        del got[name], want[name]
+    assert got == want
+    assert ledger.records["pixel-writeback"] == counts.shape[1] * 256
+    for stage in STAGES:
+        assert ledger.bytes[stage] <= want_ledger.bytes[stage]
+        assert ledger.records[stage] <= want_ledger.records[stage]
+    assert ledger.macs == want_ledger.macs
+    if capacity == 0:
+        assert ledger.as_dict() == want_ledger.as_dict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=_tile_stream(), capacities=st.lists(st.integers(0, 2000), min_size=2, max_size=4))
+def test_fetched_bytes_never_rise_as_the_buffer_grows(stream, capacities):
+    loads = [_tally_at(capacity, *stream)[0] for capacity in sorted(capacities)]
+    for stage in ("coarse-load", "fine-load"):
+        fetched = [ledger.bytes[stage] for ledger in loads]
+        assert fetched == sorted(fetched, reverse=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stream=_tile_stream())
+def test_a_buffer_that_holds_the_stream_fetches_each_half_once(stream):
+    counts, keys, sizes, encoded = stream
+    tiles = counts.shape[1]
+    ledger, stats = _tally_at(1 << 40, counts, keys, sizes, encoded)
+    first, second = (np.unique(k // (tiles + 1)) for k in keys)
+    assert ledger.records["coarse-load"] == sizes[first].sum()
+    assert ledger.records["fine-load"] == len(second)
+    assert stats.buffer_peak_bytes == sum(load_bytes(encoded, stats.filter.loaded,
+                                                     stats.filter.coarse_survivors))
+
+
+def _two_tiles():
+    """Two tiles that each load one 10-splat voxel and need 5 of its rows."""
+    counts = np.zeros((len(COUNTERS), 2), dtype=np.int64)
+    for counter, per_tile in (("loaded", 10), ("coarse_survivors", 5), ("fine_survivors", 2)):
+        counts[COUNTERS.index(counter)] = per_tile
+    keys = (np.array([0, 1]), np.repeat(np.arange(5) * 3, 2) + [0, 1] * 5)
+    return counts, keys, np.array([10])
 
 
 @pytest.mark.parametrize("name, tile, value", [
-    ("first_fetched", 1, 11),  # more first halves than the tile loaded
-    ("second_fetched", 1, 6),  # more second halves than it has coarse survivors
-    ("first_fetched", 0, 9),  # a row's first tile fetching less than it loaded
-    ("second_fetched", 0, 4),  # or less than its coarse survivors need
+    ("loaded", 1, 9),  # a tile fetching more first halves than it loaded
+    ("coarse_survivors", 1, 4),  # or more second halves than it has coarse survivors
+    ("loaded", 0, 11),  # the frame's first tile fetching less than it loaded
+    ("coarse_survivors", 0, 6),  # or less than its coarse survivors need
 ])
 def test_tally_refuses_fetch_counters_out_of_order(name, tile, value):
-    counts = np.zeros((len(COUNTERS), 2), dtype=np.int64)
-    for counter, per_tile in (("loaded", 10), ("coarse_survivors", 5), ("fine_survivors", 2),
-                              ("first_fetched", 10), ("second_fetched", 5)):
-        counts[COUNTERS.index(counter)] = per_tile
-    tally(counts, False)
-    tally(counts[:, 1], False)  # one tile alone may start its row or not
+    counts, keys, sizes = _two_tiles()
+    for capacity in (0, 1 << 20):  # the second tile fetches all or nothing
+        _tally_at(capacity, counts, keys, sizes, False)
     counts[COUNTERS.index(name), tile] = value
     with pytest.raises(RuntimeError, match="fetch counters out of order"):
-        tally(counts, False)
+        _tally_at(0, counts, keys, sizes, False)
+
+
+def test_tally_refuses_a_buffer_holding_more_than_its_capacity(monkeypatch):
+    counts, keys, sizes = _two_tiles()
+    _, stats = _tally_at(1 << 20, counts, keys, sizes, True)
+    assert stats.buffer_peak_bytes == 2 * (16 * 10 + 12 * 5)
+    monkeypatch.setattr(streaming, "_oldest_held",
+                        lambda ends, capacity: np.zeros(len(ends) - 1, dtype=np.int64))
+    _tally_at(2 * (16 * 10 + 12 * 5), counts, keys, sizes, True)
+    with pytest.raises(RuntimeError, match="buffer occupancy 440 B exceeds its 439 B capacity"):
+        _tally_at(439, counts, keys, sizes, True)
 
 
 def _buffer_scene(encoded):
@@ -157,70 +228,103 @@ def _per_visit_charges(ledger, stats, encoded):
 
 
 @pytest.mark.parametrize("encoded", [False, True])
-def test_a_camera_one_tile_wide_charges_every_visit(encoded):
+def test_a_buffer_of_no_bytes_charges_every_visit(encoded):
+    """With no capacity each tile reads all it needs; a camera one tile wide,
+    whose tiles have no left neighbour, takes halves from the tiles above."""
     grid, records, books = _buffer_scene(encoded)
     camera = look_at_camera([0, 0, -9], [0, 0, 0], width=16, height=96, focal=300.0)
-    _, ledger, stats = render_frame_streaming(camera, grid, records, books)
+    with mock.patch.object(traffic, "BUFFER_BYTES", 0):
+        _, ledger, stats = render_frame_streaming(camera, grid, records, books)
     assert stats.filter.coarse_survivors > 0
     assert _per_visit_charges(ledger, stats, encoded)
     assert buffer_reuse(ledger, stats.filter) == {"first_half_reuse": 0.0,
                                                   "second_half_reuse": 0.0}
+    _, ledger, stats = render_frame_streaming(camera, grid, records, books)
+    reuse = buffer_reuse(ledger, stats.filter)
+    assert reuse["first_half_reuse"] > 0.0 and reuse["second_half_reuse"] > 0.0
 
 
 @pytest.mark.parametrize("encoded", [False, True])
-def test_fetch_charges_do_not_depend_on_the_round_size(encoded):
+def test_fetch_charges_do_not_depend_on_the_round_size_or_the_workers(encoded):
     grid, records, books = _buffer_scene(encoded)
     camera = look_at_camera([0, 0, -9], [0, 0, 0], width=128, height=96)
     frames = []
     for chunk in (1, streaming.FIRST_CHUNK, 1 << 20):
-        with mock.patch.object(streaming, "FIRST_CHUNK", chunk):
-            frame, ledger, stats = render_frame_streaming(camera, grid, records, books)
-        frames.append((frame.tobytes(), ledger.as_dict(), stats.as_dict()))
-    assert frames[0] == frames[1] == frames[2]
+        for threads in (1, 2):
+            with mock.patch.object(streaming, "FIRST_CHUNK", chunk), usable_cpus(2):
+                frame, ledger, stats = render_frame_streaming(camera, grid, records, books,
+                                                              threads=threads)
+            frames.append((frame.tobytes(), ledger.as_dict(), stats.as_dict()))
+    assert all(frame == frames[0] for frame in frames)
     assert frames[0][1]["records"]["coarse-load"] < frames[0][2]["filter"]["loaded"]
 
 
+def _row_halves(camera, grid, records):
+    """The distinct voxels and coarse-surviving rows the frame's tiles need,
+    from its rows rendered one by one, and each tile's working set in bytes."""
+    ntx, nty = camera.tile_counts
+    cache = projection_cache(camera, grid, records)
+    first, second, footprint = set(), set(), []
+    for ty in range(nty):
+        _, counts, keys = render_tile_streaming([(tx, ty) for tx in range(ntx)], camera, grid,
+                                                records, None, cache)
+        first.update((keys[0] // (ntx + 1)).tolist())
+        second.update((keys[1] // (ntx + 1)).tolist())
+        tiles = dict(zip(COUNTERS, counts))
+        footprint += sum(load_bytes(False, tiles["loaded"], tiles["coarse_survivors"])).tolist()
+    return first, second, footprint
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-def test_per_tile_fetch_counters_sum_to_the_frame_ledger(threads):
+def test_a_buffer_that_holds_the_frame_fetches_each_half_once(threads):
     grid, records, books = _buffer_scene(False)
     camera = look_at_camera([0, 0, -9], [0, 0, 0], width=128, height=96)
-    with usable_cpus(2):
+    first, second, footprint = _row_halves(camera, grid, records)
+    with mock.patch.object(traffic, "BUFFER_BYTES", sum(footprint)), usable_cpus(2):
         _, ledger, stats = render_frame_streaming(camera, grid, records, threads=threads)
-    ntx, nty = camera.tile_counts
-    first = second = peak = 0
-    cache = projection_cache(camera, grid, records)
-    for ty in range(nty):
-        _, counts = render_tile_streaming([(tx, ty) for tx in range(ntx)], camera, grid,
-                                          records, None, cache)
-        tiles = dict(zip(COUNTERS, counts))
-        first += int(tiles["first_fetched"].sum())
-        second += int(tiles["second_fetched"].sum())
-        peak = max(peak, int((COARSE_BYTES_PER_GAUSSIAN * tiles["loaded"]
-                              + RAW_FINE_STREAM_BYTES * tiles["coarse_survivors"]).max()))
-    assert (first, second) == (ledger.records["coarse-load"], ledger.records["fine-load"])
-    assert stats.buffer_peak_bytes == peak > 0
+    sizes = np.diff(records.offsets)
+    assert ledger.records["coarse-load"] == sizes[sorted(first)].sum()
+    assert ledger.records["fine-load"] == len(second)
+    assert stats.buffer_peak_bytes == sum(footprint) == stats.buffer_capacity_bytes
+    # room for three tiles, less than a row: more fetches, a lower peak
+    capacity = 3 * max(footprint)
+    with mock.patch.object(traffic, "BUFFER_BYTES", capacity), usable_cpus(2):
+        _, ledger, stats = render_frame_streaming(camera, grid, records, threads=threads)
+    assert ledger.records["fine-load"] > len(second)
+    assert max(footprint) < stats.buffer_peak_bytes <= capacity
     reuse = buffer_reuse(ledger, stats.filter)
     assert 0.0 < reuse["first_half_reuse"] < 1.0 and 0.0 < reuse["second_half_reuse"] < 1.0
 
 
+def test_fetched_bytes_of_a_frame_fall_as_the_buffer_grows():
+    grid, records, books = _buffer_scene(False)
+    camera = look_at_camera([0, 0, -9], [0, 0, 0], width=128, height=96)
+    loads = []
+    for capacity in (0, 1 << 16, 1 << 18, 1 << 20, 1 << 40):
+        with mock.patch.object(traffic, "BUFFER_BYTES", capacity):
+            _, ledger, _ = render_frame_streaming(camera, grid, records)
+        loads.append((ledger.bytes["coarse-load"], ledger.bytes["fine-load"]))
+    for stage in range(2):
+        fetched = [load[stage] for load in loads]
+        assert fetched == sorted(fetched, reverse=True) and fetched[0] > fetched[-1]
+
+
 @pytest.mark.parametrize("encoded", [False, True])
 def test_the_buffer_moves_only_the_load_charges(encoded):
-    """Against a frame that charges every visit, as the ledger did before
-    the on-chip buffer, the frame and every stream counter are equal, and
-    only the coarse-load and fine-load charges fall."""
+    """Against a frame with no buffer, which charges every visit as the
+    ledger did before the on-chip buffer, the frame and every stream
+    counter but the buffer's are equal, and only the coarse-load and
+    fine-load charges fall."""
     grid, records, books = _buffer_scene(encoded)
     camera = look_at_camera([0, 0, -9], [0, 0, 0], width=128, height=96)
-
-    def every_visit(keys, ntiles, weights=None):
-        ids, tiles = np.divmod(keys, ntiles + 1)
-        return np.bincount(tiles, None if weights is None else weights[ids],
-                           minlength=ntiles).astype(np.int64)
-
     frame, ledger, stats = render_frame_streaming(camera, grid, records, books)
-    with mock.patch.object(streaming, "_fetched", every_visit):
+    with mock.patch.object(traffic, "BUFFER_BYTES", 0):
         old_frame, old_ledger, old_stats = render_frame_streaming(camera, grid, records, books)
     assert frame.tobytes() == old_frame.tobytes()
-    assert stats.as_dict() == old_stats.as_dict()
+    new, old = stats.as_dict(), old_stats.as_dict()
+    for name in ("buffer_peak_bytes", "buffer_capacity_bytes"):
+        assert new.pop(name) > old.pop(name)
+    assert new == old
     assert _per_visit_charges(old_ledger, old_stats, encoded)
     for stage in STAGES:
         moved = stage in ("coarse-load", "fine-load")
